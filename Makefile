@@ -1,17 +1,6 @@
 GO ?= go
 
-# Benchmark time per case for bench-json; CI passes BENCHTIME=1x for a
-# smoke run that only proves the benchmarks and the JSON pipeline work.
-BENCHTIME ?= 1s
-
-# The serving-path benchmarks recorded in BENCH_010.json: internal
-# index probe/verify, public API, sharded fan-out, zipf repeated-query
-# cache, WAL append cost, the group-commit write storm, cluster
-# scatter-gather, and the kNN paths (online QueryKNN across shard
-# counts, batch AllKNN).
-BENCH_REGEX := ^(BenchmarkQueryThreshold|BenchmarkQueryTopK|BenchmarkQueryKNN|BenchmarkIndexQuery|BenchmarkIndexTopK|BenchmarkShardedQuery|BenchmarkZipfRepeatedQuery|BenchmarkWALAppend|BenchmarkWriteStorm|BenchmarkClusterQuery|BenchmarkAllKNN)$$
-
-.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-json loadtest-smoke
+.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke
 
 all: build test
 
@@ -48,49 +37,18 @@ govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck -test ./...; \
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
 
-# Run the serving-path benchmarks and regenerate BENCH_010.json, diffed
-# against the committed pre-kNN baseline. benchjson re-reads the file
-# after writing, so this target fails if the artifact is not parseable
-# JSON. The committed BENCH_010.json additionally folds in vsmartbench
-# load runs via benchjson -loadtest (see bench/loadtest_*.json); the
-# smoke run here skips those.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -benchmem -benchtime $(BENCHTIME) ./... > bench/.last_bench.txt
-	$(GO) run ./cmd/benchjson -in bench/.last_bench.txt -baseline bench/BASELINE_010.txt -out BENCH_010.json
-
-# End-to-end load-harness smoke: boot a throwaway volatile daemon,
-# drive it with vsmartbench for a couple of seconds, and fail unless
-# the report is well-formed JSON with non-zero sustained QPS. The
-# second leg is a batched write storm — zipf hot keys, every write
-# shipped through POST /bulk — so a PR cannot silently break the
-# sanctioned batched-ingest path. CI runs this; locally it doubles as
-# a quick "is serving alive" check.
-loadtest-smoke:
-	@set -e; \
-	$(GO) build -o /tmp/vsmartjoind.smoke ./cmd/vsmartjoind; \
-	/tmp/vsmartjoind.smoke -addr 127.0.0.1:18321 & daemon=$$!; \
-	trap "kill $$daemon 2>/dev/null" EXIT; \
-	sleep 1; \
-	$(GO) run ./cmd/vsmartbench -target 127.0.0.1:18321 \
-		-entities 2000 -concurrency 8 -warmup 500ms -duration 2s \
-		-out /tmp/vsmartbench.smoke.json; \
-	$(GO) run ./cmd/vsmartbench -check /tmp/vsmartbench.smoke.json; \
-	$(GO) run ./cmd/vsmartbench -target 127.0.0.1:18321 \
-		-entities 2000 -concurrency 8 -read-pct 0 -zipf 1.2 \
-		-write-burst 64 -warmup 500ms -duration 2s \
-		-out /tmp/vsmartbench.storm.json; \
-	$(GO) run ./cmd/vsmartbench -check /tmp/vsmartbench.storm.json; \
-	$(GO) run ./cmd/vsmartbench -target 127.0.0.1:18321 -no-preload \
-		-entities 2000 -concurrency 8 -read-pct 100 -knn-k 10 \
-		-warmup 500ms -duration 2s \
-		-out /tmp/vsmartbench.knn.json; \
-	$(GO) run ./cmd/vsmartbench -check /tmp/vsmartbench.knn.json
+# The benchmark (BENCHMARK.json, benchmark/) is a module of its own, so
+# `build`, `test` and `vet` above do not see it: vet it and run its own
+# quick tests here, so that renaming something it names fails before
+# the benchmark pipeline does. CI runs the same two commands. Running
+# the benchmark itself is `bash benchmark/run.sh` (benchmark/README.md).
+bench-check:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 # Batch AllKNN smoke: run the three-job MapReduce kNN pipeline over a
 # tiny generated trace and demand one neighbor line per entity — a PR
-# cannot silently break the -knn CLI path. CI runs this alongside
-# loadtest-smoke.
-.PHONY: allknn-smoke
+# cannot silently break the -knn CLI path. CI runs this in its test job.
 allknn-smoke:
 	@set -e; \
 	for i in 1 2 3 4 5 6 7 8; do \

@@ -41,14 +41,11 @@ type queryCache struct {
 }
 
 // cacheEntry is one cached answer, stamped with the index generation
-// current when its query began. Exactly one of res/kres is set — the
-// key's kind byte decides which query family it answers, so a key can
-// never be read back as the wrong type.
+// current when its query began.
 type cacheEntry struct {
-	key  string
-	gen  uint64
-	res  []Match
-	kres []Neighbor
+	key string
+	gen uint64
+	res QueryResult
 }
 
 func newQueryCache(capacity int) *queryCache {
@@ -59,18 +56,25 @@ func newQueryCache(capacity int) *queryCache {
 	}
 }
 
+// cloneResult copies an answer so the cache never shares a slice with
+// a caller.
+func cloneResult(r QueryResult) QueryResult {
+	//lint:vsmart-allow canonicalorder entries are stored already-canonical and cloned verbatim; order is preserved
+	return QueryResult{Matches: slices.Clone(r.Matches), Neighbors: slices.Clone(r.Neighbors)}
+}
+
 // get returns a copy of the cached answer for key if one exists and was
 // computed at the given generation. A stale entry (any other generation)
 // is evicted and reads as a miss. The key is raw bytes so the lookup
 // stays allocation-free: Go elides the string conversion in a map index
 // expression, and only put materializes the string.
-func (c *queryCache) get(key []byte, gen uint64) ([]Match, bool) {
+func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 	c.mu.Lock()
 	el, ok := c.byKey[string(key)]
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
+		return QueryResult{}, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if ent.gen != gen {
@@ -78,13 +82,12 @@ func (c *queryCache) get(key []byte, gen uint64) ([]Match, bool) {
 		delete(c.byKey, ent.key)
 		c.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
+		return QueryResult{}, false
 	}
 	c.lru.MoveToFront(el)
-	res := slices.Clone(ent.res)
+	res := cloneResult(ent.res)
 	c.mu.Unlock()
 	c.hits.Add(1)
-	//lint:vsmart-allow canonicalorder entries are stored already-canonical and cloned verbatim; order is preserved
 	return res, true
 }
 
@@ -92,64 +95,18 @@ func (c *queryCache) get(key []byte, gen uint64) ([]Match, bool) {
 // read before the query ran — see the package comment above for why a
 // racing mutation then yields a false miss, never a stale hit), and
 // evicts least-recently-used entries beyond capacity.
-func (c *queryCache) put(key []byte, gen uint64, res []Match) {
+func (c *queryCache) put(key []byte, gen uint64, res QueryResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[string(key)]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.gen = gen
-		ent.res = slices.Clone(res)
+		ent.res = cloneResult(res)
 		c.lru.MoveToFront(el)
 		return
 	}
 	k := string(key)
-	c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, gen: gen, res: slices.Clone(res)})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
-	}
-}
-
-// getKNN and putKNN are get and put for kNN answers; the 'N'/'M' kind
-// bytes keep their keys disjoint from the Match-typed families, so an
-// entry is always read back as the type it was stored with.
-func (c *queryCache) getKNN(key []byte, gen uint64) ([]Neighbor, bool) {
-	c.mu.Lock()
-	el, ok := c.byKey[string(key)]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.gen != gen {
-		c.lru.Remove(el)
-		delete(c.byKey, ent.key)
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	res := slices.Clone(ent.kres)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	//lint:vsmart-allow canonicalorder entries are stored already-canonical and cloned verbatim; order is preserved
-	return res, true
-}
-
-func (c *queryCache) putKNN(key []byte, gen uint64, res []Neighbor) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[string(key)]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.gen = gen
-		ent.kres = slices.Clone(res)
-		c.lru.MoveToFront(el)
-		return
-	}
-	k := string(key)
-	c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, gen: gen, kres: slices.Clone(res)})
+	c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, gen: gen, res: cloneResult(res)})
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -165,13 +122,13 @@ func (c *queryCache) len() int {
 	return c.lru.Len()
 }
 
-// Cache key layout: a kind byte ('T' threshold, 'K' top-k, 'E'
-// entity-relative, 'N' kNN, 'M' entity-relative kNN), the measure name
-// (NUL-terminated — measure names
-// never contain NUL), the query parameter, then the canonicalized query.
-// Element names are length-prefixed so adjacent names cannot alias, and
-// sorted so the key is independent of map iteration order — two maps
-// holding the same multiset always build the same key.
+// Cache key layout: the query kind byte, the measure name
+// (NUL-terminated — measure names never contain NUL), the kind's
+// parameter (threshold bits or k), then the subject: 'E' and the entity
+// name, or 'M' and the canonicalized multiset. Element names are
+// length-prefixed so adjacent names cannot alias, and sorted so the key
+// is independent of map iteration order — two maps holding the same
+// multiset always build the same key.
 //
 // Keys are built into pooled scratch buffers so the cache hit path does
 // not allocate for key construction; the key string is materialized only
@@ -184,55 +141,33 @@ type keyScratch struct {
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-func getKeyScratch() *keyScratch   { return keyScratchPool.Get().(*keyScratch) }
-func putKeyScratch(ks *keyScratch) { keyScratchPool.Put(ks) }
-
-func (ks *keyScratch) appendCounts(counts map[string]uint32) {
+// build writes q's cache key into ks.b. q has passed CheckQuery, so
+// exactly the fields its kind reads are meaningful.
+func (ks *keyScratch) build(measure string, q Query) {
+	param := uint64(q.K)
+	if q.Kind == KindThreshold {
+		param = math.Float64bits(q.Threshold)
+	}
+	b := append(ks.b[:0], byte(q.Kind))
+	b = append(b, measure...)
+	b = append(b, 0)
+	b = binary.BigEndian.AppendUint64(b, param)
+	if q.Entity != "" {
+		ks.b = append(append(b, 'E'), q.Entity...)
+		return
+	}
+	b = append(b, 'M')
 	names := ks.names[:0]
-	for name, c := range counts {
+	for name, c := range q.Elements {
 		if c > 0 { // zero counts are ignored by queries, so they can't split keys
 			names = append(names, name)
 		}
 	}
 	slices.Sort(names)
-	b := ks.b
 	for _, name := range names {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(name)))
 		b = append(b, name...)
-		b = binary.BigEndian.AppendUint32(b, counts[name])
+		b = binary.BigEndian.AppendUint32(b, q.Elements[name])
 	}
 	ks.b, ks.names = b, names
-}
-
-func (ks *keyScratch) header(kind byte, measure string, param uint64) {
-	b := ks.b[:0]
-	b = append(b, kind)
-	b = append(b, measure...)
-	b = append(b, 0)
-	ks.b = binary.BigEndian.AppendUint64(b, param)
-}
-
-func (ks *keyScratch) thresholdKey(measure string, counts map[string]uint32, t float64) {
-	ks.header('T', measure, math.Float64bits(t))
-	ks.appendCounts(counts)
-}
-
-func (ks *keyScratch) topKKey(measure string, counts map[string]uint32, k int) {
-	ks.header('K', measure, uint64(k))
-	ks.appendCounts(counts)
-}
-
-func (ks *keyScratch) entityKey(measure, entity string, t float64) {
-	ks.header('E', measure, math.Float64bits(t))
-	ks.b = append(ks.b, entity...)
-}
-
-func (ks *keyScratch) knnKey(measure string, counts map[string]uint32, k int) {
-	ks.header('N', measure, uint64(k))
-	ks.appendCounts(counts)
-}
-
-func (ks *keyScratch) knnEntityKey(measure, entity string, k int) {
-	ks.header('M', measure, uint64(k))
-	ks.b = append(ks.b, entity...)
 }

@@ -153,83 +153,53 @@ func (c *Cluster) BulkContext(ctx context.Context, muts []BulkMutation) error {
 // AddBatch upserts a batch of entities via Bulk — the batched
 // counterpart of calling Add per entry.
 func (c *Cluster) AddBatch(entries []BatchEntry) error {
-	return c.AddBatchContext(context.Background(), entries)
-}
-
-// AddBatchContext is AddBatch carrying a context, with AddContext's
-// trace-propagation and cancellation semantics.
-func (c *Cluster) AddBatchContext(ctx context.Context, entries []BatchEntry) error {
 	ops := make([]cluster.BulkOp, len(entries))
 	for i, e := range entries {
 		ops[i] = cluster.BulkOp{Op: "add", Entity: e.Entity, Elements: e.Elements}
 	}
-	return c.inner.Bulk(ctx, ops)
+	return c.inner.Bulk(context.Background(), ops)
 }
 
-// QueryThreshold returns every entity in the cluster whose similarity
-// to the query multiset is at least t, in the canonical order
-// (decreasing similarity, entity name ascending on ties) — exactly the
-// answer a single Index over the same entities gives.
+// Query answers q over the whole cluster — exactly the answer, byte for
+// byte, a single Index holding every entity gives (Index.Query
+// documents the kinds), including a kNN list's non-overlapping tail at
+// distance exactly 1. Cancelling ctx reels in the scatter, and trace
+// values (WithRequestID) propagate onto every node request. Besides a
+// malformed query or an unknown Entity it fails, with
+// ErrClusterUnavailable, when a partition has no answering replica:
+// never a partial answer.
+func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
+	return c.inner.Query(ctx, q)
+}
+
+// QueryThreshold is Query for a KindThreshold query by elements.
 func (c *Cluster) QueryThreshold(counts map[string]uint32, t float64) ([]Match, error) {
-	return c.QueryThresholdContext(context.Background(), counts, t)
+	res, err := c.Query(context.Background(), Query{Elements: counts, Threshold: t})
+	return res.Matches, err
 }
 
-// QueryThresholdContext is QueryThreshold carrying a context:
-// cancelling it reels in the scatter, and trace values (WithRequestID)
-// propagate onto every node request.
-func (c *Cluster) QueryThresholdContext(ctx context.Context, counts map[string]uint32, t float64) ([]Match, error) {
-	return fromClusterMatches(c.inner.QueryThreshold(ctx, counts, t))
-}
-
-// QueryTopK returns the k most similar entities across the whole
-// cluster, best first under the canonical order.
-func (c *Cluster) QueryTopK(counts map[string]uint32, k int) ([]Match, error) {
-	return c.QueryTopKContext(context.Background(), counts, k)
-}
-
-// QueryTopKContext is QueryTopK carrying a context, with
-// QueryThresholdContext's cancellation and trace semantics.
-func (c *Cluster) QueryTopKContext(ctx context.Context, counts map[string]uint32, k int) ([]Match, error) {
-	return fromClusterMatches(c.inner.QueryTopK(ctx, counts, k))
-}
-
-// QueryEntity runs QueryThreshold with an indexed entity as the query;
-// the entity itself is excluded from the results.
+// QueryEntity is Query for a KindThreshold query by indexed entity.
 func (c *Cluster) QueryEntity(entity string, t float64) ([]Match, error) {
-	return c.QueryEntityContext(context.Background(), entity, t)
+	res, err := c.Query(context.Background(), Query{Entity: entity, Threshold: t})
+	return res.Matches, err
 }
 
-// QueryEntityContext is QueryEntity carrying a context, with
-// QueryThresholdContext's cancellation and trace semantics.
-func (c *Cluster) QueryEntityContext(ctx context.Context, entity string, t float64) ([]Match, error) {
-	return fromClusterMatches(c.inner.QueryEntity(ctx, entity, t))
+// QueryTopK is Query for a KindTopK query by elements.
+func (c *Cluster) QueryTopK(counts map[string]uint32, k int) ([]Match, error) {
+	res, err := c.Query(context.Background(), Query{Elements: counts, Kind: KindTopK, K: k})
+	return res.Matches, err
 }
 
-// QueryKNN returns the k nearest entities across the whole cluster
-// under the distance 1 − similarity, nearest first under the canonical
-// order (distance ascending, entity name ascending on ties) — exactly
-// the answer a single Index over the same entities gives, including
-// the non-overlapping tail at distance exactly 1.
+// QueryKNN is Query for a KindKNN query by elements.
 func (c *Cluster) QueryKNN(counts map[string]uint32, k int) ([]Neighbor, error) {
-	return c.QueryKNNContext(context.Background(), counts, k)
+	res, err := c.Query(context.Background(), Query{Elements: counts, Kind: KindKNN, K: k})
+	return res.Neighbors, err
 }
 
-// QueryKNNContext is QueryKNN carrying a context, with
-// QueryThresholdContext's cancellation and trace semantics.
-func (c *Cluster) QueryKNNContext(ctx context.Context, counts map[string]uint32, k int) ([]Neighbor, error) {
-	return fromClusterNeighbors(c.inner.QueryKNN(ctx, counts, k))
-}
-
-// QueryKNNEntity runs QueryKNN with an indexed entity as the query;
-// the entity itself is excluded from its own neighbor list.
+// QueryKNNEntity is Query for a KindKNN query by indexed entity.
 func (c *Cluster) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
-	return c.QueryKNNEntityContext(context.Background(), entity, k)
-}
-
-// QueryKNNEntityContext is QueryKNNEntity carrying a context, with
-// QueryThresholdContext's cancellation and trace semantics.
-func (c *Cluster) QueryKNNEntityContext(ctx context.Context, entity string, k int) ([]Neighbor, error) {
-	return fromClusterNeighbors(c.inner.QueryKNNEntity(ctx, entity, k))
+	res, err := c.Query(context.Background(), Query{Entity: entity, Kind: KindKNN, K: k})
+	return res.Neighbors, err
 }
 
 // WithRequestID returns a context carrying a request ID that the
@@ -331,30 +301,4 @@ func (c *Cluster) Stats() ClusterStats {
 		out.Nodes[i] = ClusterNodeStatus(n)
 	}
 	return out
-}
-
-// fromClusterMatches converts the wire matches to the public type.
-func fromClusterMatches(ms []cluster.Match, err error) ([]Match, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Entity: m.Entity, Similarity: m.Similarity}
-	}
-	//lint:vsmart-allow canonicalorder element-wise conversion of wire matches the cluster router already canonicalized
-	return out, nil
-}
-
-// fromClusterNeighbors converts the wire neighbors to the public type.
-func fromClusterNeighbors(ns []cluster.Neighbor, err error) ([]Neighbor, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor{Entity: n.Entity, Distance: n.Distance}
-	}
-	//lint:vsmart-allow canonicalorder element-wise conversion of wire neighbors the cluster router already canonicalized
-	return out, nil
 }

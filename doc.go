@@ -43,6 +43,11 @@
 //	matches, err := ix.QueryThreshold(map[string]uint32{"cookie-a": 3}, 0.5)
 //	top := ix.QueryTopK(map[string]uint32{"cookie-a": 3}, 10)
 //
+// Every online query — threshold, top-k or kNN, by element multiset or
+// by indexed entity — is one Query value answered by Index.Query (and,
+// over a cluster, by Cluster.Query); the named methods are conveniences
+// over it.
+//
 // BuildIndex bulk-loads the same Dataset AllPairs consumes, and the two
 // paths return provably consistent results (see api_diff_test.go). The
 // cmd/vsmartjoind daemon serves an Index over HTTP, and examples/serving
@@ -152,7 +157,7 @@
 // The query hot path is allocation-free at steady state: per-query
 // scratch is pooled and reused, so sustained QueryThreshold/QueryTopK
 // traffic settles at zero allocations per operation inside the index
-// engine (see BENCH_007.json for measured before/after numbers).
+// engine (the benchmark's index.allocs_per_op; see benchmark/README.md).
 //
 // On top of that, Index keeps a bounded LRU cache of complete query
 // results, keyed by the measure, the canonicalized query elements, and
@@ -268,8 +273,9 @@
 // per-stage timings alongside the matches. The daemon sheds load
 // predictably: -max-inflight bounds concurrently served requests, and
 // beyond the bound requests are answered 429 + Retry-After instead of
-// queueing (probes and the metrics scrape are exempt). cmd/vsmartbench
-// is the closed-loop load harness that measures all of it end to end.
+// queueing (probes and the metrics scrape are exempt). The repository's
+// benchmark (BENCHMARK.json, bash benchmark/run.sh) measures all of it
+// end to end and layer by layer.
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // reproduction of the paper's evaluation.

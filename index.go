@@ -161,36 +161,6 @@ type IndexOptions struct {
 	BuildShuffleBufferBytes int64
 }
 
-// Match is one online query result. Results are always ordered
-// canonically: decreasing similarity, entity name ascending on ties.
-// Name-based tie-breaking (rather than internal entity IDs) is what
-// makes results reproducible across every deployment shape — a single
-// index, a sharded one, and a Cluster of independent nodes (each with
-// its own private ID space) all answer byte-identically.
-type Match struct {
-	Entity     string  `json:"entity"`
-	Similarity float64 `json:"similarity"`
-}
-
-// worsePublicMatch is the canonical public result comparator: a ranks
-// below b on lower similarity, or on greater entity name at equal
-// similarities. Entity names are unique, so this is a total order.
-func worsePublicMatch(a, b Match) bool {
-	if a.Similarity != b.Similarity {
-		return a.Similarity < b.Similarity
-	}
-	return a.Entity > b.Entity
-}
-
-// SortMatchesByName orders matches best first under the canonical
-// public ordering (similarity descending, entity name ascending on
-// ties). Index queries return already-sorted results; the function is
-// exported for callers merging match lists from several sources — the
-// cluster router's scatter-gather merge is built on it.
-func SortMatchesByName(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return worsePublicMatch(ms[j], ms[i]) })
-}
-
 // IndexStats snapshots the size and traffic counters of an Index; see
 // the field docs on internal/index.Stats for the pruning pipeline the
 // Probes → Candidates → Verified → Results funnel describes. Entities,
@@ -265,12 +235,13 @@ type IndexStats struct {
 }
 
 // Index is the online counterpart of AllPairs: an incremental inverted
-// similarity index serving threshold and top-k queries against a live
-// dataset. Entities can be added and removed at any time, concurrently
-// with queries; see internal/index for the data structure and locking
-// design, internal/shard for the hash-partitioned fan-out, and
-// internal/wal for the durability layer. Use AllPairs for periodic full
-// joins and an Index for interactive lookups against the same entities.
+// similarity index serving threshold, top-k and kNN queries (Query, in
+// query.go) against a live dataset. Entities can be added and removed
+// at any time, concurrently with queries; see internal/index for the
+// data structure and locking design, internal/shard for the
+// hash-partitioned fan-out, and internal/wal for the durability layer.
+// Use AllPairs for periodic full joins and an Index for interactive
+// lookups against the same entities.
 type Index struct {
 	measure similarity.Measure
 	inner   *shard.Set
@@ -1203,217 +1174,6 @@ func (ix *Index) Generation() uint64 {
 	return gen
 }
 
-// buildQuery maps query element names into the index alphabet without
-// interning them. Unknown elements can match nothing, but they still count
-// toward the query's cardinalities (every measure's denominator), so they
-// are folded into the query's Extra stats.
-func (ix *Index) buildQuery(counts map[string]uint32) index.Query {
-	// Map iteration order is irrelevant here: Extra accumulation is
-	// commutative and multiset.New sorts the entries by element.
-	var q index.Query
-	entries := make([]multiset.Entry, 0, len(counts))
-	ix.mu.RLock()
-	for elem, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if id, ok := ix.dict.Lookup(elem); ok {
-			entries = append(entries, multiset.Entry{Elem: id, Count: c})
-		} else {
-			q.Extra.AccumulateUni(c)
-		}
-	}
-	ix.mu.RUnlock()
-	q.Set = multiset.New(0, entries)
-	return q
-}
-
-// resolve translates ID matches back to entity names and re-sorts them
-// under the canonical public ordering (similarity descending, name
-// ascending on ties) — the inner index breaks ties by entity ID, which
-// is meaningless outside one process. Matches whose entity was removed
-// between the query and the lookup are dropped.
-func (ix *Index) resolve(ms []index.Match) []Match {
-	out := make([]Match, 0, len(ms))
-	ix.mu.RLock()
-	for _, m := range ms {
-		if name, ok := ix.names[m.ID]; ok {
-			out = append(out, Match{Entity: name, Similarity: m.Sim})
-		}
-	}
-	ix.mu.RUnlock()
-	SortMatchesByName(out)
-	return out
-}
-
-// queryBuf is the pooled per-query state of the public read path: the
-// internal-match staging buffer (the inner Into query fills it, resolve
-// translates it into public matches, and it never reaches a caller, so
-// pooling is safe) plus a latency-sampling tick. Query latency is
-// observed on one query in eight per buffer: the two clock reads and
-// the histogram's shared-cacheline bump leave the hot path seven times
-// out of eight, keeping the uncached read at its pre-instrumentation
-// cost, while the sampled digest still converges on the steady-state
-// distribution (sampling is unbiased — the tick has no correlation
-// with query difficulty).
-type queryBuf struct {
-	ms   []index.Match
-	ns   []index.Neighbor
-	tick uint8
-}
-
-// sample advances the buffer's tick and stamps the clock on the queries
-// it elects to time: the first query through a fresh buffer (so a
-// lightly used index still populates the digest), then every eighth.
-func (b *queryBuf) sample() (metrics.Stamp, bool) {
-	b.tick++
-	if b.tick&7 != 1 {
-		return metrics.Stamp{}, false
-	}
-	return metrics.Now(), true
-}
-
-var matchBufPool = sync.Pool{New: func() any { return new(queryBuf) }}
-
-// QueryThreshold returns every indexed entity whose similarity to the
-// query multiset is at least t, in the canonical order (decreasing
-// similarity, entity name ascending on ties). A zero t returns every
-// entity sharing at least one element with the query — the same overlap
-// convention as AllPairs.
-func (ix *Index) QueryThreshold(counts map[string]uint32, t float64) ([]Match, error) {
-	if err := checkThreshold(t); err != nil {
-		return nil, err
-	}
-	var ks *keyScratch
-	var gen uint64
-	if ix.cache != nil {
-		ks = getKeyScratch()
-		ks.thresholdKey(ix.measure.Name(), counts, t)
-		// The generation is read BEFORE the query runs: a mutation racing
-		// the fill leaves a stale stamp behind, so the entry can only be
-		// a false miss later, never a stale hit.
-		gen = ix.gen.Load()
-		if res, ok := ix.cache.get(ks.b, gen); ok {
-			putKeyScratch(ks)
-			return res, nil
-		}
-	}
-	bp := matchBufPool.Get().(*queryBuf)
-	start, timed := bp.sample()
-	ms := ix.inner.QueryThresholdInto(ix.buildQuery(counts), t, bp.ms[:0])
-	out := ix.resolve(ms)
-	bp.ms = ms
-	matchBufPool.Put(bp)
-	if timed {
-		ix.queryLatency.ObserveSince(start)
-	}
-	if ix.cache != nil {
-		ix.cache.put(ks.b, gen, out)
-		putKeyScratch(ks)
-	}
-	return out, nil
-}
-
-// QueryEntity runs QueryThreshold with an indexed entity as the query;
-// the entity itself is excluded from the results.
-func (ix *Index) QueryEntity(entity string, t float64) ([]Match, error) {
-	if err := checkThreshold(t); err != nil {
-		return nil, err
-	}
-	var ks *keyScratch
-	var gen uint64
-	if ix.cache != nil {
-		ks = getKeyScratch()
-		ks.entityKey(ix.measure.Name(), entity, t)
-		gen = ix.gen.Load() // before the lookup AND the query, like QueryThreshold
-		if res, ok := ix.cache.get(ks.b, gen); ok {
-			putKeyScratch(ks)
-			return res, nil
-		}
-	}
-	ix.mu.RLock()
-	id, ok := ix.byName[entity]
-	ix.mu.RUnlock()
-	if !ok {
-		if ix.cache != nil {
-			putKeyScratch(ks)
-		}
-		return nil, fmt.Errorf("vsmartjoin: entity %q not indexed", entity)
-	}
-	bp := matchBufPool.Get().(*queryBuf)
-	start, timed := bp.sample()
-	ms := ix.inner.QueryThresholdInto(ix.queryByID(id), t, bp.ms[:0])
-	out := ix.resolve(ms)
-	bp.ms = ms
-	matchBufPool.Put(bp)
-	if timed {
-		ix.queryLatency.ObserveSince(start)
-	}
-	if ix.cache != nil {
-		ix.cache.put(ks.b, gen, out)
-		putKeyScratch(ks)
-	}
-	return out, nil
-}
-
-// QueryTopK returns the k most similar indexed entities, best first
-// under the canonical order (decreasing similarity, entity name
-// ascending on ties). When more than k entities tie at the k-th best
-// similarity, the ones with the smallest names win — the inner index
-// breaks that tie by entity ID, so a boundary re-query at the k-th
-// similarity re-selects among the tied entities by name. That keeps
-// top-k selection a pure function of the indexed (name, multiset)
-// pairs, independent of insertion order, shard count, and — for the
-// cluster router, whose nodes each run a private ID space — of how the
-// entities are partitioned across nodes.
-func (ix *Index) QueryTopK(counts map[string]uint32, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
-	var ks *keyScratch
-	var gen uint64
-	if ix.cache != nil {
-		ks = getKeyScratch()
-		ks.topKKey(ix.measure.Name(), counts, k)
-		gen = ix.gen.Load() // before the query, like QueryThreshold
-		if res, ok := ix.cache.get(ks.b, gen); ok {
-			putKeyScratch(ks)
-			return res
-		}
-	}
-	q := ix.buildQuery(counts)
-	bp := matchBufPool.Get().(*queryBuf)
-	start, timed := bp.sample()
-	// Probe for k+1: the extra result is a tie detector. If the k-th and
-	// (k+1)-th best similarities differ (or fewer than k+1 exist), no tied
-	// entity was evicted at the boundary and the heap's selection is
-	// already the canonical one — the common case, served by one pass.
-	ms := ix.inner.QueryTopKInto(q, k+1, bp.ms[:0])
-	if len(ms) == k+1 && ms[k-1].Sim == ms[k].Sim {
-		// Ties straddle the boundary, and the heap broke them by entity
-		// ID; fetch every entity at or above the boundary similarity and
-		// let the canonical sort pick by name. The buffer is reused from
-		// the top: the boundary similarity is captured first, and the
-		// re-query only appends, never reads the old contents.
-		boundary := ms[k-1].Sim
-		ms = ix.inner.QueryThresholdInto(q, boundary, ms[:0])
-	}
-	out := ix.resolve(ms)
-	bp.ms = ms
-	matchBufPool.Put(bp)
-	if timed {
-		ix.queryLatency.ObserveSince(start)
-	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	if ix.cache != nil {
-		ix.cache.put(ks.b, gen, out)
-		putKeyScratch(ks)
-	}
-	return out
-}
-
 // Elements returns a copy of an indexed entity's current element
 // multiplicities, or ok == false if the entity is not indexed. The
 // cluster router uses it (via the daemon's GET /entity endpoint) to
@@ -1445,16 +1205,6 @@ func (ix *Index) Elements(entity string) (counts map[string]uint32, ok bool) {
 	}
 	ix.mu.RUnlock()
 	return counts, true
-}
-
-// queryByID rebuilds a query from an indexed entity's current multiset.
-// The probe carries the entity's own ID so the index skips the self-pair.
-func (ix *Index) queryByID(id multiset.ID) index.Query {
-	// The inner index owns the authoritative multiset; query it back via a
-	// threshold-0 self lookup would be circular, so re-read from postings
-	// is avoided by keeping this translation here: QueryEntity is only a
-	// convenience, a removed-in-between entity just yields no matches.
-	return index.Query{Set: ix.inner.Snapshot(id)}
 }
 
 // Stats returns a snapshot of the index counters.
@@ -1518,14 +1268,4 @@ func (ix *Index) queueBacklog() int {
 		n += len(q)
 	}
 	return n
-}
-
-// checkThreshold applies the same threshold convention as AllPairs, except
-// that the online API has no "default" sentinel: the caller always states
-// the cut-off explicitly.
-func checkThreshold(t float64) error {
-	if t != t || t < 0 || t > 1 {
-		return fmt.Errorf("vsmartjoin: threshold %v outside [0, 1]", t)
-	}
-	return nil
 }

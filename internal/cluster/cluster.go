@@ -31,13 +31,14 @@
 //
 // # Queries
 //
-// QueryThreshold/QueryTopK scatter to ONE replica per partition
-// (healthy replicas preferred, chosen round-robin), each attempt
-// bounded by a per-node timeout. A replica that fails is immediately
+// Query (query.go holds the query model, router.go the method) scatters
+// to ONE replica per partition (healthy replicas preferred, chosen
+// round-robin), each attempt bounded by a per-node timeout. A replica that fails is immediately
 // failed over to the next; a replica that is merely slow is hedged: after
 // HedgeAfter the same query is fired at the next replica and the first
 // answer wins. Per-partition results merge under the canonical public
-// ordering (similarity descending, entity name ascending), which is a
+// ordering (similarity descending — for kNN distance ascending — entity
+// name ascending), which is a
 // pure function of the stored (name, multiset) pairs — so the merged
 // answer is byte-identical to a single index holding every entity,
 // regardless of P, R, or which replica answered.

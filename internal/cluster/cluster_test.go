@@ -395,7 +395,8 @@ func TestNodeDownAtStartup(t *testing.T) {
 	// Depending on round-robin rotation the dead node may be tried
 	// first; both orders must answer exactly.
 	for i := 0; i < 4; i++ {
-		ms, err := c.QueryThreshold(context.Background(), map[string]uint32{"x": 1}, 0)
+		res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+		ms := res.Matches
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -443,7 +444,8 @@ func TestHedgeWinsWhenNodeDiesMidQuery(t *testing.T) {
 			t.Fatal("no query was ever hedged")
 		default:
 		}
-		ms, err := c.QueryThreshold(context.Background(), map[string]uint32{"x": 1}, 0)
+		res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+		ms := res.Matches
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +465,7 @@ func TestHedgeWinsWhenNodeDiesMidQuery(t *testing.T) {
 func TestAllReplicasDownFailsQuery(t *testing.T) {
 	nodes, c := grid(t, 2, 1, -1)
 	nodes[1][0].set(func(f *fakeNode) { f.down = true })
-	_, err := c.QueryThreshold(context.Background(), map[string]uint32{"x": 1}, 0)
+	_, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
@@ -485,7 +487,8 @@ func TestQueryEntityCrossPartition(t *testing.T) {
 		name := fmt.Sprintf("twin-%d", pi)
 		nodes[pi][0].set(func(f *fakeNode) { f.ents[name] = map[string]uint32{"x": 1} })
 	}
-	ms, err := c.QueryEntity(context.Background(), "probe", 0)
+	res, err := c.Query(context.Background(), Query{Entity: "probe"})
+	ms := res.Matches
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +500,7 @@ func TestQueryEntityCrossPartition(t *testing.T) {
 			t.Fatalf("merge order wrong at %d: %v", i, ms)
 		}
 	}
-	if _, err := c.QueryEntity(context.Background(), "never-indexed", 0); err == nil || errors.Is(err, ErrUnavailable) {
+	if _, err := c.Query(context.Background(), Query{Entity: "never-indexed"}); err == nil || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unknown entity should be a caller error, got %v", err)
 	}
 }

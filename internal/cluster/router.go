@@ -5,48 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"sort"
 	"sync"
 	"time"
 
 	"vsmartjoin/internal/metrics"
 )
 
-// Match is one query result as the node daemons report it. The JSON
-// field names are the daemon's wire names, so per-node responses
-// decode straight into the merge.
-type Match struct {
-	Entity     string  `json:"entity"`
-	Similarity float64 `json:"similarity"`
-}
-
-// worseMatch is the canonical public ordering (similarity descending,
-// entity name ascending on ties) — the same total order
-// vsmartjoin.SortMatchesByName applies, restated here because the
-// internal package cannot import the root. Entity names are unique
-// across the cluster (one owner partition per name), so the order is
-// total and the scatter-gather merge is deterministic.
-func worseMatch(a, b Match) bool {
-	if a.Similarity != b.Similarity {
-		return a.Similarity < b.Similarity
-	}
-	return a.Entity > b.Entity
-}
-
-// sortMatches orders best first.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return worseMatch(ms[j], ms[i]) })
-}
-
-// nodeQueryRequest is the daemon's /query body.
+// nodeQueryRequest is the daemon's /query body (Threshold or TopK set)
+// and its /knn body (K set). Elements carries no omitempty: an
+// explicitly empty map is a legal kNN query (every entity is then a
+// distance-1 neighbor) and must survive the round trip.
 type nodeQueryRequest struct {
-	Elements  map[string]uint32 `json:"elements,omitempty"`
+	Elements  map[string]uint32 `json:"elements"`
 	Threshold *float64          `json:"threshold,omitempty"`
 	TopK      int               `json:"topk,omitempty"`
-}
-
-type nodeQueryResponse struct {
-	Matches []Match `json:"matches"`
+	K         int               `json:"k,omitempty"`
 }
 
 type nodeAddRequest struct {
@@ -190,83 +163,78 @@ func (c *Cluster) writeFn(callerCtx context.Context, op pendingOp, onRemove func
 		ErrUnavailable, op.entity, acks, len(replicas), quorum, errors.Join(errs...))
 }
 
-// QueryThreshold scatters the query to one replica per partition and
-// merges — the exact union of disjoint per-partition answers, in the
-// canonical order.
-func (c *Cluster) QueryThreshold(ctx context.Context, elements map[string]uint32, t float64) ([]Match, error) {
-	if t != t || t < 0 || t > 1 {
-		return nil, fmt.Errorf("cluster: threshold %v outside [0, 1]", t)
+// Query answers q exactly as a single Index over the same entities
+// would. An entity-relative query first reads the entity's multiset
+// from its owner partition (GET /entity); the element query is then
+// scattered to one replica per partition and the per-partition answers
+// merged: concatenate, sort canonically, truncate to K, with the query
+// entity itself dropped (everything else, perfect duplicates of it
+// included, is retained). The merge is exact because every node's list
+// is its partition's true K best under the same canonical total order —
+// the kNN lists include the non-overlap pad — so any entity of the
+// global K best is necessarily inside its own partition's list; a
+// dropped entity costs its owner one slot, which asking every node for
+// K+1 covers. Node distances pass through untouched: recomputing them
+// from similarities here would not round-trip (1 − (1 − d) ≠ d below
+// 0.5) and break byte-identity with a single Index.
+func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
+	if err := CheckQuery(&q); err != nil {
+		return QueryResult{}, fmt.Errorf("cluster: %w", err)
 	}
-	if len(elements) == 0 {
-		// A single Index answers an empty query with no matches; the node
-		// HTTP API would reject the empty body, so short-circuit to keep
-		// the two surfaces identical.
-		return nil, nil
-	}
-	req := nodeQueryRequest{Elements: elements, Threshold: &t}
-	per, err := c.scatter(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	sortMatches(out)
-	return out, nil
-}
-
-// QueryTopK merges per-partition top-k lists into the global top-k.
-// Every node's local top-k is exact under the same canonical total
-// order, so any entity of the global top-k is necessarily inside its
-// own partition's list — the classic scatter-gather k-NN merge.
-func (c *Cluster) QueryTopK(ctx context.Context, elements map[string]uint32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: topk %d must be positive", k)
-	}
-	if len(elements) == 0 {
-		return nil, nil // as QueryThreshold: an empty query has no matches
-	}
-	per, err := c.scatter(ctx, nodeQueryRequest{Elements: elements, TopK: k})
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
-// QueryEntity answers an entity-relative threshold query: the entity's
-// multiset is fetched from its owner partition (GET /entity) and
-// scattered as an ordinary element query, with the entity itself
-// dropped from the merge — exactly vsmartjoin.Index.QueryEntity's
-// semantics, entity excluded, everything else (including perfect
-// duplicates of it) retained.
-func (c *Cluster) QueryEntity(ctx context.Context, entity string, t float64) ([]Match, error) {
-	if t != t || t < 0 || t > 1 {
-		return nil, fmt.Errorf("cluster: threshold %v outside [0, 1]", t)
-	}
-	elements, err := c.fetchEntity(ctx, entity)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := c.QueryThreshold(ctx, elements, t)
-	if err != nil {
-		return nil, err
-	}
-	out := ms[:0]
-	for _, m := range ms {
-		if m.Entity != entity {
-			out = append(out, m)
+	elements := q.Elements
+	if q.Entity != "" {
+		var err error
+		if elements, err = c.fetchEntity(ctx, q.Entity); err != nil {
+			return QueryResult{}, err
 		}
 	}
-	//lint:vsmart-allow canonicalorder order-preserving filter of QueryThreshold results that sortMatches already canonicalized
+	if elements == nil {
+		elements = map[string]uint32{}
+	}
+	ask := q.K
+	if q.Entity != "" {
+		ask++ // the slot the query entity occupies in its owner's list
+	}
+	// The answer's list is non-nil even when empty, like a single Index's.
+	out := QueryResult{Matches: []Match{}}
+	path, req := "/query", nodeQueryRequest{Elements: elements}
+	switch q.Kind {
+	case KindThreshold:
+		req.Threshold = &q.Threshold
+	case KindTopK:
+		req.TopK = ask
+	case KindKNN:
+		out = QueryResult{Neighbors: []Neighbor{}}
+		path, req.K = "/knn", ask
+	}
+	if len(elements) == 0 && q.Kind != KindKNN {
+		// A single Index answers an empty similarity query with no
+		// matches; the node HTTP API would reject the empty body, so
+		// short-circuit to keep the two surfaces identical.
+		return out, nil
+	}
+	per, err := c.scatter(ctx, path, req)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	for _, r := range per {
+		for _, m := range r.Matches {
+			if m.Entity != q.Entity {
+				out.Matches = append(out.Matches, m)
+			}
+		}
+		for _, n := range r.Neighbors {
+			if n.Entity != q.Entity {
+				out.Neighbors = append(out.Neighbors, n)
+			}
+		}
+	}
+	SortMatches(out.Matches)
+	SortNeighbors(out.Neighbors)
+	if q.Kind != KindThreshold {
+		out.Matches = out.Matches[:min(len(out.Matches), q.K)]
+		out.Neighbors = out.Neighbors[:min(len(out.Neighbors), q.K)]
+	}
 	return out, nil
 }
 
@@ -305,36 +273,23 @@ func strings404(err error) bool {
 	return errors.As(err, &se) && se.code == 404
 }
 
-// scatter fans one query request out to every partition in parallel
-// and returns the per-partition match lists. Any partition with no
-// answering replica fails the whole query: a partial answer would be
-// silently wrong, the one thing the differential harness exists to
-// prevent.
-func (c *Cluster) scatter(ctx context.Context, req nodeQueryRequest) ([][]Match, error) {
-	return scatterAll(c, ctx, func(ctx context.Context, n *node) ([]Match, error) {
-		var qr nodeQueryResponse
-		err := c.postJSON(ctx, n, "/query", req, &qr)
-		// Matches may legitimately be empty; nil keeps merges allocation-free.
-		return qr.Matches, err
-	})
-}
-
-// scatterAll runs one request against every partition in parallel —
+// scatter fans one query request out to every partition in parallel —
 // each through raceReplicas' failover and hedging — and returns the
-// per-partition answers. The query kinds (/query, /knn) differ only in
-// the do callback.
-func scatterAll[T any](c *Cluster, ctx context.Context, do func(context.Context, *node) (T, error)) ([]T, error) {
+// per-partition answers. Any partition with no answering replica fails
+// the whole query: a partial answer would be silently wrong, the one
+// thing the differential harness exists to prevent.
+func (c *Cluster) scatter(ctx context.Context, path string, req nodeQueryRequest) ([]QueryResult, error) {
 	c.queries.Add(1)
 	start := metrics.Now()
 	defer c.queryLatency.ObserveSince(start)
-	per := make([]T, len(c.parts))
+	per := make([]QueryResult, len(c.parts))
 	errs := make([]error, len(c.parts))
 	var wg sync.WaitGroup
 	for p := range c.parts {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			per[p], errs[p] = raceReplicas(c, ctx, p, do)
+			per[p], errs[p] = c.raceReplicas(ctx, p, path, req)
 		}(p)
 	}
 	wg.Wait()
@@ -374,13 +329,13 @@ func (c *Cluster) prefer(replicas []*node) []*node {
 // preferred replica, immediate failover on error, and a hedged second
 // attempt if the current one is slow. The first successful answer
 // wins; cancelling the partition context reels the losers back in.
-func raceReplicas[T any](c *Cluster, callerCtx context.Context, p int, do func(context.Context, *node) (T, error)) (T, error) {
+func (c *Cluster) raceReplicas(callerCtx context.Context, p int, path string, req nodeQueryRequest) (QueryResult, error) {
 	order := c.prefer(c.parts[p])
 	ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
 	defer cancel()
 
 	type result struct {
-		v      T
+		v      QueryResult
 		err    error
 		hedged bool // this attempt was a hedge, not the primary or a failover
 	}
@@ -390,7 +345,8 @@ func raceReplicas[T any](c *Cluster, callerCtx context.Context, p int, do func(c
 		n := order[launched]
 		launched++
 		go func() {
-			v, err := do(ctx, n)
+			var v QueryResult
+			err := c.postJSON(ctx, n, path, req, &v)
 			results <- result{v, err, hedged}
 		}()
 	}
@@ -412,6 +368,7 @@ func raceReplicas[T any](c *Cluster, callerCtx context.Context, p int, do func(c
 				if r.hedged {
 					c.hedgeWins.Add(1)
 				}
+				//lint:vsmart-allow canonicalorder one partition's node-local reply; Query canonicalizes after merging partitions
 				return r.v, nil
 			}
 			errs = append(errs, r.err)
@@ -429,8 +386,7 @@ func raceReplicas[T any](c *Cluster, callerCtx context.Context, p int, do func(c
 			}
 		}
 	}
-	var zero T
-	return zero, fmt.Errorf("no replica answered: %w", errors.Join(errs...))
+	return QueryResult{}, fmt.Errorf("no replica answered: %w", errors.Join(errs...))
 }
 
 // Snapshot asks every node to cut a durable snapshot, failing on the

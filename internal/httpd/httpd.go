@@ -28,14 +28,13 @@ import (
 	"vsmartjoin/internal/cluster"
 )
 
-// querier is the query surface both backends share; handleQuery is
-// written against it so node and router mode validate and answer
-// /query identically. The context carries the request ID (and, for the
+// querier is the query surface both backends share — *vsmartjoin.Index
+// and *vsmartjoin.Cluster satisfy it as they are; handleQuery is written
+// against it so node and router mode validate and answer /query and
+// /knn identically. The context carries the request ID (and, for the
 // router backend, cancellation) down to the backend.
 type querier interface {
-	QueryThreshold(ctx context.Context, counts map[string]uint32, t float64) ([]vsmartjoin.Match, error)
-	QueryTopK(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Match, error)
-	QueryEntity(ctx context.Context, entity string, t float64) ([]vsmartjoin.Match, error)
+	Query(ctx context.Context, q vsmartjoin.Query) (vsmartjoin.QueryResult, error)
 }
 
 // NewNode wires an index to the node HTTP API.
@@ -44,12 +43,8 @@ func NewNode(ix *vsmartjoin.Index, opts Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /add", s.handleAdd)
 	mux.HandleFunc("POST /remove", s.handleRemove)
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		handleQuery(w, r, indexQuerier{s.ix})
-	})
-	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) {
-		handleKNN(w, r, indexKNNQuerier{s.ix})
-	})
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.ix, false) })
+	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.ix, true) })
 	mux.HandleFunc("POST /snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /bulk", s.handleBulk)
 	mux.HandleFunc("GET /entity", s.handleEntity)
@@ -71,12 +66,8 @@ func NewRouter(c *vsmartjoin.Cluster, opts Options) http.Handler {
 	mux.HandleFunc("POST /add", s.handleAdd)
 	mux.HandleFunc("POST /remove", s.handleRemove)
 	mux.HandleFunc("POST /bulk", s.handleBulk)
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		handleQuery(w, r, clusterQuerier{s.c})
-	})
-	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) {
-		handleKNN(w, r, clusterKNNQuerier{s.c})
-	})
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.c, false) })
+	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.c, true) })
 	mux.HandleFunc("POST /snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -183,76 +174,6 @@ type queryDebug struct {
 	TotalNs   int64  `json:"total_ns"`
 }
 
-// handleQuery validates and dispatches a /query body against either
-// backend. Backend errors map to 400 (the request named an unknown
-// entity, an out-of-range threshold, ...) except cluster-unavailable
-// ones, which are 503: the request was fine, the deployment is not.
-func handleQuery(w http.ResponseWriter, r *http.Request, q querier) {
-	start := time.Now()
-	var req queryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	decoded := time.Now()
-	if (req.Entity == "") == (len(req.Elements) == 0) {
-		writeError(w, http.StatusBadRequest, "name the query with exactly one of entity or elements")
-		return
-	}
-	if (req.Threshold == nil) == (req.TopK == 0) {
-		writeError(w, http.StatusBadRequest, "select exactly one of threshold or topk")
-		return
-	}
-	// The wrap middleware guaranteed the header; carrying the ID in the
-	// context is what makes the router's node sub-requests traceable.
-	rid := r.Header.Get(cluster.HeaderRequestID)
-	ctx := cluster.WithRequestID(r.Context(), rid)
-	var matches []vsmartjoin.Match
-	var err error
-	switch {
-	case req.TopK < 0:
-		writeError(w, http.StatusBadRequest, "topk must be positive")
-		return
-	case req.TopK > 0 && req.Entity != "":
-		// QueryEntity has no top-k form; reject rather than guess.
-		writeError(w, http.StatusBadRequest, "topk queries take elements, not an entity")
-		return
-	case req.TopK > 0:
-		matches, err = q.QueryTopK(ctx, req.Elements, req.TopK)
-	case req.Entity != "":
-		matches, err = q.QueryEntity(ctx, req.Entity, *req.Threshold)
-	default:
-		matches, err = q.QueryThreshold(ctx, req.Elements, *req.Threshold)
-	}
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	if matches == nil {
-		matches = []vsmartjoin.Match{}
-	}
-	resp := map[string]any{"matches": matches}
-	if req.Debug {
-		queried := time.Now()
-		resp["debug"] = queryDebug{
-			RequestID: rid,
-			DecodeNs:  decoded.Sub(start).Nanoseconds(),
-			QueryNs:   queried.Sub(decoded).Nanoseconds(),
-			TotalNs:   queried.Sub(start).Nanoseconds(),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// knnQuerier is the kNN surface both backends share, mirroring querier.
-type knnQuerier interface {
-	QueryKNN(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Neighbor, error)
-	QueryKNNEntity(ctx context.Context, entity string, k int) ([]vsmartjoin.Neighbor, error)
-}
-
 type knnRequest struct {
 	// At most one of Entity (an indexed entity name) or Elements (an
 	// ad-hoc multiset) names the query. Unlike /query, both may be absent:
@@ -263,30 +184,60 @@ type knnRequest struct {
 	K        int               `json:"k"`
 }
 
-// handleKNN validates and dispatches a /knn body against either
-// backend, with handleQuery's error mapping (400 for bad requests and
-// unknown entities, 503 when the cluster cannot answer).
-func handleKNN(w http.ResponseWriter, r *http.Request, q knnQuerier) {
-	var req knnRequest
-	if !decodeBody(w, r, &req) {
+// parseQuery decodes and validates a /query body (or, with knn, a /knn
+// body — the same question in distance form, under its own field
+// names) into the one query value both backends answer. On failure the
+// 4xx response has been written and ok is false.
+func parseQuery(w http.ResponseWriter, r *http.Request, knn bool) (q vsmartjoin.Query, debug, ok bool) {
+	if knn {
+		var req knnRequest
+		switch {
+		case !decodeBody(w, r, &req):
+		case req.Entity != "" && len(req.Elements) > 0:
+			writeError(w, http.StatusBadRequest, "name the query with at most one of entity or elements")
+		case req.K <= 0:
+			writeError(w, http.StatusBadRequest, "k must be positive")
+		default:
+			return vsmartjoin.Query{Entity: req.Entity, Elements: req.Elements, Kind: vsmartjoin.KindKNN, K: req.K}, false, true
+		}
+		return q, false, false
+	}
+	var req queryRequest
+	switch {
+	case !decodeBody(w, r, &req):
+	case (req.Entity == "") == (len(req.Elements) == 0):
+		writeError(w, http.StatusBadRequest, "name the query with exactly one of entity or elements")
+	case (req.Threshold == nil) == (req.TopK == 0):
+		writeError(w, http.StatusBadRequest, "select exactly one of threshold or topk")
+	case req.TopK < 0:
+		writeError(w, http.StatusBadRequest, "topk must be positive")
+	case req.TopK > 0 && req.Entity != "":
+		// The wire API has no entity-relative top-k form; reject rather
+		// than guess.
+		writeError(w, http.StatusBadRequest, "topk queries take elements, not an entity")
+	case req.TopK > 0:
+		return vsmartjoin.Query{Elements: req.Elements, Kind: vsmartjoin.KindTopK, K: req.TopK}, req.Debug, true
+	default:
+		return vsmartjoin.Query{Entity: req.Entity, Elements: req.Elements, Threshold: *req.Threshold}, req.Debug, true
+	}
+	return q, false, false
+}
+
+// handleQuery serves /query and (with knn) /knn against either backend.
+// Backend errors map to 400 (the request named an unknown entity, an
+// out-of-range threshold, ...) except cluster-unavailable ones, which
+// are 503: the request was fine, the deployment is not.
+func handleQuery(w http.ResponseWriter, r *http.Request, backend querier, knn bool) {
+	start := time.Now()
+	q, debug, ok := parseQuery(w, r, knn)
+	if !ok {
 		return
 	}
-	if req.Entity != "" && len(req.Elements) > 0 {
-		writeError(w, http.StatusBadRequest, "name the query with at most one of entity or elements")
-		return
-	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	ctx := cluster.WithRequestID(r.Context(), r.Header.Get(cluster.HeaderRequestID))
-	var neighbors []vsmartjoin.Neighbor
-	var err error
-	if req.Entity != "" {
-		neighbors, err = q.QueryKNNEntity(ctx, req.Entity, req.K)
-	} else {
-		neighbors, err = q.QueryKNN(ctx, req.Elements, req.K)
-	}
+	decoded := time.Now()
+	// The wrap middleware guaranteed the header; carrying the ID in the
+	// context is what makes the router's node sub-requests traceable.
+	rid := r.Header.Get(cluster.HeaderRequestID)
+	res, err := backend.Query(cluster.WithRequestID(r.Context(), rid), q)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
@@ -295,10 +246,29 @@ func handleKNN(w http.ResponseWriter, r *http.Request, q knnQuerier) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if neighbors == nil {
-		neighbors = []vsmartjoin.Neighbor{}
+	// The answer's list is always an array on the wire, never null.
+	resp := map[string]any{}
+	if knn {
+		if res.Neighbors == nil {
+			res.Neighbors = []vsmartjoin.Neighbor{}
+		}
+		resp["neighbors"] = res.Neighbors
+	} else {
+		if res.Matches == nil {
+			res.Matches = []vsmartjoin.Match{}
+		}
+		resp["matches"] = res.Matches
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"neighbors": neighbors})
+	if debug {
+		queried := time.Now()
+		resp["debug"] = queryDebug{
+			RequestID: rid,
+			DecodeNs:  decoded.Sub(start).Nanoseconds(),
+			QueryNs:   queried.Sub(decoded).Nanoseconds(),
+			TotalNs:   queried.Sub(start).Nanoseconds(),
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // snapshotBody enforces "optional, but well-formed if present" for the
@@ -313,36 +283,6 @@ func snapshotBody(w http.ResponseWriter, r *http.Request) bool {
 type nodeServer struct {
 	ix  *vsmartjoin.Index
 	lim *limiter
-}
-
-// indexQuerier adapts Index to the shared querier surface (its
-// QueryTopK cannot fail, the interface's can; the index is local, so
-// the context's cancellation has nothing to reel in and only its trace
-// values matter — which the handler reads itself).
-type indexQuerier struct{ ix *vsmartjoin.Index }
-
-func (q indexQuerier) QueryThreshold(ctx context.Context, counts map[string]uint32, t float64) ([]vsmartjoin.Match, error) {
-	return q.ix.QueryThreshold(counts, t)
-}
-
-func (q indexQuerier) QueryTopK(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Match, error) {
-	return q.ix.QueryTopK(counts, k), nil
-}
-
-func (q indexQuerier) QueryEntity(ctx context.Context, entity string, t float64) ([]vsmartjoin.Match, error) {
-	return q.ix.QueryEntity(entity, t)
-}
-
-// indexKNNQuerier adapts Index to the shared kNN surface, like
-// indexQuerier (Index.QueryKNN cannot fail, the interface's can).
-type indexKNNQuerier struct{ ix *vsmartjoin.Index }
-
-func (q indexKNNQuerier) QueryKNN(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Neighbor, error) {
-	return q.ix.QueryKNN(counts, k), nil
-}
-
-func (q indexKNNQuerier) QueryKNNEntity(ctx context.Context, entity string, k int) ([]vsmartjoin.Neighbor, error) {
-	return q.ix.QueryKNNEntity(entity, k)
 }
 
 // handleMetrics serves the node's Prometheus scrape: index size and
@@ -561,34 +501,6 @@ func hasMass(elements map[string]uint32) bool {
 type routerServer struct {
 	c   *vsmartjoin.Cluster
 	lim *limiter
-}
-
-// clusterQuerier adapts the cluster client's context-taking variants
-// to the shared querier surface.
-type clusterQuerier struct{ c *vsmartjoin.Cluster }
-
-func (q clusterQuerier) QueryThreshold(ctx context.Context, counts map[string]uint32, t float64) ([]vsmartjoin.Match, error) {
-	return q.c.QueryThresholdContext(ctx, counts, t)
-}
-
-func (q clusterQuerier) QueryTopK(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Match, error) {
-	return q.c.QueryTopKContext(ctx, counts, k)
-}
-
-func (q clusterQuerier) QueryEntity(ctx context.Context, entity string, t float64) ([]vsmartjoin.Match, error) {
-	return q.c.QueryEntityContext(ctx, entity, t)
-}
-
-// clusterKNNQuerier adapts the cluster client's context-taking kNN
-// variants to the shared surface.
-type clusterKNNQuerier struct{ c *vsmartjoin.Cluster }
-
-func (q clusterKNNQuerier) QueryKNN(ctx context.Context, counts map[string]uint32, k int) ([]vsmartjoin.Neighbor, error) {
-	return q.c.QueryKNNContext(ctx, counts, k)
-}
-
-func (q clusterKNNQuerier) QueryKNNEntity(ctx context.Context, entity string, k int) ([]vsmartjoin.Neighbor, error) {
-	return q.c.QueryKNNEntityContext(ctx, entity, k)
 }
 
 // traceCtx is the write-path counterpart of handleQuery's context

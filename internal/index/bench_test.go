@@ -72,20 +72,3 @@ func BenchmarkQueryTopK(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkQueryKNN measures the inner kNN read path — distance-ordered
-// selection under the rising k-th-distance floor — results into a
-// reused buffer, so allocs/op is the hot path's own allocation count
-// and the 0-allocs contract QueryTopKInto holds extends to kNN.
-func BenchmarkQueryKNN(b *testing.B) {
-	ix, sets := benchIndex(b, 10000)
-	for _, k := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []Neighbor
-			for i := 0; i < b.N; i++ {
-				buf = ix.QueryKNNInto(QueryOf(sets[i%len(sets)]), k, buf[:0])
-			}
-		})
-	}
-}

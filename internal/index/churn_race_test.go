@@ -96,7 +96,7 @@ func TestChurnWithConcurrentQueries(t *testing.T) {
 	// match a brute-force scan over snapshots.
 	for id := 1; id <= entities; id += 37 {
 		q := QueryOf(ix.Snapshot(multiset.ID(id)))
-		got := ix.QueryThreshold(q, 0.3)
+		got := ix.QueryThresholdInto(q, 0.3, nil)
 		want := bruteForce(ix, q, 0.3)
 		if len(got) != len(want) {
 			t.Fatalf("id %d: %d results, oracle %d\ngot  %v\nwant %v", id, len(got), len(want), got, want)

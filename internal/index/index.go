@@ -20,7 +20,7 @@
 // compaction) take the write lock; queries share the read lock, so the hot
 // path never serializes reads against each other. Entities are immutable
 // once inserted (Add replaces the stored record wholesale), which lets
-// QueryThreshold release the lock before the exact-verification loop — the
+// QueryThresholdInto release the lock before the exact-verification loop — the
 // most expensive part of a query runs with no lock held at all. Stale
 // posting entries left behind by Remove or replacement are skipped by
 // pointer identity and reclaimed by an amortized compaction pass.
@@ -627,20 +627,14 @@ func (ix *Index) gatherBrute(s *queryScratch, q Query, qUni similarity.UniStats,
 	return s.cands
 }
 
-// QueryThreshold returns every indexed entity whose similarity to q is at
-// least t, sorted by decreasing similarity (ID ascending on ties). The
+// QueryThresholdInto appends to buf (typically a reused buffer truncated
+// to buf[:0], which keeps the steady-state path allocation-free) every
+// indexed entity whose similarity to q is at least t, sorted by
+// decreasing similarity (ID ascending on ties). Only the appended region
+// is sorted, so buf's existing contents are preserved untouched. The
 // exact-verification loop runs after the read lock is released: entries
 // are immutable, so a concurrent Add/Remove cannot corrupt the snapshot —
 // it only makes the answer reflect the index as of the probe.
-func (ix *Index) QueryThreshold(q Query, t float64) []Match {
-	return ix.QueryThresholdInto(q, t, nil)
-}
-
-// QueryThresholdInto is QueryThreshold appending into buf (typically a
-// reused buffer truncated to buf[:0]) instead of allocating the result —
-// the allocation-free form the sharded fan-out and steady-state callers
-// use. Only the appended region is sorted, so buf's existing contents
-// are preserved untouched.
 func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 	ix.queries.Add(1)
 	if len(q.Set.Entries) == 0 {
@@ -672,18 +666,19 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 	return buf
 }
 
-// QueryTopK returns the k most similar indexed entities, sorted by
-// decreasing similarity (ID ascending on ties). Verification interleaves
-// with probing so the current k-th best similarity becomes a rising
+// QueryTopKInto appends to buf (typically a reused buffer truncated to
+// buf[:0]) the k most similar indexed entities, sorted by decreasing
+// similarity (ID ascending on ties). Only the appended region is sorted;
+// buf's existing contents are preserved. Verification interleaves with
+// probing so the current k-th best similarity becomes a rising
 // residual-bound floor; the whole pass holds the read lock to keep the
 // floor consistent with the probed snapshot.
-func (ix *Index) QueryTopK(q Query, k int) []Match {
-	return ix.QueryTopKInto(q, k, nil)
-}
-
-// QueryTopKInto is QueryTopK appending into buf (typically a reused
-// buffer truncated to buf[:0]) instead of allocating the result. Only
-// the appended region is sorted; buf's existing contents are preserved.
+//
+// The same pass serves k-nearest-neighbor queries: under the distance
+// d = 1 − Sim, "distance ascending" and "similarity descending" are the
+// same order and the rising k-th-distance floor is this floor, so the
+// layers above ask for the top k and compute distances where they name
+// the results (vsmartjoin.Index.Query).
 //
 // The pass runs through the partition's planned strategy (see
 // internal/planner): the prefix-filter probe, a MinHash-bucket-seeded
@@ -721,6 +716,16 @@ func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	SortMatches(buf[base:])
 	ix.results.Add(int64(len(buf) - base))
 	return buf
+}
+
+// Neighbor and QueryKNNInto remain only because benchmark/ladder.go
+// names them (its index.knn_ns rung): a neighbor is a Match and the kNN
+// pass is the top-k pass.
+type Neighbor = Match
+
+// QueryKNNInto is QueryTopKInto; see Neighbor.
+func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
+	return ix.QueryTopKInto(q, k, buf)
 }
 
 // topkPrefixLocked is the inverted-index top-k pass: posting lists in
@@ -804,27 +809,19 @@ func SortMatches(ms []Match) {
 	})
 }
 
-// MergeTopK folds per-partition top-k lists into the global top-k,
-// best first — the merge step of a sharded QueryTopK fan-out. Feeding
-// each partition's local top-k through the same bounded heap the
-// single-index query uses preserves exactness: an entity in the global
-// top-k is necessarily in its own partition's top-k.
-func MergeTopK(k int, lists ...[]Match) []Match {
-	if k <= 0 {
-		return nil
-	}
-	return MergeTopKInto(k, nil, lists...)
-}
-
 // mergeHeapPool recycles the bounded heaps MergeTopKInto folds with, so
 // steady-state fan-out merges stop allocating a heap per query. The
 // pooled heaps are not tied to any Index: the merge only rearranges
 // Match values.
 var mergeHeapPool = sync.Pool{New: func() any { return new(topkHeap) }}
 
-// MergeTopKInto is MergeTopK appending into buf (typically a reused
-// buffer truncated to buf[:0]) instead of allocating the result. Only
-// the appended region is sorted; buf's existing contents are preserved.
+// MergeTopKInto folds per-partition top-k lists into the global top-k,
+// best first, appending it to buf (typically a reused buffer truncated
+// to buf[:0]) — the merge step of a sharded top-k fan-out. Only the
+// appended region is sorted; buf's existing contents are preserved.
+// Feeding each partition's local top-k through the same bounded heap
+// the single-index query uses preserves exactness: an entity in the
+// global top-k is necessarily in its own partition's top-k.
 func MergeTopKInto(k int, buf []Match, lists ...[]Match) []Match {
 	if k <= 0 {
 		return buf

@@ -62,7 +62,7 @@ func TestQueryThresholdMatchesNaive(t *testing.T) {
 			ix := buildIndex(m, sets)
 			for _, thr := range []float64{0, 0.3, 0.5, 0.9} {
 				for _, q := range sets {
-					got := ix.QueryThreshold(QueryOf(q), thr)
+					got := ix.QueryThresholdInto(QueryOf(q), thr, nil)
 					want := oracleMatches(sets, m, thr, q.ID)
 					if len(got) != len(want) {
 						t.Fatalf("trial %d %s t=%v q=%d: got %d matches want %d\ngot: %v\nwant: %v",
@@ -92,9 +92,9 @@ func TestQueryTopKMatchesSortedThreshold(t *testing.T) {
 	for _, m := range similarity.All() {
 		ix := buildIndex(m, sets)
 		for _, q := range sets[:10] {
-			all := ix.QueryThreshold(QueryOf(q), 0)
+			all := ix.QueryThresholdInto(QueryOf(q), 0, nil)
 			for _, k := range []int{1, 3, 10, 1000} {
-				got := ix.QueryTopK(QueryOf(q), k)
+				got := ix.QueryTopKInto(QueryOf(q), k, nil)
 				wantLen := min(k, len(all))
 				if len(got) != wantLen {
 					t.Fatalf("%s q=%d k=%d: got %d matches want %d", m.Name(), q.ID, k, len(got), wantLen)
@@ -123,12 +123,12 @@ func TestAdHocQueryIncludesQueryMass(t *testing.T) {
 		Set:   multiset.FromCounts(0, map[multiset.Elem]uint32{1: 2, 2: 2}),
 		Extra: similarity.UniStats{Card: 4, UCard: 2, SumSq: 8},
 	}
-	got := ix.QueryThreshold(q, 0.4)
+	got := ix.QueryThresholdInto(q, 0.4, nil)
 	if len(got) != 1 || got[0].Sim != 0.5 {
 		t.Fatalf("matches: %v", got)
 	}
 	// Raising the threshold above the diluted similarity must drop it.
-	if got := ix.QueryThreshold(q, 0.6); len(got) != 0 {
+	if got := ix.QueryThresholdInto(q, 0.6, nil); len(got) != 0 {
 		t.Fatalf("diluted query matched: %v", got)
 	}
 }
@@ -142,7 +142,7 @@ func TestRemoveAndReplace(t *testing.T) {
 	b := multiset.FromSet(2, []multiset.Elem{1, 2, 3})
 	ix.Add(a)
 	ix.Add(b)
-	if got := ix.QueryThreshold(QueryOf(a), 0.9); len(got) != 1 || got[0].ID != 2 {
+	if got := ix.QueryThresholdInto(QueryOf(a), 0.9, nil); len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("before remove: %v", got)
 	}
 	if !ix.Remove(2) {
@@ -151,16 +151,16 @@ func TestRemoveAndReplace(t *testing.T) {
 	if ix.Remove(2) {
 		t.Fatal("double remove reported present")
 	}
-	if got := ix.QueryThreshold(QueryOf(a), 0); len(got) != 0 {
+	if got := ix.QueryThresholdInto(QueryOf(a), 0, nil); len(got) != 0 {
 		t.Fatalf("after remove: %v", got)
 	}
 
 	// Replace entity 1 with disjoint contents: old postings must not match.
 	ix.Add(multiset.FromSet(1, []multiset.Elem{7, 8}))
-	if got := ix.QueryThreshold(QueryOf(multiset.FromSet(0, []multiset.Elem{1, 2, 3})), 0); len(got) != 0 {
+	if got := ix.QueryThresholdInto(QueryOf(multiset.FromSet(0, []multiset.Elem{1, 2, 3})), 0, nil); len(got) != 0 {
 		t.Fatalf("stale postings answered: %v", got)
 	}
-	if got := ix.QueryThreshold(QueryOf(multiset.FromSet(0, []multiset.Elem{7, 8})), 0.9); len(got) != 1 || got[0].ID != 1 {
+	if got := ix.QueryThresholdInto(QueryOf(multiset.FromSet(0, []multiset.Elem{7, 8})), 0.9, nil); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("replacement missing: %v", got)
 	}
 
@@ -172,7 +172,7 @@ func TestRemoveAndReplace(t *testing.T) {
 	if s.Compactions == 0 {
 		t.Fatalf("churn did not compact: %+v", s)
 	}
-	if got := ix.QueryThreshold(QueryOf(multiset.FromSet(0, []multiset.Elem{63, 64})), 0.9); len(got) != 1 || got[0].ID != 99 {
+	if got := ix.QueryThresholdInto(QueryOf(multiset.FromSet(0, []multiset.Elem{63, 64})), 0.9, nil); len(got) != 1 || got[0].ID != 99 {
 		t.Fatalf("post-compaction query: %v", got)
 	}
 	if s.Entities != 2 {
@@ -185,12 +185,12 @@ func TestSelfPairSkipped(t *testing.T) {
 	ix := New(similarity.Ruzicka{})
 	m := multiset.FromCounts(5, map[multiset.Elem]uint32{1: 3})
 	ix.Add(m)
-	if got := ix.QueryThreshold(QueryOf(m), 0); len(got) != 0 {
+	if got := ix.QueryThresholdInto(QueryOf(m), 0, nil); len(got) != 0 {
 		t.Fatalf("self pair: %v", got)
 	}
 	// The same elements under ID 0 (ad hoc) must match it.
 	q := multiset.FromCounts(0, map[multiset.Elem]uint32{1: 3})
-	if got := ix.QueryThreshold(QueryOf(q), 0.99); len(got) != 1 || got[0].Sim != 1 {
+	if got := ix.QueryThresholdInto(QueryOf(q), 0.99, nil); len(got) != 1 || got[0].Sim != 1 {
 		t.Fatalf("ad hoc query: %v", got)
 	}
 }
@@ -199,10 +199,10 @@ func TestSelfPairSkipped(t *testing.T) {
 func TestEmptyQueries(t *testing.T) {
 	ix := New(similarity.Ruzicka{})
 	ix.Add(multiset.FromSet(1, []multiset.Elem{1}))
-	if got := ix.QueryThreshold(Query{}, 0); got != nil {
+	if got := ix.QueryThresholdInto(Query{}, 0, nil); got != nil {
 		t.Fatalf("empty query: %v", got)
 	}
-	if got := ix.QueryTopK(QueryOf(multiset.FromSet(0, []multiset.Elem{1})), 0); got != nil {
+	if got := ix.QueryTopKInto(QueryOf(multiset.FromSet(0, []multiset.Elem{1})), 0, nil); got != nil {
 		t.Fatalf("k=0: %v", got)
 	}
 	if m := ix.Snapshot(9); len(m.Entries) != 0 || m.ID != 9 {
@@ -218,7 +218,7 @@ func TestStatsFunnel(t *testing.T) {
 	sets := randomMultisets(rng, 60, 20, 10, 5)
 	ix := buildIndex(similarity.Ruzicka{}, sets)
 	for _, q := range sets {
-		ix.QueryThreshold(QueryOf(q), 0.9)
+		ix.QueryThresholdInto(QueryOf(q), 0.9, nil)
 	}
 	s := ix.Stats()
 	if s.Queries != int64(len(sets)) {
@@ -268,9 +268,9 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 				q := QueryOf(multiset.Multiset{ID: 0, Entries: s.Entries})
 				var got []Match
 				if i%2 == 0 {
-					got = ix.QueryThreshold(q, 0.5)
+					got = ix.QueryThresholdInto(q, 0.5, nil)
 				} else {
-					got = ix.QueryTopK(q, 5)
+					got = ix.QueryTopKInto(q, 5, nil)
 				}
 				for j, m := range got {
 					if m.Sim < 0 || m.Sim > 1+1e-9 {
@@ -301,7 +301,7 @@ func TestQueryAgainstPairsOracle(t *testing.T) {
 		const thr = 0.4
 		got := make(map[records.Pair]bool)
 		for _, q := range sets {
-			for _, match := range ix.QueryThreshold(QueryOf(q), thr) {
+			for _, match := range ix.QueryThresholdInto(QueryOf(q), thr, nil) {
 				p := records.Pair{A: q.ID, B: match.ID}.Canonical()
 				p.Sim = 0 // key on identity; sims already checked elsewhere
 				got[p] = true
@@ -328,7 +328,7 @@ func BenchmarkInternalQueryThreshold(b *testing.B) {
 	for _, thr := range []float64{0.3, 0.7} {
 		b.Run(fmt.Sprintf("t=%v", thr), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix.QueryThreshold(QueryOf(queries[i%len(queries)]), thr)
+				ix.QueryThresholdInto(QueryOf(queries[i%len(queries)]), thr, nil)
 			}
 		})
 	}
@@ -357,8 +357,8 @@ func TestBulkLoadMatchesAdds(t *testing.T) {
 	}
 	for _, q := range sets[:12] {
 		for _, thr := range []float64{0, 0.4, 0.8} {
-			g := bulk.QueryThreshold(QueryOf(q), thr)
-			w := added.QueryThreshold(QueryOf(q), thr)
+			g := bulk.QueryThresholdInto(QueryOf(q), thr, nil)
+			w := added.QueryThresholdInto(QueryOf(q), thr, nil)
 			if len(g) != len(w) {
 				t.Fatalf("t=%v id=%d: %d vs %d matches", thr, q.ID, len(g), len(w))
 			}
@@ -368,7 +368,7 @@ func TestBulkLoadMatchesAdds(t *testing.T) {
 				}
 			}
 		}
-		g, w := bulk.QueryTopK(QueryOf(q), 7), added.QueryTopK(QueryOf(q), 7)
+		g, w := bulk.QueryTopKInto(QueryOf(q), 7, nil), added.QueryTopKInto(QueryOf(q), 7, nil)
 		if len(g) != len(w) {
 			t.Fatalf("topk id=%d: %d vs %d", q.ID, len(g), len(w))
 		}
@@ -385,8 +385,8 @@ func TestBulkLoadMatchesAdds(t *testing.T) {
 	if !bulk.Remove(sets[0].ID) || !added.Remove(sets[0].ID) {
 		t.Fatal("remove after bulk load")
 	}
-	g := bulk.QueryThreshold(QueryOf(sets[1]), 0)
-	w := added.QueryThreshold(QueryOf(sets[1]), 0)
+	g := bulk.QueryThresholdInto(QueryOf(sets[1]), 0, nil)
+	w := added.QueryThresholdInto(QueryOf(sets[1]), 0, nil)
 	if len(g) != len(w) {
 		t.Fatalf("after churn: %d vs %d", len(g), len(w))
 	}

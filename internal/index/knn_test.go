@@ -2,33 +2,36 @@ package index
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/planner"
-	"vsmartjoin/internal/ppjoin"
 	"vsmartjoin/internal/similarity"
 )
 
-// oracleKNN is the inner-layer oracle: ppjoin's sort-everything kernel
-// restricted to overlapping entities — the internal contract surfaces
-// only entities sharing an element with the query (dist < 1 strictly).
-func oracleKNN(sets []multiset.Multiset, q multiset.Multiset, k int, m similarity.Measure) []Neighbor {
-	var out []Neighbor
-	for _, n := range ppjoin.KNNAgainst(q, sets, m, len(sets)) {
-		if n.Dist < 1 {
-			out = append(out, Neighbor{ID: n.ID, Dist: n.Dist})
+// oracleKNN is the inner-layer kNN oracle: every entity sharing an
+// element with q (the internal contract: dist < 1 strictly), verified
+// exhaustively and ordered in similarity space, the one currency below
+// the public edge — nearest first is most similar first. (Ordering by
+// the computed distance 1 − sim instead would differ wherever two
+// adjacent similarities round to one distance; those ties are the
+// public layer's to re-break, by name, where it produces distances.)
+func oracleKNN(sets []multiset.Multiset, q multiset.Multiset, k int, m similarity.Measure) []Match {
+	var out []Match
+	qUni := similarity.UniOf(q)
+	for _, s := range sets {
+		if conj := similarity.ConjOf(q, s); s.ID != q.ID && conj.Common > 0 {
+			out = append(out, Match{ID: s.ID, Sim: m.Sim(qUni, similarity.UniOf(s), conj)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return worseNeighbor(out[j], out[i]) })
+	SortMatches(out)
 	if len(out) > k {
 		out = out[:k]
 	}
 	return out
 }
 
-func neighborsEqual(a, b []Neighbor) bool {
+func matchesEqual(a, b []Match) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -36,15 +39,16 @@ func neighborsEqual(a, b []Neighbor) bool {
 		if a[i].ID != b[i].ID {
 			return false
 		}
-		if d := a[i].Dist - b[i].Dist; d < -1e-9 || d > 1e-9 {
+		if d := a[i].Sim - b[i].Sim; d < -1e-9 || d > 1e-9 {
 			return false
 		}
 	}
 	return true
 }
 
-// TestQueryKNNMatchesOracle gates the planned kNN pass — under every
-// strategy the planner can pick — against the quadratic oracle,
+// TestQueryKNNMatchesOracle gates the claim the serving stack rests on
+// — the planned top-k pass IS the kNN pass — under every strategy the
+// planner can pick, against the exhaustive oracle,
 // including duplicate multisets (maximal ID tie groups) and
 // self-queries of every indexed entity.
 func TestQueryKNNMatchesOracle(t *testing.T) {
@@ -64,9 +68,9 @@ func TestQueryKNNMatchesOracle(t *testing.T) {
 					// The oracle excludes q's own ID like KNNAgainst does; the
 					// index has no such notion, so query a fresh ID.
 					probe := multiset.Multiset{ID: 9999, Entries: q.Entries}
-					got := ix.QueryKNN(QueryOf(probe), k)
+					got := ix.QueryKNNInto(QueryOf(probe), k, nil)
 					want := oracleKNN(sets, probe, k, m)
-					if !neighborsEqual(got, want) {
+					if !matchesEqual(got, want) {
 						t.Fatalf("%s strategy=%v k=%d q=%d:\n got %v\nwant %v",
 							m.Name(), strat, k, q.ID, got, want)
 					}
@@ -83,79 +87,80 @@ func TestQueryKNNIntoReusesBuffer(t *testing.T) {
 	sets := randomMultisets(rng, 20, 15, 6, 3)
 	m := similarity.All()[0]
 	ix := buildIndex(m, sets)
-	sentinel := Neighbor{ID: 777, Dist: -1}
-	buf := append(make([]Neighbor, 0, 16), sentinel)
+	sentinel := Match{ID: 777, Sim: -1}
+	buf := append(make([]Match, 0, 16), sentinel)
 	out := ix.QueryKNNInto(QueryOf(sets[2]), 5, buf)
 	if len(out) < 2 || out[0] != sentinel {
 		t.Fatalf("existing buffer contents clobbered: %v", out)
 	}
-	fresh := ix.QueryKNN(QueryOf(sets[2]), 5)
-	if !neighborsEqual(out[1:], fresh) {
-		t.Fatalf("Into appended %v, QueryKNN returned %v", out[1:], fresh)
+	fresh := ix.QueryTopKInto(QueryOf(sets[2]), 5, nil)
+	if !matchesEqual(out[1:], fresh) {
+		t.Fatalf("Into appended %v, a fresh query returned %v", out[1:], fresh)
 	}
 	if got := ix.QueryKNNInto(QueryOf(sets[2]), 0, buf[:1]); len(got) != 1 {
 		t.Fatalf("k=0 appended results: %v", got)
 	}
 }
 
-// TestMergeKNN gates the fan-out merge: per-partition k-lists fold into
-// the global k nearest with ties surviving by smallest ID, and
-// MergeKNNInto only sorts the appended region.
-func TestMergeKNN(t *testing.T) {
-	a := []Neighbor{{ID: 1, Dist: 0.1}, {ID: 5, Dist: 0.5}, {ID: 9, Dist: 0.9}}
-	b := []Neighbor{{ID: 2, Dist: 0.1}, {ID: 4, Dist: 0.5}, {ID: 6, Dist: 0.6}}
-	got := MergeKNN(4, a, b)
-	want := []Neighbor{{ID: 1, Dist: 0.1}, {ID: 2, Dist: 0.1}, {ID: 4, Dist: 0.5}, {ID: 5, Dist: 0.5}}
-	if !neighborsEqual(got, want) {
-		t.Fatalf("MergeKNN = %v, want %v", got, want)
+// TestMergeTopKInto gates the fan-out merge: per-partition k-lists fold
+// into the global k best with ties surviving by smallest ID, and only
+// the appended region is sorted.
+func TestMergeTopKInto(t *testing.T) {
+	a := []Match{{ID: 1, Sim: 0.9}, {ID: 5, Sim: 0.5}, {ID: 9, Sim: 0.1}}
+	b := []Match{{ID: 2, Sim: 0.9}, {ID: 4, Sim: 0.5}, {ID: 6, Sim: 0.4}}
+	got := MergeTopKInto(4, nil, a, b)
+	want := []Match{{ID: 1, Sim: 0.9}, {ID: 2, Sim: 0.9}, {ID: 4, Sim: 0.5}, {ID: 5, Sim: 0.5}}
+	if !matchesEqual(got, want) {
+		t.Fatalf("MergeTopKInto = %v, want %v", got, want)
 	}
-	if got := MergeKNN(0, a, b); got != nil {
+	if got := MergeTopKInto(0, nil, a, b); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	if got := MergeKNN(10, a); !neighborsEqual(got, a) {
+	if got := MergeTopKInto(10, nil, a); !matchesEqual(got, a) {
 		t.Fatalf("single short list changed: %v", got)
 	}
-	prefix := []Neighbor{{ID: 42, Dist: 0.9}}
-	out := MergeKNNInto(2, prefix, b, a)
+	prefix := []Match{{ID: 42, Sim: 0.1}}
+	out := MergeTopKInto(2, prefix, b, a)
 	if out[0] != prefix[0] {
-		t.Fatalf("MergeKNNInto clobbered the existing buffer: %v", out)
+		t.Fatalf("MergeTopKInto clobbered the existing buffer: %v", out)
 	}
-	if !neighborsEqual(out[1:], want[:2]) {
-		t.Fatalf("MergeKNNInto appended %v, want %v", out[1:], want[:2])
+	if !matchesEqual(out[1:], want[:2]) {
+		t.Fatalf("MergeTopKInto appended %v, want %v", out[1:], want[:2])
 	}
 }
 
-// TestMergeKNNMatchesGlobalSort cross-checks the bounded heap against a
-// concatenate-sort-truncate reference on random per-partition lists.
-func TestMergeKNNMatchesGlobalSort(t *testing.T) {
+// TestMergeTopKIntoMatchesGlobalSort cross-checks the bounded heap
+// against a concatenate-sort-truncate reference on random per-partition
+// lists.
+func TestMergeTopKIntoMatchesGlobalSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		k := 1 + rng.Intn(8)
-		var lists [][]Neighbor
-		var all []Neighbor
+		var lists [][]Match
+		var all []Match
 		for p := 0; p < 1+rng.Intn(4); p++ {
-			var list []Neighbor
+			var list []Match
 			for i := 0; i < rng.Intn(2*k); i++ {
-				n := Neighbor{
-					ID:   multiset.ID(rng.Intn(20) + 1),
-					Dist: float64(rng.Intn(5)) / 5, // coarse grid forces ties
+				m := Match{
+					ID:  multiset.ID(rng.Intn(20) + 1),
+					Sim: float64(rng.Intn(5)) / 5, // coarse grid forces ties
 				}
-				list = append(list, n)
-				all = append(all, n)
+				list = append(list, m)
+				all = append(all, m)
 			}
-			SortNeighbors(list)
+			SortMatches(list)
 			if len(list) > k {
 				list = list[:k]
 			}
 			lists = append(lists, list)
 		}
-		SortNeighbors(all)
+		SortMatches(all)
 		want := all
 		if len(want) > k {
 			want = want[:k]
 		}
-		if got := MergeKNN(k, lists...); !neighborsEqual(got, want) {
-			t.Fatalf("trial %d k=%d: MergeKNN %v, reference %v\nlists: %v", trial, k, got, want, lists)
+		if got := MergeTopKInto(k, nil, lists...); !matchesEqual(got, want) {
+			t.Fatalf("trial %d k=%d: MergeTopKInto %v, reference %v\nlists: %v", trial, k, got, want, lists)
 		}
 	}
 }

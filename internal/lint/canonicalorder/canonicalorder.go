@@ -1,33 +1,34 @@
 // Package canonicalorder enforces PR 5's exactness guarantee: every
-// match list that can reach the public API answers in the one canonical
-// order (similarity descending, tie-break ascending), so a single index,
-// a sharded one, and a multi-node cluster are byte-identical.
+// result list that can reach the public API answers in the one
+// canonical order (similarity descending — for kNN lists distance
+// ascending — tie-break ascending), so a single index, a sharded one,
+// and a multi-node cluster are byte-identical.
 //
 // In the result-bearing packages (the vsmartjoin root, internal/index,
 // internal/shard, internal/cluster, internal/httpd) every function
-// returning a []Match — any of the three Match types: index.Match,
-// cluster.Match, vsmartjoin.Match — or a []Neighbor (the kNN result
-// types: index.Neighbor, cluster.Neighbor, vsmartjoin.Neighbor; their
-// canonical order is distance ascending, tie-break ascending) must
-// return either
+// returning a result — a []Match of the inner index.Match or of the
+// public cluster.Match, a []Neighbor of cluster.Neighbor, or the
+// cluster.QueryResult struct carrying the public lists (the root
+// package's names are aliases of the cluster ones) — must return either
 //
-//   - nil or an empty literal,
-//   - the direct result of another result-slice-returning call
-//     (delegation: the callee is held to the same rule), or
-//   - a local slice that provably passed through a canonicalizer:
-//     index.SortMatches, index.MergeTopK, vsmartjoin.SortMatchesByName,
-//     cluster's sortMatches — or, for neighbors, index.SortNeighbors,
-//     index.MergeKNN, vsmartjoin.SortNeighborsByName, cluster's
-//     sortNeighbors.
+//   - nil or a literal holding no elements,
+//   - the direct result of another result-returning call (delegation:
+//     the callee is held to the same rule), or a field of such a
+//     QueryResult, or
+//   - a local that provably passed through a canonicalizer:
+//     index.SortMatches, index.MergeTopKInto, cluster.SortMatches,
+//     cluster.SortNeighbors, vsmartjoin.SortNeighborsByName.
 //
 // The tracking is a source-order scan, not a full dataflow analysis:
-// assigning a fresh literal/make/append/conversion to a variable clears
-// its canonical status, a canonicalizer call or delegation assignment
-// sets it, and re-slicing (out = out[:k]) preserves it. Sorting a
-// sub-slice in place — SortMatches(buf[base:]), the Into query variants'
-// idiom of canonicalizing only the region they appended — marks the
-// underlying variable canonical too. Test files are exempt — fixtures
-// and oracles build deliberately unsorted lists.
+// assigning a fresh literal/make/append/conversion to a variable (or to
+// a field of a QueryResult variable) clears its canonical status, a
+// canonicalizer call or delegation assignment sets it, and re-slicing
+// (out = out[:k]) preserves it. Sorting a sub-slice in place —
+// SortMatches(buf[base:]), the Into query variants' idiom of
+// canonicalizing only the region they appended — marks the underlying
+// variable canonical too, as does sorting a QueryResult variable's
+// field. Test files are exempt — fixtures and oracles build
+// deliberately unsorted lists.
 package canonicalorder
 
 import (
@@ -40,7 +41,7 @@ import (
 // Analyzer is the canonicalorder checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "canonicalorder",
-	Doc:  "functions returning []Match or []Neighbor must canonicalize (SortMatches/SortNeighbors/Merge*) before returning",
+	Doc:  "functions returning []Match, []Neighbor or QueryResult must canonicalize (SortMatches/SortNeighbors/MergeTopKInto) before returning",
 	Run:  run,
 }
 
@@ -54,33 +55,28 @@ var scopePkgs = map[string]bool{
 }
 
 // matchTypes are the (package, type name) pairs that count as a
-// canonically-ordered result element — the Match family and the kNN
-// Neighbor family alike.
-var matchTypes = [][2]string{
-	{"vsmartjoin", "Match"},
-	{"vsmartjoin/internal/index", "Match"},
-	{"vsmartjoin/internal/cluster", "Match"},
-	{"vsmartjoin", "Neighbor"},
-	{"vsmartjoin/internal/index", "Neighbor"},
-	{"vsmartjoin/internal/cluster", "Neighbor"},
-}
+// canonically-ordered result element; resultStruct is the struct that
+// carries the public lists.
+var (
+	matchTypes = [][2]string{
+		{"vsmartjoin/internal/index", "Match"},
+		{"vsmartjoin/internal/cluster", "Match"},
+		{"vsmartjoin/internal/cluster", "Neighbor"},
+	}
+	resultStruct = [2]string{"vsmartjoin/internal/cluster", "QueryResult"}
+)
 
 // canonicalizers sort a result-slice argument in place ([2]: pkg, name).
 var canonicalizers = [][2]string{
-	{"vsmartjoin", "SortMatchesByName"},
 	{"vsmartjoin/internal/index", "SortMatches"},
-	{"vsmartjoin/internal/cluster", "sortMatches"},
+	{"vsmartjoin/internal/cluster", "SortMatches"},
+	{"vsmartjoin/internal/cluster", "SortNeighbors"},
 	{"vsmartjoin", "SortNeighborsByName"},
-	{"vsmartjoin/internal/index", "SortNeighbors"},
-	{"vsmartjoin/internal/cluster", "sortNeighbors"},
 }
 
 // canonicalProducers return an already-canonical result slice.
 var canonicalProducers = [][2]string{
-	{"vsmartjoin/internal/index", "MergeTopK"},
 	{"vsmartjoin/internal/index", "MergeTopKInto"},
-	{"vsmartjoin/internal/index", "MergeKNN"},
-	{"vsmartjoin/internal/index", "MergeKNNInto"},
 }
 
 func run(pass *analysis.Pass) error {
@@ -93,7 +89,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || pass.InTestFile(fd.Pos()) {
 				continue
 			}
-			if !returnsMatchSlice(pass, fd) {
+			if !returnsResult(pass, fd) {
 				continue
 			}
 			checkFunc(pass, fd)
@@ -102,8 +98,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isMatchSlice reports whether t is []Match for one of the Match types.
-func isMatchSlice(t types.Type) bool {
+// isResult reports whether t is a result: a slice of one of the
+// matchTypes, or the resultStruct.
+func isResult(t types.Type) bool {
+	if analysis.IsNamed(t, resultStruct[0], resultStruct[1]) {
+		return true
+	}
 	sl, ok := types.Unalias(t).(*types.Slice)
 	if !ok {
 		return false
@@ -116,12 +116,12 @@ func isMatchSlice(t types.Type) bool {
 	return false
 }
 
-func returnsMatchSlice(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+func returnsResult(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Type.Results == nil {
 		return false
 	}
 	for _, res := range fd.Type.Results.List {
-		if tv, ok := pass.TypesInfo.Types[res.Type]; ok && isMatchSlice(tv.Type) {
+		if tv, ok := pass.TypesInfo.Types[res.Type]; ok && isResult(tv.Type) {
 			return true
 		}
 	}
@@ -143,7 +143,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil && isMatchSlice(obj.Type()) {
+				if obj := info.Defs[name]; obj != nil && isResult(obj.Type()) {
 					canonical[obj] = true
 				}
 			}
@@ -180,33 +180,58 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return false
 			}
 			for i := 0; i < sig.Results().Len(); i++ {
-				if isMatchSlice(sig.Results().At(i).Type()) {
+				if isResult(sig.Results().At(i).Type()) {
 					return true
 				}
 			}
 			return false
 		case *ast.SliceExpr:
 			return exprCanonical(x.X)
+		case *ast.SelectorExpr:
+			// A list field of a canonical QueryResult.
+			tv, ok := info.Types[x.X]
+			return ok && isResult(tv.Type) && exprCanonical(x.X)
 		case *ast.CompositeLit:
-			return len(x.Elts) == 0 // empty literal carries no order
+			// A literal holding no elements carries no order: []Match{},
+			// QueryResult{}, QueryResult{Matches: []Match{}}.
+			for _, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				if !exprCanonical(elt) {
+					return false
+				}
+			}
+			return true
 		}
 		return false
 	}
 
-	// markAssign records the effect of `lhs = rhs` on canonical state.
-	markAssign := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
+	// tracked resolves v or v.Field to the result variable v.
+	tracked := func(e ast.Expr) types.Object {
+		e = ast.Unparen(e)
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = ast.Unparen(sel.X)
+		}
+		id, ok := e.(*ast.Ident)
 		if !ok {
-			return
+			return nil
 		}
 		obj := info.Defs[id]
 		if obj == nil {
 			obj = info.Uses[id]
 		}
-		if obj == nil || !isMatchSlice(obj.Type()) {
-			return
+		if obj == nil || !isResult(obj.Type()) {
+			return nil
 		}
-		canonical[obj] = rhs != nil && exprCanonical(rhs)
+		return obj
+	}
+
+	// markAssign records the effect of `lhs = rhs` on canonical state.
+	markAssign := func(lhs, rhs ast.Expr) {
+		if obj := tracked(lhs); obj != nil {
+			canonical[obj] = rhs != nil && exprCanonical(rhs)
+		}
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -236,12 +261,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 							// buffer contents.
 							arg := ast.Unparen(call.Args[0])
 							if sl, ok := arg.(*ast.SliceExpr); ok {
-								arg = ast.Unparen(sl.X)
+								arg = sl.X
 							}
-							if id, ok := arg.(*ast.Ident); ok {
-								if obj := info.Uses[id]; obj != nil {
-									canonical[obj] = true
-								}
+							if obj := tracked(arg); obj != nil {
+								canonical[obj] = true
 							}
 						}
 					}
@@ -250,18 +273,13 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.ReturnStmt:
 			for _, res := range st.Results {
 				tv, ok := info.Types[res]
-				if !ok || !isMatchSlice(tv.Type) {
+				if !ok || !isResult(tv.Type) {
 					continue
 				}
 				if !exprCanonical(res) {
-					kind, sorters := "Match", "SortMatches/SortMatchesByName/MergeTopK"
-					if sl, ok := types.Unalias(tv.Type).(*types.Slice); ok {
-						if named, ok := types.Unalias(sl.Elem()).(*types.Named); ok && named.Obj().Name() == "Neighbor" {
-							kind, sorters = "Neighbor", "SortNeighbors/SortNeighborsByName/MergeKNN"
-						}
-					}
 					pass.Reportf(res.Pos(),
-						"returning a []%s that did not pass through a canonicalizer (%s): public results must be in the canonical order", kind, sorters)
+						"returning a %s that did not pass through a canonicalizer (SortMatches/SortNeighbors/MergeTopKInto): public results must be in the canonical order",
+						types.TypeString(tv.Type, func(*types.Package) string { return "" }))
 				}
 			}
 		}

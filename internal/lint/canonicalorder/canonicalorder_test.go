@@ -9,5 +9,5 @@ import (
 
 func TestCanonicalorder(t *testing.T) {
 	linttest.Run(t, canonicalorder.Analyzer, "testdata",
-		"vsmartjoin", "vsmartjoin/internal/index", "other")
+		"vsmartjoin", "vsmartjoin/internal/index", "vsmartjoin/internal/cluster", "other")
 }

@@ -10,25 +10,22 @@ type Match struct {
 // SortMatches is the index package's canonicalizer.
 func SortMatches(ms []Match) {}
 
-// MergeTopK returns an already-canonical merge (a producer).
-func MergeTopK(lists [][]Match, k int) []Match {
-	var out []Match
+// MergeTopKInto returns an already-canonical merge (a producer).
+func MergeTopKInto(k int, buf []Match, lists ...[]Match) []Match {
+	base := len(buf)
 	for _, l := range lists {
-		out = append(out, l...)
+		buf = append(buf, l...)
 	}
-	SortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	SortMatches(buf[base:])
+	return buf
 }
 
 func viaProducer(lists [][]Match) []Match {
-	return MergeTopK(lists, 3)
+	return MergeTopKInto(3, nil, lists...)
 }
 
 func viaProducerLocal(lists [][]Match) []Match {
-	out := MergeTopK(lists, 3)
+	out := MergeTopKInto(3, nil, lists...)
 	return out
 }
 
@@ -36,43 +33,4 @@ func bad(in []Match) []Match {
 	out := make([]Match, 0, len(in))
 	out = append(out, in...)
 	return out // want `did not pass through a canonicalizer`
-}
-
-// Neighbor mirrors the real index package's kNN result type.
-type Neighbor struct {
-	ID   uint64
-	Dist float64
-}
-
-// SortNeighbors is the index package's kNN canonicalizer.
-func SortNeighbors(ns []Neighbor) {}
-
-// MergeKNN returns an already-canonical k-way merge (a producer).
-func MergeKNN(k int, lists ...[]Neighbor) []Neighbor {
-	var out []Neighbor
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	SortNeighbors(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-func viaKNNProducer(lists [][]Neighbor) []Neighbor {
-	return MergeKNN(3, lists...)
-}
-
-func badNeighbors(in []Neighbor) []Neighbor {
-	out := make([]Neighbor, 0, len(in))
-	out = append(out, in...)
-	return out // want `returning a \[\]Neighbor that did not pass through a canonicalizer`
-}
-
-func regionSortedNeighbors(in, buf []Neighbor) []Neighbor {
-	base := len(buf)
-	buf = append(buf, in...)
-	SortNeighbors(buf[base:]) // region sort re-canonicalizes buf
-	return buf
 }

@@ -1,19 +1,41 @@
-// Package vsmartjoin exercises canonicalorder at the root scope path:
-// raw returns, conversions, canonicalized locals, delegation,
-// re-slicing, and the suppression contract.
+// Package vsmartjoin exercises canonicalorder at the root scope path,
+// where the result types are aliases of internal/cluster's: raw
+// returns, conversions, canonicalized locals, delegation (including a
+// field of a delegated QueryResult), re-slicing, and the suppression
+// contract.
 package vsmartjoin
 
-type Match struct {
-	Entity     string
-	Similarity float64
+import "vsmartjoin/internal/cluster"
+
+type (
+	Match       = cluster.Match
+	Neighbor    = cluster.Neighbor
+	QueryResult = cluster.QueryResult
+)
+
+// SortNeighborsByName is the root package's exported kNN canonicalizer.
+func SortNeighborsByName(ns []Neighbor) { cluster.SortNeighbors(ns) }
+
+func query(in []Match) (QueryResult, error) {
+	out := append([]Match{}, in...)
+	cluster.SortMatches(out)
+	return QueryResult{Matches: out}, nil
 }
 
-// SortMatchesByName is the root package's canonicalizer.
-func SortMatchesByName(ms []Match) {}
+func convenience(in []Match) ([]Match, error) {
+	res, err := query(in)
+	return res.Matches, err // a field of a delegated QueryResult
+}
 
 func bad(in []Match) []Match {
 	out := append([]Match{}, in...)
 	return out // want `returning a \[\]Match that did not pass through a canonicalizer`
+}
+
+func badResultField(in []Match) []Match {
+	var res QueryResult
+	res.Matches = append(res.Matches, in...)
+	return res.Matches // want `did not pass through a canonicalizer`
 }
 
 func badConversion(in []Match) []Match {
@@ -24,7 +46,7 @@ func badConversion(in []Match) []Match {
 
 func good(in []Match) []Match {
 	out := append([]Match{}, in...)
-	SortMatchesByName(out)
+	cluster.SortMatches(out)
 	return out
 }
 
@@ -41,7 +63,7 @@ func delegation(in []Match) []Match {
 
 func sliced(in []Match, k int) []Match {
 	out := append([]Match{}, in...)
-	SortMatchesByName(out)
+	cluster.SortMatches(out)
 	if len(out) > k {
 		out = out[:k] // re-slicing preserves canonical order
 	}
@@ -60,7 +82,7 @@ func paramAppendNeedsSort(buf []Match, m Match) []Match {
 func intoVariant(in, buf []Match) []Match {
 	base := len(buf)
 	buf = append(buf, in...)
-	SortMatchesByName(buf[base:]) // region sort re-canonicalizes buf
+	cluster.SortMatches(buf[base:]) // region sort re-canonicalizes buf
 	return buf
 }
 
@@ -75,19 +97,11 @@ func stale() []Match {
 	return nil
 }
 
-// Neighbor is the kNN result type; []Neighbor returns are held to the
-// same canonical-order rule as []Match, with their own sorter set.
-type Neighbor struct {
-	Entity   string
-	Distance float64
-}
-
-// SortNeighborsByName is the root package's kNN canonicalizer.
-func SortNeighborsByName(ns []Neighbor) {}
+// []Neighbor returns are held to the same canonical-order rule.
 
 func badNeighbors(in []Neighbor) []Neighbor {
 	out := append([]Neighbor{}, in...)
-	return out // want `returning a \[\]Neighbor that did not pass through a canonicalizer \(SortNeighbors/SortNeighborsByName/MergeKNN\)`
+	return out // want `returning a \[\]Neighbor that did not pass through a canonicalizer`
 }
 
 func goodNeighbors(in []Neighbor) []Neighbor {
@@ -96,13 +110,9 @@ func goodNeighbors(in []Neighbor) []Neighbor {
 	return out
 }
 
-func neighborDelegation(in []Neighbor) []Neighbor {
-	return goodNeighbors(in) // the callee is held to the same rule
-}
-
 func neighborSliced(in []Neighbor, k int) []Neighbor {
 	out := append([]Neighbor{}, in...)
-	SortNeighborsByName(out)
+	cluster.SortNeighbors(out)
 	if len(out) > k {
 		out = out[:k] // re-slicing preserves canonical order
 	}
@@ -116,6 +126,6 @@ func neighborPadAppend(out []Neighbor, name string) []Neighbor {
 
 func matchSorterDoesNotCoverNeighbors(in []Neighbor, ms []Match) []Neighbor {
 	out := append([]Neighbor{}, in...)
-	SortMatchesByName(ms) // sorting a different slice proves nothing about out
-	return out            // want `returning a \[\]Neighbor that did not pass through a canonicalizer`
+	cluster.SortMatches(ms) // sorting a different slice proves nothing about out
+	return out              // want `returning a \[\]Neighbor that did not pass through a canonicalizer`
 }

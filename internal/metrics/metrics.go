@@ -15,9 +15,8 @@
 //     which is fine for monitoring and cheap for writers.
 //   - Mergeable. A Snapshot from every shard, node, or worker adds into
 //     one distribution (Merge), because bucket boundaries are fixed and
-//     identical everywhere — the property that lets a sharded index, a
-//     cluster router, and the vsmartbench load driver share one
-//     percentile pipeline.
+//     identical everywhere — the property that lets a sharded index
+//     and a cluster router share one percentile pipeline.
 //
 // Buckets are log-spaced: four per octave (bounds grow by 2^(1/4) ≈
 // 1.19), from 256ns up to ~17.6s, plus an overflow bucket. That bounds

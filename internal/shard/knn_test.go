@@ -11,22 +11,11 @@ import (
 	"vsmartjoin/internal/similarity"
 )
 
-func sameNeighbors(t *testing.T, tag string, got, want []index.Neighbor) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d neighbors, single index %d\ngot  %v\nwant %v", tag, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: neighbor %d: got %v want %v", tag, i, got[i], want[i])
-		}
-	}
-}
-
 // TestKNNDifferentialVsSingleIndex is the sharded kNN exactness gate:
-// for shard counts {1, 3, 8} and every planner strategy, QueryKNN must
-// return exactly the single-index answer — same IDs, same distances,
-// same order — including after churn.
+// for shard counts {1, 3, 8} and every planner strategy, the kNN pass
+// (the top-k pass: see index.Neighbor) must return exactly the
+// single-index answer — same IDs, same similarities, same order —
+// including after churn.
 func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for _, measureName := range []string{"ruzicka", "jaccard", "cosine"} {
@@ -56,7 +45,7 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 				for _, k := range []int{1, 5, 50} {
 					for _, q := range sets[:20] {
 						tag := fmt.Sprintf("%s strategy=%v shards=%d k=%d q=%d", measureName, strat, n, k, q.ID)
-						sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), k), single.QueryKNN(index.QueryOf(q), k))
+						sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), k, nil), single.QueryKNNInto(index.QueryOf(q), k, nil))
 					}
 				}
 				// Churn a slice of entities, then re-compare: removals must
@@ -67,7 +56,7 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 				}
 				for _, q := range sets[:5] {
 					tag := fmt.Sprintf("%s strategy=%v shards=%d churn q=%d", measureName, strat, n, q.ID)
-					sameNeighbors(t, tag, set.QueryKNN(index.QueryOf(q), 5), single.QueryKNN(index.QueryOf(q), 5))
+					sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), 5, nil), single.QueryKNNInto(index.QueryOf(q), 5, nil))
 				}
 				// Restore for the next shard count.
 				for _, s := range sets[10:20] {
@@ -80,7 +69,7 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 }
 
 // TestKNNIntoBufferContract pins the fan-out Into form: existing buffer
-// contents survive and the appended region equals the allocating form.
+// contents survive and the appended region equals a fresh query.
 func TestKNNIntoBufferContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, err := similarity.ByName("jaccard")
@@ -92,11 +81,11 @@ func TestKNNIntoBufferContract(t *testing.T) {
 	for _, s := range sets {
 		set.Add(s)
 	}
-	sentinel := index.Neighbor{ID: 999, Dist: -1}
-	buf := append(make([]index.Neighbor, 0, 8), sentinel)
+	sentinel := index.Match{ID: 999, Sim: -1}
+	buf := append(make([]index.Match, 0, 8), sentinel)
 	out := set.QueryKNNInto(index.QueryOf(sets[3]), 5, buf)
 	if out[0] != sentinel {
 		t.Fatalf("buffer contents clobbered: %v", out)
 	}
-	sameNeighbors(t, "into", out[1:], set.QueryKNN(index.QueryOf(sets[3]), 5))
+	sameMatches(t, "into", out[1:], set.QueryKNNInto(index.QueryOf(sets[3]), 5, nil))
 }

@@ -9,7 +9,7 @@
 // complete multisets of its entities, so the measure-derived pruning
 // bounds apply per shard exactly as they do globally, and the union of
 // per-shard threshold results (or the heap merge of per-shard top-k
-// lists, via index.MergeTopK) equals the single-index answer. The
+// lists, via index.MergeTopKInto) equals the single-index answer. The
 // element dictionary is intentionally NOT per shard — callers intern
 // strings once (vsmartjoin.Index holds the shared multiset.Dict) and
 // shards see only dense element IDs, so a fan-out costs no translation.
@@ -59,11 +59,9 @@ func (s *Set) MergeSnapshot() metrics.Snapshot { return s.merge.Snapshot() }
 // fanScratch is the reusable per-fan-out state: one result buffer per
 // shard, each handed to that shard's Into query and merged afterwards.
 // Slots are written only by the worker that claimed the shard, so the
-// buffers need no locking within one fan-out. kper is the Neighbor-
-// typed twin for kNN fan-outs, sized lazily on the first one.
+// buffers need no locking within one fan-out.
 type fanScratch struct {
-	per  [][]index.Match
-	kper [][]index.Neighbor
+	per [][]index.Match
 }
 
 func (s *Set) getFan() *fanScratch {
@@ -77,9 +75,6 @@ func (s *Set) getFan() *fanScratch {
 func (s *Set) putFan(f *fanScratch) {
 	for i := range f.per {
 		f.per[i] = f.per[i][:0]
-	}
-	for i := range f.kper {
-		f.kper[i] = f.kper[i][:0]
 	}
 	s.scratch.Put(f)
 }
@@ -267,87 +262,64 @@ func (s *Set) fanOut(fn func(i int)) {
 	wg.Wait()
 }
 
-// QueryThreshold fans the query out to every shard in parallel and
-// merges the per-shard results under the canonical ordering. The answer
-// is exactly the single-index answer: shards partition the entities, so
-// the per-shard result sets are disjoint and their union is complete.
-func (s *Set) QueryThreshold(q index.Query, t float64) []index.Match {
-	return s.QueryThresholdInto(q, t, nil)
-}
-
-// QueryThresholdInto is QueryThreshold appending into buf instead of
-// allocating the result. Per-shard results land in pooled merge buffers
-// and each shard query itself runs through index.QueryThresholdInto, so
-// a steady-state fan-out's only allocations are the worker goroutines.
+// QueryThresholdInto fans the query out to every shard in parallel and
+// appends the merged per-shard results to buf under the canonical
+// ordering. The answer is exactly the single-index answer: shards
+// partition the entities, so the per-shard result sets are disjoint and
+// their union is complete. Per-shard results land in pooled merge
+// buffers and each shard query itself runs through
+// index.QueryThresholdInto, so a steady-state fan-out's only allocations
+// are the worker goroutines.
 func (s *Set) QueryThresholdInto(q index.Query, t float64, buf []index.Match) []index.Match {
-	s.queries.Add(1)
-	if len(s.shards) == 1 {
-		return s.shards[0].QueryThresholdInto(q, t, buf)
-	}
-	f := s.getFan()
-	s.fanOut(func(i int) { f.per[i] = s.shards[i].QueryThresholdInto(q, t, f.per[i][:0]) })
-	start := metrics.Now()
-	base := len(buf)
-	for _, ms := range f.per {
-		buf = append(buf, ms...)
-	}
-	s.putFan(f)
-	index.SortMatches(buf[base:])
-	s.merge.ObserveSince(start)
-	return buf
+	return s.query(q, t, -1, buf)
 }
 
-// QueryTopK fans out and merges per-shard top-k lists into the global
-// top-k with index.MergeTopK. Per-shard queries prune against their own
-// local floor (weaker than the global one), so a sharded top-k verifies
-// somewhat more candidates than a single index — the price of running
-// the probe in parallel — but returns the identical result.
-func (s *Set) QueryTopK(q index.Query, k int) []index.Match {
-	return s.QueryTopKInto(q, k, nil)
-}
-
-// QueryTopKInto is QueryTopK appending into buf instead of allocating
-// the result, with pooled per-shard merge buffers like
-// QueryThresholdInto.
+// QueryTopKInto fans out and appends the global top-k to buf, folding
+// the per-shard top-k lists with index.MergeTopKInto. Per-shard queries
+// prune against their own local floor (weaker than the global one), so a
+// sharded top-k verifies somewhat more candidates than a single index —
+// the price of running the probe in parallel — but returns the
+// identical result.
 func (s *Set) QueryTopKInto(q index.Query, k int, buf []index.Match) []index.Match {
-	s.queries.Add(1)
-	if len(s.shards) == 1 {
-		return s.shards[0].QueryTopKInto(q, k, buf)
-	}
-	f := s.getFan()
-	s.fanOut(func(i int) { f.per[i] = s.shards[i].QueryTopKInto(q, k, f.per[i][:0]) })
-	start := metrics.Now()
-	buf = index.MergeTopKInto(k, buf, f.per...)
-	s.putFan(f)
-	s.merge.ObserveSince(start)
-	return buf
+	return s.query(q, 0, max(k, 0), buf)
 }
 
-// QueryKNN fans out and merges per-shard kNN lists into the global k
-// nearest with index.MergeKNN — exact for the same partitioning reason
-// as QueryTopK, of which it is the distance-ordered mirror.
-func (s *Set) QueryKNN(q index.Query, k int) []index.Neighbor {
-	return s.QueryKNNInto(q, k, nil)
-}
-
-// QueryKNNInto is QueryKNN appending into buf instead of allocating
-// the result, with pooled per-shard merge buffers like the other Into
-// fan-outs.
+// QueryKNNInto is QueryTopKInto, kept because benchmark/ladder.go names
+// it (its shard.knn_ns rung); see index.Neighbor.
 func (s *Set) QueryKNNInto(q index.Query, k int, buf []index.Neighbor) []index.Neighbor {
+	return s.QueryTopKInto(q, k, buf)
+}
+
+// query is the one fan-out/merge body: the threshold query at t when
+// k < 0, the top-k query otherwise.
+func (s *Set) query(q index.Query, t float64, k int, buf []index.Match) []index.Match {
 	s.queries.Add(1)
 	if len(s.shards) == 1 {
-		return s.shards[0].QueryKNNInto(q, k, buf)
+		return s.queryShard(0, q, t, k, buf)
 	}
 	f := s.getFan()
-	if f.kper == nil {
-		f.kper = make([][]index.Neighbor, len(s.shards))
-	}
-	s.fanOut(func(i int) { f.kper[i] = s.shards[i].QueryKNNInto(q, k, f.kper[i][:0]) })
+	s.fanOut(func(i int) { f.per[i] = s.queryShard(i, q, t, k, f.per[i][:0]) })
 	start := metrics.Now()
-	buf = index.MergeKNNInto(k, buf, f.kper...)
+	if k < 0 {
+		base := len(buf)
+		for _, ms := range f.per {
+			buf = append(buf, ms...)
+		}
+		index.SortMatches(buf[base:])
+	} else {
+		buf = index.MergeTopKInto(k, buf, f.per...)
+	}
 	s.putFan(f)
 	s.merge.ObserveSince(start)
 	return buf
+}
+
+// queryShard runs query's request on shard i.
+func (s *Set) queryShard(i int, q index.Query, t float64, k int, buf []index.Match) []index.Match {
+	if k < 0 {
+		return s.shards[i].QueryThresholdInto(q, t, buf)
+	}
+	return s.shards[i].QueryTopKInto(q, k, buf)
 }
 
 // SetPlanner installs a planner on every shard; each shard decides its

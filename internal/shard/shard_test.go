@@ -72,11 +72,11 @@ func TestDifferentialVsSingleIndex(t *testing.T) {
 				query := index.QueryOf(q)
 				for _, thr := range []float64{0, 0.3, 0.5, 0.9} {
 					tag := fmt.Sprintf("%s/shards=%d/q=%d/t=%v", measureName, shards, qi, thr)
-					sameMatches(t, tag, set.QueryThreshold(query, thr), single.QueryThreshold(query, thr))
+					sameMatches(t, tag, set.QueryThresholdInto(query, thr, nil), single.QueryThresholdInto(query, thr, nil))
 				}
 				for _, k := range []int{1, 5, 100} {
 					tag := fmt.Sprintf("%s/shards=%d/q=%d/k=%d", measureName, shards, qi, k)
-					sameMatches(t, tag, set.QueryTopK(query, k), single.QueryTopK(query, k))
+					sameMatches(t, tag, set.QueryTopKInto(query, k, nil), single.QueryTopKInto(query, k, nil))
 				}
 			}
 		}
@@ -118,8 +118,8 @@ func TestDifferentialAfterChurn(t *testing.T) {
 	for qi, q := range sets {
 		query := index.QueryOf(q)
 		tag := fmt.Sprintf("churn/q=%d", qi)
-		sameMatches(t, tag, set.QueryThreshold(query, 0.3), single.QueryThreshold(query, 0.3))
-		sameMatches(t, tag, set.QueryTopK(query, 7), single.QueryTopK(query, 7))
+		sameMatches(t, tag, set.QueryThresholdInto(query, 0.3, nil), single.QueryThresholdInto(query, 0.3, nil))
+		sameMatches(t, tag, set.QueryTopKInto(query, 7, nil), single.QueryTopKInto(query, 7, nil))
 	}
 	// Removing an already-removed ID stays a no-op everywhere.
 	if set.Remove(sets[0].ID) {
@@ -173,8 +173,8 @@ func TestStats(t *testing.T) {
 		set.Add(s)
 	}
 	set.Remove(sets[0].ID)
-	set.QueryThreshold(index.QueryOf(sets[1]), 0.5)
-	set.QueryTopK(index.QueryOf(sets[2]), 3)
+	set.QueryThresholdInto(index.QueryOf(sets[1]), 0.5, nil)
+	set.QueryTopKInto(index.QueryOf(sets[2]), 3, nil)
 	st := set.Stats()
 	if st.Entities != 29 || st.Adds != 30 || st.Removes != 1 {
 		t.Fatalf("sizes: %+v", st)
@@ -205,8 +205,8 @@ func TestConcurrentFanOut(t *testing.T) {
 				case 0, 1:
 					set.Add(s)
 				case 2:
-					set.QueryThreshold(index.QueryOf(s), 0.3)
-					set.QueryTopK(index.QueryOf(s), 5)
+					set.QueryThresholdInto(index.QueryOf(s), 0.3, nil)
+					set.QueryTopKInto(index.QueryOf(s), 5, nil)
 				case 3:
 					set.Remove(s.ID)
 					set.Stats()

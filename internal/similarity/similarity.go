@@ -11,8 +11,7 @@
 // Both structures are component-wise sums over elements, so they can be
 // accumulated incrementally (and by MapReduce combiners). Disjunctive
 // partials (needing a scan of the union, e.g. Σ|fi−fj|) are deliberately
-// out of scope, exactly as in the paper; see internal/nsm for the formal
-// classification.
+// out of scope, exactly as in the paper.
 package similarity
 
 import (

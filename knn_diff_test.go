@@ -88,8 +88,10 @@ func mustMatchKNN(t *testing.T, tag string, got, want []Neighbor) {
 			t.Fatalf("%s: neighbor %q distance %v, oracle %v", tag, got[i].Entity, got[i].Distance, want[i].Distance)
 		}
 	}
-	for i := 1; i < len(got); i++ {
-		if worsePublicNeighbor(got[i-1], got[i]) {
+	sorted := append([]Neighbor(nil), got...)
+	SortNeighborsByName(sorted)
+	for i := range got {
+		if got[i] != sorted[i] {
 			t.Fatalf("%s: answer not in canonical order at %d: %v", tag, i, got)
 		}
 	}
