@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke
+.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke loc
 
 all: build test
 
@@ -45,6 +45,11 @@ govulncheck:
 bench-check:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
+
+# The line count CHANGES.md quotes for simplicity PRs: every non-test Go
+# line outside the benchmark module. CI's test job echoes it.
+loc:
+	@find . -name '*.go' -not -path './.git/*' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Batch AllKNN smoke: run the three-job MapReduce kNN pipeline over a
 # tiny generated trace and demand one neighbor line per entity — a PR

@@ -42,7 +42,7 @@ type ClusterOptions struct {
 }
 
 // Cluster is a client for a multi-node vsmartjoind deployment: it
-// mirrors Index's Add/Remove/Query surface, but routes every call over
+// mirrors Index's Apply/Query surface, but routes every call over
 // HTTP to a grid of partitioned, replicated daemon nodes. Writes go to
 // the entity's owner partition and succeed at majority quorum; queries
 // scatter to one replica per partition and merge exactly, so results
@@ -83,81 +83,49 @@ func (c *Cluster) Close() { c.inner.Close() }
 // BuildClusterFiles carves bulk-built corpora with.
 func PartitionOfEntity(entity string, n int) int { return cluster.PartitionOf(entity, n) }
 
-// Add upserts an entity with its element multiplicities, replacing any
-// previous entity of the same name, on every replica of its owner
-// partition. It succeeds once a majority of replicas acknowledged the
-// write; replicas that missed it are re-driven by the anti-entropy
-// pass. An error means the write is NOT guaranteed applied — though,
-// as in any quorum system, a minority of replicas may still hold it,
-// and repair completes it rather than undoing it.
+// Apply is the one write method of a Cluster: an ordered batch of
+// mutations driven as one quorum write per touched partition. The batch
+// is grouped by owner partition (order preserved; mutations of one
+// entity always share a partition, so per-entity order survives); each
+// partition's replicas receive their group as a single request — a
+// lone mutation as the daemon's /add or /remove, a longer group as one
+// /bulk, which under ingest storms replaces a round trip and a per-node
+// WAL commit per mutation with one per group. Each group succeeds or
+// fails at majority quorum independently, and the returned error joins
+// the groups that missed it (ErrClusterUnavailable). An error means the
+// group is NOT guaranteed applied — though, as in any quorum system, a
+// minority of replicas may still hold it, and the anti-entropy pass
+// completes it rather than undoing it. A mutation no node would accept
+// (an empty name, an add without a nonzero count, an unknown Op) fails
+// the whole batch before anything is sent.
+//
+// The result reports, per mutation, whether its group reached quorum —
+// except for a removal that was alone in its group, where it reports
+// whether any acknowledging replica still had the entity. Trace values
+// on ctx (WithRequestID) propagate onto every node request; cancelling
+// ctx does not abort the write — quorum bookkeeping must outlive an
+// impatient caller.
+func (c *Cluster) Apply(ctx context.Context, muts []Mutation) ([]bool, error) {
+	return c.inner.Apply(ctx, muts)
+}
+
+// Add is Apply for one OpAdd mutation.
 func (c *Cluster) Add(entity string, counts map[string]uint32) error {
-	return c.AddContext(context.Background(), entity, counts)
+	_, err := c.Apply(context.Background(), []Mutation{{Op: OpAdd, Entity: entity, Elements: counts}})
+	return err
 }
 
-// AddContext is Add carrying a context: trace values (WithRequestID)
-// propagate onto every node request. Cancellation does not abort the
-// write — quorum bookkeeping must outlive an impatient caller.
-func (c *Cluster) AddContext(ctx context.Context, entity string, counts map[string]uint32) error {
-	return c.inner.Add(ctx, entity, counts)
-}
-
-// Remove deletes an entity by name at majority quorum, reporting
-// whether any acknowledging replica still had it.
+// Remove is Apply for one OpRemove mutation, reporting whether any
+// acknowledging replica still had the entity.
 func (c *Cluster) Remove(entity string) (bool, error) {
-	return c.RemoveContext(context.Background(), entity)
+	had, err := c.Apply(context.Background(), []Mutation{{Op: OpRemove, Entity: entity}})
+	return len(had) > 0 && had[0], err
 }
 
-// RemoveContext is Remove carrying a context, with AddContext's
-// trace-propagation and cancellation semantics.
-func (c *Cluster) RemoveContext(ctx context.Context, entity string) (bool, error) {
-	return c.inner.Remove(ctx, entity)
-}
-
-// BulkMutation is one mutation of a Cluster.Bulk batch: an upsert
-// (Remove false; Elements is the entity's full new multiset) or a
-// removal (Remove true; Elements ignored).
-type BulkMutation struct {
-	Remove   bool
-	Entity   string
-	Elements map[string]uint32
-}
-
-// Bulk applies an ordered batch of mutations with one quorum write per
-// touched partition: the batch is grouped by owner partition (order
-// preserved; mutations of one entity always share a partition, so
-// per-entity order survives) and each partition's replicas receive
-// their group as a single batched request — under ingest storms this
-// replaces a round trip and a per-node WAL commit per mutation with
-// one per partition group. Each group succeeds or fails at majority
-// quorum independently; the returned error joins the groups that
-// missed quorum, and Add's error semantics apply per group (not
-// guaranteed applied, never undone — repair completes it).
-func (c *Cluster) Bulk(muts []BulkMutation) error {
-	return c.BulkContext(context.Background(), muts)
-}
-
-// BulkContext is Bulk carrying a context, with AddContext's
-// trace-propagation and cancellation semantics.
-func (c *Cluster) BulkContext(ctx context.Context, muts []BulkMutation) error {
-	ops := make([]cluster.BulkOp, len(muts))
-	for i, m := range muts {
-		if m.Remove {
-			ops[i] = cluster.BulkOp{Op: "remove", Entity: m.Entity}
-		} else {
-			ops[i] = cluster.BulkOp{Op: "add", Entity: m.Entity, Elements: m.Elements}
-		}
-	}
-	return c.inner.Bulk(ctx, ops)
-}
-
-// AddBatch upserts a batch of entities via Bulk — the batched
-// counterpart of calling Add per entry.
+// AddBatch is Apply for a batch of OpAdd mutations.
 func (c *Cluster) AddBatch(entries []BatchEntry) error {
-	ops := make([]cluster.BulkOp, len(entries))
-	for i, e := range entries {
-		ops[i] = cluster.BulkOp{Op: "add", Entity: e.Entity, Elements: e.Elements}
-	}
-	return c.inner.Bulk(context.Background(), ops)
+	_, err := c.Apply(context.Background(), addMutations(entries))
+	return err
 }
 
 // Query answers q over the whole cluster — exactly the answer, byte for

@@ -41,8 +41,8 @@
 // bulk-built into snapshot files first and then opened — one batch job
 // instead of one write-ahead-logged Add per entity. A data dir that
 // already holds an index recovers it and applies the trace as ordinary
-// (logged) upserts; without -data-dir the trace per-Add-loads a
-// volatile index.
+// (logged) upserts, a chunk per write; without -data-dir the trace
+// loads a volatile index the same way.
 //
 // -debug-addr starts a second HTTP listener serving net/http/pprof
 // under /debug/pprof/ — CPU/heap/mutex profiles of the live daemon.
@@ -281,7 +281,7 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener, backend io.Cl
 // openIndex brings up the index for the flag combination: recover an
 // existing data dir, bulk-build a fresh one from the -load trace, or
 // fall back to a volatile (or freshly created durable) index with the
-// trace applied as per-record Adds. logf keeps the decision visible in
+// trace applied as chunked upserts. logf keeps the decision visible in
 // the daemon log; tests pass a no-op.
 func openIndex(opts vsmartjoin.IndexOptions, load string, logf func(string, ...any)) (*vsmartjoin.Index, error) {
 	if opts.Dir == "" {
@@ -345,19 +345,14 @@ func openIndex(opts vsmartjoin.IndexOptions, load string, logf func(string, ...a
 
 // preload feeds a cmd/vsmartjoin-format TSV trace (.gz accepted) into
 // the index, merging repeated observations of an entity before the
-// (upsert) Add.
+// (upsert) AddDataset.
 func preload(ix *vsmartjoin.Index, path string) (int, error) {
 	d, _, err := vsmartjoin.ReadTraceFile(path)
 	if err != nil {
 		return 0, err
 	}
-	var addErr error
-	d.Each(func(entity string, counts map[string]uint32) bool {
-		addErr = ix.Add(entity, counts)
-		return addErr == nil
-	})
-	if addErr != nil {
-		return 0, addErr
+	if err := ix.AddDataset(d); err != nil {
+		return 0, err
 	}
 	return d.Len(), nil
 }

@@ -68,7 +68,7 @@
 //     log directory per shard); Shards == 0 adopts an existing dir's
 //     count.
 //
-//   - Dir makes the index durable: every Add/Remove is appended to the
+//   - Dir makes the index durable: every mutation is appended to the
 //     owning shard's write-ahead log before it is applied, so a killed
 //     process — even one dying mid-append, leaving a torn frame —
 //     reopens into exactly its prior state (internal/wal).
@@ -100,20 +100,22 @@
 //	if err != nil { ... }
 //	defer ix.Close()
 //
-// # Batched and asynchronous mutations
+// # Mutations
 //
-// Add and Remove pay one lock acquisition and one WAL append per call.
-// Under contended write load the batched surface amortizes both:
-// AddBatch applies many upserts in one call — entries are coalesced
-// per shard, appended to each shard's log as a single batch record,
-// and applied under one lock acquisition, with last-write-wins for
-// duplicate entities inside a batch — and RemoveBatch does the same
-// for deletions, returning how many named entities existed. AddAsync
-// enqueues a single upsert and returns an acknowledgement channel that
-// delivers exactly one error (nil on success) once the mutation is
-// logged and applied; mutations for the same entity are acknowledged
-// in submission order. The channel must be read — the batchorder
-// analyzer in internal/lint flags discarded acknowledgements:
+// Every write is a Mutation — an upsert (OpAdd) or a removal (OpRemove)
+// of one named entity — and every write goes through one method,
+// Index.Apply (Cluster.Apply over a cluster), which takes a batch of
+// them: the batch is appended to each touched shard's log as a single
+// write and applied under one lock acquisition per shard, with
+// last-write-wins for repeated upserts of an entity inside a batch.
+// Add, Remove, AddBatch and RemoveBatch are conveniences that build the
+// batch — a batch of one pays one lock acquisition and one WAL append.
+// AddAsync enqueues a single upsert and returns an acknowledgement
+// channel that delivers exactly one error (nil on success) once the
+// mutation is logged and applied, the queue having been drained into
+// Apply's body a batch at a time; mutations for the same entity are
+// acknowledged in submission order. The channel must be read — the
+// batchorder analyzer in internal/lint flags discarded acknowledgements:
 //
 //	errc := ix.AddAsync("ip-1", map[string]uint32{"cookie-a": 3})
 //	if err := <-errc; err != nil { ... }
@@ -128,8 +130,8 @@
 //
 // # Bulk building
 //
-// Cold-starting a large corpus through Add would write one WAL record
-// per entity — a million logged appends before the first query.
+// Cold-starting a large corpus through Apply would write every entity
+// to a WAL first — a million logged records before the first query.
 // BuildIndexFiles instead runs the corpus through the batch MapReduce
 // machinery (internal/build) and writes every shard's snapshot file
 // directly; OpenIndex then loads the result with zero WAL records to

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/metrics"
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/planner"
@@ -49,10 +48,11 @@ const defaultGroupCommitWindow = 200 * time.Microsecond
 // queue makes AddAsync block (backpressure), never drop.
 const defaultMutationQueueDepth = 1024
 
-// applierDrainMax caps how many queued mutations one applier drains
-// into a single applyBatch call — the batch each shard applies under
-// one lock acquisition, and the batch one WAL AppendBatch covers.
-const applierDrainMax = 256
+// applyChunk caps how many mutations a caller with more on its hands
+// than it wants to hold back — an async applier draining its queue,
+// AddDataset walking a corpus — passes to one apply call: the batch each
+// shard applies under one lock acquisition and one WAL append covers.
+const applyChunk = 256
 
 // Durability selects how a durable index acknowledges mutations.
 type Durability int
@@ -221,8 +221,9 @@ type IndexStats struct {
 	WALFsync      LatencySummary `json:"wal_fsync"`
 	WALCommitWait LatencySummary `json:"wal_commit_wait"`
 
-	// Write-batching telemetry. WALBatchSize is the records-per-
-	// AppendBatch distribution; WALGroupCommitSize is records per fsync
+	// Write-batching telemetry. WALBatchSize is the records-per-append
+	// distribution (every append is a batch, so a lone Add or Remove
+	// shows up as a batch of one); WALGroupCommitSize is records per fsync
 	// (the group-commit amortization factor); WALRecords and WALFsyncs
 	// are the totals whose ratio is the fsyncs-per-mutation cost;
 	// MutationQueueDepth is the number of AddAsync mutations currently
@@ -274,7 +275,7 @@ type Index struct {
 	gcWindow    time.Duration
 	queueDepth  int
 	pipeOnce    sync.Once
-	queues      []chan mutation
+	queues      []chan queued
 	pipeStopped bool
 	pipeWG      sync.WaitGroup
 	applierWG   sync.WaitGroup
@@ -539,29 +540,6 @@ func (ix *Index) openLogs(dir string) error {
 	return nil
 }
 
-// BuildIndex bulk-loads every entity of a Dataset into a fresh index
-// through the incremental Add path. For a durable index this WAL-logs
-// every entity one by one — use BuildIndexFiles + OpenIndex to
-// materialize a large corpus as snapshot files instead.
-func BuildIndex(d *Dataset, opts IndexOptions) (*Index, error) {
-	ix, err := NewIndex(opts)
-	if err != nil {
-		return nil, err
-	}
-	if d == nil {
-		return ix, nil
-	}
-	var addErr error
-	d.Each(func(name string, counts map[string]uint32) bool {
-		addErr = ix.Add(name, counts)
-		return addErr == nil
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
-	return ix, nil
-}
-
 // internElements interns WAL element names into index entries, dropping
 // zero counts (multiset.New merges duplicates and sorts).
 func (ix *Index) internElements(elems []wal.Element) []multiset.Entry {
@@ -575,478 +553,14 @@ func (ix *Index) internElements(elems []wal.Element) []multiset.Entry {
 	return entries
 }
 
-// walAddRecord builds the logged form of an Add: element names sorted,
-// zero counts dropped, so identical mutations always encode identically.
-func walAddRecord(id multiset.ID, entity string, counts map[string]uint32) wal.Record {
-	names := make([]string, 0, len(counts))
-	for name, c := range counts {
-		if c > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	elems := make([]wal.Element, len(names))
-	for i, name := range names {
-		elems[i] = wal.Element{Name: name, Count: counts[name]}
-	}
-	return wal.Record{Op: wal.OpAdd, ID: uint64(id), Entity: entity, Elements: elems}
-}
-
-// applyRemoveLocked deletes from the name tables and the owning shard.
-func (ix *Index) applyRemoveLocked(entity string) bool {
-	id, ok := ix.byName[entity]
-	if !ok {
-		return false
-	}
-	delete(ix.byName, entity)
-	delete(ix.names, id)
-	return ix.inner.Remove(id)
-}
-
-// Add indexes an entity with its element multiplicities, replacing any
-// previous entity of the same name (upsert semantics — unlike
-// Dataset.Add, which merges). Zero counts are ignored. On a durable
-// index the mutation is appended to the owning shard's write-ahead log
-// first; if the append fails the in-memory index is left untouched and
-// the error is returned — an append error always means the mutation
-// did NOT happen (automatic snapshot trouble is reported by
-// Snapshot/Close instead). Under DurabilitySync, Add additionally
-// waits — outside the index lock, so queries and other writers keep
-// flowing — until a group-committed fsync covers the record; an error
-// from that wait means the mutation is applied in memory but NOT
-// guaranteed durable. A volatile Add never fails.
-//
-// The inner insert happens under the name-table lock: if it didn't, a
-// concurrent Remove of the same name could run between the two steps and
-// leave a nameless ghost entity in the inner index.
-func (ix *Index) Add(entity string, counts map[string]uint32) error {
-	ix.mu.Lock()
-	if ix.closed {
-		ix.mu.Unlock()
-		return ErrIndexClosed
-	}
-	// The ID is fixed before the WAL append: routing is a hash of the
-	// ID, so the record must land in the shard log it will replay from.
-	id, known := ix.byName[entity]
-	if !known {
-		id = ix.nextID
-	}
-	si := shard.ShardOf(id, ix.inner.Shards())
-	var wait func() error
-	if ix.logs != nil {
-		var err error
-		wait, err = ix.logs[si].AppendDeferred(walAddRecord(id, entity, counts))
-		if err != nil {
-			ix.mu.Unlock()
-			return fmt.Errorf("vsmartjoin: add %q: %w", entity, err)
-		}
-	}
-	if !known {
-		ix.nextID++
-		ix.byName[entity] = id
-		ix.names[id] = entity
-	}
-	entries := make([]multiset.Entry, 0, len(counts))
-	for elem, c := range counts {
-		if c == 0 {
-			continue
-		}
-		entries = append(entries, multiset.Entry{Elem: ix.dict.Intern(elem), Count: c})
-	}
-	ix.inner.Add(multiset.New(id, entries))
-	ix.gen.Add(1) // invalidate cached answers computed before this add
-	ix.maybeSnapshotLocked(si)
-	ix.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("vsmartjoin: add %q: commit: %w", entity, err)
-		}
-	}
-	return nil
-}
-
-// Remove deletes an entity by name, reporting whether it was indexed.
-// The removal of a name that is not indexed is a no-op and is not
-// logged. Like Add, the WAL append happens before the in-memory
-// mutation; an append error (never for a volatile index) means the
-// removal did not happen, and a DurabilitySync commit-wait error means
-// it is applied but not guaranteed durable.
-func (ix *Index) Remove(entity string) (bool, error) {
-	ix.mu.Lock()
-	if ix.closed {
-		ix.mu.Unlock()
-		return false, ErrIndexClosed
-	}
-	id, ok := ix.byName[entity]
-	if !ok {
-		ix.mu.Unlock()
-		return false, nil
-	}
-	si := shard.ShardOf(id, ix.inner.Shards())
-	var wait func() error
-	if ix.logs != nil {
-		var err error
-		wait, err = ix.logs[si].AppendDeferred(wal.Record{Op: wal.OpRemove, Entity: entity})
-		if err != nil {
-			ix.mu.Unlock()
-			return false, fmt.Errorf("vsmartjoin: remove %q: %w", entity, err)
-		}
-	}
-	removed := ix.applyRemoveLocked(entity)
-	ix.gen.Add(1) // invalidate cached answers computed before this remove
-	ix.maybeSnapshotLocked(si)
-	ix.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return removed, fmt.Errorf("vsmartjoin: remove %q: commit: %w", entity, err)
-		}
-	}
-	return removed, nil
-}
-
-// BatchEntry is one entity of an AddBatch: a name with its element
-// multiplicities, the same shape Add takes.
-type BatchEntry struct {
-	Entity   string
-	Elements map[string]uint32
-}
-
-// AddBatch upserts a batch of entities through the batched mutation
-// pipeline: one WAL AppendBatch per touched shard (one write and, under
-// DurabilitySync, one group-committed fsync covering the whole shard
-// group), one shard-lock acquisition per touched shard, and repeated
-// upserts of the same entity within the batch coalesced last-write-wins
-// before they ever reach the log. Entries are applied in order;
-// relative order across different entities is preserved per shard.
-//
-// On error the batch may be partially applied at shard granularity: the
-// entries routed to a shard whose WAL append failed did not happen,
-// entries on other shards did (and a DurabilitySync commit-wait error
-// means applied but not guaranteed durable, as with Add).
-func (ix *Index) AddBatch(entries []BatchEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	muts := make([]mutation, len(entries))
-	for i, e := range entries {
-		muts[i] = mutation{entity: e.Entity, counts: e.Elements}
-	}
-	_, err := ix.applyBatch(muts)
-	return err
-}
-
-// RemoveBatch deletes a batch of entities by name with AddBatch's
-// batching, ordering, and failure semantics, reporting how many were
-// present and removed. Names not indexed are no-ops and are not logged.
-func (ix *Index) RemoveBatch(entities []string) (int, error) {
-	if len(entities) == 0 {
-		return 0, nil
-	}
-	muts := make([]mutation, len(entities))
-	for i, e := range entities {
-		muts[i] = mutation{remove: true, entity: e}
-	}
-	applied, err := ix.applyBatch(muts)
-	removed := 0
-	for _, ok := range applied {
-		if ok {
-			removed++
-		}
-	}
-	return removed, err
-}
-
-// AddAsync enqueues an upsert on the async mutation pipeline and
-// returns immediately with a 1-buffered channel that receives the
-// mutation's outcome exactly once: nil after the upsert is applied (and
-// under DurabilitySync, durable), or the error that rejected it. The
-// pipeline batches queued mutations per shard and applies each batch
-// under one lock acquisition with one WAL append — under a write storm
-// this is the highest-throughput path. Mutations of the same entity
-// are applied in AddAsync call order; a full queue blocks AddAsync
-// (backpressure) rather than dropping. Discarding the returned channel
-// discards the error with it — callers that care about durability must
-// read it (the batchorder analyzer flags a dropped result).
-func (ix *Index) AddAsync(entity string, counts map[string]uint32) <-chan error {
-	errc := make(chan error, 1)
-	ix.mu.Lock()
-	if ix.closed || ix.pipeStopped {
-		ix.mu.Unlock()
-		errc <- ErrIndexClosed
-		return errc
-	}
-	ix.pipeOnce.Do(ix.startPipeLocked)
-	q := ix.queues[queueOf(entity, len(ix.queues))]
-	ix.pipeWG.Add(1)
-	ix.mu.Unlock()
-	// The send happens outside mu: a full queue must block this caller,
-	// not every reader and writer of the index.
-	q <- mutation{entity: entity, counts: counts, errc: errc}
-	ix.pipeWG.Done()
-	return errc
-}
-
-// mutation is one queued or batched write: an upsert (counts) or a
-// removal. errc, when non-nil, receives the mutation's outcome exactly
-// once (AddAsync); synchronous batch callers read the joined error from
-// applyBatch instead.
-type mutation struct {
-	remove bool
-	entity string
-	counts map[string]uint32
-	errc   chan error
-}
-
-// queueOf routes an entity name to an async mutation queue (FNV-1a).
-// Routing by name — not by shard of the ID, which is only known once
-// the ID is assigned under the lock — still guarantees what ordering
-// needs: every mutation of one entity lands in the same queue, FIFO.
-func queueOf(entity string, n int) int {
-	if n < 2 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(entity); i++ {
-		h ^= uint64(entity[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}
-
-// startPipeLocked spawns the async mutation pipeline: one bounded
-// queue and one applier per shard width. Caller holds ix.mu (via the
-// pipeOnce in AddAsync), so startup cannot race Close's pipeStopped
-// check.
-func (ix *Index) startPipeLocked() {
-	ix.queues = make([]chan mutation, ix.inner.Shards())
-	for i := range ix.queues {
-		ix.queues[i] = make(chan mutation, ix.queueDepth)
-		ix.applierWG.Add(1)
-		go ix.applier(ix.queues[i])
-	}
-}
-
-// applier drains one async mutation queue: each wakeup batches
-// everything currently queued (up to applierDrainMax) into a single
-// applyBatch call, so a backed-up queue is applied with one lock
-// acquisition and one WAL append instead of one per mutation. Exits
-// when the queue closes.
-func (ix *Index) applier(q chan mutation) {
-	defer ix.applierWG.Done()
-	batch := make([]mutation, 0, applierDrainMax)
-	for first := range q {
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < applierDrainMax {
-			select {
-			case more, ok := <-q:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
-		}
-		// applyBatch acks every mutation through its errc; the joined
-		// error is the synchronous callers' view and has no reader here.
-		ix.applyBatch(batch) //nolint — acks flow through each mutation's errc
-	}
-}
-
-// applyBatch is the one batched write path AddBatch, RemoveBatch, and
-// the async appliers share. Under a single ix.mu acquisition it
-// resolves entity IDs in order (simulating the name-table effects of
-// earlier ops in the same batch), coalesces superseded upserts
-// last-write-wins (an upsert later overwritten in the same batch, with
-// no intervening remove, never reaches the WAL), appends each touched
-// shard's records with one AppendBatch, and applies every op whose
-// shard append succeeded — WAL-append-before-apply, per shard, exactly
-// like the single-op path. DurabilitySync commit waits run after the
-// lock drops: visibility before durability, acknowledgement after the
-// fsync. The returned slice reports per-mutation whether state
-// actually changed (false for no-op removes, coalesced-away upserts,
-// and failed shards).
-func (ix *Index) applyBatch(muts []mutation) ([]bool, error) {
-	if len(muts) == 0 {
-		return nil, nil
-	}
-	ix.mu.Lock()
-	if ix.closed {
-		ix.mu.Unlock()
-		for _, m := range muts {
-			if m.errc != nil {
-				m.errc <- ErrIndexClosed
-			}
-		}
-		return nil, ErrIndexClosed
-	}
-	n := ix.inner.Shards()
-
-	// Pass 1: resolve IDs and in-batch name-table effects in order.
-	// overlay maps names touched by this batch to their current in-batch
-	// ID (0 after an in-batch remove); lastAdd supports the LWW
-	// coalescing — a remove is a barrier, so only upserts with no
-	// intervening remove coalesce.
-	type resolved struct {
-		skip bool // no-op remove, or upsert superseded within the batch
-		id   multiset.ID
-		si   int
-	}
-	res := make([]resolved, len(muts))
-	overlay := make(map[string]multiset.ID, len(muts))
-	lastAdd := make(map[string]int, len(muts))
-	for i, m := range muts {
-		id, inBatch := overlay[m.entity]
-		present := id != 0 // an in-batch 0 is the remove tombstone
-		if !inBatch {
-			id, present = ix.byName[m.entity]
-		}
-		if m.remove {
-			if !present {
-				res[i].skip = true
-				continue
-			}
-			overlay[m.entity] = 0
-			delete(lastAdd, m.entity)
-			res[i] = resolved{id: id, si: shard.ShardOf(id, n)}
-			continue
-		}
-		if !present {
-			// A burned ID on a failed shard append leaves a harmless gap:
-			// recovery derives nextID from the highest ID it replays.
-			id = ix.nextID
-			ix.nextID++
-		}
-		overlay[m.entity] = id
-		if prev, ok := lastAdd[m.entity]; ok {
-			res[prev].skip = true // superseded: last write wins
-		}
-		lastAdd[m.entity] = i
-		res[i] = resolved{id: id, si: shard.ShardOf(id, n)}
-	}
-
-	// Pass 2: one WAL AppendBatch per touched shard, still under ix.mu
-	// so the record order of each shard's log matches the apply order
-	// and cannot interleave with a snapshot cut. The commit waits are
-	// collected and paid after the lock drops.
-	shardErr := map[int]error{}
-	waits := map[int]func() error{}
-	if ix.logs != nil {
-		recs := map[int][]wal.Record{}
-		for i, m := range muts {
-			if res[i].skip {
-				continue
-			}
-			if m.remove {
-				recs[res[i].si] = append(recs[res[i].si], wal.Record{Op: wal.OpRemove, Entity: m.entity})
-			} else {
-				recs[res[i].si] = append(recs[res[i].si], walAddRecord(res[i].id, m.entity, m.counts))
-			}
-		}
-		for si, rs := range recs {
-			wait, err := ix.logs[si].AppendBatchDeferred(rs)
-			if err != nil {
-				shardErr[si] = fmt.Errorf("vsmartjoin: batch append %s: %w", wal.ShardDirName(si), err)
-				continue
-			}
-			waits[si] = wait
-		}
-	}
-
-	// Pass 3: apply, in original batch order, every op whose shard
-	// append succeeded — name tables inline, shard structures grouped so
-	// each shard pays one lock acquisition via index.ApplyBatch.
-	applied := make([]bool, len(muts))
-	ops := map[int][]index.BatchOp{}
-	loggedN := map[int]int{}
-	for i, m := range muts {
-		r := res[i]
-		if r.skip || shardErr[r.si] != nil {
-			continue
-		}
-		if m.remove {
-			delete(ix.byName, m.entity)
-			delete(ix.names, r.id)
-			ops[r.si] = append(ops[r.si], index.BatchOp{Remove: true, ID: r.id})
-		} else {
-			ix.byName[m.entity] = r.id
-			ix.names[r.id] = m.entity
-			ops[r.si] = append(ops[r.si], index.BatchOp{Set: multiset.New(r.id, ix.internCounts(m.counts))})
-		}
-		applied[i] = true
-		loggedN[r.si]++
-	}
-	for si, group := range ops {
-		ix.inner.At(si).ApplyBatch(group)
-	}
-	if len(ops) > 0 {
-		ix.gen.Add(1) // one generation bump invalidates the cache for the whole batch
-	}
-	if ix.logs != nil {
-		for si, cnt := range loggedN {
-			ix.noteLoggedLocked(si, cnt)
-		}
-	}
-	ix.mu.Unlock()
-
-	// Pass 4: durability waits (outside every lock), then per-mutation
-	// acknowledgement. A coalesced-away upsert shares its winner's shard
-	// and therefore its winner's outcome.
-	for si, wait := range waits {
-		if err := wait(); err != nil {
-			shardErr[si] = fmt.Errorf("vsmartjoin: batch commit %s: %w", wal.ShardDirName(si), err)
-		}
-	}
-	var errs []error
-	for si := range shardErr {
-		errs = append(errs, shardErr[si])
-	}
-	err := errors.Join(errs...)
-	for i, m := range muts {
-		if m.errc == nil {
-			continue
-		}
-		r := res[i]
-		if r.skip && m.remove {
-			m.errc <- nil // removing an absent name is a successful no-op
-			continue
-		}
-		m.errc <- shardErr[r.si]
-	}
-	return applied, err
-}
-
-// internCounts interns a counts map into sorted multiset entries,
-// dropping zero counts — the map-shaped twin of internElements. Caller
-// holds ix.mu (Intern mutates the dictionary).
-func (ix *Index) internCounts(counts map[string]uint32) []multiset.Entry {
-	entries := make([]multiset.Entry, 0, len(counts))
-	for elem, c := range counts {
-		if c == 0 {
-			continue
-		}
-		entries = append(entries, multiset.Entry{Elem: ix.dict.Intern(elem), Count: c})
-	}
-	return entries
-}
-
-// maybeSnapshotLocked counts a mutation logged to shard si and cuts
-// that shard's snapshot once the cadence is reached. A snapshot failure
-// is NOT the mutation's failure — the record is already durably logged
+// noteLoggedLocked counts n mutations logged to shard si and cuts that
+// shard's snapshot once the cadence is reached. A snapshot failure is
+// NOT the mutations' failure — the records are already durably logged
 // and applied — so the cadence counter is simply left unreset: the
 // shard retries on its next mutation, and Close retries every shard
 // whose counter is still positive, surfacing a persistent failure
 // there. Caller holds ix.mu.
-func (ix *Index) maybeSnapshotLocked(si int) { ix.noteLoggedLocked(si, 1) }
-
-// noteLoggedLocked is maybeSnapshotLocked for n mutations at once — the
-// batched write path logs a whole shard group before applying it and
-// advances the cadence in one step.
 func (ix *Index) noteLoggedLocked(si, n int) {
-	if ix.logs == nil || n == 0 {
-		return
-	}
 	ix.logged[si] += n
 	if ix.snapshotEvery < 0 || ix.logged[si] < ix.snapshotEvery {
 		return

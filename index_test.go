@@ -1,7 +1,11 @@
 package vsmartjoin
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -160,6 +164,40 @@ func TestBuildIndexFromDataset(t *testing.T) {
 	em, err := ex.QueryThreshold(map[string]uint32{"": 2}, 0.9)
 	if err != nil || len(em) != 2 {
 		t.Fatalf("empty-string element: %v %v", em, err)
+	}
+
+	// A durable load is one WAL write per chunk of applyChunk entities,
+	// and logs exactly what one Add per entity logs — so the same IDs.
+	big := NewDataset()
+	for i := 0; i < 2*applyChunk+9; i++ {
+		big.Add(fmt.Sprintf("e%04d", i), map[string]uint32{"a": uint32(i%7 + 1), fmt.Sprint("b", i%5): 2})
+	}
+	opts := IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1}
+	chunked, err := BuildIndex(big, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chunked.Close()
+	single, err := NewIndex(IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	big.Each(func(entity string, counts map[string]uint32) bool {
+		mustAdd(t, single, entity, counts)
+		return true
+	})
+	if got := chunked.Metrics().WALAppend.Count; got != 3 || single.Metrics().WALAppend.Count != uint64(big.Len()) {
+		t.Fatalf("WAL appends: %d chunked, want 3; %d one by one, want %d", got, single.Metrics().WALAppend.Count, big.Len())
+	}
+	var logs [2][]byte
+	for i, ix := range []*Index{chunked, single} {
+		if logs[i], err = os.ReadFile(filepath.Join(ix.logs[0].Dir(), ix.logs[0].Files()[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(logs[0]) == 0 || !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("chunked load logged %d bytes, one Add per entity %d, and they differ", len(logs[0]), len(logs[1]))
 	}
 }
 

@@ -20,9 +20,10 @@
 //
 // # Writes
 //
-// Add/Remove route to the owner partition and go to all R replicas in
-// parallel. The write succeeds once a majority (R/2+1) of replicas
-// acknowledge it; replicas that failed are left a pending repair op
+// Apply (mutate.go holds the mutation model and the method) groups a
+// batch by owner partition; each group goes to all R replicas of its
+// partition in parallel and succeeds once a majority (R/2+1) of them
+// acknowledge it; replicas that failed are left pending repair ops
 // that the anti-entropy pass re-drives (see repair.go). A write that
 // misses quorum returns an error, but — as in any quorum system — it
 // may still have applied on a minority of replicas, and anti-entropy

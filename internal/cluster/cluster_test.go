@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +29,7 @@ type fakeNode struct {
 	failWrites bool
 	down       bool
 	hangQuery  bool
+	hold       chan struct{} // non-nil: writes wait for it to close (a straggler)
 	bulks      int
 }
 
@@ -58,11 +61,14 @@ func (f *fakeNode) entities() map[string]map[string]uint32 {
 
 func (f *fakeNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
-	down, failWrites, hang := f.down, f.failWrites, f.hangQuery
+	down, failWrites, hang, hold := f.down, f.failWrites, f.hangQuery, f.hold
 	f.mu.Unlock()
 	if down {
 		http.Error(w, `{"error":"node down"}`, http.StatusInternalServerError)
 		return
+	}
+	if hold != nil && (r.URL.Path == "/add" || r.URL.Path == "/remove" || r.URL.Path == "/bulk") {
+		<-hold
 	}
 	writeJSON := func(v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -113,6 +119,10 @@ func (f *fakeNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sort.Slice(ms, func(i, j int) bool { return ms[i].Entity < ms[j].Entity })
 		writeJSON(map[string]any{"matches": ms})
 	case "/bulk":
+		if failWrites {
+			http.Error(w, `{"error":"write refused"}`, http.StatusInternalServerError)
+			return
+		}
 		var req BulkRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.mu.Lock()
@@ -178,8 +188,20 @@ func grid(t *testing.T, p, r int, hedge time.Duration) ([][]*fakeNode, *Cluster)
 	return nodes, c
 }
 
+// add and remove are the one-op Apply calls the root package's
+// Cluster.Add and Cluster.Remove make.
+func add(c *Cluster, entity string, elements map[string]uint32) error {
+	_, err := c.Apply(context.Background(), []BulkOp{{Op: OpAdd, Entity: entity, Elements: elements}})
+	return err
+}
+
+func remove(c *Cluster, entity string) (bool, error) {
+	had, err := c.Apply(context.Background(), []BulkOp{{Op: OpRemove, Entity: entity}})
+	return len(had) > 0 && had[0], err
+}
+
 // waitPending polls until the cluster's pending-repair count settles
-// at want: writeFn returns at quorum, so straggler bookkeeping (a
+// at want: quorumWrite returns at quorum, so straggler bookkeeping (a
 // provisional repair queued synchronously, cleared when the
 // straggler's ack drains) is asynchronous by design.
 func waitPending(t *testing.T, c *Cluster, want int) {
@@ -253,7 +275,7 @@ func TestNewRejectsBadTopologies(t *testing.T) {
 // and the failed replica gets a pending repair op.
 func TestWriteReplicatesAndQuorum(t *testing.T) {
 	nodes, c := grid(t, 2, 3, -1)
-	if err := c.Add(context.Background(), "e1", map[string]uint32{"x": 2}); err != nil {
+	if err := add(c, "e1", map[string]uint32{"x": 2}); err != nil {
 		t.Fatal(err)
 	}
 	p := PartitionOf("e1", 2)
@@ -278,14 +300,14 @@ func TestWriteReplicatesAndQuorum(t *testing.T) {
 
 	// One of three replicas failing: quorum met, repair queued.
 	nodes[p][1].set(func(f *fakeNode) { f.failWrites = true })
-	if err := c.Add(context.Background(), "e2", map[string]uint32{"y": 1}); err != nil {
+	if err := add(c, "e2", map[string]uint32{"y": 1}); err != nil {
 		t.Fatalf("write with 2/3 acks should meet quorum: %v", err)
 	}
 	waitPending(t, c, 1)
 
 	// Two of three failing: quorum missed, the error says so.
 	nodes[p][2].set(func(f *fakeNode) { f.failWrites = true })
-	err := c.Add(context.Background(), "e3", map[string]uint32{"z": 1})
+	err := add(c, "e3", map[string]uint32{"z": 1})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want quorum failure wrapping ErrUnavailable, got %v", err)
 	}
@@ -305,13 +327,13 @@ func TestRepairConvergesLaggingReplica(t *testing.T) {
 
 	// Majority of 2 is 2: with one replica down every write errors, but
 	// the live replica applied it and the dead one owes a repair.
-	if err := c.Add(context.Background(), "e1", map[string]uint32{"x": 1}); !errors.Is(err, ErrUnavailable) {
+	if err := add(c, "e1", map[string]uint32{"x": 1}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want quorum failure, got %v", err)
 	}
-	if err := c.Add(context.Background(), "e2", map[string]uint32{"y": 1}); !errors.Is(err, ErrUnavailable) {
+	if err := add(c, "e2", map[string]uint32{"y": 1}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want quorum failure, got %v", err)
 	}
-	if _, err := c.Remove(context.Background(), "e2"); !errors.Is(err, ErrUnavailable) {
+	if _, err := remove(c, "e2"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want quorum failure, got %v", err)
 	}
 	waitPending(t, c, 2) // the latest op per entity, lagging replica only
@@ -351,14 +373,14 @@ func TestRepairNeverResurrectsStaleWrites(t *testing.T) {
 	nodes, c := grid(t, 1, 3, -1)
 	lagging := nodes[0][2]
 	lagging.set(func(f *fakeNode) { f.failWrites = true })
-	if err := c.Add(context.Background(), "e", map[string]uint32{"old": 1}); err != nil {
+	if err := add(c, "e", map[string]uint32{"old": 1}); err != nil {
 		t.Fatal(err) // 2/3 acks
 	}
 	waitPending(t, c, 1)
 	lagging.set(func(f *fakeNode) { f.failWrites = false })
 	// The newer upsert reaches all three replicas and must erase the
 	// queued stale one.
-	if err := c.Add(context.Background(), "e", map[string]uint32{"new": 2}); err != nil {
+	if err := add(c, "e", map[string]uint32{"new": 2}); err != nil {
 		t.Fatal(err)
 	}
 	waitPending(t, c, 0)
@@ -478,7 +500,7 @@ func TestAllReplicasDownFailsQuery(t *testing.T) {
 // multiset, every partition answers, the entity itself is excluded.
 func TestQueryEntityCrossPartition(t *testing.T) {
 	nodes, c := grid(t, 3, 1, -1)
-	if err := c.Add(context.Background(), "probe", map[string]uint32{"x": 1}); err != nil {
+	if err := add(c, "probe", map[string]uint32{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Plant one twin entity per partition, bypassing routing so every
@@ -502,5 +524,111 @@ func TestQueryEntityCrossPartition(t *testing.T) {
 	}
 	if _, err := c.Query(context.Background(), Query{Entity: "never-indexed"}); err == nil || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unknown entity should be a caller error, got %v", err)
+	}
+}
+
+// TestQuorumWriteFailureModes runs every shape of write — a lone add, a
+// lone remove, a lone remove of an absent name, and a 5-op mixed batch
+// that travels as /bulk — through the one quorum loop on a 1×3 grid
+// with replicas refusing writes, down, or straggling, and checks the
+// acks the caller is told about, the returned flags and error, the
+// repair queue before and after RepairNow, and the faulty replica's end
+// state. One faulty replica of three still meets quorum; two do not.
+func TestQuorumWriteFailureModes(t *testing.T) {
+	x := func(n uint32) map[string]uint32 { return map[string]uint32{"x": n} }
+	writes := []struct {
+		name     string
+		muts     []BulkOp
+		flags    []bool // at quorum
+		entities int    // distinct entities, each one repair op on a replica that missed the write
+	}{
+		{"add", []BulkOp{{Op: OpAdd, Entity: "a", Elements: x(1)}}, []bool{true}, 1},
+		{"remove", []BulkOp{{Op: OpRemove, Entity: "seed"}}, []bool{true}, 1},
+		{"remove absent", []BulkOp{{Op: OpRemove, Entity: "ghost"}}, []bool{false}, 1},
+		{"5-op apply", []BulkOp{
+			{Op: OpAdd, Entity: "a", Elements: x(1)},
+			{Op: OpAdd, Entity: "b", Elements: x(2)},
+			{Op: OpRemove, Entity: "seed"},
+			{Op: OpAdd, Entity: "a", Elements: x(3)},
+			{Op: OpRemove, Entity: "ghost"},
+		}, []bool{true, true, true, true, true}, 4},
+	}
+	faults := []struct {
+		name   string
+		faulty int // replicas 3-faulty .. 2 carry the fault
+		set    func(f *fakeNode, on bool)
+	}{
+		{"one refuses writes", 1, func(f *fakeNode, on bool) { f.failWrites = on }},
+		{"one down", 1, func(f *fakeNode, on bool) { f.down = on }},
+		{"two refuse writes", 2, func(f *fakeNode, on bool) { f.failWrites = on }},
+		{"one straggles", 1, nil},
+	}
+	for _, wr := range writes {
+		for _, fault := range faults {
+			t.Run(wr.name+"/"+fault.name, func(t *testing.T) {
+				nodes, c := grid(t, 1, 3, -1)
+				replicas := nodes[0]
+				for _, f := range replicas {
+					f.set(func(f *fakeNode) { f.ents["seed"] = x(9) })
+				}
+				bad := replicas[3-fault.faulty:]
+				hold := make(chan struct{})
+				for _, f := range bad {
+					f.set(func(f *fakeNode) {
+						if fault.set == nil {
+							f.hold = hold
+						} else {
+							fault.set(f, true)
+						}
+					})
+				}
+
+				flags, err := c.Apply(context.Background(), wr.muts)
+				if fault.faulty == 1 {
+					if err != nil || !reflect.DeepEqual(flags, wr.flags) {
+						t.Fatalf("quorum met: flags %v err %v, want %v and no error", flags, err, wr.flags)
+					}
+				} else {
+					// The loop stops at the second refusal, before or after the
+					// one healthy ack arrives.
+					if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "/3 acks (quorum 2)") {
+						t.Fatalf("quorum lost: err %v, want ErrUnavailable naming the acks", err)
+					}
+					// Short of quorum only a lone remove can report true (what
+					// the one ack saw, if it was counted).
+					for i, flag := range flags {
+						if flag && (i > 0 || wr.name != "remove") {
+							t.Fatalf("quorum lost: flags %v", flags)
+						}
+					}
+					if got := c.Stats().WriteFails; got != 1 {
+						t.Fatalf("write-fail counter = %d, want 1", got)
+					}
+				}
+				// Every replica that did not ack owes one op per entity —
+				// a straggler provisionally, until its ack drains.
+				waitPending(t, c, fault.faulty*wr.entities)
+				if fault.set == nil {
+					close(hold)
+				} else {
+					c.RepairNow(context.Background()) // the fault persists: nothing clears
+					waitPending(t, c, fault.faulty*wr.entities)
+					for _, f := range bad {
+						f.set(func(f *fakeNode) { fault.set(f, false) })
+					}
+					c.RepairNow(context.Background())
+				}
+				waitPending(t, c, 0)
+				want := replicas[0].entities()
+				for i, f := range bad {
+					if got := f.entities(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("faulty replica %d ended at %v, the healthy one at %v", i, got, want)
+					}
+				}
+				if _, ok := want["seed"]; ok != (wr.name == "add" || wr.name == "remove absent") {
+					t.Fatalf("healthy replica state %v", want)
+				}
+			})
+		}
 	}
 }

@@ -1,0 +1,257 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"vsmartjoin/internal/metrics"
+)
+
+// The write model, declared once for every layer above the write-ahead
+// log: BulkOp is at once the public mutation (vsmartjoin.Mutation is an
+// alias), the /bulk wire form, and the repair queue's payload, so a
+// mutation is never re-declared on its way from an HTTP body to a node.
+
+// Mutation kinds, the values of BulkOp.Op.
+const (
+	OpAdd    = "add"
+	OpRemove = "remove"
+)
+
+// BulkOp is one mutation: an upsert (OpAdd; Elements is the entity's
+// full new multiset) or a removal (OpRemove; Elements ignored).
+type BulkOp struct {
+	Op       string            `json:"op"` // OpAdd | OpRemove
+	Entity   string            `json:"entity"`
+	Elements map[string]uint32 `json:"elements,omitempty"`
+}
+
+// BulkRequest is the daemon's POST /bulk body: a batch of mutations
+// applied in order. internal/httpd decodes the same struct on the node
+// side, so producer and consumer cannot drift apart.
+type BulkRequest struct {
+	Ops []BulkOp `json:"ops"`
+}
+
+// CheckMutations is the one check of what may travel the wire — run by
+// both daemons' /bulk and by Cluster.Apply, so a mutation no node would
+// accept is refused before it can reach a replica or a repair queue:
+// every op names a kind and an entity, and an add carries at least one
+// nonzero count (an all-zero add would index a permanently unmatchable
+// empty entity). Errors carry no package prefix — callers add their own.
+func CheckMutations(muts []BulkOp) error {
+	for i, m := range muts {
+		switch m.Op {
+		case OpAdd:
+			if m.Entity == "" || !hasMass(m.Elements) {
+				return fmt.Errorf("op %d: add needs an entity and nonzero elements", i)
+			}
+		case OpRemove:
+			if m.Entity == "" {
+				return fmt.Errorf("op %d: remove needs an entity", i)
+			}
+		default:
+			return fmt.Errorf("op %d: unknown op %q", i, m.Op)
+		}
+	}
+	return nil
+}
+
+func hasMass(elements map[string]uint32) bool {
+	for _, c := range elements {
+		if c > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Apply is the cluster's one write method: it drives an ordered batch
+// of mutations through the grid as one quorum write per touched
+// partition. Mutations are grouped by owner partition with their
+// relative order preserved (mutations of one entity always share a
+// partition, so per-entity order survives the grouping) and each group
+// succeeds or fails at majority quorum independently — the returned
+// error joins the groups that missed quorum, and mutations routed to
+// other partitions are unaffected. An error means NOT guaranteed
+// applied, never guaranteed not applied: every per-replica failure
+// leaves pending repair ops behind, so partial replicas converge
+// through the normal anti-entropy pass.
+//
+// The result reports, per mutation, whether its group reached quorum —
+// except for a removal that travelled alone in its group, where it
+// reports whether any acknowledging replica still had the entity.
+//
+// ctx carries trace values (WithRequestID) onto the node requests; its
+// cancellation does NOT abort the write — quorum bookkeeping must
+// outlive an impatient caller, so node requests run under the cluster
+// timeout alone.
+func (c *Cluster) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
+	if err := CheckMutations(muts); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	owner := make([]int, len(muts))
+	groups := make([][]BulkOp, len(c.parts))
+	for i, m := range muts {
+		owner[i] = PartitionOf(m.Entity, len(c.parts))
+		groups[owner[i]] = append(groups[owner[i]], m)
+	}
+	flags := make([]bool, len(c.parts))
+	errs := make([]error, len(c.parts))
+	var wg sync.WaitGroup
+	for p, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(p int, group []BulkOp) {
+			defer wg.Done()
+			flags[p], errs[p] = c.quorumWrite(ctx, p, group)
+		}(p, group)
+	}
+	wg.Wait()
+	applied := make([]bool, len(muts))
+	for i, p := range owner {
+		applied[i] = flags[p]
+	}
+	return applied, errors.Join(errs...)
+}
+
+type nodeAddRequest struct {
+	Entity   string            `json:"entity"`
+	Elements map[string]uint32 `json:"elements"`
+}
+
+type nodeRemoveRequest struct {
+	Entity string `json:"entity"`
+}
+
+// nodeWriteResponse is what the router reads of a node's /add, /remove
+// and /bulk replies: whether a /remove found its entity.
+type nodeWriteResponse struct {
+	Removed bool `json:"removed"`
+}
+
+// nodeWrite picks the request a partition group travels as — the only
+// place the write path looks at a group's size: a lone mutation keeps
+// the /add or /remove body (and with it /remove's "had it" reply), a
+// longer group is one /bulk.
+func nodeWrite(group []BulkOp) (path string, body any) {
+	switch op := group[0]; {
+	case len(group) > 1:
+		return "/bulk", BulkRequest{Ops: group}
+	case op.Op == OpRemove:
+		return "/remove", nodeRemoveRequest{Entity: op.Entity}
+	default:
+		return "/add", nodeAddRequest{Entity: op.Entity, Elements: op.Elements}
+	}
+}
+
+// quorumWrite drives one partition's group of mutations through its
+// replica set, one request per replica. The per-replica outcome also
+// maintains the repair queues: a replica that missed the write gets
+// every op of the group queued, and a replica that acknowledged it has
+// any OLDER pending op for the group's entities cleared — replaying a
+// stale upsert after a newer one must never resurrect old state. (The
+// queue keeps only the latest op per (node, entity), so queueing the
+// group in order leaves exactly the right survivor when it mutates one
+// entity more than once.)
+//
+// The call returns as soon as the outcome is decided — a majority
+// acked, or enough replicas failed that a majority is impossible — so
+// one hung replica costs its partition nothing but a background
+// goroutine: stragglers keep running on their own timeout and a
+// drainer does their repair bookkeeping after the caller has moved on.
+func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) (bool, error) {
+	start := metrics.Now()
+	replicas := c.parts[p]
+	quorum := len(replicas)/2 + 1
+	path, body := nodeWrite(group)
+	enqueueAll := func(n *node) []uint64 {
+		seqs := make([]uint64, len(group))
+		for i, op := range group {
+			seqs[i] = n.enqueueRepair(op)
+		}
+		return seqs
+	}
+
+	type outcome struct {
+		n     *node
+		err   error
+		reply nodeWriteResponse
+	}
+	results := make(chan outcome, len(replicas))
+	// WithoutCancel keeps the caller's trace values on the node requests
+	// while detaching its cancellation: the straggler drain below runs
+	// after the caller has moved on, and a request-scoped ctx would
+	// abort about-to-succeed replicas and manufacture repair work.
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(callerCtx), c.timeout)
+	for _, n := range replicas {
+		go func(n *node) {
+			o := outcome{n: n}
+			o.err = c.postJSON(ctx, n, path, body, &o.reply)
+			results <- o
+		}(n)
+	}
+
+	acks, remaining, flag := 0, len(replicas), false
+	seen := make(map[*node]bool, len(replicas))
+	var errs []error
+	for remaining > 0 && acks < quorum && len(errs) <= len(replicas)-quorum {
+		o := <-results
+		remaining--
+		seen[o.n] = true
+		if o.err != nil {
+			errs = append(errs, o.err)
+			enqueueAll(o.n)
+			continue
+		}
+		acks++
+		flag = flag || o.reply.Removed
+		for _, op := range group {
+			o.n.clearRepair(op.Entity)
+		}
+	}
+	if remaining > 0 {
+		// Stragglers: not cancelled (aborting an about-to-succeed write
+		// would only manufacture repair work), and pessimistically queued
+		// for repair BEFORE the call returns — the caller may immediately
+		// write the same entity again, and that write's bookkeeping must
+		// order after this one's. When a straggler's ack eventually
+		// drains, a provisional op is cleared only if it is still the
+		// queued one (a newer failed write supersedes it); a straggler
+		// failure simply leaves the provisionals in place. Straggler
+		// outcomes no longer influence the returned error or flag —
+		// quorum semantics, not unanimity.
+		provisional := make(map[*node][]uint64, remaining)
+		for _, n := range replicas {
+			if !seen[n] {
+				provisional[n] = enqueueAll(n)
+			}
+		}
+		go func(remaining int) {
+			defer cancel()
+			for ; remaining > 0; remaining-- {
+				if o := <-results; o.err == nil {
+					for i, op := range group {
+						o.n.clearRepairIf(op.Entity, provisional[o.n][i])
+					}
+				}
+			}
+		}(remaining)
+	} else {
+		cancel()
+	}
+	c.writeLatency.ObserveSince(start)
+	if path != "/remove" {
+		flag = acks >= quorum
+	}
+	if acks >= quorum {
+		return flag, nil
+	}
+	c.writeFails.Add(1)
+	return flag, fmt.Errorf("cluster: %w: %d-op write (first %q) to partition %d got %d/%d acks (quorum %d): %w",
+		ErrUnavailable, len(group), group[0].Entity, p, acks, len(replicas), quorum, errors.Join(errs...))
+}

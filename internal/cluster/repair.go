@@ -5,23 +5,14 @@ import (
 	"sync"
 )
 
-// opKind is a pending mutation's kind.
-type opKind uint8
-
-const (
-	opAdd opKind = iota
-	opRemove
-)
-
-// pendingOp is one mutation a replica missed. The queue is keyed by
-// entity and keeps only the LATEST op per (node, entity): replaying the
-// newest upsert (or remove) is sufficient and replaying anything older
-// would be wrong, so order within a re-drive batch does not matter.
+// pendingOp is one mutation a replica missed, stamped with its place in
+// the node's queue. The queue is keyed by entity and keeps only the
+// LATEST op per (node, entity): replaying the newest upsert (or remove)
+// is sufficient and replaying anything older would be wrong, so order
+// within a re-drive batch does not matter.
 type pendingOp struct {
-	op       opKind
-	entity   string
-	elements map[string]uint32
-	seq      uint64
+	BulkOp
+	seq uint64
 }
 
 // enqueueRepair records that this node missed (or may have missed) op,
@@ -30,16 +21,15 @@ type pendingOp struct {
 // quorum overall — and pessimistically for every straggler still in
 // flight when the write returns at quorum, so the partition converges
 // either way.
-func (n *node) enqueueRepair(op pendingOp) uint64 {
+func (n *node) enqueueRepair(op BulkOp) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.pending == nil {
 		n.pending = make(map[string]pendingOp)
 	}
 	n.seq++
-	op.seq = n.seq
-	n.pending[op.entity] = op
-	return op.seq
+	n.pending[op.Entity] = pendingOp{op, n.seq}
+	return n.seq
 }
 
 // clearRepair drops any pending op for entity: a newer write just
@@ -61,22 +51,6 @@ func (n *node) clearRepairIf(entity string, seq uint64) {
 	if cur, ok := n.pending[entity]; ok && cur.seq == seq {
 		delete(n.pending, entity)
 	}
-}
-
-// BulkRequest is the daemon's POST /bulk body: a batch of mutations
-// applied in order. The anti-entropy pass sends it so a lagging
-// replica converges in one round trip instead of one per missed
-// write; internal/httpd decodes the same struct on the node side, so
-// producer and consumer cannot drift apart.
-type BulkRequest struct {
-	Ops []BulkOp `json:"ops"`
-}
-
-// BulkOp is one mutation of a BulkRequest.
-type BulkOp struct {
-	Op       string            `json:"op"` // "add" | "remove"
-	Entity   string            `json:"entity"`
-	Elements map[string]uint32 `json:"elements,omitempty"`
 }
 
 // RepairNow is the anti-entropy pass: every node with pending repair
@@ -105,12 +79,7 @@ func (c *Cluster) RepairNow(ctx context.Context) {
 			defer wg.Done()
 			req := BulkRequest{Ops: make([]BulkOp, len(batch))}
 			for i, op := range batch {
-				switch op.op {
-				case opAdd:
-					req.Ops[i] = BulkOp{Op: "add", Entity: op.entity, Elements: op.elements}
-				case opRemove:
-					req.Ops[i] = BulkOp{Op: "remove", Entity: op.entity}
-				}
+				req.Ops[i] = op.BulkOp
 			}
 			if err := c.postJSON(ctx, n, "/bulk", req, nil); err != nil {
 				return // still lagging; keep the queue for the next pass
@@ -118,8 +87,8 @@ func (c *Cluster) RepairNow(ctx context.Context) {
 			c.repairs.Add(int64(len(batch)))
 			n.mu.Lock()
 			for _, op := range batch {
-				if cur, ok := n.pending[op.entity]; ok && cur.seq == op.seq {
-					delete(n.pending, op.entity)
+				if cur, ok := n.pending[op.Entity]; ok && cur.seq == op.seq {
+					delete(n.pending, op.Entity)
 				}
 			}
 			n.mu.Unlock()

@@ -22,147 +22,6 @@ type nodeQueryRequest struct {
 	K         int               `json:"k,omitempty"`
 }
 
-type nodeAddRequest struct {
-	Entity   string            `json:"entity"`
-	Elements map[string]uint32 `json:"elements"`
-}
-
-type nodeRemoveRequest struct {
-	Entity string `json:"entity"`
-}
-
-type nodeRemoveResponse struct {
-	Removed bool `json:"removed"`
-}
-
-// Add upserts an entity: the write goes to every replica of the owner
-// partition in parallel and succeeds once a majority acknowledged it.
-// Replicas that failed are left a pending repair op; see the package
-// comment for the exact quorum semantics. ctx carries trace values
-// (WithRequestID) onto the node requests; its cancellation does NOT
-// abort the write — quorum bookkeeping must outlive an impatient
-// caller, so node requests run under the cluster timeout alone.
-func (c *Cluster) Add(ctx context.Context, entity string, elements map[string]uint32) error {
-	if entity == "" {
-		return errors.New("cluster: empty entity name")
-	}
-	return c.write(ctx, pendingOp{op: opAdd, entity: entity, elements: elements})
-}
-
-// Remove deletes an entity by name, reporting whether any acknowledging
-// replica still had it. Like Add, it succeeds at majority quorum and
-// ignores ctx cancellation (trace values still propagate).
-func (c *Cluster) Remove(ctx context.Context, entity string) (bool, error) {
-	if entity == "" {
-		return false, errors.New("cluster: empty entity name")
-	}
-	removed, err := false, error(nil)
-	err = c.writeFn(ctx, pendingOp{op: opRemove, entity: entity}, func(r nodeRemoveResponse) {
-		if r.Removed {
-			removed = true
-		}
-	})
-	return removed, err
-}
-
-func (c *Cluster) write(ctx context.Context, op pendingOp) error { return c.writeFn(ctx, op, nil) }
-
-// writeFn drives one mutation through the owner partition's replica
-// set. onRemove collects per-ack /remove payloads (nil for adds). The
-// per-replica outcome also maintains the repair queues: a replica that
-// missed this write gets a pending op, and a replica that acknowledged
-// it has any OLDER pending op for the same entity cleared — replaying
-// a stale upsert after a newer one must never resurrect old state.
-//
-// The call returns as soon as the outcome is decided — a majority
-// acked, or enough replicas failed that a majority is impossible — so
-// one hung replica costs its partition nothing but a background
-// goroutine: stragglers keep running on their own timeout and a
-// drainer does their repair bookkeeping after the caller has moved on.
-func (c *Cluster) writeFn(callerCtx context.Context, op pendingOp, onRemove func(nodeRemoveResponse)) error {
-	start := metrics.Now()
-	replicas := c.owner(op.entity)
-	quorum := len(replicas)/2 + 1
-
-	type outcome struct {
-		n   *node
-		err error
-		rr  nodeRemoveResponse
-	}
-	results := make(chan outcome, len(replicas))
-	// WithoutCancel keeps the caller's trace values on the node requests
-	// while detaching its cancellation: the straggler drain below runs
-	// after the caller has moved on, and a request-scoped ctx would
-	// abort about-to-succeed replicas and manufacture repair work.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(callerCtx), c.timeout)
-	for _, n := range replicas {
-		go func(n *node) {
-			o := outcome{n: n}
-			switch op.op {
-			case opAdd:
-				o.err = c.postJSON(ctx, n, "/add", nodeAddRequest{Entity: op.entity, Elements: op.elements}, nil)
-			case opRemove:
-				o.err = c.postJSON(ctx, n, "/remove", nodeRemoveRequest{Entity: op.entity}, &o.rr)
-			}
-			results <- o
-		}(n)
-	}
-
-	acks, remaining := 0, len(replicas)
-	seen := make(map[*node]bool, len(replicas))
-	var errs []error
-	for remaining > 0 && acks < quorum && len(errs) <= len(replicas)-quorum {
-		o := <-results
-		remaining--
-		seen[o.n] = true
-		if o.err != nil {
-			errs = append(errs, o.err)
-			o.n.enqueueRepair(op)
-			continue
-		}
-		acks++
-		o.n.clearRepair(op.entity)
-		if onRemove != nil && op.op == opRemove {
-			onRemove(o.rr)
-		}
-	}
-	if remaining > 0 {
-		// Stragglers: not cancelled (aborting an about-to-succeed write
-		// would only manufacture repair work), and pessimistically queued
-		// for repair BEFORE the call returns — the caller may immediately
-		// write the same entity again, and that write's bookkeeping must
-		// order after this one's. When a straggler's ack eventually
-		// drains, the provisional op is cleared only if it is still the
-		// queued one (a newer failed write supersedes it); a straggler
-		// failure simply leaves the provisional in place. Straggler
-		// outcomes no longer influence the returned error or a Remove's
-		// reported bool — quorum semantics, not unanimity.
-		provisional := make(map[*node]uint64, remaining)
-		for _, n := range replicas {
-			if !seen[n] {
-				provisional[n] = n.enqueueRepair(op)
-			}
-		}
-		go func(remaining int) {
-			defer cancel()
-			for ; remaining > 0; remaining-- {
-				if o := <-results; o.err == nil {
-					o.n.clearRepairIf(op.entity, provisional[o.n])
-				}
-			}
-		}(remaining)
-	} else {
-		cancel()
-	}
-	c.writeLatency.ObserveSince(start)
-	if acks >= quorum {
-		return nil
-	}
-	c.writeFails.Add(1)
-	return fmt.Errorf("cluster: %w: write %q got %d/%d acks (quorum %d): %w",
-		ErrUnavailable, op.entity, acks, len(replicas), quorum, errors.Join(errs...))
-}
-
 // Query answers q exactly as a single Index over the same entities
 // would. An entity-relative query first reads the entity's multiset
 // from its owner partition (GET /entity); the element query is then

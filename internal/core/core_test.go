@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
 	"vsmartjoin/internal/multiset"
@@ -431,5 +433,32 @@ func TestJoiningStepCounts(t *testing.T) {
 	}
 	if n := len(sh.Stats.Jobs); n != 4 {
 		t.Fatalf("Sharding should run 4 jobs, ran %d", n)
+	}
+}
+
+// TestDecodeChunkValRejectsCorruptCount: the posting count is read
+// straight from the record, so a corrupt one used to size the slice —
+// a makeslice panic, or gigabytes. It must be the ordinary decode error.
+func TestDecodeChunkValRejectsCorruptCount(t *testing.T) {
+	entries := []indexEntry{{ID: 7, Count: 2}, {ID: 9, Count: 1}}
+	good := encodeChunkVal(entries, entries[:1])
+	if l, r, err := decodeChunkVal(good); err != nil || len(l) != 2 || len(r) != 1 {
+		t.Fatalf("round trip: %v %v %v", l, r, err)
+	}
+	var huge codec.Buffer
+	huge.PutUvarint(1 << 62) // makeslice: cap out of range before the fix
+	var big codec.Buffer
+	big.PutUvarint(1 << 30) // a 40 GB allocation before the fix
+	big.PutUvarint(0)
+	leftOnly := encodeChunkVal(entries, nil)
+	leftOnly = leftOnly[:len(leftOnly)-1] // drop the right side's count of 0
+	for name, val := range map[string][]byte{
+		"count beyond any slice": huge.Clone(),
+		"count beyond the bytes": big.Clone(),
+		"right side corrupt":     append(leftOnly, 0xff, 0xff, 0x03), // uvarint 65535
+	} {
+		if _, _, err := decodeChunkVal(val); err == nil || !strings.Contains(err.Error(), "bad chunk val") {
+			t.Errorf("%s: err = %v, want a bad chunk val error", name, err)
+		}
 	}
 }

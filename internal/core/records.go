@@ -224,6 +224,12 @@ func decodeChunkVal(val []byte) (left, right []indexEntry, err error) {
 	r := codec.NewReader(val)
 	readSide := func() []indexEntry {
 		n := r.Uvarint()
+		if n > uint64(r.Remaining()) {
+			// A posting is at least 5 bytes, so the count can only be
+			// corrupt; refusing it here keeps it from sizing the slice.
+			err = fmt.Errorf("core: bad chunk val: %d postings in %d bytes", n, r.Remaining())
+			return nil
+		}
 		out := make([]indexEntry, 0, n)
 		for i := uint64(0); i < n; i++ {
 			out = append(out, indexEntry{ID: multiset.ID(r.Uvarint()), Uni: readUni(r), Count: r.Uint32()})
@@ -232,8 +238,11 @@ func decodeChunkVal(val []byte) (left, right []indexEntry, err error) {
 	}
 	left = readSide()
 	right = readSide()
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: bad chunk val: %w", err)
+	if err == nil && r.Err() != nil {
+		err = fmt.Errorf("core: bad chunk val: %w", r.Err())
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return left, right, nil
 }

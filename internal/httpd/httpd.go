@@ -37,16 +37,25 @@ type querier interface {
 	Query(ctx context.Context, q vsmartjoin.Query) (vsmartjoin.QueryResult, error)
 }
 
+// mutator is the write surface both backends share — *vsmartjoin.Index
+// and *vsmartjoin.Cluster satisfy it as they are; the three write
+// handlers are written against it so node and router mode validate and
+// answer /add, /remove and /bulk identically.
+type mutator interface {
+	Apply(ctx context.Context, muts []vsmartjoin.Mutation) ([]bool, error)
+}
+
 // NewNode wires an index to the node HTTP API.
 func NewNode(ix *vsmartjoin.Index, opts Options) http.Handler {
 	s := &nodeServer{ix: ix, lim: newLimiter(opts.MaxInFlight)}
+	ws := writes{backend: ix, entities: ix.Len}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /add", s.handleAdd)
-	mux.HandleFunc("POST /remove", s.handleRemove)
+	mux.HandleFunc("POST /add", ws.handleAdd)
+	mux.HandleFunc("POST /remove", ws.handleRemove)
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.ix, false) })
 	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.ix, true) })
 	mux.HandleFunc("POST /snapshot", s.handleSnapshot)
-	mux.HandleFunc("POST /bulk", s.handleBulk)
+	mux.HandleFunc("POST /bulk", ws.handleBulk)
 	mux.HandleFunc("GET /entity", s.handleEntity)
 	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -62,10 +71,11 @@ func NewNode(ix *vsmartjoin.Index, opts Options) http.Handler {
 // clients built against one daemon talk to a cluster unchanged.
 func NewRouter(c *vsmartjoin.Cluster, opts Options) http.Handler {
 	s := &routerServer{c: c, lim: newLimiter(opts.MaxInFlight)}
+	ws := writes{backend: c}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /add", s.handleAdd)
-	mux.HandleFunc("POST /remove", s.handleRemove)
-	mux.HandleFunc("POST /bulk", s.handleBulk)
+	mux.HandleFunc("POST /add", ws.handleAdd)
+	mux.HandleFunc("POST /remove", ws.handleRemove)
+	mux.HandleFunc("POST /bulk", ws.handleBulk)
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.c, false) })
 	mux.HandleFunc("POST /knn", func(w http.ResponseWriter, r *http.Request) { handleQuery(w, r, s.c, true) })
 	mux.HandleFunc("POST /snapshot", s.handleSnapshot)
@@ -128,25 +138,104 @@ type addRequest struct {
 	Elements map[string]uint32 `json:"elements"`
 }
 
-// validateAdd applies the shared add rules: an entity name, and at
-// least one nonzero count — Index.Add drops zeros, and an all-zero
-// body would index a permanently unmatchable empty entity.
-func validateAdd(w http.ResponseWriter, req addRequest) bool {
-	if req.Entity == "" {
-		writeError(w, http.StatusBadRequest, "missing entity")
-		return false
-	}
-	for _, c := range req.Elements {
-		if c > 0 {
-			return true
-		}
-	}
-	writeError(w, http.StatusBadRequest, "missing elements")
-	return false
-}
-
 type removeRequest struct {
 	Entity string `json:"entity"`
+}
+
+// writes serves /add, /remove and /bulk against either backend. Each
+// route checks its own body, then hands Apply a batch: one mutation for
+// /add and /remove, the decoded ops for /bulk — the sanctioned
+// batched-ingest path (and the endpoint the router's anti-entropy pass
+// re-drives missed writes through), whose wire types live in
+// internal/cluster (the sender), so the two sides share one schema. On
+// a node that makes a /bulk body, mixed ops included, one WAL append and
+// one lock acquisition per touched shard, applied per shard all or
+// nothing; on a router, one quorum write per touched partition.
+type writes struct {
+	backend mutator
+	// entities, set on a node only, is the live entity count every node
+	// write reply carries.
+	entities func() int
+}
+
+func (s writes) handleAdd(w http.ResponseWriter, r *http.Request) {
+	var req addRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	muts := []vsmartjoin.Mutation{{Op: vsmartjoin.OpAdd, Entity: req.Entity, Elements: req.Elements}}
+	switch {
+	case req.Entity == "":
+		writeError(w, http.StatusBadRequest, "missing entity")
+	case cluster.CheckMutations(muts) != nil:
+		// No nonzero count: Index.Apply drops zeros, and an all-zero body
+		// would index a permanently unmatchable empty entity.
+		writeError(w, http.StatusBadRequest, "missing elements")
+	default:
+		if _, ok := s.apply(w, r, muts); ok {
+			s.reply(w, map[string]any{"ok": true})
+		}
+	}
+}
+
+func (s writes) handleRemove(w http.ResponseWriter, r *http.Request) {
+	var req removeRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Entity == "" {
+		writeError(w, http.StatusBadRequest, "missing entity")
+		return
+	}
+	if removed, ok := s.apply(w, r, []vsmartjoin.Mutation{{Op: vsmartjoin.OpRemove, Entity: req.Entity}}); ok {
+		s.reply(w, map[string]any{"removed": removed[0]})
+	}
+}
+
+func (s writes) handleBulk(w http.ResponseWriter, r *http.Request) {
+	var req cluster.BulkRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	// Every op is checked before anything is applied, so a malformed op
+	// cannot leave a half-applied 400.
+	if err := cluster.CheckMutations(req.Ops); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if _, ok := s.apply(w, r, req.Ops); ok {
+		s.reply(w, map[string]any{"applied": len(req.Ops)})
+	}
+}
+
+// apply runs one checked batch; on failure it has answered — 503 when
+// the cluster could not reach a quorum (the request was fine, the
+// deployment is not), 500 otherwise — and ok is false. The context
+// carries the request ID, which is what makes the router's node
+// sub-requests traceable.
+func (s writes) apply(w http.ResponseWriter, r *http.Request, muts []vsmartjoin.Mutation) (applied []bool, ok bool) {
+	ctx := cluster.WithRequestID(r.Context(), r.Header.Get(cluster.HeaderRequestID))
+	applied, err := s.backend.Apply(ctx, muts)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, "%v", err)
+		return nil, false
+	}
+	return applied, true
+}
+
+// reply answers a write with 200 and resp — on a node, with the entity
+// count added (and without "ok": a node's /add has always answered with
+// the count alone).
+func (s writes) reply(w http.ResponseWriter, resp map[string]any) {
+	if s.entities != nil {
+		delete(resp, "ok")
+		resp["entities"] = s.entities()
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 type queryRequest struct {
@@ -331,35 +420,6 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.admission(s.lim)
 }
 
-func (s *nodeServer) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req addRequest
-	if !decodeBody(w, r, &req) || !validateAdd(w, req) {
-		return
-	}
-	if err := s.ix.Add(req.Entity, req.Elements); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"entities": s.ix.Len()})
-}
-
-func (s *nodeServer) handleRemove(w http.ResponseWriter, r *http.Request) {
-	var req removeRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Entity == "" {
-		writeError(w, http.StatusBadRequest, "missing entity")
-		return
-	}
-	removed, err := s.ix.Remove(req.Entity)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": removed, "entities": s.ix.Len()})
-}
-
 // handleSnapshot forces a snapshot + log truncation on a durable index;
 // on a volatile one it reports 409 (there is nothing to snapshot to).
 func (s *nodeServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -378,81 +438,6 @@ func (s *nodeServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"snapshot": true, "entities": s.ix.Len()})
-}
-
-// validateBulk checks every op of a bulk batch before anything is
-// applied, so a malformed op cannot leave a half-applied 400. Shared
-// by the node and router bulk endpoints.
-func validateBulk(w http.ResponseWriter, req cluster.BulkRequest) bool {
-	for i, op := range req.Ops {
-		switch op.Op {
-		case "add":
-			if op.Entity == "" || !hasMass(op.Elements) {
-				writeError(w, http.StatusBadRequest, "op %d: add needs an entity and nonzero elements", i)
-				return false
-			}
-		case "remove":
-			if op.Entity == "" {
-				writeError(w, http.StatusBadRequest, "op %d: remove needs an entity", i)
-				return false
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "op %d: unknown op %q", i, op.Op)
-			return false
-		}
-	}
-	return true
-}
-
-// handleBulk applies a batch of mutations in order — the sanctioned
-// batched-ingest path (and the endpoint the router's anti-entropy pass
-// re-drives missed writes through). The wire types live in
-// internal/cluster (the sender), so the two sides share one schema.
-// Consecutive same-kind ops are applied through Index.AddBatch /
-// RemoveBatch, so an all-add ingest batch costs one WAL append and one
-// lock acquisition per touched shard — and under DurabilitySync one
-// group-committed fsync — instead of one per mutation. An internal
-// failure mid-batch reports how many ops preceded the failing run
-// (the failing run itself may be partially applied at shard
-// granularity; re-driving the batch is safe, every op is an
-// idempotent upsert or remove).
-func (s *nodeServer) handleBulk(w http.ResponseWriter, r *http.Request) {
-	var req cluster.BulkRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !validateBulk(w, req) {
-		return
-	}
-	applied := 0
-	for lo := 0; lo < len(req.Ops); {
-		hi := lo + 1
-		for hi < len(req.Ops) && req.Ops[hi].Op == req.Ops[lo].Op {
-			hi++
-		}
-		run := req.Ops[lo:hi]
-		var err error
-		if run[0].Op == "add" {
-			entries := make([]vsmartjoin.BatchEntry, len(run))
-			for i, op := range run {
-				entries[i] = vsmartjoin.BatchEntry{Entity: op.Entity, Elements: op.Elements}
-			}
-			err = s.ix.AddBatch(entries)
-		} else {
-			names := make([]string, len(run))
-			for i, op := range run {
-				names[i] = op.Entity
-			}
-			_, err = s.ix.RemoveBatch(names)
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "after %d applied ops: %v", applied, err)
-			return
-		}
-		applied += len(run)
-		lo = hi
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": applied, "entities": s.ix.Len()})
 }
 
 // handleEntity reports an indexed entity's current element
@@ -487,26 +472,11 @@ func (s *nodeServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func hasMass(elements map[string]uint32) bool {
-	for _, c := range elements {
-		if c > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- router mode ----
 
 type routerServer struct {
 	c   *vsmartjoin.Cluster
 	lim *limiter
-}
-
-// traceCtx is the write-path counterpart of handleQuery's context
-// plumbing: node sub-requests carry the router-assigned request ID.
-func traceCtx(r *http.Request) context.Context {
-	return cluster.WithRequestID(r.Context(), r.Header.Get(cluster.HeaderRequestID))
 }
 
 // handleMetrics serves the router's Prometheus scrape: scatter-gather
@@ -540,71 +510,6 @@ func (s *routerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.labeled("vsmart_cluster_node_pending_repair", [][2]string{{"node", n.Addr}, {"partition", fmt.Sprint(n.Partition)}}, float64(n.PendingRepair))
 	}
 	p.admission(s.lim)
-}
-
-func (s *routerServer) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req addRequest
-	if !decodeBody(w, r, &req) || !validateAdd(w, req) {
-		return
-	}
-	if err := s.c.AddContext(traceCtx(r), req.Entity, req.Elements); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-}
-
-func (s *routerServer) handleRemove(w http.ResponseWriter, r *http.Request) {
-	var req removeRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Entity == "" {
-		writeError(w, http.StatusBadRequest, "missing entity")
-		return
-	}
-	removed, err := s.c.RemoveContext(traceCtx(r), req.Entity)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": removed})
-}
-
-// handleBulk is the router's batched-ingest endpoint: the same wire
-// body a node's /bulk takes, driven through the cluster's partition-
-// grouped quorum writes (Cluster.Bulk) — one batched request per
-// touched partition's replicas instead of one quorum round per
-// mutation.
-func (s *routerServer) handleBulk(w http.ResponseWriter, r *http.Request) {
-	var req cluster.BulkRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !validateBulk(w, req) {
-		return
-	}
-	muts := make([]vsmartjoin.BulkMutation, len(req.Ops))
-	for i, op := range req.Ops {
-		muts[i] = vsmartjoin.BulkMutation{Remove: op.Op == "remove", Entity: op.Entity, Elements: op.Elements}
-	}
-	if err := s.c.BulkContext(traceCtx(r), muts); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": len(req.Ops)})
 }
 
 func (s *routerServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -554,15 +554,15 @@ func TestRequestTracing(t *testing.T) {
 }
 
 // TestRouterPropagatesRequestID pins the router→node trace contract:
-// the ID a client sends to the router arrives on the node sub-requests.
+// the ID a client sends to the router arrives on the node sub-requests
+// of a query and of every routed write.
 func TestRouterPropagatesRequestID(t *testing.T) {
 	ix := newTestIndex(t, "")
-	seen := make(chan string, 8)
+	type hop struct{ path, rid string }
+	seen := make(chan hop, 8)
 	node := httpd.NewNode(ix, httpd.Options{})
 	ns := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/query" {
-			seen <- r.Header.Get(cluster.HeaderRequestID)
-		}
+		seen <- hop{r.URL.Path, r.Header.Get(cluster.HeaderRequestID)}
 		node.ServeHTTP(w, r)
 	}))
 	defer ns.Close()
@@ -579,27 +579,94 @@ func TestRouterPropagatesRequestID(t *testing.T) {
 	router := httptest.NewServer(httpd.NewRouter(c, httpd.Options{}))
 	defer router.Close()
 
-	req, err := http.NewRequest(http.MethodPost, router.URL+"/query",
-		bytes.NewReader([]byte(`{"elements": {"a": 1}, "threshold": 0.5}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.HeaderRequestID, "hop-hop-7")
-	resp, err := router.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query via router: %d", resp.StatusCode)
-	}
-	select {
-	case rid := <-seen:
-		if rid != "hop-hop-7" {
-			t.Fatalf("node saw request ID %q, want hop-hop-7", rid)
+	for i, route := range []struct{ path, body string }{
+		{"/query", `{"elements": {"a": 1}, "threshold": 0.5}`},
+		{"/add", `{"entity": "t1", "elements": {"a": 1}}`},
+		{"/remove", `{"entity": "t1"}`},
+		{"/bulk", `{"ops": [{"op": "add", "entity": "t2", "elements": {"a": 1}}, {"op": "remove", "entity": "t2"}]}`},
+	} {
+		want := fmt.Sprintf("hop-hop-%d", i)
+		req, err := http.NewRequest(http.MethodPost, router.URL+route.path, bytes.NewReader([]byte(route.body)))
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("node never saw the scatter query")
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(cluster.HeaderRequestID, want)
+		resp, err := router.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s via router: %d", route.path, resp.StatusCode)
+		}
+		select {
+		case got := <-seen:
+			if got != (hop{route.path, want}) {
+				t.Fatalf("node saw %+v, want %s with request ID %s", got, route.path, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node never saw the routed %s", route.path)
+		}
+	}
+}
+
+// TestNodeBulkMixedOpsIsOneApply: a /bulk body alternating adds and
+// removes used to be cut into same-kind runs, each its own WAL append,
+// lock round and (under sync) commit wait. It is one Apply: on a durable
+// 2-shard node a 64-op alternating body costs at most one append per
+// shard and ends in the state the op-at-a-time sequence ends in.
+func TestNodeBulkMixedOpsIsOneApply(t *testing.T) {
+	open := func() (*vsmartjoin.Index, *httptest.Server) {
+		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), Shards: 2, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(httpd.NewNode(ix, httpd.Options{}))
+		t.Cleanup(func() { ts.Close(); ix.Close() })
+		return ix, ts
+	}
+	bulked, bulkNode := open()
+	stepped, stepNode := open()
+	for _, node := range []*httptest.Server{bulkNode, stepNode} {
+		for i := 0; i < 8; i++ { // something for the removes to find
+			body := fmt.Sprintf(`{"entity": "old%d", "elements": {"x": %d}}`, i, i+1)
+			if resp, out := post(t, node.Client(), node.URL+"/add", body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("seed add: %d %v", resp.StatusCode, out)
+			}
+		}
+	}
+	before := bulked.Metrics().WALAppend.Count
+
+	var ops []string
+	for i := 0; i < 32; i++ {
+		add := fmt.Sprintf(`{"op": "add", "entity": "new%d", "elements": {"y": %d, "x": 1}}`, i%20, i+1)
+		remove := fmt.Sprintf(`{"op": "remove", "entity": "old%d"}`, i%12) // some absent, some repeated
+		ops = append(ops, add, remove)
+		for _, op := range []string{add, remove} {
+			if resp, out := post(t, stepNode.Client(), stepNode.URL+"/bulk", `{"ops": [`+op+`]}`); resp.StatusCode != http.StatusOK {
+				t.Fatalf("stepped op: %d %v", resp.StatusCode, out)
+			}
+		}
+	}
+	resp, out := post(t, bulkNode.Client(), bulkNode.URL+"/bulk", `{"ops": [`+strings.Join(ops, ",")+`]}`)
+	if resp.StatusCode != http.StatusOK || out["applied"] != float64(64) || out["entities"] != float64(stepped.Len()) {
+		t.Fatalf("bulk: %d %v, want 64 applied and %d entities", resp.StatusCode, out, stepped.Len())
+	}
+	if appends := bulked.Metrics().WALAppend.Count - before; appends > 2 {
+		t.Fatalf("a 64-op mixed /bulk cost %d WAL appends on 2 shards, want at most 2", appends)
+	}
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("new%d", i)
+		got, ok := bulked.Elements(name)
+		want, wok := stepped.Elements(name)
+		if ok != wok || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: bulk %v %v, op-at-a-time %v %v", name, got, ok, want, wok)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if _, ok := bulked.Elements(fmt.Sprintf("old%d", i)); ok {
+			t.Fatalf("old%d survived its remove", i)
+		}
 	}
 }

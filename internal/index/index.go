@@ -208,31 +208,16 @@ func (ix *Index) freeSlotLocked(e *entry) {
 	ix.freeSlots = append(ix.freeSlots, e.slot)
 }
 
-// Add inserts an entity, replacing any previous entity with the same ID.
-// The index takes ownership of m: callers must not mutate its entries
-// afterwards (the hot insert path avoids a defensive copy; Snapshot
-// clones on the way out instead).
-func (ix *Index) Add(m multiset.Multiset) {
-	e := &entry{set: m, uni: similarity.UniOf(m)}
-	ix.mu.Lock()
-	e.slot = ix.allocSlotLocked()
-	if old, ok := ix.entities[m.ID]; ok {
-		// The old entry's postings become stale the moment the map points
-		// at the new one; count them for compaction.
-		ix.deadPostings += len(old.set.Entries)
-		ix.freeSlotLocked(old)
-		ix.cardDist.Remove(old.uni.Card)
-	}
-	ix.entities[m.ID] = e
-	ix.addPostingsLocked(e)
-	ix.cardDist.Add(e.uni.Card)
-	if ix.lshTab != nil {
-		ix.lshTab.Add(uint64(m.ID), m)
-	}
-	ix.maybeCompactLocked()
-	ix.replanLocked()
-	ix.mu.Unlock()
-	ix.adds.Add(1)
+// Add inserts an entity, replacing any previous entity with the same ID:
+// a one-op ApplyBatch. The index takes ownership of m: callers must not
+// mutate its entries afterwards (the hot insert path avoids a defensive
+// copy; Snapshot clones on the way out instead).
+func (ix *Index) Add(m multiset.Multiset) { ix.ApplyBatch([]BatchOp{{Set: m}}) }
+
+// Remove deletes the entity with the given ID, reporting whether it was
+// present: a one-op ApplyBatch.
+func (ix *Index) Remove(id multiset.ID) bool {
+	return ix.ApplyBatch([]BatchOp{{Remove: true, ID: id}}) == 1
 }
 
 // addPostingsLocked appends a fresh entry to its element posting lists,
@@ -259,16 +244,16 @@ type BatchOp struct {
 }
 
 // ApplyBatch applies ops in order under a single write-lock
-// acquisition — the batched mutation path. The end state is exactly
-// that of the equivalent Add/Remove sequence, but a contended write
-// storm pays the lock handoff and the compaction-trigger check once
-// per batch instead of once per mutation, so readers see one short
-// exclusion window instead of N.
-func (ix *Index) ApplyBatch(ops []BatchOp) {
+// acquisition and reports how many removals found their entity — the
+// one mutation path of a live index (BulkLoad is the sealed path for an
+// empty one). A contended write storm pays the lock handoff and the
+// compaction-trigger check once per batch instead of once per mutation,
+// so readers see one short exclusion window instead of N.
+func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 	if len(ops) == 0 {
-		return
+		return 0
 	}
-	var adds, removes int64
+	adds := 0
 	ix.mu.Lock()
 	for _, op := range ops {
 		if op.Remove {
@@ -280,13 +265,15 @@ func (ix *Index) ApplyBatch(ops []BatchOp) {
 				if ix.lshTab != nil {
 					ix.lshTab.Remove(uint64(op.ID))
 				}
-				removes++
+				removed++
 			}
 			continue
 		}
 		m := op.Set
 		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
 		if old, ok := ix.entities[m.ID]; ok {
+			// The old entry's postings become stale the moment the map points
+			// at the new one; count them for compaction.
 			ix.deadPostings += len(old.set.Entries)
 			ix.freeSlotLocked(old)
 			ix.cardDist.Remove(old.uni.Card)
@@ -302,8 +289,9 @@ func (ix *Index) ApplyBatch(ops []BatchOp) {
 	ix.maybeCompactLocked()
 	ix.replanLocked()
 	ix.mu.Unlock()
-	ix.adds.Add(adds)
-	ix.removes.Add(removes)
+	ix.adds.Add(int64(adds))
+	ix.removes.Add(int64(removed))
+	return removed
 }
 
 // BulkLoad ingests entities in strictly ascending ID order into an
@@ -347,29 +335,6 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	// serves in Stats.Adds (and /readyz's mutation counter), not 0.
 	ix.adds.Add(int64(len(sets)))
 	return nil
-}
-
-// Remove deletes the entity with the given ID, reporting whether it was
-// present.
-func (ix *Index) Remove(id multiset.ID) bool {
-	ix.mu.Lock()
-	e, ok := ix.entities[id]
-	if ok {
-		delete(ix.entities, id)
-		ix.deadPostings += len(e.set.Entries)
-		ix.freeSlotLocked(e)
-		ix.cardDist.Remove(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Remove(uint64(id))
-		}
-		ix.maybeCompactLocked()
-		ix.replanLocked()
-	}
-	ix.mu.Unlock()
-	if ok {
-		ix.removes.Add(1)
-	}
-	return ok
 }
 
 // maybeCompactLocked rewrites every posting list without stale entries

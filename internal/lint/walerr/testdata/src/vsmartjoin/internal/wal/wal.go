@@ -9,8 +9,6 @@ type Record struct{ Entity string }
 type Log struct{}
 
 func (*Log) Append(Record) error                                { return nil }
-func (*Log) AppendBatch([]Record) error                         { return nil }
-func (*Log) AppendDeferred(Record) (func() error, error)        { return nil, nil }
 func (*Log) AppendBatchDeferred([]Record) (func() error, error) { return nil, nil }
 func (*Log) Snapshot(func(emit func(Record) error) error) error { return nil }
 func (*Log) Sync() error                                        { return nil }

@@ -3,6 +3,8 @@
 // contract.
 package vsmartjoin
 
+import "context"
+
 // Index is the stub durable index.
 type Index struct{}
 
@@ -12,24 +14,29 @@ type BatchEntry struct {
 	Elements map[string]uint32
 }
 
-// BulkMutation is the stub mixed bulk op.
-type BulkMutation struct {
-	Remove   bool
+// Mutation is the stub mutation.
+type Mutation struct {
+	Op       string
 	Entity   string
 	Elements map[string]uint32
 }
 
-func (*Index) Add(name string, counts map[string]uint32) error { return nil }
-func (*Index) AddBatch(entries []BatchEntry) error             { return nil }
-func (*Index) Remove(name string) (bool, error)                { return false, nil }
-func (*Index) RemoveBatch(names []string) (int, error)         { return 0, nil }
-func (*Index) Snapshot() error                                 { return nil }
+// Dataset is the stub entity collection.
+type Dataset struct{}
+
+func (*Index) Apply(ctx context.Context, muts []Mutation) ([]bool, error) { return nil, nil }
+func (*Index) Add(name string, counts map[string]uint32) error            { return nil }
+func (*Index) AddBatch(entries []BatchEntry) error                        { return nil }
+func (*Index) AddDataset(d *Dataset) error                                { return nil }
+func (*Index) Remove(name string) (bool, error)                           { return false, nil }
+func (*Index) RemoveBatch(names []string) (int, error)                    { return 0, nil }
+func (*Index) Snapshot() error                                            { return nil }
 
 // Cluster is the stub multi-node client.
 type Cluster struct{}
 
-func (*Cluster) Add(name string, counts map[string]uint32) error { return nil }
-func (*Cluster) AddBatch(entries []BatchEntry) error             { return nil }
-func (*Cluster) Bulk(muts []BulkMutation) error                  { return nil }
-func (*Cluster) Remove(name string) (bool, error)                { return false, nil }
-func (*Cluster) Snapshot() error                                 { return nil }
+func (*Cluster) Apply(ctx context.Context, muts []Mutation) ([]bool, error) { return nil, nil }
+func (*Cluster) Add(name string, counts map[string]uint32) error            { return nil }
+func (*Cluster) AddBatch(entries []BatchEntry) error                        { return nil }
+func (*Cluster) Remove(name string) (bool, error)                           { return false, nil }
+func (*Cluster) Snapshot() error                                            { return nil }

@@ -5,6 +5,7 @@ package walerrtest
 
 import (
 	"bufio"
+	"context"
 	"os"
 
 	"vsmartjoin"
@@ -22,22 +23,25 @@ func discards(l *wal.Log, ix *vsmartjoin.Index, c *vsmartjoin.Cluster, w *bufio.
 	defer w.Flush()        // want `error from bufio\.Writer\.Flush discarded by defer`
 }
 
-func discardsBatch(l *wal.Log, ix *vsmartjoin.Index, c *vsmartjoin.Cluster) {
-	l.AppendBatch(nil)  // want `error from wal\.Log\.AppendBatch discarded`
-	ix.AddBatch(nil)    // want `error from vsmartjoin\.Index\.AddBatch discarded`
-	ix.RemoveBatch(nil) // want `error from vsmartjoin\.Index\.RemoveBatch discarded`
-	c.AddBatch(nil)     // want `error from vsmartjoin\.Cluster\.AddBatch discarded`
-	go c.Bulk(nil)      // want `error from vsmartjoin\.Cluster\.Bulk discarded by go statement`
+func discardsBatch(ctx context.Context, l *wal.Log, ix *vsmartjoin.Index, c *vsmartjoin.Cluster) {
+	l.AppendBatchDeferred(nil) // want `error from wal\.Log\.AppendBatchDeferred discarded`
+	ix.Apply(ctx, nil)         // want `error from vsmartjoin\.Index\.Apply discarded`
+	ix.AddBatch(nil)           // want `error from vsmartjoin\.Index\.AddBatch discarded`
+	ix.AddDataset(nil)         // want `error from vsmartjoin\.Index\.AddDataset discarded`
+	ix.RemoveBatch(nil)        // want `error from vsmartjoin\.Index\.RemoveBatch discarded`
+	c.AddBatch(nil)            // want `error from vsmartjoin\.Cluster\.AddBatch discarded`
+	go c.Apply(ctx, nil)       // want `error from vsmartjoin\.Cluster\.Apply discarded by go statement`
 }
 
-func blanks(l *wal.Log, ix *vsmartjoin.Index) {
-	_ = l.Append(wal.Record{})                // want `error from wal\.Log\.Append assigned to _`
-	_, _ = ix.Remove("x")                     // want `error from vsmartjoin\.Index\.Remove assigned to _`
-	ok, _ := ix.Remove("y")                   // want `error from vsmartjoin\.Index\.Remove assigned to _`
-	buf, _ := frame.Append(nil, []byte{})     // want `error from frame\.Append assigned to _`
-	wait, _ := l.AppendDeferred(wal.Record{}) // want `error from wal\.Log\.AppendDeferred assigned to _`
-	n, _ := ix.RemoveBatch([]string{"z"})     // want `error from vsmartjoin\.Index\.RemoveBatch assigned to _`
-	_, _, _, _ = ok, buf, wait, n
+func blanks(ctx context.Context, l *wal.Log, ix *vsmartjoin.Index) {
+	_ = l.Append(wal.Record{})            // want `error from wal\.Log\.Append assigned to _`
+	_, _ = ix.Remove("x")                 // want `error from vsmartjoin\.Index\.Remove assigned to _`
+	ok, _ := ix.Remove("y")               // want `error from vsmartjoin\.Index\.Remove assigned to _`
+	buf, _ := frame.Append(nil, []byte{}) // want `error from frame\.Append assigned to _`
+	wait, _ := l.AppendBatchDeferred(nil) // want `error from wal\.Log\.AppendBatchDeferred assigned to _`
+	n, _ := ix.RemoveBatch([]string{"z"}) // want `error from vsmartjoin\.Index\.RemoveBatch assigned to _`
+	applied, _ := ix.Apply(ctx, nil)      // want `error from vsmartjoin\.Index\.Apply assigned to _`
+	_, _, _, _, _ = ok, buf, wait, n, applied
 }
 
 func handledBatch(l *wal.Log, ix *vsmartjoin.Index) error {

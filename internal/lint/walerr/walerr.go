@@ -7,17 +7,16 @@
 //
 // The must-check set, matched by callee identity:
 //
-//   - (internal/wal) Log.Append, Log.AppendBatch, Log.AppendDeferred,
-//     Log.AppendBatchDeferred, Log.Snapshot, Log.Sync, Log.Close and
-//     the package function WriteSnapshot;
+//   - (internal/wal) Log.Append, Log.AppendBatchDeferred, Log.Snapshot,
+//     Log.Sync, Log.Close and the package function WriteSnapshot;
 //   - (internal/frame) Writer.WriteFrame, Writer.Flush, Append,
 //     ReplayFile;
-//   - (vsmartjoin) Index.Add, Index.AddBatch, Index.Remove,
-//     Index.RemoveBatch, Index.Snapshot and Cluster.Add,
-//     Cluster.AddBatch, Cluster.Bulk, Cluster.Remove, Cluster.Snapshot
-//     — the public mutation surface whose errors are the durability
-//     contract (AddAsync's channel-shaped twin is the batchorder
-//     analyzer's job);
+//   - (vsmartjoin) Index.Apply and its conveniences Index.Add,
+//     Index.AddBatch, Index.AddDataset, Index.Remove, Index.RemoveBatch,
+//     Index.Snapshot, and Cluster.Apply, Cluster.Add, Cluster.AddBatch,
+//     Cluster.Remove, Cluster.Snapshot — the public mutation surface
+//     whose errors are the durability contract (AddAsync's
+//     channel-shaped twin is the batchorder analyzer's job);
 //   - (bufio) Writer.Flush — the classic way a CLI loses its last block
 //     of output.
 //
@@ -50,8 +49,6 @@ type callee struct {
 
 var mustCheck = []callee{
 	{"vsmartjoin/internal/wal", "Log", "Append"},
-	{"vsmartjoin/internal/wal", "Log", "AppendBatch"},
-	{"vsmartjoin/internal/wal", "Log", "AppendDeferred"},
 	{"vsmartjoin/internal/wal", "Log", "AppendBatchDeferred"},
 	{"vsmartjoin/internal/wal", "Log", "Snapshot"},
 	{"vsmartjoin/internal/wal", "Log", "Sync"},
@@ -61,14 +58,16 @@ var mustCheck = []callee{
 	{"vsmartjoin/internal/frame", "Writer", "Flush"},
 	{"vsmartjoin/internal/frame", "", "Append"},
 	{"vsmartjoin/internal/frame", "", "ReplayFile"},
+	{"vsmartjoin", "Index", "Apply"},
 	{"vsmartjoin", "Index", "Add"},
 	{"vsmartjoin", "Index", "AddBatch"},
+	{"vsmartjoin", "Index", "AddDataset"},
 	{"vsmartjoin", "Index", "Remove"},
 	{"vsmartjoin", "Index", "RemoveBatch"},
 	{"vsmartjoin", "Index", "Snapshot"},
+	{"vsmartjoin", "Cluster", "Apply"},
 	{"vsmartjoin", "Cluster", "Add"},
 	{"vsmartjoin", "Cluster", "AddBatch"},
-	{"vsmartjoin", "Cluster", "Bulk"},
 	{"vsmartjoin", "Cluster", "Remove"},
 	{"vsmartjoin", "Cluster", "Snapshot"},
 	{"bufio", "Writer", "Flush"},

@@ -144,36 +144,6 @@ func (s *Set) Add(m multiset.Multiset) { s.shardOf(m.ID).Add(m) }
 // present.
 func (s *Set) Remove(id multiset.ID) bool { return s.shardOf(id).Remove(id) }
 
-// ApplyBatch applies an ordered mutation batch: ops are grouped by
-// owning shard (relative order within a shard preserved — and two ops
-// on the same entity always share a shard, since routing is a function
-// of the ID) and each group lands in one write-lock acquisition on its
-// shard via index.ApplyBatch. Equivalent to the op-at-a-time sequence
-// but a hot-key storm stops convoying on the shard lock.
-func (s *Set) ApplyBatch(ops []index.BatchOp) {
-	if len(ops) == 0 {
-		return
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].ApplyBatch(ops)
-		return
-	}
-	per := make([][]index.BatchOp, len(s.shards))
-	for _, op := range ops {
-		id := op.ID
-		if !op.Remove {
-			id = op.Set.ID
-		}
-		si := ShardOf(id, len(s.shards))
-		per[si] = append(per[si], op)
-	}
-	for si, group := range per {
-		if len(group) > 0 {
-			s.shards[si].ApplyBatch(group)
-		}
-	}
-}
-
 // Snapshot returns a copy of the entity's current multiset, or an empty
 // multiset if the ID is not indexed anywhere.
 func (s *Set) Snapshot(id multiset.ID) multiset.Multiset { return s.shardOf(id).Snapshot(id) }

@@ -9,6 +9,16 @@ import (
 	"time"
 )
 
+// appendBatch writes recs and settles their durability, the way Append
+// does for one record.
+func appendBatch(l *Log, recs []Record) error {
+	wait, err := l.AppendBatchDeferred(recs)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
 func TestAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	_, l := collect(t, dir, "ruzicka")
@@ -18,10 +28,10 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 		removeRec("ip-1"),
 		addRec("ip-1", Element{"d", 7}),
 	}
-	if err := l.AppendBatch(nil); err != nil {
+	if err := appendBatch(l, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := l.AppendBatch(batch); err != nil {
+	if err := appendBatch(l, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(addRec("ip-3", Element{"e", 1})); err != nil {
@@ -51,7 +61,7 @@ func TestAppendBatchRejectsBadOpWithoutWriting(t *testing.T) {
 		addRec("drop-1", Element{"y", 1}),
 		{Op: 99, Entity: "drop-2"},
 	}
-	if err := l.AppendBatch(bad); err == nil {
+	if err := appendBatch(l, bad); err == nil {
 		t.Fatal("batch with bad op accepted")
 	}
 	closeLog(t, l)
@@ -76,7 +86,7 @@ func TestTornBatchRecoversPrefix(t *testing.T) {
 		addRec("b", Element{"y", 2}),
 		addRec("c", Element{"z", 3}),
 	}
-	if err := l.AppendBatch(batch); err != nil {
+	if err := appendBatch(l, batch); err != nil {
 		t.Fatal(err)
 	}
 	closeLog(t, l)
@@ -118,7 +128,7 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 			for i := 0; i < each; i++ {
 				rec := addRec("e", Element{"x", uint32(w*each + i + 1)})
 				if i%10 == 0 {
-					if err := l.AppendBatch([]Record{rec, rec}); err != nil {
+					if err := appendBatch(l, []Record{rec, rec}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -218,7 +228,7 @@ func TestGroupCommitSnapshotRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch([]Record{addRec("a", Element{"x", 1}), addRec("b", Element{"y", 2})}); err != nil {
+	if err := appendBatch(l, []Record{addRec("a", Element{"x", 1}), addRec("b", Element{"y", 2})}); err != nil {
 		t.Fatal(err)
 	}
 	err = l.Snapshot(func(emit func(Record) error) error {

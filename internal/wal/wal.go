@@ -29,8 +29,8 @@
 // a hard error instead: snapshots are renamed into place only after an
 // fsync, so a bad one means real damage the caller must see.
 //
-// Durability granularity: Append and AppendBatch push frames to the
-// operating system on every call but by default do not fsync; Snapshot
+// Durability granularity: an append pushes its frames to the operating
+// system on every call but by default does not fsync; Snapshot
 // and Close do. A machine (not process) crash can therefore lose the
 // tail of the current WAL, never a snapshot that Open has once
 // returned. Opening with WithGroupCommit upgrades that: appends do not
@@ -144,9 +144,9 @@ type Log struct {
 // ObserveSince (the clock reads here are the stall being measured, not
 // incidental accounting).
 type LogMetrics struct {
-	// Append is the wall time of Log.Append/AppendBatch: encode, frame,
-	// and the write(2) that pushes the frames to the operating system
-	// (one observation per call, not per record).
+	// Append is the wall time of an append call: encode, frame, and the
+	// write(2) that pushes the frames to the operating system (one
+	// observation per call, not per record).
 	Append metrics.Histogram
 	// Fsync is the wall time of every fsync the log issues — group
 	// commits, explicit Sync calls, snapshot file syncs, and the final
@@ -156,8 +156,9 @@ type LogMetrics struct {
 	// group commit covering it (group-commit mode only): the latency
 	// cost of durability, paid outside every lock.
 	CommitWait metrics.Histogram
-	// Batch is the records-per-call distribution of AppendBatch — how
-	// large the batches arriving at the log are.
+	// Batch is the records-per-call distribution of appends — how large
+	// the batches arriving at the log are. Every append is a batch, so a
+	// single-record Append is observed here too, as a batch of one.
 	Batch metrics.SizeHistogram
 	// GroupCommit is the records-per-fsync distribution of the
 	// committer — the amortization factor group commit achieves.
@@ -235,8 +236,8 @@ func parseGen(name, prefix string) (uint64, bool) {
 // Option configures a Log at Open.
 type Option func(*Log)
 
-// WithGroupCommit opens the log in group-commit durability mode: every
-// Append and AppendBatch blocks until an fsync covers its records, and
+// WithGroupCommit opens the log in group-commit durability mode: an
+// append is not settled until an fsync covers its records, and
 // a committer goroutine coalesces the fsyncs of concurrent appenders —
 // after the first record of a commit lands it waits up to window for
 // neighbors to pile on, then issues one fsync for all of them. A
@@ -462,77 +463,40 @@ func (l *Log) replayWAL(path string, apply func(Record) error) error {
 	})
 }
 
-// Append logs one record. The frame reaches the operating system before
-// Append returns (a process crash loses nothing); without group commit
-// it is not fsynced (a machine crash can lose it; Snapshot and Close
-// fsync), with WithGroupCommit it does not return until an fsync
-// covers it.
-//
-// A failed write may leave a partial frame at the file tail; appending
-// past it would strand every later record behind bytes recovery treats
-// as the torn end of the log. Append therefore rewinds the file to the
-// last intact frame on error, and if even that fails it poisons the
-// log: further appends are refused until a successful Snapshot rotates
-// to a fresh WAL file.
+// Append logs one record and settles its durability: AppendBatchDeferred
+// of one record followed by its wait. The frame reaches the operating
+// system before Append returns (a process crash loses nothing); without
+// group commit it is not fsynced (a machine crash can lose it; Snapshot
+// and Close fsync), with WithGroupCommit it does not return until an
+// fsync covers it.
 func (l *Log) Append(rec Record) error {
-	wait, err := l.AppendDeferred(rec)
+	wait, err := l.AppendBatchDeferred([]Record{rec})
 	if err != nil {
 		return err
 	}
 	return wait()
-}
-
-// AppendDeferred is Append split at the durability boundary: it writes
-// the frame (same failure and rewind discipline as Append) and returns
-// a wait function that blocks until the record's durability contract is
-// met — immediately satisfied without group commit, one group-committed
-// fsync with it. Callers holding locks over the append can drop them
-// before paying the commit wait; the wait function must be called
-// exactly once and is not safe for concurrent use.
-func (l *Log) AppendDeferred(rec Record) (func() error, error) {
-	recs := [1]Record{rec}
-	start := metrics.Now()
-	l.mu.Lock()
-	err := l.appendLocked(recs[:])
-	seq := l.seq
-	l.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	l.m.Append.ObserveSince(start)
-	return l.commitWaiter(seq), nil
-}
-
-// commitWaiter returns the deferred half of an append: a no-op without
-// group commit, otherwise a wait for the ledger to cover seq.
-func (l *Log) commitWaiter(seq uint64) func() error {
-	if !l.syncMode {
-		return noWait
-	}
-	return func() error { return l.waitCommit(seq) }
 }
 
 func noWait() error { return nil }
 
-// AppendBatch logs recs as one contiguous frame stream pushed to the
-// operating system with a single write(2): after a clean return every
-// record is in the log, after an error none is (the same tail-rewind
-// discipline as Append — a partially written batch is truncated away,
-// so recovery can never replay a prefix of a batch the caller was told
-// failed). Durability matches Append: group-commit mode blocks until
-// one fsync covers the whole batch, amortized with every concurrent
-// appender. An empty batch is a no-op.
-func (l *Log) AppendBatch(recs []Record) error {
-	wait, err := l.AppendBatchDeferred(recs)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// AppendBatchDeferred is AppendBatch with AppendDeferred's split
-// contract: the batch is written (all or nothing) and the returned wait
-// function settles its durability.
+// AppendBatchDeferred is the log's one write body, split at the
+// durability boundary. It encodes recs as one contiguous frame stream
+// pushed to the operating system with a single write(2): after a clean
+// return every record is in the log, after an error none is. The
+// returned wait function blocks until the batch's durability contract is
+// met — immediately satisfied without group commit, one group-committed
+// fsync (amortized with every concurrent appender) with it — so callers
+// holding locks over the append can drop them before paying the commit
+// wait; it must be called exactly once and is not safe for concurrent
+// use. An empty batch is a no-op.
+//
+// A failed write may leave a partial frame at the file tail; appending
+// past it would strand every later record behind bytes recovery treats
+// as the torn end of the log, and recovery must never replay a prefix
+// of a batch the caller was told failed. The file is therefore rewound
+// to the last intact frame on error, and if even that fails the log is
+// poisoned: further appends are refused until a successful Snapshot
+// rotates to a fresh WAL file.
 func (l *Log) AppendBatchDeferred(recs []Record) (func() error, error) {
 	if len(recs) == 0 {
 		return noWait, nil
@@ -547,7 +511,10 @@ func (l *Log) AppendBatchDeferred(recs []Record) (func() error, error) {
 	}
 	l.m.Append.ObserveSince(start)
 	l.m.Batch.Observe(uint64(len(recs)))
-	return l.commitWaiter(seq), nil
+	if !l.syncMode {
+		return noWait, nil
+	}
+	return func() error { return l.waitCommit(seq) }, nil
 }
 
 // appendLocked encodes and writes recs under l.mu: all frames into one

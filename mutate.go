@@ -1,0 +1,453 @@
+package vsmartjoin
+
+// The public write path. Every online mutation — an upsert or a removal
+// of one named entity — is one Mutation value, and every way of making
+// one (Add, Remove, AddBatch, RemoveBatch, AddAsync, AddDataset, the
+// daemon's /add, /remove and /bulk) is a batch handed to one method,
+// Index.Apply (and, over a cluster of nodes, Cluster.Apply): resolve
+// names to IDs → append each touched shard's records to its write-ahead
+// log → apply to the name tables and the shards → wait for durability →
+// acknowledge. A batch of one is a batch.
+
+import (
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
+
+	"vsmartjoin/internal/cluster"
+	"vsmartjoin/internal/index"
+	"vsmartjoin/internal/multiset"
+	"vsmartjoin/internal/shard"
+	"vsmartjoin/internal/wal"
+)
+
+// Mutation is one online write, the element of Index.Apply's and
+// Cluster.Apply's argument: {Op string; Entity string; Elements
+// map[string]uint32} (JSON "op", "entity", "elements" — the daemon's
+// /bulk op). OpAdd upserts Entity with Elements as its full new
+// multiset, replacing any previous entity of the same name (unlike
+// Dataset.Add, which merges; zero counts are ignored); OpRemove deletes
+// Entity by name and ignores Elements. The type is declared once, in an
+// internal package shared with the cluster router and the HTTP layer,
+// and exported here as an alias.
+type Mutation = cluster.BulkOp
+
+// The two kinds of Mutation, the values of its Op field.
+const (
+	OpAdd    = cluster.OpAdd
+	OpRemove = cluster.OpRemove
+)
+
+// BatchEntry is one entity of an AddBatch: a name with its element
+// multiplicities, the same shape Add takes.
+type BatchEntry struct {
+	Entity   string
+	Elements map[string]uint32
+}
+
+// Apply is the one write method of an Index: it applies muts in order
+// and reports, per mutation, whether it changed the index — false for
+// the removal of a name that is not indexed (a no-op, never logged), for
+// an upsert superseded by a later upsert of the same entity in the same
+// batch with no removal in between (coalesced last-write-wins before it
+// ever reaches the log), and for anything routed to a shard whose log
+// append failed. The context is accepted for symmetry with Cluster.Apply
+// and unused, the index being local.
+//
+// A batch costs one WAL append (one write and, under DurabilitySync,
+// one group-committed fsync) and one shard-lock acquisition per touched
+// shard, and one result-cache invalidation in all. Relative order across
+// different entities is preserved per shard. Each shard's records are
+// appended to its log before anything on that shard is applied; the
+// inner insert happens under the name-table lock, so a concurrent
+// removal of the same name cannot slip between the two steps and leave a
+// nameless ghost entity behind.
+//
+// On error the batch may be partially applied at shard granularity, per
+// shard all or nothing: an append error means the mutations routed to
+// that shard did NOT happen while those on other shards did (automatic
+// snapshot trouble is reported by Snapshot/Close instead). Under
+// DurabilitySync, Apply additionally waits — outside the index lock, so
+// queries and other writers keep flowing — until a group-committed fsync
+// covers the records; an error from that wait means applied in memory
+// but NOT guaranteed durable. It fails with ErrIndexClosed after Close
+// and on an Op that is neither OpAdd nor OpRemove (nothing is applied);
+// a volatile index cannot fail otherwise.
+func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
+	for i := range muts {
+		if op := muts[i].Op; op != OpAdd && op != OpRemove {
+			return nil, fmt.Errorf("vsmartjoin: op %d: unknown op %q", i, op)
+		}
+	}
+	return ix.apply(muts, nil)
+}
+
+// Add is Apply for one OpAdd mutation.
+func (ix *Index) Add(entity string, counts map[string]uint32) error {
+	_, err := ix.Apply(context.Background(), []Mutation{{Op: OpAdd, Entity: entity, Elements: counts}})
+	return err
+}
+
+// Remove is Apply for one OpRemove mutation, reporting whether the
+// entity was indexed.
+func (ix *Index) Remove(entity string) (bool, error) {
+	applied, err := ix.Apply(context.Background(), []Mutation{{Op: OpRemove, Entity: entity}})
+	return len(applied) > 0 && applied[0], err
+}
+
+// AddBatch is Apply for a batch of OpAdd mutations.
+func (ix *Index) AddBatch(entries []BatchEntry) error {
+	_, err := ix.Apply(context.Background(), addMutations(entries))
+	return err
+}
+
+func addMutations(entries []BatchEntry) []Mutation {
+	muts := make([]Mutation, len(entries))
+	for i, e := range entries {
+		muts[i] = Mutation{Op: OpAdd, Entity: e.Entity, Elements: e.Elements}
+	}
+	return muts
+}
+
+// RemoveBatch is Apply for a batch of OpRemove mutations, reporting how
+// many of the names were indexed and removed.
+func (ix *Index) RemoveBatch(entities []string) (int, error) {
+	muts := make([]Mutation, len(entities))
+	for i, e := range entities {
+		muts[i] = Mutation{Op: OpRemove, Entity: e}
+	}
+	applied, err := ix.Apply(context.Background(), muts)
+	removed := 0
+	for _, ok := range applied {
+		if ok {
+			removed++
+		}
+	}
+	return removed, err
+}
+
+// AddDataset upserts every entity of d, in the dataset's order, through
+// Apply in chunks of applyChunk — on a durable index one WAL write per
+// touched shard and chunk instead of one per entity. It stops at the
+// first chunk that fails. To materialize a large corpus as snapshot
+// files instead, use BuildIndexFiles + OpenIndex.
+func (ix *Index) AddDataset(d *Dataset) error {
+	chunk := make([]Mutation, 0, applyChunk)
+	var err error
+	flush := func() bool {
+		_, err = ix.Apply(context.Background(), chunk)
+		chunk = chunk[:0]
+		return err == nil
+	}
+	d.Each(func(entity string, counts map[string]uint32) bool {
+		chunk = append(chunk, Mutation{Op: OpAdd, Entity: entity, Elements: counts})
+		return len(chunk) < applyChunk || flush()
+	})
+	if err == nil {
+		flush()
+	}
+	return err
+}
+
+// BuildIndex loads every entity of a Dataset into a fresh index with
+// AddDataset.
+func BuildIndex(d *Dataset, opts IndexOptions) (*Index, error) {
+	ix, err := NewIndex(opts)
+	if err != nil || d == nil {
+		return ix, err
+	}
+	if err := ix.AddDataset(d); err != nil {
+		ix.Close() // the load error is what the caller gets
+		return nil, err
+	}
+	return ix, nil
+}
+
+// AddAsync enqueues an upsert on the async mutation pipeline and
+// returns immediately with a 1-buffered channel that receives the
+// mutation's outcome exactly once: nil after the upsert is applied (and
+// under DurabilitySync, durable), or the error that rejected it. The
+// pipeline drains each queue into Apply's body, so queued mutations are
+// applied a batch at a time — under a write storm this is the
+// highest-throughput path. Mutations of the same entity are applied in
+// AddAsync call order; a full queue blocks AddAsync (backpressure)
+// rather than dropping. Discarding the returned channel discards the
+// error with it — callers that care about durability must read it (the
+// batchorder analyzer flags a dropped result).
+func (ix *Index) AddAsync(entity string, counts map[string]uint32) <-chan error {
+	errc := make(chan error, 1)
+	ix.mu.Lock()
+	if ix.closed || ix.pipeStopped {
+		ix.mu.Unlock()
+		errc <- ErrIndexClosed
+		return errc
+	}
+	ix.pipeOnce.Do(ix.startPipeLocked)
+	q := ix.queues[queueOf(entity, len(ix.queues))]
+	ix.pipeWG.Add(1)
+	ix.mu.Unlock()
+	// The send happens outside mu: a full queue must block this caller,
+	// not every reader and writer of the index.
+	q <- queued{Mutation{Op: OpAdd, Entity: entity, Elements: counts}, errc}
+	ix.pipeWG.Done()
+	return errc
+}
+
+// queued is one AddAsync call waiting in a queue: the mutation and the
+// channel that receives its outcome exactly once.
+type queued struct {
+	mut Mutation
+	ack chan error
+}
+
+// queueOf routes an entity name to an async mutation queue (FNV-1a).
+// Routing by name — not by shard of the ID, which is only known once
+// the ID is assigned under the lock — still guarantees what ordering
+// needs: every mutation of one entity lands in the same queue, FIFO.
+func queueOf(entity string, n int) int {
+	if n < 2 {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(entity); i++ {
+		h ^= uint64(entity[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(n))
+}
+
+// startPipeLocked spawns the async mutation pipeline: one bounded
+// queue and one applier per shard width. Caller holds ix.mu (via the
+// pipeOnce in AddAsync), so startup cannot race Close's pipeStopped
+// check.
+func (ix *Index) startPipeLocked() {
+	ix.queues = make([]chan queued, ix.inner.Shards())
+	for i := range ix.queues {
+		ix.queues[i] = make(chan queued, ix.queueDepth)
+		ix.applierWG.Add(1)
+		go ix.applier(ix.queues[i])
+	}
+}
+
+// applier drains one async mutation queue: each wakeup batches
+// everything currently queued (up to applyChunk) into a single apply
+// call, so a backed-up queue is applied with one lock acquisition and
+// one WAL append instead of one per mutation. Exits when the queue
+// closes.
+func (ix *Index) applier(q chan queued) {
+	defer ix.applierWG.Done()
+	muts := make([]Mutation, 0, applyChunk)
+	acks := make([]chan error, 0, applyChunk)
+	for first := range q {
+		muts, acks = append(muts[:0], first.mut), append(acks[:0], first.ack)
+	drain:
+		for len(muts) < applyChunk {
+			select {
+			case more, ok := <-q:
+				if !ok {
+					break drain
+				}
+				muts, acks = append(muts, more.mut), append(acks, more.ack)
+			default:
+				break drain
+			}
+		}
+		// apply acks every mutation through its channel; the joined error
+		// is the synchronous callers' view and has no reader here.
+		ix.apply(muts, acks)
+	}
+}
+
+// apply is the body of Apply and of the async appliers, the only code
+// in the package that appends to the write-ahead logs and mutates the
+// name tables and shards. muts hold only OpAdd and OpRemove; acks, when
+// non-nil, parallels muts and receives each mutation's own outcome.
+func (ix *Index) apply(muts []Mutation, acks []chan error) ([]bool, error) {
+	if len(muts) == 0 {
+		return nil, nil
+	}
+	ix.mu.Lock()
+	if ix.closed {
+		ix.mu.Unlock()
+		for _, ack := range acks {
+			ack <- ErrIndexClosed
+		}
+		return nil, ErrIndexClosed
+	}
+	n := ix.inner.Shards()
+
+	// Pass 1: resolve IDs in order, simulating the name-table effects of
+	// earlier ops of the same batch, and group the ops by shard — groups
+	// holds the touched shards only, so a small batch on a wide index
+	// pays for what it touches. last maps a name to the latest op of this
+	// batch that changed it: after a removal the name is absent, after an
+	// upsert it holds that op's ID — and a second upsert with no removal
+	// in between supersedes the first (last write wins).
+	type resolved struct {
+		skip bool // no-op remove, or upsert superseded within the batch
+		id   multiset.ID
+		g    int // index into groups
+	}
+	type shardGroup struct {
+		si   int
+		recs []wal.Record
+		ops  []index.BatchOp
+		wait func() error
+		err  error
+	}
+	res := make([]resolved, len(muts))
+	var groups []shardGroup
+	groupOf := map[int]int{} // shard → index into groups
+	last := map[string]int{}
+	for i := range muts {
+		m := &muts[i]
+		prev, inBatch := last[m.Entity]
+		id, present := ix.byName[m.Entity]
+		if inBatch {
+			id, present = res[prev].id, muts[prev].Op == OpAdd
+		}
+		switch {
+		case m.Op == OpRemove && !present:
+			res[i].skip = true
+			continue
+		case m.Op == OpAdd && !present:
+			// The ID is fixed before the WAL append: routing is a hash of
+			// the ID, so the record must land in the shard log it will
+			// replay from. An ID burned on a failed append leaves a harmless
+			// gap: recovery derives nextID from the highest ID it replays.
+			id = ix.nextID
+			ix.nextID++
+		case m.Op == OpAdd && inBatch:
+			res[prev].skip = true
+		}
+		last[m.Entity] = i
+		si := shard.ShardOf(id, n)
+		g, ok := groupOf[si]
+		if !ok {
+			g, groupOf[si] = len(groups), len(groups)
+			groups = append(groups, shardGroup{si: si})
+		}
+		res[i] = resolved{id: id, g: g}
+	}
+
+	// Pass 2: one WAL append per touched shard, still under ix.mu so the
+	// record order of each shard's log matches the apply order and cannot
+	// interleave with a snapshot cut. The commit waits are collected and
+	// paid after the lock drops.
+	if ix.logs != nil {
+		for i, m := range muts {
+			if res[i].skip {
+				continue
+			}
+			g := &groups[res[i].g]
+			if m.Op == OpRemove {
+				g.recs = append(g.recs, wal.Record{Op: wal.OpRemove, Entity: m.Entity})
+			} else {
+				g.recs = append(g.recs, walAddRecord(res[i].id, m.Entity, m.Elements))
+			}
+		}
+		for gi := range groups {
+			g := &groups[gi]
+			if g.wait, g.err = ix.logs[g.si].AppendBatchDeferred(g.recs); g.err != nil {
+				g.err = fmt.Errorf("vsmartjoin: append %s: %w", wal.ShardDirName(g.si), g.err)
+			}
+		}
+	}
+
+	// Pass 3: apply, in original batch order, every op whose shard
+	// append succeeded — name tables inline, shard structures grouped so
+	// each shard pays one lock acquisition.
+	applied := make([]bool, len(muts))
+	for i, m := range muts {
+		r := res[i]
+		if r.skip || groups[r.g].err != nil {
+			continue
+		}
+		g := &groups[r.g]
+		if m.Op == OpRemove {
+			delete(ix.byName, m.Entity)
+			delete(ix.names, r.id)
+			g.ops = append(g.ops, index.BatchOp{Remove: true, ID: r.id})
+		} else {
+			ix.byName[m.Entity] = r.id
+			ix.names[r.id] = m.Entity
+			g.ops = append(g.ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
+		}
+		applied[i] = true
+	}
+	changed := false
+	for _, g := range groups {
+		if len(g.ops) > 0 {
+			ix.inner.At(g.si).ApplyBatch(g.ops)
+			changed = true
+			if ix.logs != nil {
+				ix.noteLoggedLocked(g.si, len(g.ops))
+			}
+		}
+	}
+	if changed {
+		ix.gen.Add(1) // one generation bump invalidates the cache for the whole batch
+	}
+	ix.mu.Unlock()
+
+	// Pass 4: durability waits (outside every lock), then per-mutation
+	// acknowledgement. A coalesced-away upsert shares its winner's shard
+	// and therefore its winner's outcome.
+	var errs []error
+	for gi := range groups {
+		g := &groups[gi]
+		if g.wait != nil {
+			if err := g.wait(); err != nil {
+				g.err = fmt.Errorf("vsmartjoin: commit %s: %w", wal.ShardDirName(g.si), err)
+			}
+		}
+		if g.err != nil {
+			errs = append(errs, g.err)
+		}
+	}
+	for i, ack := range acks {
+		if res[i].skip && muts[i].Op == OpRemove {
+			ack <- nil // removing an absent name is a successful no-op (and has no group)
+			continue
+		}
+		ack <- groups[res[i].g].err
+	}
+	return applied, errors.Join(errs...)
+}
+
+// walAddRecord builds the logged form of an upsert: element names
+// sorted, zero counts dropped, so identical mutations always encode
+// identically.
+func walAddRecord(id multiset.ID, entity string, counts map[string]uint32) wal.Record {
+	names := make([]string, 0, len(counts))
+	for name, c := range counts {
+		if c > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	elems := make([]wal.Element, len(names))
+	for i, name := range names {
+		elems[i] = wal.Element{Name: name, Count: counts[name]}
+	}
+	return wal.Record{Op: wal.OpAdd, ID: uint64(id), Entity: entity, Elements: elems}
+}
+
+// internCounts interns a counts map into entity id's multiset, dropping
+// zero counts — the map-shaped twin of internElements. A map names each
+// element once, so sorting the entries is all multiset.New would do,
+// minus its copy. Caller holds ix.mu (Intern mutates the dictionary).
+func (ix *Index) internCounts(id multiset.ID, counts map[string]uint32) multiset.Multiset {
+	entries := make([]multiset.Entry, 0, len(counts))
+	for elem, c := range counts {
+		if c == 0 {
+			continue
+		}
+		entries = append(entries, multiset.Entry{Elem: ix.dict.Intern(elem), Count: c})
+	}
+	slices.SortFunc(entries, func(a, b multiset.Entry) int { return cmp.Compare(a.Elem, b.Elem) })
+	return multiset.Multiset{ID: id, Entries: entries}
+}

@@ -70,10 +70,11 @@ type IndexMetrics struct {
 	// group commit covering them — the latency cost of DurabilitySync,
 	// paid outside every lock. Empty under DurabilityOS.
 	WALCommitWait metrics.Snapshot
-	// WALBatch is the records-per-AppendBatch distribution (how large
-	// the batches arriving at the logs are); WALGroupCommit is the
-	// records-per-fsync distribution of the group committer (the
-	// amortization it achieves). Both merged across shards.
+	// WALBatch is the records-per-append distribution (how large the
+	// batches arriving at the logs are, single mutations included);
+	// WALGroupCommit is the records-per-fsync distribution of the group
+	// committer (the amortization it achieves). Both merged across
+	// shards.
 	WALBatch       metrics.SizeSnapshot
 	WALGroupCommit metrics.SizeSnapshot
 	// WALRecords counts every record appended across shards and

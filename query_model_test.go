@@ -3,20 +3,28 @@ package vsmartjoin_test
 // Gates of the one query model: the named conveniences cannot drift
 // from Query, the distance ties that 1 − sim creates are broken by name
 // on every deployment shape, and K saturates instead of overflowing.
+// And of the one mutation model: the write conveniences cannot drift
+// from Apply, and a script of mutations ends in the same state however
+// it is cut into Apply calls.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"vsmartjoin"
 	"vsmartjoin/internal/httpd"
@@ -143,6 +151,360 @@ func sameAnswer[T any](t *testing.T, tag string, got []T, err error, want []T, w
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s:\n   got %v\nQuery's %v", tag, got, want)
+	}
+}
+
+// writeSurface is what *vsmartjoin.Index and *vsmartjoin.Cluster share
+// on the write side, with identical signatures.
+type writeSurface interface {
+	Apply(ctx context.Context, muts []vsmartjoin.Mutation) ([]bool, error)
+	Add(entity string, counts map[string]uint32) error
+	Remove(entity string) (bool, error)
+	AddBatch(entries []vsmartjoin.BatchEntry) error
+}
+
+// TestConveniencesEqualApply: every write convenience does exactly what
+// Apply does with the batch it stands for — results, errors (by
+// errors.Is target), entity and mutation counts, and the result-cache
+// invalidation a changing write must cause and a no-op must not — on a
+// volatile, an OS-durable and a sync-durable Index at 1 and 3 shards,
+// and on a replicated Cluster, with and without a quorum. Two twins are
+// driven side by side, one through the conveniences, one through Apply.
+func TestConveniencesEqualApply(t *testing.T) {
+	ctx := context.Background()
+	probe := map[string]uint32{"x": 1, "y": 2}
+	add := func(name string, n uint32) vsmartjoin.Mutation {
+		return vsmartjoin.Mutation{Op: vsmartjoin.OpAdd, Entity: name, Elements: map[string]uint32{"x": n, "y": 1}}
+	}
+	remove := func(name string) vsmartjoin.Mutation {
+		return vsmartjoin.Mutation{Op: vsmartjoin.OpRemove, Entity: name}
+	}
+	count := func(flags []bool) (n int) {
+		for _, f := range flags {
+			if f {
+				n++
+			}
+		}
+		return n
+	}
+	// same demands one outcome from a convenience and from Apply: equal
+	// results, and errors that are both nil or both wrap target.
+	same := func(t *testing.T, tag string, got, want any, err, werr, target error) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: convenience %v, Apply %v", tag, got, want)
+		}
+		if target == nil && (err != nil || werr != nil) || !errors.Is(err, target) || !errors.Is(werr, target) {
+			t.Fatalf("%s: convenience error %v, Apply error %v, want both %v", tag, err, werr, target)
+		}
+	}
+	// script drives twin a through the conveniences and twin b through
+	// Apply; every call must fail with target (nil: succeed).
+	script := func(t *testing.T, a, b writeSurface, removeBatch func([]string) (int, error), target error) {
+		t.Helper()
+		err := a.Add("e1", map[string]uint32{"x": 1, "y": 1})
+		flags, werr := b.Apply(ctx, []vsmartjoin.Mutation{add("e1", 1)})
+		same(t, "Add", target == nil, count(flags) == 1, err, werr, target)
+		err = a.Add("e1", map[string]uint32{"x": 2, "y": 1}) // re-upsert
+		_, werr = b.Apply(ctx, []vsmartjoin.Mutation{add("e1", 2)})
+		same(t, "Add again", nil, nil, err, werr, target)
+		err = a.AddBatch([]vsmartjoin.BatchEntry{
+			{Entity: "e2", Elements: add("e2", 1).Elements},
+			{Entity: "e3", Elements: add("e3", 1).Elements},
+			{Entity: "e2", Elements: add("e2", 5).Elements}, // in-batch repeat
+		})
+		_, werr = b.Apply(ctx, []vsmartjoin.Mutation{add("e2", 1), add("e3", 1), add("e2", 5)})
+		same(t, "AddBatch", nil, nil, err, werr, target)
+		err = a.AddBatch(nil)
+		_, werr = b.Apply(ctx, nil)
+		same(t, "AddBatch(nil)", nil, nil, err, werr, nil) // an empty batch cannot fail
+		for _, name := range []string{"e1", "ghost"} {
+			removed, err := a.Remove(name)
+			flags, werr := b.Apply(ctx, []vsmartjoin.Mutation{remove(name)})
+			same(t, "Remove "+name, removed, count(flags) == 1, err, werr, target)
+		}
+		if removeBatch != nil {
+			n, err := removeBatch([]string{"e2", "ghost", "e2"})
+			flags, werr := b.Apply(ctx, []vsmartjoin.Mutation{remove("e2"), remove("ghost"), remove("e2")})
+			same(t, "RemoveBatch", n, count(flags), err, werr, target)
+		}
+	}
+
+	for _, shape := range []struct {
+		shards  int
+		durable bool
+		opts    vsmartjoin.IndexOptions
+	}{
+		{1, false, vsmartjoin.IndexOptions{}}, {3, false, vsmartjoin.IndexOptions{}},
+		{1, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilityOS}},
+		{3, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilityOS}},
+		{1, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilitySync}},
+		{3, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilitySync}},
+	} {
+		opts, durable := shape.opts, shape.durable
+		opts.Shards = shape.shards
+		t.Run(fmt.Sprintf("index/shards=%d/durable=%v/durability=%d", opts.Shards, durable, opts.Durability), func(t *testing.T) {
+			var twins [2]*vsmartjoin.Index
+			for i := range twins {
+				o := opts
+				if durable {
+					o.Dir = t.TempDir()
+				}
+				ix, err := vsmartjoin.NewIndex(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ix.Close() })
+				twins[i] = ix
+			}
+			a, b := twins[0], twins[1]
+			// The probe is asked after every step: twins whose writes bump the
+			// cache generation alike keep equal hit and miss counts.
+			agree := func(tag string) {
+				t.Helper()
+				ra, erra := a.QueryThreshold(probe, 0)
+				rb, errb := b.QueryThreshold(probe, 0)
+				sameAnswer(t, tag+" probe", ra, erra, rb, errb)
+				sa, sb := a.Stats(), b.Stats()
+				for _, st := range []*vsmartjoin.IndexStats{&sa, &sb} {
+					*st = vsmartjoin.IndexStats{Entities: st.Entities, Adds: st.Adds, Removes: st.Removes,
+						CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, WALRecords: st.WALRecords}
+				}
+				if !reflect.DeepEqual(sa, sb) {
+					t.Fatalf("%s: convenience twin %+v, Apply twin %+v", tag, sa, sb)
+				}
+			}
+			agree("empty")
+			agree("empty again") // a cache hit on both
+			script(t, a, b, a.RemoveBatch, nil)
+			agree("after the script")
+			if removed, err := a.Remove("ghost"); removed || err != nil {
+				t.Fatal(removed, err)
+			}
+			if _, err := b.Apply(ctx, []vsmartjoin.Mutation{remove("ghost")}); err != nil {
+				t.Fatal(err)
+			}
+			agree("after a no-op") // and a no-op invalidates nothing
+			if st := a.Stats(); st.Entities != 1 || st.CacheHits != 2 {
+				t.Fatalf("the script must leave e3 alone, and only the repeated probes hit: %+v", st)
+			}
+			if !durable {
+				return // a volatile index has nothing to close
+			}
+			for _, ix := range twins {
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			script(t, a, b, a.RemoveBatch, vsmartjoin.ErrIndexClosed)
+			if err := a.AddDataset(vsmartjoin.NewDataset()); err != nil {
+				t.Fatalf("an empty dataset is an empty batch: %v", err)
+			}
+		})
+	}
+
+	t.Run("cluster", func(t *testing.T) {
+		a, b := startCluster(t, "ruzicka", 2, 2), startCluster(t, "ruzicka", 2, 2)
+		script(t, a.cluster, b.cluster, nil, nil)
+		for _, cut := range []*clusterUnderTest{a, b} {
+			res, err := cut.cluster.QueryThreshold(probe, 0)
+			if err != nil || len(res) != 2 || res[0].Entity != "e3" || res[1].Entity != "e2" {
+				t.Fatalf("after the script: %v %v, want e3 and the later e2", res, err)
+			}
+			// Majority of 2 is 2: one dead replica per partition stops writes.
+			cut.servers[0][1].Close()
+			cut.servers[1][1].Close()
+		}
+		script(t, a.cluster, b.cluster, nil, vsmartjoin.ErrClusterUnavailable)
+		// What no node would accept never leaves the router.
+		for _, bad := range [][]vsmartjoin.Mutation{
+			{add("", 1)}, {remove("")}, {{Op: vsmartjoin.OpAdd, Entity: "e"}}, {{Op: "upsert", Entity: "e"}},
+		} {
+			if _, err := a.cluster.Apply(ctx, bad); err == nil || errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
+				t.Fatalf("Apply(%+v) = %v, want a caller error", bad, err)
+			}
+		}
+		// Each dead replica owes the latest op on e1, e2, e3 and ghost (a
+		// live one that acked late is queued only until its ack drains).
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			pa, pb := a.cluster.PendingRepairs(), b.cluster.PendingRepairs()
+			if pa == 4 && pb == 4 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pending repairs: convenience twin %d, Apply twin %d, want 4 each", pa, pb)
+			}
+		}
+	})
+}
+
+// TestMutationScriptModel: one seeded script of upserts, re-upserts,
+// removes, removes of absent names and in-batch repeats, applied (a) one
+// mutation per Apply, (b) cut into random-sized Apply batches and (c)
+// with its upserts through AddAsync, always ends in the state a plain
+// map reaches, reports the flags the map predicts, and reopens into the
+// same state. Driving (a) through Add/Remove or through one-op Apply
+// writes the same files: byte-identical logs, and snapshots identical up
+// to the order of the elements inside a record — element IDs are
+// interned in map-iteration order and a snapshot lists elements by ID,
+// so not even two runs of one driver agree on that order.
+func TestMutationScriptModel(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(18))
+	names := make([]string, 12)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%02d", i)
+	}
+	var muts []vsmartjoin.Mutation
+	for i := 0; i < 400; i++ {
+		m := vsmartjoin.Mutation{Op: vsmartjoin.OpRemove, Entity: names[rng.Intn(len(names))]}
+		if rng.Intn(3) > 0 {
+			m.Op, m.Elements = vsmartjoin.OpAdd, map[string]uint32{}
+			for j, k := 0, 1+rng.Intn(4); j < k; j++ {
+				m.Elements[fmt.Sprintf("w%d", rng.Intn(10))] = uint32(1 + rng.Intn(3))
+			}
+		}
+		muts = append(muts, m)
+	}
+
+	// oracle applies a batch to the model and predicts Apply's flags: a
+	// remove reports whether the name was there, an upsert true unless a
+	// later upsert of the batch supersedes it with no remove in between.
+	oracle := func(model map[string]map[string]uint32, batch []vsmartjoin.Mutation) []bool {
+		flags := make([]bool, len(batch))
+		lastAdd := map[string]int{}
+		for i, m := range batch {
+			if m.Op == vsmartjoin.OpRemove {
+				_, flags[i] = model[m.Entity]
+				delete(model, m.Entity)
+				delete(lastAdd, m.Entity)
+				continue
+			}
+			if prev, ok := lastAdd[m.Entity]; ok {
+				flags[prev] = false
+			}
+			flags[i], lastAdd[m.Entity], model[m.Entity] = true, i, m.Elements
+		}
+		return flags
+	}
+	check := func(t *testing.T, tag string, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
+		t.Helper()
+		if ix.Len() != len(model) {
+			t.Fatalf("%s: %d entities, the model has %d", tag, ix.Len(), len(model))
+		}
+		for _, name := range names {
+			got, ok := ix.Elements(name)
+			if want, wok := model[name]; ok != wok || ok && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s = %v %v, the model has %v %v", tag, name, got, ok, want, wok)
+			}
+		}
+	}
+	drivers := map[string]func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32){
+		"one op per Apply": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
+			for i, m := range muts {
+				flags, err := ix.Apply(ctx, []vsmartjoin.Mutation{m})
+				if want := oracle(model, []vsmartjoin.Mutation{m}); err != nil || !reflect.DeepEqual(flags, want) {
+					t.Fatalf("op %d %+v: %v %v, want %v", i, m, flags, err, want)
+				}
+			}
+		},
+		"Add and Remove": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
+			for i, m := range muts {
+				had, err := true, error(nil)
+				if m.Op == vsmartjoin.OpAdd {
+					err = ix.Add(m.Entity, m.Elements)
+				} else {
+					had, err = ix.Remove(m.Entity)
+				}
+				if want := oracle(model, []vsmartjoin.Mutation{m}); err != nil || had != want[0] {
+					t.Fatalf("op %d %+v: %v %v, want %v", i, m, had, err, want)
+				}
+			}
+		},
+		"random batches": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
+			cut := rand.New(rand.NewSource(19))
+			for lo := 0; lo < len(muts); {
+				hi := min(len(muts), lo+1+cut.Intn(40))
+				flags, err := ix.Apply(ctx, muts[lo:hi])
+				if want := oracle(model, muts[lo:hi]); err != nil || !reflect.DeepEqual(flags, want) {
+					t.Fatalf("batch [%d:%d): %v %v, want %v", lo, hi, flags, err, want)
+				}
+				lo = hi
+			}
+		},
+		"AddAsync": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
+			var acks []<-chan error
+			drain := func() {
+				for _, ack := range acks {
+					if err := <-ack; err != nil {
+						t.Fatal(err)
+					}
+				}
+				acks = acks[:0]
+			}
+			for _, m := range muts {
+				if m.Op == vsmartjoin.OpAdd {
+					acks = append(acks, ix.AddAsync(m.Entity, m.Elements))
+				} else {
+					drain() // a synchronous remove must not overtake queued upserts
+					if _, err := ix.Remove(m.Entity); err != nil {
+						t.Fatal(err)
+					}
+				}
+				oracle(model, []vsmartjoin.Mutation{m})
+			}
+			drain()
+		},
+	}
+	root := t.TempDir()
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			opts := vsmartjoin.IndexOptions{Dir: filepath.Join(root, name), Shards: 3, SnapshotEvery: 16}
+			ix, err := vsmartjoin.NewIndex(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := map[string]map[string]uint32{}
+			drive(t, ix, model)
+			check(t, "live", ix, model)
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ix, err = vsmartjoin.OpenIndex(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "reopened", ix, model)
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	files := func(dir string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			out[rel], err = os.ReadFile(path)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	byApply, byAddRemove := files(filepath.Join(root, "one op per Apply")), files(filepath.Join(root, "Add and Remove"))
+	if len(byApply) != 6 || len(byApply) != len(byAddRemove) { // 3 shards × (snap, wal)
+		t.Fatalf("files: %d by Apply, %d by Add/Remove, want 6 each", len(byApply), len(byAddRemove))
+	}
+	for name, data := range byApply {
+		other, ok := byAddRemove[name]
+		if !ok || len(data) != len(other) || strings.Contains(name, "wal-") && !bytes.Equal(data, other) {
+			t.Fatalf("%s differs between one-op Apply and Add/Remove", name)
+		}
 	}
 }
 
