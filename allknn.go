@@ -35,6 +35,10 @@ type KNNStats struct {
 	// SpilledBytes is the shuffle volume spilled to disk across all jobs
 	// (0 unless Options.ShuffleBufferBytes forced spilling).
 	SpilledBytes int64
+	// WallSeconds is the real (measured, not simulated) time the jobs took
+	// in this process; JobTimes splits it by job and engine phase.
+	WallSeconds float64
+	JobTimes    []JobTime
 }
 
 // KNNResult is the outcome of AllKNN.
@@ -127,6 +131,8 @@ func AllKNN(d *Dataset, k int, opts Options) (*KNNResult, error) {
 			Jobs:         len(res.Stats.Jobs),
 			GroupsProbed: res.Stats.Counter(knn.CounterGroupsProbed),
 			GroupsPruned: res.Stats.Counter(knn.CounterGroupsPruned),
+			WallSeconds:  res.Stats.WallSeconds,
+			JobTimes:     jobTimes(res.Stats),
 		}
 		for _, j := range res.Stats.Jobs {
 			out.Stats.SpilledBytes += j.SpilledBytes

@@ -193,6 +193,44 @@ type Stats struct {
 	// SpilledBytes is the shuffle volume spilled to disk across all jobs
 	// (0 unless Options.ShuffleBufferBytes forced spilling).
 	SpilledBytes int64
+	// WallSeconds is the real time the jobs took in this process — unlike
+	// every figure above measured, not simulated — and JobTimes splits it
+	// by job and engine phase.
+	WallSeconds float64
+	JobTimes    []JobTime
+}
+
+// JobTime is one MapReduce job's time: simulated on the modelled cluster,
+// and real, with the real time split over the engine's phases (the rest of
+// WallSeconds is output placement and cost accounting).
+type JobTime struct {
+	Name               string
+	SimulatedSeconds   float64
+	WallSeconds        float64
+	WallMapSeconds     float64 // map tasks, with combining and spilling
+	WallShuffleSeconds float64 // gathering and sorting the reduce partitions
+	WallReduceSeconds  float64 // reduce tasks
+}
+
+func (t JobTime) String() string {
+	return fmt.Sprintf("%s: simulated %.1fs, wall %.0fms (map %.0f, shuffle %.0f, reduce %.0f)",
+		t.Name, t.SimulatedSeconds, t.WallSeconds*1e3, t.WallMapSeconds*1e3, t.WallShuffleSeconds*1e3, t.WallReduceSeconds*1e3)
+}
+
+// jobTimes extracts the public per-job times of a pipeline.
+func jobTimes(ps mr.PipelineStats) []JobTime {
+	out := make([]JobTime, len(ps.Jobs))
+	for i, j := range ps.Jobs {
+		out[i] = JobTime{
+			Name:               j.Name,
+			SimulatedSeconds:   j.TotalSeconds,
+			WallSeconds:        j.WallSeconds,
+			WallMapSeconds:     j.WallMapSeconds,
+			WallShuffleSeconds: j.WallShuffleSeconds,
+			WallReduceSeconds:  j.WallReduceSeconds,
+		}
+	}
+	return out
 }
 
 // Result is the outcome of AllPairs.
@@ -298,6 +336,8 @@ func AllPairs(d *Dataset, opts Options) (*Result, error) {
 		Jobs:              len(res.Stats.Jobs),
 		CandidateTuples:   res.Stats.Counter(core.CounterCandidateTuples),
 		OutputPairs:       res.Stats.Counter(core.CounterOutputPairs),
+		WallSeconds:       res.Stats.WallSeconds,
+		JobTimes:          jobTimes(res.Stats),
 	}
 	for _, j := range res.Stats.Jobs {
 		out.Stats.SpilledBytes += j.SpilledBytes

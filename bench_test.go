@@ -641,7 +641,10 @@ func BenchmarkEngine(b *testing.B) {
 			Val: []byte(fmt.Sprintf("v%d w%d w%d", i, i%17, i%31)),
 		}
 	}
-	input := mrfs.FromRecords("bench", recs, 16)
+	input, err := mrfs.FromRecords("bench", recs, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
 	mapper := mr.MapperFunc(func(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 		emit.Emit(rec.Val[:2], rec.Key)
 		return nil

@@ -101,7 +101,9 @@ func PartitionOfEntity(entity string, n int) int { return cluster.PartitionOf(en
 //
 // The result reports, per mutation, whether its group reached quorum —
 // except for a removal that was alone in its group, where it reports
-// whether any acknowledging replica still had the entity. Trace values
+// whether any acknowledging replica still had the entity. Flags are
+// meaningful only when err is nil: a group that missed quorum reports
+// false whatever its replicas answered. Trace values
 // on ctx (WithRequestID) propagate onto every node request; cancelling
 // ctx does not abort the write — quorum bookkeeping must outlive an
 // impatient caller.
@@ -116,7 +118,8 @@ func (c *Cluster) Add(entity string, counts map[string]uint32) error {
 }
 
 // Remove is Apply for one OpRemove mutation, reporting whether any
-// acknowledging replica still had the entity.
+// acknowledging replica still had the entity — meaningful only when err
+// is nil; a removal that missed quorum reports false.
 func (c *Cluster) Remove(entity string) (bool, error) {
 	had, err := c.Apply(context.Background(), []Mutation{{Op: OpRemove, Entity: entity}})
 	return len(had) > 0 && had[0], err

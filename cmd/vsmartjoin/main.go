@@ -138,9 +138,10 @@ func main() {
 			log.Fatal(err)
 		}
 		if *showStats {
-			fmt.Fprintf(os.Stderr, "%d entities; %d MapReduce jobs; simulated %.1fs; groups probed %d, pruned %d; spilled %dB\n",
-				len(res.Neighbors), res.Stats.Jobs, res.Stats.TotalSeconds,
+			fmt.Fprintf(os.Stderr, "%d entities; %d MapReduce jobs; simulated %.1fs, wall %.0fms; groups probed %d, pruned %d; spilled %dB\n",
+				len(res.Neighbors), res.Stats.Jobs, res.Stats.TotalSeconds, res.Stats.WallSeconds*1e3,
 				res.Stats.GroupsProbed, res.Stats.GroupsPruned, res.Stats.SpilledBytes)
+			printJobTimes(res.Stats.JobTimes)
 		}
 		return
 	}
@@ -174,8 +175,17 @@ func main() {
 		log.Fatal(err)
 	}
 	if *showStats {
-		fmt.Fprintf(os.Stderr, "%d pairs; %d MapReduce jobs; simulated %.1fs (joining %.1fs, similarity %.1fs); spilled %dB\n",
+		fmt.Fprintf(os.Stderr, "%d pairs; %d MapReduce jobs; simulated %.1fs (joining %.1fs, similarity %.1fs), wall %.0fms; spilled %dB\n",
 			len(res.Pairs), res.Stats.Jobs, res.Stats.TotalSeconds,
-			res.Stats.JoiningSeconds, res.Stats.SimilaritySeconds, res.Stats.SpilledBytes)
+			res.Stats.JoiningSeconds, res.Stats.SimilaritySeconds, res.Stats.WallSeconds*1e3, res.Stats.SpilledBytes)
+		printJobTimes(res.Stats.JobTimes)
+	}
+}
+
+// printJobTimes lists each job's simulated seconds beside its real
+// milliseconds and their split over map, shuffle and reduce.
+func printJobTimes(jobs []vsmartjoin.JobTime) {
+	for _, j := range jobs {
+		fmt.Fprintf(os.Stderr, "  %s\n", j)
 	}
 }

@@ -146,7 +146,10 @@ func Build(src Source, opts Options) (Stats, error) {
 	}
 	defer os.RemoveAll(tmp) // no-op after the final rename
 
-	input := encodeInput(src, 4*machines)
+	input, err := encodeInput(src, 4*machines)
+	if err != nil {
+		return stats, fmt.Errorf("build: %w", err)
+	}
 	cluster := mr.NewCluster(machines, mem)
 	cluster.ShuffleBufferBytes = opts.ShuffleBufferBytes
 	_, jobStats, err := mr.Run(cluster, mr.Job{
@@ -219,18 +222,18 @@ func checkTarget(dir string) error {
 // for the snapshot and last-occurrence-wins for the upsert dedup both
 // fall out of the sort. The value is the codec encoding of the name and
 // elements.
-func encodeInput(src Source, partitions int) *mrfs.Dataset {
+func encodeInput(src Source, partitions int) (*mrfs.Dataset, error) {
 	if src == nil {
 		src = Entities(nil)
 	}
+	d := mrfs.NewDataset("bulk-index-input", partitions)
 	buf := codec.NewBuffer(256)
-	var recs []mrfs.Record
+	var key [16]byte
+	var err error
 	seq := uint64(0)
 	src(func(e Entity) bool {
-		key := make([]byte, 16)
 		binary.BigEndian.PutUint64(key[:8], e.ID)
 		binary.BigEndian.PutUint64(key[8:], seq)
-		seq++
 		buf.Reset()
 		buf.PutString(e.Name)
 		buf.PutUvarint(uint64(len(e.Elements)))
@@ -238,10 +241,11 @@ func encodeInput(src Source, partitions int) *mrfs.Dataset {
 			buf.PutString(el.Name)
 			buf.PutUint32(el.Count)
 		}
-		recs = append(recs, mrfs.Record{Key: key, Val: buf.Clone()})
-		return true
+		err = d.Append(int(seq%uint64(d.NumPartitions())), mrfs.Record{Key: key[:], Val: buf.Bytes()})
+		seq++
+		return err == nil
 	})
-	return mrfs.FromRecords("bulk-index-input", recs, partitions)
+	return d, err
 }
 
 // decodeEntity reverses encodeInput's value encoding.

@@ -594,10 +594,10 @@ func TestQuorumWriteFailureModes(t *testing.T) {
 					if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "/3 acks (quorum 2)") {
 						t.Fatalf("quorum lost: err %v, want ErrUnavailable naming the acks", err)
 					}
-					// Short of quorum only a lone remove can report true (what
-					// the one ack saw, if it was counted).
-					for i, flag := range flags {
-						if flag && (i > 0 || wr.name != "remove") {
+					// A flag beside an error means nothing: short of quorum every
+					// one is false, whatever the one healthy ack saw.
+					for _, flag := range flags {
+						if flag {
 							t.Fatalf("quorum lost: flags %v", flags)
 						}
 					}
@@ -630,5 +630,39 @@ func TestQuorumWriteFailureModes(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// Two replicas, quorum 2, one refusing: a lone remove misses quorum, and
+	// what it reports must not depend on whether the refusal reached the
+	// router before the healthy replica's "removed: true" or after it.
+	for _, refusalFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("remove/quorum lost, refusal first=%v", refusalFirst), func(t *testing.T) {
+			nodes, c := grid(t, 1, 2, -1)
+			healthy, refusing := nodes[0][0], nodes[0][1]
+			hold := make(chan struct{})
+			healthy.set(func(f *fakeNode) { f.ents["seed"] = x(9) })
+			refusing.set(func(f *fakeNode) { f.failWrites = true })
+			late := refusing
+			if refusalFirst {
+				late = healthy
+			}
+			late.set(func(f *fakeNode) { f.hold = hold })
+			if !refusalFirst {
+				// Release the refusal only once the healthy replica has acked.
+				go func() {
+					for len(healthy.entities()) > 0 {
+						time.Sleep(time.Millisecond)
+					}
+					close(hold)
+				}()
+			}
+			flags, err := c.Apply(context.Background(), []BulkOp{{Op: OpRemove, Entity: "seed"}})
+			if refusalFirst {
+				close(hold)
+			}
+			if !errors.Is(err, ErrUnavailable) || len(flags) != 1 || flags[0] {
+				t.Fatalf("flags %v err %v, want [false] and ErrUnavailable", flags, err)
+			}
+		})
 	}
 }

@@ -82,7 +82,9 @@ func hasMass(elements map[string]uint32) bool {
 //
 // The result reports, per mutation, whether its group reached quorum —
 // except for a removal that travelled alone in its group, where it
-// reports whether any acknowledging replica still had the entity.
+// reports whether any acknowledging replica still had the entity. Flags
+// are meaningful only when err is nil: a group that missed quorum reports
+// false whatever its replicas answered.
 //
 // ctx carries trace values (WithRequestID) onto the node requests; its
 // cancellation does NOT abort the write — quorum bookkeeping must
@@ -252,6 +254,8 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 		return flag, nil
 	}
 	c.writeFails.Add(1)
-	return flag, fmt.Errorf("cluster: %w: %d-op write (first %q) to partition %d got %d/%d acks (quorum %d): %w",
+	// Short of quorum the flag would only say which acks happened to beat
+	// the deciding failure: beside an error it means nothing, so it is false.
+	return false, fmt.Errorf("cluster: %w: %d-op write (first %q) to partition %d got %d/%d acks (quorum %d): %w",
 		ErrUnavailable, len(group), group[0].Entity, p, acks, len(replicas), quorum, errors.Join(errs...))
 }

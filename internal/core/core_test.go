@@ -246,7 +246,7 @@ func TestNormalizeJob(t *testing.T) {
 		multiset.New(1, []multiset.Entry{{Elem: 5, Count: 2}}),
 	}, 1)
 	// Inject a duplicate tuple for the same (1, 5).
-	raw.Append(0, raw.Partitions[0][0])
+	raw.Append(0, raw.Partition(0).Record(0))
 	out, _, err := mr.Run(testCluster(2), NormalizeJob(raw, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -441,6 +441,11 @@ func TestJoiningStepCounts(t *testing.T) {
 // a makeslice panic, or gigabytes. It must be the ordinary decode error.
 func TestDecodeChunkValRejectsCorruptCount(t *testing.T) {
 	entries := []indexEntry{{ID: 7, Count: 2}, {ID: 9, Count: 1}}
+	encodeChunkVal := func(left, right []indexEntry) []byte {
+		var b codec.Buffer
+		putChunkVal(&b, left, right)
+		return b.Clone()
+	}
 	good := encodeChunkVal(entries, entries[:1])
 	if l, r, err := decodeChunkVal(good); err != nil || len(l) != 2 || len(r) != 1 {
 		t.Fatalf("round trip: %v %v %v", l, r, err)

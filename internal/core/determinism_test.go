@@ -120,7 +120,7 @@ func TestDuplicateIDsAcrossPartitionsViaNormalize(t *testing.T) {
 		buildMS(2, map[uint64]uint32{5: 2}),
 	}, 2)
 	// Duplicate tuple for (1, 5).
-	raw.Append(0, raw.Partitions[0][0])
+	raw.Append(0, raw.Partition(0).Record(0))
 	normalized, _, err := mr.Run(testCluster(2), NormalizeJob(raw, 0))
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ var (
 // key 0 and the tuple itself under secondary key 1 (mapOnline-Aggregation1).
 type oaMapper struct{}
 
-func (oaMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (oaMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	entry, err := records.DecodeRawVal(rec.Val)
 	if err != nil {
 		return err
@@ -69,18 +69,30 @@ func (oaMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	if entry.Count == 0 {
 		return nil
 	}
-	emit.EmitSec(rec.Key, secUni, encodeUniVal(uniSingleton(entry.Count)))
+	_, val := ctx.Scratch()
+	putUni(val, uniSingleton(entry.Count))
+	emit.EmitSec(rec.Key, secUni, val.Bytes())
 	emit.EmitSec(rec.Key, secElem, rec.Val)
 	return nil
 }
 
 // oaCombiner pre-sums the secondary-key-0 Uni partials of each map task
-// and passes the element tuples through unchanged.
+// and passes the element tuples through unchanged. The sorted secondary
+// keys deliver the partials first, so their sum goes out ahead of the
+// first element and the combined list is still in shuffle order.
 type oaCombiner struct{}
 
-func (oaCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (oaCombiner) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var uni similarity.UniStats
-	sawUni := false
+	pendingUni := false
+	flushUni := func() {
+		if pendingUni {
+			_, val := ctx.Scratch()
+			putUni(val, uni)
+			emit.EmitSec(key, secUni, val.Bytes())
+			pendingUni = false
+		}
+	}
 	for {
 		v, ok := values.Next()
 		if !ok {
@@ -92,14 +104,13 @@ func (oaCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit 
 				return err
 			}
 			uni.Add(u)
-			sawUni = true
+			pendingUni = true
 			continue
 		}
+		flushUni()
 		emit.EmitSec(key, secElem, v.Val)
 	}
-	if sawUni {
-		emit.EmitSec(key, secUni, encodeUniVal(uni))
-	}
+	flushUni()
 	return nil
 }
 
@@ -109,7 +120,7 @@ func (oaCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit 
 // (reduceOnline-Aggregation1).
 type oaReducer struct{}
 
-func (oaReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (oaReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var uni similarity.UniStats
 	for {
 		v, ok := values.Next()
@@ -128,7 +139,9 @@ func (oaReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit m
 		if err != nil {
 			return err
 		}
-		emit.Emit(key, encodeJoinedVal(uni, entry))
+		_, val := ctx.Scratch()
+		putJoinedVal(val, uni, entry)
+		emit.Emit(key, val.Bytes())
 	}
 	return nil
 }
@@ -155,7 +168,7 @@ func onlineAggregationJob(input *mrfs.Dataset, numReducers int) mr.Job {
 // (mapLookup1 / mapSharding1).
 type uniMapper struct{}
 
-func (uniMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (uniMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	entry, err := records.DecodeRawVal(rec.Val)
 	if err != nil {
 		return err
@@ -163,7 +176,9 @@ func (uniMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error 
 	if entry.Count == 0 {
 		return nil
 	}
-	emit.Emit(rec.Key, encodeUniVal(uniSingleton(entry.Count)))
+	_, val := ctx.Scratch()
+	putUni(val, uniSingleton(entry.Count))
+	emit.Emit(rec.Key, val.Bytes())
 	return nil
 }
 
@@ -171,7 +186,7 @@ func (uniMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error 
 // dedicated combiners of Lookup1/Sharding1.
 type uniSumReducer struct{}
 
-func (uniSumReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (uniSumReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var uni similarity.UniStats
 	for {
 		v, ok := values.Next()
@@ -184,7 +199,9 @@ func (uniSumReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, em
 		}
 		uni.Add(u)
 	}
-	emit.Emit(key, encodeUniVal(uni))
+	_, val := ctx.Scratch()
+	putUni(val, uni)
+	emit.Emit(key, val.Bytes())
 	return nil
 }
 
@@ -236,7 +253,7 @@ func (m *lookupSim1Mapper) Setup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-func (m *lookupSim1Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (m *lookupSim1Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	id, err := records.DecodeRawKey(rec.Key)
 	if err != nil {
 		return err
@@ -252,7 +269,7 @@ func (m *lookupSim1Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitt
 	if !ok {
 		return fmt.Errorf("core: lookup miss for multiset %d", id)
 	}
-	emit.Emit(encodeElemKey(entry.Elem), encodePostingVal(indexEntry{ID: id, Uni: uni, Count: entry.Count}))
+	emitPosting(ctx, entry.Elem, indexEntry{ID: id, Uni: uni, Count: entry.Count}, emit)
 	return nil
 }
 
@@ -284,7 +301,7 @@ type sharding1Reducer struct {
 	c uint64
 }
 
-func (r sharding1Reducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (r sharding1Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var uni similarity.UniStats
 	for {
 		v, ok := values.Next()
@@ -298,7 +315,9 @@ func (r sharding1Reducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Value
 		uni.Add(u)
 	}
 	if uni.UCard > r.c {
-		emit.Emit(key, encodeUniVal(uni))
+		_, val := ctx.Scratch()
+		putUni(val, uni)
+		emit.Emit(key, val.Bytes())
 	}
 	return nil
 }
@@ -333,15 +352,13 @@ func fingerprint(e multiset.Elem) uint64 {
 	return x & 0xffff
 }
 
-func encodeShardKey(key []byte, fp uint64, sharded bool) []byte {
-	var b codec.Buffer
+func putShardKey(b *codec.Buffer, key []byte, fp uint64, sharded bool) {
 	b.PutRaw(key)
 	if sharded {
 		b.PutUvarint(fp + 1)
 	} else {
 		b.PutUvarint(0)
 	}
-	return b.Clone()
 }
 
 func decodeShardKeyID(key []byte) (multiset.ID, error) {
@@ -354,15 +371,13 @@ func decodeShardKeyID(key []byte) (multiset.ID, error) {
 	return id, nil
 }
 
-func encodeShardVal(tag byte, uni similarity.UniStats, entry multiset.Entry) []byte {
-	var b codec.Buffer
+func putShardVal(b *codec.Buffer, tag byte, uni similarity.UniStats, entry multiset.Entry) {
 	b.PutByte(tag)
 	if tag == shardTagSharded {
-		putUni(&b, uni)
+		putUni(b, uni)
 	}
 	b.PutUvarint(uint64(entry.Elem))
 	b.PutUint32(entry.Count)
-	return b.Clone()
 }
 
 func decodeShardVal(val []byte) (byte, similarity.UniStats, multiset.Entry, error) {
@@ -396,7 +411,7 @@ func (m *sharding2Mapper) Setup(ctx *mr.TaskContext) error {
 	return nil
 }
 
-func (m *sharding2Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (m *sharding2Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	id, err := records.DecodeRawKey(rec.Key)
 	if err != nil {
 		return err
@@ -408,13 +423,15 @@ func (m *sharding2Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitte
 	if entry.Count == 0 {
 		return nil
 	}
+	key, val := ctx.Scratch()
 	if uni, ok := m.table[id]; ok {
-		emit.Emit(encodeShardKey(rec.Key, fingerprint(entry.Elem), true),
-			encodeShardVal(shardTagSharded, uni, entry))
+		putShardKey(key, rec.Key, fingerprint(entry.Elem), true)
+		putShardVal(val, shardTagSharded, uni, entry)
 	} else {
-		emit.Emit(encodeShardKey(rec.Key, 0, false),
-			encodeShardVal(shardTagUnsharded, similarity.UniStats{}, entry))
+		putShardKey(key, rec.Key, 0, false)
+		putShardVal(val, shardTagUnsharded, similarity.UniStats{}, entry)
 	}
+	emit.Emit(key.Bytes(), val.Bytes())
 	return nil
 }
 
@@ -429,7 +446,13 @@ func (sharding2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 	if err != nil {
 		return err
 	}
-	outKey := records.EncodeRawKey(id)
+	outKey, val := ctx.Scratch()
+	records.PutRawKey(outKey, id)
+	emitJoined := func(uni similarity.UniStats, entry multiset.Entry) {
+		val.Reset()
+		putJoinedVal(val, uni, entry)
+		emit.Emit(outKey.Bytes(), val.Bytes())
+	}
 	first, ok := values.Next()
 	if !ok {
 		return nil
@@ -439,7 +462,7 @@ func (sharding2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 		return err
 	}
 	if tag == shardTagSharded {
-		emit.Emit(outKey, encodeJoinedVal(uni, entry))
+		emitJoined(uni, entry)
 		for {
 			v, ok := values.Next()
 			if !ok {
@@ -449,7 +472,7 @@ func (sharding2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 			if err != nil {
 				return err
 			}
-			emit.Emit(outKey, encodeJoinedVal(uni, entry))
+			emitJoined(uni, entry)
 		}
 	}
 	// Unsharded: |U(Mi)| ≤ C, so the list fits in memory. Buffer it
@@ -482,7 +505,7 @@ func (sharding2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 		if err != nil {
 			return err
 		}
-		emit.Emit(outKey, encodeJoinedVal(total, e))
+		emitJoined(total, e)
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 // ⟨Mi, mi,k⟩ → ⟨ak, (Mi, fi,k)⟩.
 type stopWordMapper struct{}
 
-func (stopWordMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (stopWordMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	id, err := records.DecodeRawKey(rec.Key)
 	if err != nil {
 		return err
@@ -24,10 +24,11 @@ func (stopWordMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) e
 	if entry.Count == 0 {
 		return nil
 	}
-	var b codec.Buffer
-	b.PutUvarint(uint64(id))
-	b.PutUint32(entry.Count)
-	emit.Emit(encodeElemKey(entry.Elem), b.Clone())
+	key, val := ctx.Scratch()
+	putElemKey(key, entry.Elem)
+	val.PutUvarint(uint64(id))
+	val.PutUint32(entry.Count)
+	emit.Emit(key.Bytes(), val.Bytes())
 	return nil
 }
 
@@ -78,12 +79,18 @@ func (r stopWordReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Valu
 		ctx.Counters.Inc(CounterStopWords)
 		return nil
 	}
-	entryVal := multiset.Entry{Elem: elem}
 	for _, p := range buf {
-		entryVal.Count = p.count
-		emit.Emit(records.EncodeRawKey(p.id), records.EncodeRawVal(entryVal))
+		emitRaw(ctx, p.id, multiset.Entry{Elem: elem, Count: p.count}, emit)
 	}
 	return nil
+}
+
+// emitRaw emits one raw tuple ⟨Mi, mi,k⟩.
+func emitRaw(ctx *mr.TaskContext, id multiset.ID, e multiset.Entry, emit mr.Emitter) {
+	key, val := ctx.Scratch()
+	records.PutRawKey(key, id)
+	records.PutRawVal(val, e)
+	emit.Emit(key.Bytes(), val.Bytes())
 }
 
 // StopWordJob builds the preprocessing step that discards elements shared
@@ -103,7 +110,7 @@ func StopWordJob(input *mrfs.Dataset, q, numReducers int) mr.Job {
 // the same element meet at one reducer.
 type normalizeMapper struct{}
 
-func (normalizeMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (normalizeMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	entry, err := records.DecodeRawVal(rec.Val)
 	if err != nil {
 		return err
@@ -111,12 +118,11 @@ func (normalizeMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) 
 	if entry.Count == 0 {
 		return nil
 	}
-	var b codec.Buffer
-	b.PutRaw(rec.Key)
-	b.PutUvarint(uint64(entry.Elem))
-	var v codec.Buffer
-	v.PutUint32(entry.Count)
-	emit.Emit(b.Clone(), v.Clone())
+	key, val := ctx.Scratch()
+	key.PutRaw(rec.Key)
+	key.PutUvarint(uint64(entry.Elem))
+	val.PutUint32(entry.Count)
+	emit.Emit(key.Bytes(), val.Bytes())
 	return nil
 }
 
@@ -124,7 +130,7 @@ func (normalizeMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) 
 // tuple per ⟨Mi, ak⟩.
 type normalizeReducer struct{}
 
-func (normalizeReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (normalizeReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	r := codec.NewReader(key)
 	id := multiset.ID(r.Uvarint())
 	elem := multiset.Elem(r.Uvarint())
@@ -146,7 +152,7 @@ func (normalizeReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values,
 	if total > 1<<32-1 {
 		total = 1<<32 - 1
 	}
-	emit.Emit(records.EncodeRawKey(id), records.EncodeRawVal(multiset.Entry{Elem: elem, Count: uint32(total)}))
+	emitRaw(ctx, id, multiset.Entry{Elem: elem, Count: uint32(total)}, emit)
 	return nil
 }
 
@@ -168,7 +174,7 @@ func NormalizeJob(input *mrfs.Dataset, numReducers int) mr.Job {
 // normalizeSumCombiner pre-sums duplicate counts per map task.
 type normalizeSumCombiner struct{}
 
-func (normalizeSumCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (normalizeSumCombiner) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var total uint64
 	for {
 		v, ok := values.Next()
@@ -184,8 +190,8 @@ func (normalizeSumCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Val
 	if total > 1<<32-1 {
 		total = 1<<32 - 1
 	}
-	var b codec.Buffer
-	b.PutUint32(uint32(total))
-	emit.Emit(key, b.Clone())
+	_, val := ctx.Scratch()
+	val.PutUint32(uint32(total))
+	emit.Emit(key, val.Bytes())
 	return nil
 }

@@ -49,12 +49,10 @@ func readConj(r *codec.Reader) similarity.ConjStats {
 	return similarity.ConjStats{SumMin: r.Uvarint(), SumProd: r.Uvarint(), Common: r.Uvarint()}
 }
 
-// encodeUniVal encodes a UniStats partial as a value record.
-func encodeUniVal(u similarity.UniStats) []byte {
-	var b codec.Buffer
-	putUni(&b, u)
-	return b.Clone()
-}
+// Every encoder below appends to a caller-supplied buffer — in map and
+// reduce functions the task's scratch (mr.TaskContext.Scratch), which the
+// emitter copies from — so encoding a tuple allocates nothing. A UniStats
+// partial as a value record is putUni alone.
 
 func decodeUniVal(val []byte) (similarity.UniStats, error) {
 	r := codec.NewReader(val)
@@ -66,12 +64,10 @@ func decodeUniVal(val []byte) (similarity.UniStats, error) {
 }
 
 // joined tuple ⟨Mi, Uni(Mi), mi,k⟩: key = Mi, val = Uni + elem + count.
-func encodeJoinedVal(u similarity.UniStats, e multiset.Entry) []byte {
-	var b codec.Buffer
-	putUni(&b, u)
+func putJoinedVal(b *codec.Buffer, u similarity.UniStats, e multiset.Entry) {
+	putUni(b, u)
 	b.PutUvarint(uint64(e.Elem))
 	b.PutUint32(e.Count)
-	return b.Clone()
 }
 
 func decodeJoinedVal(val []byte) (similarity.UniStats, multiset.Entry, error) {
@@ -102,11 +98,7 @@ func (e indexEntry) encodedSize() int64 {
 }
 
 // Similarity1 map output: key = ak, val = (Mi, Uni, fi,k).
-func encodeElemKey(e multiset.Elem) []byte {
-	var b codec.Buffer
-	b.PutUvarint(uint64(e))
-	return b.Clone()
-}
+func putElemKey(b *codec.Buffer, e multiset.Elem) { b.PutUvarint(uint64(e)) }
 
 func decodeElemKey(key []byte) (multiset.Elem, error) {
 	r := codec.NewReader(key)
@@ -117,17 +109,19 @@ func decodeElemKey(key []byte) (multiset.Elem, error) {
 	return e, nil
 }
 
-func encodePostingVal(e indexEntry) []byte {
-	var b codec.Buffer
+func putPostingVal(b *codec.Buffer, e indexEntry) {
 	b.PutUvarint(uint64(e.ID))
-	putUni(&b, e.Uni)
+	putUni(b, e.Uni)
 	b.PutUint32(e.Count)
-	return b.Clone()
+}
+
+func readPosting(r *codec.Reader) indexEntry {
+	return indexEntry{ID: multiset.ID(r.Uvarint()), Uni: readUni(r), Count: r.Uint32()}
 }
 
 func decodePostingVal(val []byte) (indexEntry, error) {
 	r := codec.NewReader(val)
-	e := indexEntry{ID: multiset.ID(r.Uvarint()), Uni: readUni(r), Count: r.Uint32()}
+	e := readPosting(r)
 	if err := r.Err(); err != nil {
 		return indexEntry{}, fmt.Errorf("core: bad posting val: %w", err)
 	}
@@ -136,17 +130,15 @@ func decodePostingVal(val []byte) (indexEntry, error) {
 
 // candidate-pair tuple: key = tag + Mi + Mj + Uni(Mi) + Uni(Mj) (canonical
 // Mi < Mj), val = partial ConjStats.
-func encodePairTupleKey(a, b indexEntry) []byte {
+func putPairTupleKey(buf *codec.Buffer, a, b indexEntry) {
 	if a.ID > b.ID {
 		a, b = b, a
 	}
-	var buf codec.Buffer
 	buf.PutByte(tagPair)
 	buf.PutUvarint(uint64(a.ID))
 	buf.PutUvarint(uint64(b.ID))
-	putUni(&buf, a.Uni)
-	putUni(&buf, b.Uni)
-	return buf.Clone()
+	putUni(buf, a.Uni)
+	putUni(buf, b.Uni)
 }
 
 type pairKey struct {
@@ -170,12 +162,6 @@ func decodePairTupleKey(key []byte) (pairKey, error) {
 	return k, nil
 }
 
-func encodeConjVal(c similarity.ConjStats) []byte {
-	var b codec.Buffer
-	putConj(&b, c)
-	return b.Clone()
-}
-
 func decodeConjVal(val []byte) (similarity.ConjStats, error) {
 	r := codec.NewReader(val)
 	c := readConj(r)
@@ -194,30 +180,22 @@ func conjOfCounts(fi, fj uint32) similarity.ConjStats {
 
 // chunk-pair record: key = tag + ak + p + q (p ≤ q), val = both chunks'
 // postings (right side empty when p == q).
-func encodeChunkKey(elem multiset.Elem, p, q int) []byte {
-	var b codec.Buffer
+func putChunkKey(b *codec.Buffer, elem multiset.Elem, p, q int) {
 	b.PutByte(tagChunk)
 	b.PutUvarint(uint64(elem))
 	b.PutUvarint(uint64(p))
 	b.PutUvarint(uint64(q))
-	return b.Clone()
 }
 
-func encodeChunkVal(left, right []indexEntry) []byte {
-	var b codec.Buffer
+func putChunkVal(b *codec.Buffer, left, right []indexEntry) {
 	b.PutUvarint(uint64(len(left)))
 	for _, e := range left {
-		b.PutUvarint(uint64(e.ID))
-		putUni(&b, e.Uni)
-		b.PutUint32(e.Count)
+		putPostingVal(b, e)
 	}
 	b.PutUvarint(uint64(len(right)))
 	for _, e := range right {
-		b.PutUvarint(uint64(e.ID))
-		putUni(&b, e.Uni)
-		b.PutUint32(e.Count)
+		putPostingVal(b, e)
 	}
-	return b.Clone()
 }
 
 func decodeChunkVal(val []byte) (left, right []indexEntry, err error) {
@@ -232,7 +210,7 @@ func decodeChunkVal(val []byte) (left, right []indexEntry, err error) {
 		}
 		out := make([]indexEntry, 0, n)
 		for i := uint64(0); i < n; i++ {
-			out = append(out, indexEntry{ID: multiset.ID(r.Uvarint()), Uni: readUni(r), Count: r.Uint32()})
+			out = append(out, readPosting(r))
 		}
 		return out
 	}
@@ -245,21 +223,4 @@ func decodeChunkVal(val []byte) (left, right []indexEntry, err error) {
 		return nil, nil, err
 	}
 	return left, right, nil
-}
-
-// final output pair: key = Mi + Mj (canonical), val = similarity.
-func encodeResultKey(a, b multiset.ID) []byte {
-	if a > b {
-		a, b = b, a
-	}
-	var buf codec.Buffer
-	buf.PutUvarint(uint64(a))
-	buf.PutUvarint(uint64(b))
-	return buf.Clone()
-}
-
-func encodeResultVal(sim float64) []byte {
-	var b codec.Buffer
-	b.PutFloat64(sim)
-	return b.Clone()
 }

@@ -28,7 +28,7 @@ const simEps = 1e-12
 // postings keyed by element: ⟨ak, (Mi, Uni(Mi), fi,k)⟩ (mapSimilarity1).
 type sim1Mapper struct{}
 
-func (sim1Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (sim1Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	id, err := records.DecodeRawKey(rec.Key)
 	if err != nil {
 		return err
@@ -37,8 +37,16 @@ func (sim1Mapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error
 	if err != nil {
 		return err
 	}
-	emit.Emit(encodeElemKey(entry.Elem), encodePostingVal(indexEntry{ID: id, Uni: uni, Count: entry.Count}))
+	emitPosting(ctx, entry.Elem, indexEntry{ID: id, Uni: uni, Count: entry.Count}, emit)
 	return nil
+}
+
+// emitPosting emits one inverted-index posting ⟨ak, (Mi, Uni(Mi), fi,k)⟩.
+func emitPosting(ctx *mr.TaskContext, elem multiset.Elem, e indexEntry, emit mr.Emitter) {
+	key, val := ctx.Scratch()
+	putElemKey(key, elem)
+	putPostingVal(val, e)
+	emit.Emit(key.Bytes(), val.Bytes())
 }
 
 // sim1Reducer scans one element's posting list and emits a candidate-pair
@@ -99,7 +107,10 @@ func emitAllPairs(ctx *mr.TaskContext, left, right []indexEntry, emit mr.Emitter
 }
 
 func emitPair(ctx *mr.TaskContext, a, b indexEntry, emit mr.Emitter) {
-	emit.Emit(encodePairTupleKey(a, b), encodeConjVal(conjOfCounts(a.Count, b.Count)))
+	key, val := ctx.Scratch()
+	putPairTupleKey(key, a, b)
+	putConj(val, conjOfCounts(a.Count, b.Count))
+	emit.Emit(key.Bytes(), val.Bytes())
 	ctx.Counters.Inc(CounterCandidateTuples)
 }
 
@@ -174,8 +185,7 @@ func chunkedSim1(ctx *mr.TaskContext, elem multiset.Elem, values *mr.Values, emi
 			return fmt.Errorf("core: chunk %d of element %d: %w", p, elem, err)
 		}
 		// Diagonal record ⟨p, p⟩.
-		emit.Emit(encodeChunkKey(multiset.Elem(elem), p, p), encodeChunkVal(left, nil))
-		ctx.Counters.Inc(CounterChunkRecords)
+		emitChunk(ctx, elem, p, p, left, nil, emit)
 		// Stream the following chunks within the same scan.
 		for q := p + 1; q < len(spans); q++ {
 			right, rightBytes, err := load(spans[q])
@@ -187,13 +197,21 @@ func chunkedSim1(ctx *mr.TaskContext, elem multiset.Elem, values *mr.Values, emi
 				ctx.Release(leftBytes)
 				return fmt.Errorf("core: chunk pair (%d,%d) of element %d: %w", p, q, elem, err)
 			}
-			emit.Emit(encodeChunkKey(multiset.Elem(elem), p, q), encodeChunkVal(left, right))
-			ctx.Counters.Inc(CounterChunkRecords)
+			emitChunk(ctx, elem, p, q, left, right, emit)
 			ctx.Release(rightBytes)
 		}
 		ctx.Release(leftBytes)
 	}
 	return nil
+}
+
+// emitChunk emits the ⟨p, q⟩ chunk-pair record of an overflowing element.
+func emitChunk(ctx *mr.TaskContext, elem multiset.Elem, p, q int, left, right []indexEntry, emit mr.Emitter) {
+	key, val := ctx.Scratch()
+	putChunkKey(key, elem, p, q)
+	putChunkVal(val, left, right)
+	emit.Emit(key.Bytes(), val.Bytes())
+	ctx.Counters.Inc(CounterChunkRecords)
 }
 
 // sim2Mapper is the Similarity2 map stage: an identity map for ordinary
@@ -234,7 +252,7 @@ func (sim2Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) err
 // balance the Similarity2 reducers' load (the paper's dedicated combiner).
 type conjCombiner struct{}
 
-func (conjCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (conjCombiner) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var total similarity.ConjStats
 	for {
 		v, ok := values.Next()
@@ -247,7 +265,9 @@ func (conjCombiner) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emi
 		}
 		total.Add(c)
 	}
-	emit.Emit(key, encodeConjVal(total))
+	_, val := ctx.Scratch()
+	putConj(val, total)
+	emit.Emit(key, val.Bytes())
 	return nil
 }
 
@@ -278,7 +298,12 @@ func (r sim2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, 
 	}
 	sim := r.measure.Sim(pk.UniA, pk.UniB, conj)
 	if sim+simEps >= r.threshold {
-		emit.Emit(encodeResultKey(pk.A, pk.B), encodeResultVal(sim))
+		// The final output pair ⟨Mi, Mj, Sim⟩; the tuple key is already
+		// canonical (Mi < Mj).
+		key, val := ctx.Scratch()
+		records.PutPairKey(key, pk.A, pk.B)
+		records.PutPairVal(val, sim)
+		emit.Emit(key.Bytes(), val.Bytes())
 		ctx.Counters.Inc(CounterOutputPairs)
 	} else {
 		ctx.Counters.Inc(CounterBelowThreshold)

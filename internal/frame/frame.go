@@ -114,21 +114,26 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // never a panic; a clean end of input is io.EOF.
 type Reader struct {
 	r     *bufio.Reader
+	cr    countingByteReader
+	buf   []byte // the payload returned by the last Next, reused by the following one
 	bytes int64
 }
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	rd := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	rd.cr.r = rd.r
+	return rd
 }
 
-// Next decodes the next frame and returns its payload, freshly
-// allocated (it does not alias reader state). At a clean end of input it
-// returns io.EOF; an EOF mid-frame is corruption and reported as such.
+// Next decodes the next frame and returns its payload: a view of the
+// reader's one payload buffer, valid until the next call to Next (copy
+// what must outlive it). At a clean end of input it returns io.EOF; an
+// EOF mid-frame is corruption and reported as such.
 func (r *Reader) Next() ([]byte, error) {
-	cr := &countingByteReader{r: r.r}
-	n, err := binary.ReadUvarint(cr)
-	if err == io.EOF && cr.n == 0 {
+	r.cr.n = 0
+	n, err := binary.ReadUvarint(&r.cr)
+	if err == io.EOF && r.cr.n == 0 {
 		return nil, io.EOF // clean end; a mid-varint EOF arrives as ErrUnexpectedEOF
 	}
 	if err != nil {
@@ -141,14 +146,17 @@ func (r *Reader) Next() ([]byte, error) {
 	if _, err := io.ReadFull(r.r, crc[:]); err != nil {
 		return nil, fmt.Errorf("frame: truncated checksum: %w", err)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(r.buf)) < n {
+		r.buf = make([]byte, n)
+	}
+	payload := r.buf[:n]
 	if _, err := io.ReadFull(r.r, payload); err != nil {
 		return nil, fmt.Errorf("frame: truncated payload: %w", err)
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(crc[:]) {
 		return nil, errors.New("frame: checksum mismatch")
 	}
-	r.bytes += int64(cr.n) + headerLen + int64(n)
+	r.bytes += int64(r.cr.n) + headerLen + int64(n)
 	return payload, nil
 }
 

@@ -158,12 +158,6 @@ func AllKNN(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result,
 // prune with.
 func groupOf(card uint64) uint64 { return uint64(bits.Len64(card)) }
 
-func encodeGroupKey(g uint64) []byte {
-	var b codec.Buffer
-	b.PutUvarint(g)
-	return b.Clone()
-}
-
 func decodeGroupKey(key []byte) (uint64, error) {
 	r := codec.NewReader(key)
 	g := r.Uvarint()
@@ -224,7 +218,7 @@ func decodeList(val []byte) ([]ppjoin.Neighbor, error) {
 // a multiset and re-keys it by pivot group.
 type groupReducer struct{}
 
-func (groupReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (groupReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	id, err := records.DecodeRawKey(key)
 	if err != nil {
 		return err
@@ -242,9 +236,10 @@ func (groupReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emi
 		entries = append(entries, e)
 	}
 	m := multiset.New(id, entries)
-	var b codec.Buffer
-	putCapsule(&b, m)
-	emit.Emit(encodeGroupKey(groupOf(similarity.UniOf(m).Card)), b.Bytes())
+	groupKey, capsule := ctx.Scratch()
+	groupKey.PutUvarint(groupOf(similarity.UniOf(m).Card))
+	putCapsule(capsule, m)
+	emit.Emit(groupKey.Bytes(), capsule.Bytes())
 	return nil
 }
 
@@ -283,11 +278,12 @@ func (r *boundReducer) Reduce(ctx *mr.TaskContext, _ []byte, values *mr.Values, 
 		if len(lists[i]) == r.k {
 			ub = lists[i][r.k-1].Dist
 		}
-		var b codec.Buffer
-		b.PutFloat64(ub)
-		putList(&b, lists[i])
-		putCapsule(&b, members[i])
-		emit.Emit(records.EncodeRawKey(members[i].ID), b.Bytes())
+		key, probe := ctx.Scratch()
+		records.PutRawKey(key, members[i].ID)
+		probe.PutFloat64(ub)
+		putList(probe, lists[i])
+		putCapsule(probe, members[i])
+		emit.Emit(key.Bytes(), probe.Bytes())
 	}
 	return nil
 }
@@ -406,9 +402,9 @@ func (r *refineReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 			ub = acc[r.k-1].Dist
 		}
 	}
-	var b codec.Buffer
-	putList(&b, acc)
-	emit.Emit(key, b.Bytes())
+	_, list := ctx.Scratch()
+	putList(list, acc)
+	emit.Emit(key, list.Bytes())
 	return nil
 }
 

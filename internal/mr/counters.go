@@ -5,22 +5,35 @@ import (
 	"sync"
 )
 
-// Counters is a set of named monotonic counters shared by all tasks of a
-// job (the MapReduce counter facility). It is safe for concurrent use.
+// Counters is a set of named monotonic counters (the MapReduce counter
+// facility): every task counts into a set of its own, which the engine
+// merges into the job's when the task ends. It is safe for concurrent use.
 type Counters struct {
 	mu sync.Mutex
-	m  map[string]int64
+	m  map[string]*int64
+	// The counter of the previous Add: a reduce function bumps the same
+	// one or two names once per record, so most Adds skip the map.
+	lastName string
+	last     *int64
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
+	return &Counters{m: make(map[string]*int64)}
 }
 
 // Add increments counter name by delta.
 func (c *Counters) Add(name string, delta int64) {
 	c.mu.Lock()
-	c.m[name] += delta
+	if c.last == nil || c.lastName != name {
+		v, ok := c.m[name]
+		if !ok {
+			v = new(int64)
+			c.m[name] = v
+		}
+		c.lastName, c.last = name, v
+	}
+	*c.last += delta
 	c.mu.Unlock()
 }
 
@@ -31,7 +44,10 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m[name]
+	if v, ok := c.m[name]; ok {
+		return *v
+	}
+	return 0
 }
 
 // Snapshot returns a copy of all counters.
@@ -40,7 +56,7 @@ func (c *Counters) Snapshot() map[string]int64 {
 	defer c.mu.Unlock()
 	out := make(map[string]int64, len(c.m))
 	for k, v := range c.m {
-		out[k] = v
+		out[k] = *v
 	}
 	return out
 }

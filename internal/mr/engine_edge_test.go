@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -128,9 +129,68 @@ func TestOutputRestriping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, part := range out.Partitions {
-		if len(part) != 10 {
-			t.Fatalf("partition %d has %d records, want 10 (striping broken)", p, len(part))
+	for p := 0; p < out.NumPartitions(); p++ {
+		part := out.Partition(p)
+		if n := part.Len(); n != 10 {
+			t.Fatalf("partition %d has %d records, want 10 (striping broken)", p, n)
+		}
+		// One reducer wrote everything, so output record i is "out-i": it
+		// must sit in partition i mod 4, in output order.
+		for j := 0; j < part.Len(); j++ {
+			if got, want := string(part.Key(j)), fmt.Sprintf("out-%d", j*4+p); got != want {
+				t.Fatalf("partition %d slot %d holds %s, want %s", p, j, got, want)
+			}
+		}
+	}
+}
+
+// TestWideRecordsThroughEveryStage drives fields far wider than 16 bits of
+// length — a 70 KiB key, a 70 KiB secondary key, a 5 MiB value — through
+// map, combine, shuffle and reduce, in memory and spilled: no stage may
+// truncate or wrap a length.
+func TestWideRecordsThroughEveryStage(t *testing.T) {
+	wideKey := bytes.Repeat([]byte("K"), 70<<10)
+	wideSec := bytes.Repeat([]byte("S"), 70<<10)
+	wideVal := bytes.Repeat([]byte("V"), 5<<20)
+	mapper := MapperFunc(func(_ *TaskContext, rec mrfs.Record, emit Emitter) error {
+		emit.EmitSec(wideKey, append(wideSec[:len(wideSec):len(wideSec)], rec.Key...), wideVal)
+		emit.EmitSec(wideKey, rec.Key, rec.Val)
+		return nil
+	})
+	// Combiner and reducer pass every value through, so each wide field
+	// crosses every stage as key, secondary key and value.
+	pass := ReducerFunc(func(_ *TaskContext, key []byte, values *Values, emit Emitter) error {
+		for {
+			v, ok := values.Next()
+			if !ok {
+				return nil
+			}
+			emit.EmitSec(key, v.Sec, v.Val)
+		}
+	})
+	for _, cl := range []ClusterConfig{testCluster(2), spillCluster(2, 1<<20)} {
+		out, stats, err := Run(cl, Job{
+			Name: "wide", Input: wordCountInput(2, "a", "b", "c"), Mapper: mapper,
+			Combiner: pass, Reducer: pass, UsesSecondaryKeys: true,
+		})
+		if err != nil {
+			t.Fatalf("buffer %d: %v", cl.ShuffleBufferBytes, err)
+		}
+		if (stats.Spills > 0) != (cl.ShuffleBufferBytes > 0) {
+			t.Fatalf("buffer %d: %d spills", cl.ShuffleBufferBytes, stats.Spills)
+		}
+		recs := out.Sorted()
+		if len(recs) != 6 {
+			t.Fatalf("buffer %d: %d records, want 6", cl.ShuffleBufferBytes, len(recs))
+		}
+		for i, r := range recs {
+			if !bytes.Equal(r.Key, wideKey) {
+				t.Fatalf("buffer %d: record %d key is %d bytes", cl.ShuffleBufferBytes, i, len(r.Key))
+			}
+			// The wide secondary keys ("SSS…") sort before "line0".."line2".
+			if wide := i < 3; wide != (bytes.HasPrefix(r.Sec, wideSec) && bytes.Equal(r.Val, wideVal)) {
+				t.Fatalf("buffer %d: record %d is %d/%d/%d bytes", cl.ShuffleBufferBytes, i, len(r.Key), len(r.Sec), len(r.Val))
+			}
 		}
 	}
 }

@@ -2,11 +2,10 @@ package mr
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
+	"time"
 
 	"vsmartjoin/internal/mrfs"
 )
@@ -135,125 +134,117 @@ type JobStats struct {
 	TotalSeconds      float64
 	SlowestMapTask    float64
 	SlowestReduceTask float64
+
+	// Real wall-clock seconds this in-process run took, read at the phase
+	// boundaries of Run. Unlike every field above they are measured, not
+	// simulated, and differ from run to run.
+	WallSeconds        float64 // the whole Run call
+	WallMapSeconds     float64 // map tasks, including combining and spilling
+	WallShuffleSeconds float64 // gathering and sorting the reduce partitions
+	WallReduceSeconds  float64 // reduce tasks
 }
 
 func (s JobStats) String() string {
-	return fmt.Sprintf("%s: %.1fs sim (map %.1f, shuffle %.1f, reduce %.1f) mapIn=%d shuffle=%dB out=%d",
+	return fmt.Sprintf("%s: %.1fs sim (map %.1f, shuffle %.1f, reduce %.1f) %.0fms wall (map %.0f, shuffle %.0f, reduce %.0f) mapIn=%d shuffle=%dB out=%d",
 		s.Name, s.TotalSeconds, s.MapSeconds, s.ShuffleSeconds, s.ReduceSeconds,
+		s.WallSeconds*1e3, s.WallMapSeconds*1e3, s.WallShuffleSeconds*1e3, s.WallReduceSeconds*1e3,
 		s.MapInRecords, s.ShuffleBytes, s.ReduceOutRecs)
 }
 
-// partitionOf routes a key to a reduce partition.
+// partitionOf routes a key to a reduce partition (FNV-1a, 32 bit).
 func partitionOf(key []byte, n int) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
-// bufEmitter partitions emitted tuples into per-reducer buffers, copying
-// all byte slices (callers reuse their encode buffers). When a spill cap
-// is set, buffers that grow past it are flushed to sorted on-disk segment
-// runs (see spill.go); with cap == 0 everything stays in memory.
-type bufEmitter struct {
-	parts   [][]mrfs.Record
-	n       int64 // records emitted
-	byteSum int64 // bytes emitted (pre-combine, cumulative)
+// mapTask is one map task: its emitter — emitted tuples are partitioned
+// into one batch per reducer, every byte slice copied into the batch's
+// slab (callers reuse their encode buffers) — and the work it accounts.
+// When a spill cap is set, buffers that grow past it are flushed to sorted
+// on-disk segment runs (see spill.go); with cap == 0 everything stays in
+// memory.
+type mapTask struct {
+	ctx *TaskContext
+	job *Job
+
+	parts              []mrfs.Batch // the output: after finish, one sorted run per reduce partition
+	inRecords, inBytes int64        // mapped so far
+	outRecords         int64        // emitted (pre-combine)
+	emitBytes          int64        // bytes emitted (pre-combine, cumulative)
+	combineOut         int64        // records after combining (filled by seal)
+	outBytes           int64        // post-combine record bytes (shuffle volume)
+	combiner           groupReducer // runs job.Combiner over a sorted partition
+	spare              mrfs.Batch   // the combiner's output, swapped with the partition it replaces
 
 	// Spill state. cap == 0 disables spilling entirely.
 	cap          int64
 	dir          string
-	task         int
-	ctx          *TaskContext
-	job          Job
 	curBytes     int64      // bytes currently buffered in memory
 	runs         [][]string // per partition: spilled segment paths, in spill order
 	spills       int
 	spilledRecs  int64
 	spilledBytes int64 // file bytes written to segments
-	combineOut   int64 // records after combining (filled by finish/spill)
-	outBytes     int64 // post-combine record bytes (shuffle volume)
-	err          error // first spill failure, surfaced after Map returns
+	err          error // first append or spill failure, surfaced after Map returns
 }
 
-func newBufEmitter(numParts int, ctx *TaskContext, job Job) *bufEmitter {
-	return &bufEmitter{
-		parts: make([][]mrfs.Record, numParts),
-		runs:  make([][]string, numParts),
-		ctx:   ctx,
-		job:   job,
-	}
-}
-
-// newSpillEmitter returns an emitter that spills to dir when more than cap
-// bytes are buffered.
-func newSpillEmitter(numParts int, cap int64, dir string, task int, ctx *TaskContext, job Job) *bufEmitter {
-	e := newBufEmitter(numParts, ctx, job)
-	e.cap, e.dir, e.task = cap, dir, task
-	return e
-}
-
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-func (e *bufEmitter) add(key, sec, val []byte) {
-	if e.err != nil {
+func (m *mapTask) add(key, sec, val []byte) {
+	if m.err != nil {
 		return
 	}
-	r := mrfs.Record{Key: cloneBytes(key), Sec: cloneBytes(sec), Val: cloneBytes(val)}
-	p := partitionOf(r.Key, len(e.parts))
-	e.parts[p] = append(e.parts[p], r)
-	e.n++
-	e.byteSum += r.Size()
-	e.curBytes += r.Size()
-	if e.cap > 0 && e.curBytes > e.cap {
-		e.err = e.spill()
+	if err := m.parts[partitionOf(key, len(m.parts))].Append(key, sec, val); err != nil {
+		m.err = fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
+		return
+	}
+	size := mrfs.Record{Key: key, Sec: sec, Val: val}.Size()
+	m.outRecords++
+	m.emitBytes += size
+	m.curBytes += size
+	if m.cap > 0 && m.curBytes > m.cap {
+		m.err = m.spill()
 	}
 }
 
-func (e *bufEmitter) Emit(key, val []byte)         { e.add(key, nil, val) }
-func (e *bufEmitter) EmitSec(key, sec, val []byte) { e.add(key, sec, val) }
+func (m *mapTask) Emit(key, val []byte)         { m.add(key, nil, val) }
+func (m *mapTask) EmitSec(key, sec, val []byte) { m.add(key, sec, val) }
 
-// listEmitter appends tuples to a flat list (reduce output, combiner
-// output capture).
-type listEmitter struct {
-	out     []mrfs.Record
-	byteSum int64
+// io reports the finished task's work to the cost model.
+func (m *mapTask) io() TaskIO {
+	io := TaskIO{
+		InRecords:  m.inRecords,
+		OutRecords: m.outRecords,
+		InBytes:    m.inBytes,
+		OutBytes:   m.outBytes,
+		ExtraIO:    m.ctx.extraIO,
+		ExtraCPU:   m.ctx.extraCPU,
+		SpillIO:    m.spilledBytes,
+	}
+	if m.job.Combiner != nil {
+		io.CombineRecords = m.outRecords // combine pass
+	}
+	return io
 }
 
-func (e *listEmitter) add(key, sec, val []byte) {
-	r := mrfs.Record{Key: cloneBytes(key), Sec: cloneBytes(sec), Val: cloneBytes(val)}
-	e.out = append(e.out, r)
-	e.byteSum += r.Size()
+// batchEmitter appends tuples to one batch (reduce output, combiner
+// output).
+type batchEmitter struct {
+	out *mrfs.Batch
+	err error // first refused record
 }
 
-func (e *listEmitter) Emit(key, val []byte)         { e.add(key, nil, val) }
-func (e *listEmitter) EmitSec(key, sec, val []byte) { e.add(key, sec, val) }
-
-// taskResult carries a finished map task's buffers and cost inputs.
-type taskResult struct {
-	parts       [][]mrfs.Record // in-memory output (sorted runs in spill mode)
-	runs        [][]string      // spilled segment paths per partition
-	inRecords   int64
-	inBytes     int64
-	outRecords  int64 // pre-combine
-	combineOut  int64
-	outBytes    int64 // post-combine (spilled to shuffle)
-	spills      int
-	spilledRecs int64
-	spillBytes  int64 // file bytes written to spill segments
-	extraIO     int64
-	extraCPU    int64
+func (e *batchEmitter) Emit(key, val []byte) { e.EmitSec(key, nil, val) }
+func (e *batchEmitter) EmitSec(key, sec, val []byte) {
+	if err := e.out.Append(key, sec, val); err != nil && e.err == nil {
+		e.err = err
+	}
 }
 
 // Run executes the job on the simulated cluster and returns the output
 // dataset plus its cost statistics.
 func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
+	began := time.Now()
 	stats := JobStats{Name: job.Name, Machines: cluster.Machines}
 	if err := cluster.Validate(); err != nil {
 		return nil, stats, err
@@ -272,37 +263,50 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		numReducers = cluster.Machines
 	}
 	counters := NewCounters()
-
 	sideBytes := int64(0)
 	for _, d := range job.SideInputs {
 		sideBytes += d.Bytes()
+	}
+	// newTask returns a task's context: counters of its own (merged into
+	// the job's when the task ends), the memory budget and, when the stage
+	// loads them, the side inputs already charged against it.
+	newTask := func(index int, side bool, what string) (*TaskContext, error) {
+		ctx := &TaskContext{JobName: job.Name, TaskIndex: index, Counters: NewCounters(), memBudget: cluster.MemPerMachine}
+		if side {
+			ctx.Side = job.SideInputs
+			if err := ctx.Reserve(sideBytes); err != nil {
+				return nil, fmt.Errorf("mr: job %q %s loading side inputs (%d bytes): %w", job.Name, what, sideBytes, err)
+			}
+		}
+		return ctx, nil
+	}
+	// setup runs the Setup of a map or reduce function that has one, on a
+	// context of its own.
+	setup := func(fn any, side bool, stage string) error {
+		s, ok := fn.(Setupper)
+		if !ok {
+			return nil
+		}
+		ctx, err := newTask(-1, side, stage+" setup")
+		if err != nil {
+			return err
+		}
+		if err := s.Setup(ctx); err != nil {
+			return fmt.Errorf("mr: job %q %s setup: %w", job.Name, stage, err)
+		}
+		counters.Merge(ctx.Counters)
+		return nil
 	}
 
 	// ---- Map stage ----
 	// Side inputs load once, at stage start, before any record is mapped —
 	// the paper's rule for keeping map functions pure. Mapper state derived
 	// here is read-only during the parallel tasks.
-	if s, ok := job.Mapper.(Setupper); ok {
-		setupCtx := &TaskContext{
-			JobName:   job.Name,
-			TaskIndex: -1,
-			Counters:  counters,
-			Side:      job.SideInputs,
-			memBudget: cluster.MemPerMachine,
-		}
-		if sideBytes > 0 {
-			if err := setupCtx.Reserve(sideBytes); err != nil {
-				return nil, stats, fmt.Errorf("mr: job %q loading side inputs (%d bytes): %w",
-					job.Name, sideBytes, err)
-			}
-		}
-		if err := s.Setup(setupCtx); err != nil {
-			return nil, stats, fmt.Errorf("mr: job %q map setup: %w", job.Name, err)
-		}
+	if err := setup(job.Mapper, true, "map"); err != nil {
+		return nil, stats, err
 	}
-	mapTasks := job.Input.Partitions
-	stats.MapTasks = len(mapTasks)
-	results := make([]*taskResult, len(mapTasks))
+	stats.MapTasks = job.Input.NumPartitions()
+	maps := make([]*mapTask, stats.MapTasks)
 	spillCap := cluster.ShuffleBufferBytes
 	var spillDir string
 	if spillCap > 0 {
@@ -313,248 +317,159 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		spillDir = dir
 		defer os.RemoveAll(spillDir)
 	}
-	err := parallelFor(len(mapTasks), func(t int) error {
-		ctx := &TaskContext{
-			JobName:   job.Name,
-			TaskIndex: t,
-			Counters:  counters,
-			Side:      job.SideInputs,
-			memBudget: cluster.MemPerMachine,
+	cm := cluster.Cost
+	err := parallelFor(stats.MapTasks, func(t int) error {
+		ctx, err := newTask(t, true, fmt.Sprintf("map task %d", t))
+		if err != nil {
+			return err
 		}
-		if sideBytes > 0 {
-			if err := ctx.Reserve(sideBytes); err != nil {
-				return fmt.Errorf("mr: job %q map task %d loading side inputs (%d bytes): %w",
-					job.Name, t, sideBytes, err)
-			}
+		m := &mapTask{
+			ctx: ctx, job: &job, cap: spillCap, dir: spillDir,
+			parts: make([]mrfs.Batch, numReducers),
+			runs:  make([][]string, numReducers),
 		}
-		var em *bufEmitter
-		if spillCap > 0 {
-			em = newSpillEmitter(numReducers, spillCap, spillDir, t, ctx, job)
-		} else {
-			em = newBufEmitter(numReducers, ctx, job)
-		}
-		res := &taskResult{}
-		cm := cluster.Cost
-		for _, rec := range mapTasks[t] {
-			res.inRecords++
-			res.inBytes += rec.Size()
-			if err := job.Mapper.Map(ctx, rec, em); err != nil {
+		m.combiner = groupReducer{ctx: ctx, job: &job, fn: job.Combiner, stage: "combiner", em: batchEmitter{out: &m.spare}}
+		in := job.Input.Partition(t)
+		for i := 0; i < in.Len(); i++ {
+			m.inRecords++
+			m.inBytes += in.Size(i)
+			if err := job.Mapper.Map(ctx, in.Record(i), m); err != nil {
 				return fmt.Errorf("mr: job %q map task %d: %w", job.Name, t, err)
 			}
-			if em.err != nil {
-				return em.err
+			if m.err != nil {
+				return m.err
 			}
 			// The scheduler kills tasks that run past the deadline — check
 			// incrementally so runaway replication (e.g. the VCL kernel
 			// map) is stopped mid-flight rather than fully materialized.
 			if cm.MaxTaskSeconds > 0 {
 				running := cm.TaskOverhead +
-					float64(res.inBytes)*cm.IOPerByte +
-					float64(res.inRecords+em.n+ctx.extraCPU)*cm.CPUPerRecord +
-					float64(em.byteSum)*cm.IOPerByte
+					float64(m.inBytes)*cm.IOPerByte +
+					float64(m.inRecords+m.outRecords+ctx.extraCPU)*cm.CPUPerRecord +
+					float64(m.emitBytes)*cm.IOPerByte
 				if running > cm.MaxTaskSeconds {
 					return fmt.Errorf("mr: job %q: map task %d ran %.0fs (deadline %.0fs): %w",
 						job.Name, t, running, cm.MaxTaskSeconds, ErrTaskKilled)
 				}
 			}
 		}
-		res.outRecords = em.n
-		res.extraIO = ctx.extraIO
-		res.extraCPU = ctx.extraCPU
-		// Dedicated combiner and (in spill mode) run preparation: finish
-		// combines each partition of this task's output and, under a spill
-		// cap, leaves the leftovers as sorted merge runs.
-		if err := em.finish(); err != nil {
+		// Dedicated combiner and run preparation: finish combines each
+		// partition of this task's output and leaves it a sorted merge run.
+		if err := m.finish(); err != nil {
 			return err
 		}
-		res.combineOut = em.combineOut
-		res.outBytes = em.outBytes
-		res.parts = em.parts
-		res.runs = em.runs
-		res.spills = em.spills
-		res.spilledRecs = em.spilledRecs
-		res.spillBytes = em.spilledBytes
-		results[t] = res
+		maps[t] = m
+		counters.Merge(ctx.Counters)
 		return nil
 	})
 	if err != nil {
 		return nil, stats, err
 	}
+	mapped := time.Now()
 
 	// ---- Shuffle: gather per-reducer groups ----
-	// With no spill cap, partitions are concatenated and sorted in memory
-	// (the historical path). Under a cap, every map task already produced
-	// sorted runs — in-memory leftovers plus on-disk segments — and the
-	// reduce stage merges them instead.
-	reduceInput := make([][]mrfs.Record, numReducers)
-	var shuffleBytes, shuffleRecords int64
-	for _, res := range results {
-		stats.MapInRecords += res.inRecords
-		stats.MapOutRecords += res.outRecords
-		stats.CombineOutRecs += res.combineOut
-		stats.SpilledBytes += res.spillBytes
-		stats.Spills += res.spills
-		if spillCap <= 0 {
-			for p := range res.parts {
-				reduceInput[p] = append(reduceInput[p], res.parts[p]...)
-			}
-		}
-		shuffleBytes += res.outBytes
-		shuffleRecords += res.spilledRecs
-		for p := range res.parts {
-			shuffleRecords += int64(len(res.parts[p]))
+	// Every map task left each of its partitions as a run sorted by (key,
+	// sec, val) — the shuffle's grouping and secondary-key ordering. With no
+	// spill cap, a reduce partition is the concatenation of its runs, merged
+	// in memory; the map outputs are released as they are copied. Under a
+	// cap the runs are in-memory leftovers plus on-disk segments, and the
+	// reduce stage streams a k-way merge over them instead.
+	mapIOs := make([]TaskIO, len(maps))
+	var shuffleRecords int64
+	for t, m := range maps {
+		mapIOs[t] = m.io()
+		stats.MapInRecords += m.inRecords
+		stats.MapOutRecords += m.outRecords
+		stats.CombineOutRecs += m.combineOut
+		stats.SpilledBytes += m.spilledBytes
+		stats.Spills += m.spills
+		stats.ShuffleBytes += m.outBytes
+		shuffleRecords += m.spilledRecs
+		for p := range m.parts {
+			shuffleRecords += int64(m.parts[p].Len())
 		}
 	}
-	stats.ShuffleBytes = shuffleBytes
-
+	reduceInput := make([]mrfs.Batch, numReducers)
 	if spillCap <= 0 {
-		// Sort each reduce partition by (key, sec, val) — the shuffle's
-		// grouping and secondary-key ordering.
 		err = parallelFor(numReducers, func(p int) error {
-			rows := reduceInput[p]
-			sort.Slice(rows, func(i, j int) bool { return mrfs.Less(rows[i], rows[j]) })
+			in := &reduceInput[p]
+			var n int
+			var size int64
+			for _, m := range maps {
+				n += m.parts[p].Len()
+				size += m.parts[p].Bytes()
+			}
+			in.Grow(n, size)
+			ends := make([]int, 0, len(maps))
+			for _, m := range maps {
+				in.AppendBatch(&m.parts[p])
+				m.parts[p] = mrfs.Batch{}
+				ends = append(ends, in.Len())
+			}
+			in.MergeRuns(ends)
 			return nil
 		})
 		if err != nil {
 			return nil, stats, err
 		}
 	}
+	shuffled := time.Now()
 
 	// ---- Reduce stage ----
 	if job.Reducer != nil {
-		if s, ok := job.Reducer.(Setupper); ok {
-			setupCtx := &TaskContext{
-				JobName:   job.Name,
-				TaskIndex: -1,
-				Counters:  counters,
-				memBudget: cluster.MemPerMachine,
-			}
-			if job.SideInputsAtReduce {
-				setupCtx.Side = job.SideInputs
-				if sideBytes > 0 {
-					if err := setupCtx.Reserve(sideBytes); err != nil {
-						return nil, stats, fmt.Errorf("mr: job %q reduce side inputs: %w", job.Name, err)
-					}
-				}
-			}
-			if err := s.Setup(setupCtx); err != nil {
-				return nil, stats, fmt.Errorf("mr: job %q reduce setup: %w", job.Name, err)
-			}
+		if err := setup(job.Reducer, job.SideInputsAtReduce, "reduce"); err != nil {
+			return nil, stats, err
 		}
 	}
-	out := mrfs.NewDataset(job.OutputName, numReducers)
+	out := make([]mrfs.Batch, numReducers) // the reducers' output, before re-striping
 	stats.ReduceTasks = numReducers
 	reduceIOs := make([]TaskIO, numReducers)
-	cm := cluster.Cost
 	err = parallelFor(numReducers, func(p int) error {
-		ctx := &TaskContext{
-			JobName:   job.Name,
-			TaskIndex: p,
-			Counters:  counters,
-			memBudget: cluster.MemPerMachine,
+		ctx, err := newTask(p, job.SideInputsAtReduce, fmt.Sprintf("reduce task %d", p))
+		if err != nil {
+			return err
 		}
-		if job.SideInputsAtReduce && sideBytes > 0 {
-			ctx.Side = job.SideInputs
-			if err := ctx.Reserve(sideBytes); err != nil {
-				return fmt.Errorf("mr: job %q reduce task %d loading side inputs: %w", job.Name, p, err)
-			}
-		}
-		// The partition's sorted record stream: the sorted in-memory slice,
+		g := &groupReducer{ctx: ctx, job: &job, fn: job.Reducer, stage: "reduce", cm: cm, em: batchEmitter{out: &out[p]}}
+		// The partition's sorted record stream: the merged in-memory batch,
 		// or a k-way merge over the map tasks' spilled and leftover runs.
-		var it recordIter
 		var segRead int64
 		if spillCap > 0 {
-			its, rerr := partitionRuns(results, p, spillDir, &segRead)
-			if rerr != nil {
-				return fmt.Errorf("mr: job %q reduce task %d: %w", job.Name, p, rerr)
-			}
-			m, merr := newMergeIter(its)
-			if merr != nil {
-				return fmt.Errorf("mr: job %q reduce task %d: %w", job.Name, p, merr)
-			}
-			defer m.close()
-			it = m
+			err = g.merged(maps, p, spillDir, &segRead)
 		} else {
-			it = &sliceIter{rows: reduceInput[p]}
+			err = g.batch(&reduceInput[p])
+			reduceInput[p] = mrfs.Batch{}
 		}
-		em := &listEmitter{}
-		var inRecords, inBytes int64
-		if job.Reducer == nil {
-			// Map-only job: pass shuffled records through.
-			for {
-				r, ok, rerr := it.next()
-				if rerr != nil {
-					return fmt.Errorf("mr: job %q reduce task %d: %w", job.Name, p, rerr)
-				}
-				if !ok {
-					break
-				}
-				inRecords++
-				inBytes += r.Size()
-				em.out = append(em.out, r)
-				em.byteSum += r.Size()
-			}
-		} else {
-			n, b, rerr := reduceGroups(ctx, job, cm, it, em)
-			if rerr != nil {
-				return rerr
-			}
-			inRecords, inBytes = n, b
+		if err != nil {
+			return err
 		}
-		out.Partitions[p] = em.out
 		reduceIOs[p] = TaskIO{
-			InRecords:  inRecords,
-			OutRecords: int64(len(em.out)),
-			InBytes:    inBytes,
-			OutBytes:   em.byteSum,
+			InRecords:  g.inRecords,
+			OutRecords: int64(out[p].Len()),
+			InBytes:    g.inBytes,
+			OutBytes:   out[p].Bytes(),
 			ExtraIO:    ctx.extraIO,
 			ExtraCPU:   ctx.extraCPU,
 			SpillIO:    segRead,
 		}
+		counters.Merge(ctx.Counters)
 		return nil
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.OutputBytes = out.Bytes()
-	stats.ReduceOutRecs = out.NumRecords()
-	stats.Counters = counters.Snapshot()
-
-	// Re-stripe the output across partitions, modelling block placement in
-	// the distributed file system: a downstream job's map splits follow
-	// file blocks, not the key grouping of the reducers that wrote them.
-	// Without this, one reducer's key-locality would skew the next job's
-	// map tasks — a locality real MapReduce inputs do not have.
-	striped := mrfs.NewDataset(job.OutputName, numReducers)
-	idx := 0
-	for p := range out.Partitions {
-		for _, r := range out.Partitions[p] {
-			striped.Partitions[idx%numReducers] = append(striped.Partitions[idx%numReducers], r)
-			idx++
-		}
+	reduced := time.Now()
+	for p := range out {
+		stats.OutputBytes += out[p].Bytes()
+		stats.ReduceOutRecs += int64(out[p].Len())
 	}
-	out = striped
+	stats.Counters = counters.Snapshot()
+	striped := restripe(job.OutputName, out)
 
 	// ---- Cost accounting ----
-	mapIOs := make([]TaskIO, len(results))
-	for t, res := range results {
-		mapIOs[t] = TaskIO{
-			InRecords:  res.inRecords,
-			OutRecords: res.outRecords,
-			InBytes:    res.inBytes,
-			OutBytes:   res.outBytes,
-			ExtraIO:    res.extraIO,
-			ExtraCPU:   res.extraCPU,
-			SpillIO:    res.spillBytes,
-		}
-		if job.Combiner != nil {
-			mapIOs[t].CombineRecords = res.outRecords // combine pass
-		}
-	}
 	stats.Profile = CostProfile{
 		MapTasks:       mapIOs,
 		ReduceTasks:    reduceIOs,
-		ShuffleBytes:   shuffleBytes,
+		ShuffleBytes:   stats.ShuffleBytes,
 		ShuffleRecords: shuffleRecords,
 		SideBytes:      sideBytes,
 		SideAtReduce:   job.SideInputsAtReduce,
@@ -579,107 +494,112 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	stats.ReduceSeconds = times.Reduce
 	stats.TotalSeconds = times.Total
 
-	return out, stats, nil
+	stats.WallMapSeconds = mapped.Sub(began).Seconds()
+	stats.WallShuffleSeconds = shuffled.Sub(mapped).Seconds()
+	stats.WallReduceSeconds = reduced.Sub(shuffled).Seconds()
+	stats.WallSeconds = time.Since(began).Seconds()
+	return striped, stats, nil
 }
 
-// combinePartition groups one map task's partition buffer by key and runs
-// the dedicated combiner over each group.
-func combinePartition(ctx *TaskContext, job Job, rows []mrfs.Record) ([]mrfs.Record, int64, error) {
-	if len(rows) == 0 {
-		return rows, 0, nil
-	}
-	sort.Slice(rows, func(i, j int) bool { return mrfs.Less(rows[i], rows[j]) })
-	em := &listEmitter{}
-	start := 0
-	for i := 1; i <= len(rows); i++ {
-		if i < len(rows) && bytesEqual(rows[i].Key, rows[start].Key) {
-			continue
-		}
-		group := rows[start:i]
-		vals := makeValues(group)
-		if err := job.Combiner.Reduce(ctx, group[0].Key, vals, em); err != nil {
-			return nil, 0, fmt.Errorf("mr: job %q combiner: %w", job.Name, err)
-		}
-		ctx.extraIO += vals.bytes * int64(vals.rewinds)
-		start = i
-	}
-	return em.out, int64(len(em.out)), nil
-}
-
-// reduceGroups walks a sorted reduce record stream, slicing it into
-// per-key groups and invoking the reducer on each; only one group is
-// materialized at a time, so a merged (spilled) partition never has to fit
-// in memory. The scheduler deadline is checked between groups so a runaway
-// reduce task is killed mid-flight. It returns the record and byte counts
-// consumed from the stream.
-func reduceGroups(ctx *TaskContext, job Job, cm CostModel, it recordIter, em Emitter) (int64, int64, error) {
-	var inRecords, inBytes int64
-	listEm, _ := em.(*listEmitter)
-	var group []mrfs.Record
-	flush := func() error {
-		if len(group) == 0 {
-			return nil
-		}
-		vals := makeValues(group)
-		if err := job.Reducer.Reduce(ctx, group[0].Key, vals, em); err != nil {
-			return fmt.Errorf("mr: job %q reduce: %w", job.Name, err)
-		}
-		ctx.extraIO += vals.bytes * int64(vals.rewinds)
-		inRecords += int64(len(group))
-		if cm.MaxTaskSeconds > 0 && listEm != nil {
-			running := cm.TaskOverhead +
-				float64(inRecords+int64(len(listEm.out))+ctx.extraCPU)*cm.CPUPerRecord +
-				float64(listEm.byteSum)*cm.IOPerByte +
-				float64(ctx.extraIO)*cm.IOPerByte
-			if running > cm.MaxTaskSeconds {
-				return fmt.Errorf("mr: job %q: reduce task %d ran %.0fs (deadline %.0fs): %w",
-					job.Name, ctx.TaskIndex, running, cm.MaxTaskSeconds, ErrTaskKilled)
+// restripe spreads a job's reduce output across partitions, modelling
+// block placement in the distributed file system: a downstream job's map
+// splits follow file blocks, not the key grouping of the reducers that
+// wrote them. Without this, one reducer's key-locality would skew the next
+// job's map tasks — a locality real MapReduce inputs do not have. Record i
+// of the output, counted in partition order, lands in partition i mod n;
+// every destination gathers its records slab to slab into an exactly sized
+// batch, all destinations in parallel.
+func restripe(name string, out []mrfs.Batch) *mrfs.Dataset {
+	n := len(out)
+	striped := mrfs.NewDataset(name, n)
+	_ = parallelFor(n, func(q int) error { // copying cannot fail: there is no error to lose
+		dst := striped.Partition(q)
+		// each walks the records bound for q: in source p, whose first
+		// record is number start of the output, every n-th from the first i
+		// with (start+i) mod n == q.
+		each := func(visit func(src *mrfs.Batch, i int)) {
+			start := 0
+			for p := range out {
+				src := &out[p]
+				for i := ((q-start)%n + n) % n; i < src.Len(); i += n {
+					visit(src, i)
+				}
+				start += src.Len()
 			}
 		}
-		group = group[:0]
+		var recs int
+		var size int64
+		each(func(src *mrfs.Batch, i int) { recs++; size += src.Size(i) })
+		dst.Grow(recs, size)
+		each(dst.AppendFrom)
+		return nil
+	})
+	return striped
+}
+
+// groupReducer walks a sorted record stream, slicing it into per-key
+// groups and invoking a reduce function (the job's reducer, or its
+// dedicated combiner) on each through one reused Values window.
+type groupReducer struct {
+	ctx   *TaskContext
+	job   *Job
+	fn    Reducer // nil passes the records through (a map-only job)
+	stage string  // "reduce" or "combiner", for errors
+	em    batchEmitter
+	// cm is set for the reduce stage only: the scheduler deadline is
+	// checked between groups so a runaway reduce task is killed mid-flight.
+	cm CostModel
+
+	vals               Values
+	inRecords, inBytes int64      // consumed from the stream so far
+	group              mrfs.Batch // stream mode: the current group, copied out of the merge
+}
+
+// batch reduces every key group of a sorted batch; the Values are windows
+// on the batch itself.
+func (g *groupReducer) batch(b *mrfs.Batch) error {
+	for lo, hi := 0, 0; lo < b.Len(); lo = hi {
+		size := b.Size(lo)
+		for hi = lo + 1; hi < b.Len() && b.SameKey(lo, hi); hi++ {
+			size += b.Size(hi)
+		}
+		if err := g.reduce(b, lo, hi, size); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reduce folds the key group [lo, hi) of b, size encoded bytes long.
+func (g *groupReducer) reduce(b *mrfs.Batch, lo, hi int, size int64) error {
+	g.inRecords += int64(hi - lo)
+	g.inBytes += size
+	if g.fn == nil {
+		for i := lo; i < hi; i++ {
+			g.em.out.AppendFrom(b, i)
+		}
 		return nil
 	}
-	for {
-		r, ok, err := it.next()
-		if err != nil {
-			return inRecords, inBytes, fmt.Errorf("mr: job %q reduce task %d: %w", job.Name, ctx.TaskIndex, err)
-		}
-		if !ok {
-			break
-		}
-		inBytes += r.Size()
-		if len(group) > 0 && !bytesEqual(r.Key, group[0].Key) {
-			if err := flush(); err != nil {
-				return inRecords, inBytes, err
-			}
-		}
-		group = append(group, r)
+	g.vals = Values{b: b, lo: lo, hi: hi, pos: lo, bytes: size}
+	err := g.fn.Reduce(g.ctx, b.Key(lo), &g.vals, &g.em)
+	if err == nil {
+		err = g.em.err
 	}
-	if err := flush(); err != nil {
-		return inRecords, inBytes, err
+	if err != nil {
+		return fmt.Errorf("mr: job %q %s: %w", g.job.Name, g.stage, err)
 	}
-	return inRecords, inBytes, nil
-}
-
-func makeValues(group []mrfs.Record) *Values {
-	vals := &Values{rows: make([]Value, len(group))}
-	for i, r := range group {
-		vals.rows[i] = Value{Sec: r.Sec, Val: r.Val}
-		vals.bytes += r.Size()
-	}
-	return vals
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	g.ctx.extraIO += size * int64(g.vals.rewinds)
+	if cm := g.cm; cm.MaxTaskSeconds > 0 {
+		running := cm.TaskOverhead +
+			float64(g.inRecords+int64(g.em.out.Len())+g.ctx.extraCPU)*cm.CPUPerRecord +
+			float64(g.em.out.Bytes())*cm.IOPerByte +
+			float64(g.ctx.extraIO)*cm.IOPerByte
+		if running > cm.MaxTaskSeconds {
+			return fmt.Errorf("mr: job %q: reduce task %d ran %.0fs (deadline %.0fs): %w",
+				g.job.Name, g.ctx.TaskIndex, running, cm.MaxTaskSeconds, ErrTaskKilled)
 		}
 	}
-	return true
+	return nil
 }
 
 // parallelFor runs f(0..n-1) on a bounded worker pool, returning the first

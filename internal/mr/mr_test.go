@@ -20,7 +20,16 @@ func wordCountInput(parts int, lines ...string) *mrfs.Dataset {
 	for i, l := range lines {
 		recs[i] = mrfs.Record{Key: []byte(fmt.Sprintf("line%d", i)), Val: []byte(l)}
 	}
-	return mrfs.FromRecords("lines", recs, parts)
+	return dataset("lines", recs, parts)
+}
+
+// dataset stripes recs over parts partitions.
+func dataset(name string, recs []mrfs.Record, parts int) *mrfs.Dataset {
+	d, err := mrfs.FromRecords(name, recs, parts)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 var wordCountMapper = MapperFunc(func(_ *TaskContext, rec mrfs.Record, emit Emitter) error {

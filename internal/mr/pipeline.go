@@ -6,19 +6,22 @@ import "fmt"
 // quantity plotted on the y-axes of the paper's Figs 4–7.
 type PipelineStats struct {
 	Jobs         []JobStats
-	TotalSeconds float64
+	TotalSeconds float64 // simulated
+	WallSeconds  float64 // real time spent inside the jobs' Run calls
 }
 
 // Add appends one job's stats.
 func (p *PipelineStats) Add(s JobStats) {
 	p.Jobs = append(p.Jobs, s)
 	p.TotalSeconds += s.TotalSeconds
+	p.WallSeconds += s.WallSeconds
 }
 
 // Merge appends all of another pipeline's stats.
 func (p *PipelineStats) Merge(o PipelineStats) {
 	p.Jobs = append(p.Jobs, o.Jobs...)
 	p.TotalSeconds += o.TotalSeconds
+	p.WallSeconds += o.WallSeconds
 }
 
 // Job returns the stats of the named job, if present.
@@ -41,7 +44,7 @@ func (p *PipelineStats) Counter(name string) int64 {
 }
 
 func (p *PipelineStats) String() string {
-	s := fmt.Sprintf("pipeline: %.1fs simulated over %d jobs\n", p.TotalSeconds, len(p.Jobs))
+	s := fmt.Sprintf("pipeline: %.1fs simulated, %.0fms wall over %d jobs\n", p.TotalSeconds, p.WallSeconds*1e3, len(p.Jobs))
 	for _, j := range p.Jobs {
 		s += "  " + j.String() + "\n"
 	}

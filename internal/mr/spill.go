@@ -1,182 +1,166 @@
 package mr
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"vsmartjoin/internal/mrfs"
 )
 
 // Spill-to-disk shuffle. When ClusterConfig.ShuffleBufferBytes is set, a
-// map task's emitter bounds its in-memory buffer: whenever the buffered
-// bytes exceed the cap, every partition's buffer is sorted (and combined,
-// when the job has a dedicated combiner) and written out as one sorted
-// run per (map task, reduce partition) segment file. The reduce stage then
+// map task bounds its in-memory buffer: whenever the buffered bytes exceed
+// the cap, every partition's batch is sealed — sorted, and combined when
+// the job has a dedicated combiner — exactly as at the end of an in-memory
+// task, and written out as one sorted run per (map task, reduce partition)
+// segment file straight from the sorted index. The reduce stage then
 // streams each partition through a k-way merge of its runs instead of
-// materializing and sorting the whole partition in memory.
+// merging them in memory; the merge reads segments back through reused
+// buffers and copies out only the one key group being reduced.
 //
 // Because runs are sorted by the total order (key, sec, val) and equal
 // records are byte-identical, the merged stream of a combiner-less job is
-// byte-for-byte the sequence an in-memory concatenate-and-sort produces.
-// With a dedicated combiner, combining happens once per spill run, so the
+// byte-for-byte the sequence the in-memory merge produces. With a
+// dedicated combiner, combining happens once per spill run, so the
 // reducer may see several partial records per key where the in-memory
 // path delivers one — shuffle volumes and combine counts then differ, and
 // only the final reduce output (and determinism) is identical across the
 // two modes.
 
 // spill writes every buffered partition out as sorted segment files and
-// resets the in-memory buffers.
-func (e *bufEmitter) spill() error {
-	job := e.job
-	spillIdx := e.spills
-	for p := range e.parts {
-		rows := e.parts[p]
-		if len(rows) == 0 {
+// empties the in-memory batches, keeping their storage for the next round.
+func (m *mapTask) spill() error {
+	for p := range m.parts {
+		if m.parts[p].Len() == 0 {
 			continue
 		}
-		rows, combined, err := e.prepareRun(rows)
-		if err != nil {
+		if err := m.seal(p); err != nil {
 			return err
 		}
-		e.combineOut += combined
-		path := filepath.Join(e.dir, fmt.Sprintf("map%04d-spill%04d-part%04d.seg", e.task, spillIdx, p))
-		w, err := mrfs.CreateSegment(path)
+		b := &m.parts[p]
+		path := filepath.Join(m.dir, fmt.Sprintf("map%04d-spill%04d-part%04d.seg", m.ctx.TaskIndex, m.spills, p))
+		fileBytes, err := writeRun(path, b)
 		if err != nil {
-			return fmt.Errorf("mr: job %q map task %d: %w", job.Name, e.task, err)
+			return fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
 		}
-		for _, r := range rows {
-			if err := w.Write(r); err != nil {
-				w.Close()
-				return fmt.Errorf("mr: job %q map task %d: %w", job.Name, e.task, err)
-			}
-			e.outBytes += r.Size()
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("mr: job %q map task %d: %w", job.Name, e.task, err)
-		}
-		e.runs[p] = append(e.runs[p], path)
-		e.spilledRecs += int64(len(rows))
-		e.spilledBytes += w.Bytes()
-		e.parts[p] = nil
+		m.runs[p] = append(m.runs[p], path)
+		m.spilledRecs += int64(b.Len())
+		m.spilledBytes += fileBytes
+		b.Reset()
 	}
-	e.spills++
-	e.curBytes = 0
+	m.spills++
+	m.curBytes = 0
 	return nil
 }
 
-// prepareRun sorts one partition buffer and, when the job has a dedicated
-// combiner, combines it; the returned rows are sorted by (key, sec, val)
-// so they form a valid merge run.
-func (e *bufEmitter) prepareRun(rows []mrfs.Record) ([]mrfs.Record, int64, error) {
-	if e.job.Combiner == nil {
-		sort.Slice(rows, func(i, j int) bool { return mrfs.Less(rows[i], rows[j]) })
-		return rows, int64(len(rows)), nil
-	}
-	combined, n, err := combinePartition(e.ctx, e.job, rows)
+// writeRun writes a sorted batch as one segment file, straight from its
+// index, and reports the file bytes written.
+func writeRun(path string, b *mrfs.Batch) (int64, error) {
+	w, err := mrfs.CreateSegment(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	sort.Slice(combined, func(i, j int) bool { return mrfs.Less(combined[i], combined[j]) })
-	return combined, n, nil
+	for i := 0; i < b.Len(); i++ {
+		if err := w.Write(b.Record(i)); err != nil {
+			w.Close()
+			return 0, err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return 0, err
+	}
+	return w.Bytes(), nil
 }
 
-// finish completes a map task's shuffle output. With no spill cap it
-// combines each partition in place (the historical in-memory behavior);
-// under a cap it turns the leftover buffers into sorted in-memory runs so
-// the reduce merge can consume them alongside the on-disk segments.
-func (e *bufEmitter) finish() error {
-	if e.cap <= 0 {
-		if e.job.Combiner == nil {
-			e.combineOut = e.n
-		} else {
-			for p := range e.parts {
-				combined, n, err := combinePartition(e.ctx, e.job, e.parts[p])
-				if err != nil {
-					return err
-				}
-				e.parts[p] = combined
-				e.combineOut += n
-			}
-		}
-		for p := range e.parts {
-			for _, r := range e.parts[p] {
-				e.outBytes += r.Size()
-			}
-		}
-		return nil
-	}
-	for p := range e.parts {
-		rows, combined, err := e.prepareRun(e.parts[p])
-		if err != nil {
+// seal completes partition p of the map output as a merge run: sorted by
+// (key, sec, val) and, when the job has a dedicated combiner, grouped by
+// key and replaced by the combiner's output, sorted again (a combiner may
+// emit in any order; one that emits in order costs the sort a single
+// pass). The post-combine volume is accounted.
+func (m *mapTask) seal(p int) error {
+	b := &m.parts[p]
+	b.Sort()
+	if m.job.Combiner != nil && b.Len() > 0 {
+		m.spare.Reset()
+		if err := m.combiner.batch(b); err != nil {
 			return err
 		}
-		e.combineOut += combined
-		e.parts[p] = rows
-		for _, r := range rows {
-			e.outBytes += r.Size()
-		}
+		m.parts[p], m.spare = m.spare, m.parts[p]
+		b.Sort()
 	}
+	m.combineOut += int64(b.Len())
+	m.outBytes += b.Bytes()
 	return nil
 }
 
-// recordIter streams one sorted run of records.
-type recordIter interface {
+// finish seals what the map task still buffers: the whole output with no
+// spill cap, the leftovers after the last spill under one — in-memory runs
+// the reduce merge consumes alongside the on-disk segments.
+func (m *mapTask) finish() error {
+	for p := range m.parts {
+		if err := m.seal(p); err != nil {
+			return err
+		}
+	}
+	m.spare = mrfs.Batch{}
+	return nil
+}
+
+// run streams one sorted run of records. The record next returns is a
+// view valid until the following call.
+type run interface {
 	next() (mrfs.Record, bool, error)
 	close() error
 }
 
-// sliceIter iterates an in-memory sorted run.
-type sliceIter struct {
-	rows []mrfs.Record
-	i    int
+// batchRun iterates an in-memory sorted run.
+type batchRun struct {
+	b *mrfs.Batch
+	i int
 }
 
-func (s *sliceIter) next() (mrfs.Record, bool, error) {
-	if s.i >= len(s.rows) {
+func (s *batchRun) next() (mrfs.Record, bool, error) {
+	if s.i >= s.b.Len() {
 		return mrfs.Record{}, false, nil
 	}
-	r := s.rows[s.i]
 	s.i++
-	return r, true, nil
+	return s.b.Record(s.i - 1), true, nil
 }
 
-func (s *sliceIter) close() error { return nil }
+func (s *batchRun) close() error { return nil }
 
-// segmentIter iterates a spilled on-disk run, tracking the file bytes read
+// segmentRun iterates a spilled on-disk run, tracking the file bytes read
 // so the reduce task can be charged for re-reading spilled data.
-type segmentIter struct {
+type segmentRun struct {
 	r    *mrfs.SegmentReader
 	read *int64
 }
 
-func (s *segmentIter) next() (mrfs.Record, bool, error) {
+func (s *segmentRun) next() (mrfs.Record, bool, error) {
 	before := s.r.Bytes()
 	rec, ok, err := s.r.Next()
 	*s.read += s.r.Bytes() - before
 	return rec, ok, err
 }
 
-func (s *segmentIter) close() error { return s.r.Close() }
+func (s *segmentRun) close() error { return s.r.Close() }
 
-// mergeItem is one heap entry of the k-way merge.
+// mergeItem is one heap entry of the k-way merge: a run and its current
+// record.
 type mergeItem struct {
 	rec mrfs.Record
 	src int
-	it  recordIter
+	run run
 }
 
 type mergeHeap []mergeItem
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	if mrfs.Less(h[i].rec, h[j].rec) {
-		return true
-	}
-	if mrfs.Less(h[j].rec, h[i].rec) {
-		return false
+	if c := mrfs.Compare(h[i].rec, h[j].rec); c != 0 {
+		return c < 0
 	}
 	return h[i].src < h[j].src // equal records: stable by run index
 }
@@ -192,55 +176,94 @@ func (h *mergeHeap) Pop() interface{} {
 
 // mergeIter merges sorted runs into one globally sorted stream.
 type mergeIter struct {
-	h   mergeHeap
-	its []recordIter
+	h    mergeHeap
+	runs []run
 }
 
 // newMergeIter primes a merge over the given runs. It takes ownership of
-// the iterators; all of them are closed together by close().
-func newMergeIter(its []recordIter) (*mergeIter, error) {
-	m := &mergeIter{its: its}
-	for i, it := range its {
-		rec, ok, err := it.next()
+// the runs; all of them are closed together by close().
+func newMergeIter(runs []run) (*mergeIter, error) {
+	m := &mergeIter{runs: runs}
+	for i, r := range runs {
+		rec, ok, err := r.next()
 		if err != nil {
 			m.close()
 			return nil, err
 		}
 		if ok {
-			m.h = append(m.h, mergeItem{rec: rec, src: i, it: it})
+			m.h = append(m.h, mergeItem{rec: rec, src: i, run: r})
 		}
 	}
 	heap.Init(&m.h)
 	return m, nil
 }
 
-func (m *mergeIter) next() (mrfs.Record, bool, error) {
+// peek returns the stream's current record without consuming it: a view
+// valid until the next advance. ok is false at the end of the stream.
+func (m *mergeIter) peek() (rec mrfs.Record, ok bool) {
 	if len(m.h) == 0 {
-		return mrfs.Record{}, false, nil
+		return mrfs.Record{}, false
 	}
-	top := m.h[0]
-	rec, ok, err := top.it.next()
+	return m.h[0].rec, true
+}
+
+// advance consumes the current record.
+func (m *mergeIter) advance() error {
+	top := &m.h[0]
+	rec, ok, err := top.run.next()
 	if err != nil {
-		return mrfs.Record{}, false, err
+		return err
 	}
 	if ok {
-		m.h[0] = mergeItem{rec: rec, src: top.src, it: top.it}
+		top.rec = rec
 		heap.Fix(&m.h, 0)
 	} else {
 		heap.Pop(&m.h)
 	}
-	return top.rec, true, nil
+	return nil
 }
 
 func (m *mergeIter) close() error {
 	var first error
-	for _, it := range m.its {
-		if err := it.close(); err != nil && first == nil {
+	for _, r := range m.runs {
+		if err := r.close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	m.its = nil
+	m.runs = nil
 	return first
+}
+
+// merged reduces reduce partition p as the k-way merge of the map tasks'
+// runs for it. Only one key group is materialized at a time — copied into
+// a reused batch, since the merge's records are views of buffers the next
+// read overwrites — so a spilled partition never has to fit in memory.
+func (g *groupReducer) merged(maps []*mapTask, p int, dir string, readBytes *int64) error {
+	runs, err := partitionRuns(maps, p, dir, readBytes)
+	var m *mergeIter
+	if err == nil {
+		m, err = newMergeIter(runs)
+	}
+	if err != nil {
+		return fmt.Errorf("mr: job %q reduce task %d: %w", g.job.Name, p, err)
+	}
+	defer m.close()
+	for rec, ok := m.peek(); ok; {
+		g.group.Reset()
+		for ; ok && (g.group.Len() == 0 || bytes.Equal(rec.Key, g.group.Key(0))); rec, ok = m.peek() {
+			err := g.group.Append(rec.Key, rec.Sec, rec.Val)
+			if err == nil {
+				err = m.advance()
+			}
+			if err != nil {
+				return fmt.Errorf("mr: job %q reduce task %d: %w", g.job.Name, p, err)
+			}
+		}
+		if err := g.reduce(&g.group, 0, g.group.Len(), g.group.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxMergeFanIn caps how many segment files a single merge keeps open at
@@ -255,14 +278,14 @@ const maxMergeFanIn = 64
 // segment. Run sets wider than maxMergeFanIn are pre-merged on disk.
 // readBytes accumulates the spill I/O performed (segment bytes read, plus
 // intermediate merge reads and writes).
-func partitionRuns(results []*taskResult, p int, dir string, readBytes *int64) ([]recordIter, error) {
+func partitionRuns(maps []*mapTask, p int, dir string, readBytes *int64) ([]run, error) {
 	var paths []string
-	var its []recordIter
-	for _, res := range results {
-		if len(res.parts[p]) > 0 {
-			its = append(its, &sliceIter{rows: res.parts[p]})
+	var its []run
+	for _, m := range maps {
+		if m.parts[p].Len() > 0 {
+			its = append(its, &batchRun{b: &m.parts[p]})
 		}
-		paths = append(paths, res.runs[p]...)
+		paths = append(paths, m.runs[p]...)
 	}
 	paths, err := compactRuns(dir, p, paths, readBytes)
 	if err != nil {
@@ -276,7 +299,7 @@ func partitionRuns(results []*taskResult, p int, dir string, readBytes *int64) (
 			}
 			return nil, err
 		}
-		its = append(its, &segmentIter{r: r, read: readBytes})
+		its = append(its, &segmentRun{r: r, read: readBytes})
 	}
 	return its, nil
 }
@@ -314,7 +337,7 @@ func compactRuns(dir string, p int, paths []string, ioBytes *int64) ([]string, e
 // written are added to ioBytes.
 func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
 	var read int64
-	var its []recordIter
+	var its []run
 	for _, path := range paths {
 		r, err := mrfs.OpenSegment(path)
 		if err != nil {
@@ -323,7 +346,7 @@ func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
 			}
 			return err
 		}
-		its = append(its, &segmentIter{r: r, read: &read})
+		its = append(its, &segmentRun{r: r, read: &read})
 	}
 	m, err := newMergeIter(its)
 	if err != nil {
@@ -334,16 +357,12 @@ func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
 	if err != nil {
 		return err
 	}
-	for {
-		rec, ok, err := m.next()
+	for rec, ok := m.peek(); ok; rec, ok = m.peek() {
+		err := w.Write(rec)
+		if err == nil {
+			err = m.advance()
+		}
 		if err != nil {
-			w.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := w.Write(rec); err != nil {
 			w.Close()
 			return err
 		}

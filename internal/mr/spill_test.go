@@ -25,7 +25,7 @@ func bigWordInput(parts, lines int) *mrfs.Dataset {
 			Val: []byte(fmt.Sprintf("w%d w%d w%d w%d", i%13, i%7, i%29, i%3)),
 		}
 	}
-	return mrfs.FromRecords("lines", recs, parts)
+	return dataset("lines", recs, parts)
 }
 
 // runSorted executes the job and returns the output in deterministic
@@ -122,7 +122,7 @@ func TestSpillSecondaryKeys(t *testing.T) {
 	for i := range recs {
 		recs[i] = mrfs.Record{Key: []byte(fmt.Sprintf("r%d", i)), Val: []byte("x")}
 	}
-	input := mrfs.FromRecords("in", recs, 3)
+	input := dataset("in", recs, 3)
 	mapper := MapperFunc(func(_ *TaskContext, rec mrfs.Record, emit Emitter) error {
 		// Reverse-ish secondary keys so sortedness comes from the shuffle,
 		// not emission order.

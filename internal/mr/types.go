@@ -10,9 +10,24 @@
 // ⟨key1,value1⟩ → (⟨key2,value2⟩)*, reduce: ⟨key2,(value2)*⟩ → (value3)*,
 // optional secondary keys (Google MR only), dedicated combiners, side-input
 // loading at stage start, and rewindable reduce value lists.
+//
+// Records have one in-memory form from a job's input to its output: the
+// mrfs.Batch, an append-only byte slab plus a pointer-free index. Dataset
+// partitions, each map task's per-reducer output, the shuffled reduce
+// input and the reduce output are all batches; the shuffle sorts index
+// entries, never records, and the spill path writes its runs straight from
+// a sorted index and merges them back through reused buffers, so the
+// in-memory and spilled shuffles share the representation. What user code
+// sees are views — the view contract, stated once: the rec handed to Map,
+// the key handed to Reduce and every Value a Values yields are read-only
+// windows on engine storage, valid until the call returns. Emitters copy
+// what they are given, so a function may emit a view, or bytes encoded in
+// TaskContext.Scratch, and reuse the buffer at once; what it wants to keep
+// beyond the call it must copy.
 package mr
 
 import (
+	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/mrfs"
 )
 
@@ -27,6 +42,7 @@ type Emitter interface {
 
 // Mapper transforms one input record into zero or more output tuples. Map
 // functions must be pure and deterministic (the fault-tolerance contract).
+// rec is a view (see the package doc): read-only, valid until Map returns.
 type Mapper interface {
 	Map(ctx *TaskContext, rec mrfs.Record, emit Emitter) error
 }
@@ -40,7 +56,9 @@ func (f MapperFunc) Map(ctx *TaskContext, rec mrfs.Record, emit Emitter) error {
 }
 
 // Reducer folds the value list of one key into zero or more outputs.
-// The same interface serves dedicated combiners.
+// The same interface serves dedicated combiners. key, values and every
+// Value are views (see the package doc): read-only, valid until Reduce
+// returns.
 type Reducer interface {
 	Reduce(ctx *TaskContext, key []byte, values *Values, emit Emitter) error
 }
@@ -60,17 +78,21 @@ type Setupper interface {
 	Setup(ctx *TaskContext) error
 }
 
-// Value is one entry of a reduce value list.
+// Value is one entry of a reduce value list: two views, valid until the
+// Reduce call that obtained them returns.
 type Value struct {
 	Sec []byte // secondary key (empty unless EmitSec was used)
 	Val []byte
 }
 
-// Values iterates a reduce value list. It supports Rewind, the capability
-// the chunked Similarity1 reducer relies on; every rewind re-charges the
-// list's I/O cost, modelling the re-scan of spilled data.
+// Values iterates a reduce value list: a window on one key group of a
+// sorted batch. It supports Rewind, the capability the chunked Similarity1
+// reducer relies on; every rewind re-charges the list's I/O cost,
+// modelling the re-scan of spilled data. The engine reuses one Values per
+// task, so it must not be retained past the Reduce call.
 type Values struct {
-	rows    []Value
+	b       *mrfs.Batch
+	lo, hi  int // the group is records [lo, hi) of b
 	pos     int
 	bytes   int64 // encoded size of the list
 	rewinds int   // accounted by the engine
@@ -78,35 +100,38 @@ type Values struct {
 
 // Next returns the next value, or ok=false at the end of the list.
 func (v *Values) Next() (Value, bool) {
-	if v.pos >= len(v.rows) {
+	if v.pos >= v.hi {
 		return Value{}, false
 	}
-	out := v.rows[v.pos]
+	r := v.b.Record(v.pos)
 	v.pos++
-	return out, true
+	return Value{Sec: r.Sec, Val: r.Val}, true
 }
 
 // Rewind restarts iteration from the beginning of the list. The simulated
 // cost of re-reading the list is charged to the task.
 func (v *Values) Rewind() {
-	v.pos = 0
+	v.pos = v.lo
 	v.rewinds++
 }
 
 // Len reports the number of values in the list.
-func (v *Values) Len() int { return len(v.rows) }
+func (v *Values) Len() int { return v.hi - v.lo }
 
 // Bytes reports the encoded size of the list.
 func (v *Values) Bytes() int64 { return v.bytes }
 
-// TaskContext carries per-task state: the memory accountant, counters, and
-// side inputs. A fresh context is created for every task.
+// TaskContext carries per-task state: the memory accountant, counters,
+// scratch encode buffers, and side inputs. A fresh context is created for
+// every task.
 type TaskContext struct {
 	// JobName identifies the running job.
 	JobName string
 	// TaskIndex is the map or reduce task number.
 	TaskIndex int
-	// Counters aggregates job-wide counters.
+	// Counters collects this task's counter increments; the engine folds
+	// them into the job's totals (JobStats.Counters) when the task ends, so
+	// tasks never contend on a counter.
 	Counters *Counters
 	// Side holds the side-input datasets declared by the job, keyed by
 	// name. Loading cost and memory are charged automatically.
@@ -116,6 +141,18 @@ type TaskContext struct {
 	memUsed   int64
 	extraIO   int64 // bytes re-read due to Rewind etc.
 	extraCPU  int64 // record-equivalents of in-task compute (ChargeCompute)
+
+	scratchKey, scratchVal codec.Buffer
+}
+
+// Scratch returns the task's two reusable encode buffers, emptied: one for
+// a tuple's key, one for its value. Emitters copy, so a function encodes
+// into them, emits their Bytes, and asks again for the next tuple without
+// allocating. Each call invalidates the bytes of the previous one.
+func (c *TaskContext) Scratch() (key, val *codec.Buffer) {
+	c.scratchKey.Reset()
+	c.scratchVal.Reset()
+	return &c.scratchKey, &c.scratchVal
 }
 
 // Reserve accounts bytes of task-local memory (lookup tables, buffered

@@ -1,0 +1,223 @@
+package mrfs
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// ErrFieldTooLarge is returned by Batch.Append when a key, secondary key
+// or value is longer than an index entry's length field can express. The
+// record is not appended; lengths never wrap.
+var ErrFieldTooLarge = errors.New("mrfs: record field exceeds the batch entry's length width")
+
+// maxFieldLen is the widest key, secondary key or value an entry holds.
+// Offsets are 64-bit, so the slab itself has no limit short of memory.
+const maxFieldLen = math.MaxUint32
+
+// entry locates one record in a batch's slab: key, secondary key and value
+// lie back to back from off. It holds no pointers, so the garbage
+// collector never scans an index and a sort moves 24 bytes per swap.
+type entry struct {
+	off           uint64
+	key, sec, val uint32
+}
+
+func (e entry) size() int64 { return int64(e.key) + int64(e.sec) + int64(e.val) + recordOverhead }
+
+// Batch is the one in-memory form of records: an append-only byte slab
+// plus a pointer-free index of {offset, keyLen, secLen, valLen} entries.
+// Dataset partitions, map-task output partitions, reduce input and reduce
+// output are all batches; Record is only the three-slice view of one entry.
+// Sorting permutes the index and never moves slab bytes. The zero value is
+// an empty batch ready for use. A batch is not safe for concurrent
+// mutation; any number of goroutines may read one that no one is writing.
+type Batch struct {
+	slab  []byte
+	index []entry
+	bytes int64 // encoded size of all records (the sum of their Size)
+}
+
+// Len reports the number of records.
+func (b *Batch) Len() int { return len(b.index) }
+
+// Bytes reports the encoded size of all records — the quantity the cost
+// model charges — not the slab's footprint.
+func (b *Batch) Bytes() int64 { return b.bytes }
+
+// Reset empties the batch, keeping its storage for reuse. Views handed
+// out earlier are invalidated.
+func (b *Batch) Reset() {
+	b.slab = b.slab[:0]
+	b.index = b.index[:0]
+	b.bytes = 0
+}
+
+// Grow reserves room for n more records whose encoded sizes total size.
+func (b *Batch) Grow(n int, size int64) {
+	b.index = slices.Grow(b.index, n)
+	b.slab = slices.Grow(b.slab, int(size-int64(n)*recordOverhead))
+}
+
+// Append copies one record into the slab. A field longer than an entry
+// can express fails with ErrFieldTooLarge and leaves the batch unchanged.
+func (b *Batch) Append(key, sec, val []byte) error {
+	return b.appendMax(key, sec, val, maxFieldLen)
+}
+
+// appendMax is Append with the field-width limit as a parameter, so tests
+// can reach the refusal without gigabyte inputs.
+func (b *Batch) appendMax(key, sec, val []byte, limit int) error {
+	if len(key) > limit || len(sec) > limit || len(val) > limit {
+		return fmt.Errorf("%w: key %d, sec %d, val %d bytes (limit %d)",
+			ErrFieldTooLarge, len(key), len(sec), len(val), limit)
+	}
+	e := entry{off: uint64(len(b.slab)), key: uint32(len(key)), sec: uint32(len(sec)), val: uint32(len(val))}
+	b.room(len(key) + len(sec) + len(val))
+	b.slab = append(append(append(b.slab, key...), sec...), val...)
+	b.index = append(b.index, e)
+	b.bytes += e.size()
+	return nil
+}
+
+// room makes space for one more record of n field bytes, doubling whichever
+// of slab and index is full: append's own 1.25× steps would copy a batch
+// that grows to tens of megabytes about five times over, doubling copies it
+// twice. The first step is big enough that a batch of a few small records
+// — most of a wide job's map-output partitions — never takes a second.
+func (b *Batch) room(n int) {
+	if len(b.slab)+n > cap(b.slab) {
+		b.slab = slices.Grow(b.slab, max(n, cap(b.slab), 512))
+	}
+	if len(b.index) == cap(b.index) {
+		b.index = slices.Grow(b.index, max(16, cap(b.index)))
+	}
+}
+
+// AppendFrom copies record i of src, slab to slab.
+func (b *Batch) AppendFrom(src *Batch, i int) {
+	e := src.index[i]
+	n := uint64(e.key) + uint64(e.sec) + uint64(e.val)
+	fields := src.slab[e.off : e.off+n]
+	e.off = uint64(len(b.slab))
+	b.room(len(fields))
+	b.slab = append(b.slab, fields...)
+	b.index = append(b.index, e)
+	b.bytes += e.size()
+}
+
+// AppendBatch copies every record of src, in src's index order.
+func (b *Batch) AppendBatch(src *Batch) {
+	base := uint64(len(b.slab))
+	b.slab = append(b.slab, src.slab...)
+	at := len(b.index)
+	b.index = append(b.index, src.index...)
+	for i := at; i < len(b.index); i++ {
+		b.index[i].off += base
+	}
+	b.bytes += src.bytes
+}
+
+// field returns slab[off:off+n] as a capacity-clipped view, or nil when
+// the field is empty (so views look like the records they were built from).
+func (b *Batch) field(off uint64, n uint32) []byte {
+	if n == 0 {
+		return nil
+	}
+	end := off + uint64(n)
+	return b.slab[off:end:end]
+}
+
+// Key returns record i's key — like every view, read-only and valid until
+// the batch is Reset.
+func (b *Batch) Key(i int) []byte {
+	e := b.index[i]
+	return b.field(e.off, e.key)
+}
+
+// Size reports the encoded size of record i.
+func (b *Batch) Size(i int) int64 { return b.index[i].size() }
+
+// Record returns the three-slice view of record i.
+func (b *Batch) Record(i int) Record {
+	e := b.index[i]
+	sec := e.off + uint64(e.key)
+	return Record{Key: b.field(e.off, e.key), Sec: b.field(sec, e.sec), Val: b.field(sec+uint64(e.sec), e.val)}
+}
+
+// SameKey reports whether records i and j carry equal keys.
+func (b *Batch) SameKey(i, j int) bool {
+	x, y := b.index[i], b.index[j]
+	return x.key == y.key && bytes.Equal(b.slab[x.off:x.off+uint64(x.key)], b.slab[y.off:y.off+uint64(y.key)])
+}
+
+// compare orders two entries of one slab by (Key, Sec, Val),
+// byte-lexicographically — the order Compare gives over their records.
+func compare(slab []byte, x, y entry) int {
+	xs, ys := x.off+uint64(x.key), y.off+uint64(y.key)
+	if x.key >= 8 && y.key >= 8 {
+		// Most comparisons are decided by the first few key bytes: read
+		// them as one big-endian word before calling into bytes.Compare.
+		if px, py := binary.BigEndian.Uint64(slab[x.off:]), binary.BigEndian.Uint64(slab[y.off:]); px != py {
+			if px < py {
+				return -1
+			}
+			return 1
+		}
+	}
+	if c := bytes.Compare(slab[x.off:xs], slab[y.off:ys]); c != 0 {
+		return c
+	}
+	xv, yv := xs+uint64(x.sec), ys+uint64(y.sec)
+	if c := bytes.Compare(slab[xs:xv], slab[ys:yv]); c != 0 {
+		return c
+	}
+	return bytes.Compare(slab[xv:xv+uint64(x.val)], slab[yv:yv+uint64(y.val)])
+}
+
+// Sort orders the index by (Key, Sec, Val). Records that compare equal are
+// byte-identical, so the unstable sort is still deterministic.
+func (b *Batch) Sort() {
+	slab := b.slab
+	slices.SortFunc(b.index, func(x, y entry) int { return compare(slab, x, y) })
+}
+
+// MergeRuns sorts a batch that is a concatenation of sorted runs — run i
+// is records [ends[i-1], ends[i]), the last end being Len — by merging
+// neighbouring runs pairwise until one is left: about log2(len(ends))
+// comparisons per record where a sort from scratch needs log2(Len), and
+// the early passes stay inside one run's stretch of the slab. ends is
+// consumed.
+func (b *Batch) MergeRuns(ends []int) {
+	if len(ends) < 2 {
+		return
+	}
+	src, dst := b.index, make([]entry, len(b.index))
+	for len(ends) > 1 {
+		lo, merged := 0, ends[:0]
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
+			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], b.slab)
+			merged = append(merged, hi)
+			lo = hi
+		}
+		src, dst, ends = dst, src, merged
+	}
+	b.index = src
+}
+
+// mergeInto merges the sorted runs x and y into dst, len(x)+len(y) long.
+func mergeInto(dst, x, y []entry, slab []byte) {
+	for len(x) > 0 && len(y) > 0 {
+		if compare(slab, y[0], x[0]) < 0 {
+			dst[0], y = y[0], y[1:]
+		} else {
+			dst[0], x = x[0], x[1:]
+		}
+		dst = dst[1:]
+	}
+	copy(dst[copy(dst, x):], y)
+}

@@ -1,35 +1,41 @@
 // Package mrfs simulates the distributed file system underneath the
 // MapReduce engine (GFS/HDFS in the paper). A Dataset is an ordered list of
-// partitions, each holding encoded records; partitions are the unit of map
-// parallelism and byte sizes are tracked so the cluster cost model can
+// partitions, each one Batch of encoded records; partitions are the unit of
+// map parallelism and byte sizes are tracked so the cluster cost model can
 // charge I/O faithfully.
 package mrfs
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Record is one key/value pair at rest. Sec carries the optional secondary
-// key used by engines that support value-list sorting (Google MR does,
-// Hadoop does not — see the paper §2).
+// Record is one key/value pair: the three-slice view of a Batch entry
+// handed to map functions and returned by Dataset.All and Sorted. Sec
+// carries the optional secondary key used by engines that support
+// value-list sorting (Google MR does, Hadoop does not — see the paper §2).
 type Record struct {
 	Key []byte
 	Sec []byte
 	Val []byte
 }
 
+// recordOverhead is the framing charged per record on top of its fields.
+const recordOverhead = 6
+
 // Size reports the encoded size of the record in bytes, the quantity the
 // cost model charges for I/O and shuffle traffic.
 func (r Record) Size() int64 {
-	return int64(len(r.Key) + len(r.Sec) + len(r.Val) + 6) // + framing overhead
+	return int64(len(r.Key)+len(r.Sec)+len(r.Val)) + recordOverhead
 }
 
 // Dataset is a partitioned collection of records.
 type Dataset struct {
-	Name       string
-	Partitions [][]Record
+	Name  string
+	parts []*Batch
 }
 
 // NewDataset returns an empty dataset with n partitions.
@@ -37,33 +43,42 @@ func NewDataset(name string, n int) *Dataset {
 	if n < 1 {
 		n = 1
 	}
-	return &Dataset{Name: name, Partitions: make([][]Record, n)}
-}
-
-// FromRecords builds a dataset by striping records round-robin over n
-// partitions, mimicking block placement of a distributed file system.
-func FromRecords(name string, records []Record, n int) *Dataset {
-	d := NewDataset(name, n)
-	for i, r := range records {
-		p := i % len(d.Partitions)
-		d.Partitions[p] = append(d.Partitions[p], r)
+	d := &Dataset{Name: name, parts: make([]*Batch, n)}
+	for p := range d.parts {
+		d.parts[p] = new(Batch)
 	}
 	return d
 }
 
-// Append adds a record to partition p.
-func (d *Dataset) Append(p int, r Record) {
-	d.Partitions[p] = append(d.Partitions[p], r)
+// FromRecords builds a dataset by striping records round-robin over n
+// partitions, mimicking block placement of a distributed file system.
+func FromRecords(name string, records []Record, n int) (*Dataset, error) {
+	d := NewDataset(name, n)
+	for i, r := range records {
+		if err := d.Append(i%len(d.parts), r); err != nil {
+			return nil, fmt.Errorf("mrfs: dataset %q record %d: %w", name, i, err)
+		}
+	}
+	return d, nil
 }
 
+// Append copies a record into partition p. It fails only with
+// ErrFieldTooLarge.
+func (d *Dataset) Append(p int, r Record) error {
+	return d.parts[p].Append(r.Key, r.Sec, r.Val)
+}
+
+// Partition returns partition p's batch.
+func (d *Dataset) Partition(p int) *Batch { return d.parts[p] }
+
 // NumPartitions reports the partition count.
-func (d *Dataset) NumPartitions() int { return len(d.Partitions) }
+func (d *Dataset) NumPartitions() int { return len(d.parts) }
 
 // NumRecords reports the total record count.
 func (d *Dataset) NumRecords() int64 {
 	var n int64
-	for _, p := range d.Partitions {
-		n += int64(len(p))
+	for _, p := range d.parts {
+		n += int64(p.Len())
 	}
 	return n
 }
@@ -71,20 +86,20 @@ func (d *Dataset) NumRecords() int64 {
 // Bytes reports the total encoded size of all records.
 func (d *Dataset) Bytes() int64 {
 	var n int64
-	for _, p := range d.Partitions {
-		for _, r := range p {
-			n += r.Size()
-		}
+	for _, p := range d.parts {
+		n += p.Bytes()
 	}
 	return n
 }
 
 // All returns every record in partition order. The slice is freshly
-// allocated; records alias the dataset's storage.
+// allocated; records are views of the dataset's storage.
 func (d *Dataset) All() []Record {
 	out := make([]Record, 0, d.NumRecords())
-	for _, p := range d.Partitions {
-		out = append(out, p...)
+	for _, p := range d.parts {
+		for i := 0; i < p.Len(); i++ {
+			out = append(out, p.Record(i))
+		}
 	}
 	return out
 }
@@ -93,43 +108,23 @@ func (d *Dataset) All() []Record {
 // view for tests and output files.
 func (d *Dataset) Sorted() []Record {
 	out := d.All()
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
+	slices.SortFunc(out, Compare)
 	return out
 }
 
-// Less orders records by (Key, Sec, Val), byte-lexicographically.
-func Less(a, b Record) bool {
-	if c := compareBytes(a.Key, b.Key); c != 0 {
-		return c < 0
+// Compare orders records by (Key, Sec, Val), byte-lexicographically.
+func Compare(a, b Record) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	if c := compareBytes(a.Sec, b.Sec); c != 0 {
-		return c < 0
+	if c := bytes.Compare(a.Sec, b.Sec); c != 0 {
+		return c
 	}
-	return compareBytes(a.Val, b.Val) < 0
+	return bytes.Compare(a.Val, b.Val)
 }
 
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
+// Less reports whether a sorts before b under Compare.
+func Less(a, b Record) bool { return Compare(a, b) < 0 }
 
 // Store is a named collection of datasets — the "file system" namespace.
 // It is safe for concurrent use.

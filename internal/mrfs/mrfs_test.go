@@ -9,12 +9,15 @@ func rec(k, v string) Record { return Record{Key: []byte(k), Val: []byte(v)} }
 
 func TestFromRecordsStripes(t *testing.T) {
 	recs := []Record{rec("a", "1"), rec("b", "2"), rec("c", "3"), rec("d", "4"), rec("e", "5")}
-	d := FromRecords("x", recs, 2)
+	d, err := FromRecords("x", recs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.NumPartitions() != 2 {
 		t.Fatalf("partitions: got %d want 2", d.NumPartitions())
 	}
-	if len(d.Partitions[0]) != 3 || len(d.Partitions[1]) != 2 {
-		t.Fatalf("striping wrong: %d/%d", len(d.Partitions[0]), len(d.Partitions[1]))
+	if d.Partition(0).Len() != 3 || d.Partition(1).Len() != 2 {
+		t.Fatalf("striping wrong: %d/%d", d.Partition(0).Len(), d.Partition(1).Len())
 	}
 	if d.NumRecords() != 5 {
 		t.Fatalf("NumRecords: got %d want 5", d.NumRecords())

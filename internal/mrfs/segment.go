@@ -75,8 +75,9 @@ func (s *SegmentWriter) Close() error {
 
 // SegmentReader streams records back out of a segment file.
 type SegmentReader struct {
-	f *os.File
-	r *frame.Reader
+	f   *os.File
+	r   *frame.Reader
+	dec codec.Reader
 }
 
 // OpenSegment opens a segment file for reading.
@@ -89,8 +90,8 @@ func OpenSegment(path string) (*SegmentReader, error) {
 }
 
 // Next decodes the next record. It returns ok=false at a clean end of
-// file; the returned record's slices are freshly allocated and do not
-// alias reader state. Corruption — an oversized or truncated frame, a
+// file; the returned record is a view of the reader's buffer, valid until
+// the next call to Next. Corruption — an oversized or truncated frame, a
 // checksum mismatch, a malformed payload, or trailing garbage inside a
 // frame — is an error, never a panic.
 func (s *SegmentReader) Next() (Record, bool, error) {
@@ -101,7 +102,8 @@ func (s *SegmentReader) Next() (Record, bool, error) {
 	if err != nil {
 		return Record{}, false, fmt.Errorf("mrfs: read segment: %w", err)
 	}
-	dec := codec.NewReader(payload)
+	dec := &s.dec
+	dec.Reset(payload)
 	rec := Record{Key: dec.Bytes(), Sec: dec.Bytes(), Val: dec.Bytes()}
 	if dec.Err() != nil {
 		return Record{}, false, fmt.Errorf("mrfs: read segment: %w", dec.Err())

@@ -12,12 +12,8 @@ import (
 	"vsmartjoin/internal/multiset"
 )
 
-// EncodeRawKey encodes the multiset identifier key of a raw tuple.
-func EncodeRawKey(id multiset.ID) []byte {
-	var b codec.Buffer
-	b.PutUvarint(uint64(id))
-	return b.Clone()
-}
+// PutRawKey appends the multiset identifier key of a raw tuple to b.
+func PutRawKey(b *codec.Buffer, id multiset.ID) { b.PutUvarint(uint64(id)) }
 
 // DecodeRawKey decodes a multiset identifier key.
 func DecodeRawKey(key []byte) (multiset.ID, error) {
@@ -29,12 +25,10 @@ func DecodeRawKey(key []byte) (multiset.ID, error) {
 	return multiset.ID(id), nil
 }
 
-// EncodeRawVal encodes the ⟨ak, fi,k⟩ payload of a raw tuple.
-func EncodeRawVal(e multiset.Entry) []byte {
-	var b codec.Buffer
+// PutRawVal appends the ⟨ak, fi,k⟩ payload of a raw tuple to b.
+func PutRawVal(b *codec.Buffer, e multiset.Entry) {
 	b.PutUvarint(uint64(e.Elem))
 	b.PutUint32(e.Count)
-	return b.Clone()
 }
 
 // DecodeRawVal decodes a raw tuple payload.
@@ -51,14 +45,21 @@ func DecodeRawVal(val []byte) (multiset.Entry, error) {
 // given number of partitions: one record per ⟨Mi, mi,k⟩, exactly the input
 // representation of the paper's joining phase.
 func BuildInput(name string, sets []multiset.Multiset, partitions int) *mrfs.Dataset {
-	var recs []mrfs.Record
+	d := mrfs.NewDataset(name, partitions)
+	var key, val codec.Buffer
+	i := 0
 	for _, m := range sets {
-		key := EncodeRawKey(m.ID)
+		key.Reset()
+		PutRawKey(&key, m.ID)
 		for _, e := range m.Entries {
-			recs = append(recs, mrfs.Record{Key: key, Val: EncodeRawVal(e)})
+			val.Reset()
+			PutRawVal(&val, e)
+			// Both fields are a few varints: Append cannot find them too large.
+			_ = d.Partition(i%d.NumPartitions()).Append(key.Bytes(), nil, val.Bytes())
+			i++
 		}
 	}
-	return mrfs.FromRecords(name, recs, partitions)
+	return d
 }
 
 // DecodeInput reconstructs the multisets of a raw-tuple dataset (test and
@@ -102,20 +103,14 @@ func (p Pair) Canonical() Pair {
 	return p
 }
 
-// EncodePairKey encodes a result pair key.
-func EncodePairKey(a, b multiset.ID) []byte {
-	var buf codec.Buffer
+// PutPairKey appends a result pair key to buf.
+func PutPairKey(buf *codec.Buffer, a, b multiset.ID) {
 	buf.PutUvarint(uint64(a))
 	buf.PutUvarint(uint64(b))
-	return buf.Clone()
 }
 
-// EncodePairVal encodes a result similarity value.
-func EncodePairVal(sim float64) []byte {
-	var buf codec.Buffer
-	buf.PutFloat64(sim)
-	return buf.Clone()
-}
+// PutPairVal appends a result similarity value to buf.
+func PutPairVal(buf *codec.Buffer, sim float64) { buf.PutFloat64(sim) }
 
 // DecodePair decodes one result record.
 func DecodePair(rec mrfs.Record) (Pair, error) {

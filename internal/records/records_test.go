@@ -5,9 +5,30 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/mrfs"
 	"vsmartjoin/internal/multiset"
 )
+
+// encoded runs one of the package's Put* encoders into a fresh buffer.
+func encoded(put func(*codec.Buffer)) []byte {
+	var b codec.Buffer
+	put(&b)
+	return b.Clone()
+}
+
+func EncodeRawKey(id multiset.ID) []byte {
+	return encoded(func(b *codec.Buffer) { PutRawKey(b, id) })
+}
+func EncodeRawVal(e multiset.Entry) []byte {
+	return encoded(func(b *codec.Buffer) { PutRawVal(b, e) })
+}
+func EncodePairKey(a, b multiset.ID) []byte {
+	return encoded(func(buf *codec.Buffer) { PutPairKey(buf, a, b) })
+}
+func EncodePairVal(sim float64) []byte {
+	return encoded(func(b *codec.Buffer) { PutPairVal(b, sim) })
+}
 
 func TestRawKeyRoundTrip(t *testing.T) {
 	f := func(id uint64) bool {

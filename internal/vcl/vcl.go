@@ -90,7 +90,7 @@ func (c Config) Validate() error {
 
 type freqMapper struct{}
 
-func (freqMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (freqMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	entry, err := records.DecodeRawVal(rec.Val)
 	if err != nil {
 		return err
@@ -98,17 +98,16 @@ func (freqMapper) Map(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error
 	if entry.Count == 0 {
 		return nil
 	}
-	var b codec.Buffer
-	b.PutUvarint(uint64(entry.Elem))
-	var one codec.Buffer
+	key, one := ctx.Scratch()
+	key.PutUvarint(uint64(entry.Elem))
 	one.PutUvarint(1)
-	emit.Emit(b.Clone(), one.Clone())
+	emit.Emit(key.Bytes(), one.Bytes())
 	return nil
 }
 
 type freqSumReducer struct{}
 
-func (freqSumReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (freqSumReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	var total uint64
 	for {
 		v, ok := values.Next()
@@ -121,9 +120,9 @@ func (freqSumReducer) Reduce(_ *mr.TaskContext, key []byte, values *mr.Values, e
 			return err
 		}
 	}
-	var b codec.Buffer
-	b.PutUvarint(total)
-	emit.Emit(key, b.Clone())
+	_, val := ctx.Scratch()
+	val.PutUvarint(total)
+	emit.Emit(key, val.Bytes())
 	return nil
 }
 
@@ -143,14 +142,12 @@ func frequencyJob(input *mrfs.Dataset, numReducers int) mr.Job {
 // Job 2: capsules (whole multisets as single records)
 // ---------------------------------------------------------------------------
 
-func encodeCapsule(entries []multiset.Entry) []byte {
-	var b codec.Buffer
+func putCapsule(b *codec.Buffer, entries []multiset.Entry) {
 	b.PutUvarint(uint64(len(entries)))
 	for _, e := range entries {
 		b.PutUvarint(uint64(e.Elem))
 		b.PutUint32(e.Count)
 	}
-	return b.Clone()
 }
 
 func decodeCapsule(val []byte) ([]multiset.Entry, error) {
@@ -191,7 +188,9 @@ func (capsuleReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values,
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Elem < entries[j].Elem })
-	emit.Emit(key, encodeCapsule(entries))
+	_, val := ctx.Scratch()
+	putCapsule(val, entries)
+	emit.Emit(key, val.Bytes())
 	return nil
 }
 
@@ -307,17 +306,17 @@ func (m *kernelMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter
 	if p > size {
 		p = size
 	}
+	// The whole multiset rides along with every prefix element: the value
+	// carries the multiset id so the reducer can reconstruct it.
+	key, val := ctx.Scratch()
+	val.PutRaw(rec.Key)
+	val.PutByte(0)
+	val.PutRaw(rec.Val)
 	for i := 0; i < p; i++ {
-		var b codec.Buffer
-		b.PutUvarint(uint64(items[i].elem))
-		b.PutUint32(items[i].copy)
-		// The whole multiset rides along with every prefix element: key
-		// carries the multiset id so the reducer can reconstruct it.
-		var v codec.Buffer
-		v.PutRaw(rec.Key)
-		v.PutByte(0)
-		v.PutRaw(rec.Val)
-		emit.Emit(b.Clone(), v.Clone())
+		key.Reset()
+		key.PutUvarint(uint64(items[i].elem))
+		key.PutUint32(items[i].copy)
+		emit.Emit(key.Bytes(), val.Bytes())
 		ctx.Counters.Inc(CounterReplicatedTuples)
 	}
 	return nil
@@ -378,7 +377,10 @@ func (r kernelReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values
 				if a > b {
 					a, b = b, a
 				}
-				emit.Emit(records.EncodePairKey(a, b), records.EncodePairVal(sim))
+				key, val := ctx.Scratch()
+				records.PutPairKey(key, a, b)
+				records.PutPairVal(val, sim)
+				emit.Emit(key.Bytes(), val.Bytes())
 			}
 		}
 	}
