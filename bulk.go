@@ -58,7 +58,7 @@ func BuildIndexFiles(d *Dataset, opts IndexOptions) (BuildStats, error) {
 		shards = 1
 	}
 	if shards < 0 || shards > maxShards {
-		return bs, fmt.Errorf("vsmartjoin: shard count %d outside [1, %d]", opts.Shards, maxShards)
+		return bs, fmt.Errorf("vsmartjoin: shard count %d outside [0, %d], 0 = default", opts.Shards, maxShards)
 	}
 	stats, err := build.Build(bulkSource(d), build.Options{
 		Dir:                opts.Dir,

@@ -205,17 +205,10 @@
 // and online lists are byte-identical; knn_diff_test.go gates both
 // against a brute-force oracle.
 //
-// Candidate generation is planned per partition (internal/planner):
-// each shard's ingest-time statistics — entity count, token-frequency
-// skew, cardinality distribution — deterministically select brute
-// force (tiny partitions), the prefix-filter inverted index (the
-// general case), or MinHash LSH bucket seeding (stop-word-dominated
-// partitions) on every mutation. All three strategies are exact, so
-// the choice is purely a cost decision. IndexOptions.Strategy pins
-// every shard to one strategy ("auto", the default, defers to the
-// planner; "prefix", "lsh", and "brute" override it), and
-// IndexStats.Plans — mirrored by the daemon's /stats and /metrics —
-// reports each shard's current decision.
+// Candidate generation has one path on every shard: the prefix-filter
+// probe of the inverted index, for threshold, top-k and kNN queries
+// alike. README.md carries the measurements that retired a scan and a
+// MinHash-seeded alternative, and the bar for bringing a planner back.
 //
 // # Cluster serving
 //

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,8 +222,12 @@ func TestDurableOptionValidation(t *testing.T) {
 	if _, err := NewIndex(IndexOptions{Shards: -1}); err == nil {
 		t.Fatal("negative shards should fail")
 	}
-	if _, err := NewIndex(IndexOptions{Shards: 5000}); err == nil {
-		t.Fatal("absurd shard count should fail")
+	const wantRange = "shard count 5000 outside [0, 1024], 0 = default"
+	if _, err := NewIndex(IndexOptions{Shards: 5000}); err == nil || !strings.Contains(err.Error(), wantRange) {
+		t.Fatalf("absurd shard count: got %v, want an error naming %q", err, wantRange)
+	}
+	if _, err := BuildIndexFiles(NewDataset(), IndexOptions{Dir: t.TempDir(), Shards: 5000}); err == nil || !strings.Contains(err.Error(), wantRange) {
+		t.Fatalf("absurd bulk shard count: got %v, want an error naming %q", err, wantRange)
 	}
 	vol, err := NewIndex(IndexOptions{})
 	if err != nil {

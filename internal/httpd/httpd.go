@@ -404,19 +404,6 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("vsmart_wal_records_total", "Write-ahead log records appended across shards.", float64(m.WALRecords))
 	p.counter("vsmart_wal_fsyncs_total", "Write-ahead log fsyncs issued across shards; the ratio to records is the amortized durability cost.", float64(m.WALFsyncs))
 	p.gauge("vsmart_mutation_queue_depth", "AddAsync mutations queued behind the async appliers.", float64(st.MutationQueueDepth))
-	// Planner decisions: shards per chosen strategy, all strategies
-	// emitted (zeros included) so dashboards see transitions, plus the
-	// configured override as an info-style gauge.
-	planned := map[string]int{}
-	for _, pl := range st.Plans {
-		planned[pl]++
-	}
-	p.header("vsmart_plan_shards", "gauge", "Shards currently planned onto each query strategy.")
-	for _, name := range []string{"prefix", "lsh", "brute"} {
-		p.labeled("vsmart_plan_shards", [][2]string{{"strategy", name}}, float64(planned[name]))
-	}
-	p.header("vsmart_plan_strategy", "gauge", "Configured strategy override (1 on the active row; auto means planner-driven).")
-	p.labeled("vsmart_plan_strategy", [][2]string{{"strategy", st.Strategy}}, 1)
 	p.admission(s.lim)
 }
 

@@ -33,11 +33,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vsmartjoin/internal/lsh"
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
-	"vsmartjoin/internal/stats"
 )
 
 // boundEps is the slack applied when comparing pruning bounds against the
@@ -138,23 +136,6 @@ type Index struct {
 	// scratch is owned by exactly one query between Get and Put.
 	scratch sync.Pool
 
-	// Adaptive planning (internal/planner). plan is the strategy queries
-	// currently run through; override pins it when not Auto; pl, when
-	// non-nil, re-decides it from the partition statistics on every
-	// mutation (nil — the New default — pins the Prefix path, so the
-	// bare data structure behaves exactly as before SetPlanner existed).
-	// cardDist tracks the live entities' cardinality distribution and
-	// maxPosting the longest posting list (stale entries included);
-	// lshTab is the MinHash band table maintained only while the plan is
-	// LSH. All are guarded by mu: mutated under the write lock, read by
-	// queries under the read lock.
-	pl         planner.Planner
-	override   planner.Strategy
-	plan       planner.Strategy
-	cardDist   stats.Dist
-	maxPosting int
-	lshTab     *lsh.Table
-
 	adds        atomic.Int64
 	removes     atomic.Int64
 	compactions atomic.Int64
@@ -166,17 +147,18 @@ type Index struct {
 	results     atomic.Int64
 }
 
-// New returns an empty index verifying with the given measure. The
-// query plan starts (and without SetPlanner/SetStrategy stays) Prefix —
-// the inverted-index probe.
+// New returns an empty index verifying with the given measure.
 func New(m similarity.Measure) *Index {
 	return &Index{
 		measure:  m,
 		entities: make(map[multiset.ID]*entry),
 		postings: make(map[multiset.Elem][]*entry),
-		plan:     planner.Prefix,
 	}
 }
+
+// SetPlanner does nothing; it remains only because benchmark/ladder.go
+// calls it.
+func (ix *Index) SetPlanner(planner.Heuristic) {}
 
 // Measure reports the measure the index verifies with.
 func (ix *Index) Measure() similarity.Measure { return ix.measure }
@@ -221,16 +203,10 @@ func (ix *Index) Remove(id multiset.ID) bool {
 }
 
 // addPostingsLocked appends a fresh entry to its element posting lists,
-// maintaining the posting count and the longest-list high-water mark
-// the planner's token-skew statistic reads. Caller holds the write
-// lock.
+// maintaining the posting count. Caller holds the write lock.
 func (ix *Index) addPostingsLocked(e *entry) {
 	for _, ent := range e.set.Entries {
-		list := append(ix.postings[ent.Elem], e)
-		ix.postings[ent.Elem] = list
-		if len(list) > ix.maxPosting {
-			ix.maxPosting = len(list)
-		}
+		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], e)
 	}
 	ix.postingCount += len(e.set.Entries)
 }
@@ -261,10 +237,6 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 				delete(ix.entities, op.ID)
 				ix.deadPostings += len(e.set.Entries)
 				ix.freeSlotLocked(e)
-				ix.cardDist.Remove(e.uni.Card)
-				if ix.lshTab != nil {
-					ix.lshTab.Remove(uint64(op.ID))
-				}
 				removed++
 			}
 			continue
@@ -276,18 +248,12 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 			// at the new one; count them for compaction.
 			ix.deadPostings += len(old.set.Entries)
 			ix.freeSlotLocked(old)
-			ix.cardDist.Remove(old.uni.Card)
 		}
 		ix.entities[m.ID] = e
 		ix.addPostingsLocked(e)
-		ix.cardDist.Add(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Add(uint64(m.ID), m)
-		}
 		adds++
 	}
 	ix.maybeCompactLocked()
-	ix.replanLocked()
 	ix.mu.Unlock()
 	ix.adds.Add(int64(adds))
 	ix.removes.Add(int64(removed))
@@ -324,12 +290,7 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
 		ix.entities[m.ID] = e
 		ix.addPostingsLocked(e)
-		ix.cardDist.Add(e.uni.Card)
-		if ix.lshTab != nil {
-			ix.lshTab.Add(uint64(m.ID), m)
-		}
 	}
-	ix.replanLocked()
 	// Bulk-loaded entities are mutations like any other: a daemon
 	// bootstrapped from snapshot files must report the entities it
 	// serves in Stats.Adds (and /readyz's mutation counter), not 0.
@@ -343,7 +304,6 @@ func (ix *Index) maybeCompactLocked() {
 	if ix.deadPostings <= ix.postingCount-ix.deadPostings {
 		return
 	}
-	ix.maxPosting = 0
 	for elem, list := range ix.postings {
 		w := 0
 		for _, e := range list {
@@ -357,9 +317,6 @@ func (ix *Index) maybeCompactLocked() {
 			continue
 		}
 		ix.postings[elem] = list[:w]
-		if w > ix.maxPosting {
-			ix.maxPosting = w
-		}
 	}
 	ix.postingCount -= ix.deadPostings
 	ix.deadPostings = 0
@@ -442,13 +399,8 @@ type queryScratch struct {
 	marks []uint32
 	epoch uint32
 	heap  topkHeap
-	// sig holds the query's MinHash signature when the LSH strategy is
-	// active.
-	sig []uint64
-	// cnt accumulates the funnel counters while the read lock is held;
-	// they flush to the atomics afterwards. Living inside the pooled
-	// scratch (rather than being locals passed by pointer into the
-	// per-strategy helpers) keeps them off the heap.
+	// cnt accumulates the top-k pass's funnel counters while the read
+	// lock is held; they flush to the atomics afterwards.
 	cnt struct {
 		probes, cands, lenPruned, verified int64
 	}
@@ -509,24 +461,18 @@ func sortProbeOrder(ord []multiset.Entry) {
 }
 
 // gather collects the deduplicated live candidates (in s.cands) that
-// survive the active strategy's filters, under the read lock. stop is
+// survive the prefix and length filters, under the read lock. stop is
 // the verification cut-off the bounds prune against. An entity whose ID
 // equals the query's own ID is never a candidate (self-pairs are
 // meaningless; use ID 0 for ad-hoc queries).
 //
-// Under the Prefix plan the query's posting lists are probed in
-// decreasing-multiplicity order and probing ends once the residual
-// bound shows the unprobed tail cannot reach stop. Under Brute the
-// entity table is scanned outright, length-filtered only. The LSH plan
-// has nothing to offer a fixed threshold — its bucket collisions seed a
-// *rising* floor, and stop never rises — so it gathers like Prefix.
+// The query's posting lists are probed in decreasing-multiplicity order
+// and probing ends once the residual bound shows the unprobed tail
+// cannot reach stop.
 func (ix *Index) gather(s *queryScratch, q Query, qUni similarity.UniStats, stop float64) []*entry {
 	s.cands = s.cands[:0]
 	var probes, lenPruned int64
 
-	if ix.Plan() == planner.Brute {
-		return ix.gatherBrute(s, q, qUni, stop)
-	}
 	ix.mu.RLock()
 	s.order = append(s.order[:0], q.Set.Entries...)
 	sortProbeOrder(s.order)
@@ -567,31 +513,6 @@ func (ix *Index) gather(s *queryScratch, q Query, qUni similarity.UniStats, stop
 	return s.cands
 }
 
-// gatherBrute is gather's Brute plan: a straight scan of the entity
-// table, length-filtered only. The plan may have flipped to Brute
-// between gather's dispatch read and this lock — harmless, the scan is
-// valid under any plan.
-func (ix *Index) gatherBrute(s *queryScratch, q Query, qUni similarity.UniStats, stop float64) []*entry {
-	var probes, lenPruned int64
-	ix.mu.RLock()
-	for _, e := range ix.entities {
-		probes++
-		if e.set.ID == q.Set.ID {
-			continue
-		}
-		if similarity.SimUpperBound(ix.measure, qUni, e.uni)+boundEps < stop {
-			lenPruned++
-			continue
-		}
-		s.cands = append(s.cands, e)
-	}
-	ix.mu.RUnlock()
-	ix.probes.Add(probes)
-	ix.candidates.Add(int64(len(s.cands)) + lenPruned)
-	ix.lenPruned.Add(lenPruned)
-	return s.cands
-}
-
 // QueryThresholdInto appends to buf (typically a reused buffer truncated
 // to buf[:0], which keeps the steady-state path allocation-free) every
 // indexed entity whose similarity to q is at least t, sorted by
@@ -611,15 +532,7 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 
 	base := len(buf)
 	for _, e := range cands {
-		conj := similarity.ConjOf(q.Set, e.set)
-		if conj.Common == 0 {
-			// Only entities sharing an element qualify, even at t = 0 —
-			// the threshold convention every strategy must agree on. A
-			// no-op for prefix candidates (posting lists only yield
-			// overlaps) but load-bearing for the brute scan.
-			continue
-		}
-		sim := ix.measure.Sim(qUni, e.uni, conj)
+		sim := ix.measure.Sim(qUni, e.uni, similarity.ConjOf(q.Set, e.set))
 		if sim+verifyEps >= t {
 			buf = append(buf, Match{ID: e.set.ID, Sim: sim})
 		}
@@ -644,12 +557,6 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 // same order and the rising k-th-distance floor is this floor, so the
 // layers above ask for the top k and compute distances where they name
 // the results (vsmartjoin.Index.Query).
-//
-// The pass runs through the partition's planned strategy (see
-// internal/planner): the prefix-filter probe, a MinHash-bucket-seeded
-// sweep, or a straight scan. Every strategy yields the same k matches —
-// they differ only in how fast the rising k-th-best floor is
-// established.
 func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	ix.queries.Add(1)
 	if k <= 0 || len(q.Set.Entries) == 0 {
@@ -661,14 +568,7 @@ func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	s.cnt.probes, s.cnt.cands, s.cnt.lenPruned, s.cnt.verified = 0, 0, 0, 0
 
 	ix.mu.RLock()
-	switch ix.plan {
-	case planner.Brute:
-		ix.topkBruteLocked(s, q, qUni, k)
-	case planner.LSH:
-		ix.topkLSHLocked(s, q, qUni, k)
-	default:
-		ix.topkPrefixLocked(s, q, qUni, k)
-	}
+	ix.topkPrefixLocked(s, q, qUni, k)
 	ix.mu.RUnlock()
 
 	ix.probes.Add(s.cnt.probes)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
 )
 
@@ -47,8 +46,7 @@ func matchesEqual(a, b []Match) bool {
 }
 
 // TestQueryKNNMatchesOracle gates the claim the serving stack rests on
-// — the planned top-k pass IS the kNN pass — under every strategy the
-// planner can pick, against the exhaustive oracle,
+// — the top-k pass IS the kNN pass — against the exhaustive oracle,
 // including duplicate multisets (maximal ID tie groups) and
 // self-queries of every indexed entity.
 func TestQueryKNNMatchesOracle(t *testing.T) {
@@ -60,20 +58,16 @@ func TestQueryKNNMatchesOracle(t *testing.T) {
 		multiset.Multiset{ID: 101, Entries: sets[0].Entries},
 	)
 	for _, m := range similarity.All() {
-		for _, strat := range []planner.Strategy{planner.Auto, planner.Prefix, planner.LSH, planner.Brute} {
-			ix := buildIndex(m, sets)
-			ix.SetStrategy(strat)
-			for _, k := range []int{1, 5, 50} {
-				for _, q := range sets {
-					// The oracle excludes q's own ID like KNNAgainst does; the
-					// index has no such notion, so query a fresh ID.
-					probe := multiset.Multiset{ID: 9999, Entries: q.Entries}
-					got := ix.QueryKNNInto(QueryOf(probe), k, nil)
-					want := oracleKNN(sets, probe, k, m)
-					if !matchesEqual(got, want) {
-						t.Fatalf("%s strategy=%v k=%d q=%d:\n got %v\nwant %v",
-							m.Name(), strat, k, q.ID, got, want)
-					}
+		ix := buildIndex(m, sets)
+		for _, k := range []int{1, 5, 50} {
+			for _, q := range sets {
+				// The oracle excludes q's own ID like KNNAgainst does; the
+				// index has no such notion, so query a fresh ID.
+				probe := multiset.Multiset{ID: 9999, Entries: q.Entries}
+				got := ix.QueryKNNInto(QueryOf(probe), k, nil)
+				want := oracleKNN(sets, probe, k, m)
+				if !matchesEqual(got, want) {
+					t.Fatalf("%s k=%d q=%d:\n got %v\nwant %v", m.Name(), k, q.ID, got, want)
 				}
 			}
 		}

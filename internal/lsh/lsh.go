@@ -117,6 +117,15 @@ type Stats struct {
 	Results    int
 }
 
+// bandKey folds one band of a signature into its bucket key.
+func bandKey(band, rows int, sig []uint64) uint64 {
+	h := uint64(band) + 0x9e3779b97f4a7c15
+	for r := 0; r < rows; r++ {
+		h = splitmix(h ^ sig[band*rows+r])
+	}
+	return h
+}
+
 // Join finds pairs whose (estimated or verified) Ruzicka similarity is at
 // least the threshold. It is approximate: pairs missed by every band are
 // lost, and estimates carry sampling error.

@@ -1,184 +1,8 @@
-// Package planner chooses, per index partition, which candidate-
-// generation strategy the online index runs its queries through — the
-// adaptive selection step of "Adaptive MapReduce Similarity Joins"
-// (arXiv:1804.05615) transplanted onto the serving path. One global
-// algorithm is the wrong answer for skewed data: a partition of a few
-// dozen entities is served fastest by a straight scan, a partition
-// dominated by a stop-word element defeats prefix filtering (its
-// posting list IS the partition), and everything in between wants the
-// prefix-filter inverted index. The planner reads ingest-time dataset
-// statistics (internal/stats.Dist summaries maintained by the index on
-// every mutation) and returns one of three strategies; every strategy
-// produces exactly the same answers — they are candidate-generation
-// plans, not approximations — so the choice is purely a cost decision
-// and the differential gates hold regardless of what it picks.
-//
-// Decisions are deterministic functions of the partition statistics:
-// identical mutation histories always yield identical plans, on every
-// shard of every deployment shape.
+// Package planner is a one-type shim: benchmark/ladder.go passes
+// planner.Heuristic{} to index.Index.SetPlanner and shard.Set.SetPlanner.
+// The online index has one candidate-generation path, so there is
+// nothing to plan.
 package planner
 
-import "fmt"
-
-// Strategy is one candidate-generation plan for a partition.
-type Strategy uint8
-
-const (
-	// Auto defers to the planner's statistics-driven decision; it is the
-	// IndexOptions.Strategy default and never appears as a decision.
-	Auto Strategy = iota
-	// Prefix is the inverted-index prefix-filter probe (internal/index's
-	// original path): posting lists in decreasing-multiplicity order,
-	// residual and length bounds pruning candidates.
-	Prefix
-	// LSH seeds top-k and kNN queries from MinHash band buckets
-	// (internal/lsh) before sweeping the remainder under the established
-	// floor — exact, but the floor arrives from O(bands) bucket lookups
-	// instead of a skewed posting list.
-	LSH
-	// Brute scans every entity of the partition, length-filtered only —
-	// optimal when the partition is small enough that probe setup
-	// dominates.
-	Brute
-)
-
-// String reports the canonical lowercase name used by IndexOptions,
-// /stats, and /metrics labels.
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Prefix:
-		return "prefix"
-	case LSH:
-		return "lsh"
-	case Brute:
-		return "brute"
-	default:
-		return fmt.Sprintf("strategy(%d)", uint8(s))
-	}
-}
-
-// Parse maps a canonical name (as accepted by IndexOptions.Strategy)
-// back to its Strategy. The empty string is Auto.
-func Parse(name string) (Strategy, error) {
-	switch name {
-	case "", "auto":
-		return Auto, nil
-	case "prefix":
-		return Prefix, nil
-	case "lsh":
-		return LSH, nil
-	case "brute":
-		return Brute, nil
-	default:
-		return Auto, fmt.Errorf("planner: unknown strategy %q (want auto, prefix, lsh, or brute)", name)
-	}
-}
-
-// PartitionStats is the ingest-time statistical summary of one index
-// partition the planner decides from. The index maintains every field
-// incrementally under its write lock, so reading them costs nothing and
-// the decision can be re-evaluated on each mutation.
-type PartitionStats struct {
-	// Entities is the live entity count; Elements the number of distinct
-	// alphabet elements with a posting list; Postings the live posting
-	// entries (tombstones excluded).
-	Entities int
-	Elements int
-	Postings int
-
-	// MaxPostingLen is the length of the longest posting list, stale
-	// entries included — the numerator of the token-frequency skew: a
-	// list approaching the partition size means some element is a
-	// stop word and probing it degenerates to a scan.
-	MaxPostingLen int
-
-	// CardMean, CardP90, and CardMax summarize the multiset-length
-	// (cardinality) distribution of the live entities; the quantile and
-	// max are power-of-two bucket ceilings (stats.Dist).
-	CardMean float64
-	CardP90  uint64
-	CardMax  uint64
-}
-
-// TokenSkew is the frequency of the hottest element relative to a
-// uniform spread of the postings over the alphabet: max posting length
-// divided by mean posting length. 1 means perfectly uniform; values
-// near Entities mean one element touches everything.
-func (ps PartitionStats) TokenSkew() float64 {
-	if ps.Elements == 0 || ps.Postings == 0 {
-		return 0
-	}
-	mean := float64(ps.Postings) / float64(ps.Elements)
-	return float64(ps.MaxPostingLen) / mean
-}
-
-// Planner decides a partition's strategy from its statistics. Decide
-// must be a pure function of ps — the determinism the differential
-// suite and the cluster's reproducibility guarantees rest on.
-type Planner interface {
-	Decide(ps PartitionStats) Strategy
-}
-
-// Fixed is a Planner that always answers itself — the implementation
-// behind the IndexOptions.Strategy override.
-type Fixed Strategy
-
-// Decide implements Planner.
-func (f Fixed) Decide(PartitionStats) Strategy { return Strategy(f) }
-
-// Default thresholds; see Heuristic.
-const (
-	// DefaultBruteCutoff is the partition size at or below which a
-	// straight scan wins: the probe's sort + dedup setup costs more than
-	// length-filtering this many candidates outright.
-	DefaultBruteCutoff = 64
-	// DefaultLSHMinEntities gates the LSH strategy: below this the
-	// signature computation per query costs more than any posting list
-	// it avoids, however skewed.
-	DefaultLSHMinEntities = 128
-	// DefaultLSHHotFraction is the stop-word test: when the longest
-	// posting list covers at least this fraction of the partition's
-	// entities, prefix probing degenerates to a scan of that list and
-	// bucket-seeded floors win.
-	DefaultLSHHotFraction = 0.5
-)
-
-// Heuristic is the default statistics-driven Planner:
-//
-//   - Entities ≤ BruteCutoff            → Brute
-//   - hottest element covers ≥ HotFraction of the entities
-//     and Entities ≥ LSHMinEntities     → LSH
-//   - otherwise                         → Prefix
-//
-// Zero-valued fields fall back to the Default* constants, so the zero
-// Heuristic is usable.
-type Heuristic struct {
-	BruteCutoff    int
-	LSHMinEntities int
-	LSHHotFraction float64
-}
-
-// Decide implements Planner.
-func (h Heuristic) Decide(ps PartitionStats) Strategy {
-	brute := h.BruteCutoff
-	if brute == 0 {
-		brute = DefaultBruteCutoff
-	}
-	lshMin := h.LSHMinEntities
-	if lshMin == 0 {
-		lshMin = DefaultLSHMinEntities
-	}
-	hot := h.LSHHotFraction
-	if hot == 0 {
-		hot = DefaultLSHHotFraction
-	}
-	if ps.Entities <= brute {
-		return Brute
-	}
-	if ps.Entities >= lshMin && float64(ps.MaxPostingLen) >= hot*float64(ps.Entities) {
-		return LSH
-	}
-	return Prefix
-}
+// Heuristic remains only because benchmark/ladder.go names it.
+type Heuristic struct{}

@@ -7,15 +7,13 @@ import (
 
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
 )
 
 // TestKNNDifferentialVsSingleIndex is the sharded kNN exactness gate:
-// for shard counts {1, 3, 8} and every planner strategy, the kNN pass
-// (the top-k pass: see index.Neighbor) must return exactly the
-// single-index answer — same IDs, same similarities, same order —
-// including after churn.
+// for shard counts {1, 3, 8} the kNN pass (the top-k pass: see
+// index.Neighbor) must return exactly the single-index answer — same
+// IDs, same similarities, same order — including after churn.
 func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for _, measureName := range []string{"ruzicka", "jaccard", "cosine"} {
@@ -34,35 +32,31 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 		for _, s := range sets {
 			single.Add(s)
 		}
-		for _, strat := range []planner.Strategy{planner.Auto, planner.LSH, planner.Brute} {
-			single.SetStrategy(strat)
-			for _, n := range []int{1, 3, 8} {
-				set := New(m, n)
-				for _, s := range sets {
-					set.Add(s)
+		for _, n := range []int{1, 3, 8} {
+			set := New(m, n)
+			for _, s := range sets {
+				set.Add(s)
+			}
+			for _, k := range []int{1, 5, 50} {
+				for _, q := range sets[:20] {
+					tag := fmt.Sprintf("%s shards=%d k=%d q=%d", measureName, n, k, q.ID)
+					sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), k, nil), single.QueryKNNInto(index.QueryOf(q), k, nil))
 				}
-				set.SetStrategy(strat)
-				for _, k := range []int{1, 5, 50} {
-					for _, q := range sets[:20] {
-						tag := fmt.Sprintf("%s strategy=%v shards=%d k=%d q=%d", measureName, strat, n, k, q.ID)
-						sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), k, nil), single.QueryKNNInto(index.QueryOf(q), k, nil))
-					}
-				}
-				// Churn a slice of entities, then re-compare: removals must
-				// vanish from lists on both sides identically.
-				for _, s := range sets[10:20] {
-					set.Remove(s.ID)
-					single.Remove(s.ID)
-				}
-				for _, q := range sets[:5] {
-					tag := fmt.Sprintf("%s strategy=%v shards=%d churn q=%d", measureName, strat, n, q.ID)
-					sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), 5, nil), single.QueryKNNInto(index.QueryOf(q), 5, nil))
-				}
-				// Restore for the next shard count.
-				for _, s := range sets[10:20] {
-					set.Add(s)
-					single.Add(s)
-				}
+			}
+			// Churn a slice of entities, then re-compare: removals must
+			// vanish from lists on both sides identically.
+			for _, s := range sets[10:20] {
+				set.Remove(s.ID)
+				single.Remove(s.ID)
+			}
+			for _, q := range sets[:5] {
+				tag := fmt.Sprintf("%s shards=%d churn q=%d", measureName, n, q.ID)
+				sameMatches(t, tag, set.QueryKNNInto(index.QueryOf(q), 5, nil), single.QueryKNNInto(index.QueryOf(q), 5, nil))
+			}
+			// Restore for the next shard count.
+			for _, s := range sets[10:20] {
+				set.Add(s)
+				single.Add(s)
 			}
 		}
 	}

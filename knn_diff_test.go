@@ -4,13 +4,12 @@ package vsmartjoin
 // distance-ordered query surface: online QueryKNN/QueryKNNEntity and
 // batch AllKNN must reproduce a brute-force oracle built on the public
 // Similarity function — for every measure family, for k below, at, and
-// beyond the corpus size, across shard counts, under every planner
-// strategy (pinned and auto), and after churn. Shard counts are
-// additionally held byte-identical to each other: the canonical
-// (distance ascending, name ascending) order may not depend on the
-// deployment shape. Batch AllKNN lists are also gated byte-identical
-// against online QueryKNNEntity — the two pipelines answer the same
-// question and must agree to the last bit.
+// beyond the corpus size, across shard counts, and after churn. Shard
+// counts are additionally held byte-identical to each other: the
+// canonical (distance ascending, name ascending) order may not depend
+// on the deployment shape. Batch AllKNN lists are also gated
+// byte-identical against online QueryKNNEntity — the two pipelines
+// answer the same question and must agree to the last bit.
 
 import (
 	"bytes"
@@ -112,20 +111,17 @@ func knnProbes(entities map[string]map[string]uint32) []map[string]uint32 {
 }
 
 // TestKNNDifferentialQuery is the online acceptance gate: measures ×
-// strategies (auto and all three pinned) × shard counts {1,3,8} × k
-// {1,5,50} against the oracle, with all shard counts byte-identical to
-// each other, before and after churn.
+// shard counts {1,3,8} × k {1,5,50} against the oracle, with all shard
+// counts byte-identical to each other, before and after churn.
 func TestKNNDifferentialQuery(t *testing.T) {
 	for _, measure := range knnDiffMeasures {
-		for _, strategy := range []string{"auto", "prefix", "lsh", "brute"} {
-			t.Run(fmt.Sprintf("%s/%s", measure, strategy), func(t *testing.T) {
-				runKNNDifferentialQuery(t, measure, strategy)
-			})
-		}
+		t.Run(measure, func(t *testing.T) {
+			runKNNDifferentialQuery(t, measure)
+		})
 	}
 }
 
-func runKNNDifferentialQuery(t *testing.T, measure, strategy string) {
+func runKNNDifferentialQuery(t *testing.T, measure string) {
 	rng := rand.New(rand.NewSource(1012))
 	entities := knnEntities(rng, 40)
 	names := make([]string, 0, len(entities))
@@ -137,7 +133,7 @@ func runKNNDifferentialQuery(t *testing.T, measure, strategy string) {
 	shardCounts := []int{1, 3, 8}
 	indexes := make([]*Index, len(shardCounts))
 	for i, shards := range shardCounts {
-		ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards, Strategy: strategy})
+		ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,14 +141,6 @@ func runKNNDifferentialQuery(t *testing.T, measure, strategy string) {
 		indexes[i] = ix
 		for _, name := range names {
 			mustAdd(t, ix, name, entities[name])
-		}
-		if strategy != "auto" {
-			// A pinned override must be every shard's reported plan.
-			for s, plan := range ix.Stats().Plans {
-				if plan != strategy {
-					t.Fatalf("shard %d of %d plans %q under pinned %q", s, shards, plan, strategy)
-				}
-			}
 		}
 	}
 
@@ -278,27 +266,66 @@ func TestKNNDifferentialAllKNN(t *testing.T) {
 	}
 }
 
-// TestKNNAutoPlanCoversAllStrategies pins the "every strategy is
-// exercised" property of the suite without overrides: corpora shaped
-// for each heuristic regime must actually land on brute, prefix, and
-// lsh under the auto planner, and answer oracle-exact there.
-func TestKNNAutoPlanCoversAllStrategies(t *testing.T) {
+// oracleMatches brute-forces every entity sharing an element with q,
+// best first under the canonical public order (similarity descending,
+// name ascending): the threshold answer is its prefix at or above t,
+// the top-k answer its first k.
+func oracleMatches(t *testing.T, entities map[string]map[string]uint32, measure string, q map[string]uint32) []Match {
+	t.Helper()
+	var out []Match
+	for name, counts := range entities {
+		if !sharesElement(q, counts) {
+			continue
+		}
+		sim, err := Similarity(measure, q, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, Match{Entity: name, Similarity: sim})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Similarity != out[j].Similarity {
+			return out[i].Similarity > out[j].Similarity
+		}
+		return out[i].Entity < out[j].Entity
+	})
+	return out
+}
+
+func mustMatchMatches(t *testing.T, tag string, got, want []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d matches, want %d\n got: %v\nwant: %v", tag, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i].Entity != want[i].Entity {
+			t.Fatalf("%s: match %d is %q, oracle has %q\n got: %v\nwant: %v", tag, i, got[i].Entity, want[i].Entity, got, want)
+		}
+		if d := got[i].Similarity - want[i].Similarity; d < -1e-9 || d > 1e-9 {
+			t.Fatalf("%s: match %q similarity %v, oracle %v", tag, got[i].Entity, got[i].Similarity, want[i].Similarity)
+		}
+	}
+}
+
+// TestRegimeCorporaMatchOracle runs every query kind against the oracle
+// on the three partition shapes a candidate-generation choice would
+// turn on — a handful of entities, a uniform alphabet, and a stop word
+// every entity carries (its posting list is the whole partition) — on
+// one shard and three, before and after churn through the hottest
+// posting list: its heaviest carriers are removed (tombstones in the
+// list every query probes) and then re-added.
+func TestRegimeCorporaMatchOracle(t *testing.T) {
 	cases := []struct {
 		name string
-		plan string
 		gen  func(rng *rand.Rand) map[string]map[string]uint32
 	}{
-		// ≤64 entities in the single shard → brute.
-		{"small-corpus", "brute", func(rng *rand.Rand) map[string]map[string]uint32 {
+		{"small-corpus", func(rng *rand.Rand) map[string]map[string]uint32 {
 			return randomEntities(rng, 30, 20, 6, 3)
 		}},
-		// 200 entities, no stop-word skew → prefix.
-		{"uniform-corpus", "prefix", func(rng *rand.Rand) map[string]map[string]uint32 {
+		{"uniform-corpus", func(rng *rand.Rand) map[string]map[string]uint32 {
 			return randomEntities(rng, 200, 400, 6, 3)
 		}},
-		// 200 entities all sharing one hot element → the hottest posting
-		// list covers the whole partition → lsh.
-		{"stopword-corpus", "lsh", func(rng *rand.Rand) map[string]map[string]uint32 {
+		{"stopword-corpus", func(rng *rand.Rand) map[string]map[string]uint32 {
 			out := randomEntities(rng, 200, 400, 6, 3)
 			for _, counts := range out {
 				counts["hot"] = 1
@@ -306,34 +333,92 @@ func TestKNNAutoPlanCoversAllStrategies(t *testing.T) {
 			return out
 		}},
 	}
+	const measure = "jaccard"
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			entities := tc.gen(rng)
-			ix, err := NewIndex(IndexOptions{Measure: "jaccard"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ix.Close()
+			entities := tc.gen(rand.New(rand.NewSource(77)))
 			names := make([]string, 0, len(entities))
-			for name := range entities {
+			carriers := make(map[string]int)
+			for name, counts := range entities {
 				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				mustAdd(t, ix, name, entities[name])
-			}
-			plans := ix.Stats().Plans
-			for s, plan := range plans {
-				if plan != tc.plan {
-					t.Fatalf("shard %d planned %q, corpus shaped for %q (plans %v)", s, plan, tc.plan, plans)
+				for elem := range counts {
+					carriers[elem]++
 				}
 			}
-			for _, k := range []int{1, 5} {
-				probe := entities[names[3]]
-				mustMatchKNN(t, fmt.Sprintf("%s k=%d", tc.name, k),
-					ix.QueryKNN(probe, k), oracleKNN(t, entities, "jaccard", probe, "", k))
+			sort.Strings(names)
+			hot := ""
+			for elem, n := range carriers {
+				if n > carriers[hot] || n == carriers[hot] && elem < hot {
+					hot = elem
+				}
 			}
+			// The hot element's heaviest carriers: a tenth of the corpus.
+			heaviest := append([]string(nil), names...)
+			sort.SliceStable(heaviest, func(i, j int) bool {
+				return entities[heaviest[i]][hot] > entities[heaviest[j]][hot]
+			})
+			heaviest = heaviest[:len(names)/10]
+			probes := []map[string]uint32{entities[names[3]], entities[heaviest[0]], {hot: 1}}
+
+			shardCounts := []int{1, 3}
+			indexes := make([]*Index, len(shardCounts))
+			for i, shards := range shardCounts {
+				ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
+				indexes[i] = ix
+				for _, name := range names {
+					mustAdd(t, ix, name, entities[name])
+				}
+			}
+			compare := func(stage string) {
+				t.Helper()
+				for i, ix := range indexes {
+					for pi, probe := range probes {
+						tag := fmt.Sprintf("%s shards=%d probe %d", stage, shardCounts[i], pi)
+						all := oracleMatches(t, entities, measure, probe)
+						for _, thr := range []float64{0, 0.5} {
+							want := all
+							for n, m := range all {
+								if m.Similarity+1e-12 < thr {
+									want = all[:n]
+									break
+								}
+							}
+							got, err := ix.QueryThreshold(probe, thr)
+							if err != nil {
+								t.Fatal(err)
+							}
+							mustMatchMatches(t, fmt.Sprintf("%s t=%v", tag, thr), got, want)
+						}
+						for _, k := range []int{1, 5} {
+							mustMatchMatches(t, fmt.Sprintf("%s top-%d", tag, k),
+								ix.QueryTopK(probe, k), all[:min(k, len(all))])
+							mustMatchKNN(t, fmt.Sprintf("%s knn k=%d", tag, k),
+								ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
+						}
+					}
+				}
+			}
+			compare("initial")
+			removed := make(map[string]map[string]uint32, len(heaviest))
+			for _, name := range heaviest {
+				for _, ix := range indexes {
+					mustRemove(t, ix, name)
+				}
+				removed[name] = entities[name]
+				delete(entities, name)
+			}
+			compare("removed")
+			for _, name := range heaviest {
+				for _, ix := range indexes {
+					mustAdd(t, ix, name, removed[name])
+				}
+				entities[name] = removed[name]
+			}
+			compare("re-added")
 		})
 	}
 }

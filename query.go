@@ -93,8 +93,7 @@ func SortNeighborsByName(ns []Neighbor) { cluster.SortNeighbors(ns) }
 
 // Query answers q against the index as of the call; the context is
 // accepted for symmetry with Cluster.Query and unused, the index being
-// local. Every kind runs through the planned per-shard strategy and the
-// answer is independent of it, of the shard count, and of insertion
+// local. The answer is independent of the shard count and of insertion
 // order: where more than K entities tie at the K-th best similarity (or
 // distance) the smallest names win, so selection is a pure function of
 // the indexed (name, multiset) pairs. It fails on a malformed query
