@@ -10,8 +10,10 @@ package vsmartjoin
 // measured configuration; pairs/run is the result size.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -766,13 +768,112 @@ func BenchmarkIndexOpen(b *testing.B) {
 	}
 }
 
+// benchNamedIndex builds a volatile, uncached two-shard index of n
+// one-element entities "entity-<i>" for the benchmarks and gates whose
+// cost may depend on how many names are indexed and on nothing else
+// about them: no entity carries the element "absent", so a query for it
+// is answered by the kNN pad alone.
+func benchNamedIndex(tb testing.TB, n int) *Index {
+	tb.Helper()
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: 2, CacheSize: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	muts := make([]Mutation, 0, applyChunk)
+	for i := 0; i < n; i++ {
+		muts = append(muts, Mutation{Op: OpAdd, Entity: fmt.Sprintf("entity-%d", i),
+			Elements: map[string]uint32{fmt.Sprintf("e%d", i%4096): 1}})
+		if len(muts) == cap(muts) || i == n-1 {
+			if _, err := ix.Apply(context.Background(), muts); err != nil {
+				tb.Fatal(err)
+			}
+			muts = muts[:0]
+		}
+	}
+	return ix
+}
+
+// benchNameCounts are the index sizes the name-order costs are compared
+// at: a padded kNN and the Add of a new name must each cost about the
+// same at both (within 2×).
+var benchNameCounts = []int{20_000, 500_000}
+
+// BenchmarkIndexAddNewName measures Add of a name the index does not
+// hold, landing all over the name order, into an index of n names: the
+// cost of keeping the names ordered for the kNN pad rides on it.
+func BenchmarkIndexAddNewName(b *testing.B) {
+	for _, n := range benchNameCounts {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ix := benchNamedIndex(b, n)
+			defer ix.Close()
+			counts := map[string]uint32{"e7": 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mustAdd(b, ix, fmt.Sprintf("entity-%d+%d", i*7919%n, i), counts)
+			}
+		})
+	}
+}
+
+// TestKNNPadAllocsIndependentOfLen is the allocation gate on the kNN
+// pad: what a wholly padded query allocates — in count and in bytes —
+// is the same over 16× the names, because the pad reads the first k
+// names off the ordered name table and copies nothing else.
+func TestKNNPadAllocsIndependentOfLen(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	measure := func(n int) (allocs float64, bytes uint64) {
+		ix := benchNamedIndex(t, n)
+		defer ix.Close()
+		query := func() {
+			if ns := ix.QueryKNN(map[string]uint32{"absent": 1}, 10); len(ns) != 10 {
+				t.Fatalf("got %d neighbors", len(ns))
+			}
+		}
+		const runs = 100
+		allocs = testing.AllocsPerRun(runs, query)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(1_000)
+	largeAllocs, largeBytes := measure(16_000)
+	t.Logf("padded kNN, k=10: %v allocs / %d B at 1k names, %v allocs / %d B at 16k", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs > smallAllocs || largeBytes > smallBytes+smallBytes/4 {
+		t.Errorf("padded kNN allocations grow with Len(): %v allocs / %d B at 1k names, %v allocs / %d B at 16k",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+}
+
 // BenchmarkQueryKNN measures the online kNN read path across shard
 // widths: the same 10k-entity dataset as BenchmarkShardedQuery,
 // partitioned 1/4/8 ways, k=10 nearest per query. The inner fan-out
 // raises a per-shard distance floor exactly as QueryTopK raises a
 // similarity floor, so the shard trade reads the same way: a little
-// merge overhead for parallel probing.
+// merge overhead for parallel probing. The padded sub-benchmarks ask
+// for the 10 nearest to a query that shares no element with the corpus
+// — the whole answer is pad — at two index sizes.
 func BenchmarkQueryKNN(b *testing.B) {
+	for _, n := range benchNameCounts {
+		b.Run(fmt.Sprintf("padded/n=%d", n), func(b *testing.B) {
+			ix := benchNamedIndex(b, n)
+			defer ix.Close()
+			query := map[string]uint32{"absent": 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ns := ix.QueryKNN(query, 10); len(ns) != 10 {
+					b.Fatalf("got %d neighbors", len(ns))
+				}
+			}
+		})
+	}
 	entities := benchIndexEntities(10000)
 	for _, shards := range []int{1, 4, 8} {
 		ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: shards, CacheSize: -1})

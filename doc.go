@@ -181,7 +181,7 @@
 // its /stats endpoint, and its -debug-addr flag serves net/http/pprof
 // on a private listener for live profiling.
 //
-// # kNN queries and adaptive planning
+// # kNN queries
 //
 // The third query shape is k-nearest-neighbor under the distance
 // 1 − similarity. QueryKNN returns the k nearest indexed entities to a
@@ -190,7 +190,9 @@
 // own elements, excluding the entity from its list. kNN has no
 // similarity cut-off: entities sharing nothing with the query sit at
 // distance exactly 1 and legitimately fill a list when fewer than k
-// entities overlap.
+// entities overlap, smallest names first; the index keeps its entity
+// names ordered as they are added and removed, so that pad costs O(k)
+// whatever the index holds.
 //
 //	ns := ix.QueryKNN(map[string]uint32{"cookie-a": 3}, 10)
 //	for _, n := range ns {

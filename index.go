@@ -236,6 +236,7 @@ type Index struct {
 	dict   *multiset.Dict
 	byName map[string]multiset.ID
 	names  map[multiset.ID]string
+	order  nameTable // the keys of byName, ascending: the kNN pad's read order
 	nextID multiset.ID
 
 	logs          []*wal.Log // nil for a volatile index; one per shard otherwise
@@ -469,6 +470,7 @@ func (ix *Index) openLogs(dir string) error {
 		}
 	}
 	var conflicted []int
+	sorted := make([]string, 0, len(owner))
 	for i, shardEnts := range perShard {
 		sets := make([]multiset.Multiset, 0, len(shardEnts))
 		stale := false
@@ -480,6 +482,7 @@ func (ix *Index) openLogs(dir string) error {
 			sets = append(sets, r.set)
 			ix.byName[r.name] = r.id
 			ix.names[r.id] = r.name
+			sorted = append(sorted, r.name)
 			if r.id >= ix.nextID {
 				ix.nextID = r.id + 1
 			}
@@ -491,6 +494,7 @@ func (ix *Index) openLogs(dir string) error {
 			conflicted = append(conflicted, i)
 		}
 	}
+	ix.order.load(sorted)
 	// A shard that held a superseded entry resolved it in memory only;
 	// its files still contain the stale add, which would resurrect if
 	// the winning entity were later removed and this shard never

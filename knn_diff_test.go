@@ -13,11 +13,18 @@ package vsmartjoin
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
+
+	"vsmartjoin/internal/multiset"
+	"vsmartjoin/internal/shard"
+	"vsmartjoin/internal/wal"
 )
 
 var knnDiffMeasures = []string{"ruzicka", "jaccard", "dice", "cosine"}
@@ -421,4 +428,297 @@ func TestRegimeCorporaMatchOracle(t *testing.T) {
 			compare("re-added")
 		})
 	}
+}
+
+// padProbes are element queries whose kNN answer is mostly or wholly
+// pad: nothing indexed shares an element with the first two, exactly one
+// entity (hermit-a) with the third, a handful with the last.
+var padProbes = []map[string]uint32{
+	{"fully-unknown": 1},
+	{},
+	{"only-a": 2, "nowhere": 1},
+	{"e5": 4},
+}
+
+// mustPadLikeOracle holds every index's padded answers — element and
+// entity-relative queries, k from 1 to beyond Len() — to the oracle over
+// entities. selves are the entities to ask QueryKNNEntity about; ones
+// not currently in entities are passed over.
+func mustPadLikeOracle(t *testing.T, stage string, ixs []*Index, entities map[string]map[string]uint32, measure string, selves []string) {
+	t.Helper()
+	n := len(entities)
+	for _, k := range []int{1, 5, n - 1, n, n + 7} {
+		for i, ix := range ixs {
+			for pi, probe := range padProbes {
+				tag := fmt.Sprintf("%s index %d probe %d k=%d", stage, i, pi, k)
+				mustMatchKNN(t, tag, ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
+			}
+			for _, self := range selves {
+				if _, ok := entities[self]; !ok {
+					continue
+				}
+				got, err := ix.QueryKNNEntity(self, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("%s index %d entity %q k=%d", stage, i, self, k)
+				mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, entities[self], self, k))
+			}
+		}
+	}
+}
+
+// TestKNNPadAfterNameChurn churns the names every pad starts from — the
+// smallest ones — and holds the pad to the oracle at every step: adds
+// ahead of the whole corpus, a removal, a re-add, an upsert in place,
+// with self among the first names and k up to and beyond Len().
+func TestKNNPadAfterNameChurn(t *testing.T) {
+	const measure = "jaccard"
+	entities := knnEntities(rand.New(rand.NewSource(1014)), 40)
+	var ixs []*Index
+	for _, shards := range []int{1, 3} {
+		ix, err := BuildIndex(datasetOf(entities), IndexOptions{Measure: measure, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		ixs = append(ixs, ix)
+	}
+	selves := []string{"!first", "!!", "hermit-a", "twin-0"}
+	add := func(name string, counts map[string]uint32) {
+		t.Helper()
+		for _, ix := range ixs {
+			mustAdd(t, ix, name, counts)
+		}
+		entities[name] = counts
+	}
+	remove := func(name string) {
+		t.Helper()
+		for _, ix := range ixs {
+			mustRemove(t, ix, name)
+		}
+		delete(entities, name)
+	}
+	mustPadLikeOracle(t, "initial", ixs, entities, measure, selves)
+	add("!first", map[string]uint32{"only-first": 1})
+	add("!!", map[string]uint32{"e5": 1})
+	add("~last", map[string]uint32{"only-last": 3})
+	mustPadLikeOracle(t, "added", ixs, entities, measure, selves)
+	remove("!first")
+	mustPadLikeOracle(t, "removed", ixs, entities, measure, selves)
+	add("!first", map[string]uint32{"only-a": 1}) // back, now overlapping hermit-a
+	add("!!", map[string]uint32{"only-b": 2})     // upsert in place: the name stays once
+	mustPadLikeOracle(t, "re-added", ixs, entities, measure, selves)
+	remove("!!")
+	remove("!first")
+	remove("~last")
+	mustPadLikeOracle(t, "all removed", ixs, entities, measure, selves)
+}
+
+// TestKNNPadAfterReopen holds a durable index's pad, after each way
+// OpenIndex can rebuild the name table, byte-identical to that of a
+// volatile index that lived through the same mutations: first snapshot
+// load plus WAL replay (removes and re-adds of the smallest names on
+// both sides of the snapshot), then the cross-shard conflict a lost
+// remove leaves behind — one name live in two shards' files, which must
+// come back in the pad once.
+func TestKNNPadAfterReopen(t *testing.T) {
+	const measure = "jaccard"
+	opts := IndexOptions{Measure: measure, Dir: t.TempDir(), Shards: 2, SnapshotEvery: -1}
+	durable, err := NewIndex(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewIndex(IndexOptions{Measure: measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	entities := map[string]map[string]uint32{}
+	add := func(name string, counts map[string]uint32) {
+		t.Helper()
+		mustAdd(t, durable, name, counts)
+		mustAdd(t, live, name, counts)
+		entities[name] = counts
+	}
+	remove := func(name string) {
+		t.Helper()
+		mustRemove(t, durable, name)
+		mustRemove(t, live, name)
+		delete(entities, name)
+	}
+	// Burn the lowest IDs: an entity re-added after a removal gets a
+	// fresh one, so these stay free for the stale record planted below.
+	const burned = 8
+	for i := 0; i < burned; i++ {
+		add("!ghost", map[string]uint32{"old": 1})
+		remove("!ghost")
+	}
+	corpus := knnEntities(rand.New(rand.NewSource(1015)), 40)
+	names := make([]string, 0, len(corpus))
+	for name := range corpus {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		add(name, corpus[name])
+	}
+	add("!first", map[string]uint32{"only-first": 1})
+	add("!ghost", map[string]uint32{"only-a": 1})
+	if err := durable.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	remove("!first")
+	remove(names[0])
+	add("!!", map[string]uint32{"e5": 2})
+	add("!first", map[string]uint32{"only-b": 1})
+
+	selves := []string{"!first", "!!", "!ghost", "hermit-a"}
+	mustPadIdentical := func(stage string, re *Index) {
+		t.Helper()
+		mustPadLikeOracle(t, stage, []*Index{re}, entities, measure, selves)
+		for _, k := range []int{3, len(entities) + 1} {
+			for pi, probe := range padProbes {
+				got, err := json.Marshal(re.QueryKNN(probe, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(live.QueryKNN(probe, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s probe %d k=%d: reopened and never-closed disagree\nreopened: %s\n    live: %s", stage, pi, k, got, want)
+				}
+			}
+		}
+	}
+
+	// Crash (durable is abandoned without Close) and recover.
+	re, err := OpenIndex(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPadIdentical("snapshot+wal", re)
+
+	// Plant an older generation of "!ghost" in the shard that does not
+	// hold the live one — what that shard's files would still say had the
+	// remove been lost from its un-fsynced WAL tail.
+	n := re.inner.Shards()
+	liveShard := shard.ShardOf(re.byName["!ghost"], n)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := multiset.ID(0)
+	for id := multiset.ID(1); id <= burned; id++ {
+		if shard.ShardOf(id, n) != liveShard {
+			stale = id
+		}
+	}
+	if stale == 0 {
+		t.Fatalf("IDs 1..%d all route to shard %d", burned, liveShard)
+	}
+	nop := func(wal.Record) error { return nil }
+	l, err := wal.Open(filepath.Join(opts.Dir, wal.ShardDirName(shard.ShardOf(stale, n))), measure, nop, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(wal.Record{Op: wal.OpAdd, ID: uint64(stale), Entity: "!ghost", Elements: []wal.Element{{Name: "old", Count: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = OpenIndex(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Len(); got != len(entities) {
+		t.Fatalf("recovered %d entities, want %d: the stale %q resurrected", got, len(entities), "!ghost")
+	}
+	mustPadIdentical("cross-shard conflict", re)
+}
+
+// TestKNNPadConcurrentWithApply races padded queries against Apply
+// batches that add and remove the very names a pad starts from. Every
+// answer must be full length, in canonical order and free of duplicate
+// names — resolve and the pad read one state of the name tables — with
+// the overlapping entities, which no writer touches, always leading it.
+func TestKNNPadConcurrentWithApply(t *testing.T) {
+	ix, err := NewIndex(IndexOptions{Measure: "jaccard", Shards: 3, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	const stable, k = 30, 12
+	for i := 0; i < stable; i++ {
+		counts := map[string]uint32{fmt.Sprintf("s%d", i): 1}
+		if i < 3 {
+			counts["shared"] = uint32(i + 1)
+		}
+		mustAdd(t, ix, fmt.Sprintf("stable-%02d", i), counts)
+	}
+	const writers, rounds = 2, 2000
+	var wg sync.WaitGroup
+	writing := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds; r++ {
+				var muts []Mutation
+				for j, m := 0, 1+rng.Intn(6); j < m; j++ {
+					// Names on both sides of the stable ones; each writer
+					// owns its own, sharing "churn" with no stable entity.
+					name := fmt.Sprintf("%c-w%d-%d", "!~"[rng.Intn(2)], w, rng.Intn(8))
+					if rng.Intn(3) == 0 {
+						muts = append(muts, Mutation{Op: OpRemove, Entity: name})
+					} else {
+						muts = append(muts, Mutation{Op: OpAdd, Entity: name, Elements: map[string]uint32{"churn": 1}})
+					}
+				}
+				if _, err := ix.Apply(context.Background(), muts); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(writing) }()
+
+	probes := []map[string]uint32{{"shared": 1}, {"absent": 1}}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-writing:
+					return
+				default:
+				}
+				got := ix.QueryKNN(probes[i%2], k)
+				if len(got) != k {
+					t.Errorf("got %d neighbors, want %d: %v", len(got), k, got)
+					return
+				}
+				for j := 1; j < len(got); j++ {
+					a, b := got[j-1], got[j]
+					if a.Distance > b.Distance || a.Distance == b.Distance && a.Entity >= b.Entity {
+						t.Errorf("neighbors %d, %d out of canonical order or duplicated: %v", j-1, j, got)
+						return
+					}
+				}
+				if i%2 == 0 && (got[0].Entity != "stable-00" || got[1].Entity != "stable-01" || got[2].Entity != "stable-02" || got[3].Distance != 1) {
+					t.Errorf("overlapping entities do not lead the list: %v", got)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	<-writing
 }

@@ -370,8 +370,12 @@ func (ix *Index) apply(muts []Mutation, acks []chan error) ([]bool, error) {
 		if m.Op == OpRemove {
 			delete(ix.byName, m.Entity)
 			delete(ix.names, r.id)
+			ix.order.remove(m.Entity)
 			g.ops = append(g.ops, index.BatchOp{Remove: true, ID: r.id})
 		} else {
+			if _, ok := ix.byName[m.Entity]; !ok { // an upsert of an indexed name skips the search
+				ix.order.insert(m.Entity)
+			}
 			ix.byName[m.Entity] = r.id
 			ix.names[r.id] = m.Entity
 			g.ops = append(g.ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})

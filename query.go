@@ -4,9 +4,11 @@ package vsmartjoin
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
 // Cluster.Query): validate → result cache → intern or look up the query
-// → inner fan-out → boundary-tie re-query → resolve IDs to names → pad →
-// cache fill. The named methods (QueryThreshold, QueryEntity, QueryTopK,
-// QueryKNN, QueryKNNEntity) are conveniences over it.
+// → inner fan-out → boundary-tie re-query → resolve IDs to names and pad
+// a short kNN list (one read-lock hold, O(results + k) whatever the
+// index holds) → cache fill. The named methods (QueryThreshold,
+// QueryEntity, QueryTopK, QueryKNN, QueryKNNEntity) are conveniences
+// over it.
 //
 // Below this file similarity is the only currency: the sharded inner
 // index answers threshold and top-k queries in (similarity, entity ID)
@@ -21,7 +23,6 @@ package vsmartjoin
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"vsmartjoin/internal/cluster"
@@ -171,18 +172,9 @@ func (ix *Index) query(q Query) (QueryResult, error) {
 			}
 		}
 	}
-	res := ix.resolve(ms, q.Kind)
+	res := ix.resolve(ms, q)
 	bp.ms = ms
 	matchBufPool.Put(bp)
-	if q.Kind != KindThreshold {
-		res.Matches = res.Matches[:min(len(res.Matches), q.K)]
-		res.Neighbors = res.Neighbors[:min(len(res.Neighbors), q.K)]
-	}
-	if q.Kind == KindKNN && len(res.Neighbors) < q.K {
-		// Fewer than k entities overlap the query, so the list already
-		// holds every overlapping one.
-		res.Neighbors = ix.padKNN(res.Neighbors, q.K, q.Entity)
-	}
 	if timed {
 		ix.queryLatency.ObserveSince(start)
 	}
@@ -256,69 +248,79 @@ func (ix *Index) buildQuery(counts map[string]uint32) index.Query {
 	return q
 }
 
-// resolve translates the inner index's ID matches into the public
-// result of the given kind — the one place entity names are attached
-// and, for kNN, distances are computed — and sorts it under the
-// canonical public ordering: the inner index breaks ties by entity ID,
-// which is meaningless outside one process, and in distance space
-// 1 − sim is order-reversing but not injective (adjacent similarities
-// can round to one distance), so the distance ties it creates are
-// re-broken by name here too. Matches whose entity was removed between
-// the query and the lookup are dropped.
-func (ix *Index) resolve(ms []index.Match, kind QueryKind) QueryResult {
+// resolve translates the inner index's ID matches into q's public
+// result — the one place entity names are attached and, for kNN,
+// distances are computed — in the canonical public order, cut to q.K:
+// the inner index breaks ties by entity ID, which is meaningless outside
+// one process, and in distance space 1 − sim is order-reversing but not
+// injective (adjacent similarities can round to one distance), so the
+// distance ties it creates are re-broken by name here too. Matches whose
+// entity was removed between the query and the lookup are dropped. A
+// kNN list with fewer than q.K overlapping entities is padded under the
+// same read-lock hold, so the resolved names and the pad come from one
+// state of the name tables.
+func (ix *Index) resolve(ms []index.Match, q Query) QueryResult {
 	var res QueryResult
-	if kind == KindKNN {
-		res.Neighbors = make([]Neighbor, 0, len(ms))
+	ix.mu.RLock()
+	if q.Kind == KindKNN {
+		// Room for the pad: it can only run when len(ms) < q.K.
+		res.Neighbors = make([]Neighbor, 0, max(len(ms), min(q.K, len(ix.byName))))
 	} else {
 		res.Matches = make([]Match, 0, len(ms))
 	}
-	ix.mu.RLock()
 	for _, m := range ms {
 		name, ok := ix.names[m.ID]
 		if !ok {
 			continue
 		}
-		if kind == KindKNN {
+		if q.Kind == KindKNN {
 			res.Neighbors = append(res.Neighbors, Neighbor{Entity: name, Distance: 1 - m.Sim})
 		} else {
 			res.Matches = append(res.Matches, Match{Entity: name, Similarity: m.Sim})
 		}
 	}
+	overlap := len(res.Neighbors)
+	if q.Kind == KindKNN && overlap < q.K {
+		// Fewer than k entities overlap the query, so the list already
+		// holds every overlapping one.
+		res.Neighbors = ix.padKNNLocked(res.Neighbors, q.K, q.Entity)
+	}
 	ix.mu.RUnlock()
 	cluster.SortMatches(res.Matches)
-	cluster.SortNeighbors(res.Neighbors)
+	cluster.SortNeighbors(res.Neighbors[:overlap])
+	if q.Kind != KindThreshold {
+		res.Matches = res.Matches[:min(len(res.Matches), q.K)]
+		res.Neighbors = res.Neighbors[:min(len(res.Neighbors), q.K)]
+	}
 	return res
 }
 
-// padKNN appends the first k−len(out) indexed entities not already in
-// out (and not self, the query's own entity) in ascending name order,
-// each at distance 1. Runs only when the overlap population is
-// exhausted, so the sort cost sits on an inherently small-result path.
-func (ix *Index) padKNN(out []Neighbor, k int, self string) []Neighbor {
-	need := k - len(out)
-	seen := make(map[string]bool, len(out)+1)
+// padKNNLocked appends the first k−len(out) indexed entities not
+// already in out (and not self, the query's own entity) in ascending
+// name order, each at distance 1, by walking the order-maintained name
+// table from its head. The walk passes over at most len(out)+1 names it
+// must skip, so a pad costs O(k) map operations and name-table steps
+// however many entities are indexed: a short kNN list is not rare (any
+// query with fewer than k overlapping entities gets one), and its cost
+// is paid holding the read lock every writer queues behind. Caller
+// holds ix.mu.
+func (ix *Index) padKNNLocked(out []Neighbor, k int, self string) []Neighbor {
+	skip := make(map[string]struct{}, len(out)+1)
 	for _, n := range out {
-		seen[n.Entity] = true
+		skip[n.Entity] = struct{}{}
 	}
 	if self != "" {
-		seen[self] = true
+		skip[self] = struct{}{}
 	}
-	ix.mu.RLock()
-	names := make([]string, 0, len(ix.byName))
-	for name := range ix.byName {
-		if !seen[name] {
-			names = append(names, name)
+	for name := range ix.order.all() {
+		if len(out) == k {
+			break
+		}
+		if _, ok := skip[name]; !ok {
+			out = append(out, Neighbor{Entity: name, Distance: 1})
 		}
 	}
-	ix.mu.RUnlock()
-	sort.Strings(names)
-	if len(names) > need {
-		names = names[:need]
-	}
-	for _, name := range names {
-		out = append(out, Neighbor{Entity: name, Distance: 1})
-	}
-	//lint:vsmart-allow canonicalorder the pad is a pure suffix: every prior entry overlaps the query (dist < 1 strictly), the appended names are all at dist exactly 1 in ascending name order
+	//lint:vsmart-allow canonicalorder the pad is a pure suffix: every prior entry overlaps the query (dist < 1 strictly) and resolve sorts those, the appended names are all at dist exactly 1 in ascending name order
 	return out
 }
 
