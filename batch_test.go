@@ -1,12 +1,10 @@
 package vsmartjoin
 
 // Unit gates for the batched mutation surface: AddBatch last-write-wins
-// coalescing, RemoveBatch counting and duplicate handling, AddAsync
-// acknowledgement and same-entity FIFO ordering, batch behavior across
-// a durable restart, and the closed-index contract.
+// coalescing, RemoveBatch counting and duplicate handling, batch
+// behavior across a durable restart, and the closed-index contract.
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -75,40 +73,6 @@ func TestRemoveBatchCounts(t *testing.T) {
 	}
 	if n, err := ix.RemoveBatch(nil); err != nil || n != 0 {
 		t.Fatalf("empty batch: %d %v", n, err)
-	}
-}
-
-func TestAddAsyncSameEntityFIFO(t *testing.T) {
-	ix, err := NewIndex(IndexOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fire a burst of upserts of one hot entity without waiting between
-	// them: the pipeline guarantees same-entity FIFO, so the last write
-	// must be the surviving value.
-	var acks []<-chan error
-	for v := 1; v <= 64; v++ {
-		acks = append(acks, ix.AddAsync("hot", map[string]uint32{"x": uint32(v)}))
-	}
-	for i, c := range acks {
-		if err := <-c; err != nil {
-			t.Fatalf("ack %d: %v", i, err)
-		}
-	}
-	if got := ix.Len(); got != 1 {
-		t.Fatalf("len = %d, want 1", got)
-	}
-	ms, err := ix.QueryThreshold(map[string]uint32{"x": 64}, 0.999)
-	if err != nil || len(ms) != 1 || ms[0].Entity != "hot" {
-		t.Fatalf("final value probe: %v %v, want exact match on the last write", ms, err)
-	}
-	// Close drains the pipeline; afterwards AddAsync acknowledges with
-	// ErrIndexClosed instead of enqueueing.
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ix.AddAsync("late", map[string]uint32{"x": 1}); !errors.Is(err, ErrIndexClosed) {
-		t.Fatalf("AddAsync after Close = %v, want ErrIndexClosed", err)
 	}
 }
 

@@ -13,8 +13,7 @@
 // accounting the wall-clock a cluster of the configured size would have
 // spent. Three joining algorithms from the paper are provided
 // (Online-Aggregation, Lookup, and Sharding), plus the VCL prefix-filter
-// baseline, sequential PPJoin+ variants, and a MinHash LSH baseline in the
-// internal packages.
+// baseline in the internal packages.
 //
 // Quick start:
 //
@@ -86,8 +85,7 @@
 //
 //   - GroupCommitWindow bounds how long the committer waits to coalesce
 //     more appends into one fsync (default 200µs; only meaningful under
-//     DurabilitySync), and MutationQueueDepth sizes the per-queue
-//     buffer behind AddAsync (default 1024).
+//     DurabilitySync).
 //
 // A production-shaped serving index combines them:
 //
@@ -110,23 +108,18 @@
 // last-write-wins for repeated upserts of an entity inside a batch.
 // Add, Remove, AddBatch and RemoveBatch are conveniences that build the
 // batch — a batch of one pays one lock acquisition and one WAL append.
-// AddAsync enqueues a single upsert and returns an acknowledgement
-// channel that delivers exactly one error (nil on success) once the
-// mutation is logged and applied, the queue having been drained into
-// Apply's body a batch at a time; mutations for the same entity are
-// acknowledged in submission order. The channel must be read — the
-// batchorder analyzer in internal/lint flags discarded acknowledgements:
-//
-//	errc := ix.AddAsync("ip-1", map[string]uint32{"cookie-a": 3})
-//	if err := <-errc; err != nil { ... }
+// A writer with many mutations on its hands batches them itself: the
+// wider the batch, the fewer lock acquisitions, log writes and fsyncs
+// per mutation (BenchmarkWriteStorm). After Close a durable index
+// refuses mutations with ErrIndexClosed; a volatile index has nothing to
+// close and keeps accepting them.
 //
 // Queries keep their lock-free read contract throughout: a batch
 // becomes visible atomically, and under DurabilitySync it is
 // acknowledged only after its group-committed fsync. IndexStats
 // reports the moving parts — WALBatchSize and WALGroupCommitSize
 // histograms, WALRecords/WALFsyncs counters (their ratio is the
-// fsyncs-per-mutation amortization), WALCommitWait latency, and the
-// current MutationQueueDepth.
+// fsyncs-per-mutation amortization) and WALCommitWait latency.
 //
 // # Bulk building
 //

@@ -12,6 +12,7 @@ package vsmartjoin
 //     top-k order.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -471,15 +472,12 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 }
 
 // TestCrashRecoveryConcurrentBatches hammers a DurabilitySync index
-// with concurrent batched writers — AddAsync storms, RemoveBatch,
+// with concurrent batched writers — Apply storms, RemoveBatch,
 // AddBatch — racing lock-free readers, then hard-stops it (no Close,
 // torn WAL tail) and requires the reopened index to answer exactly like
 // an oracle holding every acknowledged mutation. Writers own disjoint
-// entity spaces so the final state is deterministic; each writer reads
-// every AddAsync acknowledgement before touching the same entities
-// synchronously, which is the ordering contract the async pipeline
-// documents. Run under -race this is also the batched write path's
-// data-race gate.
+// entity spaces so the final state is deterministic. Run under -race
+// this is also the batched write path's data-race gate.
 func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 	dir := t.TempDir()
 	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 3, SnapshotEvery: 29,
@@ -539,20 +537,19 @@ func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 		go func(w int, final map[string]map[string]uint32) {
 			defer writerWG.Done()
 			for round := 0; round < rounds; round++ {
-				// Async upsert storm over the whole key space; every ack is
-				// read before any synchronous op touches the same entities.
-				acks := make([]<-chan error, 0, perWriter)
-				for i := 0; i < perWriter; i++ {
-					acks = append(acks, ix.AddAsync(name(w, i), elems(w, i, round)))
-				}
-				for _, c := range acks {
-					if err := <-c; err != nil {
+				// Upsert storm over the whole key space, a few mutations per
+				// Apply so the writers' group commits overlap.
+				for lo := 0; lo < perWriter; lo += 8 {
+					storm := make([]Mutation, 0, 8)
+					for i := lo; i < lo+8; i++ {
+						e := elems(w, i, round)
+						storm = append(storm, Mutation{Op: OpAdd, Entity: name(w, i), Elements: e})
+						final[name(w, i)] = e
+					}
+					if _, err := ix.Apply(context.Background(), storm); err != nil {
 						fail(err)
 						return
 					}
-				}
-				for i := 0; i < perWriter; i++ {
-					final[name(w, i)] = elems(w, i, round)
 				}
 				// Thin out a sliding window, then batch half of it back.
 				var victims []string

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +22,9 @@ import (
 // without a Dir: there is nowhere to snapshot to.
 var ErrNotDurable = errors.New("vsmartjoin: index has no durability directory")
 
-// ErrIndexClosed is returned by mutations and snapshots after Close.
+// ErrIndexClosed is returned by mutations and snapshots of a durable
+// index after Close. A volatile index has nothing to close: Close is a
+// no-op on it and it keeps accepting mutations.
 var ErrIndexClosed = errors.New("vsmartjoin: index is closed")
 
 // ErrNoIndex is returned by OpenIndex when the directory holds no index
@@ -43,14 +47,9 @@ const maxShards = 1024
 // fsync itself, large enough to absorb a burst of concurrent writers.
 const defaultGroupCommitWindow = 200 * time.Microsecond
 
-// defaultMutationQueueDepth bounds each async mutation queue: a full
-// queue makes AddAsync block (backpressure), never drop.
-const defaultMutationQueueDepth = 1024
-
-// applyChunk caps how many mutations a caller with more on its hands
-// than it wants to hold back — an async applier draining its queue,
-// AddDataset walking a corpus — passes to one apply call: the batch each
-// shard applies under one lock acquisition and one WAL append covers.
+// applyChunk caps how many mutations AddDataset, walking a corpus,
+// passes to one Apply call: the batch each shard applies under one lock
+// acquisition and one WAL append covers.
 const applyChunk = 256
 
 // Durability selects how a durable index acknowledges mutations.
@@ -127,11 +126,6 @@ type IndexOptions struct {
 	// the cost of per-mutation latency.
 	GroupCommitWindow time.Duration
 
-	// MutationQueueDepth bounds each of the per-shard async mutation
-	// queues behind AddAsync (default 1024). A full queue blocks the
-	// next AddAsync until the applier drains — backpressure, not loss.
-	MutationQueueDepth int
-
 	// CacheSize bounds the query result cache: a per-index LRU over
 	// canonicalized queries ((measure, query elements, t or k) keys)
 	// that short-circuits repeated queries — the head of a zipf-skewed
@@ -207,14 +201,11 @@ type IndexStats struct {
 	// distribution (every append is a batch, so a lone Add or Remove
 	// shows up as a batch of one); WALGroupCommitSize is records per fsync
 	// (the group-commit amortization factor); WALRecords and WALFsyncs
-	// are the totals whose ratio is the fsyncs-per-mutation cost;
-	// MutationQueueDepth is the number of AddAsync mutations currently
-	// queued behind the appliers (0 when the pipeline has never run).
+	// are the totals whose ratio is the fsyncs-per-mutation cost.
 	WALBatchSize       SizeSummary `json:"wal_batch_size"`
 	WALGroupCommitSize SizeSummary `json:"wal_group_commit_size"`
 	WALRecords         int64       `json:"wal_records"`
 	WALFsyncs          int64       `json:"wal_fsyncs"`
-	MutationQueueDepth int         `json:"mutation_queue_depth"`
 }
 
 // Index is the online counterpart of AllPairs: an incremental inverted
@@ -244,20 +235,8 @@ type Index struct {
 	logged        []int // per-shard mutations since that shard's snapshot; guarded by mu
 	closed        bool
 
-	// Async mutation pipeline (AddAsync): bounded queues drained by one
-	// applier goroutine each, started lazily on the first AddAsync so an
-	// index that never uses the pipe never spawns it. queues and
-	// pipeStopped are guarded by mu; pipeWG tracks in-flight enqueues so
-	// Close can drain the pipe without racing a send into a closed
-	// channel; applierWG tracks the applier goroutines themselves.
-	durability  Durability
-	gcWindow    time.Duration
-	queueDepth  int
-	pipeOnce    sync.Once
-	queues      []chan queued
-	pipeStopped bool
-	pipeWG      sync.WaitGroup
-	applierWG   sync.WaitGroup
+	durability Durability
+	gcWindow   time.Duration
 
 	// gen counts mutations; every Add/Remove bumps it, invalidating all
 	// result-cache entries stamped with an earlier value. cache is nil
@@ -345,10 +324,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if gcWindow == 0 {
 		gcWindow = defaultGroupCommitWindow
 	}
-	queueDepth := opts.MutationQueueDepth
-	if queueDepth <= 0 {
-		queueDepth = defaultMutationQueueDepth
-	}
 	ix := &Index{
 		measure:       m,
 		inner:         shard.New(m, shards),
@@ -359,7 +334,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		snapshotEvery: snapshotEvery,
 		durability:    opts.Durability,
 		gcWindow:      gcWindow,
-		queueDepth:    queueDepth,
 	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
@@ -541,7 +515,10 @@ func (ix *Index) noteLoggedLocked(si, n int) {
 }
 
 // snapshotShardLocked writes shard si's snapshot and truncates its log.
-// Caller holds ix.mu, which quiesces all mutations (they all take
+// Each entity's elements are emitted in ascending name order, as
+// walAddRecord logs them — element IDs follow the order a run happened
+// to intern the names in, and the bytes must depend on the logical state
+// alone. Caller holds ix.mu, which quiesces all mutations (they all take
 // ix.mu), so the shard iteration is an atomic view.
 func (ix *Index) snapshotShardLocked(si int) error {
 	err := ix.logs[si].Snapshot(func(emit func(wal.Record) error) error {
@@ -551,6 +528,7 @@ func (ix *Index) snapshotShardLocked(si int) error {
 			for i, e := range m.Entries {
 				elems[i] = wal.Element{Name: ix.dict.Name(e.Elem), Count: e.Count}
 			}
+			slices.SortFunc(elems, func(a, b wal.Element) int { return strings.Compare(a.Name, b.Name) })
 			emitErr = emit(wal.Record{Op: wal.OpAdd, ID: uint64(m.ID), Entity: ix.names[m.ID], Elements: elems})
 			return emitErr == nil
 		})
@@ -591,30 +569,13 @@ func (ix *Index) Snapshot() error {
 	return ix.snapshotLocked()
 }
 
-// Close drains the async mutation pipeline (every mutation already
-// enqueued by AddAsync is applied and acknowledged; later AddAsync
-// calls are refused), then writes a final snapshot of every shard with
+// Close writes a final snapshot of every shard of a durable index with
 // mutations logged since its last one and closes the write-ahead logs.
-// Further mutations fail; queries keep working against the in-memory
-// state. Closing a volatile or already-closed index is a no-op for the
-// durability state, but still drains the pipeline.
+// Further mutations and snapshots fail with ErrIndexClosed; queries keep
+// working against the in-memory state. Closing a volatile or
+// already-closed index is a no-op: a volatile index keeps accepting
+// mutations.
 func (ix *Index) Close() error {
-	// Phase 1: stop the pipeline. pipeStopped turns AddAsync away before
-	// the queues close (an enqueue into a closed channel would panic);
-	// pipeWG covers enqueues that passed the check before we flipped it.
-	ix.mu.Lock()
-	stopping := !ix.pipeStopped && ix.queues != nil
-	ix.pipeStopped = true
-	ix.mu.Unlock()
-	if stopping {
-		ix.pipeWG.Wait() // in-flight enqueues land in the queues
-		for _, q := range ix.queues {
-			close(q)
-		}
-		ix.applierWG.Wait() // appliers drain and ack everything queued
-	}
-
-	// Phase 2: persist and close the durability state.
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.logs == nil || ix.closed {
@@ -729,19 +690,5 @@ func (ix *Index) Stats() IndexStats {
 		WALGroupCommitSize: summarizeSize(m.WALGroupCommit),
 		WALRecords:         m.WALRecords,
 		WALFsyncs:          m.WALFsyncs,
-		MutationQueueDepth: ix.queueBacklog(),
 	}
-}
-
-// queueBacklog sums the AddAsync mutations currently sitting in the
-// pipeline queues — an instantaneous gauge, racing the appliers by
-// nature.
-func (ix *Index) queueBacklog() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, q := range ix.queues {
-		n += len(q)
-	}
-	return n
 }

@@ -274,9 +274,6 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// Partitions reports the partition count.
-func (c *Cluster) Partitions() int { return len(c.parts) }
-
 // normalizeAddr trims whitespace and a trailing slash and defaults the
 // scheme to http.
 func normalizeAddr(addr string) string {

@@ -58,27 +58,12 @@ func (e *Buffer) PutUvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)
 }
 
-// PutVarint appends v as a zigzag-encoded signed varint.
-func (e *Buffer) PutVarint(v int64) {
-	//lint:vsmart-allow framesafety codec encodes varints inside frame payloads; the frame length prefix and checksum stay in internal/frame
-	e.b = binary.AppendVarint(e.b, v)
-}
-
 // PutUint32 appends v as a varint (convenience for multiplicities).
 func (e *Buffer) PutUint32(v uint32) { e.PutUvarint(uint64(v)) }
 
 // PutFloat64 appends v as 8 fixed bytes, little endian.
 func (e *Buffer) PutFloat64(v float64) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
-}
-
-// PutBool appends a single 0/1 byte.
-func (e *Buffer) PutBool(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
 }
 
 // PutByte appends a single raw byte.
@@ -149,24 +134,6 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint decodes a zigzag-encoded signed varint.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(ErrOverflow)
-		}
-		return 0
-	}
-	r.off += n
-	return v
-}
-
 // Uint32 decodes a varint and narrows it to uint32.
 func (r *Reader) Uint32() uint32 {
 	v := r.Uvarint()
@@ -189,11 +156,6 @@ func (r *Reader) Float64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 	r.off += 8
 	return v
-}
-
-// Bool decodes a single 0/1 byte.
-func (r *Reader) Bool() bool {
-	return r.Byte() != 0
 }
 
 // Byte decodes a single raw byte.
@@ -228,13 +190,3 @@ func (r *Reader) Bytes() []byte {
 
 // String decodes a length-prefixed string (copies the bytes).
 func (r *Reader) String() string { return string(r.Bytes()) }
-
-// UvarintLen reports the encoded size of v without encoding it.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

@@ -24,44 +24,23 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVarintRoundTrip(t *testing.T) {
-	vals := []int64{0, -1, 1, -64, 63, 64, -65, math.MaxInt64, math.MinInt64}
-	var b Buffer
-	for _, v := range vals {
-		b.PutVarint(v)
-	}
-	r := NewReader(b.Bytes())
-	for i, want := range vals {
-		if got := r.Varint(); got != want {
-			t.Fatalf("value %d: got %d want %d", i, got, want)
-		}
-	}
-	if !r.Done() {
-		t.Fatal("reader not exhausted")
-	}
-}
-
 func TestQuickMixedRoundTrip(t *testing.T) {
-	f := func(u uint64, i int64, f64 float64, s string, raw []byte, flag bool) bool {
+	f := func(u uint64, f64 float64, s string, raw []byte) bool {
 		var b Buffer
 		b.PutUvarint(u)
-		b.PutVarint(i)
 		b.PutFloat64(f64)
 		b.PutString(s)
 		b.PutBytes(raw)
-		b.PutBool(flag)
 		r := NewReader(b.Bytes())
 		gu := r.Uvarint()
-		gi := r.Varint()
 		gf := r.Float64()
 		gs := r.String()
 		gb := r.Bytes()
-		gl := r.Bool()
 		if r.Err() != nil || !r.Done() {
 			return false
 		}
 		sameF := gf == f64 || (math.IsNaN(gf) && math.IsNaN(f64))
-		return gu == u && gi == i && sameF && gs == s && bytes.Equal(gb, raw) && gl == flag
+		return gu == u && sameF && gs == s && bytes.Equal(gb, raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -129,16 +108,6 @@ func TestBufferReset(t *testing.T) {
 	b.PutUvarint(42)
 	if b.Len() != n {
 		t.Fatal("reset changed encoding")
-	}
-}
-
-func TestUvarintLen(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 1 << 21, 1 << 63, math.MaxUint64} {
-		var b Buffer
-		b.PutUvarint(v)
-		if got := UvarintLen(v); got != b.Len() {
-			t.Fatalf("UvarintLen(%d)=%d want %d", v, got, b.Len())
-		}
 	}
 }
 

@@ -240,26 +240,6 @@ func TestStopWordsKeepElementsAtQ(t *testing.T) {
 	}
 }
 
-func TestNormalizeJob(t *testing.T) {
-	// Duplicate ⟨Mi, ak⟩ tuples must merge into summed counts.
-	raw := records.BuildInput("in", []multiset.Multiset{
-		multiset.New(1, []multiset.Entry{{Elem: 5, Count: 2}}),
-	}, 1)
-	// Inject a duplicate tuple for the same (1, 5).
-	raw.Append(0, raw.Partition(0).Record(0))
-	out, _, err := mr.Run(testCluster(2), NormalizeJob(raw, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := records.DecodeInput(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 1 || sets[0].Count(5) != 4 {
-		t.Fatalf("normalize wrong: %v", sets)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	input := records.BuildInput("in", nil, 1)
 	cases := []Config{

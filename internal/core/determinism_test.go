@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/ppjoin"
 	"vsmartjoin/internal/records"
@@ -109,27 +108,5 @@ func TestSingletonAndEmptyCorpus(t *testing.T) {
 	}
 	if len(res.Pairs) != 0 {
 		t.Fatalf("empty corpus produced pairs: %v", res.Pairs)
-	}
-}
-
-// TestDuplicateIDsAcrossPartitionsViaNormalize documents the input
-// contract: duplicate ⟨Mi, ak⟩ tuples must be normalized first.
-func TestDuplicateIDsAcrossPartitionsViaNormalize(t *testing.T) {
-	raw := records.BuildInput("in", []multiset.Multiset{
-		buildMS(1, map[uint64]uint32{5: 1}),
-		buildMS(2, map[uint64]uint32{5: 2}),
-	}, 2)
-	// Duplicate tuple for (1, 5).
-	raw.Append(0, raw.Partition(0).Record(0))
-	normalized, _, err := mr.Run(testCluster(2), NormalizeJob(raw, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := records.DecodeInput(normalized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 2 {
-		t.Fatalf("sets: %v", sets)
 	}
 }

@@ -105,93 +105,3 @@ func StopWordJob(input *mrfs.Dataset, q, numReducers int) mr.Job {
 		OutputName:  "filtered",
 	}
 }
-
-// normalizeMapper keys each raw tuple by ⟨Mi, ak⟩ so duplicate tuples for
-// the same element meet at one reducer.
-type normalizeMapper struct{}
-
-func (normalizeMapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
-	entry, err := records.DecodeRawVal(rec.Val)
-	if err != nil {
-		return err
-	}
-	if entry.Count == 0 {
-		return nil
-	}
-	key, val := ctx.Scratch()
-	key.PutRaw(rec.Key)
-	key.PutUvarint(uint64(entry.Elem))
-	val.PutUint32(entry.Count)
-	emit.Emit(key.Bytes(), val.Bytes())
-	return nil
-}
-
-// normalizeReducer sums duplicate multiplicities and re-emits one raw
-// tuple per ⟨Mi, ak⟩.
-type normalizeReducer struct{}
-
-func (normalizeReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
-	r := codec.NewReader(key)
-	id := multiset.ID(r.Uvarint())
-	elem := multiset.Elem(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	var total uint64
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		rd := codec.NewReader(v.Val)
-		total += uint64(rd.Uint32())
-		if err := rd.Err(); err != nil {
-			return err
-		}
-	}
-	if total > 1<<32-1 {
-		total = 1<<32 - 1
-	}
-	emitRaw(ctx, id, multiset.Entry{Elem: elem, Count: uint32(total)}, emit)
-	return nil
-}
-
-// NormalizeJob builds the optional input-normalization step that sums
-// duplicate ⟨Mi, ak⟩ tuples, establishing the joining phase's input
-// contract for untrusted inputs.
-func NormalizeJob(input *mrfs.Dataset, numReducers int) mr.Job {
-	return mr.Job{
-		Name:        "normalize",
-		Input:       input,
-		Mapper:      normalizeMapper{},
-		Combiner:    normalizeSumCombiner{},
-		Reducer:     normalizeReducer{},
-		NumReducers: numReducers,
-		OutputName:  "normalized",
-	}
-}
-
-// normalizeSumCombiner pre-sums duplicate counts per map task.
-type normalizeSumCombiner struct{}
-
-func (normalizeSumCombiner) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
-	var total uint64
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		rd := codec.NewReader(v.Val)
-		total += uint64(rd.Uint32())
-		if err := rd.Err(); err != nil {
-			return err
-		}
-	}
-	if total > 1<<32-1 {
-		total = 1<<32 - 1
-	}
-	_, val := ctx.Scratch()
-	val.PutUint32(uint32(total))
-	emit.Emit(key, val.Bytes())
-	return nil
-}

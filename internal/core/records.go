@@ -89,14 +89,6 @@ type indexEntry struct {
 	Count uint32
 }
 
-// encodedSize is the approximate wire size of the posting, used for
-// memory budgeting when buffering reduce value lists.
-func (e indexEntry) encodedSize() int64 {
-	return int64(codec.UvarintLen(uint64(e.ID)) +
-		codec.UvarintLen(e.Uni.Card) + codec.UvarintLen(e.Uni.UCard) + codec.UvarintLen(e.Uni.SumSq) +
-		codec.UvarintLen(uint64(e.Count)) + 6)
-}
-
 // Similarity1 map output: key = ak, val = (Mi, Uni, fi,k).
 func putElemKey(b *codec.Buffer, e multiset.Elem) { b.PutUvarint(uint64(e)) }
 

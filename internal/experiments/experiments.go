@@ -584,24 +584,3 @@ func countDistinctElements(sets []multisetAlias) int {
 	}
 	return len(seen)
 }
-
-// RunAll executes every figure driver in order and returns the reports.
-func RunAll(env *Env) ([]Report, error) {
-	type driver struct {
-		name string
-		f    func(*Env) (Report, error)
-	}
-	drivers := []driver{
-		{"fig2-3", Fig2and3}, {"fig4", Fig4}, {"fig5", Fig5},
-		{"fig6", Fig6}, {"fig7", Fig7}, {"proxy", ProxyStudy},
-	}
-	var out []Report
-	for _, d := range drivers {
-		r, err := d.f(env)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", d.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -61,11 +61,6 @@ func (u *UnionFind) Union(a, b multiset.ID) {
 	u.size[ra] += u.size[rb]
 }
 
-// Connected reports whether a and b share a component.
-func (u *UnionFind) Connected(a, b multiset.ID) bool {
-	return u.Find(a) == u.Find(b)
-}
-
 // Components extracts all components, each sorted by ID, largest first
 // (ties by smallest member).
 func (u *UnionFind) Components() [][]multiset.ID {

@@ -12,11 +12,11 @@ func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind()
 	uf.Union(1, 2)
 	uf.Union(3, 4)
-	if uf.Connected(1, 3) {
+	if uf.Find(1) == uf.Find(3) {
 		t.Fatal("1 and 3 should be separate")
 	}
 	uf.Union(2, 3)
-	if !uf.Connected(1, 4) {
+	if uf.Find(1) != uf.Find(4) {
 		t.Fatal("1 and 4 should be connected")
 	}
 }

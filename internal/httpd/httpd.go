@@ -403,7 +403,6 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.histogram("vsmart_wal_commit_wait_seconds", "Wait for the group commit covering an acknowledged mutation (DurabilitySync only).", m.WALCommitWait)
 	p.counter("vsmart_wal_records_total", "Write-ahead log records appended across shards.", float64(m.WALRecords))
 	p.counter("vsmart_wal_fsyncs_total", "Write-ahead log fsyncs issued across shards; the ratio to records is the amortized durability cost.", float64(m.WALFsyncs))
-	p.gauge("vsmart_mutation_queue_depth", "AddAsync mutations queued behind the async appliers.", float64(st.MutationQueueDepth))
 	p.admission(s.lim)
 }
 

@@ -1,17 +1,17 @@
-package ppjoin
+package knn
 
 import (
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/similarity"
 )
 
-// This file is the quadratic kNN kernel the batch AllKNN job
-// (internal/knn) refines with: exact k-nearest lists under the distance
-// 1 − Sim, computed by brute force within one partition. Unlike the
-// threshold joins above, kNN has no similarity cut-off to prune with —
-// an entity's k-th neighbor may share nothing with it — so
-// non-overlapping pairs are NOT skipped: they sit at distance exactly 1
-// and legitimately fill a list when fewer than k entities overlap.
+// This file is the quadratic kNN kernel the batch AllKNN job refines
+// with: exact k-nearest lists under the distance 1 − Sim, computed by
+// brute force within one partition. Unlike a threshold join, kNN has no
+// similarity cut-off to prune with — an entity's k-th neighbor may share
+// nothing with it — so non-overlapping pairs are NOT skipped: they sit
+// at distance exactly 1 and legitimately fill a list when fewer than k
+// entities overlap.
 
 // Neighbor is one entry of a k-nearest list: an entity at distance
 // 1 − Sim from the query. Canonical order is distance ascending, ID
@@ -21,9 +21,9 @@ type Neighbor struct {
 	Dist float64
 }
 
-// worseNeighbor reports whether a ranks below b: greater distance, or
-// greater ID at equal distances.
-func worseNeighbor(a, b Neighbor) bool {
+// worse reports whether a ranks below b in the canonical order:
+// greater distance, or greater ID at equal distances.
+func worse(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
 	}
@@ -35,14 +35,14 @@ func worseNeighbor(a, b Neighbor) bool {
 // lists here are small (k per entity) and the kernel is quadratic in
 // the partition size anyway.
 func insertNeighbor(list []Neighbor, n Neighbor, k int) []Neighbor {
-	if len(list) == k && !worseNeighbor(list[k-1], n) {
+	if len(list) == k && !worse(list[k-1], n) {
 		return list
 	}
 	i := len(list)
 	if len(list) < k {
 		list = append(list, n)
 	}
-	for ; i > 0 && worseNeighbor(list[i-1], n); i-- {
+	for ; i > 0 && worse(list[i-1], n); i-- {
 		if i < len(list) {
 			list[i] = list[i-1]
 		}

@@ -1,4 +1,4 @@
-package ppjoin
+package knn
 
 import (
 	"math/rand"
@@ -21,7 +21,7 @@ func oracleKNN(sets []multiset.Multiset, i, k int, m similarity.Measure) []Neigh
 		sim := m.Sim(similarity.UniOf(sets[i]), similarity.UniOf(s), similarity.ConjOf(sets[i], s))
 		out = append(out, Neighbor{ID: s.ID, Dist: 1 - sim})
 	}
-	sort.Slice(out, func(a, b int) bool { return worseNeighbor(out[b], out[a]) })
+	sort.Slice(out, func(a, b int) bool { return worse(out[b], out[a]) })
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -45,7 +45,7 @@ func neighborsEqual(a, b []Neighbor) bool {
 // (duplicate multisets) and non-overlapping pairs sitting at exactly 1.
 func TestKNNBruteMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	sets := randomMultisets(rng, 30, 12, 5, 3)
+	sets := randSets(rng, 30, 12, 5)
 	// Duplicates of set 0 create maximal tie groups; a disjoint set
 	// sits at distance exactly 1 from everything in the band.
 	sets = append(sets,
@@ -76,7 +76,7 @@ func TestKNNBruteMatchesOracle(t *testing.T) {
 // refine phase's self-pair exclusion.
 func TestKNNAgainstMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	sets := randomMultisets(rng, 25, 10, 5, 3)
+	sets := randSets(rng, 25, 10, 5)
 	m, err := similarity.ByName("ruzicka")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestInsertNeighborBounded(t *testing.T) {
 			t.Fatalf("list grew past k: %v", list)
 		}
 		for i := 1; i < len(list); i++ {
-			if worseNeighbor(list[i-1], list[i]) {
+			if worse(list[i-1], list[i]) {
 				t.Fatalf("list out of order after %v: %v", n, list)
 			}
 		}

@@ -11,10 +11,10 @@
 //     groups). The split points are fixed powers of two, so the same
 //     dataset always yields the same groups on every cluster shape.
 //  2. knn-bound runs the exact quadratic kernel within each group
-//     (ppjoin.KNNBrute). Each entity leaves with its local k-nearest
-//     list and the upper bound ub = the local k-th distance (1 when
-//     the group holds fewer than k others — still a valid bound, since
-//     every distance is at most 1).
+//     (KNNBrute, kernel.go). Each entity leaves with its local
+//     k-nearest list and the upper bound ub = the local k-th distance (1
+//     when the group holds fewer than k others — still a valid bound,
+//     since every distance is at most 1).
 //  3. knn-refine re-keys by entity and, per entity, folds in exactly
 //     the foreign groups that can still matter: group g is probed only
 //     when its distance lower bound distLB(e, g) ≤ ub. The lower bound
@@ -41,7 +41,6 @@ import (
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/ppjoin"
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 )
@@ -76,7 +75,7 @@ type Result struct {
 	// Lists maps each entity to its exact k nearest neighbors, sorted by
 	// distance ascending, ID ascending on ties. A list is shorter than k
 	// only when the dataset holds fewer than k other entities.
-	Lists map[multiset.ID][]ppjoin.Neighbor
+	Lists map[multiset.ID][]Neighbor
 	// Stats is the simulated cost of the three jobs.
 	Stats mr.PipelineStats
 }
@@ -91,7 +90,7 @@ func AllKNN(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result,
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("knn: k must be positive, got %d", cfg.K)
 	}
-	res := &Result{Lists: make(map[multiset.ID][]ppjoin.Neighbor)}
+	res := &Result{Lists: make(map[multiset.ID][]Neighbor)}
 
 	groups, gstats, err := mr.Run(cluster, mr.Job{
 		Name:        "knn-group",
@@ -188,7 +187,7 @@ func readCapsule(r *codec.Reader) multiset.Multiset {
 	return multiset.Multiset{ID: id, Entries: entries}
 }
 
-func putList(b *codec.Buffer, list []ppjoin.Neighbor) {
+func putList(b *codec.Buffer, list []Neighbor) {
 	b.PutUvarint(uint64(len(list)))
 	for _, n := range list {
 		b.PutUvarint(uint64(n.ID))
@@ -196,16 +195,16 @@ func putList(b *codec.Buffer, list []ppjoin.Neighbor) {
 	}
 }
 
-func readList(r *codec.Reader) []ppjoin.Neighbor {
+func readList(r *codec.Reader) []Neighbor {
 	n := int(r.Uvarint())
-	list := make([]ppjoin.Neighbor, 0, n)
+	list := make([]Neighbor, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		list = append(list, ppjoin.Neighbor{ID: multiset.ID(r.Uvarint()), Dist: r.Float64()})
+		list = append(list, Neighbor{ID: multiset.ID(r.Uvarint()), Dist: r.Float64()})
 	}
 	return list
 }
 
-func decodeList(val []byte) ([]ppjoin.Neighbor, error) {
+func decodeList(val []byte) ([]Neighbor, error) {
 	r := codec.NewReader(val)
 	list := readList(r)
 	if err := r.Err(); err != nil {
@@ -271,7 +270,7 @@ func (r *boundReducer) Reduce(ctx *mr.TaskContext, _ []byte, values *mr.Values, 
 	// themselves are order-independent (bounded insertion under a strict
 	// total order keeps exactly the k best).
 	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
-	lists := ppjoin.KNNBrute(members, r.m, r.k)
+	lists := KNNBrute(members, r.m, r.k)
 	for i := range members {
 		ctx.ChargeCompute(int64(len(members) / 16))
 		ub := 1.0
@@ -395,7 +394,7 @@ func (r *refineReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 		}
 		ctx.Counters.Inc(CounterGroupsProbed)
 		ctx.ChargeCompute(int64(len(r.members[g]) / 16))
-		acc = mergeLists(acc, ppjoin.KNNAgainst(q, r.members[g], r.m, r.k), r.k)
+		acc = mergeLists(acc, KNNAgainst(q, r.members[g], r.m, r.k), r.k)
 		// The k-th distance can only shrink as groups fold in; tightening
 		// the bound keeps later groups prunable against the best-so-far.
 		if len(acc) == r.k && acc[r.k-1].Dist < ub {
@@ -411,11 +410,11 @@ func (r *refineReducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Value
 // mergeLists merges two canonically sorted neighbor lists into the k
 // best. The inputs come from disjoint pivot groups, so no ID appears in
 // both.
-func mergeLists(a, b []ppjoin.Neighbor, k int) []ppjoin.Neighbor {
+func mergeLists(a, b []Neighbor, k int) []Neighbor {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]ppjoin.Neighbor, 0, min(len(a)+len(b), k))
+	out := make([]Neighbor, 0, min(len(a)+len(b), k))
 	i, j := 0, 0
 	for len(out) < k && (i < len(a) || j < len(b)) {
 		switch {
@@ -434,13 +433,4 @@ func mergeLists(a, b []ppjoin.Neighbor, k int) []ppjoin.Neighbor {
 		}
 	}
 	return out
-}
-
-// worse reports whether a ranks below b in the canonical order:
-// greater distance, or greater ID at equal distances.
-func worse(a, b ppjoin.Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.ID > b.ID
 }

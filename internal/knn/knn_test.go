@@ -7,7 +7,6 @@ import (
 
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/ppjoin"
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 )
@@ -30,7 +29,7 @@ func randSets(rng *rand.Rand, n, alphabet, maxLen int) []multiset.Multiset {
 	return out
 }
 
-func sameLists(t *testing.T, id multiset.ID, got, want []ppjoin.Neighbor) {
+func sameLists(t *testing.T, id multiset.ID, got, want []Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("entity %d: got %d neighbors, want %d\n got: %v\nwant: %v", id, len(got), len(want), got, want)
@@ -56,7 +55,7 @@ func TestAllKNNMatchesBrute(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42))
 				sets := randSets(rng, 60, 40, 64)
-				want := ppjoin.KNNBrute(sets, m, k)
+				want := KNNBrute(sets, m, k)
 
 				cluster := mr.NewCluster(4, 1<<30)
 				input := records.BuildInput("knn-in", sets, 8)
@@ -124,7 +123,7 @@ func TestAllKNNPrunesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ppjoin.KNNBrute(sets, m, 2)
+	want := KNNBrute(sets, m, 2)
 	for i, s := range sets {
 		sameLists(t, s.ID, res.Lists[s.ID], want[i])
 	}

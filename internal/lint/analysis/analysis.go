@@ -97,15 +97,6 @@ func PkgLevel(fn *types.Func) bool {
 	return ok && sig.Recv() == nil
 }
 
-// IsPkgFunc reports whether fn is the package-level function pkgPath.name.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Name() != name || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // IsMethod reports whether fn is a method named name whose receiver's
 // named type (or interface) lives in pkgPath and is called recvName.
 // recvName may be "" to match any receiver type in the package.

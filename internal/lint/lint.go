@@ -1,5 +1,5 @@
 // Package lint assembles the project's custom static-analysis suite:
-// seven analyzers, each machine-checking an invariant that a refactor
+// six analyzers, each machine-checking an invariant that a refactor
 // introduced and that go vet / staticcheck cannot see.
 //
 //   - framesafety (PR 4): every durable byte flows through the one
@@ -17,9 +17,6 @@
 //   - walerr (PR 3): errors from the WAL, framing, and public mutation
 //     paths — batched included — are never discarded,
 //     append-before-apply durability.
-//   - batchorder (PR 9): the acknowledgement channel AddAsync returns
-//     is never discarded — an async mutation whose outcome nobody can
-//     observe is a durability hole walerr cannot see.
 //   - hotpathmetrics (PR 8): latency accounting in the hot-path
 //     packages (index/shard/wal) goes through internal/metrics — no
 //     ad-hoc time.Now/time.Since stopwatches dodging the shared
@@ -34,7 +31,6 @@ package lint
 
 import (
 	"vsmartjoin/internal/lint/analysis"
-	"vsmartjoin/internal/lint/batchorder"
 	"vsmartjoin/internal/lint/boundedclient"
 	"vsmartjoin/internal/lint/canonicalorder"
 	"vsmartjoin/internal/lint/framesafety"
@@ -46,7 +42,6 @@ import (
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		batchorder.Analyzer,
 		boundedclient.Analyzer,
 		canonicalorder.Analyzer,
 		framesafety.Analyzer,

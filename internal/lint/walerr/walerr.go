@@ -15,8 +15,7 @@
 //     Index.AddBatch, Index.AddDataset, Index.Remove, Index.RemoveBatch,
 //     Index.Snapshot, and Cluster.Apply, Cluster.Add, Cluster.AddBatch,
 //     Cluster.Remove, Cluster.Snapshot — the public mutation surface
-//     whose errors are the durability contract (AddAsync's
-//     channel-shaped twin is the batchorder analyzer's job);
+//     whose errors are the durability contract;
 //   - (bufio) Writer.Flush — the classic way a CLI loses its last block
 //     of output.
 //

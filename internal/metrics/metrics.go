@@ -1,6 +1,6 @@
 // Package metrics is the one runtime-observability primitive layer of
-// the engine: atomic counters, gauges, and fixed-bucket latency
-// histograms, built for the serving hot path.
+// the engine: atomic counters and fixed-bucket latency histograms, built
+// for the serving hot path.
 //
 // Design constraints, in order:
 //
@@ -49,19 +49,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value (in-flight requests, queue
-// depths); unlike a Counter it moves both ways.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Bucket geometry. Durations are measured in nanoseconds. Bucket i
 // spans (Bound(i-1), Bound(i)] with Bound(i) = minBound << (i/subOctave)

@@ -174,15 +174,8 @@ func (c *TaskContext) Release(bytes int64) {
 	}
 }
 
-// MemUsed reports the currently reserved memory.
-func (c *TaskContext) MemUsed() int64 { return c.memUsed }
-
 // MemBudget reports the per-machine memory budget.
 func (c *TaskContext) MemBudget() int64 { return c.memBudget }
-
-// ChargeIO adds extra simulated I/O bytes to the running task (used for
-// explicit re-scans beyond the engine's own accounting).
-func (c *TaskContext) ChargeIO(bytes int64) { c.extraIO += bytes }
 
 // ChargeCompute adds in-task CPU work equivalent to processing n records —
 // for work the engine cannot see from record counts alone, such as the

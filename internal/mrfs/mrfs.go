@@ -9,8 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 )
 
 // Record is one key/value pair: the three-slice view of a Batch entry
@@ -125,52 +123,3 @@ func Compare(a, b Record) int {
 
 // Less reports whether a sorts before b under Compare.
 func Less(a, b Record) bool { return Compare(a, b) < 0 }
-
-// Store is a named collection of datasets — the "file system" namespace.
-// It is safe for concurrent use.
-type Store struct {
-	mu   sync.RWMutex
-	sets map[string]*Dataset
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{sets: make(map[string]*Dataset)}
-}
-
-// Put registers (or replaces) a dataset under its name.
-func (s *Store) Put(d *Dataset) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sets[d.Name] = d
-}
-
-// Get fetches a dataset by name.
-func (s *Store) Get(name string) (*Dataset, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.sets[name]
-	if !ok {
-		return nil, fmt.Errorf("mrfs: dataset %q not found", name)
-	}
-	return d, nil
-}
-
-// Delete removes a dataset, freeing its space.
-func (s *Store) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.sets, name)
-}
-
-// Names lists registered dataset names in sorted order.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.sets))
-	for n := range s.sets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -74,28 +74,6 @@ func TestLessTotalOrder(t *testing.T) {
 	}
 }
 
-func TestStore(t *testing.T) {
-	s := NewStore()
-	d := NewDataset("ds1", 1)
-	s.Put(d)
-	got, err := s.Get("ds1")
-	if err != nil || got != d {
-		t.Fatalf("Get: %v %v", got, err)
-	}
-	if _, err := s.Get("missing"); err == nil {
-		t.Fatal("expected error")
-	}
-	s.Put(NewDataset("ds0", 1))
-	names := s.Names()
-	if len(names) != 2 || names[0] != "ds0" || names[1] != "ds1" {
-		t.Fatalf("Names: %v", names)
-	}
-	s.Delete("ds1")
-	if _, err := s.Get("ds1"); err == nil {
-		t.Fatal("expected error after delete")
-	}
-}
-
 func TestAllAliases(t *testing.T) {
 	d := NewDataset("x", 1)
 	d.Append(0, rec("k", "v"))

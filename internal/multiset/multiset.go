@@ -108,25 +108,6 @@ func (m Multiset) Count(elem Elem) uint32 {
 // Contains reports whether elem appears with positive multiplicity.
 func (m Multiset) Contains(elem Elem) bool { return m.Count(elem) > 0 }
 
-// Underlying returns U(Mi): the same entries with all multiplicities 1.
-func (m Multiset) Underlying() Multiset {
-	entries := make([]Entry, len(m.Entries))
-	for i, e := range m.Entries {
-		entries[i] = Entry{Elem: e.Elem, Count: 1}
-	}
-	return Multiset{ID: m.ID, Entries: entries}
-}
-
-// IsSet reports whether every multiplicity is exactly 1.
-func (m Multiset) IsSet() bool {
-	for _, e := range m.Entries {
-		if e.Count != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy of m.
 func (m Multiset) Clone() Multiset {
 	entries := make([]Entry, len(m.Entries))
@@ -161,72 +142,6 @@ func IntersectionCardinality(a, b Multiset) uint64 {
 // UnionCardinality is |Mi ∪ Mj| = Σk max(fi,k, fj,k).
 func UnionCardinality(a, b Multiset) uint64 {
 	return a.Cardinality() + b.Cardinality() - IntersectionCardinality(a, b)
-}
-
-// SymmetricDifference is |Mi Δ Mj| = Σk |fi,k − fj,k|, the one disjunctive
-// partial result discussed (and deferred) by the paper. Provided for
-// completeness and used by tests of the NSM classification.
-func SymmetricDifference(a, b Multiset) uint64 {
-	var total uint64
-	i, j := 0, 0
-	for i < len(a.Entries) || j < len(b.Entries) {
-		switch {
-		case j >= len(b.Entries) || (i < len(a.Entries) && a.Entries[i].Elem < b.Entries[j].Elem):
-			total += uint64(a.Entries[i].Count)
-			i++
-		case i >= len(a.Entries) || a.Entries[i].Elem > b.Entries[j].Elem:
-			total += uint64(b.Entries[j].Count)
-			j++
-		default:
-			ca, cb := a.Entries[i].Count, b.Entries[j].Count
-			if ca > cb {
-				total += uint64(ca - cb)
-			} else {
-				total += uint64(cb - ca)
-			}
-			i++
-			j++
-		}
-	}
-	return total
-}
-
-// CommonElements is |U(Mi) ∩ U(Mj)|, the number of shared distinct elements.
-func CommonElements(a, b Multiset) uint64 {
-	var total uint64
-	i, j := 0, 0
-	for i < len(a.Entries) && j < len(b.Entries) {
-		switch {
-		case a.Entries[i].Elem < b.Entries[j].Elem:
-			i++
-		case a.Entries[i].Elem > b.Entries[j].Elem:
-			j++
-		default:
-			total++
-			i++
-			j++
-		}
-	}
-	return total
-}
-
-// DotProduct is Σk fi,k · fj,k over the shared elements.
-func DotProduct(a, b Multiset) uint64 {
-	var total uint64
-	i, j := 0, 0
-	for i < len(a.Entries) && j < len(b.Entries) {
-		switch {
-		case a.Entries[i].Elem < b.Entries[j].Elem:
-			i++
-		case a.Entries[i].Elem > b.Entries[j].Elem:
-			j++
-		default:
-			total += uint64(a.Entries[i].Count) * uint64(b.Entries[j].Count)
-			i++
-			j++
-		}
-	}
-	return total
 }
 
 // ExpandedElem is one element of the set representation of a multiset in the

@@ -66,43 +66,6 @@ func TestIntersectionUnion(t *testing.T) {
 	}
 }
 
-func TestSymmetricDifference(t *testing.T) {
-	a := ms(1, 1, 3, 2, 5)
-	b := ms(2, 2, 2, 3, 3)
-	// |3-0| + |5-2| + |0-3| = 3+3+3 = 9
-	if got := SymmetricDifference(a, b); got != 9 {
-		t.Fatalf("symdiff: got %d want 9", got)
-	}
-	// identity: |aΔb| = |a|+|b| - 2|a∩b|
-	want := a.Cardinality() + b.Cardinality() - 2*IntersectionCardinality(a, b)
-	if got := SymmetricDifference(a, b); got != want {
-		t.Fatalf("identity violated: got %d want %d", got, want)
-	}
-}
-
-func TestCommonElementsAndDot(t *testing.T) {
-	a := ms(1, 1, 2, 2, 3, 7, 1)
-	b := ms(2, 2, 5, 7, 2, 9, 9)
-	if got := CommonElements(a, b); got != 2 {
-		t.Fatalf("common: got %d want 2", got)
-	}
-	// dot = 3*5 + 1*2 = 17
-	if got := DotProduct(a, b); got != 17 {
-		t.Fatalf("dot: got %d want 17", got)
-	}
-}
-
-func TestUnderlyingAndIsSet(t *testing.T) {
-	m := ms(1, 1, 3, 2, 1)
-	u := m.Underlying()
-	if !u.IsSet() || m.IsSet() {
-		t.Fatal("IsSet wrong")
-	}
-	if u.Cardinality() != uint64(m.UnderlyingCardinality()) {
-		t.Fatal("underlying cardinality mismatch")
-	}
-}
-
 func TestExpandSetRepresentation(t *testing.T) {
 	m := ms(1, 4, 2, 9, 1)
 	exp := Expand(m)
@@ -165,10 +128,7 @@ func TestQuickCommutativity(t *testing.T) {
 	f := func(x, y []uint8) bool {
 		a, b := gen(x), gen(y)
 		return IntersectionCardinality(a, b) == IntersectionCardinality(b, a) &&
-			UnionCardinality(a, b) == UnionCardinality(b, a) &&
-			SymmetricDifference(a, b) == SymmetricDifference(b, a) &&
-			DotProduct(a, b) == DotProduct(b, a) &&
-			CommonElements(a, b) == CommonElements(b, a)
+			UnionCardinality(a, b) == UnionCardinality(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -183,9 +143,7 @@ func TestQuickSelfOperations(t *testing.T) {
 		}
 		m := New(1, entries)
 		return IntersectionCardinality(m, m) == m.Cardinality() &&
-			UnionCardinality(m, m) == m.Cardinality() &&
-			SymmetricDifference(m, m) == 0 &&
-			CommonElements(m, m) == uint64(m.UnderlyingCardinality())
+			UnionCardinality(m, m) == m.Cardinality()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -198,10 +156,7 @@ func TestFromCountsAndFromSet(t *testing.T) {
 		t.Fatalf("FromCounts wrong: %v", m)
 	}
 	s := FromSet(4, []Elem{7, 3, 7, 1})
-	if !s.IsSet() {
-		t.Fatal("FromSet should produce a set")
-	}
-	if s.Count(7) != 1 || s.UnderlyingCardinality() != 3 {
+	if s.Count(7) != 1 || s.Cardinality() != 3 || s.UnderlyingCardinality() != 3 {
 		t.Fatalf("FromSet should dedupe: %v", s)
 	}
 }

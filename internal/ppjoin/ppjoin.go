@@ -1,19 +1,9 @@
-// Package ppjoin implements the sequential exact set-similarity join
-// algorithms the paper builds on and compares against: the naive quadratic
-// join, AllPairs (Bayardo et al.), PPJoin (prefix + size + positional
-// filtering), and PPJoin+ (additionally suffix filtering) — all for the
-// Jaccard measure over sets, with a Ruzicka wrapper that applies them to
-// multisets through the expanded set representation.
-//
-// These serve three roles: the reference oracle for the MapReduce
-// algorithms' tests, the kernel logic reused by the VCL baseline, and a
-// standalone library for in-memory joins.
+// Package ppjoin holds the sequential exact similarity join the tests of
+// the MapReduce algorithms, the VCL baseline and the online index compare
+// against: the naive quadratic join, for any supported measure.
 package ppjoin
 
 import (
-	"math"
-	"sort"
-
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
@@ -44,333 +34,4 @@ func Naive(sets []multiset.Multiset, m similarity.Measure, t float64) []records.
 	}
 	records.SortPairs(out)
 	return out
-}
-
-// token is an element re-numbered by ascending global frequency, the
-// canonical ordering that makes prefixes maximally selective.
-type token = int32
-
-// tokenized is a set as an ordered token array.
-type tokenized struct {
-	id     multiset.ID
-	tokens []token
-}
-
-// Tokenize converts sets to frequency-ordered token arrays. Multiplicities
-// are ignored: callers join multisets via ExpandMultisets first.
-func Tokenize(sets []multiset.Multiset) []tokenized {
-	freq := make(map[multiset.Elem]int)
-	for _, s := range sets {
-		for _, e := range s.Entries {
-			freq[e.Elem]++
-		}
-	}
-	elems := make([]multiset.Elem, 0, len(freq))
-	for e := range freq {
-		elems = append(elems, e)
-	}
-	sort.Slice(elems, func(i, j int) bool {
-		if freq[elems[i]] != freq[elems[j]] {
-			return freq[elems[i]] < freq[elems[j]]
-		}
-		return elems[i] < elems[j]
-	})
-	rank := make(map[multiset.Elem]token, len(elems))
-	for i, e := range elems {
-		rank[e] = token(i)
-	}
-	out := make([]tokenized, len(sets))
-	for i, s := range sets {
-		ts := make([]token, len(s.Entries))
-		for j, e := range s.Entries {
-			ts[j] = rank[e.Elem]
-		}
-		sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-		out[i] = tokenized{id: s.ID, tokens: ts}
-	}
-	return out
-}
-
-// ExpandMultisets converts multisets to sets via the Chaudhuri et al.
-// expansion, so Jaccard on the result equals Ruzicka on the input.
-func ExpandMultisets(sets []multiset.Multiset) []multiset.Multiset {
-	out := make([]multiset.Multiset, len(sets))
-	for i, s := range sets {
-		exp := multiset.Expand(s)
-		entries := make([]multiset.Entry, len(exp))
-		for j, x := range exp {
-			// Pack (elem, copy) into a single element id. Copy indices are
-			// bounded by the multiplicity; 2^40 distinct elements with
-			// 2^24 copies is ample for any realistic workload.
-			entries[j] = multiset.Entry{
-				Elem:  x.Elem<<24 | multiset.Elem(x.Copy),
-				Count: 1,
-			}
-		}
-		out[i] = multiset.New(s.ID, entries)
-	}
-	return out
-}
-
-func ceilF(x float64) int { return int(math.Ceil(x - 1e-9)) }
-
-// prefixLen is the Jaccard probing/indexing prefix length for a set of the
-// given size: |x| − ⌈t·|x|⌉ + 1.
-func prefixLen(size int, t float64) int {
-	p := size - ceilF(t*float64(size)) + 1
-	if p < 0 {
-		return 0
-	}
-	if p > size {
-		return size
-	}
-	return p
-}
-
-// overlapThreshold is the minimum raw overlap α two sets of the given
-// sizes need for Jaccard ≥ t.
-func overlapThreshold(sx, sy int, t float64) int {
-	return ceilF(t / (1 + t) * float64(sx+sy))
-}
-
-// overlap computes |x ∩ y| for sorted token arrays.
-func overlap(x, y []token) int {
-	i, j, n := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i] < y[j]:
-			i++
-		case x[i] > y[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-func jaccardOf(o, sx, sy int) float64 {
-	u := sx + sy - o
-	if u == 0 {
-		return 0
-	}
-	return float64(o) / float64(u)
-}
-
-// Variant selects the filtering level of the prefix-filter join family.
-type Variant int
-
-const (
-	// VariantAllPairs uses prefix + size filtering only.
-	VariantAllPairs Variant = iota
-	// VariantPPJoin adds positional filtering.
-	VariantPPJoin
-	// VariantPPJoinPlus adds suffix filtering.
-	VariantPPJoinPlus
-)
-
-func (v Variant) String() string {
-	switch v {
-	case VariantAllPairs:
-		return "allpairs"
-	case VariantPPJoin:
-		return "ppjoin"
-	case VariantPPJoinPlus:
-		return "ppjoin+"
-	default:
-		return "variant?"
-	}
-}
-
-// Stats reports the work a join did, for the filter-effectiveness benches.
-type Stats struct {
-	Candidates int // candidate pairs generated from prefixes
-	Pruned     int // candidates dropped by positional/suffix filters
-	Verified   int // candidates verified exactly
-	Results    int
-}
-
-// JoinJaccard finds all pairs of sets with Jaccard ≥ t using the selected
-// prefix-filter variant. Inputs are treated as sets (multiplicities must
-// be 1; use ExpandMultisets + JoinRuzicka for multisets).
-func JoinJaccard(sets []multiset.Multiset, t float64, variant Variant) ([]records.Pair, Stats) {
-	var stats Stats
-	if t <= 0 || t > 1 {
-		// Prefix filtering degenerates at t = 0 (prefix = whole set); fall
-		// back to the naive join for correctness.
-		out := Naive(sets, similarity.Jaccard{}, t)
-		stats.Results = len(out)
-		return out, stats
-	}
-	recs := Tokenize(sets)
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := recs[order[a]], recs[order[b]]
-		if len(ra.tokens) != len(rb.tokens) {
-			return len(ra.tokens) < len(rb.tokens)
-		}
-		return ra.id < rb.id
-	})
-
-	type posting struct {
-		rec int // index into recs
-		pos int // token position in the record
-	}
-	index := make(map[token][]posting)
-	var out []records.Pair
-
-	for _, xi := range order {
-		x := recs[xi]
-		sx := len(x.tokens)
-		if sx == 0 {
-			continue
-		}
-		px := prefixLen(sx, t)
-		type cand struct {
-			ovl  int // overlap accumulated within the prefixes
-			xLas int // last matched prefix position in x
-			yLas int // last matched prefix position in y
-			dead bool
-		}
-		cands := make(map[int]*cand)
-		minSize := ceilF(t * float64(sx))
-		for i := 0; i < px; i++ {
-			w := x.tokens[i]
-			for _, p := range index[w] {
-				y := recs[p.rec]
-				sy := len(y.tokens)
-				if sy < minSize {
-					continue // size filter
-				}
-				c, seen := cands[p.rec]
-				if !seen {
-					c = &cand{}
-					cands[p.rec] = c
-					stats.Candidates++
-				}
-				if c.dead {
-					continue
-				}
-				if variant >= VariantPPJoin {
-					// Positional filter: tokens before these positions can
-					// no longer contribute to the overlap.
-					alpha := overlapThreshold(sx, sy, t)
-					ubound := c.ovl + 1 + minInt(sx-i-1, sy-p.pos-1)
-					if ubound < alpha {
-						c.dead = true
-						stats.Pruned++
-						continue
-					}
-				}
-				c.ovl++
-				c.xLas, c.yLas = i, p.pos
-			}
-		}
-		for yi, c := range cands {
-			if c.dead {
-				continue
-			}
-			y := recs[yi]
-			sy := len(y.tokens)
-			alpha := overlapThreshold(sx, sy, t)
-			if variant >= VariantPPJoinPlus {
-				// Suffix filter on the tokens after the last prefix match.
-				xs := x.tokens[c.xLas+1:]
-				ys := y.tokens[c.yLas+1:]
-				hmax := sx + sy - 2*alpha - (c.xLas + c.yLas + 2 - 2*c.ovl)
-				if hmax < 0 || suffixFilter(xs, ys, hmax, 1) > hmax {
-					stats.Pruned++
-					continue
-				}
-			}
-			stats.Verified++
-			o := overlap(x.tokens, y.tokens)
-			if o < alpha {
-				continue
-			}
-			sim := jaccardOf(o, sx, sy)
-			if sim+1e-12 >= t {
-				out = append(out, records.Pair{A: x.id, B: y.id, Sim: sim}.Canonical())
-			}
-		}
-		for i := 0; i < px; i++ {
-			index[x.tokens[i]] = append(index[x.tokens[i]], posting{rec: xi, pos: i})
-		}
-	}
-	records.SortPairs(out)
-	stats.Results = len(out)
-	return out, stats
-}
-
-// JoinRuzicka joins multisets under Ruzicka by expanding them to sets and
-// running the Jaccard join (the identities coincide).
-func JoinRuzicka(sets []multiset.Multiset, t float64, variant Variant) ([]records.Pair, Stats) {
-	return JoinJaccard(ExpandMultisets(sets), t, variant)
-}
-
-const suffixFilterMaxDepth = 3
-
-// suffixFilter lower-bounds the Hamming distance between two sorted token
-// suffixes by recursive partitioning (Xiao et al., WWW'08). It never
-// underestimates beyond the true Hamming distance's lower bound, so
-// pruning with it preserves exactness (candidates that pass are still
-// verified).
-func suffixFilter(x, y []token, hmax, depth int) int {
-	if len(x) == 0 || len(y) == 0 {
-		return len(x) + len(y)
-	}
-	d := len(x) - len(y)
-	if d < 0 {
-		d = -d
-	}
-	if depth > suffixFilterMaxDepth {
-		return d
-	}
-	if d > hmax {
-		return d
-	}
-	mid := y[len(y)/2]
-	yl, yr := splitAround(y, mid)
-	xl, xr := splitAround(x, mid)
-	found := 0
-	if idx := sort.Search(len(x), func(i int) bool { return x[i] >= mid }); idx < len(x) && x[idx] == mid {
-		found = 1
-	}
-	// y's mid token always exists in y.
-	diff := func(a, b int) int {
-		if a > b {
-			return a - b
-		}
-		return b - a
-	}
-	h := diff(len(xl), len(yl)) + diff(len(xr), len(yr)) + (1 - found)
-	if h > hmax {
-		return h
-	}
-	hl := suffixFilter(xl, yl, hmax-diff(len(xr), len(yr))-(1-found), depth+1)
-	h = hl + diff(len(xr), len(yr)) + (1 - found)
-	if h > hmax {
-		return h
-	}
-	hr := suffixFilter(xr, yr, hmax-hl-(1-found), depth+1)
-	return hl + hr + (1 - found)
-}
-
-// splitAround partitions a sorted token slice into (< mid, > mid).
-func splitAround(s []token, mid token) (left, right []token) {
-	lo := sort.Search(len(s), func(i int) bool { return s[i] >= mid })
-	hi := sort.Search(len(s), func(i int) bool { return s[i] > mid })
-	return s[:lo], s[hi:]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,42 +2,11 @@ package ppjoin
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 )
-
-func randomSets(rng *rand.Rand, n, alphabet, maxLen int) []multiset.Multiset {
-	sets := make([]multiset.Multiset, n)
-	for i := range sets {
-		l := 1 + rng.Intn(maxLen)
-		elems := make([]multiset.Elem, l)
-		for j := range elems {
-			elems[j] = multiset.Elem(rng.Intn(alphabet))
-		}
-		sets[i] = multiset.FromSet(multiset.ID(i+1), elems)
-	}
-	return sets
-}
-
-func randomMultisets(rng *rand.Rand, n, alphabet, maxLen, maxCount int) []multiset.Multiset {
-	sets := make([]multiset.Multiset, n)
-	for i := range sets {
-		l := 1 + rng.Intn(maxLen)
-		entries := make([]multiset.Entry, l)
-		for j := range entries {
-			entries[j] = multiset.Entry{
-				Elem:  multiset.Elem(rng.Intn(alphabet)),
-				Count: uint32(1 + rng.Intn(maxCount)),
-			}
-		}
-		sets[i] = multiset.New(multiset.ID(i+1), entries)
-	}
-	return sets
-}
 
 func TestNaiveSmallKnown(t *testing.T) {
 	sets := []multiset.Multiset{
@@ -51,165 +20,6 @@ func TestNaiveSmallKnown(t *testing.T) {
 	}
 	if math.Abs(out[0].Sim-0.6) > 1e-12 {
 		t.Fatalf("sim: %v", out[0].Sim)
-	}
-}
-
-func TestVariantsAgreeWithNaiveJaccard(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 30; trial++ {
-		sets := randomSets(rng, 40, 30, 12)
-		for _, thr := range []float64{0.3, 0.5, 0.7, 0.9} {
-			want := Naive(sets, similarity.Jaccard{}, thr)
-			for _, v := range []Variant{VariantAllPairs, VariantPPJoin, VariantPPJoinPlus} {
-				got, _ := JoinJaccard(sets, thr, v)
-				if !records.SamePairs(got, want, 1e-9) {
-					t.Fatalf("trial %d t=%v %v: got %d pairs want %d\ngot:  %v\nwant: %v",
-						trial, thr, v, len(got), len(want), got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestRuzickaViaExpansionAgreesWithNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		sets := randomMultisets(rng, 30, 20, 8, 4)
-		for _, thr := range []float64{0.4, 0.6, 0.8} {
-			want := Naive(sets, similarity.Ruzicka{}, thr)
-			for _, v := range []Variant{VariantAllPairs, VariantPPJoin, VariantPPJoinPlus} {
-				got, _ := JoinRuzicka(sets, thr, v)
-				if !records.SamePairs(got, want, 1e-9) {
-					t.Fatalf("trial %d t=%v %v: got %v want %v", trial, thr, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestZeroThresholdFallsBackToNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sets := randomSets(rng, 15, 10, 6)
-	want := Naive(sets, similarity.Jaccard{}, 0)
-	got, _ := JoinJaccard(sets, 0, VariantPPJoinPlus)
-	if !records.SamePairs(got, want, 1e-9) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestPositionalFilterPrunes(t *testing.T) {
-	// Construct many sets sharing one rare-ish token but nothing else:
-	// PPJoin should generate fewer or equal verifications than AllPairs.
-	rng := rand.New(rand.NewSource(4))
-	sets := randomSets(rng, 120, 40, 14)
-	_, ap := JoinJaccard(sets, 0.6, VariantAllPairs)
-	_, pp := JoinJaccard(sets, 0.6, VariantPPJoin)
-	if pp.Verified > ap.Verified {
-		t.Fatalf("ppjoin verified more than allpairs: %d vs %d", pp.Verified, ap.Verified)
-	}
-	_, ppp := JoinJaccard(sets, 0.6, VariantPPJoinPlus)
-	if ppp.Verified > pp.Verified {
-		t.Fatalf("ppjoin+ verified more than ppjoin: %d vs %d", ppp.Verified, pp.Verified)
-	}
-}
-
-func TestPrefixLen(t *testing.T) {
-	// |x|=10, t=0.8 → prefix = 10 − 8 + 1 = 3.
-	if got := prefixLen(10, 0.8); got != 3 {
-		t.Fatalf("prefixLen(10,0.8)=%d want 3", got)
-	}
-	if got := prefixLen(10, 0.1); got != 10 {
-		t.Fatalf("prefixLen(10,0.1)=%d want 10", got)
-	}
-	if got := prefixLen(0, 0.5); got != 0 {
-		t.Fatalf("prefixLen(0,0.5)=%d want 0", got)
-	}
-	// t=1 → prefix 1: only exact duplicates share their single prefix token.
-	if got := prefixLen(7, 1); got != 1 {
-		t.Fatalf("prefixLen(7,1)=%d want 1", got)
-	}
-}
-
-func TestOverlapThreshold(t *testing.T) {
-	// sx=sy=10, t=0.5 → α = ceil(1/3·20) = 7.
-	if got := overlapThreshold(10, 10, 0.5); got != 7 {
-		t.Fatalf("alpha=%d want 7", got)
-	}
-}
-
-func TestTokenizeFrequencyOrder(t *testing.T) {
-	sets := []multiset.Multiset{
-		multiset.FromSet(1, []multiset.Elem{100, 200}),
-		multiset.FromSet(2, []multiset.Elem{100, 300}),
-		multiset.FromSet(3, []multiset.Elem{100}),
-	}
-	recs := Tokenize(sets)
-	// Element 100 has frequency 3 — it must be the last token everywhere.
-	for _, r := range recs {
-		if len(r.tokens) > 1 && r.tokens[0] >= r.tokens[len(r.tokens)-1] {
-			t.Fatalf("tokens not sorted: %v", r.tokens)
-		}
-	}
-	// The rare tokens get the small ranks.
-	if recs[2].tokens[0] != 2 {
-		t.Fatalf("frequency rank wrong: %v", recs[2].tokens)
-	}
-}
-
-func TestSuffixFilterLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 300; trial++ {
-		x := sortedTokens(rng, 12)
-		y := sortedTokens(rng, 12)
-		// True Hamming distance of the suffix multivalue sets:
-		o := overlap(x, y)
-		trueH := len(x) + len(y) - 2*o
-		for _, hmax := range []int{0, 2, 5, 100} {
-			if got := suffixFilter(x, y, hmax, 1); got > trueH && got <= hmax {
-				// It may overestimate only when it exceeds hmax (early
-				// termination); a value within budget must be a valid
-				// lower bound.
-				t.Fatalf("suffixFilter overestimated within budget: got %d true %d hmax %d x=%v y=%v",
-					got, trueH, hmax, x, y)
-			}
-			if got := suffixFilter(x, y, hmax, 1); got < 0 {
-				t.Fatalf("negative distance")
-			}
-		}
-	}
-}
-
-func sortedTokens(rng *rand.Rand, maxLen int) []token {
-	l := rng.Intn(maxLen)
-	seen := map[token]bool{}
-	for len(seen) < l {
-		seen[token(rng.Intn(30))] = true
-	}
-	out := make([]token, 0, l)
-	for t := range seen {
-		out = append(out, t)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func TestStatsPopulated(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	sets := randomSets(rng, 60, 25, 10)
-	pairs, stats := JoinJaccard(sets, 0.5, VariantPPJoin)
-	if stats.Results != len(pairs) {
-		t.Fatalf("Results=%d len=%d", stats.Results, len(pairs))
-	}
-	if stats.Candidates == 0 || stats.Verified == 0 {
-		t.Fatalf("stats empty: %+v", stats)
-	}
-	if VariantAllPairs.String() != "allpairs" || VariantPPJoin.String() != "ppjoin" ||
-		VariantPPJoinPlus.String() != "ppjoin+" {
-		t.Fatal("variant names wrong")
 	}
 }
 

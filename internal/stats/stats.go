@@ -214,37 +214,3 @@ func Chart(series []Series, width, height int) string {
 	}
 	return sb.String()
 }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of values using nearest-rank
-// on a sorted copy.
-func Quantile(values []int64, q float64) int64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := make([]int64, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
-// Mean returns the arithmetic mean of values.
-func Mean(values []int64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, v := range values {
-		sum += v
-	}
-	return float64(sum) / float64(len(values))
-}

@@ -97,32 +97,3 @@ func TestChartDegenerateRanges(t *testing.T) {
 		t.Fatal("degenerate chart empty")
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	vals := []int64{9, 1, 5, 3, 7}
-	if q := Quantile(vals, 0); q != 1 {
-		t.Fatalf("q0: %d", q)
-	}
-	if q := Quantile(vals, 0.5); q != 5 {
-		t.Fatalf("q50: %d", q)
-	}
-	if q := Quantile(vals, 1); q != 9 {
-		t.Fatalf("q100: %d", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Fatalf("empty: %d", q)
-	}
-	// Input must not be mutated.
-	if vals[0] != 9 {
-		t.Fatal("input mutated")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]int64{2, 4, 6}); m != 4 {
-		t.Fatalf("mean: %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("empty mean: %v", m)
-	}
-}

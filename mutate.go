@@ -2,8 +2,8 @@ package vsmartjoin
 
 // The public write path. Every online mutation — an upsert or a removal
 // of one named entity — is one Mutation value, and every way of making
-// one (Add, Remove, AddBatch, RemoveBatch, AddAsync, AddDataset, the
-// daemon's /add, /remove and /bulk) is a batch handed to one method,
+// one (Add, Remove, AddBatch, RemoveBatch, AddDataset, the daemon's
+// /add, /remove and /bulk) is a batch handed to one method,
 // Index.Apply (and, over a cluster of nodes, Cluster.Apply): resolve
 // names to IDs → append each touched shard's records to its write-ahead
 // log → apply to the name tables and the shards → wait for durability →
@@ -74,207 +74,22 @@ type BatchEntry struct {
 // queries and other writers keep flowing — until a group-committed fsync
 // covers the records; an error from that wait means applied in memory
 // but NOT guaranteed durable. It fails with ErrIndexClosed after Close
-// and on an Op that is neither OpAdd nor OpRemove (nothing is applied);
-// a volatile index cannot fail otherwise.
+// on a durable index, and on an Op that is neither OpAdd nor OpRemove
+// (nothing is applied); a volatile index cannot fail otherwise. Its body
+// is the only code in the package that appends to the write-ahead logs
+// and mutates the name tables and shards.
 func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 	for i := range muts {
 		if op := muts[i].Op; op != OpAdd && op != OpRemove {
 			return nil, fmt.Errorf("vsmartjoin: op %d: unknown op %q", i, op)
 		}
 	}
-	return ix.apply(muts, nil)
-}
-
-// Add is Apply for one OpAdd mutation.
-func (ix *Index) Add(entity string, counts map[string]uint32) error {
-	_, err := ix.Apply(context.Background(), []Mutation{{Op: OpAdd, Entity: entity, Elements: counts}})
-	return err
-}
-
-// Remove is Apply for one OpRemove mutation, reporting whether the
-// entity was indexed.
-func (ix *Index) Remove(entity string) (bool, error) {
-	applied, err := ix.Apply(context.Background(), []Mutation{{Op: OpRemove, Entity: entity}})
-	return len(applied) > 0 && applied[0], err
-}
-
-// AddBatch is Apply for a batch of OpAdd mutations.
-func (ix *Index) AddBatch(entries []BatchEntry) error {
-	_, err := ix.Apply(context.Background(), addMutations(entries))
-	return err
-}
-
-func addMutations(entries []BatchEntry) []Mutation {
-	muts := make([]Mutation, len(entries))
-	for i, e := range entries {
-		muts[i] = Mutation{Op: OpAdd, Entity: e.Entity, Elements: e.Elements}
-	}
-	return muts
-}
-
-// RemoveBatch is Apply for a batch of OpRemove mutations, reporting how
-// many of the names were indexed and removed.
-func (ix *Index) RemoveBatch(entities []string) (int, error) {
-	muts := make([]Mutation, len(entities))
-	for i, e := range entities {
-		muts[i] = Mutation{Op: OpRemove, Entity: e}
-	}
-	applied, err := ix.Apply(context.Background(), muts)
-	removed := 0
-	for _, ok := range applied {
-		if ok {
-			removed++
-		}
-	}
-	return removed, err
-}
-
-// AddDataset upserts every entity of d, in the dataset's order, through
-// Apply in chunks of applyChunk — on a durable index one WAL write per
-// touched shard and chunk instead of one per entity. It stops at the
-// first chunk that fails. To materialize a large corpus as snapshot
-// files instead, use BuildIndexFiles + OpenIndex.
-func (ix *Index) AddDataset(d *Dataset) error {
-	chunk := make([]Mutation, 0, applyChunk)
-	var err error
-	flush := func() bool {
-		_, err = ix.Apply(context.Background(), chunk)
-		chunk = chunk[:0]
-		return err == nil
-	}
-	d.Each(func(entity string, counts map[string]uint32) bool {
-		chunk = append(chunk, Mutation{Op: OpAdd, Entity: entity, Elements: counts})
-		return len(chunk) < applyChunk || flush()
-	})
-	if err == nil {
-		flush()
-	}
-	return err
-}
-
-// BuildIndex loads every entity of a Dataset into a fresh index with
-// AddDataset.
-func BuildIndex(d *Dataset, opts IndexOptions) (*Index, error) {
-	ix, err := NewIndex(opts)
-	if err != nil || d == nil {
-		return ix, err
-	}
-	if err := ix.AddDataset(d); err != nil {
-		ix.Close() // the load error is what the caller gets
-		return nil, err
-	}
-	return ix, nil
-}
-
-// AddAsync enqueues an upsert on the async mutation pipeline and
-// returns immediately with a 1-buffered channel that receives the
-// mutation's outcome exactly once: nil after the upsert is applied (and
-// under DurabilitySync, durable), or the error that rejected it. The
-// pipeline drains each queue into Apply's body, so queued mutations are
-// applied a batch at a time — under a write storm this is the
-// highest-throughput path. Mutations of the same entity are applied in
-// AddAsync call order; a full queue blocks AddAsync (backpressure)
-// rather than dropping. Discarding the returned channel discards the
-// error with it — callers that care about durability must read it (the
-// batchorder analyzer flags a dropped result).
-func (ix *Index) AddAsync(entity string, counts map[string]uint32) <-chan error {
-	errc := make(chan error, 1)
-	ix.mu.Lock()
-	if ix.closed || ix.pipeStopped {
-		ix.mu.Unlock()
-		errc <- ErrIndexClosed
-		return errc
-	}
-	ix.pipeOnce.Do(ix.startPipeLocked)
-	q := ix.queues[queueOf(entity, len(ix.queues))]
-	ix.pipeWG.Add(1)
-	ix.mu.Unlock()
-	// The send happens outside mu: a full queue must block this caller,
-	// not every reader and writer of the index.
-	q <- queued{Mutation{Op: OpAdd, Entity: entity, Elements: counts}, errc}
-	ix.pipeWG.Done()
-	return errc
-}
-
-// queued is one AddAsync call waiting in a queue: the mutation and the
-// channel that receives its outcome exactly once.
-type queued struct {
-	mut Mutation
-	ack chan error
-}
-
-// queueOf routes an entity name to an async mutation queue (FNV-1a).
-// Routing by name — not by shard of the ID, which is only known once
-// the ID is assigned under the lock — still guarantees what ordering
-// needs: every mutation of one entity lands in the same queue, FIFO.
-func queueOf(entity string, n int) int {
-	if n < 2 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(entity); i++ {
-		h ^= uint64(entity[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}
-
-// startPipeLocked spawns the async mutation pipeline: one bounded
-// queue and one applier per shard width. Caller holds ix.mu (via the
-// pipeOnce in AddAsync), so startup cannot race Close's pipeStopped
-// check.
-func (ix *Index) startPipeLocked() {
-	ix.queues = make([]chan queued, ix.inner.Shards())
-	for i := range ix.queues {
-		ix.queues[i] = make(chan queued, ix.queueDepth)
-		ix.applierWG.Add(1)
-		go ix.applier(ix.queues[i])
-	}
-}
-
-// applier drains one async mutation queue: each wakeup batches
-// everything currently queued (up to applyChunk) into a single apply
-// call, so a backed-up queue is applied with one lock acquisition and
-// one WAL append instead of one per mutation. Exits when the queue
-// closes.
-func (ix *Index) applier(q chan queued) {
-	defer ix.applierWG.Done()
-	muts := make([]Mutation, 0, applyChunk)
-	acks := make([]chan error, 0, applyChunk)
-	for first := range q {
-		muts, acks = append(muts[:0], first.mut), append(acks[:0], first.ack)
-	drain:
-		for len(muts) < applyChunk {
-			select {
-			case more, ok := <-q:
-				if !ok {
-					break drain
-				}
-				muts, acks = append(muts, more.mut), append(acks, more.ack)
-			default:
-				break drain
-			}
-		}
-		// apply acks every mutation through its channel; the joined error
-		// is the synchronous callers' view and has no reader here.
-		ix.apply(muts, acks)
-	}
-}
-
-// apply is the body of Apply and of the async appliers, the only code
-// in the package that appends to the write-ahead logs and mutates the
-// name tables and shards. muts hold only OpAdd and OpRemove; acks, when
-// non-nil, parallels muts and receives each mutation's own outcome.
-func (ix *Index) apply(muts []Mutation, acks []chan error) ([]bool, error) {
 	if len(muts) == 0 {
 		return nil, nil
 	}
 	ix.mu.Lock()
 	if ix.closed {
 		ix.mu.Unlock()
-		for _, ack := range acks {
-			ack <- ErrIndexClosed
-		}
 		return nil, ErrIndexClosed
 	}
 	n := ix.inner.Shards()
@@ -397,9 +212,7 @@ func (ix *Index) apply(muts []Mutation, acks []chan error) ([]bool, error) {
 	}
 	ix.mu.Unlock()
 
-	// Pass 4: durability waits (outside every lock), then per-mutation
-	// acknowledgement. A coalesced-away upsert shares its winner's shard
-	// and therefore its winner's outcome.
+	// Pass 4: durability waits, outside every lock.
 	var errs []error
 	for gi := range groups {
 		g := &groups[gi]
@@ -412,14 +225,88 @@ func (ix *Index) apply(muts []Mutation, acks []chan error) ([]bool, error) {
 			errs = append(errs, g.err)
 		}
 	}
-	for i, ack := range acks {
-		if res[i].skip && muts[i].Op == OpRemove {
-			ack <- nil // removing an absent name is a successful no-op (and has no group)
-			continue
-		}
-		ack <- groups[res[i].g].err
-	}
 	return applied, errors.Join(errs...)
+}
+
+// Add is Apply for one OpAdd mutation.
+func (ix *Index) Add(entity string, counts map[string]uint32) error {
+	_, err := ix.Apply(context.Background(), []Mutation{{Op: OpAdd, Entity: entity, Elements: counts}})
+	return err
+}
+
+// Remove is Apply for one OpRemove mutation, reporting whether the
+// entity was indexed.
+func (ix *Index) Remove(entity string) (bool, error) {
+	applied, err := ix.Apply(context.Background(), []Mutation{{Op: OpRemove, Entity: entity}})
+	return len(applied) > 0 && applied[0], err
+}
+
+// AddBatch is Apply for a batch of OpAdd mutations.
+func (ix *Index) AddBatch(entries []BatchEntry) error {
+	_, err := ix.Apply(context.Background(), addMutations(entries))
+	return err
+}
+
+func addMutations(entries []BatchEntry) []Mutation {
+	muts := make([]Mutation, len(entries))
+	for i, e := range entries {
+		muts[i] = Mutation{Op: OpAdd, Entity: e.Entity, Elements: e.Elements}
+	}
+	return muts
+}
+
+// RemoveBatch is Apply for a batch of OpRemove mutations, reporting how
+// many of the names were indexed and removed.
+func (ix *Index) RemoveBatch(entities []string) (int, error) {
+	muts := make([]Mutation, len(entities))
+	for i, e := range entities {
+		muts[i] = Mutation{Op: OpRemove, Entity: e}
+	}
+	applied, err := ix.Apply(context.Background(), muts)
+	removed := 0
+	for _, ok := range applied {
+		if ok {
+			removed++
+		}
+	}
+	return removed, err
+}
+
+// AddDataset upserts every entity of d, in the dataset's order, through
+// Apply in chunks of applyChunk — on a durable index one WAL write per
+// touched shard and chunk instead of one per entity. It stops at the
+// first chunk that fails. To materialize a large corpus as snapshot
+// files instead, use BuildIndexFiles + OpenIndex.
+func (ix *Index) AddDataset(d *Dataset) error {
+	chunk := make([]Mutation, 0, applyChunk)
+	var err error
+	flush := func() bool {
+		_, err = ix.Apply(context.Background(), chunk)
+		chunk = chunk[:0]
+		return err == nil
+	}
+	d.Each(func(entity string, counts map[string]uint32) bool {
+		chunk = append(chunk, Mutation{Op: OpAdd, Entity: entity, Elements: counts})
+		return len(chunk) < applyChunk || flush()
+	})
+	if err == nil {
+		flush()
+	}
+	return err
+}
+
+// BuildIndex loads every entity of a Dataset into a fresh index with
+// AddDataset.
+func BuildIndex(d *Dataset, opts IndexOptions) (*Index, error) {
+	ix, err := NewIndex(opts)
+	if err != nil || d == nil {
+		return ix, err
+	}
+	if err := ix.AddDataset(d); err != nil {
+		ix.Close() // the load error is what the caller gets
+		return nil, err
+	}
+	return ix, nil
 }
 
 // walAddRecord builds the logged form of an upsert: element names
