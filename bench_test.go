@@ -442,11 +442,12 @@ func BenchmarkZipfRepeatedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQuery compares the query fan-out across shard widths:
+// BenchmarkShardedQuery compares the query pass across shard widths:
 // threshold and top-k queries against the identical 10k-entity dataset
-// partitioned 1/4/8 ways. Sharding trades a little per-query fan-out
-// overhead for parallel probing and, above all, per-shard write locks;
-// single-threaded query latency is the cost side of that trade.
+// partitioned 1/4/8 ways. Sharding buys per-shard write locks; a query
+// visits every shard in turn, and its single-client latency here is the
+// cost side of that trade — and the row a parallel walk would have to
+// beat (README "Shard-count guidance").
 func BenchmarkShardedQuery(b *testing.B) {
 	entities := benchIndexEntities(10000)
 	for _, shards := range []int{1, 4, 8} {
@@ -802,10 +803,9 @@ func TestKNNPadAllocsIndependentOfLen(t *testing.T) {
 
 // BenchmarkQueryKNN measures the online kNN read path across shard
 // widths: the same 10k-entity dataset as BenchmarkShardedQuery,
-// partitioned 1/4/8 ways, k=10 nearest per query. The inner fan-out
-// raises a per-shard distance floor exactly as QueryTopK raises a
-// similarity floor, so the shard trade reads the same way: a little
-// merge overhead for parallel probing. The padded sub-benchmarks ask
+// partitioned 1/4/8 ways, k=10 nearest per query. The inner pass is
+// QueryTopK's — one similarity floor carried through the shards — so
+// the shard trade reads the same way. The padded sub-benchmarks ask
 // for the 10 nearest to a query that shares no element with the corpus
 // — the whole answer is pad — at two index sizes.
 func BenchmarkQueryKNN(b *testing.B) {

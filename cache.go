@@ -141,6 +141,13 @@ type keyScratch struct {
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
+// release returns ks to the pool, dropping the element names so a pooled
+// scratch cannot pin a caller's strings in memory.
+func (ks *keyScratch) release() {
+	clear(ks.names)
+	keyScratchPool.Put(ks)
+}
+
 // build writes q's cache key into ks.b. q has passed CheckQuery, so
 // exactly the fields its kind reads are meaningful.
 func (ks *keyScratch) build(measure string, q Query) {

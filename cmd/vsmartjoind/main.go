@@ -30,8 +30,8 @@
 // sync additionally fsyncs before every acknowledgement, group-
 // committed so concurrent writers (and /bulk batches) share one fsync;
 // -group-commit-window tunes how long the committer waits for company.
-// -shards partitions the index for parallel query fan-out and
-// per-shard write locking (0 adopts the shard count found on disk).
+// -shards partitions the index for per-shard write locking; a query
+// visits every shard in turn (0 adopts the shard count found on disk).
 // On SIGINT/SIGTERM
 // the daemon stops accepting connections, drains in-flight requests,
 // writes a final snapshot, and exits.
@@ -93,7 +93,7 @@ func main() {
 		addr          = flag.String("addr", "localhost:8321", "listen address")
 		measure       = flag.String("measure", "ruzicka", "similarity measure: ruzicka, jaccard, dice, set-dice, cosine, set-cosine, vector-cosine, overlap")
 		load          = flag.String("load", "", "TSV trace to preload (entity<TAB>element[<TAB>count] per line, .gz accepted)")
-		shards        = flag.Int("shards", 0, "hash-partitioned index shards (parallel query fan-out, per-shard write locks); 0 = adopt an existing data-dir's count, else 1")
+		shards        = flag.Int("shards", 0, "hash-partitioned index shards (per-shard write locks; a query visits each in turn); 0 = adopt an existing data-dir's count, else 1")
 		dataDir       = flag.String("data-dir", "", "durability directory (per-shard write-ahead logs + snapshots); empty = volatile")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (needs -data-dir; negative = only on /snapshot and shutdown)")
 		durability    = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)

@@ -61,8 +61,9 @@
 //     under a different one.
 //
 //   - Shards hash-partitions the index by entity: mutations lock only
-//     the owning shard and queries fan out to every shard in parallel,
-//     merging into exactly the single-shard answer (internal/shard).
+//     the owning shard, and a query walks the shards in turn on its
+//     caller's goroutine, carrying one top-k floor through all of them,
+//     to exactly the single-shard answer (internal/shard).
 //     For a durable index the count is part of the on-disk layout (one
 //     log directory per shard); Shards == 0 adopts an existing dir's
 //     count.

@@ -37,8 +37,8 @@ var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 // and truncates its write-ahead log.
 const defaultSnapshotEvery = 4096
 
-// maxShards bounds IndexOptions.Shards: past this the fan-out overhead
-// of a query dwarfs any lock-contention win.
+// maxShards bounds IndexOptions.Shards: every query visits every shard,
+// and past this that walk dwarfs any lock-contention win.
 const maxShards = 1024
 
 // defaultGroupCommitWindow is how long the group committer waits after
@@ -80,12 +80,12 @@ type IndexOptions struct {
 
 	// Shards is the number of hash-partitioned sub-indexes, in
 	// [0, 1024], 0 = default (1, or the count of an existing data dir).
-	// Entities are routed to shards by their ID, queries fan out to
-	// all shards in parallel and merge, and mutations lock
-	// only the owning shard — identical results to one shard, but
+	// Entities are routed to shards by their ID, a query visits the
+	// shards one after another on its caller's goroutine, and mutations
+	// lock only the owning shard — identical results to one shard, but
 	// writers stop serializing against the whole dataset. Shard counts
 	// around GOMAXPROCS are a good default for write-heavy loads; a
-	// read-only index gains little from sharding.
+	// read-only index gains nothing from sharding.
 	//
 	// For a durable index the shard count is part of the on-disk layout
 	// (one log directory per shard). Opening an existing data dir with
@@ -185,14 +185,12 @@ type IndexStats struct {
 	// Latency digests of the serving path, in nanoseconds. QueryLatency
 	// covers uncached public queries end to end, sampled one query in
 	// eight so the timing stays off the hot path (cache hits are counted
-	// above but never timed); MergeLatency is the cross-shard merge step
-	// of multi-shard fan-outs; WALAppend/WALFsync are durability stalls
+	// above but never timed); WALAppend/WALFsync are durability stalls
 	// merged across the per-shard logs (empty for a volatile index);
 	// WALCommitWait is how long acknowledged mutations waited for their
 	// group commit (DurabilitySync only). Full-resolution histograms
 	// back Index.Metrics and GET /metrics.
 	QueryLatency  LatencySummary `json:"query_latency"`
-	MergeLatency  LatencySummary `json:"merge_latency"`
 	WALAppend     LatencySummary `json:"wal_append"`
 	WALFsync      LatencySummary `json:"wal_fsync"`
 	WALCommitWait LatencySummary `json:"wal_commit_wait"`
@@ -212,8 +210,8 @@ type IndexStats struct {
 // similarity index serving threshold, top-k and kNN queries (Query, in
 // query.go) against a live dataset. Entities can be added and removed
 // at any time, concurrently with queries; see internal/index for the
-// data structure and locking design, internal/shard for the
-// hash-partitioned fan-out, and internal/wal for the durability layer.
+// data structure and locking design, internal/shard for the hash
+// partitioning, and internal/wal for the durability layer.
 // Use AllPairs for periodic full joins and an Index for interactive
 // lookups against the same entities.
 type Index struct {
@@ -682,7 +680,6 @@ func (ix *Index) Stats() IndexStats {
 		CacheMisses:        cacheMisses,
 		CacheEntries:       cacheEntries,
 		QueryLatency:       summarize(m.Query),
-		MergeLatency:       summarize(m.Merge),
 		WALAppend:          summarize(m.WALAppend),
 		WALFsync:           summarize(m.WALFsync),
 		WALCommitWait:      summarize(m.WALCommitWait),

@@ -308,3 +308,37 @@ func TestIndexConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEntityQueryDoesNotCopyTheEntity is the allocation gate on the
+// entity form of a query: it probes with the index's own immutable
+// entries, so asking about an entity of 4 000 elements allocates what
+// asking about one of 4 does — nothing at all when, as here, neither has
+// a neighbor to report. (A copy of the entity per query was 64 KB a call
+// for the large one.)
+func TestEntityQueryDoesNotCopyTheEntity(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: 2, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"small": 4, "large": 4000} {
+		counts := make(map[string]uint32, n)
+		for i := 0; i < n; i++ {
+			counts[fmt.Sprintf("%s-%d", name, i)] = uint32(i%3 + 1)
+		}
+		mustAdd(t, ix, name, counts)
+	}
+	measure := func(entity string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if ms, err := ix.QueryEntity(entity, 0.5); err != nil || len(ms) != 0 {
+				t.Fatalf("QueryEntity(%s) = %v, %v", entity, ms, err)
+			}
+		})
+	}
+	small, large := measure("small"), measure("large")
+	if small != 0 || large != small {
+		t.Fatalf("entity queries allocate %v/op (4 elements) and %v/op (4000 elements), want 0 and 0", small, large)
+	}
+}

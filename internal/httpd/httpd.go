@@ -397,7 +397,6 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("vsmart_verified_total", "Candidates fully verified.", float64(st.Verified))
 	p.counter("vsmart_results_total", "Matches returned.", float64(st.Results))
 	p.histogram("vsmart_query_latency_seconds", "Uncached query latency (probe, verify, resolve).", m.Query)
-	p.histogram("vsmart_shard_merge_latency_seconds", "Cross-shard merge time of multi-shard fan-outs.", m.Merge)
 	p.histogram("vsmart_wal_append_latency_seconds", "Write-ahead log append stalls.", m.WALAppend)
 	p.histogram("vsmart_wal_fsync_latency_seconds", "Write-ahead log fsync stalls.", m.WALFsync)
 	p.histogram("vsmart_wal_commit_wait_seconds", "Wait for the group commit covering an acknowledged mutation (DurabilitySync only).", m.WALCommitWait)

@@ -189,7 +189,6 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	}
 	for _, h := range []string{
 		"vsmart_query_latency_seconds",
-		"vsmart_shard_merge_latency_seconds",
 		"vsmart_wal_append_latency_seconds",
 		"vsmart_wal_fsync_latency_seconds",
 		"vsmart_wal_commit_wait_seconds",

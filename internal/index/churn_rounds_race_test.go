@@ -9,3 +9,7 @@ package index
 // handful of rounds still exercises slot recycling against concurrent
 // queries — the full schedule adds soak time, not coverage.
 const churnRounds = 20
+
+// Allocation gates run on native builds only: the detector's
+// instrumentation allocates and makes sync.Pool drop entries.
+const raceDetector = true

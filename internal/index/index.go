@@ -16,11 +16,23 @@
 //   - length filter: each candidate's UniStats are checked with
 //     SimUpperBound before the candidate is verified.
 //
+// Verification sums g(f_q,k, f_e,k) over the shared elements only, as the
+// paper's Similarity phase does: the query's elements are loaded once
+// into a bitmap over element IDs and each candidate's entries are walked
+// against it (pass.conj). That is the package's one contract on element
+// IDs: they are dense — callers intern their alphabet into small
+// consecutive integers (multiset.Dict), so a bitmap as long as the
+// largest ID an index has posted is alphabet/8 bytes, not 2^64 bits.
+//
+// One query is one pass (QueryAcross) over one Index or over several
+// holding disjoint partitions of the entities (internal/shard), on the
+// caller's goroutine.
+//
 // Concurrency: a single RWMutex guards the tables. Mutations (Add, Remove,
 // compaction) take the write lock; queries share the read lock, so the hot
 // path never serializes reads against each other. Entities are immutable
-// once inserted (Add replaces the stored record wholesale), which lets
-// QueryThresholdInto release the lock before the exact-verification loop — the
+// once inserted (Add replaces the stored record wholesale), which lets a
+// threshold query release the lock before the exact-verification loop — the
 // most expensive part of a query runs with no lock held at all. Stale
 // posting entries left behind by Remove or replacement are skipped by
 // pointer identity and reclaimed by an amortized compaction pass.
@@ -129,12 +141,9 @@ type Index struct {
 	// entries so the space stays as dense as the live entity count.
 	nextSlot  int32
 	freeSlots []int32
-
-	// scratch pools per-query state (probe order, candidate buffer, mark
-	// table, top-k heap) so the steady-state query path allocates
-	// nothing. Not guarded by mu: sync.Pool is concurrency-safe, and a
-	// scratch is owned by exactly one query between Get and Put.
-	scratch sync.Pool
+	// maxElem is the largest element ID ever posted: the bound on the
+	// membership bitmap a query loads (pass.cover).
+	maxElem multiset.Elem
 
 	adds        atomic.Int64
 	removes     atomic.Int64
@@ -207,6 +216,9 @@ func (ix *Index) Remove(id multiset.ID) bool {
 func (ix *Index) addPostingsLocked(e *entry) {
 	for _, ent := range e.set.Entries {
 		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], e)
+	}
+	if n := len(e.set.Entries); n > 0 { // entries ascend by element
+		ix.maxElem = max(ix.maxElem, e.set.Entries[n-1].Elem)
 	}
 	ix.postingCount += len(e.set.Entries)
 }
@@ -344,18 +356,23 @@ func (ix *Index) Range(fn func(m multiset.Multiset) bool) {
 	}
 }
 
-// Snapshot returns a copy of the entity's current multiset (keeping its
-// ID, so querying with it skips the self-pair), or an empty multiset if
-// the ID is not indexed.
-func (ix *Index) Snapshot(id multiset.ID) multiset.Multiset {
+// View returns the entity's current multiset (keeping its ID, so
+// querying with it skips the self-pair), or an empty multiset if the ID
+// is not indexed. It is the index's own immutable entry, not a copy:
+// callers must not mutate it, and one that hands the entries on to code
+// it does not control wants Snapshot.
+func (ix *Index) View(id multiset.ID) multiset.Multiset {
 	ix.mu.RLock()
 	e, ok := ix.entities[id]
 	ix.mu.RUnlock()
 	if !ok {
 		return multiset.Multiset{ID: id}
 	}
-	return e.set.Clone()
+	return e.set
 }
+
+// Snapshot is View, copied.
+func (ix *Index) Snapshot(id multiset.ID) multiset.Multiset { return ix.View(id).Clone() }
 
 // Stats returns a snapshot of the index counters.
 func (ix *Index) Stats() Stats {
@@ -386,57 +403,133 @@ func queryStats(q Query) similarity.UniStats {
 	return u
 }
 
-// queryScratch is the reusable per-query state: the sorted probe order,
-// the gathered candidate buffer, the epoch-stamped dedup mark table,
-// and the top-k heap. A scratch is owned by exactly one query between
-// getScratch and putScratch; pooling them makes the steady-state query
+// pass is the reusable state of one query: the query with its
+// unilateral stats and sorted probe order (computed once, whatever the
+// partition count), the element-membership bitmap verification probes,
+// the candidate buffer and epoch-stamped dedup mark table each
+// partition's probe reuses, the bounded top-k heap and the output
+// buffer. QueryAcross hands one pass from partition to partition, which
+// is what lets a top-k query prune every partition against the floor
+// the earlier ones already raised. A pass is owned by exactly one query
+// between begin and reset; pooling them makes the steady-state query
 // path allocation-free.
-type queryScratch struct {
+type pass struct {
+	q     Query
+	qUni  similarity.UniStats
 	order []multiset.Entry
-	cands []*entry
+	// bits has bit e set iff the query holds element e, for the first
+	// covered entries of q.Set.Entries (cover); every other bit of the
+	// table is zero, and reset zeroes the words a query touched.
+	bits    []uint64
+	covered int
+	cands   []*entry
 	// marks[slot] == epoch iff the entry holding slot was already seen
-	// by the current query; bumping epoch resets the whole table in O(1).
+	// by the current partition's probe; bumping epoch resets the whole
+	// table in O(1).
 	marks []uint32
 	epoch uint32
 	heap  topkHeap
-	// cnt accumulates the top-k pass's funnel counters while the read
-	// lock is held; they flush to the atomics afterwards.
-	cnt struct {
-		probes, cands, lenPruned, verified int64
-	}
+	out   []Match
+	// lists[i] is the posting list of order[i] in the partition being
+	// probed (Index.openLocked).
+	lists [][]*entry
 }
 
-// begin readies the dedup table for one probe pass over an index whose
+var passPool = sync.Pool{New: func() any { return new(pass) }}
+
+// begin readies a reset pass for q, appending to buf.
+func (p *pass) begin(q Query, buf []Match) {
+	p.q, p.qUni, p.out = q, queryStats(q), buf
+	p.order = append(p.order[:0], q.Set.Entries...)
+	sortProbeOrder(p.order)
+	p.heap = p.heap[:0]
+}
+
+// reset makes the pass fit for the pool: its bitmap all zero again, the
+// caller's slices dropped.
+func (p *pass) reset() {
+	for _, ent := range p.q.Set.Entries[:p.covered] {
+		p.bits[ent.Elem>>6] = 0
+	}
+	p.covered = 0
+	p.q, p.out = Query{}, nil
+	clear(p.lists) // a pooled pass must not pin a compacted-away posting array
+}
+
+// cover extends the bitmap to the query's elements up to maxElem, the
+// largest element ID the partition about to be probed has ever posted.
+// The caller holds that partition's read lock, so every candidate the
+// probe gathers has all its elements at or below maxElem: an element the
+// bitmap does not reach is one the query does not hold or no candidate
+// does. The bitmap is therefore never longer than the index's own
+// alphabet, whatever IDs a query names.
+func (p *pass) cover(maxElem multiset.Elem) {
+	ents := p.q.Set.Entries
+	n := p.covered
+	for n < len(ents) && ents[n].Elem <= maxElem {
+		n++
+	}
+	if n == p.covered {
+		return
+	}
+	if words := int(ents[n-1].Elem>>6) + 1; words > len(p.bits) {
+		p.bits = append(p.bits, make([]uint64, words-len(p.bits))...)
+	}
+	for _, ent := range ents[p.covered:n] {
+		p.bits[ent.Elem>>6] |= 1 << (ent.Elem & 63)
+	}
+	p.covered = n
+}
+
+// conj is similarity.ConjOf(p.q.Set, e.set) with the two-list merge scan
+// replaced by one walk of the candidate's entries: "not in the query" is
+// a bit probe, and only a shared element looks up the query's count, by
+// binary search above the previous hit. Shared elements reach
+// AccumulateConj in the same ascending order, so the sums are the same
+// integers.
+func (p *pass) conj(e *entry) similarity.ConjStats {
+	var c similarity.ConjStats
+	qe := p.q.Set.Entries[:p.covered]
+	lo := 0
+	for _, ent := range e.set.Entries {
+		w := ent.Elem >> 6
+		if w >= multiset.Elem(len(p.bits)) {
+			break // past every element the bitmap covers; entries ascend
+		}
+		if p.bits[w]&(1<<(ent.Elem&63)) == 0 {
+			continue
+		}
+		hi := len(qe)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if qe[mid].Elem < ent.Elem {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		c.AccumulateConj(qe[lo].Count, ent.Count)
+		lo++
+	}
+	return c
+}
+
+// mark readies the dedup table for one probe over a partition whose
 // slot high-water mark is limit. The caller must hold (at least) the
-// read lock for the whole pass: slots only migrate between entries
-// under the write lock, so within one pass live slots are stable.
-func (s *queryScratch) begin(limit int) {
-	if cap(s.marks) < limit {
+// read lock for the whole probe: slots only migrate between entries
+// under the write lock, so within one probe live slots are stable.
+func (p *pass) mark(limit int) {
+	if cap(p.marks) < limit {
 		// A fresh zeroed table is correct at any epoch > 0: no slot was
 		// stamped with the current epoch yet.
-		s.marks = make([]uint32, limit+limit/2+16)
+		p.marks = make([]uint32, limit+limit/2+16)
 	}
-	s.marks = s.marks[:cap(s.marks)]
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale stamps could collide, wipe them
-		clear(s.marks)
-		s.epoch = 1
+	p.marks = p.marks[:cap(p.marks)]
+	p.epoch++
+	if p.epoch == 0 { // wrapped: stale stamps could collide, wipe them
+		clear(p.marks)
+		p.epoch = 1
 	}
-}
-
-func (ix *Index) getScratch() *queryScratch {
-	if s, ok := ix.scratch.Get().(*queryScratch); ok {
-		return s
-	}
-	return &queryScratch{}
-}
-
-// putScratch returns a scratch to the pool, dropping entry references
-// so a pooled scratch cannot pin dead entities' multisets in memory.
-func (ix *Index) putScratch(s *queryScratch) {
-	clear(s.cands)
-	s.cands = s.cands[:0]
-	ix.scratch.Put(s)
 }
 
 // sortProbeOrder sorts query entries for probing: decreasing
@@ -460,97 +553,57 @@ func sortProbeOrder(ord []multiset.Entry) {
 	})
 }
 
-// gather collects the deduplicated live candidates (in s.cands) that
-// survive the prefix and length filters, under the read lock. stop is
-// the verification cut-off the bounds prune against. An entity whose ID
-// equals the query's own ID is never a candidate (self-pairs are
-// meaningless; use ID 0 for ad-hoc queries).
-//
-// The query's posting lists are probed in decreasing-multiplicity order
-// and probing ends once the residual bound shows the unprobed tail
-// cannot reach stop.
-func (ix *Index) gather(s *queryScratch, q Query, qUni similarity.UniStats, stop float64) []*entry {
-	s.cands = s.cands[:0]
-	var probes, lenPruned int64
-
-	ix.mu.RLock()
-	s.order = append(s.order[:0], q.Set.Entries...)
-	sortProbeOrder(s.order)
-	residual := qUni
-	residual.Sub(q.Extra) // extras match nothing; they never feed postings
-	s.begin(int(ix.nextSlot))
-	for _, ent := range s.order {
-		if similarity.ResidualUpperBound(ix.measure, qUni, residual)+boundEps < stop {
-			break
-		}
-		for _, e := range ix.postings[ent.Elem] {
-			probes++
-			if e.set.ID == q.Set.ID {
-				continue
-			}
-			if ix.entities[e.set.ID] != e {
-				continue // tombstoned or replaced
-			}
-			if s.marks[e.slot] == s.epoch {
-				continue
-			}
-			s.marks[e.slot] = s.epoch
-			if similarity.SimUpperBound(ix.measure, qUni, e.uni)+boundEps < stop {
-				lenPruned++
-				continue
-			}
-			s.cands = append(s.cands, e)
-		}
-		var probed similarity.UniStats
-		probed.AccumulateUni(ent.Count)
-		residual.Sub(probed)
-	}
-	ix.mu.RUnlock()
-
-	ix.probes.Add(probes)
-	ix.candidates.Add(int64(len(s.cands)) + lenPruned)
-	ix.lenPruned.Add(lenPruned)
-	return s.cands
-}
-
-// QueryThresholdInto appends to buf (typically a reused buffer truncated
-// to buf[:0], which keeps the steady-state path allocation-free) every
-// indexed entity whose similarity to q is at least t, sorted by
-// decreasing similarity (ID ascending on ties). Only the appended region
-// is sorted, so buf's existing contents are preserved untouched. The
-// exact-verification loop runs after the read lock is released: entries
-// are immutable, so a concurrent Add/Remove cannot corrupt the snapshot —
-// it only makes the answer reflect the index as of the probe.
-func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
-	ix.queries.Add(1)
-	if len(q.Set.Entries) == 0 {
+// QueryAcross answers q over parts, disjoint partitions of one entity
+// set, in a single pass on the caller's goroutine, appending to buf
+// (typically a reused buffer truncated to buf[:0], which keeps the
+// steady-state path allocation-free): the threshold query at t when
+// k < 0, the top-k query otherwise. Only the appended region is sorted
+// (decreasing similarity, ID ascending on ties); buf's existing contents
+// are preserved. Each partition is probed under its own read lock, in
+// order, with the one pass state: a threshold query collects every
+// partition's verified matches and sorts once; a top-k query carries one
+// bounded heap through all of them, so each partition starts from the
+// floor the previous ones raised and the heap after the last partition
+// is the global top-k — an entity is pruned only when its bound is below
+// k similarities already found, which keeps it out of any partitioning's
+// answer. One partition is the single-index query.
+func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match {
+	if k == 0 || len(q.Set.Entries) == 0 {
 		return buf
 	}
-	qUni := queryStats(q)
-	s := ix.getScratch()
-	cands := ix.gather(s, q, qUni, t)
-
 	base := len(buf)
-	for _, e := range cands {
-		sim := ix.measure.Sim(qUni, e.uni, similarity.ConjOf(q.Set, e.set))
-		if sim+verifyEps >= t {
-			buf = append(buf, Match{ID: e.set.ID, Sim: sim})
+	p := passPool.Get().(*pass)
+	p.begin(q, buf)
+	for _, ix := range parts {
+		if k < 0 {
+			ix.thresholdStep(p, t)
+		} else {
+			ix.topkStep(p, k)
 		}
 	}
-	ix.verified.Add(int64(len(cands)))
-	ix.results.Add(int64(len(buf) - base))
-	ix.putScratch(s)
+	buf = append(p.out, p.heap...)
+	p.reset()
+	passPool.Put(p)
+	if k > 0 {
+		// Which partition a survivor came from is not tracked; the sum
+		// over partitions is what Stats consumers read.
+		parts[len(parts)-1].results.Add(int64(len(buf) - base))
+	}
 	SortMatches(buf[base:])
 	return buf
 }
 
-// QueryTopKInto appends to buf (typically a reused buffer truncated to
-// buf[:0]) the k most similar indexed entities, sorted by decreasing
-// similarity (ID ascending on ties). Only the appended region is sorted;
-// buf's existing contents are preserved. Verification interleaves with
-// probing so the current k-th best similarity becomes a rising
-// residual-bound floor; the whole pass holds the read lock to keep the
-// floor consistent with the probed snapshot.
+// QueryThresholdInto appends to buf every indexed entity whose
+// similarity to q is at least t: QueryAcross over this one index. An
+// entity whose ID equals the query's own ID is never a candidate
+// (self-pairs are meaningless; use ID 0 for ad-hoc queries).
+func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
+	ix.queries.Add(1)
+	return QueryAcross([]*Index{ix}, q, t, -1, buf)
+}
+
+// QueryTopKInto appends to buf the k most similar indexed entities:
+// QueryAcross over this one index.
 //
 // The same pass serves k-nearest-neighbor queries: under the distance
 // d = 1 − Sim, "distance ascending" and "similarity descending" are the
@@ -559,28 +612,7 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 // the results (vsmartjoin.Index.Query).
 func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
 	ix.queries.Add(1)
-	if k <= 0 || len(q.Set.Entries) == 0 {
-		return buf
-	}
-	qUni := queryStats(q)
-	s := ix.getScratch()
-	s.heap = s.heap[:0]
-	s.cnt.probes, s.cnt.cands, s.cnt.lenPruned, s.cnt.verified = 0, 0, 0, 0
-
-	ix.mu.RLock()
-	ix.topkPrefixLocked(s, q, qUni, k)
-	ix.mu.RUnlock()
-
-	ix.probes.Add(s.cnt.probes)
-	ix.candidates.Add(s.cnt.cands)
-	ix.lenPruned.Add(s.cnt.lenPruned)
-	ix.verified.Add(s.cnt.verified)
-	base := len(buf)
-	buf = append(buf, s.heap...)
-	ix.putScratch(s)
-	SortMatches(buf[base:])
-	ix.results.Add(int64(len(buf) - base))
-	return buf
+	return QueryAcross([]*Index{ix}, q, 0, max(k, 0), buf)
 }
 
 // Neighbor and QueryKNNInto remain only because benchmark/ladder.go
@@ -593,55 +625,143 @@ func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
 	return ix.QueryTopKInto(q, k, buf)
 }
 
-// topkPrefixLocked is the inverted-index top-k pass: posting lists in
-// decreasing-multiplicity order with the current k-th best similarity
-// as a rising residual-bound floor. Caller holds the read lock for the
-// whole pass so the floor stays consistent with the probed snapshot.
-func (ix *Index) topkPrefixLocked(s *queryScratch, q Query, qUni similarity.UniStats, k int) {
-	s.order = append(s.order[:0], q.Set.Entries...)
-	sortProbeOrder(s.order)
-	residual := qUni
-	residual.Sub(q.Extra)
-	s.begin(int(ix.nextSlot))
-	for _, ent := range s.order {
+// openLocked readies p for a probe of this index: the bitmap covers the
+// index's alphabet, the dedup table its slots, and p.lists holds the
+// posting list of every query element — looked up back to back, before
+// any list is walked and including those a bound will cut off. The
+// lookups are independent, so their cache misses overlap; interleaved
+// with the walks each one waits alone, behind a walk that has pushed the
+// posting directory out of cache, and a query over S shards makes S
+// times as many. On queries new to the caches that is most of a sharded
+// query's time (root BenchmarkShardedQuery, 8 shards, top-k: 107 → 47
+// µs; warm, 46 → 42). Caller holds the read lock.
+func (ix *Index) openLocked(p *pass) {
+	p.cover(ix.maxElem)
+	p.mark(int(ix.nextSlot))
+	p.lists = p.lists[:0]
+	for _, ent := range p.order {
+		p.lists = append(p.lists, ix.postings[ent.Elem])
+	}
+}
+
+// thresholdStep appends to p.out this index's entities at similarity t
+// or above. Its posting lists are probed, under the read lock, in
+// decreasing-multiplicity order until the residual bound shows the
+// unprobed tail of the query cannot reach t; the deduplicated live
+// candidates that survive the length filter are verified after the lock
+// is released: entries are immutable, so a concurrent Add/Remove cannot
+// corrupt the snapshot — it only makes the answer reflect the index as
+// of the probe.
+func (ix *Index) thresholdStep(p *pass, t float64) {
+	var probes, lenPruned int64
+	residual := p.qUni
+	residual.Sub(p.q.Extra) // extras match nothing; they never feed postings
+
+	ix.mu.RLock()
+	ix.openLocked(p)
+	for i, ent := range p.order {
+		if similarity.ResidualUpperBound(ix.measure, p.qUni, residual)+boundEps < t {
+			break
+		}
+		for _, e := range p.lists[i] {
+			probes++
+			if e.set.ID == p.q.Set.ID {
+				continue
+			}
+			if ix.entities[e.set.ID] != e {
+				continue // tombstoned or replaced
+			}
+			if p.marks[e.slot] == p.epoch {
+				continue
+			}
+			p.marks[e.slot] = p.epoch
+			if similarity.SimUpperBound(ix.measure, p.qUni, e.uni)+boundEps < t {
+				lenPruned++
+				continue
+			}
+			p.cands = append(p.cands, e)
+		}
+		var probed similarity.UniStats
+		probed.AccumulateUni(ent.Count)
+		residual.Sub(probed)
+	}
+	ix.mu.RUnlock()
+
+	base := len(p.out)
+	for _, e := range p.cands {
+		sim := ix.measure.Sim(p.qUni, e.uni, p.conj(e))
+		if sim+verifyEps >= t {
+			p.out = append(p.out, Match{ID: e.set.ID, Sim: sim})
+		}
+	}
+	ix.probes.Add(probes)
+	ix.candidates.Add(int64(len(p.cands)) + lenPruned)
+	ix.lenPruned.Add(lenPruned)
+	ix.verified.Add(int64(len(p.cands)))
+	ix.results.Add(int64(len(p.out) - base))
+	// Drop the entry references: a pooled pass must not pin dead
+	// entities' multisets in memory.
+	clear(p.cands)
+	p.cands = p.cands[:0]
+}
+
+// topkStep offers this index's entities to p.heap: posting lists in
+// decreasing-multiplicity order with the heap's k-th best similarity —
+// whatever partition it came from — as a rising residual-bound floor.
+// Verification interleaves with probing, and the whole step holds the
+// read lock so the floor stays consistent with the probed snapshot.
+func (ix *Index) topkStep(p *pass, k int) {
+	var probes, cands, lenPruned, verified int64
+	residual := p.qUni
+	residual.Sub(p.q.Extra)
+
+	ix.mu.RLock()
+	ix.openLocked(p)
+	for i, ent := range p.order {
 		// Below k results every candidate is wanted, so the floor is 0
 		// (with t=0 semantics: any overlap qualifies).
 		floor := 0.0
-		if len(s.heap) == k {
-			floor = s.heap[0].Sim
-			if similarity.ResidualUpperBound(ix.measure, qUni, residual) < floor-boundEps {
+		if len(p.heap) == k {
+			floor = p.heap[0].Sim
+			if similarity.ResidualUpperBound(ix.measure, p.qUni, residual) < floor-boundEps {
 				break
 			}
 		}
-		for _, e := range ix.postings[ent.Elem] {
-			s.cnt.probes++
-			if e.set.ID == q.Set.ID {
+		for _, e := range p.lists[i] {
+			probes++
+			if e.set.ID == p.q.Set.ID {
 				continue
 			}
 			if ix.entities[e.set.ID] != e {
 				continue
 			}
-			if s.marks[e.slot] == s.epoch {
+			if p.marks[e.slot] == p.epoch {
 				continue
 			}
-			s.marks[e.slot] = s.epoch
-			s.cnt.cands++
-			if len(s.heap) == k && similarity.SimUpperBound(ix.measure, qUni, e.uni) < floor-boundEps {
-				s.cnt.lenPruned++
+			p.marks[e.slot] = p.epoch
+			cands++
+			if len(p.heap) == k && similarity.SimUpperBound(ix.measure, p.qUni, e.uni) < floor-boundEps {
+				lenPruned++
 				continue
 			}
-			s.cnt.verified++
+			verified++
 			//lint:vsmart-allow lockscope top-k must verify under the RLock so the rising floor keeps pruning; threshold queries verify outside it
-			sim := ix.measure.Sim(qUni, e.uni, similarity.ConjOf(q.Set, e.set))
-			s.heap.offer(Match{ID: e.set.ID, Sim: sim}, k)
-			if len(s.heap) == k {
-				floor = s.heap[0].Sim
+			sim := ix.measure.Sim(p.qUni, e.uni, p.conj(e))
+			p.heap.offer(Match{ID: e.set.ID, Sim: sim}, k)
+			if len(p.heap) == k {
+				floor = p.heap[0].Sim
 			}
 		}
 		var probed similarity.UniStats
 		probed.AccumulateUni(ent.Count)
 		residual.Sub(probed)
 	}
+	ix.mu.RUnlock()
+
+	ix.probes.Add(probes)
+	ix.candidates.Add(cands)
+	ix.lenPruned.Add(lenPruned)
+	ix.verified.Add(verified)
 }
 
 // worseMatch is the single result-ordering comparator: a ranks below b on
@@ -656,9 +776,9 @@ func worseMatch(a, b Match) bool {
 }
 
 // SortMatches orders results best first under worseMatch. It is the one
-// canonical result ordering: threshold queries, the top-k heap, and the
-// sharded fan-out merge (internal/shard) all defer to it, so any
-// partitioning of the same entities answers identically.
+// canonical result ordering: threshold queries and the top-k heap both
+// defer to it, so any partitioning of the same entities answers
+// identically.
 func SortMatches(ms []Match) {
 	// slices.SortFunc, not sort.Slice: the latter's reflect-based swapper
 	// allocates, and this runs on the allocation-free query path.
@@ -672,38 +792,6 @@ func SortMatches(ms []Match) {
 			return 0
 		}
 	})
-}
-
-// mergeHeapPool recycles the bounded heaps MergeTopKInto folds with, so
-// steady-state fan-out merges stop allocating a heap per query. The
-// pooled heaps are not tied to any Index: the merge only rearranges
-// Match values.
-var mergeHeapPool = sync.Pool{New: func() any { return new(topkHeap) }}
-
-// MergeTopKInto folds per-partition top-k lists into the global top-k,
-// best first, appending it to buf (typically a reused buffer truncated
-// to buf[:0]) — the merge step of a sharded top-k fan-out. Only the
-// appended region is sorted; buf's existing contents are preserved.
-// Feeding each partition's local top-k through the same bounded heap
-// the single-index query uses preserves exactness: an entity in the
-// global top-k is necessarily in its own partition's top-k.
-func MergeTopKInto(k int, buf []Match, lists ...[]Match) []Match {
-	if k <= 0 {
-		return buf
-	}
-	hp := mergeHeapPool.Get().(*topkHeap)
-	h := (*hp)[:0]
-	for _, list := range lists {
-		for _, m := range list {
-			h.offer(m, k)
-		}
-	}
-	base := len(buf)
-	buf = append(buf, h...)
-	*hp = h
-	mergeHeapPool.Put(hp)
-	SortMatches(buf[base:])
-	return buf
 }
 
 // topkHeap is a bounded min-heap under worseMatch, so the root is always

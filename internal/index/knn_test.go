@@ -95,66 +95,3 @@ func TestQueryKNNIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("k=0 appended results: %v", got)
 	}
 }
-
-// TestMergeTopKInto gates the fan-out merge: per-partition k-lists fold
-// into the global k best with ties surviving by smallest ID, and only
-// the appended region is sorted.
-func TestMergeTopKInto(t *testing.T) {
-	a := []Match{{ID: 1, Sim: 0.9}, {ID: 5, Sim: 0.5}, {ID: 9, Sim: 0.1}}
-	b := []Match{{ID: 2, Sim: 0.9}, {ID: 4, Sim: 0.5}, {ID: 6, Sim: 0.4}}
-	got := MergeTopKInto(4, nil, a, b)
-	want := []Match{{ID: 1, Sim: 0.9}, {ID: 2, Sim: 0.9}, {ID: 4, Sim: 0.5}, {ID: 5, Sim: 0.5}}
-	if !matchesEqual(got, want) {
-		t.Fatalf("MergeTopKInto = %v, want %v", got, want)
-	}
-	if got := MergeTopKInto(0, nil, a, b); got != nil {
-		t.Fatalf("k=0 returned %v", got)
-	}
-	if got := MergeTopKInto(10, nil, a); !matchesEqual(got, a) {
-		t.Fatalf("single short list changed: %v", got)
-	}
-	prefix := []Match{{ID: 42, Sim: 0.1}}
-	out := MergeTopKInto(2, prefix, b, a)
-	if out[0] != prefix[0] {
-		t.Fatalf("MergeTopKInto clobbered the existing buffer: %v", out)
-	}
-	if !matchesEqual(out[1:], want[:2]) {
-		t.Fatalf("MergeTopKInto appended %v, want %v", out[1:], want[:2])
-	}
-}
-
-// TestMergeTopKIntoMatchesGlobalSort cross-checks the bounded heap
-// against a concatenate-sort-truncate reference on random per-partition
-// lists.
-func TestMergeTopKIntoMatchesGlobalSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(8)
-		var lists [][]Match
-		var all []Match
-		for p := 0; p < 1+rng.Intn(4); p++ {
-			var list []Match
-			for i := 0; i < rng.Intn(2*k); i++ {
-				m := Match{
-					ID:  multiset.ID(rng.Intn(20) + 1),
-					Sim: float64(rng.Intn(5)) / 5, // coarse grid forces ties
-				}
-				list = append(list, m)
-				all = append(all, m)
-			}
-			SortMatches(list)
-			if len(list) > k {
-				list = list[:k]
-			}
-			lists = append(lists, list)
-		}
-		SortMatches(all)
-		want := all
-		if len(want) > k {
-			want = want[:k]
-		}
-		if got := MergeTopKInto(k, nil, lists...); !matchesEqual(got, want) {
-			t.Fatalf("trial %d k=%d: MergeTopKInto %v, reference %v\nlists: %v", trial, k, got, want, lists)
-		}
-	}
-}

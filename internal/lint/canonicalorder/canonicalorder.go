@@ -16,8 +16,8 @@
 //     the callee is held to the same rule), or a field of such a
 //     QueryResult, or
 //   - a local that provably passed through a canonicalizer:
-//     index.SortMatches, index.MergeTopKInto, cluster.SortMatches,
-//     cluster.SortNeighbors, vsmartjoin.SortNeighborsByName.
+//     index.SortMatches, cluster.SortMatches, cluster.SortNeighbors,
+//     vsmartjoin.SortNeighborsByName.
 //
 // The tracking is a source-order scan, not a full dataflow analysis:
 // assigning a fresh literal/make/append/conversion to a variable (or to
@@ -41,7 +41,7 @@ import (
 // Analyzer is the canonicalorder checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "canonicalorder",
-	Doc:  "functions returning []Match, []Neighbor or QueryResult must canonicalize (SortMatches/SortNeighbors/MergeTopKInto) before returning",
+	Doc:  "functions returning []Match, []Neighbor or QueryResult must canonicalize (SortMatches/SortNeighbors) before returning",
 	Run:  run,
 }
 
@@ -72,11 +72,6 @@ var canonicalizers = [][2]string{
 	{"vsmartjoin/internal/cluster", "SortMatches"},
 	{"vsmartjoin/internal/cluster", "SortNeighbors"},
 	{"vsmartjoin", "SortNeighborsByName"},
-}
-
-// canonicalProducers return an already-canonical result slice.
-var canonicalProducers = [][2]string{
-	{"vsmartjoin/internal/index", "MergeTopKInto"},
 }
 
 func run(pass *analysis.Pass) error {
@@ -167,11 +162,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			fn := analysis.Callee(info, x)
 			if fn == nil {
 				return false
-			}
-			for _, cp := range canonicalProducers {
-				if fn.Pkg() != nil && fn.Pkg().Path() == cp[0] && fn.Name() == cp[1] {
-					return true
-				}
 			}
 			// Delegation: the callee returns a []Match and is held to
 			// this same rule wherever it lives in the scoped packages.
@@ -278,7 +268,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 				if !exprCanonical(res) {
 					pass.Reportf(res.Pos(),
-						"returning a %s that did not pass through a canonicalizer (SortMatches/SortNeighbors/MergeTopKInto): public results must be in the canonical order",
+						"returning a %s that did not pass through a canonicalizer (SortMatches/SortNeighbors): public results must be in the canonical order",
 						types.TypeString(tv.Type, func(*types.Package) string { return "" }))
 				}
 			}

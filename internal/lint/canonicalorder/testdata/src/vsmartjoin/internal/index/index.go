@@ -1,4 +1,4 @@
-// Package index exercises canonicalorder's producer rule at the
+// Package index exercises canonicalorder's delegation rule at the
 // internal/index scope path.
 package index
 
@@ -10,8 +10,8 @@ type Match struct {
 // SortMatches is the index package's canonicalizer.
 func SortMatches(ms []Match) {}
 
-// MergeTopKInto returns an already-canonical merge (a producer).
-func MergeTopKInto(k int, buf []Match, lists ...[]Match) []Match {
+// QueryAcross canonicalizes the region it appended.
+func QueryAcross(k int, buf []Match, lists ...[]Match) []Match {
 	base := len(buf)
 	for _, l := range lists {
 		buf = append(buf, l...)
@@ -20,12 +20,12 @@ func MergeTopKInto(k int, buf []Match, lists ...[]Match) []Match {
 	return buf
 }
 
-func viaProducer(lists [][]Match) []Match {
-	return MergeTopKInto(3, nil, lists...)
+func viaDelegation(lists [][]Match) []Match {
+	return QueryAcross(3, nil, lists...)
 }
 
-func viaProducerLocal(lists [][]Match) []Match {
-	out := MergeTopKInto(3, nil, lists...)
+func viaDelegationLocal(lists [][]Match) []Match {
+	out := QueryAcross(3, nil, lists...)
 	return out
 }
 

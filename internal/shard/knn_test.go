@@ -62,7 +62,7 @@ func TestKNNDifferentialVsSingleIndex(t *testing.T) {
 	}
 }
 
-// TestKNNIntoBufferContract pins the fan-out Into form: existing buffer
+// TestKNNIntoBufferContract pins the sharded Into form: existing buffer
 // contents survive and the appended region equals a fresh query.
 func TestKNNIntoBufferContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -1,32 +1,36 @@
 // Package shard partitions the online index horizontally: a Set is N
 // hash-partitioned internal/index.Index shards behind the same API as a
 // single index. Entities are routed to shards by a mixed hash of their
-// ID, mutations lock only the owning shard, and queries fan out to all
-// shards in parallel and merge — per-shard RWMutexes instead of one
-// global one, so writers stop serializing against the whole dataset.
+// ID and mutations lock only the owning shard — per-shard RWMutexes
+// instead of one global one, so writers stop serializing against the
+// whole dataset.
 //
-// Partitioning by entity keeps every query exact: each shard holds the
-// complete multisets of its entities, so the measure-derived pruning
-// bounds apply per shard exactly as they do globally, and the union of
-// per-shard threshold results (or the heap merge of per-shard top-k
-// lists, via index.MergeTopKInto) equals the single-index answer. The
-// element dictionary is intentionally NOT per shard — callers intern
-// strings once (vsmartjoin.Index holds the shared multiset.Dict) and
-// shards see only dense element IDs, so a fan-out costs no translation.
+// A query is one pass on the caller's goroutine (index.QueryAcross): it
+// walks the shards in order, each under its own read lock, with one
+// pooled pass state. Partitioning by entity keeps every query exact:
+// each shard holds the complete multisets of its entities, so the
+// measure-derived pruning bounds apply per shard exactly as they do
+// globally; a threshold answer is the union of the shards' verified
+// matches, and a top-k query carries one heap — one rising floor —
+// through all of them, so every shard after the first is pruned against
+// similarities already found and the heap after the last shard is the
+// single-index answer. The element dictionary is intentionally NOT per
+// shard: callers intern strings once (vsmartjoin.Index holds the shared
+// multiset.Dict), so every shard sees the same element IDs and the
+// query's probe order and membership bitmap are built once for all of
+// them.
 //
-// The fan-out runs on an errgroup-style worker pool bounded by
-// GOMAXPROCS: shards are claimed off an atomic counter by at most that
-// many goroutines, so a 64-shard set on a 8-core box runs 8 wide
-// instead of spawning 64 goroutines per query.
+// Nothing here starts a goroutine. Serving load keeps the cores busy
+// with other queries, and at this index's per-shard query cost (a few
+// microseconds) a hand-off to a worker costs more than the shard's
+// share of the work; README "Shard-count guidance" has the measurements
+// and the bar for bringing a parallel walk back.
 package shard
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"vsmartjoin/internal/index"
-	"vsmartjoin/internal/metrics"
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/planner"
 	"vsmartjoin/internal/similarity"
@@ -37,46 +41,9 @@ import (
 // index.Index so the two are interchangeable behind vsmartjoin.Index.
 type Set struct {
 	shards []*index.Index
-	// queries counts fan-outs at the set level: each logical query probes
-	// every shard, so summing the per-shard counters would overcount by
-	// the shard width.
+	// queries counts queries at the set level: the shards' own counters
+	// only see queries put to them directly.
 	queries atomic.Int64
-	// scratch pools fan-out merge state (*fanScratch): per-shard result
-	// buffers reused across queries so the steady-state fan-out stops
-	// allocating a fresh [][]Match per call.
-	scratch sync.Pool
-
-	// merge times the cross-shard merge step of a multi-shard fan-out —
-	// the concat+sort (threshold) or heap fold (top-k) that happens after
-	// every shard has answered, with no shard lock held. The single-shard
-	// fast path delegates straight to the shard and is not timed here.
-	merge metrics.Histogram
-}
-
-// MergeSnapshot captures the fan-out merge-time distribution.
-func (s *Set) MergeSnapshot() metrics.Snapshot { return s.merge.Snapshot() }
-
-// fanScratch is the reusable per-fan-out state: one result buffer per
-// shard, each handed to that shard's Into query and merged afterwards.
-// Slots are written only by the worker that claimed the shard, so the
-// buffers need no locking within one fan-out.
-type fanScratch struct {
-	per [][]index.Match
-}
-
-func (s *Set) getFan() *fanScratch {
-	f, _ := s.scratch.Get().(*fanScratch)
-	if f == nil {
-		f = &fanScratch{per: make([][]index.Match, len(s.shards))}
-	}
-	return f
-}
-
-func (s *Set) putFan(f *fanScratch) {
-	for i := range f.per {
-		f.per[i] = f.per[i][:0]
-	}
-	s.scratch.Put(f)
 }
 
 // New returns an empty set of n shards (n < 1 is treated as 1)
@@ -144,8 +111,11 @@ func (s *Set) Add(m multiset.Multiset) { s.shardOf(m.ID).Add(m) }
 // present.
 func (s *Set) Remove(id multiset.ID) bool { return s.shardOf(id).Remove(id) }
 
-// Snapshot returns a copy of the entity's current multiset, or an empty
-// multiset if the ID is not indexed anywhere.
+// View returns the entity's current multiset as stored (see
+// index.View), or an empty multiset if the ID is not indexed anywhere.
+func (s *Set) View(id multiset.ID) multiset.Multiset { return s.shardOf(id).View(id) }
+
+// Snapshot is View, copied.
 func (s *Set) Snapshot(id multiset.ID) multiset.Multiset { return s.shardOf(id).Snapshot(id) }
 
 // Len reports the number of live entities across all shards.
@@ -199,59 +169,19 @@ func (s *Set) Range(fn func(m multiset.Multiset) bool) {
 	}
 }
 
-// fanOut runs fn(i) for every shard index i on a bounded worker pool
-// and waits for all of them — the errgroup pattern minus the error,
-// since shard queries cannot fail.
-func (s *Set) fanOut(fn func(i int)) {
-	n := len(s.shards)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// QueryThresholdInto fans the query out to every shard in parallel and
-// appends the merged per-shard results to buf under the canonical
-// ordering. The answer is exactly the single-index answer: shards
-// partition the entities, so the per-shard result sets are disjoint and
-// their union is complete. Per-shard results land in pooled merge
-// buffers and each shard query itself runs through
-// index.QueryThresholdInto, so a steady-state fan-out's only allocations
-// are the worker goroutines.
+// QueryThresholdInto appends to buf, under the canonical ordering, every
+// entity of any shard at similarity t or above: exactly the single-index
+// answer, since the shards partition the entities.
 func (s *Set) QueryThresholdInto(q index.Query, t float64, buf []index.Match) []index.Match {
-	return s.query(q, t, -1, buf)
+	s.queries.Add(1)
+	return index.QueryAcross(s.shards, q, t, -1, buf)
 }
 
-// QueryTopKInto fans out and appends the global top-k to buf, folding
-// the per-shard top-k lists with index.MergeTopKInto. Per-shard queries
-// prune against their own local floor (weaker than the global one), so a
-// sharded top-k verifies somewhat more candidates than a single index —
-// the price of running the probe in parallel — but returns the
-// identical result.
+// QueryTopKInto appends the global top-k to buf: exactly the
+// single-index answer, ID tie-breaks included.
 func (s *Set) QueryTopKInto(q index.Query, k int, buf []index.Match) []index.Match {
-	return s.query(q, 0, max(k, 0), buf)
+	s.queries.Add(1)
+	return index.QueryAcross(s.shards, q, 0, max(k, 0), buf)
 }
 
 // QueryKNNInto is QueryTopKInto, kept because benchmark/ladder.go names
@@ -260,46 +190,14 @@ func (s *Set) QueryKNNInto(q index.Query, k int, buf []index.Neighbor) []index.N
 	return s.QueryTopKInto(q, k, buf)
 }
 
-// query is the one fan-out/merge body: the threshold query at t when
-// k < 0, the top-k query otherwise.
-func (s *Set) query(q index.Query, t float64, k int, buf []index.Match) []index.Match {
-	s.queries.Add(1)
-	if len(s.shards) == 1 {
-		return s.queryShard(0, q, t, k, buf)
-	}
-	f := s.getFan()
-	s.fanOut(func(i int) { f.per[i] = s.queryShard(i, q, t, k, f.per[i][:0]) })
-	start := metrics.Now()
-	if k < 0 {
-		base := len(buf)
-		for _, ms := range f.per {
-			buf = append(buf, ms...)
-		}
-		index.SortMatches(buf[base:])
-	} else {
-		buf = index.MergeTopKInto(k, buf, f.per...)
-	}
-	s.putFan(f)
-	s.merge.ObserveSince(start)
-	return buf
-}
-
-// queryShard runs query's request on shard i.
-func (s *Set) queryShard(i int, q index.Query, t float64, k int, buf []index.Match) []index.Match {
-	if k < 0 {
-		return s.shards[i].QueryThresholdInto(q, t, buf)
-	}
-	return s.shards[i].QueryTopKInto(q, k, buf)
-}
-
 // SetPlanner does nothing; it remains only because benchmark/ladder.go
 // calls it.
 func (s *Set) SetPlanner(planner.Heuristic) {}
 
 // Stats sums the per-shard counters. Queries is counted at the set
-// level (one per logical fan-out); everything else — sizes, probes,
-// candidates, verifications — is genuine total work across shards, so
-// the pruning funnel stays comparable with a single index.
+// level (one per query); everything else — sizes, probes, candidates,
+// verifications — is genuine total work across shards, so the pruning
+// funnel stays comparable with a single index.
 func (s *Set) Stats() index.Stats {
 	var out index.Stats
 	for _, sh := range s.shards {

@@ -163,7 +163,7 @@ func TestRangeOrder(t *testing.T) {
 }
 
 // TestStats: sizes and mutation counters sum across shards; queries are
-// counted once per fan-out, not once per shard.
+// counted once per query, not once per shard.
 func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	m, _ := similarity.ByName("ruzicka")
@@ -180,16 +180,18 @@ func TestStats(t *testing.T) {
 		t.Fatalf("sizes: %+v", st)
 	}
 	if st.Queries != 2 {
-		t.Fatalf("queries counted per shard, not per fan-out: %+v", st)
+		t.Fatalf("queries counted per shard, not per query: %+v", st)
 	}
 	if st.Probes == 0 || st.Verified == 0 {
 		t.Fatalf("probe funnel empty: %+v", st)
 	}
 }
 
-// TestConcurrentFanOut hammers mutations and fan-out queries together;
-// run under -race this is the locking gate for the sharded path.
-func TestConcurrentFanOut(t *testing.T) {
+// TestConcurrentQueriesAndWriters hammers mutations and queries
+// together: every query walks all eight shards on its own goroutine,
+// taking each shard's read lock in turn while writers take them one at
+// a time. Run under -race this is the locking gate for the sharded path.
+func TestConcurrentQueriesAndWriters(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	m, _ := similarity.ByName("ruzicka")
 	set := New(m, 8)
@@ -199,14 +201,15 @@ func TestConcurrentFanOut(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var buf []index.Match
 			for i := 0; i < 120; i++ {
 				s := sets[(g*17+i)%len(sets)]
 				switch i % 4 {
 				case 0, 1:
 					set.Add(s)
 				case 2:
-					set.QueryThresholdInto(index.QueryOf(s), 0.3, nil)
-					set.QueryTopKInto(index.QueryOf(s), 5, nil)
+					buf = set.QueryThresholdInto(index.QueryOf(s), 0.3, buf[:0])
+					buf = set.QueryTopKInto(index.QueryOf(s), 5, buf[:0])
 				case 3:
 					set.Remove(s.ID)
 					set.Stats()
@@ -215,6 +218,130 @@ func TestConcurrentFanOut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// bruteForce is the exhaustive oracle over a corpus: every entity other
+// than the query sharing an element with it, scored by similarity.Exact,
+// in the canonical order — cut at threshold t when k < 0, to the k best
+// otherwise.
+func bruteForce(m similarity.Measure, sets []multiset.Multiset, q multiset.Multiset, t float64, k int) []index.Match {
+	var out []index.Match
+	for _, e := range sets {
+		if e.ID == q.ID || similarity.ConjOf(q, e).Common == 0 {
+			continue
+		}
+		if sim := similarity.Exact(m, q, e); k >= 0 || sim+1e-12 >= t {
+			out = append(out, index.Match{ID: e.ID, Sim: sim})
+		}
+	}
+	index.SortMatches(out)
+	if k >= 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestCarriedFloorAcrossShards gates the one-pass top-k: the heap a query
+// carries from shard to shard must end as the global top-k under the
+// canonical order even when the k-th rank is a tie group straddling
+// shards — equal multisets under different IDs, which route to different
+// shards, so a later shard keeps offering candidates AT the floor and
+// only the ID decides. Shard counts {1, 2, 3, 8} must answer exactly as
+// one index.Index and as the brute-force oracle, for thresholds and for
+// k from 1 to beyond the corpus, and again after the tied entities were
+// removed and re-added (tombstoned postings, recycled mark-table slots).
+func TestCarriedFloorAcrossShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	bases := randomSets(rng, 6, 12, 6, 3)
+	var sets []multiset.Multiset
+	for copyNo := 0; copyNo < 9; copyNo++ { // 9 IDs per distinct multiset
+		for _, b := range bases {
+			sets = append(sets, multiset.Multiset{ID: multiset.ID(len(sets) + 1), Entries: b.Entries})
+		}
+	}
+	for _, s := range randomSets(rng, 20, 12, 6, 3) { // and some untied noise
+		s.ID = multiset.ID(len(sets) + 1)
+		sets = append(sets, s)
+	}
+	for _, measureName := range []string{"ruzicka", "jaccard", "cosine"} {
+		m, err := similarity.ByName(measureName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := index.New(m)
+		for _, s := range sets {
+			single.Add(s)
+		}
+		for _, shards := range []int{1, 2, 3, 8} {
+			set := New(m, shards)
+			for _, s := range sets {
+				set.Add(s)
+			}
+			compare := func(phase string) {
+				t.Helper()
+				for _, q := range sets[:len(bases)+3] {
+					query := index.QueryOf(q)
+					for _, thr := range []float64{0, 0.5, 1} {
+						tag := fmt.Sprintf("%s/%s/shards=%d/q=%d/t=%v", phase, measureName, shards, q.ID, thr)
+						got := set.QueryThresholdInto(query, thr, nil)
+						sameMatches(t, tag, got, single.QueryThresholdInto(query, thr, nil))
+						sameMatches(t, tag+"/oracle", got, bruteForce(m, sets, q, thr, -1))
+					}
+					for _, k := range []int{1, 5, 50, set.Len() + 7} {
+						tag := fmt.Sprintf("%s/%s/shards=%d/q=%d/k=%d", phase, measureName, shards, q.ID, k)
+						got := set.QueryTopKInto(query, k, nil)
+						sameMatches(t, tag, got, single.QueryTopKInto(query, k, nil))
+						sameMatches(t, tag+"/oracle", got, bruteForce(m, sets, q, 0, k))
+					}
+				}
+			}
+			compare("fresh")
+			// Remove every tied entity, let other entities take the freed
+			// slots, then bring the tied ones back.
+			tied := sets[:9*len(bases)]
+			for _, s := range tied {
+				set.Remove(s.ID)
+			}
+			for _, s := range sets[9*len(bases):] {
+				set.Add(s)
+			}
+			for _, s := range tied {
+				set.Add(s)
+			}
+			compare("re-added")
+		}
+	}
+}
+
+// TestQueriesDoNotAllocate is the allocation gate of the one-pass query:
+// with a warm pass pool and a reused result buffer, a Set of 2 and of 8
+// shards answers threshold and top-k queries at 0 allocs/op — no
+// goroutine, no per-shard result list, no merge heap.
+func TestQueriesDoNotAllocate(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	rng := rand.New(rand.NewSource(107))
+	m, _ := similarity.ByName("ruzicka")
+	sets := randomSets(rng, 400, 64, 10, 4)
+	for _, shards := range []int{2, 8} {
+		set := New(m, shards)
+		for _, s := range sets {
+			set.Add(s)
+		}
+		var buf []index.Match
+		i := 0
+		next := func() index.Query { i++; return index.QueryOf(sets[i%len(sets)]) }
+		for range sets { // warm the pooled pass and the buffer
+			buf = set.QueryThresholdInto(next(), 0, buf[:0])
+		}
+		if n := testing.AllocsPerRun(200, func() { buf = set.QueryThresholdInto(next(), 0.3, buf[:0]) }); n != 0 {
+			t.Fatalf("shards=%d: threshold query allocates %v/op, want 0", shards, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { buf = set.QueryTopKInto(next(), 10, buf[:0]) }); n != 0 {
+			t.Fatalf("shards=%d: top-k query allocates %v/op, want 0", shards, n)
+		}
+	}
 }
 
 // TestShardOfDegenerateWidths pins the routing guard: a zero width used

@@ -60,8 +60,6 @@ type IndexMetrics struct {
 	// the timing itself stays off the hot path; cache hits are counted
 	// in IndexStats but not timed.
 	Query metrics.Snapshot
-	// Merge is the cross-shard merge step of multi-shard fan-outs.
-	Merge metrics.Snapshot
 	// WALAppend and WALFsync are durability stalls, merged across the
 	// per-shard logs; both are empty for a volatile index.
 	WALAppend metrics.Snapshot
@@ -103,10 +101,7 @@ func (c *Cluster) Metrics() ClusterMetrics {
 
 // Metrics captures the index's latency histograms.
 func (ix *Index) Metrics() IndexMetrics {
-	m := IndexMetrics{
-		Query: ix.queryLatency.Snapshot(),
-		Merge: ix.inner.MergeSnapshot(),
-	}
+	m := IndexMetrics{Query: ix.queryLatency.Snapshot()}
 	ix.mu.RLock()
 	logs := ix.logs
 	ix.mu.RUnlock()

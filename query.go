@@ -4,11 +4,11 @@ package vsmartjoin
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
 // Cluster.Query): validate → result cache → intern or look up the query
-// → inner fan-out → boundary-tie re-query → resolve IDs to names and pad
-// a short kNN list (one read-lock hold, O(results + k) whatever the
-// index holds) → cache fill. The named methods (QueryThreshold,
-// QueryEntity, QueryTopK, QueryKNN, QueryKNNEntity) are conveniences
-// over it.
+// → one pass over the shards → boundary-tie re-query → resolve IDs to
+// names and pad a short kNN list (one read-lock hold, O(results + k)
+// whatever the index holds) → cache fill. The named methods
+// (QueryThreshold, QueryEntity, QueryTopK, QueryKNN, QueryKNNEntity) are
+// conveniences over it.
 //
 // Below this file similarity is the only currency: the sharded inner
 // index answers threshold and top-k queries in (similarity, entity ID)
@@ -110,7 +110,7 @@ func (ix *Index) Query(_ context.Context, q Query) (QueryResult, error) {
 		return ix.query(q)
 	}
 	ks := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(ks)
+	defer ks.release()
 	ks.build(ix.measure.Name(), q)
 	// The generation is read BEFORE the entity lookup and the query run:
 	// a mutation racing the fill leaves a stale stamp behind, so the
@@ -141,7 +141,7 @@ func (ix *Index) query(q Query) (QueryResult, error) {
 		// The probe carries the entity's own ID so the index skips the
 		// self-pair; an entity removed since the lookup just yields an
 		// empty multiset and no matches.
-		iq = index.Query{Set: ix.inner.Snapshot(id)}
+		iq = index.Query{Set: ix.inner.View(id)}
 	}
 	bp := matchBufPool.Get().(*queryBuf)
 	start, timed := bp.sample()
