@@ -42,8 +42,10 @@ type ClusterOptions struct {
 }
 
 // Cluster is a client for a multi-node vsmartjoind deployment: it
-// mirrors Index's Apply/Query surface, but routes every call over
-// HTTP to a grid of partitioned, replicated daemon nodes. Writes go to
+// mirrors Index's Apply/Query surface, but routes every call to a grid
+// of partitioned, replicated daemon nodes — over one binary hop, framed
+// requests on a few persistent connections per node, opened by an
+// HTTP/1.1 Upgrade on the node's own listener. Writes go to
 // the entity's owner partition and succeed at majority quorum; queries
 // scatter to one replica per partition and merge exactly, so results
 // are byte-identical to a single Index holding every entity. The
@@ -74,8 +76,11 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	return &Cluster{inner: inner}, nil
 }
 
-// Close stops the router's background health and repair loops. The
-// nodes are independent daemons and are not touched.
+// Close stops the router's background health and repair loops and
+// closes its connections to the nodes, which ends the nodes' loops
+// serving them; a call still in flight closes its connection when it
+// finishes. The nodes themselves are independent daemons and keep
+// running.
 func (c *Cluster) Close() { c.inner.Close() }
 
 // PartitionOfEntity reports which partition of an n-partition cluster
@@ -87,10 +92,9 @@ func PartitionOfEntity(entity string, n int) int { return cluster.PartitionOf(en
 // mutations driven as one quorum write per touched partition. The batch
 // is grouped by owner partition (order preserved; mutations of one
 // entity always share a partition, so per-entity order survives); each
-// partition's replicas receive their group as a single request — a
-// lone mutation as the daemon's /add or /remove, a longer group as one
-// /bulk, which under ingest storms replaces a round trip and a per-node
-// WAL commit per mutation with one per group. Each group succeeds or
+// partition's replicas receive their group as a single write request,
+// which under ingest storms replaces a round trip and a per-node WAL
+// commit per mutation with one per group. Each group succeeds or
 // fails at majority quorum independently, and the returned error joins
 // the groups that missed it (ErrClusterUnavailable). An error means the
 // group is NOT guaranteed applied — though, as in any quorum system, a
@@ -174,9 +178,11 @@ func (c *Cluster) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
 }
 
 // WithRequestID returns a context carrying a request ID that the
-// cluster client attaches to every node request as the
-// X-Vsmart-Request-Id header — how the HTTP router makes one logical
-// query greppable across its own and every node's logs.
+// cluster client sends inside every node request's frame, where the
+// node puts it back on the context it answers under — how the HTTP
+// router makes one logical query greppable across its own and every
+// node's logs. The router accepts the ID, and echoes it, on the
+// X-Vsmart-Request-Id header of its public edge.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return cluster.WithRequestID(ctx, id)
 }

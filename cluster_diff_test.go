@@ -54,7 +54,21 @@ func clusterEntities(rng *rand.Rand, n int) map[string]map[string]uint32 {
 type clusterUnderTest struct {
 	cluster *vsmartjoin.Cluster
 	oracle  *vsmartjoin.Index
-	servers [][]*httptest.Server
+	servers [][]nodeServer
+}
+
+// nodeServer is one node daemon of a test cluster. Close kills it the way
+// a process exit would: the listener, and the router's peer connections,
+// which the node hijacked from the HTTP server and so outlive
+// httptest.Server.Close.
+type nodeServer struct {
+	*httptest.Server
+	node *httpd.Node
+}
+
+func (n nodeServer) Close() {
+	n.Server.Close()
+	n.node.Drain()
 }
 
 // startCluster spins up partitions×replicas node daemons (each a real
@@ -65,16 +79,17 @@ func startCluster(t *testing.T, measure string, partitions, replicas int) *clust
 	cut := &clusterUnderTest{}
 	var topo [][]string
 	for p := 0; p < partitions; p++ {
-		var row []*httptest.Server
+		var row []nodeServer
 		var addrs []string
 		for r := 0; r < replicas; r++ {
 			ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: measure})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(httpd.NewNode(ix, httpd.Options{}))
-			t.Cleanup(ts.Close)
-			row = append(row, ts)
+			node := httpd.NewNode(ix, httpd.Options{})
+			ts := httptest.NewServer(node)
+			t.Cleanup(nodeServer{ts, node}.Close)
+			row = append(row, nodeServer{ts, node})
 			addrs = append(addrs, ts.URL)
 		}
 		cut.servers = append(cut.servers, row)

@@ -18,6 +18,7 @@
 //	GET  /healthz                                         (liveness: 200 once serving)
 //	GET  /readyz                                          (readiness + staleness counters)
 //	GET  /stats
+//	GET  /peer                                            (Upgrade: the router's binary hop, see below)
 //
 // Add replaces any previous entity of the same name (upsert). A query
 // names either "elements" or an indexed "entity", and either a
@@ -33,8 +34,9 @@
 // -shards partitions the index for per-shard write locking; a query
 // visits every shard in turn (0 adopts the shard count found on disk).
 // On SIGINT/SIGTERM
-// the daemon stops accepting connections, drains in-flight requests,
-// writes a final snapshot, and exits.
+// the daemon stops accepting connections, drains in-flight requests —
+// the routers' peer connections included — writes a final snapshot,
+// and exits.
 //
 // -load preloads a TSV trace (gzip-decompressed on a .gz suffix). When
 // -data-dir names a directory with no index yet, the trace is
@@ -57,7 +59,10 @@
 // healthy replica per partition (with per-node timeouts and hedged
 // retry) and merge exactly, and a background anti-entropy pass
 // re-drives writes that missed a replica. Any number of routers may
-// front the same nodes.
+// front the same nodes. A router reaches its nodes over one binary hop
+// rather than their JSON endpoints: it upgrades a few pooled
+// connections per node with GET /peer on the node's -addr and sends
+// each call as one framed, checksummed request on them.
 //
 // Examples:
 //
@@ -156,7 +161,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("serving %s similarity (%d shards)", *measure, ix.Stats().Shards)
-		handler, closer = httpd.NewNode(ix, httpd.Options{MaxInFlight: *maxInFlight}), ix
+		handler, closer = nodeServer(ix, httpd.Options{MaxInFlight: *maxInFlight})
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -192,6 +197,19 @@ func main() {
 type closerFunc func() error
 
 func (f closerFunc) Close() error { return f() }
+
+// nodeServer wires ix to the node API and returns the closer serve runs
+// once HTTP has drained: it waits out the routers' peer connections —
+// hijacked, so http.Server.Shutdown does not — letting each finish the
+// request in hand, then closes the index, which writes the final
+// snapshot.
+func nodeServer(ix *vsmartjoin.Index, opts httpd.Options) (http.Handler, io.Closer) {
+	node := httpd.NewNode(ix, opts)
+	return node, closerFunc(func() error {
+		node.Drain()
+		return ix.Close()
+	})
+}
 
 // debugMux is the opt-in profiling surface behind -debug-addr: the
 // net/http/pprof handlers mounted explicitly on a private mux, so

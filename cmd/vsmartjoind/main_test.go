@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -220,6 +221,77 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 	if _, err := reopened.QueryEntity("gone", 0); err == nil {
 		t.Fatal("removed entity survived restart")
+	}
+}
+
+// TestDaemonDrainsHeldPeerWrite drives the node shutdown path with a
+// router write in flight on its peer connection: the write is applied
+// and parked in a long group-commit wait when the shutdown signal
+// arrives. The drain must let it finish — the router gets its ack — and
+// the final snapshot must hold it after a restart.
+func TestDaemonDrainsHeldPeerWrite(t *testing.T) {
+	dir := t.TempDir()
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
+		Durability: vsmartjoin.DurabilitySync, GroupCommitWindow: 300 * time.Millisecond}
+	ix, err := vsmartjoin.NewIndex(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	handler, closer := nodeServer(ix, httpd.Options{})
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, &http.Server{Handler: handler}, ln, closer) }()
+
+	c, err := vsmartjoin.NewCluster(vsmartjoin.ClusterOptions{
+		Nodes: [][]string{{ln.Addr().String()}}, HedgeAfter: -1, HealthEvery: -1, RepairEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	acked := make(chan error, 1)
+	go func() { acked <- c.Add("held", map[string]uint32{"a": 1}) }()
+	for deadline := time.Now().Add(10 * time.Second); ix.Len() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the routed write never reached the index")
+		}
+	}
+
+	cancel() // applied, not yet acknowledged: the shutdown signal
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown did not drain")
+	}
+	select {
+	case err := <-acked:
+		if err != nil {
+			t.Fatalf("held write: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("held write never acknowledged")
+	}
+	// The drained node is gone for the router too: no peer connection
+	// outlives the shutdown to answer from a closed index.
+	if _, err := c.QueryThreshold(map[string]uint32{"a": 1}, 0); !errors.Is(err, vsmartjoin.ErrClusterUnavailable) {
+		t.Fatalf("query after shutdown: %v, want the node unavailable", err)
+	}
+
+	reopened, err := vsmartjoin.NewIndex(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got, ok := reopened.Elements("held"); !ok || got["a"] != 1 {
+		t.Fatalf("held write after restart: %v %v", got, ok)
 	}
 }
 

@@ -211,7 +211,7 @@
 // Cluster scales the same serving surface across machines: it is a
 // stateless router that treats N vsmartjoind node daemons as
 // partitions of one logical index, mirroring Index's mutation and
-// query API over HTTP:
+// query API:
 //
 //	c, err := vsmartjoin.NewCluster(vsmartjoin.ClusterOptions{
 //		Nodes: [][]string{
@@ -235,9 +235,12 @@
 // data; cluster_diff_test.go gates exactly that. Writes that miss a
 // replica are re-driven by a background anti-entropy pass, and
 // BuildClusterFiles carves a bulk-built corpus into per-node
-// directories along the same routing hash. The vsmartjoind -cluster
-// flag serves a Cluster over the identical HTTP surface a node
-// exposes, so clients and load balancers cannot tell router from node.
+// directories along the same routing hash. The router reaches its
+// nodes over one binary hop — framed requests on a few persistent
+// connections per node, opened by an HTTP/1.1 Upgrade (GET /peer) on
+// the node's own listener — while the vsmartjoind -cluster flag serves
+// a Cluster over the identical JSON surface a node exposes, so clients
+// and load balancers cannot tell router from node.
 //
 // # Observability
 //

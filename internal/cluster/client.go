@@ -1,21 +1,27 @@
 package cluster
 
 import (
-	"bytes"
+	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"sync/atomic"
 	"time"
+
+	"vsmartjoin/internal/codec"
+	"vsmartjoin/internal/frame"
 )
 
-// NewHTTPClient builds the bounded client every daemon dialer should
-// use instead of http.DefaultClient: an overall per-request timeout
-// and a connection pool capped per host, so a burst of scatter-gather
-// fan-outs reuses warm connections instead of opening one per request
-// and a stuck node cannot pin goroutines forever. peers sizes the
-// idle pool (how many distinct nodes the client talks to).
+// NewHTTPClient builds the bounded client every caller of the daemons'
+// HTTP endpoints should use instead of http.DefaultClient: an overall
+// per-request timeout and a connection pool capped per host, so a burst
+// of requests reuses warm connections instead of opening one per request
+// and a stuck daemon cannot pin goroutines forever. peers sizes the idle
+// pool (how many distinct daemons the client talks to).
 func NewHTTPClient(timeout time.Duration, peers int) *http.Client {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -26,115 +32,269 @@ func NewHTTPClient(timeout time.Duration, peers int) *http.Client {
 	return &http.Client{
 		Timeout: timeout,
 		Transport: &http.Transport{
-			MaxIdleConns:          4 * peers,
-			MaxIdleConnsPerHost:   4,
-			MaxConnsPerHost:       64,
+			MaxIdleConns:          peerIdle * peers,
+			MaxIdleConnsPerHost:   peerIdle,
+			MaxConnsPerHost:       peerOpen,
 			IdleConnTimeout:       90 * time.Second,
 			ResponseHeaderTimeout: timeout,
 		},
 	}
 }
 
-// errorBody is the daemon's JSON error payload.
-type errorBody struct {
-	Error string `json:"error"`
+// The per-host bounds, the router's and NewHTTPClient's: connections
+// kept idle for reuse, and open at once.
+const (
+	peerIdle = 4
+	peerOpen = 64
+)
+
+// peerPool is one node's pool of upgraded connections: a token in open
+// per open connection, which is in idle or in the hands of one call.
+type peerPool struct {
+	host   string // host:port
+	idle   chan *peerConn
+	open   chan struct{}
+	closed atomic.Bool
 }
 
-// statusError is a non-2xx node response, keeping the HTTP status so
-// callers can distinguish semantic answers (a /entity 404) from node
-// failures.
-type statusError struct {
-	code int
-	msg  string
+// newPeerPool parses a node's base URL: vsmartjoind serves plain HTTP,
+// and the hop upgrades the root's /peer, so a path, query or fragment
+// would name nothing the router could reach.
+func newPeerPool(addr string) (*peerPool, error) {
+	u, err := url.Parse(addr)
+	if err != nil || u.Scheme != "http" || u.Hostname() == "" || u.User != nil ||
+		u.Path != "" || u.RawQuery != "" || u.Fragment != "" {
+		return nil, fmt.Errorf("%q is not an http://host[:port] URL", addr)
+	}
+	host := u.Host
+	if u.Port() == "" {
+		host = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return &peerPool{host: host, idle: make(chan *peerConn, peerIdle), open: make(chan struct{}, peerOpen)}, nil
 }
 
-func (e statusError) Error() string { return e.msg }
-
-// postJSON POSTs req as JSON to node n's path and decodes the JSON
-// response into out (which may be nil). Non-2xx responses are errors
-// carrying the daemon's error string. Every call updates the node's
-// health from its outcome; 4xx responses are the CALLER's fault and do
-// not mark the node unhealthy.
-func (c *Cluster) postJSON(ctx context.Context, n *node, path string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if rid := RequestID(ctx); rid != "" {
-		httpReq.Header.Set(HeaderRequestID, rid)
-	}
-	return c.do(n, httpReq, out)
+// peerConn is one upgraded connection.
+type peerConn struct {
+	conn   net.Conn
+	rx     countingReader // the bytes received, to tell whether a reply began
+	in     *frame.Reader
+	out    *frame.Writer
+	buf    codec.Buffer // the request payload, reused call to call
+	broken bool         // a failed or interrupted call left it in an unknown state
 }
 
-// getJSON GETs a node path and decodes the JSON response into out.
-func (c *Cluster) getJSON(ctx context.Context, n *node, path string, out any) error {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+path, nil)
-	if err != nil {
-		return err
-	}
-	if rid := RequestID(ctx); rid != "" {
-		httpReq.Header.Set(HeaderRequestID, rid)
-	}
-	return c.do(n, httpReq, out)
+type countingReader struct {
+	r io.Reader
+	n int64
 }
 
-// do runs one node request and applies the shared response handling.
-func (c *Cluster) do(n *node, req *http.Request, out any) error {
-	resp, err := c.client.Do(req)
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// call is the one router→node exchange: req on a pooled connection to n,
+// its outcome recorded in n's health. A transport failure or a 5xx
+// refusal marks the node unhealthy; a 4xx is the caller's fault and
+// records a healthy contact. A write goes out only after n has answered
+// every earlier write that touches one of its entities.
+func (c *Cluster) call(ctx context.Context, n *node, req *peerRequest) (peerReply, error) {
+	if req.op == peerApply {
+		release, err := n.inOrder(ctx, req.muts)
+		if err != nil {
+			return peerReply{}, fmt.Errorf("%s %s: %w", n.addr, peerOpNames[req.op], err)
+		}
+		defer release()
+	}
+	rep, err := n.pool.roundTrip(ctx, c.timeout, req, RequestID(ctx))
+	if err == nil && rep.status != http.StatusOK {
+		err = StatusError{Code: rep.status, Msg: fmt.Sprintf("%d %s (%s)", rep.status, http.StatusText(rep.status), rep.msg)}
+	}
 	if err != nil {
+		err = fmt.Errorf("%s %s: %w", n.addr, peerOpNames[req.op], err)
+	}
+	if se := (StatusError{}); errors.As(err, &se) && se.Code/100 == 4 {
+		n.markHealthy(nil)
+	} else {
 		n.markHealthy(err)
-		return fmt.Errorf("%s: %w", n.addr, err)
 	}
-	defer func() {
-		// Drain so the pooled connection is reusable.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		var eb errorBody
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&eb)
-		err := statusError{
-			code: resp.StatusCode,
-			msg:  fmt.Sprintf("%s %s: %s (%s)", n.addr, req.URL.Path, resp.Status, eb.Error),
-		}
-		if resp.StatusCode/100 == 5 {
-			n.markHealthy(err)
-		} else {
-			// A 4xx is this router's request being wrong, not the node
-			// being sick; record the contact as healthy.
-			n.markHealthy(nil)
-		}
-		return err
-	}
-	n.markHealthy(nil)
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out); err != nil {
-		return fmt.Errorf("%s %s: decode response: %w", n.addr, req.URL.Path, err)
-	}
-	return nil
+	return rep, err
 }
 
-// CheckNow polls every node's /readyz once, in parallel, updating the
-// health table the query planner prefers replicas by. The background
-// health loop calls it on its cadence; tests and callers wanting a
-// fresh view call it directly.
+// roundTrip runs req on a connection of the pool under one deadline —
+// ctx's, or timeout from now if that is earlier. A connection whose call
+// failed or was cancelled is closed, never pooled. A read that fails on
+// a reused connection before any reply byte arrived (the node restarted
+// under it) is retried once on a fresh dial; a write is not — the repair
+// queue covers it.
+func (p *peerPool) roundTrip(ctx context.Context, timeout time.Duration, req *peerRequest, rid string) (peerReply, error) {
+	deadline := time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	for fresh := false; ; fresh = true {
+		pc, reused, err := p.get(ctx, deadline, fresh)
+		if err != nil {
+			return peerReply{}, err
+		}
+		rx := pc.rx.n
+		rep, err := pc.exchange(ctx, deadline, req, rid)
+		broken, replied := pc.broken, pc.rx.n != rx
+		if broken {
+			p.discard(pc)
+		} else {
+			p.put(pc)
+		}
+		if err == nil || !broken || !reused || fresh || replied || req.op == peerApply || req.op == peerSnapshot {
+			return rep, err
+		}
+	}
+}
+
+// exchange writes one request frame on pc and reads the reply frame, on
+// the calling goroutine. It leaves pc.broken set unless the connection
+// is known to be ready for the next call.
+func (pc *peerConn) exchange(ctx context.Context, deadline time.Time, req *peerRequest, rid string) (rep peerReply, err error) {
+	pc.buf.Reset()
+	req.encode(&pc.buf, rid)
+	if n := pc.buf.Len(); n > frame.MaxFrameLen {
+		return rep, StatusError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request of %d bytes exceeds the %d-byte frame cap", n, frame.MaxFrameLen)}
+	}
+	pc.broken = true
+	if err := pc.conn.SetDeadline(deadline); err != nil {
+		return rep, err
+	}
+	// Cancellation fails the blocked I/O at once. Once the callback may
+	// have run, the deadline is no longer this call's to manage, so the
+	// connection is not reused even if the reply came in.
+	stop := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
+	defer func() {
+		if !stop() {
+			pc.broken = true
+			if err != nil {
+				err = ctx.Err()
+			}
+		}
+	}()
+	if err := pc.out.WriteFrame(pc.buf.Bytes()); err != nil {
+		return rep, err
+	}
+	if err := pc.out.Flush(); err != nil {
+		return rep, err
+	}
+	payload, err := pc.in.Next()
+	if err != nil {
+		return rep, err
+	}
+	if rep, err = decodeReply(payload); err == nil {
+		pc.broken = false
+	}
+	return rep, err
+}
+
+// get hands out an idle connection (unless fresh), else dials one as
+// soon as the open bound allows.
+func (p *peerPool) get(ctx context.Context, deadline time.Time, fresh bool) (*peerConn, bool, error) {
+	idle := p.idle
+	if fresh {
+		idle = nil
+	}
+	select {
+	case pc := <-idle:
+		return pc, true, nil
+	default:
+	}
+	select {
+	case pc := <-idle:
+		return pc, true, nil
+	case p.open <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	pc, err := p.dial(deadline)
+	if err != nil {
+		<-p.open
+	}
+	return pc, false, err
+}
+
+// put keeps a healthy connection for reuse, or closes it when the idle
+// bound is full.
+func (p *peerPool) put(pc *peerConn) {
+	select {
+	case p.idle <- pc:
+		if p.closed.Load() { // raced close's drain: drain again
+			p.close()
+		}
+	default:
+		p.discard(pc)
+	}
+}
+
+func (p *peerPool) discard(pc *peerConn) {
+	pc.conn.Close()
+	<-p.open
+}
+
+// close closes the idle connections, and each one in use when its call
+// ends.
+func (p *peerPool) close() {
+	p.closed.Store(true)
+	for {
+		select {
+		case pc := <-p.idle:
+			p.discard(pc)
+		default:
+			return
+		}
+	}
+}
+
+// dial opens a connection to the node and upgrades it to the peer
+// protocol: GET /peer on the node's HTTP listener, answered 101.
+func (p *peerPool) dial(deadline time.Time) (*peerConn, error) {
+	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", p.host)
+	if err != nil {
+		return nil, err
+	}
+	pc := &peerConn{conn: conn, rx: countingReader{r: conn}}
+	br := bufio.NewReaderSize(&pc.rx, 1<<16) // the size frame.NewReader adopts as is
+	err = conn.SetDeadline(deadline)
+	if err == nil {
+		_, err = io.WriteString(conn, "GET "+PeerPath+" HTTP/1.1\r\nHost: "+p.host+
+			"\r\nConnection: Upgrade\r\nUpgrade: "+peerProtocol+"\r\n\r\n")
+	}
+	var resp *http.Response
+	if err == nil {
+		resp, err = http.ReadResponse(br, nil)
+	}
+	if err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		err = fmt.Errorf("%s (%s)", resp.Status, msg)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("peer upgrade: %w", err)
+	}
+	pc.in, pc.out = frame.NewReader(br), frame.NewWriter(conn)
+	return pc, nil
+}
+
+// CheckNow asks every node for its readiness once, in parallel, updating
+// the health table the query planner prefers replicas by. The background
+// health loop calls it on its cadence; tests and callers wanting a fresh
+// view call it directly.
 func (c *Cluster) CheckNow(ctx context.Context) {
 	done := make(chan struct{}, len(c.nodes))
+	req := peerRequest{op: peerReady}
 	for _, n := range c.nodes {
 		go func(n *node) {
 			defer func() { done <- struct{}{} }()
-			var r Readiness
-			err := c.getJSON(ctx, n, "/readyz", &r)
-			if err == nil {
+			if rep, err := c.call(ctx, n, &req); err == nil {
 				n.mu.Lock()
-				n.ready = r
+				n.ready = rep.ready
 				n.mu.Unlock()
 			}
 		}(n)

@@ -1,10 +1,18 @@
 // Package cluster is the multi-node serving layer: a stateless query
 // router that treats N vsmartjoind processes as partitions of one
 // logical similarity index. It is the network-distributed counterpart
-// of internal/shard — where a shard.Set fans a query out across
-// goroutines of one process, a Cluster fans it out across HTTP nodes —
-// and it follows the same partition/merge structure the paper's
-// sharding algorithm uses for the batch join.
+// of internal/shard — where a shard.Set walks a query across the shards
+// of one process, a Cluster scatters it across node daemons and merges
+// their answers — and it follows the same partition/merge structure the
+// paper's sharding algorithm uses for the batch join.
+//
+// # The router↔node hop
+//
+// Each call to a node is one internal/frame frame carrying an
+// internal/codec payload and the request ID (peer.go: the schema and the
+// node's loop; client.go: the router's pool), on a persistent connection
+// opened by an HTTP/1.1 Upgrade on the node's own listener
+// (GET /peer → 101). JSON stays at the nodes' public edge.
 //
 // # Topology
 //
@@ -56,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,17 +115,14 @@ type Config struct {
 	// DefaultRepairEvery; negative disables the loop — pending repair
 	// ops are then only re-driven by explicit RepairNow calls).
 	RepairEvery time.Duration
-
-	// Client overrides the HTTP client. Nil builds a bounded one
-	// (NewHTTPClient) sized to the node count.
-	Client *http.Client
 }
 
-// node is one member: its base URL, its partition, and its latest
-// observed health.
+// node is one member: its base URL, its partition, its connections and
+// its latest observed health.
 type node struct {
 	addr      string
 	partition int
+	pool      *peerPool
 
 	mu      sync.Mutex
 	healthy bool // last contact succeeded (starts true: unknown ≈ worth trying)
@@ -126,12 +130,13 @@ type node struct {
 	checked time.Time
 	ready   Readiness
 
-	pending map[string]pendingOp // entity → op to re-drive; nil when empty
-	seq     uint64               // stamps pendingOps so RepairNow only clears what it sent
+	pending map[string]pendingOp     // entity → op to re-drive; nil when empty
+	seq     uint64                   // stamps pendingOps so RepairNow only clears what it sent
+	writing map[string]chan struct{} // entity → closed when its latest write in flight is answered
 }
 
-// Readiness is one node's extended /readyz payload — the counters the
-// router (and any load balancer) uses to detect stale replicas.
+// Readiness is one node's readiness — its /readyz counters, which the
+// router reads over the peer hop — used to detect stale replicas.
 type Readiness struct {
 	Ready      bool   `json:"ready"`
 	Measure    string `json:"measure"`
@@ -146,7 +151,6 @@ type Readiness struct {
 type Cluster struct {
 	parts   [][]*node // [partition][replica]
 	nodes   []*node   // flattened
-	client  *http.Client
 	timeout time.Duration
 	hedge   time.Duration
 
@@ -213,19 +217,19 @@ func New(cfg Config) (*Cluster, error) {
 			if addr == "" {
 				return nil, fmt.Errorf("cluster: partition %d has an empty node address", p)
 			}
-			if seen[addr] {
+			pool, err := newPeerPool(addr)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: partition %d: node address %w", p, err)
+			}
+			if seen[pool.host] { // the address the router dials
 				return nil, fmt.Errorf("cluster: node %s listed twice", addr)
 			}
-			seen[addr] = true
-			n := &node{addr: addr, partition: p, healthy: true}
+			seen[pool.host] = true
+			n := &node{addr: addr, partition: p, pool: pool, healthy: true, writing: make(map[string]chan struct{})}
 			row = append(row, n)
 			c.nodes = append(c.nodes, n)
 		}
 		c.parts = append(c.parts, row)
-	}
-	c.client = cfg.Client
-	if c.client == nil {
-		c.client = NewHTTPClient(c.timeout, len(c.nodes))
 	}
 
 	healthEvery := cfg.HealthEvery
@@ -264,14 +268,18 @@ func (c *Cluster) loop(every time.Duration, fn func(context.Context)) {
 	}
 }
 
-// Close stops the background loops. It does not touch the nodes —
-// they are independent daemons — and in-flight requests finish on
-// their own timeouts. Close is idempotent.
+// Close stops the background loops and closes the router's connections
+// to its nodes, which ends the node loops serving them (a call in flight
+// closes its connection when it ends); the nodes, independent daemons,
+// keep running. Close is idempotent.
 func (c *Cluster) Close() {
 	if c.closed.CompareAndSwap(false, true) {
 		close(c.stop)
 	}
 	c.wg.Wait()
+	for _, n := range c.nodes {
+		n.pool.close()
+	}
 }
 
 // normalizeAddr trims whitespace and a trailing slash and defaults the

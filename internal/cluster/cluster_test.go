@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,12 +15,13 @@ import (
 	"time"
 )
 
-// fakeNode is a scriptable stand-in for a vsmartjoind node: it stores
-// entities in a map, answers the endpoint surface the router uses, and
-// can be told to fail writes, fail everything, or hang queries — the
-// partial-failure scenarios the real differential (root package) never
-// produces on demand. Queries answer every stored entity with
-// similarity 1, which is enough structure for the merge to be checked.
+// fakeNode is a scriptable stand-in for a vsmartjoind node: a
+// PeerBackend storing entities in a map, served over the real peer hop
+// (the HTTP upgrade and ServePeer), that can be told to fail writes,
+// fail everything, or hang queries — the partial-failure scenarios the
+// real differential (root package) never produces on demand. Queries
+// answer every stored entity with similarity 1, which is enough
+// structure for the merge to be checked.
 type fakeNode struct {
 	mu         sync.Mutex
 	ents       map[string]map[string]uint32
@@ -30,11 +30,15 @@ type fakeNode struct {
 	down       bool
 	hangQuery  bool
 	hold       chan struct{} // non-nil: writes wait for it to close (a straggler)
+	writes     int           // Apply calls begun
 	bulks      int
+	dials      int                   // peer connections accepted
+	conns      map[net.Conn]struct{} // peer connections being served
+	quit       chan struct{}         // closed at test end: releases hung queries
 }
 
 func newFakeNode() *fakeNode {
-	return &fakeNode{ents: make(map[string]map[string]uint32)}
+	return &fakeNode{ents: make(map[string]map[string]uint32), conns: make(map[net.Conn]struct{}), quit: make(chan struct{})}
 }
 
 func (f *fakeNode) set(fn func(*fakeNode)) {
@@ -49,6 +53,12 @@ func (f *fakeNode) bulkCount() int {
 	return f.bulks
 }
 
+func (f *fakeNode) dialCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dials
+}
+
 func (f *fakeNode) entities() map[string]map[string]uint32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -59,103 +69,132 @@ func (f *fakeNode) entities() map[string]map[string]uint32 {
 	return out
 }
 
+// ServeHTTP is the node's listener: it upgrades GET /peer and serves the
+// connection with ServePeer.
 func (f *fakeNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.mu.Lock()
-	down, failWrites, hang, hold := f.down, f.failWrites, f.hangQuery, f.hold
-	f.mu.Unlock()
-	if down {
-		http.Error(w, `{"error":"node down"}`, http.StatusInternalServerError)
+	conn, err := AcceptPeer(w, r)
+	if err != nil {
 		return
 	}
-	if hold != nil && (r.URL.Path == "/add" || r.URL.Path == "/remove" || r.URL.Path == "/bulk") {
+	f.mu.Lock()
+	f.dials++
+	f.conns[conn] = struct{}{}
+	f.mu.Unlock()
+	go func() {
+		ServePeer(conn, f)
+		f.mu.Lock()
+		delete(f.conns, conn)
+		f.mu.Unlock()
+	}()
+}
+
+// kill closes every peer connection the node is serving, as a process
+// exit would.
+func (f *fakeNode) kill() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for conn := range f.conns {
+		conn.Close()
+	}
+}
+
+// stop releases hung queries; tests register it as a cleanup.
+func (f *fakeNode) stop() { close(f.quit) }
+
+var (
+	errDown    = StatusError{Code: http.StatusInternalServerError, Msg: "node down"}
+	errRefused = StatusError{Code: http.StatusInternalServerError, Msg: "write refused"}
+)
+
+func (f *fakeNode) isDown() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.down
+}
+
+func (f *fakeNode) Admit() bool                   { return true }
+func (f *fakeNode) Release()                      {}
+func (f *fakeNode) Serve(_ string, answer func()) { answer() }
+
+func (f *fakeNode) Query(ctx context.Context, q Query) (QueryResult, error) {
+	f.mu.Lock()
+	down, hang := f.down, f.hangQuery
+	f.mu.Unlock()
+	switch {
+	case down:
+		return QueryResult{}, errDown
+	case hang:
+		<-f.quit // the node died mid-query: never answers
+		return QueryResult{}, errDown
+	}
+	f.mu.Lock()
+	var ms []Match
+	for name := range f.ents {
+		ms = append(ms, Match{Entity: name, Similarity: 1})
+	}
+	f.mu.Unlock()
+	sort.Slice(ms, func(i, j int) bool { return ms[i].Entity < ms[j].Entity })
+	return QueryResult{Matches: ms}, nil
+}
+
+func (f *fakeNode) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
+	f.mu.Lock()
+	down, failWrites, hold := f.down, f.failWrites, f.hold
+	f.writes++
+	f.mu.Unlock()
+	if down {
+		return nil, errDown
+	}
+	if hold != nil {
 		<-hold
 	}
-	writeJSON := func(v any) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(v)
+	if failWrites {
+		return nil, errRefused
 	}
-	switch r.URL.Path {
-	case "/add":
-		if failWrites {
-			http.Error(w, `{"error":"write refused"}`, http.StatusInternalServerError)
-			return
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	had := make([]bool, len(muts))
+	for i, op := range muts {
+		_, had[i] = f.ents[op.Entity]
+		if op.Op == OpAdd {
+			f.ents[op.Entity] = op.Elements
+		} else {
+			delete(f.ents, op.Entity)
 		}
-		var req nodeAddRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		f.ents[req.Entity] = req.Elements
 		f.mutations++
-		f.mu.Unlock()
-		writeJSON(map[string]any{"entities": len(f.ents)})
-	case "/remove":
-		if failWrites {
-			http.Error(w, `{"error":"write refused"}`, http.StatusInternalServerError)
-			return
-		}
-		var req nodeRemoveRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		_, had := f.ents[req.Entity]
-		delete(f.ents, req.Entity)
-		f.mutations++
-		f.mu.Unlock()
-		writeJSON(map[string]any{"removed": had})
-	case "/query":
-		if hang {
-			// Drain the body first: the net/http server only watches for a
-			// client abort once the handler consumed the request, and the
-			// hedge's context cancellation must be able to release this
-			// handler when the test tears down.
-			io.Copy(io.Discard, r.Body)
-			<-r.Context().Done() // the node died mid-query: never answers
-			return
-		}
-		f.mu.Lock()
-		var ms []Match
-		for name := range f.ents {
-			ms = append(ms, Match{Entity: name, Similarity: 1})
-		}
-		f.mu.Unlock()
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Entity < ms[j].Entity })
-		writeJSON(map[string]any{"matches": ms})
-	case "/bulk":
-		if failWrites {
-			http.Error(w, `{"error":"write refused"}`, http.StatusInternalServerError)
-			return
-		}
-		var req BulkRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		for _, op := range req.Ops {
-			if op.Op == "add" {
-				f.ents[op.Entity] = op.Elements
-			} else {
-				delete(f.ents, op.Entity)
-			}
-			f.mutations++
-		}
-		f.bulks++
-		f.mu.Unlock()
-		writeJSON(map[string]any{"applied": len(req.Ops)})
-	case "/readyz":
-		f.mu.Lock()
-		out := Readiness{Ready: true, Measure: "ruzicka", Generation: 1,
-			Entities: len(f.ents), Mutations: f.mutations, Shards: 1}
-		f.mu.Unlock()
-		writeJSON(out)
-	case "/entity":
-		name := r.URL.Query().Get("name")
-		f.mu.Lock()
-		elems, ok := f.ents[name]
-		f.mu.Unlock()
-		if !ok {
-			http.Error(w, `{"error":"not indexed"}`, http.StatusNotFound)
-			return
-		}
-		writeJSON(map[string]any{"entity": name, "elements": elems})
-	default:
-		http.Error(w, `{"error":"unknown path"}`, http.StatusNotFound)
 	}
+	f.bulks++
+	return had, nil
+}
+
+func (f *fakeNode) Entity(name string) (map[string]uint32, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.down {
+		return nil, errDown
+	}
+	elems, ok := f.ents[name]
+	if !ok {
+		return nil, StatusError{Code: http.StatusNotFound, Msg: "not indexed"}
+	}
+	return elems, nil
+}
+
+func (f *fakeNode) Readiness() (Readiness, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.down {
+		return Readiness{}, errDown
+	}
+	return Readiness{Ready: true, Measure: "ruzicka", Generation: 1,
+		Entities: len(f.ents), Mutations: f.mutations, Shards: 1}, nil
+}
+
+func (f *fakeNode) Snapshot() error {
+	if f.isDown() {
+		return errDown
+	}
+	return nil
 }
 
 // grid spins up P×R fake nodes and a cluster over them with the
@@ -170,6 +209,7 @@ func grid(t *testing.T, p, r int, hedge time.Duration) ([][]*fakeNode, *Cluster)
 			f := newFakeNode()
 			ts := httptest.NewServer(f)
 			t.Cleanup(ts.Close)
+			t.Cleanup(f.stop)
 			nodes[pi] = append(nodes[pi], f)
 			topo[pi] = append(topo[pi], ts.URL)
 		}
@@ -263,6 +303,14 @@ func TestNewRejectsBadTopologies(t *testing.T) {
 		{{"a:1", "a:1"}},
 		{{"a:1"}, {"a:1"}},
 		{{"a:1", "   "}},
+		// The hop dials host:port and upgrades /peer there: anything else
+		// in a node URL would name a node it cannot reach.
+		{{"https://a:1"}},
+		{{"http://gw/n1"}, {"http://gw/n2"}},
+		{{"a:1?shard=2"}},
+		{{"a:1#x"}},
+		{{"http://user@a:1"}},
+		{{"http://a:80", "a"}}, // one dial address, two spellings
 	} {
 		if _, err := New(Config{Partitions: bad, HealthEvery: -1, RepairEvery: -1}); err == nil {
 			t.Fatalf("topology %v should be rejected", bad)
@@ -390,6 +438,56 @@ func TestRepairNeverResurrectsStaleWrites(t *testing.T) {
 	}
 }
 
+// TestWritesToOneEntityReachANodeInOrder: a replica still holding an
+// older write to an entity is sent the newer one only once it has
+// answered the older — sent at once, on another connection, the newer
+// would be applied first and the older would then roll the replica back
+// — while a write to another entity is not held behind it.
+func TestWritesToOneEntityReachANodeInOrder(t *testing.T) {
+	nodes, c := grid(t, 1, 3, -1)
+	slow := nodes[0][2]
+	hold := make(chan struct{})
+	slow.set(func(f *fakeNode) { f.hold = hold })
+	if err := add(c, "e", map[string]uint32{"old": 1}); err != nil {
+		t.Fatal(err) // the other two ack
+	}
+	begun := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			var n int
+			slow.set(func(f *fakeNode) { n = f.writes })
+			if n == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("slow replica began %d writes, want %d", n, want)
+			}
+		}
+	}
+	begun(1) // the old write, parked
+	slow.set(func(f *fakeNode) { f.hold = nil })
+	if err := add(c, "e", map[string]uint32{"new": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := add(c, "f", map[string]uint32{"x": 1}); err != nil {
+		t.Fatal(err)
+	}
+	begun(2) // the write to f; the newer write to e waits
+	for deadline := time.Now().Add(5 * time.Second); slow.entities()["f"] == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the write to another entity was held behind the parked one")
+		}
+	}
+	if got := slow.entities()["e"]; got != nil {
+		t.Fatalf("slow replica applied %v while the older write was parked", got)
+	}
+	close(hold)
+	waitPending(t, c, 0)
+	if got := slow.entities()["e"]; got["new"] != 2 {
+		t.Fatalf("slow replica ended at %v, want the newer write", got)
+	}
+}
+
 // TestNodeDownAtStartup: a replica that was never up must not stop
 // queries — the router fails over to the live replica and the answer
 // is the full partition answer.
@@ -397,6 +495,7 @@ func TestNodeDownAtStartup(t *testing.T) {
 	f := newFakeNode()
 	live := httptest.NewServer(f)
 	defer live.Close()
+	defer f.stop()
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close() // nothing ever listens here again

@@ -28,9 +28,9 @@ type BulkOp struct {
 	Elements map[string]uint32 `json:"elements,omitempty"`
 }
 
-// BulkRequest is the daemon's POST /bulk body: a batch of mutations
-// applied in order. internal/httpd decodes the same struct on the node
-// side, so producer and consumer cannot drift apart.
+// BulkRequest is the daemons' POST /bulk body: a batch of mutations
+// applied in order, declared here beside BulkOp so every JSON producer
+// and internal/httpd share it.
 type BulkRequest struct {
 	Ops []BulkOp `json:"ops"`
 }
@@ -121,36 +121,6 @@ func (c *Cluster) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
 	return applied, errors.Join(errs...)
 }
 
-type nodeAddRequest struct {
-	Entity   string            `json:"entity"`
-	Elements map[string]uint32 `json:"elements"`
-}
-
-type nodeRemoveRequest struct {
-	Entity string `json:"entity"`
-}
-
-// nodeWriteResponse is what the router reads of a node's /add, /remove
-// and /bulk replies: whether a /remove found its entity.
-type nodeWriteResponse struct {
-	Removed bool `json:"removed"`
-}
-
-// nodeWrite picks the request a partition group travels as — the only
-// place the write path looks at a group's size: a lone mutation keeps
-// the /add or /remove body (and with it /remove's "had it" reply), a
-// longer group is one /bulk.
-func nodeWrite(group []BulkOp) (path string, body any) {
-	switch op := group[0]; {
-	case len(group) > 1:
-		return "/bulk", BulkRequest{Ops: group}
-	case op.Op == OpRemove:
-		return "/remove", nodeRemoveRequest{Entity: op.Entity}
-	default:
-		return "/add", nodeAddRequest{Entity: op.Entity, Elements: op.Elements}
-	}
-}
-
 // quorumWrite drives one partition's group of mutations through its
 // replica set, one request per replica. The per-replica outcome also
 // maintains the repair queues: a replica that missed the write gets
@@ -170,7 +140,9 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	start := metrics.Now()
 	replicas := c.parts[p]
 	quorum := len(replicas)/2 + 1
-	path, body := nodeWrite(group)
+	req := peerRequest{op: peerApply, muts: group}
+	// A lone removal reports whether an acknowledging replica had it.
+	loneRemove := len(group) == 1 && group[0].Op == OpRemove
 	enqueueAll := func(n *node) []uint64 {
 		seqs := make([]uint64, len(group))
 		for i, op := range group {
@@ -180,9 +152,9 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	}
 
 	type outcome struct {
-		n     *node
-		err   error
-		reply nodeWriteResponse
+		n   *node
+		err error
+		had bool // the replica's flag for a lone mutation
 	}
 	results := make(chan outcome, len(replicas))
 	// WithoutCancel keeps the caller's trace values on the node requests
@@ -192,9 +164,8 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(callerCtx), c.timeout)
 	for _, n := range replicas {
 		go func(n *node) {
-			o := outcome{n: n}
-			o.err = c.postJSON(ctx, n, path, body, &o.reply)
-			results <- o
+			rep, err := c.call(ctx, n, &req)
+			results <- outcome{n, err, len(rep.applied) == 1 && rep.applied[0]}
 		}(n)
 	}
 
@@ -211,7 +182,7 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 			continue
 		}
 		acks++
-		flag = flag || o.reply.Removed
+		flag = flag || o.had
 		for _, op := range group {
 			o.n.clearRepair(op.Entity)
 		}
@@ -247,7 +218,7 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 		cancel()
 	}
 	c.writeLatency.ObserveSince(start)
-	if path != "/remove" {
+	if !loneRemove {
 		flag = acks >= quorum
 	}
 	if acks >= quorum {
@@ -258,4 +229,41 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	// the deciding failure: beside an error it means nothing, so it is false.
 	return false, fmt.Errorf("cluster: %w: %d-op write (first %q) to partition %d got %d/%d acks (quorum %d): %w",
 		ErrUnavailable, len(group), group[0].Entity, p, acks, len(replicas), quorum, errors.Join(errs...))
+}
+
+// inOrder holds a write to n until n has answered every earlier write
+// that touches one of its entities, so the node applies one router's
+// writes to an entity in the order they were issued even when they
+// travel on different connections; release, called once this write is
+// answered, lets the next one go. It gives up, unordered, when ctx ends.
+func (n *node) inOrder(ctx context.Context, muts []BulkOp) (release func(), err error) {
+	mine := make(chan struct{})
+	var earlier []chan struct{}
+	n.mu.Lock()
+	for _, m := range muts {
+		if ch, ok := n.writing[m.Entity]; ok && ch != mine {
+			earlier = append(earlier, ch)
+		}
+		n.writing[m.Entity] = mine
+	}
+	n.mu.Unlock()
+	release = func() {
+		n.mu.Lock()
+		for _, m := range muts {
+			if n.writing[m.Entity] == mine {
+				delete(n.writing, m.Entity)
+			}
+		}
+		n.mu.Unlock()
+		close(mine)
+	}
+	for _, ch := range earlier {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			release()
+			return nil, ctx.Err()
+		}
+	}
+	return release, nil
 }

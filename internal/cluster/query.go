@@ -103,8 +103,8 @@ type Query struct {
 
 // QueryResult is a query answer in the canonical order: Matches for
 // KindThreshold and KindTopK, Neighbors for KindKNN; the other field is
-// nil. The JSON names are the node daemons' response fields, so a node
-// reply decodes straight into the router's merge.
+// nil. The JSON names are the daemons' /query and /knn response
+// fields.
 type QueryResult struct {
 	Matches   []Match    `json:"matches,omitempty"`
 	Neighbors []Neighbor `json:"neighbors,omitempty"`

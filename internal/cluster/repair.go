@@ -54,12 +54,15 @@ func (n *node) clearRepairIf(entity string, seq uint64) {
 }
 
 // RepairNow is the anti-entropy pass: every node with pending repair
-// ops gets them re-driven as one /bulk batch. An op is cleared only if
-// it is still the one that was sent (a concurrent write may have
-// superseded it mid-flight — its seq then differs and the newer op
-// stays queued). Nodes that are still down keep their queue and are
-// retried on the next pass. The background repair loop calls this on
-// its cadence; tests call it directly for determinism.
+// ops gets them re-driven as write requests of at most repairChunk
+// encoded bytes each — a whole backlog in one request could exceed the
+// frame cap and be refused on every pass. An op is cleared only on its
+// own chunk's ack, and only if it is still the one that was sent (a
+// concurrent write may have superseded it mid-flight — its seq then
+// differs and the newer op stays queued). A node that fails a chunk
+// keeps the rest of its queue for the next pass. The background repair
+// loop calls this on its cadence; tests call it directly for
+// determinism.
 func (c *Cluster) RepairNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, n := range c.nodes {
@@ -77,25 +80,28 @@ func (c *Cluster) RepairNow(ctx context.Context) {
 		wg.Add(1)
 		go func(n *node, batch []pendingOp) {
 			defer wg.Done()
-			req := BulkRequest{Ops: make([]BulkOp, len(batch))}
+			muts := make([]BulkOp, len(batch))
 			for i, op := range batch {
-				req.Ops[i] = op.BulkOp
+				muts[i] = op.BulkOp
 			}
-			if err := c.postJSON(ctx, n, "/bulk", req, nil); err != nil {
-				return // still lagging; keep the queue for the next pass
-			}
-			c.repairs.Add(int64(len(batch)))
-			n.mu.Lock()
-			for _, op := range batch {
-				if cur, ok := n.pending[op.Entity]; ok && cur.seq == op.seq {
-					delete(n.pending, op.Entity)
+			for _, chunk := range chunkOps(muts, repairChunk) {
+				if _, err := c.call(ctx, n, &peerRequest{op: peerApply, muts: chunk}); err != nil {
+					return // still lagging; keep the rest of the queue for the next pass
 				}
+				c.repairs.Add(int64(len(chunk)))
+				for _, op := range batch[:len(chunk)] {
+					n.clearRepairIf(op.Entity, op.seq)
+				}
+				batch = batch[len(chunk):]
 			}
-			n.mu.Unlock()
 		}(n, batch)
 	}
 	wg.Wait()
 }
+
+// repairChunk bounds the encoded ops of one re-drive request, far below
+// frame.MaxFrameLen.
+const repairChunk = 1 << 20
 
 // PendingRepairs reports the total queued repair ops across nodes —
 // zero once anti-entropy has converged every replica.

@@ -4,27 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/url"
+	"net/http"
 	"sync"
 	"time"
 
 	"vsmartjoin/internal/metrics"
 )
 
-// nodeQueryRequest is the daemon's /query body (Threshold or TopK set)
-// and its /knn body (K set). Elements carries no omitempty: an
-// explicitly empty map is a legal kNN query (every entity is then a
-// distance-1 neighbor) and must survive the round trip.
-type nodeQueryRequest struct {
-	Elements  map[string]uint32 `json:"elements"`
-	Threshold *float64          `json:"threshold,omitempty"`
-	TopK      int               `json:"topk,omitempty"`
-	K         int               `json:"k,omitempty"`
-}
-
 // Query answers q exactly as a single Index over the same entities
 // would. An entity-relative query first reads the entity's multiset
-// from its owner partition (GET /entity); the element query is then
+// from its owner partition; the element query is then
 // scattered to one replica per partition and the per-partition answers
 // merged: concatenate, sort canonically, truncate to K, with the query
 // entity itself dropped (everything else, perfect duplicates of it
@@ -47,32 +36,28 @@ func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 	}
-	if elements == nil {
-		elements = map[string]uint32{}
-	}
 	ask := q.K
 	if q.Entity != "" {
 		ask++ // the slot the query entity occupies in its owner's list
 	}
 	// The answer's list is non-nil even when empty, like a single Index's.
 	out := QueryResult{Matches: []Match{}}
-	path, req := "/query", nodeQueryRequest{Elements: elements}
+	req := peerRequest{op: peerQuery, query: Query{Elements: elements, Kind: q.Kind}}
 	switch q.Kind {
 	case KindThreshold:
-		req.Threshold = &q.Threshold
+		req.query.Threshold = q.Threshold
 	case KindTopK:
-		req.TopK = ask
+		req.query.K = ask
 	case KindKNN:
 		out = QueryResult{Neighbors: []Neighbor{}}
-		path, req.K = "/knn", ask
+		req.query.K = ask
 	}
 	if len(elements) == 0 && q.Kind != KindKNN {
 		// A single Index answers an empty similarity query with no
-		// matches; the node HTTP API would reject the empty body, so
-		// short-circuit to keep the two surfaces identical.
+		// matches: no node needs asking.
 		return out, nil
 	}
-	per, err := c.scatter(ctx, path, req)
+	per, err := c.scatter(ctx, &req)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -97,24 +82,19 @@ func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 	return out, nil
 }
 
-type entityResponse struct {
-	Entity   string            `json:"entity"`
-	Elements map[string]uint32 `json:"elements"`
-}
-
 // fetchEntity reads an entity's stored multiset from its owner
 // partition, failing over across replicas. Each attempt runs under its
 // own deadline — with a shared one, a hung first replica would eat the
 // whole budget and turn the failover into a formality.
 func (c *Cluster) fetchEntity(callerCtx context.Context, entity string) (map[string]uint32, error) {
 	var errs []error
+	req := peerRequest{op: peerEntity, name: entity}
 	for _, n := range c.prefer(c.owner(entity)) {
 		ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
-		var er entityResponse
-		err := c.getJSON(ctx, n, "/entity?name="+url.QueryEscape(entity), &er)
+		rep, err := c.call(ctx, n, &req)
 		cancel()
 		if err == nil {
-			return er.Elements, nil
+			return rep.elements, nil
 		}
 		if strings404(err) {
 			return nil, fmt.Errorf("cluster: entity %q not indexed", entity)
@@ -125,11 +105,11 @@ func (c *Cluster) fetchEntity(callerCtx context.Context, entity string) (map[str
 		ErrUnavailable, entity, errors.Join(errs...))
 }
 
-// strings404 reports whether a node error is the daemon's 404 — the
+// strings404 reports whether a node error is the node's 404 — the
 // entity genuinely absent, as opposed to the node being unreachable.
 func strings404(err error) bool {
-	var se statusError
-	return errors.As(err, &se) && se.code == 404
+	var se StatusError
+	return errors.As(err, &se) && se.Code == http.StatusNotFound
 }
 
 // scatter fans one query request out to every partition in parallel —
@@ -137,7 +117,7 @@ func strings404(err error) bool {
 // per-partition answers. Any partition with no answering replica fails
 // the whole query: a partial answer would be silently wrong, the one
 // thing the differential harness exists to prevent.
-func (c *Cluster) scatter(ctx context.Context, path string, req nodeQueryRequest) ([]QueryResult, error) {
+func (c *Cluster) scatter(ctx context.Context, req *peerRequest) ([]QueryResult, error) {
 	c.queries.Add(1)
 	start := metrics.Now()
 	defer c.queryLatency.ObserveSince(start)
@@ -148,7 +128,7 @@ func (c *Cluster) scatter(ctx context.Context, path string, req nodeQueryRequest
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			per[p], errs[p] = c.raceReplicas(ctx, p, path, req)
+			per[p], errs[p] = c.raceReplicas(ctx, p, req)
 		}(p)
 	}
 	wg.Wait()
@@ -187,8 +167,9 @@ func (c *Cluster) prefer(replicas []*node) []*node {
 // raceReplicas runs one partition's request: first attempt on the
 // preferred replica, immediate failover on error, and a hedged second
 // attempt if the current one is slow. The first successful answer
-// wins; cancelling the partition context reels the losers back in.
-func (c *Cluster) raceReplicas(callerCtx context.Context, p int, path string, req nodeQueryRequest) (QueryResult, error) {
+// wins; cancelling the partition context reels the losers back in, and
+// their connections are closed rather than pooled.
+func (c *Cluster) raceReplicas(callerCtx context.Context, p int, req *peerRequest) (QueryResult, error) {
 	order := c.prefer(c.parts[p])
 	ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
 	defer cancel()
@@ -204,9 +185,8 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, p int, path string, re
 		n := order[launched]
 		launched++
 		go func() {
-			var v QueryResult
-			err := c.postJSON(ctx, n, path, req, &v)
-			results <- result{v, err, hedged}
+			rep, err := c.call(ctx, n, req)
+			results <- result{rep.result, err, hedged}
 		}()
 	}
 
@@ -256,12 +236,13 @@ func (c *Cluster) Snapshot() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	errs := make([]error, len(c.nodes))
+	req := peerRequest{op: peerSnapshot}
 	var wg sync.WaitGroup
 	for i, n := range c.nodes {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
-			errs[i] = c.postJSON(ctx, n, "/snapshot", struct{}{}, nil)
+			_, errs[i] = c.call(ctx, n, &req)
 		}(i, n)
 	}
 	wg.Wait()
@@ -301,7 +282,7 @@ type Stats struct {
 }
 
 // Stats reports topology, router counters, and the latest per-node
-// health the router has observed (from traffic and /readyz probes; it
+// health the router has observed (from traffic and readiness probes; it
 // performs no network calls itself).
 func (c *Cluster) Stats() Stats {
 	s := Stats{

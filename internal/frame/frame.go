@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // MaxFrameLen caps a single frame payload. Legitimate records everywhere
@@ -146,12 +147,20 @@ func (r *Reader) Next() ([]byte, error) {
 	if _, err := io.ReadFull(r.r, crc[:]); err != nil {
 		return nil, fmt.Errorf("frame: truncated checksum: %w", err)
 	}
-	if uint64(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
-	}
-	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return nil, fmt.Errorf("frame: truncated payload: %w", err)
+	// The buffer grows with the bytes that arrive, at most doubling, so a
+	// length prefix alone cannot make the reader allocate what the input
+	// never sends.
+	payload := r.buf[:0]
+	for uint64(len(payload)) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, int(min(n-uint64(len(payload)), uint64(max(len(payload), 1<<16)))))
+			r.buf = payload
+		}
+		m, err := io.ReadFull(r.r, payload[len(payload):min(uint64(cap(payload)), n)])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return nil, fmt.Errorf("frame: truncated payload: %w", err)
+		}
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(crc[:]) {
 		return nil, errors.New("frame: checksum mismatch")

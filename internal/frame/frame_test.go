@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -116,6 +117,37 @@ func TestOversizedRejected(t *testing.T) {
 	}
 	if _, _, ok := Parse(data, 0); ok {
 		t.Fatal("Parse accepted an oversized length prefix")
+	}
+}
+
+// TestReaderGrowsWithInput: a length prefix claiming the cap, followed
+// by a few bytes, costs the reader about what arrived, not the claim;
+// a large frame that does arrive reads back whole, after one that was
+// smaller.
+func TestReaderGrowsWithInput(t *testing.T) {
+	claim := binary.AppendUvarint(nil, MaxFrameLen)
+	claim = append(claim, make([]byte, headerLen+10)...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(claim)).Next()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte claim with 10 bytes behind it allocated %d bytes", MaxFrameLen, got)
+	}
+
+	big := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB: several grows
+	data := mustAppend(t, nil, "small")
+	data = mustAppend(t, data, string(big))
+	r := NewReader(bytes.NewReader(data))
+	for _, want := range [][]byte{[]byte("small"), big} {
+		got, err := r.Next()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d bytes (%v), want %d", len(got), err, len(want))
+		}
 	}
 }
 

@@ -5,9 +5,13 @@
 // expose the same core surface (/add, /remove, /query, /snapshot,
 // /healthz, /readyz, /stats) with identical request validation and
 // error payloads, so a load balancer or client cannot tell a router
-// from a node on the query path; nodes additionally expose the
-// endpoints the router itself depends on (/bulk batched mutations for
-// anti-entropy, /entity for cross-partition entity queries).
+// from a node on the query path; nodes additionally expose /bulk
+// (batched mutations) and /entity (an entity's stored multiset). A
+// router reaches its nodes over internal/cluster's binary hop instead: a
+// node upgrades GET /peer, hijacks the connection and serves it with
+// cluster.ServePeer (Node), passing each call through the server's
+// handler when middleware wraps the node, so the middleware still sees
+// it (throughHandler).
 //
 // Probing is split in two: GET /healthz is liveness — any 200 means
 // the process is serving — while GET /readyz is readiness and carries
@@ -21,7 +25,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
+	"net/url"
+	"sync"
 	"time"
 
 	"vsmartjoin"
@@ -45,8 +52,20 @@ type mutator interface {
 	Apply(ctx context.Context, muts []vsmartjoin.Mutation) ([]bool, error)
 }
 
+// Node is the node HTTP API over one index: the JSON endpoints, and on
+// GET /peer the routers' peer connections.
+type Node struct {
+	api  http.Handler
+	peer cluster.PeerBackend
+
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{} // peer connections being served
+	draining bool
+	loops    sync.WaitGroup
+}
+
 // NewNode wires an index to the node HTTP API.
-func NewNode(ix *vsmartjoin.Index, opts Options) http.Handler {
+func NewNode(ix *vsmartjoin.Index, opts Options) *Node {
 	s := &nodeServer{ix: ix, lim: newLimiter(opts.MaxInFlight)}
 	ws := writes{backend: ix, entities: ix.Len}
 	mux := http.NewServeMux()
@@ -63,7 +82,65 @@ func NewNode(ix *vsmartjoin.Index, opts Options) http.Handler {
 		writeJSON(w, http.StatusOK, s.ix.Stats())
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return wrap(mux, s.lim)
+	return &Node{api: wrap(mux, s.lim), peer: peerBackend{ix, s.lim}, conns: make(map[net.Conn]struct{})}
+}
+
+// ServeHTTP serves the JSON API, and on cluster.PeerPath a peer
+// connection until it closes; admission applies to each request the
+// connection carries, not to the upgrade. When the HTTP server's handler
+// is not the Node itself — middleware wraps it — each peer request is
+// passed through that handler as a GET of cluster.PeerPath carrying the
+// request ID header, so the middleware sees every router call as it saw
+// every HTTP request; the Node answers it when the request reaches it.
+func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != cluster.PeerPath {
+		n.api.ServeHTTP(w, r)
+		return
+	}
+	if t, ok := r.Context().Value(peerCallKey{}).(*throughHandler); ok {
+		t.answer()
+		return
+	}
+	conn, err := cluster.AcceptPeer(w, r)
+	if err != nil {
+		return
+	}
+	b := n.peer
+	if srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server); srv != nil {
+		if h, _ := srv.Handler.(*Node); h != n {
+			b = newThroughHandler(b, srv.Handler, r)
+		}
+	}
+	n.mu.Lock()
+	if n.draining {
+		n.mu.Unlock()
+		conn.Close()
+		return
+	}
+	n.conns[conn] = struct{}{}
+	n.loops.Add(1)
+	n.mu.Unlock()
+	go func() {
+		defer n.loops.Done()
+		cluster.ServePeer(conn, b)
+		n.mu.Lock()
+		delete(n.conns, conn)
+		n.mu.Unlock()
+	}()
+}
+
+// Drain winds the peer connections down — each finishes the request in
+// hand, then closes; later upgrades are refused — and returns once every
+// peer loop has exited. A daemon calls it after http.Server.Shutdown,
+// which does not see hijacked connections, and before closing the index.
+func (n *Node) Drain() {
+	n.mu.Lock()
+	n.draining = true
+	for conn := range n.conns {
+		conn.SetReadDeadline(time.Now()) // ends ServePeer at its next read
+	}
+	n.mu.Unlock()
+	n.loops.Wait()
 }
 
 // NewRouter wires a cluster client to the router HTTP API — the same
@@ -145,9 +222,8 @@ type removeRequest struct {
 // writes serves /add, /remove and /bulk against either backend. Each
 // route checks its own body, then hands Apply a batch: one mutation for
 // /add and /remove, the decoded ops for /bulk — the sanctioned
-// batched-ingest path (and the endpoint the router's anti-entropy pass
-// re-drives missed writes through), whose wire types live in
-// internal/cluster (the sender), so the two sides share one schema. On
+// batched-ingest path, whose wire types live in internal/cluster beside
+// the mutation model, so every producer shares one schema. On
 // a node that makes a /bulk body, mixed ops included, one WAL append and
 // one lock acquisition per touched shard, applied per shard all or
 // nothing; on a router, one quorum write per touched partition.
@@ -412,22 +488,25 @@ func (s *nodeServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.ix.Snapshot(); err != nil {
-		// No durability dir (or a closed index) is the caller's state
-		// conflict; anything else is a real server-side persistence
-		// failure and must not hide among the 4xx.
-		status := http.StatusInternalServerError
-		if errors.Is(err, vsmartjoin.ErrNotDurable) || errors.Is(err, vsmartjoin.ErrIndexClosed) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "%v", err)
+		writeError(w, snapshotStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"snapshot": true, "entities": s.ix.Len()})
 }
 
+// snapshotStatus classes a snapshot failure: no durability dir (or a
+// closed index) is the caller's state conflict; anything else is a real
+// server-side persistence failure and must not hide among the 4xx.
+func snapshotStatus(err error) int {
+	if errors.Is(err, vsmartjoin.ErrNotDurable) || errors.Is(err, vsmartjoin.ErrIndexClosed) {
+		return http.StatusConflict
+	}
+	return http.StatusInternalServerError
+}
+
 // handleEntity reports an indexed entity's current element
-// multiplicities — what the router needs to scatter an entity-relative
-// query to the partitions that do NOT hold the entity.
+// multiplicities (the router reads the same over the peer hop, to
+// scatter an entity-relative query to the partitions that lack it).
 func (s *nodeServer) handleEntity(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -456,6 +535,82 @@ func (s *nodeServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"shards":     st.Shards,
 	})
 }
+
+// peerBackend answers the router's peer requests: queries and writes
+// straight from the index, under the node's admission limiter, the rest
+// with the statuses of the JSON endpoints that answer the same questions.
+type peerBackend struct {
+	*vsmartjoin.Index
+	lim *limiter
+}
+
+func (p peerBackend) Admit() bool                   { return p.lim.acquire() }
+func (p peerBackend) Release()                      { p.lim.release() }
+func (p peerBackend) Serve(_ string, answer func()) { answer() }
+
+func (p peerBackend) Entity(name string) (map[string]uint32, error) {
+	counts, ok := p.Elements(name)
+	if !ok {
+		return nil, cluster.StatusError{Code: http.StatusNotFound, Msg: fmt.Sprintf("entity %q not indexed", name)}
+	}
+	return counts, nil
+}
+
+func (p peerBackend) Readiness() (cluster.Readiness, error) {
+	st := p.Stats()
+	return cluster.Readiness{Ready: true, Measure: st.Measure, Generation: st.Generation,
+		Entities: st.Entities, Mutations: st.Adds + st.Removes, Shards: st.Shards}, nil
+}
+
+func (p peerBackend) Snapshot() error {
+	if err := p.Index.Snapshot(); err != nil {
+		return cluster.StatusError{Code: snapshotStatus(err), Msg: err.Error()}
+	}
+	return nil
+}
+
+// throughHandler is a connection's backend when middleware wraps the
+// node: it passes each peer request through the server's handler h as
+// req, one request value per connection reused call to call (the
+// connection carries one at a time), and Node.ServeHTTP runs the answer
+// it finds on req's context. What the handler writes is dropped — the
+// reply travels in the frame.
+type throughHandler struct {
+	cluster.PeerBackend
+	h      http.Handler
+	req    *http.Request
+	rid    []string // req's request ID header value
+	w      droppedResponse
+	answer func()
+}
+
+type peerCallKey struct{}
+
+func newThroughHandler(b cluster.PeerBackend, h http.Handler, upgrade *http.Request) *throughHandler {
+	if h == nil {
+		h = http.DefaultServeMux // what http.Server serves with a nil Handler
+	}
+	t := &throughHandler{PeerBackend: b, h: h, rid: make([]string, 1), w: droppedResponse{http.Header{}}}
+	t.req = (&http.Request{Method: http.MethodGet, URL: &url.URL{Path: cluster.PeerPath},
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: http.Header{}, Body: http.NoBody,
+		Host: upgrade.Host, RemoteAddr: upgrade.RemoteAddr}).WithContext(context.WithValue(context.Background(), peerCallKey{}, t))
+	return t
+}
+
+func (t *throughHandler) Serve(rid string, answer func()) {
+	clear(t.req.Header)
+	clear(t.w.header)
+	t.rid[0] = rid
+	t.req.Header[cluster.HeaderRequestID] = t.rid
+	t.answer = answer
+	t.h.ServeHTTP(t.w, t.req)
+}
+
+type droppedResponse struct{ header http.Header }
+
+func (d droppedResponse) Header() http.Header       { return d.header }
+func (droppedResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (droppedResponse) WriteHeader(int)             {}
 
 // ---- router mode ----
 

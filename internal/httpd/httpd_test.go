@@ -541,64 +541,6 @@ func TestRequestTracing(t *testing.T) {
 	}
 }
 
-// TestRouterPropagatesRequestID pins the router→node trace contract:
-// the ID a client sends to the router arrives on the node sub-requests
-// of a query and of every routed write.
-func TestRouterPropagatesRequestID(t *testing.T) {
-	ix := newTestIndex(t, "")
-	type hop struct{ path, rid string }
-	seen := make(chan hop, 8)
-	node := httpd.NewNode(ix, httpd.Options{})
-	ns := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen <- hop{r.URL.Path, r.Header.Get(cluster.HeaderRequestID)}
-		node.ServeHTTP(w, r)
-	}))
-	defer ns.Close()
-	c, err := vsmartjoin.NewCluster(vsmartjoin.ClusterOptions{
-		Nodes:       [][]string{{ns.URL}},
-		HedgeAfter:  -1,
-		HealthEvery: -1,
-		RepairEvery: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	router := httptest.NewServer(httpd.NewRouter(c, httpd.Options{}))
-	defer router.Close()
-
-	for i, route := range []struct{ path, body string }{
-		{"/query", `{"elements": {"a": 1}, "threshold": 0.5}`},
-		{"/add", `{"entity": "t1", "elements": {"a": 1}}`},
-		{"/remove", `{"entity": "t1"}`},
-		{"/bulk", `{"ops": [{"op": "add", "entity": "t2", "elements": {"a": 1}}, {"op": "remove", "entity": "t2"}]}`},
-	} {
-		want := fmt.Sprintf("hop-hop-%d", i)
-		req, err := http.NewRequest(http.MethodPost, router.URL+route.path, bytes.NewReader([]byte(route.body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(cluster.HeaderRequestID, want)
-		resp, err := router.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s via router: %d", route.path, resp.StatusCode)
-		}
-		select {
-		case got := <-seen:
-			if got != (hop{route.path, want}) {
-				t.Fatalf("node saw %+v, want %s with request ID %s", got, route.path, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("node never saw the routed %s", route.path)
-		}
-	}
-}
-
 // TestNodeBulkMixedOpsIsOneApply: a /bulk body alternating adds and
 // removes used to be cut into same-kind runs, each its own WAL append,
 // lock round and (under sync) commit wait. It is one Apply: on a durable
