@@ -347,11 +347,12 @@ func BenchmarkIndexAdd(b *testing.B) {
 
 // BenchmarkIndexQuery measures threshold queries across dataset sizes and
 // thresholds. Higher thresholds let the prefix and length filters cut the
-// probe short, so sims/op (exact verifications per query) falls with t.
+// probe short, so sims/op (similarities computed per query) falls with t.
+// The result cache is off: n=1000's queries would all fit in it.
 func BenchmarkIndexQuery(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		entities := benchIndexEntities(n)
-		ix, err := NewIndex(IndexOptions{Measure: "ruzicka"})
+		ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,10 +375,11 @@ func BenchmarkIndexQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexTopK measures ranked queries with the rising-floor cutoff.
+// BenchmarkIndexTopK measures ranked queries with the rising-floor
+// cutoff, result cache off.
 func BenchmarkIndexTopK(b *testing.B) {
 	entities := benchIndexEntities(10000)
-	ix, err := NewIndex(IndexOptions{Measure: "ruzicka"})
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -146,7 +146,9 @@ type IndexOptions struct {
 
 // IndexStats snapshots the size and traffic counters of an Index; see
 // the field docs on internal/index.Stats for the pruning pipeline the
-// Probes → Candidates → Verified → Results funnel describes. Entities,
+// Probes → Candidates → Verified → Results funnel describes (Probes
+// includes the postings walked only to finish admitted candidates'
+// partial sums; Verified counts similarities computed). Entities,
 // Adds, Removes and the query counters are global; Elements and
 // Postings are summed across shards (an element present in several
 // shards counts once per shard). Generation is the highest write-ahead

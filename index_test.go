@@ -342,3 +342,36 @@ func TestEntityQueryDoesNotCopyTheEntity(t *testing.T) {
 		t.Fatalf("entity queries allocate %v/op (4 elements) and %v/op (4000 elements), want 0 and 0", small, large)
 	}
 }
+
+// TestElementQueryAllocs is the allocation gate on the uncached element
+// form of a query: the interned query's entry slice and the result list,
+// nothing else — no copy of the entries to normalize them, and no
+// reflection-built sort swapper (sort.Slice allocated three times a query).
+func TestElementQueryAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entities := benchIndexEntities(2000)
+	for i, counts := range entities {
+		mustAdd(t, ix, fmt.Sprintf("entity-%d", i), counts)
+	}
+	q := map[string]uint32{"never-indexed": 2}
+	for elem, c := range entities[5] {
+		if len(q) < 9 {
+			q[elem] = c
+		}
+	}
+	threshold := testing.AllocsPerRun(100, func() {
+		if ms, err := ix.QueryThreshold(q, 0.3); err != nil || len(ms) == 0 {
+			t.Fatalf("QueryThreshold = %v, %v", ms, err)
+		}
+	})
+	topk := testing.AllocsPerRun(100, func() { ix.QueryTopK(q, 10) })
+	if threshold != 2 || topk != 2 {
+		t.Fatalf("a 9-element query allocates %v/op (threshold) and %v/op (top-k), want 2", threshold, topk)
+	}
+}

@@ -467,10 +467,10 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("vsmart_cache_hits_total", "Result-cache hits.", float64(st.CacheHits))
 	p.counter("vsmart_cache_misses_total", "Result-cache misses.", float64(st.CacheMisses))
 	p.gauge("vsmart_cache_entries", "Cached query answers resident.", float64(st.CacheEntries))
-	p.counter("vsmart_probes_total", "Posting-list probes.", float64(st.Probes))
+	p.counter("vsmart_probes_total", "Posting entries walked.", float64(st.Probes))
 	p.counter("vsmart_candidates_total", "Candidates surviving the probe.", float64(st.Candidates))
 	p.counter("vsmart_length_pruned_total", "Candidates eliminated by length bounds.", float64(st.LengthPruned))
-	p.counter("vsmart_verified_total", "Candidates fully verified.", float64(st.Verified))
+	p.counter("vsmart_verified_total", "Similarities computed, one per admitted candidate.", float64(st.Verified))
 	p.counter("vsmart_results_total", "Matches returned.", float64(st.Results))
 	p.histogram("vsmart_query_latency_seconds", "Uncached query latency (probe, verify, resolve).", m.Query)
 	p.histogram("vsmart_wal_append_latency_seconds", "Write-ahead log append stalls.", m.WALAppend)

@@ -7,22 +7,24 @@
 // posting lists map alphabet elements to the entities containing them, a
 // query probes the lists of its own elements to gather candidates, and the
 // measure-derived bounds of internal/similarity prune the probe in two
-// ways before exact verification:
+// ways before any similarity is computed:
 //
 //   - prefix filter: posting lists are probed in decreasing-multiplicity
-//     order, and probing stops once ResidualUpperBound shows the unprobed
-//     tail of the query cannot reach the threshold — entities overlapping
-//     the query only in that tail are provably below it;
-//   - length filter: each candidate's UniStats are checked with
-//     SimUpperBound before the candidate is verified.
+//     order, and once ResidualUpperBound shows the unprobed tail of the
+//     query cannot reach the threshold the probe admits no new candidate —
+//     entities overlapping the query only in that tail are provably below it;
+//   - length filter: each entity's UniStats are checked with
+//     SimUpperBound before it is admitted as a candidate.
 //
-// Verification sums g(f_q,k, f_e,k) over the shared elements only, as the
-// paper's Similarity phase does: the query's elements are loaded once
-// into a bitmap over element IDs and each candidate's entries are walked
-// against it (pass.conj). That is the package's one contract on element
-// IDs: they are dense — callers intern their alphabet into small
-// consecutive integers (multiset.Dict), so a bitmap as long as the
-// largest ID an index has posted is alphabet/8 bytes, not 2^64 bits.
+// Scoring never reads a candidate's elements. As in the paper's
+// Similarity phase, a pair's conjunctive partials are sums over the
+// elements the two share, and every posting carries its entity's count of
+// the element: walking the query's lists adds AccumulateConj(query count,
+// posting count) to the running ConjStats of the candidate each posting
+// names, and the lists past the prefix cut are still walked to finish the
+// admitted candidates' sums. Sums of integers do not depend on the order
+// they are taken in, so every similarity is the one similarity.ConjOf's
+// merge scan gives.
 //
 // One query is one pass (QueryAcross) over one Index or over several
 // holding disjoint partitions of the entities (internal/shard), on the
@@ -30,18 +32,18 @@
 //
 // Concurrency: a single RWMutex guards the tables. Mutations (Add, Remove,
 // compaction) take the write lock; queries share the read lock, so the hot
-// path never serializes reads against each other. Entities are immutable
-// once inserted (Add replaces the stored record wholesale), which lets a
-// threshold query release the lock before the exact-verification loop — the
-// most expensive part of a query runs with no lock held at all. Stale
-// posting entries left behind by Remove or replacement are skipped by
-// pointer identity and reclaimed by an amortized compaction pass.
+// path never serializes reads against each other. The probe copies what
+// scoring needs — each candidate's ID, UniStats and summed partials —
+// into the query's own state, so the similarities are computed after the
+// lock is released. Stale postings left behind by Remove or replacement
+// carry an outdated slot generation, are skipped, and are reclaimed by an
+// amortized compaction pass.
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,24 +60,31 @@ const boundEps = 1e-9
 // verifyEps matches the ppjoin.Naive oracle's inclusion tolerance.
 const verifyEps = 1e-12
 
-// entry is one indexed entity. Entries are immutable after insertion:
-// Add of an existing ID swaps in a fresh entry, so a query that captured
-// the old pointer can keep verifying against a consistent snapshot.
+// entry is one slot of the slot table: the multiset and UniStats of the
+// live entity holding the slot, and gen, the slot's generation. Every
+// posting records the generation its entity was stored under, and the
+// death of a posted entity (replacement or Remove) bumps its slot's gen,
+// so a posting is live iff its gen equals its slot's. A live entry is
+// never modified: a replacement stores a fresh multiset, so a View taken
+// earlier keeps a consistent snapshot.
 //
-// slot is the entry's index into the per-query candidate mark table: a
-// small dense integer assigned under the write lock when the entry is
-// created and recycled when it dies (replacement or Remove). Live
-// entries always hold distinct slots, and a query deduplicates
-// candidates by stamping slots with its epoch instead of inserting
-// pointers into a freshly allocated map. Slot recycling cannot alias
-// within one query: slots only move between entries under the write
-// lock, the probe loop runs entirely inside one read-lock hold, and
-// dead entries (which may share a recycled slot with a live one) are
-// dropped by the identity check before any stamping happens.
+// gen wraps at 2³²: a stale posting would pass for live again after its
+// slot's gen moved 2³² more times. Every move adds at least one dead
+// posting, and compaction purges the stale postings whenever dead ones
+// outnumber live ones — long before that.
 type entry struct {
-	set  multiset.Multiset
-	uni  similarity.UniStats
-	slot int32
+	set multiset.Multiset
+	uni similarity.UniStats
+	gen uint32
+}
+
+// posting is one entity's occurrence in an element's posting list: its
+// slot, the generation it was posted under and its count of the element —
+// all a probe needs, with no pointer to chase.
+type posting struct {
+	slot  int32
+	gen   uint32
+	count uint32
 }
 
 // Match is one query result.
@@ -111,10 +120,12 @@ type Stats struct {
 	Compactions int64
 
 	// Queries counts lookups; the remaining counters expose how far each
-	// pruning stage narrowed them: Probes is posting entries scanned,
-	// Candidates is distinct live candidates gathered, LengthPruned is
-	// candidates dropped by SimUpperBound, Verified is exact similarity
-	// computations, Results is matches returned.
+	// pruning stage narrowed them: Probes is posting entries walked,
+	// including those past the prefix cut walked only to finish the
+	// admitted candidates' sums; Candidates is distinct live entities
+	// met before the cut; LengthPruned is those SimUpperBound dropped;
+	// Verified is similarities computed, one per admitted candidate;
+	// Results is matches returned.
 	Queries      int64
 	Probes       int64
 	Candidates   int64
@@ -128,22 +139,23 @@ type Stats struct {
 type Index struct {
 	measure similarity.Measure
 
-	mu       sync.RWMutex
-	entities map[multiset.ID]*entry
-	postings map[multiset.Elem][]*entry
-	// postingCount tracks total posting entries; deadPostings those whose
-	// entry is no longer current. Compaction triggers when dead entries
-	// outnumber live ones, keeping probe work amortized-linear.
+	mu sync.RWMutex
+	// entities maps each live entity to its slot; the probe never reads
+	// it, as postings name slots.
+	entities map[multiset.ID]int32
+	// slots is the slot table; freeSlots recycles the slots of removed
+	// entities, so the table stays as dense as the peak live count.
+	slots     []entry
+	freeSlots []int32
+	// postings is the posting directory. A table indexed by element ID
+	// would be faster to look up, but every shard shares the root's one
+	// dictionary, so it would cost each shard the whole alphabet.
+	postings map[multiset.Elem][]posting
+	// postingCount tracks total posting entries; deadPostings the stale
+	// ones. Compaction triggers when dead entries outnumber live ones,
+	// keeping probe work amortized-linear.
 	postingCount int
 	deadPostings int
-	// nextSlot is the high-water mark of the dense entry-slot space (all
-	// live slots are < nextSlot); freeSlots recycles the slots of dead
-	// entries so the space stays as dense as the live entity count.
-	nextSlot  int32
-	freeSlots []int32
-	// maxElem is the largest element ID ever posted: the bound on the
-	// membership bitmap a query loads (pass.cover).
-	maxElem multiset.Elem
 
 	adds        atomic.Int64
 	removes     atomic.Int64
@@ -160,8 +172,8 @@ type Index struct {
 func New(m similarity.Measure) *Index {
 	return &Index{
 		measure:  m,
-		entities: make(map[multiset.ID]*entry),
-		postings: make(map[multiset.Elem][]*entry),
+		entities: make(map[multiset.ID]int32),
+		postings: make(map[multiset.Elem][]posting),
 	}
 }
 
@@ -179,26 +191,6 @@ func (ix *Index) Len() int {
 	return len(ix.entities)
 }
 
-// allocSlotLocked hands out a dense mark-table slot for a new live
-// entry, recycling dead entries' slots first. Caller holds the write
-// lock.
-func (ix *Index) allocSlotLocked() int32 {
-	if n := len(ix.freeSlots); n > 0 {
-		s := ix.freeSlots[n-1]
-		ix.freeSlots = ix.freeSlots[:n-1]
-		return s
-	}
-	s := ix.nextSlot
-	ix.nextSlot++
-	return s
-}
-
-// freeSlotLocked returns a dead entry's slot to the free list. Caller
-// holds the write lock.
-func (ix *Index) freeSlotLocked(e *entry) {
-	ix.freeSlots = append(ix.freeSlots, e.slot)
-}
-
 // Add inserts an entity, replacing any previous entity with the same ID:
 // a one-op ApplyBatch. The index takes ownership of m: callers must not
 // mutate its entries afterwards (the hot insert path avoids a defensive
@@ -211,16 +203,27 @@ func (ix *Index) Remove(id multiset.ID) bool {
 	return ix.ApplyBatch([]BatchOp{{Remove: true, ID: id}}) == 1
 }
 
-// addPostingsLocked appends a fresh entry to its element posting lists,
-// maintaining the posting count. Caller holds the write lock.
-func (ix *Index) addPostingsLocked(e *entry) {
-	for _, ent := range e.set.Entries {
-		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], e)
+// storeLocked puts m in slot s under the slot's current generation and
+// appends it to its elements' posting lists. Caller holds the write lock.
+func (ix *Index) storeLocked(s int32, m multiset.Multiset) {
+	e := &ix.slots[s]
+	e.set, e.uni = m, similarity.UniOf(m)
+	for _, ent := range m.Entries {
+		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], posting{slot: s, gen: e.gen, count: ent.Count})
 	}
-	if n := len(e.set.Entries); n > 0 { // entries ascend by element
-		ix.maxElem = max(ix.maxElem, e.set.Entries[n-1].Elem)
+	ix.postingCount += len(m.Entries)
+	ix.entities[m.ID] = s
+}
+
+// killLocked retires the entity in slot s: its postings go stale and the
+// slot lets go of its multiset. Caller holds the write lock.
+func (ix *Index) killLocked(s int32) {
+	e := &ix.slots[s]
+	if n := len(e.set.Entries); n > 0 {
+		ix.deadPostings += n
+		e.gen++
 	}
-	ix.postingCount += len(e.set.Entries)
+	e.set = multiset.Multiset{}
 }
 
 // BatchOp is one mutation of an ApplyBatch: an upsert of Set when
@@ -236,7 +239,8 @@ type BatchOp struct {
 // one mutation path of a live index (BulkLoad is the sealed path for an
 // empty one). A contended write storm pays the lock handoff and the
 // compaction-trigger check once per batch instead of once per mutation,
-// so readers see one short exclusion window instead of N.
+// so readers see one short exclusion window instead of N. A replacement
+// keeps its entity's slot under the next generation.
 func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 	if len(ops) == 0 {
 		return 0
@@ -245,24 +249,26 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 	ix.mu.Lock()
 	for _, op := range ops {
 		if op.Remove {
-			if e, ok := ix.entities[op.ID]; ok {
+			if s, ok := ix.entities[op.ID]; ok {
 				delete(ix.entities, op.ID)
-				ix.deadPostings += len(e.set.Entries)
-				ix.freeSlotLocked(e)
+				ix.killLocked(s)
+				ix.freeSlots = append(ix.freeSlots, s)
 				removed++
 			}
 			continue
 		}
-		m := op.Set
-		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
-		if old, ok := ix.entities[m.ID]; ok {
-			// The old entry's postings become stale the moment the map points
-			// at the new one; count them for compaction.
-			ix.deadPostings += len(old.set.Entries)
-			ix.freeSlotLocked(old)
+		s, ok := ix.entities[op.Set.ID]
+		switch {
+		case ok:
+			ix.killLocked(s)
+		case len(ix.freeSlots) > 0:
+			s = ix.freeSlots[len(ix.freeSlots)-1]
+			ix.freeSlots = ix.freeSlots[:len(ix.freeSlots)-1]
+		default:
+			s = int32(len(ix.slots))
+			ix.slots = append(ix.slots, entry{})
 		}
-		ix.entities[m.ID] = e
-		ix.addPostingsLocked(e)
+		ix.storeLocked(s, op.Set)
 		adds++
 	}
 	ix.maybeCompactLocked()
@@ -276,12 +282,12 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 // empty index — the sealed fast path a bulk-built snapshot loads
 // through. Unlike repeated Add it skips the whole upsert machinery:
 // no per-entity existence check, no tombstone accounting, no
-// compaction-trigger evaluation, and the entity table is sized once.
-// The resulting structures are exactly what the same Adds would have
-// built (posting lists append in ID order either way), so queries
-// answer identically. The index takes ownership of the multisets.
-// A non-empty index or an ID-order violation is an error and leaves
-// the index unchanged.
+// compaction-trigger evaluation, and the entity and slot tables are
+// sized once. The resulting structures are exactly what the same Adds
+// would have built (posting lists append in ID order either way), so
+// queries answer identically. The index takes ownership of the
+// multisets. A non-empty index or an ID-order violation is an error and
+// leaves the index unchanged.
 func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -297,11 +303,17 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 				i, sets[i].ID, sets[i-1].ID)
 		}
 	}
-	ix.entities = make(map[multiset.ID]*entry, len(sets))
-	for _, m := range sets {
-		e := &entry{set: m, uni: similarity.UniOf(m), slot: ix.allocSlotLocked()}
-		ix.entities[m.ID] = e
-		ix.addPostingsLocked(e)
+	ix.entities = make(map[multiset.ID]int32, len(sets))
+	ix.slots, ix.freeSlots = make([]entry, len(sets)), nil
+	for i, m := range sets {
+		ix.storeLocked(int32(i), m)
+	}
+	// Repack the lists into one array of the exact total: append's
+	// doubling leaves up to half of every list's capacity unused.
+	all := make([]posting, 0, ix.postingCount)
+	for elem, list := range ix.postings {
+		all = append(all, list...)
+		ix.postings[elem] = all[len(all)-len(list) : len(all) : len(all)]
 	}
 	// Bulk-loaded entities are mutations like any other: a daemon
 	// bootstrapped from snapshot files must report the entities it
@@ -318,9 +330,9 @@ func (ix *Index) maybeCompactLocked() {
 	}
 	for elem, list := range ix.postings {
 		w := 0
-		for _, e := range list {
-			if ix.entities[e.set.ID] == e {
-				list[w] = e
+		for _, p := range list {
+			if ix.slots[p.slot].gen == p.gen {
+				list[w] = p
 				w++
 			}
 		}
@@ -343,14 +355,14 @@ func (ix *Index) maybeCompactLocked() {
 // observing entities added after Range started.
 func (ix *Index) Range(fn func(m multiset.Multiset) bool) {
 	ix.mu.RLock()
-	snap := make([]*entry, 0, len(ix.entities))
-	for _, e := range ix.entities {
-		snap = append(snap, e)
+	snap := make([]multiset.Multiset, 0, len(ix.entities))
+	for _, s := range ix.entities {
+		snap = append(snap, ix.slots[s].set)
 	}
 	ix.mu.RUnlock()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].set.ID < snap[j].set.ID })
-	for _, e := range snap {
-		if !fn(e.set) {
+	slices.SortFunc(snap, func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
+	for _, m := range snap {
+		if !fn(m) {
 			return
 		}
 	}
@@ -362,13 +374,13 @@ func (ix *Index) Range(fn func(m multiset.Multiset) bool) {
 // callers must not mutate it, and one that hands the entries on to code
 // it does not control wants Snapshot.
 func (ix *Index) View(id multiset.ID) multiset.Multiset {
+	m := multiset.Multiset{ID: id}
 	ix.mu.RLock()
-	e, ok := ix.entities[id]
-	ix.mu.RUnlock()
-	if !ok {
-		return multiset.Multiset{ID: id}
+	if s, ok := ix.entities[id]; ok {
+		m = ix.slots[s].set
 	}
-	return e.set
+	ix.mu.RUnlock()
+	return m
 }
 
 // Snapshot is View, copied.
@@ -405,34 +417,48 @@ func queryStats(q Query) similarity.UniStats {
 
 // pass is the reusable state of one query: the query with its
 // unilateral stats and sorted probe order (computed once, whatever the
-// partition count), the element-membership bitmap verification probes,
-// the candidate buffer and epoch-stamped dedup mark table each
-// partition's probe reuses, the bounded top-k heap and the output
-// buffer. QueryAcross hands one pass from partition to partition, which
-// is what lets a top-k query prune every partition against the floor
-// the earlier ones already raised. A pass is owned by exactly one query
-// between begin and reset; pooling them makes the steady-state query
-// path allocation-free.
+// partition count), the candidate accumulators and epoch-stamped slot
+// marks each partition's probe reuses, the bounded top-k heap, the
+// floor's scratch heap and the output buffer. QueryAcross hands one pass
+// from partition to partition, which is what lets a top-k query prune
+// every partition against the floor the earlier ones already raised. A
+// pass is owned by exactly one query between begin and reset; pooling
+// them makes the steady-state query path allocation-free.
 type pass struct {
 	q     Query
 	qUni  similarity.UniStats
 	order []multiset.Entry
-	// bits has bit e set iff the query holds element e, for the first
-	// covered entries of q.Set.Entries (cover); every other bit of the
-	// table is zero, and reset zeroes the words a query touched.
-	bits    []uint64
-	covered int
-	cands   []*entry
-	// marks[slot] == epoch iff the entry holding slot was already seen
-	// by the current partition's probe; bumping epoch resets the whole
-	// table in O(1).
-	marks []uint32
+	cands []cand
+	// marks[slot].epoch == epoch iff the current partition's probe met
+	// the slot's live entity; bumping epoch resets the whole table in
+	// O(1).
+	marks []mark
 	epoch uint32
 	heap  topkHeap
+	floor topkHeap
 	out   []Match
 	// lists[i] is the posting list of order[i] in the partition being
 	// probed (Index.openLocked).
-	lists [][]*entry
+	lists [][]posting
+}
+
+// cand is one admitted candidate of the partition being probed: what
+// scoring needs once the read lock is released, and the conjunctive
+// partials summed so far. gen tells its own postings from stale ones
+// naming the same slot.
+type cand struct {
+	id   multiset.ID
+	uni  similarity.UniStats
+	conj similarity.ConjStats
+	gen  uint32
+}
+
+// mark is a slot's stamp in the current probe: cand indexes p.cands, or
+// is -1 for an entity met but not admitted (the query's own, or one the
+// length filter dropped).
+type mark struct {
+	epoch uint32
+	cand  int32
 }
 
 var passPool = sync.Pool{New: func() any { return new(pass) }}
@@ -445,84 +471,20 @@ func (p *pass) begin(q Query, buf []Match) {
 	p.heap = p.heap[:0]
 }
 
-// reset makes the pass fit for the pool: its bitmap all zero again, the
-// caller's slices dropped.
+// reset makes the pass fit for the pool: the caller's slices dropped.
 func (p *pass) reset() {
-	for _, ent := range p.q.Set.Entries[:p.covered] {
-		p.bits[ent.Elem>>6] = 0
-	}
-	p.covered = 0
 	p.q, p.out = Query{}, nil
 	clear(p.lists) // a pooled pass must not pin a compacted-away posting array
 }
 
-// cover extends the bitmap to the query's elements up to maxElem, the
-// largest element ID the partition about to be probed has ever posted.
-// The caller holds that partition's read lock, so every candidate the
-// probe gathers has all its elements at or below maxElem: an element the
-// bitmap does not reach is one the query does not hold or no candidate
-// does. The bitmap is therefore never longer than the index's own
-// alphabet, whatever IDs a query names.
-func (p *pass) cover(maxElem multiset.Elem) {
-	ents := p.q.Set.Entries
-	n := p.covered
-	for n < len(ents) && ents[n].Elem <= maxElem {
-		n++
-	}
-	if n == p.covered {
-		return
-	}
-	if words := int(ents[n-1].Elem>>6) + 1; words > len(p.bits) {
-		p.bits = append(p.bits, make([]uint64, words-len(p.bits))...)
-	}
-	for _, ent := range ents[p.covered:n] {
-		p.bits[ent.Elem>>6] |= 1 << (ent.Elem & 63)
-	}
-	p.covered = n
-}
-
-// conj is similarity.ConjOf(p.q.Set, e.set) with the two-list merge scan
-// replaced by one walk of the candidate's entries: "not in the query" is
-// a bit probe, and only a shared element looks up the query's count, by
-// binary search above the previous hit. Shared elements reach
-// AccumulateConj in the same ascending order, so the sums are the same
-// integers.
-func (p *pass) conj(e *entry) similarity.ConjStats {
-	var c similarity.ConjStats
-	qe := p.q.Set.Entries[:p.covered]
-	lo := 0
-	for _, ent := range e.set.Entries {
-		w := ent.Elem >> 6
-		if w >= multiset.Elem(len(p.bits)) {
-			break // past every element the bitmap covers; entries ascend
-		}
-		if p.bits[w]&(1<<(ent.Elem&63)) == 0 {
-			continue
-		}
-		hi := len(qe)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if qe[mid].Elem < ent.Elem {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		c.AccumulateConj(qe[lo].Count, ent.Count)
-		lo++
-	}
-	return c
-}
-
-// mark readies the dedup table for one probe over a partition whose
-// slot high-water mark is limit. The caller must hold (at least) the
-// read lock for the whole probe: slots only migrate between entries
-// under the write lock, so within one probe live slots are stable.
+// mark readies the slot marks for one probe over a partition of limit
+// slots. The caller must hold (at least) the read lock for the whole
+// probe: slots only change hands under the write lock.
 func (p *pass) mark(limit int) {
 	if cap(p.marks) < limit {
 		// A fresh zeroed table is correct at any epoch > 0: no slot was
 		// stamped with the current epoch yet.
-		p.marks = make([]uint32, limit+limit/2+16)
+		p.marks = make([]mark, limit+limit/2+16)
 	}
 	p.marks = p.marks[:cap(p.marks)]
 	p.epoch++
@@ -561,12 +523,12 @@ func sortProbeOrder(ord []multiset.Entry) {
 // (decreasing similarity, ID ascending on ties); buf's existing contents
 // are preserved. Each partition is probed under its own read lock, in
 // order, with the one pass state: a threshold query collects every
-// partition's verified matches and sorts once; a top-k query carries one
-// bounded heap through all of them, so each partition starts from the
-// floor the previous ones raised and the heap after the last partition
-// is the global top-k — an entity is pruned only when its bound is below
-// k similarities already found, which keeps it out of any partitioning's
-// answer. One partition is the single-index query.
+// partition's matches and sorts once; a top-k query carries one bounded
+// heap through all of them, so each partition starts from the floor the
+// previous ones raised and the heap after the last partition is the
+// global top-k — an entity is pruned only when its bound is below k
+// similarities already bounded from below, which keeps it out of any
+// partitioning's answer. One partition is the single-index query.
 func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match {
 	if k == 0 || len(q.Set.Entries) == 0 {
 		return buf
@@ -575,11 +537,7 @@ func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match
 	p := passPool.Get().(*pass)
 	p.begin(q, buf)
 	for _, ix := range parts {
-		if k < 0 {
-			ix.thresholdStep(p, t)
-		} else {
-			ix.topkStep(p, k)
-		}
+		ix.step(p, t, k)
 	}
 	buf = append(p.out, p.heap...)
 	p.reset()
@@ -625,143 +583,150 @@ func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
 	return ix.QueryTopKInto(q, k, buf)
 }
 
-// openLocked readies p for a probe of this index: the bitmap covers the
-// index's alphabet, the dedup table its slots, and p.lists holds the
-// posting list of every query element — looked up back to back, before
-// any list is walked and including those a bound will cut off. The
-// lookups are independent, so their cache misses overlap; interleaved
-// with the walks each one waits alone, behind a walk that has pushed the
-// posting directory out of cache, and a query over S shards makes S
-// times as many. On queries new to the caches that is most of a sharded
-// query's time (root BenchmarkShardedQuery, 8 shards, top-k: 107 → 47
-// µs; warm, 46 → 42). Caller holds the read lock.
+// openLocked readies p for a probe of this index: the marks cover its
+// slots, and p.lists holds the posting list of every query element —
+// looked up back to back, before any list is walked. The lookups are
+// independent, so their cache misses overlap; interleaved with the walks
+// each one waits alone, behind a walk that has pushed the posting
+// directory out of cache, and a query over S shards makes S times as
+// many. On queries new to the caches that is most of a sharded query's
+// time (root BenchmarkShardedQuery, 8 shards, top-k: 107 → 47 µs; warm,
+// 46 → 42). Caller holds the read lock.
 func (ix *Index) openLocked(p *pass) {
-	p.cover(ix.maxElem)
-	p.mark(int(ix.nextSlot))
+	p.mark(len(ix.slots))
 	p.lists = p.lists[:0]
 	for _, ent := range p.order {
 		p.lists = append(p.lists, ix.postings[ent.Elem])
 	}
 }
 
-// thresholdStep appends to p.out this index's entities at similarity t
-// or above. Its posting lists are probed, under the read lock, in
-// decreasing-multiplicity order until the residual bound shows the
-// unprobed tail of the query cannot reach t; the deduplicated live
-// candidates that survive the length filter are verified after the lock
-// is released: entries are immutable, so a concurrent Add/Remove cannot
-// corrupt the snapshot — it only makes the answer reflect the index as
-// of the probe.
-func (ix *Index) thresholdStep(p *pass, t float64) {
-	var probes, lenPruned int64
-	residual := p.qUni
-	residual.Sub(p.q.Extra) // extras match nothing; they never feed postings
-
+// step runs q's probe of this index (gatherLocked) under the read lock,
+// then scores the admitted candidates from their summed partials with the
+// lock released: a threshold query (k < 0) appends those at similarity t
+// or above to p.out, a top-k query offers them all to p.heap.
+func (ix *Index) step(p *pass, t float64, k int) {
 	ix.mu.RLock()
-	ix.openLocked(p)
-	for i, ent := range p.order {
-		if similarity.ResidualUpperBound(ix.measure, p.qUni, residual)+boundEps < t {
-			break
-		}
-		for _, e := range p.lists[i] {
-			probes++
-			if e.set.ID == p.q.Set.ID {
-				continue
-			}
-			if ix.entities[e.set.ID] != e {
-				continue // tombstoned or replaced
-			}
-			if p.marks[e.slot] == p.epoch {
-				continue
-			}
-			p.marks[e.slot] = p.epoch
-			if similarity.SimUpperBound(ix.measure, p.qUni, e.uni)+boundEps < t {
-				lenPruned++
-				continue
-			}
-			p.cands = append(p.cands, e)
-		}
-		var probed similarity.UniStats
-		probed.AccumulateUni(ent.Count)
-		residual.Sub(probed)
-	}
+	probes, lenPruned := ix.gatherLocked(p, t, k)
 	ix.mu.RUnlock()
 
 	base := len(p.out)
-	for _, e := range p.cands {
-		sim := ix.measure.Sim(p.qUni, e.uni, p.conj(e))
-		if sim+verifyEps >= t {
-			p.out = append(p.out, Match{ID: e.set.ID, Sim: sim})
+	for _, c := range p.cands {
+		m := Match{ID: c.id, Sim: ix.measure.Sim(p.qUni, c.uni, c.conj)}
+		if k > 0 {
+			p.heap.offer(m, k)
+		} else if m.Sim+verifyEps >= t {
+			p.out = append(p.out, m)
 		}
 	}
 	ix.probes.Add(probes)
 	ix.candidates.Add(int64(len(p.cands)) + lenPruned)
 	ix.lenPruned.Add(lenPruned)
 	ix.verified.Add(int64(len(p.cands)))
-	ix.results.Add(int64(len(p.out) - base))
-	// Drop the entry references: a pooled pass must not pin dead
-	// entities' multisets in memory.
-	clear(p.cands)
+	if k < 0 {
+		ix.results.Add(int64(len(p.out) - base))
+	}
 	p.cands = p.cands[:0]
 }
 
-// topkStep offers this index's entities to p.heap: posting lists in
-// decreasing-multiplicity order with the heap's k-th best similarity —
-// whatever partition it came from — as a rising residual-bound floor.
-// Verification interleaves with probing, and the whole step holds the
-// read lock so the floor stays consistent with the probed snapshot.
-func (ix *Index) topkStep(p *pass, k int) {
-	var probes, cands, lenPruned, verified int64
+// gatherLocked walks this index's posting lists of q in decreasing
+// query multiplicity, adding each posting's shared-element partials to
+// the candidate the posting names. An entity is admitted on its first
+// live posting unless it is the query itself or the length filter drops
+// it, until the residual bound shows the unprobed tail of the query
+// cannot reach the floor; from then on the walk only finishes the
+// admitted candidates' sums, and ends at once if there are none.
+//
+// The floor is t for a threshold query. For a top-k query it is the k-th
+// best of the heap's exact similarities and the admitted candidates'
+// partial ones (partialFloorLocked), recomputed when the candidates
+// first number k and before any list longer than the candidate count,
+// so it rises inside a partition as well as across them. Caller holds
+// the read lock.
+func (ix *Index) gatherLocked(p *pass, t float64, k int) (probes, lenPruned int64) {
 	residual := p.qUni
-	residual.Sub(p.q.Extra)
-
-	ix.mu.RLock()
+	residual.Sub(p.q.Extra) // extras match nothing; they never feed postings
+	floor, admitting := t, true
 	ix.openLocked(p)
 	for i, ent := range p.order {
-		// Below k results every candidate is wanted, so the floor is 0
-		// (with t=0 semantics: any overlap qualifies).
-		floor := 0.0
-		if len(p.heap) == k {
-			floor = p.heap[0].Sim
-			if similarity.ResidualUpperBound(ix.measure, p.qUni, residual) < floor-boundEps {
+		list := p.lists[i]
+		if admitting {
+			if k > 0 && len(list) > len(p.cands) {
+				floor = ix.partialFloorLocked(p, k)
+			}
+			admitting = similarity.ResidualUpperBound(ix.measure, p.qUni, residual) >= floor-boundEps
+		}
+		if !admitting {
+			if len(p.cands) == 0 {
 				break
 			}
+			p.finish(list, ent.Count)
+			probes += int64(len(list))
+			continue
 		}
-		for _, e := range p.lists[i] {
-			probes++
+		probes += int64(len(list))
+		marks, epoch := p.marks, p.epoch
+		for _, post := range list {
+			m := &marks[post.slot]
+			if m.epoch == epoch {
+				if m.cand >= 0 && p.cands[m.cand].gen == post.gen {
+					p.cands[m.cand].conj.AccumulateConj(ent.Count, post.count)
+				}
+				continue
+			}
+			e := &ix.slots[post.slot]
+			if e.gen != post.gen {
+				continue // tombstoned or replaced
+			}
+			m.epoch, m.cand = epoch, -1
 			if e.set.ID == p.q.Set.ID {
 				continue
 			}
-			if ix.entities[e.set.ID] != e {
-				continue
-			}
-			if p.marks[e.slot] == p.epoch {
-				continue
-			}
-			p.marks[e.slot] = p.epoch
-			cands++
-			if len(p.heap) == k && similarity.SimUpperBound(ix.measure, p.qUni, e.uni) < floor-boundEps {
+			if similarity.SimUpperBound(ix.measure, p.qUni, e.uni) < floor-boundEps {
 				lenPruned++
 				continue
 			}
-			verified++
-			//lint:vsmart-allow lockscope top-k must verify under the RLock so the rising floor keeps pruning; threshold queries verify outside it
-			sim := ix.measure.Sim(p.qUni, e.uni, p.conj(e))
-			p.heap.offer(Match{ID: e.set.ID, Sim: sim}, k)
-			if len(p.heap) == k {
-				floor = p.heap[0].Sim
+			m.cand = int32(len(p.cands))
+			c := cand{id: e.set.ID, uni: e.uni, gen: post.gen}
+			c.conj.AccumulateConj(ent.Count, post.count)
+			p.cands = append(p.cands, c)
+			if len(p.cands) == k {
+				floor = ix.partialFloorLocked(p, k)
 			}
 		}
 		var probed similarity.UniStats
 		probed.AccumulateUni(ent.Count)
 		residual.Sub(probed)
 	}
-	ix.mu.RUnlock()
+	return probes, lenPruned
+}
 
-	ix.probes.Add(probes)
-	ix.candidates.Add(cands)
-	ix.lenPruned.Add(lenPruned)
-	ix.verified.Add(verified)
+// finish adds the partials of list, the posting list of an element the
+// query holds count of, to the admitted candidates it names.
+func (p *pass) finish(list []posting, count uint32) {
+	marks, cands, epoch := p.marks, p.cands, p.epoch
+	for _, post := range list {
+		if m := marks[post.slot]; m.epoch == epoch && m.cand >= 0 && cands[m.cand].gen == post.gen {
+			cands[m.cand].conj.AccumulateConj(count, post.count)
+		}
+	}
+}
+
+// partialFloorLocked is the top-k floor mid-probe: the k-th best of the
+// heap's exact similarities and the admitted candidates' partial ones,
+// or 0 while there are fewer than k of them. Every supported measure is
+// nondecreasing in its conjunctive partials (similarity/bounds.go), so a
+// partial similarity never exceeds the final one, and the floor never
+// exceeds the final k-th best. Caller holds the read lock.
+func (ix *Index) partialFloorLocked(p *pass, k int) float64 {
+	if len(p.heap)+len(p.cands) < k {
+		return 0
+	}
+	p.floor = append(p.floor[:0], p.heap...) // a heap's copy is a heap
+	for _, c := range p.cands {
+		//lint:vsmart-allow lockscope a partial similarity, not a candidate's score: the floor must rise mid-probe to prune it, and scoring runs after RUnlock
+		p.floor.offer(Match{Sim: ix.measure.Sim(p.qUni, c.uni, c.conj)}, k)
+	}
+	return p.floor[0].Sim
 }
 
 // worseMatch is the single result-ordering comparator: a ranks below b on

@@ -9,85 +9,141 @@ import (
 	"vsmartjoin/internal/similarity"
 )
 
-// bitmapConj runs the verification walk for one (query, entity) pair on
-// p the way a partition step would: cover up to maxElem, then conj.
-func bitmapConj(p *pass, q, e multiset.Multiset, maxElem multiset.Elem) similarity.ConjStats {
-	p.begin(QueryOf(q), nil)
-	p.cover(maxElem)
-	c := p.conj(&entry{set: e})
+// gather runs one partition probe of q the way step does, returning the
+// admitted candidates (the pass's own slice: valid until its next probe)
+// and the length-pruned count.
+func gather(ix *Index, p *pass, q Query, t float64, k int) ([]cand, int64) {
+	p.cands = p.cands[:0]
+	p.begin(q, nil)
+	ix.mu.RLock()
+	_, lenPruned := ix.gatherLocked(p, t, k)
+	ix.mu.RUnlock()
 	p.reset()
-	return c
+	return p.cands, lenPruned
 }
 
-// TestBitmapConjEqualsConjOf is the verification property: for any query
-// and any entity whose elements the index could hold (all at or below
-// maxElem), the bitmap walk computes exactly similarity.ConjOf — the
-// same integers, so every measure returns the same float.
-func TestBitmapConjEqualsConjOf(t *testing.T) {
-	const alphabet = 200
-	maxElem := multiset.Elem(alphabet - 1)
+// TestAccumulatedConjEqualsConjOf is the scoring property: after a probe
+// of a churned random corpus, for every measure, threshold and k, every
+// admitted candidate's summed partials equal similarity.ConjOf of the
+// query and the candidate — the same integers, so every measure returns
+// the same float — and its UniStats are its own. Some probes must hit
+// the admission cut, so the sums the walk past it finishes are covered.
+func TestAccumulatedConjEqualsConjOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	p := new(pass) // one pass for every case: reuse is part of the property
-	check := func(tag string, q, e multiset.Multiset) {
-		t.Helper()
-		if got, want := bitmapConj(p, q, e, maxElem), similarity.ConjOf(q, e); got != want {
-			t.Fatalf("%s: bitmap conj %+v, ConjOf %+v\nq %v\ne %v", tag, got, want, q, e)
-		}
-		for w, word := range p.bits {
-			if word != 0 {
-				t.Fatalf("%s: word %d of the reset bitmap is %#x", tag, w, word)
+	p := new(pass) // one pass for every probe: reuse is part of the property
+	probes := []struct {
+		t float64
+		k int
+	}{{0, -1}, {0.3, -1}, {0.6, -1}, {0.9, -1}, {0, 1}, {0, 3}, {0, 10}}
+	cut := 0
+	for trial := 0; trial < 3; trial++ {
+		sets := randomMultisets(rng, 60, 40, 10, 5)
+		for _, m := range similarity.All() {
+			ix := buildIndex(m, sets)
+			// Replace every fourth entity and remove every seventh, short
+			// of a compaction: stale postings stay in the lists.
+			for i, s := range sets {
+				switch {
+				case i%4 == 0:
+					ix.Add(multiset.New(s.ID, randomMultisets(rng, 1, 40, 10, 5)[0].Entries))
+				case i%7 == 0:
+					ix.Remove(s.ID)
+				}
+			}
+			var live []multiset.Multiset
+			ix.Range(func(e multiset.Multiset) bool { live = append(live, e); return true })
+			queries := append(live[:12:12], randomMultisets(rng, 6, 60, 12, 5)...)
+			for qi, q := range queries {
+				if qi >= 12 {
+					q.ID = 0 // ad hoc, with elements the index never posted
+				}
+				overlap := 0
+				for _, e := range live {
+					if e.ID != q.ID && similarity.ConjOf(q, e).Common > 0 {
+						overlap++
+					}
+				}
+				for _, pr := range probes {
+					cands, lenPruned := gather(ix, p, QueryOf(q), pr.t, pr.k)
+					seen := map[multiset.ID]bool{}
+					for _, c := range cands {
+						e := ix.View(c.id)
+						if seen[c.id] || c.id == q.ID || len(e.Entries) == 0 {
+							t.Fatalf("%s t=%v k=%d q=%v: candidate %d admitted twice, as self or dead", m.Name(), pr.t, pr.k, q, c.id)
+						}
+						seen[c.id] = true
+						if want := similarity.ConjOf(q, e); c.conj != want || c.uni != similarity.UniOf(e) {
+							t.Fatalf("%s t=%v k=%d: candidate %d summed %+v %+v, want %+v %+v\nq %v\ne %v",
+								m.Name(), pr.t, pr.k, c.id, c.conj, c.uni, want, similarity.UniOf(e), q, e)
+						}
+					}
+					if len(cands)+int(lenPruned) < overlap {
+						cut++
+					}
+				}
 			}
 		}
 	}
-	some := randomMultisets(rng, 1, alphabet, 20, 5)[0]
-	check("empty query", multiset.Multiset{}, some)
-	check("empty entity", some, multiset.Multiset{ID: 7})
-	check("identical", some, some)
-	check("disjoint",
-		multiset.New(0, []multiset.Entry{{Elem: 1, Count: 2}, {Elem: 70, Count: 1}, {Elem: 199, Count: 3}}),
-		multiset.New(1, []multiset.Entry{{Elem: 0, Count: 2}, {Elem: 69, Count: 1}, {Elem: 71, Count: 3}, {Elem: 198, Count: 1}}))
-	check("entity beyond the query's largest",
-		multiset.New(0, []multiset.Entry{{Elem: 3, Count: 2}, {Elem: 5, Count: 1}}),
-		multiset.New(1, []multiset.Entry{{Elem: 3, Count: 4}, {Elem: 64, Count: 1}, {Elem: 199, Count: 9}}))
-	check("query beyond the index's largest",
-		multiset.New(0, []multiset.Entry{{Elem: 3, Count: 2}, {Elem: 199, Count: 1}, {Elem: 200, Count: 1}, {Elem: 1 << 40, Count: 5}}),
-		multiset.New(1, []multiset.Entry{{Elem: 3, Count: 4}, {Elem: 199, Count: 9}}))
-	for trial := 0; trial < 2000; trial++ {
-		// Queries draw from twice the alphabet: about half their elements
-		// lie beyond anything the index has posted.
-		q := randomMultisets(rng, 1, 2*alphabet, 1+rng.Intn(40), 6)[0]
-		e := randomMultisets(rng, 1, alphabet, 1+rng.Intn(40), 6)[0]
-		if trial%3 == 0 { // force heavy overlap
-			e = multiset.New(1, append(append([]multiset.Entry{}, e.Entries...), q.Entries[:len(q.Entries)/2]...))
-			for len(e.Entries) > 0 && e.Entries[len(e.Entries)-1].Elem > maxElem {
-				e.Entries = e.Entries[:len(e.Entries)-1]
-			}
-		}
-		check("random", q, e)
+	if cut == 0 {
+		t.Fatal("no probe hit the admission cut")
 	}
 }
 
-// TestPassReuseSeesNoStaleBit: a pass that served one query and went
-// back to the pool must answer a second, disjoint query as a fresh one
-// does — a stale bit would make the walk look up a count the second
-// query does not hold.
-func TestPassReuseSeesNoStaleBit(t *testing.T) {
-	first := multiset.New(0, []multiset.Entry{{Elem: 2, Count: 1}, {Elem: 64, Count: 2}, {Elem: 130, Count: 3}})
-	second := multiset.New(0, []multiset.Entry{{Elem: 3, Count: 1}, {Elem: 65, Count: 2}})
-	both := multiset.New(1, append(append([]multiset.Entry{}, first.Entries...), second.Entries...))
-	p := new(pass)
-	if got, want := bitmapConj(p, first, both, 130), similarity.ConjOf(first, both); got != want {
-		t.Fatalf("first query: %+v, want %+v", got, want)
+// TestStalePostingsAddNothing: a replaced entity keeps its slot under the
+// next generation, and a removed entity's slot goes to the next new one —
+// before any compaction, so the old postings still name slots that live
+// entities hold again, in the very lists those entities are posted to.
+// They must add nothing: every answer equals the brute-force oracle's.
+func TestStalePostingsAddNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	sets := randomMultisets(rng, 40, 12, 8, 4) // a small alphabet: heavy overlap
+	recount := func(id multiset.ID, m multiset.Multiset) multiset.Multiset {
+		out := multiset.Multiset{ID: id, Entries: slices.Clone(m.Entries)}
+		for i := range out.Entries {
+			out.Entries[i].Count = out.Entries[i].Count%4 + 1
+		}
+		return out
 	}
-	if got, want := bitmapConj(p, second, both, 130), similarity.ConjOf(second, both); got != want {
-		t.Fatalf("second query on the reused pass: %+v, want %+v", got, want)
+	for _, m := range similarity.All() {
+		ix := buildIndex(m, sets)
+		slotOf := func(id multiset.ID) int32 {
+			ix.mu.RLock()
+			defer ix.mu.RUnlock()
+			return ix.entities[id]
+		}
+		replaced, removed := sets[3], sets[7]
+		rs, ds := slotOf(replaced.ID), slotOf(removed.ID)
+		ix.Add(recount(replaced.ID, replaced))
+		ix.Remove(removed.ID)
+		ix.Add(recount(1000, removed))
+		if slotOf(replaced.ID) != rs || slotOf(1000) != ds {
+			t.Fatalf("%s: slots not reused: %d→%d, %d→%d", m.Name(), rs, slotOf(replaced.ID), ds, slotOf(1000))
+		}
+		if st := ix.Stats(); st.Compactions != 0 {
+			t.Fatalf("%s: compacted, so no stale posting is left: %+v", m.Name(), st)
+		}
+		var live []multiset.Multiset
+		ix.Range(func(e multiset.Multiset) bool { live = append(live, e); return true })
+		for _, q := range live {
+			for _, thr := range []float64{0.2, 0.5} {
+				if got, want := ix.QueryThresholdInto(QueryOf(q), thr, nil), bruteForce(ix, QueryOf(q), thr); !slices.Equal(got, want) {
+					t.Fatalf("%s q=%d t=%v:\ngot  %v\nwant %v", m.Name(), q.ID, thr, got, want)
+				}
+			}
+			for _, k := range []int{1, 5} {
+				if got, want := ix.QueryTopKInto(QueryOf(q), k, nil), oracleKNN(live, q, k, m); !slices.Equal(got, want) {
+					t.Fatalf("%s q=%d k=%d:\ngot  %v\nwant %v", m.Name(), q.ID, k, got, want)
+				}
+			}
+		}
 	}
 }
 
 // TestHugeQueryElementGrowsNoScratch: a query naming element 1<<40
 // against a small index matches nothing through it, weighs it into every
-// denominator exactly as ConjOf-based verification did, and sizes its
-// bitmap by the index's alphabet, not by the query's.
+// denominator exactly as ConjOf-based verification does, and sizes no
+// scratch table by it: the pass's tables follow the index's slot count
+// and the query's length.
 func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const alphabet = 50
@@ -117,9 +173,10 @@ func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	q := QueryOf(multiset.New(0, []multiset.Entry{{Elem: 1, Count: 1}, {Elem: 7, Count: 2}, {Elem: 1 << 40, Count: 3}}))
 	p := new(pass)
 	p.begin(q, nil)
-	ix.thresholdStep(p, 0)
-	if words := alphabet/64 + 1; len(p.bits) > words {
-		t.Fatalf("bitmap grew to %d words for an alphabet of %d (%d hold it)", len(p.bits), alphabet, words)
+	ix.step(p, 0, -1)
+	if len(p.marks) > len(sets)*3/2+16 || len(p.lists) != len(q.Set.Entries) {
+		t.Fatalf("pass tables: %d marks, %d lists for %d entities and a %d-element query",
+			len(p.marks), len(p.lists), len(sets), len(q.Set.Entries))
 	}
 	if raceDetector {
 		return

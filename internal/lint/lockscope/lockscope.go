@@ -11,9 +11,9 @@
 // in a struct with a sync.Mutex/sync.RWMutex field, the fields of the
 // same declaration paragraph following the mutex (contiguous lines,
 // field doc comments included, up to the first blank line) are guarded.
-// In internal/index.Index that is exactly entities, postings,
-// postingCount and deadPostings; the atomic counters after the blank
-// line are not.
+// In internal/index.Index that is exactly entities, slots, freeSlots,
+// postings, postingCount and deadPostings; the atomic counters after the
+// blank line are not.
 //
 // The analysis is a source-order scan of each method body, tracking
 // Lock/RLock/Unlock/RUnlock calls on the receiver's mutex (a deferred

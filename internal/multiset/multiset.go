@@ -10,7 +10,9 @@
 package multiset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,7 +46,7 @@ func New(id ID, entries []Entry) Multiset {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
+	SortEntries(out)
 	// Merge duplicates in place.
 	w := 0
 	for _, e := range out {
@@ -66,8 +68,14 @@ func FromCounts(id ID, counts map[Elem]uint32) Multiset {
 			entries = append(entries, Entry{Elem: e, Count: c})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Elem < entries[j].Elem })
+	SortEntries(entries)
 	return Multiset{ID: id, Entries: entries}
+}
+
+// SortEntries sorts entries by element in place. It is slices.SortFunc,
+// not sort.Slice, whose reflection-built swapper allocates on every call.
+func SortEntries(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Elem, b.Elem) })
 }
 
 // FromSet builds a set (all multiplicities 1) from element values.

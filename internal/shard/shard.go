@@ -17,8 +17,7 @@
 // single-index answer. The element dictionary is intentionally NOT per
 // shard: callers intern strings once (vsmartjoin.Index holds the shared
 // multiset.Dict), so every shard sees the same element IDs and the
-// query's probe order and membership bitmap are built once for all of
-// them.
+// query's probe order is built once for all of them.
 //
 // Nothing here starts a goroutine. Serving load keeps the cores busy
 // with other queries, and at this index's per-shard query cost (a few

@@ -313,6 +313,90 @@ func TestCarriedFloorAcrossShards(t *testing.T) {
 	}
 }
 
+// TestPartialFloorAcrossShards gates the top-k floor that rises inside a
+// partition, the k-th best of the carried heap's similarities and the
+// admitted candidates' partial ones, on the stop-word-light shape: every
+// entity carries a stop word at count 1, the query's lightest element,
+// probed last. Tie groups of equal multisets straddle the shards — copies
+// of corpus entities, and entities holding the stop word alone — and k is
+// put inside every tie group the oracle's ranking shows, so the floor
+// sits exactly on a tie whose smaller IDs a later shard still holds. The
+// ad-hoc queries have cardinality 24 and 48, where the cosine bounds of a
+// stop-word-only entity round one ulp below its similarity: a floor
+// raised by as little as boundEps cuts those entities off. Shard counts
+// {1, 3, 8} must answer as one index and as the brute-force oracle.
+func TestPartialFloorAcrossShards(t *testing.T) {
+	const n, stop = 300, multiset.Elem(300 + 64)
+	var sets []multiset.Multiset
+	for i := 0; i < n; i++ {
+		entries := []multiset.Entry{{Elem: stop, Count: 1}}
+		for j := 0; j < 12; j++ {
+			entries = append(entries, multiset.Entry{Elem: multiset.Elem((i*31 + j*j*7) % (n/2 + 64)), Count: uint32(j%5 + 1)})
+		}
+		sets = append(sets, multiset.New(multiset.ID(len(sets)+1), entries))
+	}
+	bases := sets[:4]
+	for copyNo := 0; copyNo < 8; copyNo++ {
+		for _, b := range bases {
+			sets = append(sets, multiset.Multiset{ID: multiset.ID(len(sets) + 1), Entries: b.Entries})
+		}
+		sets = append(sets, multiset.Multiset{ID: multiset.ID(len(sets) + 1), Entries: []multiset.Entry{{Elem: stop, Count: 1}}})
+	}
+	queries := append([]multiset.Multiset{}, bases...)
+	for _, card := range []uint32{24, 48} {
+		for _, b := range bases {
+			entries, left := []multiset.Entry{{Elem: stop, Count: 1}}, card-1
+			for _, e := range b.Entries {
+				if c := min(left, 5); e.Elem != stop && c > 0 {
+					entries = append(entries, multiset.Entry{Elem: e.Elem, Count: c})
+					left -= c
+				}
+			}
+			if left != 0 {
+				t.Fatalf("base %v cannot make a query of cardinality %d", b, card)
+			}
+			queries = append(queries, multiset.New(0, entries))
+		}
+	}
+	for _, measureName := range []string{"ruzicka", "jaccard", "cosine"} {
+		m, err := similarity.ByName(measureName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := index.New(m)
+		for _, s := range sets {
+			single.Add(s)
+		}
+		for _, shards := range []int{1, 3, 8} {
+			set := New(m, shards)
+			for _, s := range sets {
+				set.Add(s)
+			}
+			for _, q := range queries {
+				ranked := bruteForce(m, sets, q, 0, len(sets))
+				ks := []int{1, 10}
+				for a := 0; a < len(ranked); {
+					b := a + 1
+					for b < len(ranked) && ranked[b].Sim == ranked[a].Sim {
+						b++
+					}
+					if b-a > 1 {
+						ks = append(ks, (a+b)/2) // ranks k-1 and k both in the group
+					}
+					a = b
+				}
+				query := index.QueryOf(q)
+				for _, k := range ks {
+					tag := fmt.Sprintf("%s/shards=%d/q=%v/k=%d", measureName, shards, q, k)
+					got := set.QueryTopKInto(query, k, nil)
+					sameMatches(t, tag, got, single.QueryTopKInto(query, k, nil))
+					sameMatches(t, tag+"/oracle", got, ranked[:min(k, len(ranked))])
+				}
+			}
+		}
+	}
+}
+
 // TestQueriesDoNotAllocate is the allocation gate of the one-pass query:
 // with a warm pass pool and a reused result buffer, a Set of 2 and of 8
 // shards answers threshold and top-k queries at 0 allocs/op — no

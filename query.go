@@ -229,7 +229,9 @@ func (ix *Index) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
 // are folded into the query's Extra stats.
 func (ix *Index) buildQuery(counts map[string]uint32) index.Query {
 	// Map iteration order is irrelevant here: Extra accumulation is
-	// commutative and multiset.New sorts the entries by element.
+	// commutative and the entries are sorted by element below. Map keys
+	// are distinct and zero counts are skipped, so there is nothing for
+	// multiset.New to merge, and its copy is spared.
 	var q index.Query
 	entries := make([]multiset.Entry, 0, len(counts))
 	ix.mu.RLock()
@@ -244,7 +246,8 @@ func (ix *Index) buildQuery(counts map[string]uint32) index.Query {
 		}
 	}
 	ix.mu.RUnlock()
-	q.Set = multiset.New(0, entries)
+	multiset.SortEntries(entries)
+	q.Set = multiset.Multiset{Entries: entries}
 	return q
 }
 
