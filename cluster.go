@@ -197,13 +197,15 @@ func (c *Cluster) Snapshot() error { return c.inner.Snapshot() }
 // loop does the same on its cadence.
 func (c *Cluster) CheckHealth() { c.inner.CheckNow(context.Background()) }
 
-// Repair runs one anti-entropy pass now: every node with pending
-// missed writes gets them re-driven as a batch. The background repair
-// loop does the same on its cadence.
+// Repair runs one anti-entropy pass now: every node that still owes
+// writes gets them re-driven in batches. The background repair loop
+// does the same on its cadence.
 func (c *Cluster) Repair() { c.inner.RepairNow(context.Background()) }
 
-// PendingRepairs reports the number of missed writes queued for
-// re-driving — zero once every replica has converged.
+// PendingRepairs reports the number of writes replicas owe: each counts
+// from the moment the router issues it to a replica until that replica
+// acknowledges it, so a write still in flight to a straggler is owed
+// too — zero once every replica has acknowledged every write.
 func (c *Cluster) PendingRepairs() int { return c.inner.PendingRepairs() }
 
 // Ready reports whether every partition can answer queries (one
@@ -215,18 +217,7 @@ func (c *Cluster) Ready() (queries, writes bool) { return c.inner.Ready() }
 // partition, the router's latest health observation, and the readiness
 // counters (generation, entities, mutations, shards) last read from
 // the node — the signals that expose a stale replica.
-type ClusterNodeStatus struct {
-	Addr          string    `json:"addr"`
-	Partition     int       `json:"partition"`
-	Healthy       bool      `json:"healthy"`
-	LastError     string    `json:"last_error,omitempty"`
-	LastChecked   time.Time `json:"last_checked"`
-	Generation    uint64    `json:"generation"`
-	Entities      int       `json:"entities"`
-	Mutations     int64     `json:"mutations"`
-	Shards        int       `json:"shards"`
-	PendingRepair int       `json:"pending_repair"`
-}
+type ClusterNodeStatus = cluster.NodeStatus
 
 // ClusterStats is the router's view of the cluster: topology, traffic
 // counters (hedged and failed-over query attempts, write quorum
@@ -242,9 +233,11 @@ type ClusterStats struct {
 	Failovers  int64 `json:"failovers"`
 	WriteFails int64 `json:"write_fails"`
 	Repairs    int64 `json:"repairs"`
-	// RepairBacklog is the current total of missed writes queued for
-	// anti-entropy across all nodes (the sum of per-node PendingRepair);
-	// Repairs counts ops already re-driven.
+	// RepairBacklog is the current total of writes owed across all
+	// nodes (the sum of per-node PendingRepair): each op counts from issue
+	// until its replica acknowledges it, so a straggler's in-flight ops
+	// and a failed replica's missed ones alike; Repairs counts ops
+	// already re-driven.
 	RepairBacklog int `json:"repair_backlog"`
 
 	// WriteLatency times quorum writes to their decision point (majority
@@ -261,7 +254,7 @@ type ClusterStats struct {
 func (c *Cluster) Stats() ClusterStats {
 	s := c.inner.Stats()
 	m := c.inner.Metrics()
-	out := ClusterStats{
+	return ClusterStats{
 		Partitions:    s.Partitions,
 		Queries:       s.Queries,
 		Hedges:        s.Hedges,
@@ -272,10 +265,6 @@ func (c *Cluster) Stats() ClusterStats {
 		RepairBacklog: s.RepairBacklog,
 		WriteLatency:  summarize(m.Write),
 		QueryLatency:  summarize(m.Query),
-		Nodes:         make([]ClusterNodeStatus, len(s.Nodes)),
+		Nodes:         s.Nodes,
 	}
-	for i, n := range s.Nodes {
-		out.Nodes[i] = ClusterNodeStatus(n)
-	}
-	return out
 }

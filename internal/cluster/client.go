@@ -97,16 +97,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // call is the one router→node exchange: req on a pooled connection to n,
 // its outcome recorded in n's health. A transport failure or a 5xx
 // refusal marks the node unhealthy; a 4xx is the caller's fault and
-// records a healthy contact. A write goes out only after n has answered
-// every earlier write that touches one of its entities.
+// records a healthy contact.
 func (c *Cluster) call(ctx context.Context, n *node, req *peerRequest) (peerReply, error) {
-	if req.op == peerApply {
-		release, err := n.inOrder(ctx, req.muts)
-		if err != nil {
-			return peerReply{}, fmt.Errorf("%s %s: %w", n.addr, peerOpNames[req.op], err)
-		}
-		defer release()
-	}
 	rep, err := n.pool.roundTrip(ctx, c.timeout, req, RequestID(ctx))
 	if err == nil && rep.status != http.StatusOK {
 		err = StatusError{Code: rep.status, Msg: fmt.Sprintf("%d %s (%s)", rep.status, http.StatusText(rep.status), rep.msg)}
@@ -126,8 +118,8 @@ func (c *Cluster) call(ctx context.Context, n *node, req *peerRequest) (peerRepl
 // ctx's, or timeout from now if that is earlier. A connection whose call
 // failed or was cancelled is closed, never pooled. A read that fails on
 // a reused connection before any reply byte arrived (the node restarted
-// under it) is retried once on a fresh dial; a write is not — the repair
-// queue covers it.
+// under it) is retried once on a fresh dial; a write is not — it stays
+// owed in the node's ledger for repair.
 func (p *peerPool) roundTrip(ctx context.Context, timeout time.Duration, req *peerRequest, rid string) (peerReply, error) {
 	deadline := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {

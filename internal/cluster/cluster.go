@@ -31,8 +31,12 @@
 // Apply (mutate.go holds the mutation model and the method) groups a
 // batch by owner partition; each group goes to all R replicas of its
 // partition in parallel and succeeds once a majority (R/2+1) of them
-// acknowledge it; replicas that failed are left pending repair ops
-// that the anti-entropy pass re-drives (see repair.go). A write that
+// acknowledge it. Before any request starts, the group is entered in
+// each replica's write ledger (repair.go), which fixes the write's place
+// in every replica's order and keeps its ops owed until that replica
+// acknowledges them: a replica's request goes out only after its
+// earlier requests for the same entities have ended, and the
+// anti-entropy pass re-drives whatever a replica still owes. A write that
 // misses quorum returns an error, but — as in any quorum system — it
 // may still have applied on a minority of replicas, and anti-entropy
 // will complete rather than undo it: "error" means "not guaranteed
@@ -130,9 +134,7 @@ type node struct {
 	checked time.Time
 	ready   Readiness
 
-	pending map[string]pendingOp     // entity → op to re-drive; nil when empty
-	seq     uint64                   // stamps pendingOps so RepairNow only clears what it sent
-	writing map[string]chan struct{} // entity → closed when its latest write in flight is answered
+	pending map[string]owed // the write ledger (repair.go): entity → latest op issued, until acked
 }
 
 // Readiness is one node's readiness — its /readyz counters, which the
@@ -149,8 +151,9 @@ type Readiness struct {
 // Cluster is the router. Construct with New; Close stops the
 // background loops.
 type Cluster struct {
-	parts   [][]*node // [partition][replica]
-	nodes   []*node   // flattened
+	parts   [][]*node    // [partition][replica]
+	nodes   []*node      // flattened
+	issuing []sync.Mutex // [partition]: held while a write enters its replicas' ledgers
 	timeout time.Duration
 	hedge   time.Duration
 
@@ -196,6 +199,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, errors.New("cluster: no partitions")
 	}
 	c := &Cluster{
+		issuing: make([]sync.Mutex, len(cfg.Partitions)),
 		timeout: cfg.Timeout,
 		hedge:   cfg.HedgeAfter,
 		stop:    make(chan struct{}),
@@ -225,7 +229,7 @@ func New(cfg Config) (*Cluster, error) {
 				return nil, fmt.Errorf("cluster: node %s listed twice", addr)
 			}
 			seen[pool.host] = true
-			n := &node{addr: addr, partition: p, pool: pool, healthy: true, writing: make(map[string]chan struct{})}
+			n := &node{addr: addr, partition: p, pool: pool, healthy: true}
 			row = append(row, n)
 			c.nodes = append(c.nodes, n)
 		}

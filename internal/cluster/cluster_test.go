@@ -240,10 +240,9 @@ func remove(c *Cluster, entity string) (bool, error) {
 	return len(had) > 0 && had[0], err
 }
 
-// waitPending polls until the cluster's pending-repair count settles
-// at want: quorumWrite returns at quorum, so straggler bookkeeping (a
-// provisional repair queued synchronously, cleared when the
-// straggler's ack drains) is asynchronous by design.
+// waitPending polls until the cluster's owed-op count settles at want:
+// quorumWrite returns at quorum, and a straggler's ops stay owed until
+// its ack arrives, asynchronously by design.
 func waitPending(t *testing.T, c *Cluster, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -320,7 +319,7 @@ func TestNewRejectsBadTopologies(t *testing.T) {
 
 // TestWriteReplicatesAndQuorum: a healthy partition applies the write
 // on every replica; with a minority failing the write still succeeds
-// and the failed replica gets a pending repair op.
+// and the failed replica owes the op.
 func TestWriteReplicatesAndQuorum(t *testing.T) {
 	nodes, c := grid(t, 2, 3, -1)
 	if err := add(c, "e1", map[string]uint32{"x": 2}); err != nil {
@@ -346,7 +345,7 @@ func TestWriteReplicatesAndQuorum(t *testing.T) {
 		}
 	}
 
-	// One of three replicas failing: quorum met, repair queued.
+	// One of three replicas failing: quorum met, its op owed.
 	nodes[p][1].set(func(f *fakeNode) { f.failWrites = true })
 	if err := add(c, "e2", map[string]uint32{"y": 1}); err != nil {
 		t.Fatalf("write with 2/3 acks should meet quorum: %v", err)
@@ -365,7 +364,7 @@ func TestWriteReplicatesAndQuorum(t *testing.T) {
 }
 
 // TestRepairConvergesLaggingReplica is the anti-entropy cycle: writes
-// miss a down replica (queued), the replica comes back, RepairNow
+// miss a down replica (owed), the replica comes back, RepairNow
 // re-drives them as one /bulk batch, and the replica converges — with
 // the mutation counters in Stats reflecting it after a health pass.
 func TestRepairConvergesLaggingReplica(t *testing.T) {
@@ -386,7 +385,7 @@ func TestRepairConvergesLaggingReplica(t *testing.T) {
 	}
 	waitPending(t, c, 2) // the latest op per entity, lagging replica only
 
-	// Still down: repair must not clear the queue.
+	// Still down: repair must not clear what is owed.
 	c.RepairNow(context.Background())
 	waitPending(t, c, 2)
 
@@ -415,7 +414,7 @@ func TestRepairConvergesLaggingReplica(t *testing.T) {
 }
 
 // TestRepairNeverResurrectsStaleWrites: a newer successful write to
-// the same entity must cancel the queued older one, or repair would
+// the same entity must replace the older owed one, or repair would
 // roll the entity back.
 func TestRepairNeverResurrectsStaleWrites(t *testing.T) {
 	nodes, c := grid(t, 1, 3, -1)
@@ -427,7 +426,7 @@ func TestRepairNeverResurrectsStaleWrites(t *testing.T) {
 	waitPending(t, c, 1)
 	lagging.set(func(f *fakeNode) { f.failWrites = false })
 	// The newer upsert reaches all three replicas and must erase the
-	// queued stale one.
+	// owed stale one.
 	if err := add(c, "e", map[string]uint32{"new": 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -485,6 +484,79 @@ func TestWritesToOneEntityReachANodeInOrder(t *testing.T) {
 	waitPending(t, c, 0)
 	if got := slow.entities()["e"]; got["new"] != 2 {
 		t.Fatalf("slow replica ended at %v, want the newer write", got)
+	}
+}
+
+// TestReplicasAgreeUnderConcurrentWriters: writers racing on a few
+// shared entities through one router leave every replica in the same
+// state, since each replica takes the writes to an entity in the order
+// the router issued them, not the order their goroutines happened to
+// run. In the second leg anti-entropy loops beside the writers while
+// one replica keeps toggling refusal, and one final pass after it heals
+// leaves nothing owed.
+func TestReplicasAgreeUnderConcurrentWriters(t *testing.T) {
+	for _, flapping := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flapping=%v", flapping), func(t *testing.T) {
+			nodes, c := grid(t, 1, 3, -1)
+			flapper := nodes[0][2]
+			stop := make(chan struct{})
+			var repairer sync.WaitGroup
+			if flapping {
+				repairer.Add(1)
+				go func() {
+					defer repairer.Done()
+					for on := true; ; on = !on {
+						select {
+						case <-stop:
+							flapper.set(func(f *fakeNode) { f.failWrites = false })
+							return
+						default:
+						}
+						flapper.set(func(f *fakeNode) { f.failWrites = on })
+						c.RepairNow(context.Background())
+						time.Sleep(100 * time.Microsecond)
+					}
+				}()
+			}
+			var writers sync.WaitGroup
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				writers.Add(1)
+				go func(g int) {
+					defer writers.Done()
+					for i := 0; i < 40; i++ {
+						op := BulkOp{Op: OpAdd, Entity: fmt.Sprintf("e%d", (g+i)%3), Elements: map[string]uint32{"x": uint32(g*40 + i + 1)}}
+						if i%7 == 6 {
+							op = BulkOp{Op: OpRemove, Entity: op.Entity}
+						}
+						if _, err := c.Apply(context.Background(), []BulkOp{op}); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			writers.Wait()
+			close(stop)
+			repairer.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if flapping {
+				c.RepairNow(context.Background())
+				if got := c.PendingRepairs(); got != 0 {
+					t.Fatalf("%d ops still owed after a pass over healed replicas", got)
+				}
+			}
+			waitPending(t, c, 0)
+			want := nodes[0][0].entities()
+			for ri, f := range nodes[0][1:] {
+				if got := f.entities(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("replica %d ended at %v, replica 0 at %v", ri+1, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -631,7 +703,7 @@ func TestQueryEntityCrossPartition(t *testing.T) {
 // that travels as /bulk — through the one quorum loop on a 1×3 grid
 // with replicas refusing writes, down, or straggling, and checks the
 // acks the caller is told about, the returned flags and error, the
-// repair queue before and after RepairNow, and the faulty replica's end
+// ops owed before and after RepairNow, and the faulty replica's end
 // state. One faulty replica of three still meets quorum; two do not.
 func TestQuorumWriteFailureModes(t *testing.T) {
 	x := func(n uint32) map[string]uint32 { return map[string]uint32{"x": n} }
@@ -704,8 +776,8 @@ func TestQuorumWriteFailureModes(t *testing.T) {
 						t.Fatalf("write-fail counter = %d, want 1", got)
 					}
 				}
-				// Every replica that did not ack owes one op per entity —
-				// a straggler provisionally, until its ack drains.
+				// Every replica that did not ack owes one op per entity — a
+				// straggler until its ack arrives.
 				waitPending(t, c, fault.faulty*wr.entities)
 				if fault.set == nil {
 					close(hold)

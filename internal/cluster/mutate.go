@@ -11,7 +11,7 @@ import (
 
 // The write model, declared once for every layer above the write-ahead
 // log: BulkOp is at once the public mutation (vsmartjoin.Mutation is an
-// alias), the /bulk wire form, and the repair queue's payload, so a
+// alias), the /bulk wire form, and the write ledger's entry, so a
 // mutation is never re-declared on its way from an HTTP body to a node.
 
 // Mutation kinds, the values of BulkOp.Op.
@@ -37,7 +37,7 @@ type BulkRequest struct {
 
 // CheckMutations is the one check of what may travel the wire — run by
 // both daemons' /bulk and by Cluster.Apply, so a mutation no node would
-// accept is refused before it can reach a replica or a repair queue:
+// accept is refused before it can reach a replica or a write ledger:
 // every op names a kind and an entity, and an add carries at least one
 // nonzero count (an all-zero add would index a permanently unmatchable
 // empty entity). Errors carry no package prefix — callers add their own.
@@ -76,9 +76,9 @@ func hasMass(elements map[string]uint32) bool {
 // succeeds or fails at majority quorum independently — the returned
 // error joins the groups that missed quorum, and mutations routed to
 // other partitions are unaffected. An error means NOT guaranteed
-// applied, never guaranteed not applied: every per-replica failure
-// leaves pending repair ops behind, so partial replicas converge
-// through the normal anti-entropy pass.
+// applied, never guaranteed not applied: a replica that fails keeps the
+// write's ops owed in its ledger, so partial replicas converge through
+// the normal anti-entropy pass.
 //
 // The result reports, per mutation, whether its group reached quorum —
 // except for a removal that travelled alone in its group, where it
@@ -122,100 +122,71 @@ func (c *Cluster) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
 }
 
 // quorumWrite drives one partition's group of mutations through its
-// replica set, one request per replica. The per-replica outcome also
-// maintains the repair queues: a replica that missed the write gets
-// every op of the group queued, and a replica that acknowledged it has
-// any OLDER pending op for the group's entities cleared — replaying a
-// stale upsert after a newer one must never resurrect old state. (The
-// queue keeps only the latest op per (node, entity), so queueing the
-// group in order leaves exactly the right survivor when it mutates one
-// entity more than once.)
+// replica set, one request per replica. The requests are entered in the
+// replicas' ledgers (repair.go) under the partition's issue lock before
+// any starts, so every replica orders this write against the other
+// writes to the same entities alike, whichever goroutine runs first.
 //
 // The call returns as soon as the outcome is decided — a majority
 // acked, or enough replicas failed that a majority is impossible — so
 // one hung replica costs its partition nothing but a background
-// goroutine: stragglers keep running on their own timeout and a
-// drainer does their repair bookkeeping after the caller has moved on.
+// goroutine: a straggler runs on under the cluster timeout, its ops owed
+// until it acks, and its outcome no longer influences the returned error
+// or flag — quorum semantics, not unanimity.
 func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) (bool, error) {
 	start := metrics.Now()
 	replicas := c.parts[p]
 	quorum := len(replicas)/2 + 1
-	req := peerRequest{op: peerApply, muts: group}
 	// A lone removal reports whether an acknowledging replica had it.
 	loneRemove := len(group) == 1 && group[0].Op == OpRemove
-	enqueueAll := func(n *node) []uint64 {
-		seqs := make([]uint64, len(group))
-		for i, op := range group {
-			seqs[i] = n.enqueueRepair(op)
-		}
-		return seqs
+
+	writes := make([]*write, len(replicas))
+	c.issuing[p].Lock()
+	for i, n := range replicas {
+		n.mu.Lock()
+		writes[i] = n.issueLocked(group)
+		n.mu.Unlock()
 	}
+	c.issuing[p].Unlock()
 
 	type outcome struct {
-		n   *node
 		err error
 		had bool // the replica's flag for a lone mutation
 	}
 	results := make(chan outcome, len(replicas))
 	// WithoutCancel keeps the caller's trace values on the node requests
-	// while detaching its cancellation: the straggler drain below runs
-	// after the caller has moved on, and a request-scoped ctx would
-	// abort about-to-succeed replicas and manufacture repair work.
+	// while detaching its cancellation: stragglers run on after the caller
+	// has moved on, and a request-scoped ctx would abort about-to-succeed
+	// replicas and manufacture repair work.
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(callerCtx), c.timeout)
-	for _, n := range replicas {
-		go func(n *node) {
-			rep, err := c.call(ctx, n, &req)
-			results <- outcome{n, err, len(rep.applied) == 1 && rep.applied[0]}
-		}(n)
+	for i, n := range replicas {
+		go func(n *node, w *write) {
+			rep, err := c.send(ctx, n, w)
+			results <- outcome{err, len(rep.applied) == 1 && rep.applied[0]}
+		}(n, writes[i])
 	}
 
 	acks, remaining, flag := 0, len(replicas), false
-	seen := make(map[*node]bool, len(replicas))
 	var errs []error
 	for remaining > 0 && acks < quorum && len(errs) <= len(replicas)-quorum {
 		o := <-results
 		remaining--
-		seen[o.n] = true
 		if o.err != nil {
 			errs = append(errs, o.err)
-			enqueueAll(o.n)
 			continue
 		}
 		acks++
 		flag = flag || o.had
-		for _, op := range group {
-			o.n.clearRepair(op.Entity)
-		}
 	}
-	if remaining > 0 {
-		// Stragglers: not cancelled (aborting an about-to-succeed write
-		// would only manufacture repair work), and pessimistically queued
-		// for repair BEFORE the call returns — the caller may immediately
-		// write the same entity again, and that write's bookkeeping must
-		// order after this one's. When a straggler's ack eventually
-		// drains, a provisional op is cleared only if it is still the
-		// queued one (a newer failed write supersedes it); a straggler
-		// failure simply leaves the provisionals in place. Straggler
-		// outcomes no longer influence the returned error or flag —
-		// quorum semantics, not unanimity.
-		provisional := make(map[*node][]uint64, remaining)
-		for _, n := range replicas {
-			if !seen[n] {
-				provisional[n] = enqueueAll(n)
-			}
-		}
+	if remaining == 0 {
+		cancel()
+	} else {
 		go func(remaining int) {
 			defer cancel()
 			for ; remaining > 0; remaining-- {
-				if o := <-results; o.err == nil {
-					for i, op := range group {
-						o.n.clearRepairIf(op.Entity, provisional[o.n][i])
-					}
-				}
+				<-results
 			}
 		}(remaining)
-	} else {
-		cancel()
 	}
 	c.writeLatency.ObserveSince(start)
 	if !loneRemove {
@@ -229,41 +200,4 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	// the deciding failure: beside an error it means nothing, so it is false.
 	return false, fmt.Errorf("cluster: %w: %d-op write (first %q) to partition %d got %d/%d acks (quorum %d): %w",
 		ErrUnavailable, len(group), group[0].Entity, p, acks, len(replicas), quorum, errors.Join(errs...))
-}
-
-// inOrder holds a write to n until n has answered every earlier write
-// that touches one of its entities, so the node applies one router's
-// writes to an entity in the order they were issued even when they
-// travel on different connections; release, called once this write is
-// answered, lets the next one go. It gives up, unordered, when ctx ends.
-func (n *node) inOrder(ctx context.Context, muts []BulkOp) (release func(), err error) {
-	mine := make(chan struct{})
-	var earlier []chan struct{}
-	n.mu.Lock()
-	for _, m := range muts {
-		if ch, ok := n.writing[m.Entity]; ok && ch != mine {
-			earlier = append(earlier, ch)
-		}
-		n.writing[m.Entity] = mine
-	}
-	n.mu.Unlock()
-	release = func() {
-		n.mu.Lock()
-		for _, m := range muts {
-			if n.writing[m.Entity] == mine {
-				delete(n.writing, m.Entity)
-			}
-		}
-		n.mu.Unlock()
-		close(mine)
-	}
-	for _, ch := range earlier {
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			release()
-			return nil, ctx.Err()
-		}
-	}
-	return release, nil
 }

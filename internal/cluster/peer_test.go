@@ -354,13 +354,18 @@ func TestPeerDialsStayWithinPoolBound(t *testing.T) {
 func TestRepairDrainsBacklogLargerThanAFrame(t *testing.T) {
 	nodes, c := grid(t, 1, 2, -1)
 	lagging := nodes[0][1]
+	lagging.set(func(f *fakeNode) { f.down = true })
 	big := strings.Repeat("x", 64<<10) // one shared element name, 64 KiB on the wire per op
 	var all []BulkOp
 	for i := 0; i < 300; i++ {
 		op := BulkOp{Op: OpAdd, Entity: fmt.Sprintf("e%03d", i), Elements: map[string]uint32{big: 1}}
 		all = append(all, op)
-		c.parts[0][1].enqueueRepair(op)
+		if _, err := c.Apply(context.Background(), []BulkOp{op}); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("write %d with a replica down: %v, want a quorum failure", i, err)
+		}
 	}
+	waitPending(t, c, len(all)) // the down replica's, once the live one has acked
+	lagging.set(func(f *fakeNode) { f.down = false })
 	var b codec.Buffer
 	(&peerRequest{op: peerApply, muts: all}).encode(&b, "")
 	if b.Len() <= frame.MaxFrameLen {

@@ -2,67 +2,92 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
-// pendingOp is one mutation a replica missed, stamped with its place in
-// the node's queue. The queue is keyed by entity and keeps only the
-// LATEST op per (node, entity): replaying the newest upsert (or remove)
-// is sufficient and replaying anything older would be wrong, so order
-// within a re-drive batch does not matter.
-type pendingOp struct {
-	BulkOp
-	seq uint64
+// Every node keeps a write ledger, node.pending: for each entity, the
+// latest op issued to the replica and the request carrying it. A write's
+// place in a replica's order is fixed when it is entered there — by
+// quorumWrite, for every replica of the partition under one lock, before
+// any request starts — not when its goroutine happens to run. An entry
+// leaves the ledger only when a request carrying that very op is
+// acknowledged, so the ledger is at once the order requests go out in
+// and the repair debt: an op counts as owed from issue until ack.
+
+// owed is one ledger entry.
+type owed struct {
+	op   BulkOp
+	done chan struct{} // of the request carrying op
 }
 
-// enqueueRepair records that this node missed (or may have missed) op,
-// returning the queue sequence assigned to it. Caller-side writes
-// enqueue on every per-replica failure — whether or not the write met
-// quorum overall — and pessimistically for every straggler still in
-// flight when the write returns at quorum, so the partition converges
-// either way.
-func (n *node) enqueueRepair(op BulkOp) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// write is one write request to one replica: it waits out the earlier
+// requests for its entities (after), is sent, then settles and closes
+// done.
+type write struct {
+	muts  []BulkOp
+	after []chan struct{}
+	done  chan struct{}
+}
+
+// issueLocked enters muts in n's ledger as one new request; n.mu is held.
+func (n *node) issueLocked(muts []BulkOp) *write {
+	w := &write{muts: muts, done: make(chan struct{})}
 	if n.pending == nil {
-		n.pending = make(map[string]pendingOp)
+		n.pending = make(map[string]owed)
 	}
-	n.seq++
-	n.pending[op.Entity] = pendingOp{op, n.seq}
-	return n.seq
-}
-
-// clearRepair drops any pending op for entity: a newer write just
-// reached the node, so re-driving the old one would resurrect stale
-// state.
-func (n *node) clearRepair(entity string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.pending, entity)
-}
-
-// clearRepairIf drops the pending op for entity only if it is still
-// the one enqueued with seq — the guard straggler bookkeeping needs,
-// since by the time a straggler's ack drains, a NEWER failed write may
-// have queued its own op under the same entity.
-func (n *node) clearRepairIf(entity string, seq uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if cur, ok := n.pending[entity]; ok && cur.seq == seq {
-		delete(n.pending, entity)
+	for _, m := range muts {
+		if prev, ok := n.pending[m.Entity]; ok && prev.done != w.done {
+			w.after = append(w.after, prev.done)
+		}
+		n.pending[m.Entity] = owed{m, w.done}
 	}
+	return w
 }
 
-// RepairNow is the anti-entropy pass: every node with pending repair
-// ops gets them re-driven as write requests of at most repairChunk
+// send runs w on n once the requests it waits out have ended — if ctx
+// ends first, w fails without being sent — and settles it before
+// returning: an ack removes from the ledger every op w still carries, a
+// failure leaves them owed.
+func (c *Cluster) send(ctx context.Context, n *node, w *write) (rep peerReply, err error) {
+	for _, earlier := range w.after {
+		select {
+		case <-earlier:
+		case <-ctx.Done():
+		}
+	}
+	if err = ctx.Err(); err != nil {
+		err = fmt.Errorf("%s %s: %w", n.addr, peerOpNames[peerApply], err)
+	} else {
+		rep, err = c.call(ctx, n, &peerRequest{op: peerApply, muts: w.muts})
+	}
+	if err == nil {
+		n.mu.Lock()
+		for _, m := range w.muts {
+			if n.pending[m.Entity].done == w.done {
+				delete(n.pending, m.Entity)
+			}
+		}
+		n.mu.Unlock()
+	}
+	// Even a request that gave up waiting ends after the ones it waited
+	// for, so a request waiting on w waits those out too.
+	for _, earlier := range w.after {
+		<-earlier
+	}
+	close(w.done)
+	return rep, err
+}
+
+// RepairNow is the anti-entropy pass: every node owing ops gets them
+// re-issued, in one hold of its lock, as requests of at most repairChunk
 // encoded bytes each — a whole backlog in one request could exceed the
-// frame cap and be refused on every pass. An op is cleared only on its
-// own chunk's ack, and only if it is still the one that was sent (a
-// concurrent write may have superseded it mid-flight — its seq then
-// differs and the newer op stays queued). A node that fails a chunk
-// keeps the rest of its queue for the next pass. The background repair
-// loop calls this on its cadence; tests call it directly for
-// determinism.
+// frame cap and be refused on every pass. An op whose request is still
+// in flight goes again once that request ends, and a live write issued
+// later waits for the re-drive, so none can slip in between. After a
+// failed chunk the node's later chunks fail unsent; their ops stay owed
+// for the next pass. The background repair loop calls this on its
+// cadence; tests call it directly for determinism.
 func (c *Cluster) RepairNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, n := range c.nodes {
@@ -71,30 +96,29 @@ func (c *Cluster) RepairNow(ctx context.Context) {
 			n.mu.Unlock()
 			continue
 		}
-		batch := make([]pendingOp, 0, len(n.pending))
-		for _, op := range n.pending {
-			batch = append(batch, op)
+		muts := make([]BulkOp, 0, len(n.pending))
+		for _, o := range n.pending {
+			muts = append(muts, o.op)
+		}
+		var writes []*write
+		for _, chunk := range chunkOps(muts, repairChunk) {
+			writes = append(writes, n.issueLocked(chunk))
 		}
 		n.mu.Unlock()
 
 		wg.Add(1)
-		go func(n *node, batch []pendingOp) {
+		go func(n *node, writes []*write) {
 			defer wg.Done()
-			muts := make([]BulkOp, len(batch))
-			for i, op := range batch {
-				muts[i] = op.BulkOp
-			}
-			for _, chunk := range chunkOps(muts, repairChunk) {
-				if _, err := c.call(ctx, n, &peerRequest{op: peerApply, muts: chunk}); err != nil {
-					return // still lagging; keep the rest of the queue for the next pass
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			for _, w := range writes {
+				if _, err := c.send(ctx, n, w); err != nil {
+					cancel() // still lagging
+				} else {
+					c.repairs.Add(int64(len(w.muts)))
 				}
-				c.repairs.Add(int64(len(chunk)))
-				for _, op := range batch[:len(chunk)] {
-					n.clearRepairIf(op.Entity, op.seq)
-				}
-				batch = batch[len(chunk):]
 			}
-		}(n, batch)
+		}(n, writes)
 	}
 	wg.Wait()
 }
@@ -103,8 +127,9 @@ func (c *Cluster) RepairNow(ctx context.Context) {
 // frame.MaxFrameLen.
 const repairChunk = 1 << 20
 
-// PendingRepairs reports the total queued repair ops across nodes —
-// zero once anti-entropy has converged every replica.
+// PendingRepairs reports the total ops owed across nodes — issued and
+// not yet acknowledged, stragglers included — zero once every replica
+// has acknowledged every write.
 func (c *Cluster) PendingRepairs() int {
 	total := 0
 	for _, n := range c.nodes {

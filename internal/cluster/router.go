@@ -260,7 +260,7 @@ type NodeStatus struct {
 	Entities      int       `json:"entities"`
 	Mutations     int64     `json:"mutations"`
 	Shards        int       `json:"shards"`
-	PendingRepair int       `json:"pending_repair"`
+	PendingRepair int       `json:"pending_repair"` // ops owed: issued to the node, not yet acknowledged
 }
 
 // Stats is the router's view of the cluster.
@@ -274,9 +274,10 @@ type Stats struct {
 	Failovers  int64 `json:"failovers"`
 	WriteFails int64 `json:"write_fails"`
 	Repairs    int64 `json:"repairs"`
-	// RepairBacklog is the current total of pending repair ops across
-	// nodes — the live anti-entropy debt, where Repairs counts ops
-	// already re-driven.
+	// RepairBacklog is the current total of owed ops across nodes —
+	// each counted from issue until its replica acknowledges it, so a
+	// straggler's ops count as well as a failed replica's — where Repairs
+	// counts ops already re-driven.
 	RepairBacklog int          `json:"repair_backlog"`
 	Nodes         []NodeStatus `json:"nodes"`
 }

@@ -633,8 +633,8 @@ func (s *routerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("vsmart_cluster_hedge_wins_total", "Hedged attempts whose answer won the race.", float64(st.HedgeWins))
 	p.counter("vsmart_cluster_failovers_total", "Query attempts failed over to another replica.", float64(st.Failovers))
 	p.counter("vsmart_cluster_write_fails_total", "Writes that missed their quorum.", float64(st.WriteFails))
-	p.counter("vsmart_cluster_repairs_total", "Missed writes re-driven by anti-entropy.", float64(st.Repairs))
-	p.gauge("vsmart_cluster_repair_backlog", "Missed writes currently queued for anti-entropy.", float64(st.RepairBacklog))
+	p.counter("vsmart_cluster_repairs_total", "Owed write ops re-driven by anti-entropy.", float64(st.Repairs))
+	p.gauge("vsmart_cluster_repair_backlog", "Write ops owed across replicas, each from issue until its replica acknowledges it.", float64(st.RepairBacklog))
 	p.histogram("vsmart_cluster_query_latency_seconds", "Scatter-gather query latency end to end.", m.Query)
 	p.histogram("vsmart_cluster_write_latency_seconds", "Quorum write latency to decision.", m.Write)
 	p.header("vsmart_cluster_node_healthy", "gauge", "Per-node health as last observed by this router (1 healthy, 0 not).")
@@ -645,7 +645,7 @@ func (s *routerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p.labeled("vsmart_cluster_node_healthy", [][2]string{{"node", n.Addr}, {"partition", fmt.Sprint(n.Partition)}}, v)
 	}
-	p.header("vsmart_cluster_node_pending_repair", "gauge", "Missed writes queued for this node.")
+	p.header("vsmart_cluster_node_pending_repair", "gauge", "Write ops owed by this node, from issue until acknowledged.")
 	for _, n := range st.Nodes {
 		p.labeled("vsmart_cluster_node_pending_repair", [][2]string{{"node", n.Addr}, {"partition", fmt.Sprint(n.Partition)}}, float64(n.PendingRepair))
 	}
