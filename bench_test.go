@@ -446,10 +446,10 @@ func BenchmarkZipfRepeatedQuery(b *testing.B) {
 
 // BenchmarkShardedQuery compares the query pass across shard widths:
 // threshold and top-k queries against the identical 10k-entity dataset
-// partitioned 1/4/8 ways. Sharding buys per-shard write locks; a query
-// visits every shard in turn, and its single-client latency here is the
-// cost side of that trade — and the row a parallel walk would have to
-// beat (README "Shard-count guidance").
+// partitioned 1/4/8 ways. A query visits every shard in turn, and its
+// single-client latency here is what each extra shard costs — and the
+// row a parallel walk would have to beat (README "Shard-count
+// guidance").
 func BenchmarkShardedQuery(b *testing.B) {
 	entities := benchIndexEntities(10000)
 	for _, shards := range []int{1, 4, 8} {
@@ -634,8 +634,8 @@ func benchColdStartDataset(n int) *Dataset {
 }
 
 // BenchmarkBulkBuild measures the offline cold-start path: materialize a
-// corpus as per-shard snapshot files (one batch job, no WAL appends) and
-// open them. Compare with BenchmarkColdStartPerAdd on the same corpus.
+// corpus as one snapshot file (one batch job, no WAL appends) and open
+// it. Compare with BenchmarkColdStartPerAdd on the same corpus.
 func BenchmarkBulkBuild(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		d := benchColdStartDataset(n)
@@ -664,7 +664,7 @@ func BenchmarkBulkBuild(b *testing.B) {
 // the default snapshot cadence a daemon runs under — the only bootstrap
 // that existed before the bulk builder. The periodic snapshots make
 // this path superlinear in corpus size (every 4096 Adds rewrite the
-// shard so far), which is exactly why bulk loads do not belong on it.
+// index so far), which is exactly why bulk loads do not belong on it.
 func BenchmarkColdStartPerAdd(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		d := benchColdStartDataset(n)

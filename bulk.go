@@ -13,9 +13,9 @@ import (
 
 // BuildStats reports what BuildIndexFiles wrote.
 type BuildStats struct {
-	// Entities is the number of entities written across all shards.
+	// Entities is the number of entities written.
 	Entities int64
-	// Shards is the shard count of the written layout.
+	// Shards is the shard count the written snapshot records.
 	Shards int
 	// SimulatedSeconds is the simulated cluster time of the underlying
 	// MapReduce build job (the same cost model AllPairs reports).
@@ -29,14 +29,15 @@ type BuildStats struct {
 // at opts.Dir — the offline bulk path. Where BuildIndex with a Dir
 // WAL-appends every entity through the serving code, BuildIndexFiles
 // streams the corpus through the batch MapReduce machinery and writes
-// each shard's generation-1 snapshot file directly: cold-starting a
+// the index's generation-1 snapshot file directly: cold-starting a
 // large corpus becomes one batch job instead of a million logged Adds.
 // The directory then opens with OpenIndex (or vsmartjoind -data-dir)
 // with zero WAL records to replay, answers queries exactly like an
 // index built by the same Adds, and accepts further durable mutations.
 //
 // opts.Dir is required and must not already hold anything; Measure and
-// Shards mean what they do for NewIndex and are fixed into the layout.
+// Shards mean what they do for NewIndex and are recorded in the
+// snapshot's header.
 // SnapshotEvery plays no role at build time. Entity IDs are assigned in
 // dataset insertion order, exactly as BuildIndex's Adds would assign
 // them, so the two paths produce identical results down to tie-breaks.

@@ -6,14 +6,18 @@ package vsmartjoin
 // serving path. The differential sweep runs shard counts {1, 3, 8}
 // against several measures, checks that opening a bulk-built dir
 // replays zero WAL records, and continues mutating after open so the
-// write-ahead logs demonstrably resume on top of bulk-built snapshots.
+// write-ahead log demonstrably resumes on top of the bulk-built
+// snapshot. The built snapshot is also byte for byte the one an index
+// holding the same entities writes, and it opens at any shard count.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,16 +80,14 @@ func TestBulkBuiltEqualsIncremental(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// The whole point of the bulk path: nothing to replay.
-				// Every shard must open at generation 1 with an empty WAL.
-				wals := walFiles(t, dir)
-				if len(wals) != shards {
-					t.Fatalf("%d wal files for %d shards: %v", len(wals), shards, wals)
+				// The whole point of the bulk path: nothing to replay. The
+				// dir opens at generation 1, one snapshot and one empty WAL
+				// whatever the shard count.
+				if got := dirNames(t, dir); !slices.Equal(got, []string{"snap-00000001", "wal-00000001"}) {
+					t.Fatalf("bulk-built dir at %d shards holds %v", shards, got)
 				}
-				for path, size := range wals {
-					if size != 0 {
-						t.Fatalf("bulk-built dir has %d WAL bytes to replay in %s", size, path)
-					}
+				if size := walFiles(t, dir)[filepath.Join(dir, "wal-00000001")]; size != 0 {
+					t.Fatalf("bulk-built dir has %d WAL bytes to replay", size)
 				}
 				if g := bulk.Generation(); g != 1 {
 					t.Fatalf("bulk-built index opened at generation %d, want 1", g)
@@ -203,8 +205,23 @@ func TestBulkBuildValidation(t *testing.T) {
 	}
 }
 
+// dirNames lists a directory's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // TestOpenIndexLayout covers OpenIndex/NewIndex against the on-disk
-// shard layout: missing dirs, shard-count adoption and mismatch.
+// layout: missing dirs, shard-count adoption, the refused per-shard
+// layout, and a file that is not a current snapshot.
 func TestOpenIndexLayout(t *testing.T) {
 	if _, err := OpenIndex(IndexOptions{}); err == nil {
 		t.Fatal("OpenIndex without Dir should fail")
@@ -226,7 +243,7 @@ func TestOpenIndexLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shards: 0 adopts the on-disk count; a mismatch is refused.
+	// Shards: 0 adopts the recorded count.
 	ix, err := OpenIndex(IndexOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -234,158 +251,138 @@ func TestOpenIndexLayout(t *testing.T) {
 	if got := ix.Stats().Shards; got != 3 {
 		t.Fatalf("adopted %d shards, want 3", got)
 	}
-	ix.Close()
-	if _, err := OpenIndex(IndexOptions{Dir: dir, Shards: 2}); err == nil {
-		t.Fatal("shard-count mismatch should fail")
-	}
-	if _, err := NewIndex(IndexOptions{Dir: dir, Shards: 2}); err == nil {
-		t.Fatal("NewIndex must refuse a mismatched shard count too")
-	}
-
-	// A legacy flat layout (generation files directly in the dir) is a
-	// hard error, not an empty index.
-	legacy := t.TempDir()
-	//lint:vsmart-allow framesafety test plants a bogus legacy snap file by hand to prove NewIndex rejects the flat layout
-	if err := os.WriteFile(filepath.Join(legacy, "snap-00000001"), []byte("old"), 0o644); err != nil {
+	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewIndex(IndexOptions{Dir: legacy}); err == nil {
-		t.Fatal("legacy layout should fail")
+
+	// A dir of the retired per-shard layout is refused, not opened as an
+	// empty index beside the data it holds.
+	perShard := t.TempDir()
+	if err := os.Mkdir(filepath.Join(perShard, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func(IndexOptions) (*Index, error){NewIndex, OpenIndex} {
+		if _, err := open(IndexOptions{Dir: perShard}); err == nil || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("per-shard layout: %v, want a rebuild error", err)
+		}
+	}
+
+	// A file under a snapshot name that is not a current snapshot is a
+	// hard error, not an empty index.
+	bogus := t.TempDir()
+	//lint:vsmart-allow framesafety test plants a bogus snap file by hand to prove NewIndex rejects it
+	if err := os.WriteFile(filepath.Join(bogus, "snap-00000001"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewIndex(IndexOptions{Dir: bogus}); err == nil {
+		t.Fatal("a bogus snapshot should fail")
 	}
 }
 
-// TestCrossShardNameConflictRecovery pins the recovery merge rule for
-// the one inconsistency a machine crash can leave behind with per-shard
-// logs: a name's remove lost from one shard's un-fsynced WAL tail while
-// its re-add (a higher ID, in another shard) survived. The higher ID
-// must win and the stale entity must not resurrect.
-func TestCrossShardNameConflictRecovery(t *testing.T) {
-	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 2, SnapshotEvery: -1}
-	ix, err := NewIndex(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive add/remove/re-add of one name until the two generations of
-	// "victim" land in different shard logs (IDs grow by burning filler
-	// adds, so routing eventually differs). appendAndLocate identifies
-	// the shard log a mutation reached by diffing WAL sizes.
-	filler := 0
-	appendAndLocate := func(mutate func()) string {
-		before := walFiles(t, dir)
-		mutate()
-		for path, size := range walFiles(t, dir) {
-			if size > before[path] {
-				return path
-			}
-		}
-		t.Fatal("no wal grew")
-		return ""
-	}
-
-	firstShard := appendAndLocate(func() {
-		if err := ix.Add("victim", map[string]uint32{"v": 1}); err != nil {
+// TestBulkBuiltSnapshotIsIndexSnapshot pins one definition of an index's
+// persisted state: the bulk builder's snap-00000001 is byte for byte the
+// snapshot an index writes after AddDataset-ing the same dataset (its
+// generation, in the file name, aside), at 1 and at 3 shards, and the
+// empty snapshot NewIndex creates a dir with is the one an empty build
+// writes.
+func TestBulkBuiltSnapshotIsIndexSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	d := datasetOf(randomEntities(rng, 50, 30, 8, 4))
+	readSnap := func(dir string, gen int) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("snap-%08d", gen)))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	removeAt := appendAndLocate(func() {
-		if _, err := ix.Remove("victim"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if removeAt != firstShard {
-		t.Fatalf("remove logged to %s, add to %s", removeAt, firstShard)
+		return data
 	}
-	removeEnd := walFiles(t, dir)[removeAt]
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			built := filepath.Join(t.TempDir(), "built")
+			if _, err := BuildIndexFiles(d, IndexOptions{Dir: built, Shards: shards}); err != nil {
+				t.Fatal(err)
+			}
+			emptyBuilt := filepath.Join(t.TempDir(), "empty")
+			if _, err := BuildIndexFiles(NewDataset(), IndexOptions{Dir: emptyBuilt, Shards: shards}); err != nil {
+				t.Fatal(err)
+			}
 
-	// Re-add under fresh IDs until the record lands in the other shard.
-	secondShard := ""
-	for i := 0; i < 64; i++ {
-		secondShard = appendAndLocate(func() {
-			if err := ix.Add(fmt.Sprintf("filler-%d", filler), map[string]uint32{"f": 1}); err != nil {
+			served := t.TempDir()
+			ix, err := NewIndex(IndexOptions{Dir: served, Shards: shards, SnapshotEvery: -1})
+			if err != nil {
 				t.Fatal(err)
 			}
-			filler++
-			if _, err := ix.Remove(fmt.Sprintf("filler-%d", filler-1)); err != nil {
+			defer ix.Close()
+			if !bytes.Equal(readSnap(served, 1), readSnap(emptyBuilt, 1)) {
+				t.Fatal("NewIndex's creation snapshot differs from an empty build's")
+			}
+			if err := ix.AddDataset(d); err != nil {
 				t.Fatal(err)
+			}
+			if err := ix.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if got := dirNames(t, served); !slices.Equal(got, []string{"snap-00000002", "wal-00000002"}) {
+				t.Fatalf("served dir holds %v", got)
+			}
+			if !bytes.Equal(readSnap(served, 2), readSnap(built, 1)) {
+				t.Fatal("Snapshot() after AddDataset differs from the bulk-built snapshot")
 			}
 		})
-		probe := appendAndLocate(func() {
-			if err := ix.Add("victim", map[string]uint32{"v": 9}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if probe != firstShard {
-			secondShard = probe
+	}
+}
+
+// TestOpenIndexRepartitions: the shard count a snapshot records is a
+// default, not a contract. A dir built at 3 shards opens at 1 and at 5
+// and answers exactly like an index that never touched the disk, before
+// and after mutations; the count in force when a snapshot is cut is the
+// one the next Shards 0 open adopts.
+func TestOpenIndexRepartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	entities := randomEntities(rng, 60, 30, 8, 4)
+	d := datasetOf(entities)
+	var probes []map[string]uint32
+	for _, counts := range entities {
+		probes = append(probes, counts)
+		if len(probes) == 6 {
 			break
 		}
-		if _, err := ix.Remove("victim"); err != nil {
-			t.Fatal(err)
-		}
-		secondShard = ""
 	}
-	if secondShard == "" {
-		t.Skip("could not split the name across shards in 64 tries (improbable)")
-	}
-
-	// Machine crash: firstShard's tail (the remove of the old victim and
-	// everything after) never hit the platter; secondShard's later add
-	// survived. Truncate to simulate, then abandon the index (no Close).
-	if err := os.Truncate(removeAt, removeEnd-1); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenIndex(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.QueryEntity("victim", 0); err != nil {
-		t.Fatalf("victim did not survive: %v", err)
-	}
-	// Every filler was added and then removed within one shard log, so
-	// after recovery the victim must be the only live entity — a higher
-	// Len means the stale generation resurrected as a ghost.
-	if got := re.Len(); got != 1 {
-		t.Fatalf("recovered %d entities, want 1", got)
-	}
-	// The newer add (count 9) must be the live one, and exactly one
-	// victim must exist: querying its elements finds it once.
-	matches, err := re.QueryThreshold(map[string]uint32{"v": 9}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var victims int
-	for _, m := range matches {
-		if m.Entity == "victim" {
-			victims++
-			if m.Similarity != 1 {
-				t.Fatalf("stale victim generation survived: %+v", m)
+	for _, shards := range []int{1, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			oracle, err := BuildIndex(d, IndexOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if victims != 1 {
-		t.Fatalf("%d victims after recovery, want 1 (%v)", victims, matches)
-	}
-
-	// The conflict was resolved on disk too (the losing shard was
-	// re-snapshotted at open): removing the winner and reopening must
-	// not resurrect the stale pre-crash generation from the old files.
-	if removed, err := re.Remove("victim"); err != nil || !removed {
-		t.Fatalf("remove recovered victim: %v %v", removed, err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re2, err := OpenIndex(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if _, err := re2.QueryEntity("victim", 0); err == nil {
-		t.Fatal("stale victim resurrected from the superseded shard's files")
-	}
-	if got := re2.Len(); got != 0 {
-		t.Fatalf("%d entities after removing the last one, want 0", got)
+			dir := filepath.Join(t.TempDir(), "idx")
+			if _, err := BuildIndexFiles(d, IndexOptions{Dir: dir, Shards: 3}); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := OpenIndex(IndexOptions{Dir: dir, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ix.Stats().Shards; got != shards {
+				t.Fatalf("opened at %d shards, want %d", got, shards)
+			}
+			mustAgree(t, "re-partitioned", ix, oracle, probes)
+			for _, tgt := range []*Index{ix, oracle} {
+				mustAdd(t, tgt, "fresh", map[string]uint32{"e1": 2, "e2": 1})
+				mustRemove(t, tgt, "entity-000")
+			}
+			mustAgree(t, "re-partitioned, mutated", ix, oracle, probes)
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenIndex(IndexOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.Stats().Shards; got != shards {
+				t.Fatalf("reopened at %d shards, want the %d the last snapshot recorded", got, shards)
+			}
+			mustAgree(t, "reopened", re, oracle, probes)
+		})
 	}
 }

@@ -11,9 +11,9 @@
 // line, "entityA<TAB>entityB<TAB>similarity", sorted.
 //
 // With -build-index the trace is not joined: it streams through the
-// batch machinery into a durable index directory — per-shard snapshot
-// files a vsmartjoind daemon (or vsmartjoin.OpenIndex) opens instantly,
-// with no write-ahead log to replay. This is the cold-start path for
+// batch machinery into a durable index directory — one snapshot file a
+// vsmartjoind daemon (or vsmartjoin.OpenIndex) opens instantly, with no
+// write-ahead log to replay. This is the cold-start path for
 // large corpora: one batch job instead of one logged Add per entity.
 //
 // With -knn k the trace is not threshold-joined either: the batch
@@ -60,7 +60,7 @@ func main() {
 		showStats  = flag.Bool("stats", false, "print simulated cluster stats to stderr")
 		knnK       = flag.Int("knn", 0, "compute each entity's k nearest neighbors (distance 1-similarity) instead of a threshold join")
 		buildIndex = flag.String("build-index", "", "bulk-build a durable serving index into this directory instead of joining")
-		shards     = flag.Int("shards", 1, "shard count of the built index (with -build-index)")
+		shards     = flag.Int("shards", 1, "shard count the built index records, the count an opening daemon adopts by default (with -build-index)")
 		partitions = flag.Int("build-cluster", 0, "with -build-index: carve the corpus into this many per-node index directories (node-000, ...) for a vsmartjoind cluster")
 	)
 	flag.Parse()

@@ -24,15 +24,16 @@
 // names either "elements" or an indexed "entity", and either a
 // "threshold" in [0,1] or a positive "topk".
 //
-// With -data-dir the index is durable: mutations are written ahead to a
-// per-shard log under the directory, snapshots truncate each shard's
-// log every -snapshot-every mutations (or on POST /snapshot), and a
-// killed daemon restarts into exactly its prior state. -durability
-// sync additionally fsyncs before every acknowledgement, group-
-// committed so concurrent writers (and /bulk batches) share one fsync;
-// -group-commit-window tunes how long the committer waits for company.
-// -shards partitions the index for per-shard write locking; a query
-// visits every shard in turn (0 adopts the shard count found on disk).
+// With -data-dir the index is durable: mutations are written ahead to
+// one log in the directory, a snapshot truncates it every
+// -snapshot-every mutations (or on POST /snapshot), and a killed daemon
+// restarts into exactly its prior state. -durability sync additionally
+// fsyncs before every acknowledgement, group-committed so concurrent
+// writers (and /bulk batches) share one fsync; -group-commit-window
+// tunes how long the committer waits for company. -shards partitions
+// the index in memory; a query visits every shard in turn and writes
+// serialize on the index either way (0 adopts the shard count the
+// data dir's snapshot records; any other count re-partitions on load).
 // On SIGINT/SIGTERM
 // the daemon stops accepting connections, drains in-flight requests —
 // the routers' peer connections included — writes a final snapshot,
@@ -98,8 +99,8 @@ func main() {
 		addr          = flag.String("addr", "localhost:8321", "listen address")
 		measure       = flag.String("measure", "ruzicka", "similarity measure: ruzicka, jaccard, dice, set-dice, cosine, set-cosine, vector-cosine, overlap")
 		load          = flag.String("load", "", "TSV trace to preload (entity<TAB>element[<TAB>count] per line, .gz accepted)")
-		shards        = flag.Int("shards", 0, "hash-partitioned index shards (per-shard write locks; a query visits each in turn); 0 = adopt an existing data-dir's count, else 1")
-		dataDir       = flag.String("data-dir", "", "durability directory (per-shard write-ahead logs + snapshots); empty = volatile")
+		shards        = flag.Int("shards", 0, "hash-partitioned in-memory index shards (a query visits each in turn; writes serialize either way); 0 = adopt an existing data-dir's recorded count, else 1")
+		dataDir       = flag.String("data-dir", "", "durability directory (one write-ahead log + snapshot); empty = volatile")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (needs -data-dir; negative = only on /snapshot and shutdown)")
 		durability    = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)
 		gcWindow      = flag.Duration("group-commit-window", 0, "how long the group committer waits for concurrent writes to share one fsync (-durability sync; 0 = default 200µs)")

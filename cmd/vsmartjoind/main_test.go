@@ -613,8 +613,8 @@ func TestOpenIndexBulkBootstrap(t *testing.T) {
 	if got, _ := ready["mutations"].(float64); got != 3 {
 		t.Fatalf("/readyz after bulk bootstrap reports mutations %v, want 3 (%v)", ready["mutations"], ready)
 	}
-	// Bulk path means snapshot files, not WAL records: every shard WAL
-	// must be empty right after the bootstrap.
+	// Bulk path means a snapshot file, not WAL records: the WAL must be
+	// empty right after the bootstrap.
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err

@@ -60,22 +60,22 @@
 //     durable index records it in every snapshot and refuses to reopen
 //     under a different one.
 //
-//   - Shards hash-partitions the index by entity: mutations lock only
-//     the owning shard, and a query walks the shards in turn on its
-//     caller's goroutine, carrying one top-k floor through all of them,
-//     to exactly the single-shard answer (internal/shard).
-//     For a durable index the count is part of the on-disk layout (one
-//     log directory per shard); Shards == 0 adopts an existing dir's
-//     count.
+//   - Shards hash-partitions the index in memory by entity: a query
+//     walks the shards in turn on its caller's goroutine, carrying one
+//     top-k floor through all of them, to exactly the single-shard
+//     answer (internal/shard). Writes serialize on the index whatever
+//     the count. A durable index's snapshots record the count, which
+//     Shards == 0 adopts on reopen; any other count re-partitions.
 //
 //   - Dir makes the index durable: every mutation is appended to the
-//     owning shard's write-ahead log before it is applied, so a killed
+//     index's one write-ahead log before it is applied, so a killed
 //     process — even one dying mid-append, leaving a torn frame —
-//     reopens into exactly its prior state (internal/wal).
+//     reopens into exactly its prior state (internal/wal). The dir
+//     holds one snapshot and one log at any shard count.
 //
-//   - SnapshotEvery sets how many mutations logged to one shard trigger
-//     an automatic snapshot of that shard, which truncates its log;
-//     Snapshot forces one for every shard and Close writes final ones.
+//   - SnapshotEvery sets how many logged mutations trigger an automatic
+//     snapshot, which truncates the log; Snapshot forces one and Close
+//     writes a final one.
 //
 //   - Durability picks the acknowledgement contract: DurabilityOS (the
 //     default) acknowledges once the WAL append reaches the OS, while
@@ -104,8 +104,8 @@
 // Every write is a Mutation — an upsert (OpAdd) or a removal (OpRemove)
 // of one named entity — and every write goes through one method,
 // Index.Apply (Cluster.Apply over a cluster), which takes a batch of
-// them: the batch is appended to each touched shard's log as a single
-// write and applied under one lock acquisition per shard, with
+// them: the batch is appended to the log as a single write and applied
+// under one lock acquisition per touched shard, all or nothing, with
 // last-write-wins for repeated upserts of an entity inside a batch.
 // Add, Remove, AddBatch and RemoveBatch are conveniences that build the
 // batch — a batch of one pays one lock acquisition and one WAL append.
@@ -127,7 +127,7 @@
 // Cold-starting a large corpus through Apply would write every entity
 // to a WAL first — a million logged records before the first query.
 // BuildIndexFiles instead runs the corpus through the batch MapReduce
-// machinery (internal/build) and writes every shard's snapshot file
+// machinery (internal/build) and writes the index's snapshot file
 // directly; OpenIndex then loads the result with zero WAL records to
 // replay, through a sealed bulk-load path that skips the upsert
 // machinery entirely:
@@ -143,7 +143,8 @@
 // A bulk-built directory is indistinguishable from one the serving path
 // wrote: it answers queries identically to an index built by the same
 // Adds (down to tie-breaks) and accepts further durable mutations, with
-// the write-ahead logs resuming on top of the built snapshots. The
+// the write-ahead log resuming on top of the built snapshot — which is
+// byte for byte the snapshot such an index would write. The
 // cmd/vsmartjoin -build-index flag exposes the builder on the command
 // line, and cmd/vsmartjoind bootstraps through it when -load points at
 // a trace and -data-dir at a directory with no index yet.

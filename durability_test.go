@@ -23,29 +23,25 @@ import (
 	"time"
 )
 
-// walPaths lists every shard WAL file under the data dir (via
-// bulk_test.go's walFiles), sorted for deterministic selection under a
-// seeded rng.
-func walPaths(t *testing.T, dir string) []string {
+// walPath returns the data dir's one WAL file (via bulk_test.go's
+// walFiles): an index keeps one log whatever its shard count.
+func walPath(t *testing.T, dir string) string {
 	t.Helper()
-	var wals []string
-	for path := range walFiles(t, dir) {
-		wals = append(wals, path)
+	wals := walFiles(t, dir)
+	if len(wals) != 1 {
+		t.Fatalf("want exactly one wal file, got %v", wals)
 	}
-	sort.Strings(wals)
-	return wals
+	for path := range wals {
+		return path
+	}
+	return ""
 }
 
-// tearWALTail appends a partial frame to one shard's current WAL file
-// under the data dir, simulating a process killed mid-append. The shard
-// is chosen at random: any shard's log must recover from a torn tail.
+// tearWALTail appends a partial frame of random length to the data
+// dir's current WAL file, simulating a process killed mid-append.
 func tearWALTail(t *testing.T, dir string, rng *rand.Rand) {
 	t.Helper()
-	wals := walPaths(t, dir)
-	if len(wals) == 0 {
-		t.Fatal("no wal file to tear")
-	}
-	f, err := os.OpenFile(wals[rng.Intn(len(wals))], os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(walPath(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +253,30 @@ func TestDurableOptionValidation(t *testing.T) {
 	if _, err := NewIndex(IndexOptions{Measure: "jaccard", Dir: dir}); err == nil {
 		t.Fatal("measure mismatch should fail")
 	}
+
+	// The same before the first snapshot a mutation triggers: creating a
+	// durable dir writes an empty snapshot recording the measure, so a
+	// crash right after the first Add cannot reopen under another one.
+	crashed := t.TempDir()
+	abandoned, err := NewIndex(IndexOptions{Measure: "ruzicka", Dir: crashed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := abandoned.Add("a", map[string]uint32{"x": 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: abandoned is never closed, so no snapshot beyond the first.
+	if re, err := NewIndex(IndexOptions{Measure: "jaccard", Dir: crashed}); err == nil {
+		t.Fatalf("a crashed dir reopened under another measure: len=%d measure=%s", re.Len(), re.Stats().Measure)
+	}
+	re, err := OpenIndex(IndexOptions{Dir: crashed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 1 || re.Stats().Measure != "ruzicka" {
+		t.Fatalf("reopened len=%d measure=%s, want 1 ruzicka", re.Len(), re.Stats().Measure)
+	}
 }
 
 // TestDifferentialShardedIndex is the public sharded gate: for shard
@@ -351,10 +371,19 @@ func indexAgrees(got, oracle *Index, probes []map[string]uint32) bool {
 // group-commit acknowledgement boundary — everything acknowledged
 // before the batch (the base) must survive every cut, and the recovered
 // state must always equal base + some prefix of the torn batch, never a
-// subset with holes and never invented records.
+// subset with holes and never invented records. At 3 shards the batch
+// spreads over every shard, and its prefix must still be a prefix in
+// batch order: the shards share the one log, so a cut is a cut of one
+// history.
 func TestCrashRecoveryMidGroupCommit(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { crashMidGroupCommit(t, shards) })
+	}
+}
+
+func crashMidGroupCommit(t *testing.T, shards int) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 1, SnapshotEvery: -1,
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: shards, SnapshotEvery: -1,
 		Durability: DurabilitySync, GroupCommitWindow: 50 * time.Microsecond}
 	ix, err := NewIndex(opts)
 	if err != nil {
@@ -373,11 +402,8 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 	if err := ix.AddBatch(base); err != nil {
 		t.Fatal(err)
 	}
-	wals := walPaths(t, dir)
-	if len(wals) != 1 {
-		t.Fatalf("want exactly one wal file, got %v", wals)
-	}
-	fi, err := os.Stat(wals[0])
+	wal := walPath(t, dir)
+	fi, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +451,7 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	lastJ := len(tail)
 	for round := 0; ; round++ {
-		fi, err := os.Stat(wals[0])
+		fi, err := os.Stat(wal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +467,7 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 			if cut < baseSize {
 				cut = baseSize
 			}
-			if err := os.Truncate(wals[0], cut); err != nil {
+			if err := os.Truncate(wal, cut); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -129,7 +129,7 @@ func main() {
 
 	// 6. Bulk bootstrap: cold-starting a corpus through Add writes one
 	// WAL record per entity; BuildIndexFiles runs it through the batch
-	// MapReduce machinery instead and writes each shard's snapshot file
+	// MapReduce machinery instead and writes the index's snapshot file
 	// directly. The directory opens with nothing to replay and accepts
 	// further durable mutations.
 	corpus := vsmartjoin.NewDataset()
@@ -158,7 +158,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer bulk.Close()
-	fmt.Printf("\nbulk-built %d entities into %d shard snapshots; opened %d at generation %d with no WAL replay\n",
+	fmt.Printf("\nbulk-built %d entities into one snapshot (%d shards recorded); opened %d at generation %d with no WAL replay\n",
 		bs.Entities, bs.Shards, bulk.Len(), bulk.Generation())
 
 	fmt.Println("\nserve the same index over HTTP with: go run ./cmd/vsmartjoind -data-dir <dir> -shards 4")

@@ -1,11 +1,10 @@
 package vsmartjoin
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,12 +32,12 @@ var ErrIndexClosed = errors.New("vsmartjoin: index is closed")
 var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 
 // defaultSnapshotEvery is the automatic snapshot cadence: the number of
-// mutations logged to one shard after which that shard cuts a snapshot
-// and truncates its write-ahead log.
+// mutations logged after which the index cuts a snapshot and truncates
+// its write-ahead log.
 const defaultSnapshotEvery = 4096
 
 // maxShards bounds IndexOptions.Shards: every query visits every shard,
-// and past this that walk dwarfs any lock-contention win.
+// and past this the walk costs far more than any shard saves.
 const maxShards = 1024
 
 // defaultGroupCommitWindow is how long the group committer waits after
@@ -48,8 +47,7 @@ const maxShards = 1024
 const defaultGroupCommitWindow = 200 * time.Microsecond
 
 // applyChunk caps how many mutations AddDataset, walking a corpus,
-// passes to one Apply call: the batch each shard applies under one lock
-// acquisition and one WAL append covers.
+// passes to one Apply call: the batch one WAL append covers.
 const applyChunk = 256
 
 // Durability selects how a durable index acknowledges mutations.
@@ -59,7 +57,7 @@ const (
 	// DurabilityOS (the default) pushes every WAL record to the
 	// operating system before the mutation is acknowledged but fsyncs
 	// only at snapshots and Close: a process crash loses nothing, a
-	// machine crash can lose the un-fsynced tail of each shard's log.
+	// machine crash can lose the un-fsynced tail of the log.
 	DurabilityOS Durability = iota
 	// DurabilitySync acknowledges a mutation only after an fsync covers
 	// its WAL record. Fsyncs are group-committed: a committer goroutine
@@ -79,38 +77,37 @@ type IndexOptions struct {
 	Measure string
 
 	// Shards is the number of hash-partitioned sub-indexes, in
-	// [0, 1024], 0 = default (1, or the count of an existing data dir).
-	// Entities are routed to shards by their ID, a query visits the
-	// shards one after another on its caller's goroutine, and mutations
-	// lock only the owning shard — identical results to one shard, but
-	// writers stop serializing against the whole dataset. Shard counts
-	// around GOMAXPROCS are a good default for write-heavy loads; a
-	// read-only index gains nothing from sharding.
+	// [0, 1024], 0 = default (1, or the count an existing data dir
+	// records). Shards are an in-memory layout for the query walk:
+	// entities are routed to shards by their ID and a query visits the
+	// shards one after another on its caller's goroutine, with results
+	// identical to one shard. Writes serialize on the index either way,
+	// so sharding buys no write concurrency; README "Shard-count
+	// guidance" has what a second shard costs a query.
 	//
-	// For a durable index the shard count is part of the on-disk layout
-	// (one log directory per shard). Opening an existing data dir with
-	// Shards == 0 adopts the count found on disk; a nonzero count that
-	// disagrees with the disk is refused, since the routing hash would
-	// scatter entities away from the files that hold them.
+	// A durable index keeps one write-ahead log whatever its shard
+	// count, and its snapshots record the count only as a default:
+	// opening an existing data dir with Shards == 0 adopts the recorded
+	// count, and any other count re-partitions the entities on load.
 	Shards int
 
 	// Dir, when non-empty, makes the index durable: every Add/Remove is
-	// appended to the owning shard's write-ahead log under Dir before it
-	// is applied, and periodic snapshots truncate the logs. NewIndex
+	// appended to the index's write-ahead log under Dir before it is
+	// applied, and periodic snapshots truncate the log. NewIndex
 	// recovers the prior state (snapshot load + log replay, tolerating a
-	// torn final frame) from a Dir that already holds one; OpenIndex
-	// does the same but refuses to start fresh. Empty means fully
-	// in-memory. The layout under Dir is one subdirectory per shard
-	// ("shard-000", ...), each holding one snap-<gen>/wal-<gen>
-	// generation — the same files the bulk builder (BuildIndexFiles)
-	// writes, so a batch-built dir and a serving-written dir are
-	// interchangeable.
+	// torn final frame) from a Dir that already holds one, and otherwise
+	// creates it with an empty snapshot recording Measure and Shards;
+	// OpenIndex does the same but refuses to start fresh. Empty means
+	// fully in-memory. Dir holds one generation, snap-<gen> plus
+	// wal-<gen>, at any shard count — the same files the bulk builder
+	// (BuildIndexFiles) writes, so a batch-built dir and a
+	// serving-written dir are interchangeable.
 	Dir string
 
-	// SnapshotEvery is the number of mutations logged to one shard
-	// between automatic snapshots of that shard (default 4096). Negative
-	// disables automatic snapshots — the logs then grow until Snapshot
-	// or Close. Ignored without Dir.
+	// SnapshotEvery is the number of mutations logged between automatic
+	// snapshots of the index (default 4096). Negative disables automatic
+	// snapshots — the log then grows until Snapshot or Close. Ignored
+	// without Dir.
 	SnapshotEvery int
 
 	// Durability selects the acknowledgement contract of a durable
@@ -151,8 +148,8 @@ type IndexOptions struct {
 // partial sums; Verified counts similarities computed). Entities,
 // Adds, Removes and the query counters are global; Elements and
 // Postings are summed across shards (an element present in several
-// shards counts once per shard). Generation is the highest write-ahead
-// log generation across shards (0 for a volatile index); bulk-built
+// shards counts once per shard). Generation is the write-ahead log's
+// generation (0 for a volatile index); bulk-built and freshly created
 // directories open at generation 1.
 type IndexStats struct {
 	Measure    string `json:"measure"`
@@ -188,7 +185,7 @@ type IndexStats struct {
 	// covers uncached public queries end to end, sampled one query in
 	// eight so the timing stays off the hot path (cache hits are counted
 	// above but never timed); WALAppend/WALFsync are durability stalls
-	// merged across the per-shard logs (empty for a volatile index);
+	// of the write-ahead log (empty for a volatile index);
 	// WALCommitWait is how long acknowledged mutations waited for their
 	// group commit (DurabilitySync only). Full-resolution histograms
 	// back Index.Metrics and GET /metrics.
@@ -220,9 +217,9 @@ type Index struct {
 	measure similarity.Measure
 	inner   *shard.Set
 
-	// mu guards the name tables and serializes logged mutations against
-	// snapshots; the shards have their own locks, always nested inside
-	// mu, so the nesting cannot deadlock.
+	// mu guards the name tables and serializes every mutation, logged or
+	// not, and every snapshot; the shards have their own locks, always
+	// nested inside mu, so the nesting cannot deadlock.
 	mu     sync.RWMutex
 	dict   *multiset.Dict
 	byName map[string]multiset.ID
@@ -230,13 +227,10 @@ type Index struct {
 	order  nameTable // the keys of byName, ascending: the kNN pad's read order
 	nextID multiset.ID
 
-	logs          []*wal.Log // nil for a volatile index; one per shard otherwise
+	log           *wal.Log // nil for a volatile index; set at construction, never replaced
 	snapshotEvery int
-	logged        []int // per-shard mutations since that shard's snapshot; guarded by mu
+	logged        int // mutations since the last snapshot; guarded by mu
 	closed        bool
-
-	durability Durability
-	gcWindow   time.Duration
 
 	// gen counts mutations; every Add/Remove bumps it, invalidating all
 	// result-cache entries stamped with an earlier value. cache is nil
@@ -287,53 +281,32 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if opts.Shards < 0 || opts.Shards > maxShards {
 		return nil, fmt.Errorf("vsmartjoin: shard count %d outside [0, %d], 0 = default", opts.Shards, maxShards)
 	}
-	shards := opts.Shards
-	if opts.Dir != "" {
-		diskShards, err := wal.CountShardDirs(opts.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("vsmartjoin: open index dir: %w", err)
-		}
-		if diskShards == 0 && !create {
-			return nil, fmt.Errorf("%w: %s", ErrNoIndex, opts.Dir)
-		}
-		if diskShards > 0 {
-			if shards == 0 {
-				shards = diskShards
-			} else if shards != diskShards {
-				return nil, fmt.Errorf("vsmartjoin: %s holds %d shards, options ask for %d",
-					opts.Dir, diskShards, shards)
-			}
-		}
-	}
-	if shards == 0 {
-		shards = 1
-	}
 	snapshotEvery := opts.SnapshotEvery
 	if snapshotEvery == 0 {
 		snapshotEvery = defaultSnapshotEvery
 	}
+	var walOpts []wal.Option
 	switch opts.Durability {
-	case DurabilityOS, DurabilitySync:
+	case DurabilityOS:
+	case DurabilitySync:
+		if opts.Dir == "" {
+			return nil, errors.New("vsmartjoin: DurabilitySync requires Dir")
+		}
+		gcWindow := opts.GroupCommitWindow
+		if gcWindow == 0 {
+			gcWindow = defaultGroupCommitWindow
+		}
+		walOpts = append(walOpts, wal.WithGroupCommit(gcWindow))
 	default:
 		return nil, fmt.Errorf("vsmartjoin: unknown durability %d", opts.Durability)
 	}
-	if opts.Durability == DurabilitySync && opts.Dir == "" {
-		return nil, errors.New("vsmartjoin: DurabilitySync requires Dir")
-	}
-	gcWindow := opts.GroupCommitWindow
-	if gcWindow == 0 {
-		gcWindow = defaultGroupCommitWindow
-	}
 	ix := &Index{
 		measure:       m,
-		inner:         shard.New(m, shards),
 		dict:          multiset.NewDict(),
 		byName:        make(map[string]multiset.ID),
 		names:         make(map[multiset.ID]string),
 		nextID:        1,
 		snapshotEvery: snapshotEvery,
-		durability:    opts.Durability,
-		gcWindow:      gcWindow,
 	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
@@ -342,144 +315,91 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if cacheSize > 0 {
 		ix.cache = newQueryCache(cacheSize)
 	}
-	if opts.Dir != "" {
-		if err := ix.openLogs(opts.Dir); err != nil {
-			for _, l := range ix.logs {
-				if l != nil {
-					//lint:vsmart-allow walerr best-effort cleanup on the constructor's error path; the openLogs error is what the caller gets
-					l.Close()
-				}
-			}
-			return nil, fmt.Errorf("vsmartjoin: open index dir: %w", err)
+	if opts.Dir == "" {
+		ix.inner = shard.New(m, opts.Shards)
+		return ix, nil
+	}
+	exists, err := wal.Exists(opts.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("vsmartjoin: open index dir: %w", err)
+	}
+	if !exists && !create {
+		return nil, fmt.Errorf("%w: %s", ErrNoIndex, opts.Dir)
+	}
+	if err := ix.openLog(opts.Dir, opts.Shards, !exists, walOpts); err != nil {
+		if ix.log != nil {
+			//lint:vsmart-allow walerr best-effort cleanup on the constructor's error path; the openLog error is what the caller gets
+			ix.log.Close()
 		}
+		return nil, fmt.Errorf("vsmartjoin: open index dir: %w", err)
 	}
 	return ix, nil
 }
 
-// recovered is one live entity reconstructed from a shard's files.
-type recovered struct {
-	id   multiset.ID
-	name string
-	set  multiset.Multiset
-}
-
-// openLogs recovers every shard's log directory under dir and
-// bulk-loads the result. Each shard's snapshot + WAL replays into
-// shard-local tables first (cheap maps, no index structures), because
-// only within one shard are events totally ordered; the shard-local
-// live sets are then merged into the global name tables and fed through
-// the sealed internal/index bulk path in one pass per shard. A name
-// claimed by two shards — possible only when a machine crash loses one
-// shard's un-fsynced WAL tail while a later record in another shard
-// survived — resolves to the higher entity ID: IDs are assigned
-// monotonically, so the higher one is always the more recent add.
-// The index is not yet shared, so no locking is needed here.
-func (ix *Index) openLogs(dir string) error {
-	n := ix.inner.Shards()
-	ix.logs = make([]*wal.Log, n)
-	ix.logged = make([]int, n)
-	perShard := make([][]recovered, n)
-	for i := 0; i < n; i++ {
-		local := make(map[multiset.ID]recovered)
-		localByName := make(map[string]multiset.ID)
-		apply := func(rec wal.Record, inSnapshot bool) error {
-			switch rec.Op {
-			case wal.OpAdd:
-				id := multiset.ID(rec.ID)
-				if id == 0 {
-					return fmt.Errorf("recover: entity %q has no ID", rec.Entity)
-				}
-				if shard.ShardOf(id, n) != i {
-					return fmt.Errorf("recover: entity %d routes to shard %d but its record is in %s (was the index built with a different shard count?)",
-						id, shard.ShardOf(id, n), wal.ShardDirName(i))
-				}
-				if old, ok := localByName[rec.Entity]; ok && old != id {
-					if inSnapshot {
-						return fmt.Errorf("recover: %s: snapshot holds entity %q twice (IDs %d and %d)",
-							wal.ShardDirName(i), rec.Entity, old, id)
-					}
-					// Within one ordered log this means the remove that
-					// freed the name was lost; the newer add supersedes it.
-					delete(local, old)
-				}
-				local[id] = recovered{id: id, name: rec.Entity, set: multiset.New(id, ix.internElements(rec.Elements))}
-				localByName[rec.Entity] = id
-			case wal.OpRemove:
-				if id, ok := localByName[rec.Entity]; ok {
-					delete(local, id)
-					delete(localByName, rec.Entity)
-				}
-			default:
-				return fmt.Errorf("recover: unknown wal op %d", rec.Op)
-			}
-			return nil
-		}
-		var walOpts []wal.Option
-		if ix.durability == DurabilitySync {
-			walOpts = append(walOpts, wal.WithGroupCommit(ix.gcWindow))
-		}
-		l, err := wal.Open(filepath.Join(dir, wal.ShardDirName(i)), ix.measure.Name(),
-			func(rec wal.Record) error { return apply(rec, true) },
-			func(rec wal.Record) error { return apply(rec, false) },
-			walOpts...)
+// openLog opens the index's one write-ahead log in dir and recovers it.
+// A fresh dir first gets an empty generation-1 snapshot recording the
+// measure and shard count, so every data dir is one snapshot plus one
+// WAL from the start and is never reopened under another measure.
+// Recovery replays the snapshot and then the WAL, in the one order they
+// were logged, into the name tables and one entity table; each entity
+// is then routed to its shard by ID and every shard is bulk-loaded
+// through the sealed internal/index path. shards == 0 adopts the count
+// the snapshot records; any other count re-partitions. The index is not
+// yet shared, so no locking is needed here.
+func (ix *Index) openLog(dir string, shards int, fresh bool, opts []wal.Option) error {
+	if fresh {
+		err := wal.WriteSnapshot(dir, 1, ix.measure.Name(), max(shards, 1), func(func(wal.Record) error) error { return nil })
 		if err != nil {
 			return err
 		}
-		ix.logs[i] = l
-		perShard[i] = make([]recovered, 0, len(local))
-		for _, r := range local {
-			perShard[i] = append(perShard[i], r)
-		}
-		sort.Slice(perShard[i], func(a, b int) bool { return perShard[i][a].id < perShard[i][b].id })
 	}
-
-	// Cross-shard merge: resolve duplicate names (higher ID wins), then
-	// bulk-load each shard's survivors and build the global name tables.
-	owner := make(map[string]multiset.ID)
-	for _, shardEnts := range perShard {
-		for _, r := range shardEnts {
-			if old, ok := owner[r.name]; !ok || r.id > old {
-				owner[r.name] = r.id
-			}
+	sets := make(map[multiset.ID]multiset.Multiset)
+	apply := func(rec wal.Record) error {
+		// Every record retires the entity that holds the name, if any;
+		// an OpAdd then installs its own (a replayed upsert keeps its ID).
+		if id, ok := ix.byName[rec.Entity]; ok {
+			delete(sets, id)
+			delete(ix.names, id)
+			delete(ix.byName, rec.Entity)
 		}
+		if rec.Op != wal.OpAdd {
+			return nil
+		}
+		id := multiset.ID(rec.ID)
+		if id == 0 {
+			return fmt.Errorf("recover: entity %q has no ID", rec.Entity)
+		}
+		sets[id] = multiset.New(id, ix.internElements(rec.Elements))
+		ix.byName[rec.Entity] = id
+		ix.names[id] = rec.Entity
+		ix.nextID = max(ix.nextID, id+1)
+		return nil
 	}
-	var conflicted []int
-	sorted := make([]string, 0, len(owner))
-	for i, shardEnts := range perShard {
-		sets := make([]multiset.Multiset, 0, len(shardEnts))
-		stale := false
-		for _, r := range shardEnts {
-			if owner[r.name] != r.id {
-				stale = true
-				continue // superseded by a newer add in another shard
-			}
-			sets = append(sets, r.set)
-			ix.byName[r.name] = r.id
-			ix.names[r.id] = r.name
-			sorted = append(sorted, r.name)
-			if r.id >= ix.nextID {
-				ix.nextID = r.id + 1
-			}
-		}
-		if err := ix.inner.At(i).BulkLoad(sets); err != nil {
-			return err
-		}
-		if stale {
-			conflicted = append(conflicted, i)
-		}
+	l, err := wal.Open(dir, ix.measure.Name(), apply, apply, opts...)
+	if err != nil {
+		return err
 	}
-	ix.order.load(sorted)
-	// A shard that held a superseded entry resolved it in memory only;
-	// its files still contain the stale add, which would resurrect if
-	// the winning entity were later removed and this shard never
-	// snapshotted again. Rewrite such shards now, while the resolution
-	// is known. (The index is not yet shared, so the no-lock call to
-	// the *Locked helper is safe.)
-	for _, si := range conflicted {
-		if err := ix.snapshotShardLocked(si); err != nil {
+	ix.log = l
+	if shards == 0 {
+		shards = l.Shards()
+	}
+	ix.inner = shard.New(ix.measure, shards)
+	perShard := make([][]multiset.Multiset, ix.inner.Shards())
+	for id, set := range sets {
+		si := shard.ShardOf(id, len(perShard))
+		perShard[si] = append(perShard[si], set)
+	}
+	for si, shardSets := range perShard {
+		slices.SortFunc(shardSets, func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
+		if err := ix.inner.At(si).BulkLoad(shardSets); err != nil {
 			return err
 		}
 	}
+	names := make([]string, 0, len(ix.byName))
+	for name := range ix.byName {
+		names = append(names, name)
+	}
+	ix.order.load(names)
 	return nil
 }
 
@@ -496,34 +416,30 @@ func (ix *Index) internElements(elems []wal.Element) []multiset.Entry {
 	return entries
 }
 
-// noteLoggedLocked counts n mutations logged to shard si and cuts that
-// shard's snapshot once the cadence is reached. A snapshot failure is
-// NOT the mutations' failure — the records are already durably logged
-// and applied — so the cadence counter is simply left unreset: the
-// shard retries on its next mutation, and Close retries every shard
-// whose counter is still positive, surfacing a persistent failure
-// there. Caller holds ix.mu.
-func (ix *Index) noteLoggedLocked(si, n int) {
-	ix.logged[si] += n
-	if ix.snapshotEvery < 0 || ix.logged[si] < ix.snapshotEvery {
-		return
+// noteLoggedLocked counts n logged mutations and cuts a snapshot once
+// the cadence is reached. A snapshot failure is NOT the mutations'
+// failure — the records are already durably logged and applied — so
+// the counter is simply left unreset: the next mutation retries, and
+// Close retries too, surfacing a persistent failure there. Caller holds
+// ix.mu.
+func (ix *Index) noteLoggedLocked(n int) {
+	ix.logged += n
+	if ix.snapshotEvery >= 0 && ix.logged >= ix.snapshotEvery {
+		_ = ix.snapshotLocked()
 	}
-	if err := ix.snapshotShardLocked(si); err != nil {
-		return
-	}
-	ix.logged[si] = 0
 }
 
-// snapshotShardLocked writes shard si's snapshot and truncates its log.
+// snapshotLocked writes the index's snapshot, every entity in ID order
+// (shard.Set.Range), truncates the log and resets the cadence counter.
 // Each entity's elements are emitted in ascending name order, as
 // walAddRecord logs them — element IDs follow the order a run happened
 // to intern the names in, and the bytes must depend on the logical state
 // alone. Caller holds ix.mu, which quiesces all mutations (they all take
-// ix.mu), so the shard iteration is an atomic view.
-func (ix *Index) snapshotShardLocked(si int) error {
-	err := ix.logs[si].Snapshot(func(emit func(wal.Record) error) error {
+// ix.mu), so the iteration is an atomic view.
+func (ix *Index) snapshotLocked() error {
+	err := ix.log.Snapshot(ix.inner.Shards(), func(emit func(wal.Record) error) error {
 		var emitErr error
-		ix.inner.At(si).Range(func(m multiset.Multiset) bool {
+		ix.inner.Range(func(m multiset.Multiset) bool {
 			elems := make([]wal.Element, len(m.Entries))
 			for i, e := range m.Entries {
 				elems[i] = wal.Element{Name: ix.dict.Name(e.Elem), Count: e.Count}
@@ -535,32 +451,21 @@ func (ix *Index) snapshotShardLocked(si int) error {
 		return emitErr
 	})
 	if err != nil {
-		return fmt.Errorf("vsmartjoin: snapshot %s: %w", wal.ShardDirName(si), err)
+		return fmt.Errorf("vsmartjoin: snapshot: %w", err)
 	}
+	ix.logged = 0
 	return nil
 }
 
-// snapshotLocked cuts every shard's snapshot. Caller holds ix.mu.
-func (ix *Index) snapshotLocked() error {
-	for si := range ix.logs {
-		if err := ix.snapshotShardLocked(si); err != nil {
-			return err
-		}
-		ix.logged[si] = 0
-	}
-	return nil
-}
-
-// Snapshot forces a full snapshot and log truncation of every shard on
-// a durable index, regardless of the SnapshotEvery cadence. It returns
-// ErrNotDurable on a volatile index and ErrIndexClosed after Close;
-// any other error is a real persistence failure (a shard whose
-// automatic snapshot failed keeps its cadence counter, so it is retried
-// here, on its next mutation, and at Close until one succeeds).
+// Snapshot forces a snapshot and log truncation of a durable index,
+// regardless of the SnapshotEvery cadence. It returns ErrNotDurable on a
+// volatile index and ErrIndexClosed after Close; any other error is a
+// real persistence failure (a failed automatic snapshot is retried
+// here, on the next mutation, and at Close until one succeeds).
 func (ix *Index) Snapshot() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.logs == nil {
+	if ix.log == nil {
 		return ErrNotDurable
 	}
 	if ix.closed {
@@ -569,53 +474,39 @@ func (ix *Index) Snapshot() error {
 	return ix.snapshotLocked()
 }
 
-// Close writes a final snapshot of every shard of a durable index with
-// mutations logged since its last one and closes the write-ahead logs.
-// Further mutations and snapshots fail with ErrIndexClosed; queries keep
-// working against the in-memory state. Closing a volatile or
-// already-closed index is a no-op: a volatile index keeps accepting
-// mutations.
+// Close writes a final snapshot of a durable index with mutations logged
+// since its last one and closes the write-ahead log. Further mutations
+// and snapshots fail with ErrIndexClosed; queries keep working against
+// the in-memory state. Closing a volatile or already-closed index is a
+// no-op: a volatile index keeps accepting mutations.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.logs == nil || ix.closed {
+	if ix.log == nil || ix.closed {
 		return nil
 	}
 	ix.closed = true
-	// A shard whose automatic snapshot failed kept its logged count > 0,
-	// so the retry below either persists it (the old failure is moot) or
-	// fails afresh and is reported here.
-	var first error
-	for si, l := range ix.logs {
-		if ix.logged[si] > 0 {
-			if err := ix.snapshotShardLocked(si); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
+	var err error
+	if ix.logged > 0 {
+		err = ix.snapshotLocked()
 	}
-	return first
+	if cerr := ix.log.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Len reports the number of indexed entities.
 func (ix *Index) Len() int { return ix.inner.Len() }
 
-// Generation reports the highest write-ahead log generation across
-// shards, or 0 for a volatile index. A bulk-built directory opens at
-// generation 1; every snapshot rotation advances the cut shard.
+// Generation reports the write-ahead log's generation, or 0 for a
+// volatile index. A bulk-built or freshly created directory opens at
+// generation 1; every snapshot advances it.
 func (ix *Index) Generation() uint64 {
-	ix.mu.RLock()
-	logs := ix.logs
-	ix.mu.RUnlock()
-	var gen uint64
-	for _, l := range logs {
-		if g := l.Gen(); g > gen {
-			gen = g
-		}
+	if ix.log == nil {
+		return 0
 	}
-	return gen
+	return ix.log.Gen()
 }
 
 // Elements returns a copy of an indexed entity's current element

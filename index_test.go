@@ -192,7 +192,7 @@ func TestBuildIndexFromDataset(t *testing.T) {
 	}
 	var logs [2][]byte
 	for i, ix := range []*Index{chunked, single} {
-		if logs[i], err = os.ReadFile(filepath.Join(ix.logs[0].Dir(), ix.logs[0].Files()[0])); err != nil {
+		if logs[i], err = os.ReadFile(filepath.Join(ix.log.Dir(), ix.log.Files()[1])); err != nil { // [snap, wal]
 			t.Fatal(err)
 		}
 	}

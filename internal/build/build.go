@@ -5,20 +5,21 @@
 // heavy work runs as a scalable batch job and the serving stage merely
 // loads its output.
 //
-// The corpus streams through the internal/mr machinery as one job:
-// mappers route every entity to its shard with the same splitmix64 hash
-// internal/shard uses at serving time (shard.ShardOf — batch and online
-// MUST agree on routing, since the per-shard files are only loadable by
-// the shard that owns their entities), the shuffle groups per shard
-// with (entity ID, input occurrence) secondary keys so each reduce
-// group arrives ID-sorted with repeats in upsert order, and reducers
-// stream their group straight into a generation-1 snapshot file
-// (internal/wal.WriteSnapshot) — sorted, deduplicated, measure-stamped. Because the shuffle is the engine's,
-// the builder inherits its spill-to-disk mode: a ShuffleBufferBytes cap
-// bounds builder memory on corpora that outgrow it.
+// The corpus streams through the internal/mr machinery as one job that
+// writes the index's one file: the shuffle sorts every entity by
+// (entity ID, input occurrence) secondary key into a single reduce
+// group, so it arrives ID-sorted with repeats in upsert order, and the
+// one reducer streams it straight into the generation-1 snapshot
+// (internal/wal.WriteSnapshot) — sorted, deduplicated, stamped with the
+// measure and shard count. That is the file an index's own Snapshot
+// writes for the same entities, byte for byte. Shards never route
+// anything here: the serving index partitions the entities by ID when
+// it loads them. Because the shuffle is the engine's, the builder
+// inherits its spill-to-disk mode: a ShuffleBufferBytes cap bounds
+// builder memory on corpora that outgrow it.
 //
 // The whole output directory materializes under a temporary name and is
-// renamed into place only when every shard file is complete, so an
+// renamed into place only when the snapshot is complete, so an
 // interrupted build can never be mistaken for an index.
 package build
 
@@ -27,18 +28,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
-	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/shard"
 	"vsmartjoin/internal/wal"
 )
 
 // Entity is one corpus entry: the entity ID the serving index will route
-// and tie-break by, its name, and its element multiplicities.
+// and tie-break by (0 is reserved for ad-hoc queries), its name, and its
+// element multiplicities.
 type Entity struct {
 	ID       uint64
 	Name     string
@@ -72,11 +71,11 @@ type Options struct {
 	// Dir is the output index directory. It must not exist yet (or be an
 	// empty directory): the builder refuses to overwrite an index.
 	Dir string
-	// Measure is the canonical similarity measure name stamped into every
-	// shard snapshot; opening under a different measure is refused.
+	// Measure is the canonical similarity measure name stamped into the
+	// snapshot; opening under a different measure is refused.
 	Measure string
-	// Shards is the number of hash-partitioned shards to write (>= 1).
-	// It becomes part of the on-disk layout.
+	// Shards is the shard count stamped into the snapshot (>= 1): the
+	// count an index opening the dir with Shards 0 adopts.
 	Shards int
 	// Machines is the simulated cluster width of the build job
 	// (default 16, like AllPairs).
@@ -92,14 +91,13 @@ type Options struct {
 
 // Stats reports what a build wrote.
 type Stats struct {
-	// Entities is the number of entities written across all shards, after
-	// deduplication.
+	// Entities is the number of entities written, after deduplication.
 	Entities int64
 	// Deduped counts input occurrences superseded because a later one
 	// carried the same ID — the upsert collapses of a corpus that
 	// observes an entity more than once.
 	Deduped int64
-	// Shards is the shard count written.
+	// Shards is the shard count the snapshot records.
 	Shards int
 	// Job is the cost accounting of the underlying MapReduce run.
 	Job mr.JobStats
@@ -110,11 +108,9 @@ const (
 	counterDeduped  = "build.deduped"
 )
 
-// Build writes the corpus as a durable index directory at opts.Dir:
-// one shard-NNN subdirectory per shard, each holding a generation-1
-// snapshot ready for vsmartjoin.OpenIndex. Every shard directory is
-// written, including empty ones — the shard count is the routing
-// function, so the layout must record it exactly.
+// Build writes the corpus as a durable index directory at opts.Dir: one
+// generation-1 snapshot, written even for an empty corpus, ready for
+// vsmartjoin.OpenIndex.
 func Build(src Source, opts Options) (Stats, error) {
 	var stats Stats
 	if opts.Dir == "" {
@@ -155,24 +151,17 @@ func Build(src Source, opts Options) (Stats, error) {
 	_, jobStats, err := mr.Run(cluster, mr.Job{
 		Name:              "bulk-index-build",
 		Input:             input,
-		Mapper:            mr.MapperFunc(makeShardMapper(opts.Shards)),
+		Mapper:            mr.MapperFunc(snapshotMapper),
 		Reducer:           mr.ReducerFunc(makeSnapshotReducer(tmp, opts.Measure, opts.Shards)),
-		NumReducers:       opts.Shards,
-		UsesSecondaryKeys: true, // reduce groups arrive ID-sorted
+		NumReducers:       1,
+		UsesSecondaryKeys: true, // the reduce group arrives ID-sorted
 		OutputName:        "bulk-index-manifest",
 	})
 	if err != nil {
 		return stats, fmt.Errorf("build: %w", err)
 	}
-
-	// Shards no entity hashed to produced no reduce group; their
-	// (empty) snapshots are still part of the layout.
-	for i := 0; i < opts.Shards; i++ {
-		dir := filepath.Join(tmp, wal.ShardDirName(i))
-		if _, err := os.Stat(filepath.Join(dir, wal.SnapName(1))); err == nil {
-			continue
-		}
-		if err := wal.WriteSnapshot(dir, 1, opts.Measure, func(func(wal.Record) error) error { return nil }); err != nil {
+	if jobStats.Counters[counterEntities] == 0 { // no record, no reduce group
+		if err := wal.WriteSnapshot(tmp, 1, opts.Measure, opts.Shards, func(func(wal.Record) error) error { return nil }); err != nil {
 			return stats, fmt.Errorf("build: %w", err)
 		}
 	}
@@ -217,11 +206,10 @@ func checkTarget(dir string) error {
 // encodeInput drains the source into a striped mrfs dataset — the one
 // materialized copy of the corpus the build holds. The key is the
 // big-endian entity ID followed by a big-endian input sequence number:
-// the shuffle's byte-lexicographic secondary-key sort then delivers
-// each shard's records in (ID, occurrence) order, so numeric ID order
-// for the snapshot and last-occurrence-wins for the upsert dedup both
-// fall out of the sort. The value is the codec encoding of the name and
-// elements.
+// the shuffle's byte-lexicographic secondary-key sort then delivers the
+// records in (ID, occurrence) order, so numeric ID order for the
+// snapshot and last-occurrence-wins for the upsert dedup both fall out
+// of the sort. The value is the codec encoding of the name and elements.
 func encodeInput(src Source, partitions int) (*mrfs.Dataset, error) {
 	if src == nil {
 		src = Entities(nil)
@@ -232,6 +220,10 @@ func encodeInput(src Source, partitions int) (*mrfs.Dataset, error) {
 	var err error
 	seq := uint64(0)
 	src(func(e Entity) bool {
+		if e.ID == 0 {
+			err = errors.New("entity ID 0 is reserved for ad-hoc queries")
+			return false
+		}
 		binary.BigEndian.PutUint64(key[:8], e.ID)
 		binary.BigEndian.PutUint64(key[8:], seq)
 		buf.Reset()
@@ -266,43 +258,27 @@ func decodeEntity(id uint64, payload []byte) (Entity, error) {
 	return e, nil
 }
 
-// makeShardMapper returns the map function: route each entity to its
-// serving shard, with the ID as the shuffle's secondary key.
-func makeShardMapper(shards int) func(*mr.TaskContext, mrfs.Record, mr.Emitter) error {
-	return func(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
-		if len(rec.Key) != 16 {
-			return fmt.Errorf("build: input key is %d bytes, want 16", len(rec.Key))
-		}
-		id := binary.BigEndian.Uint64(rec.Key[:8])
-		if id == 0 {
-			return errors.New("build: entity ID 0 is reserved for ad-hoc queries")
-		}
-		var shardKey [4]byte
-		binary.BigEndian.PutUint32(shardKey[:], uint32(shard.ShardOf(multiset.ID(id), shards)))
-		emit.EmitSec(shardKey[:], rec.Key, rec.Val)
-		return nil
-	}
+// snapshotKey is the one reduce key: every entity goes to the one
+// snapshot.
+var snapshotKey = []byte("snap")
+
+// snapshotMapper is the map function: the input key, (ID, occurrence),
+// becomes the shuffle's secondary key under the one reduce key.
+func snapshotMapper(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+	emit.EmitSec(snapshotKey, rec.Key, rec.Val)
+	return nil
 }
 
-// makeSnapshotReducer returns the reduce function: each group is one
-// shard's full, (ID, occurrence)-sorted entity list, streamed directly
-// into that shard's generation-1 snapshot file. Repeated IDs collapse
-// to the last occurrence — the secondary key ends in the input sequence
-// number, so "last in sort order" is exactly upsert order — and the
-// group never materializes beyond the one-record lookahead the dedup
-// needs.
+// makeSnapshotReducer returns the reduce function: its one group is the
+// full, (ID, occurrence)-sorted entity list, streamed directly into the
+// generation-1 snapshot file. Repeated IDs collapse to the last
+// occurrence — the secondary key ends in the input sequence number, so
+// "last in sort order" is exactly upsert order — and the group never
+// materializes beyond the one-record lookahead the dedup needs.
 func makeSnapshotReducer(dir, measure string, shards int) func(*mr.TaskContext, []byte, *mr.Values, mr.Emitter) error {
-	return func(ctx *mr.TaskContext, key []byte, values *mr.Values, _ mr.Emitter) error {
-		if len(key) != 4 {
-			return fmt.Errorf("build: shard key is %d bytes, want 4", len(key))
-		}
-		si := int(binary.BigEndian.Uint32(key))
-		if si < 0 || si >= shards {
-			return fmt.Errorf("build: shard key %d outside [0, %d)", si, shards)
-		}
-		shardDir := filepath.Join(dir, wal.ShardDirName(si))
+	return func(ctx *mr.TaskContext, _ []byte, values *mr.Values, _ mr.Emitter) error {
 		var written, deduped int64
-		err := wal.WriteSnapshot(shardDir, 1, measure, func(emit func(wal.Record) error) error {
+		err := wal.WriteSnapshot(dir, 1, measure, shards, func(emit func(wal.Record) error) error {
 			var pending *wal.Record
 			flush := func() error {
 				if pending == nil {
@@ -322,9 +298,6 @@ func makeSnapshotReducer(dir, measure string, shards int) func(*mr.TaskContext, 
 					return fmt.Errorf("build: secondary key is %d bytes, want 16", len(v.Sec))
 				}
 				id := binary.BigEndian.Uint64(v.Sec[:8])
-				if got := shard.ShardOf(multiset.ID(id), shards); got != si {
-					return fmt.Errorf("build: entity %d shuffled to shard %d but routes to %d", id, si, got)
-				}
 				e, err := decodeEntity(id, v.Val)
 				if err != nil {
 					return err

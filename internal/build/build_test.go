@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/shard"
 	"vsmartjoin/internal/wal"
 )
 
@@ -28,9 +26,9 @@ func corpus(n int) []Entity {
 	return out
 }
 
-// loadShard reopens one shard dir through the wal and returns its
-// records, separating snapshot body from WAL tail.
-func loadShard(t *testing.T, dir string, measure string) (snap, tail []wal.Record) {
+// load reopens a built dir through the wal and returns its records,
+// separating snapshot body from WAL tail, and the recorded shard count.
+func load(t *testing.T, dir string, measure string) (snap, tail []wal.Record, shards int) {
 	t.Helper()
 	l, err := wal.Open(dir, measure,
 		func(rec wal.Record) error { snap = append(snap, rec); return nil },
@@ -38,10 +36,11 @@ func loadShard(t *testing.T, dir string, measure string) (snap, tail []wal.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards = l.Shards()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snap, tail
+	return snap, tail, shards
 }
 
 func TestBuildWritesLoadableShards(t *testing.T) {
@@ -55,42 +54,39 @@ func TestBuildWritesLoadableShards(t *testing.T) {
 	if stats.Entities != int64(len(ents)) || stats.Shards != shards || stats.Deduped != 0 {
 		t.Fatalf("stats %+v", stats)
 	}
-	if n, err := wal.CountShardDirs(dir); err != nil || n != shards {
-		t.Fatalf("CountShardDirs = %d, %v", n, err)
+	// One file, whatever the shard count: the shards are the serving
+	// index's business.
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{wal.SnapName(1)}) {
+		t.Fatalf("dir holds %v, want only %s", names, wal.SnapName(1))
 	}
 
-	byID := map[uint64]Entity{}
-	for _, e := range ents {
-		byID[e.ID] = e
+	snap, tail, recorded := load(t, dir, "ruzicka")
+	if len(tail) != 0 || recorded != shards {
+		t.Fatalf("%d WAL records to replay and %d shards recorded, want 0 and %d", len(tail), recorded, shards)
 	}
-	var total int
-	for i := 0; i < shards; i++ {
-		snap, tail := loadShard(t, filepath.Join(dir, wal.ShardDirName(i)), "ruzicka")
-		if len(tail) != 0 {
-			t.Fatalf("shard %d has %d WAL records to replay, want 0", i, len(tail))
+	if len(snap) != len(ents) {
+		t.Fatalf("snapshot holds %d entities, corpus has %d", len(snap), len(ents))
+	}
+	for i, rec := range snap {
+		// The corpus is in ascending ID order, so the snapshot must be too.
+		if rec.Op != wal.OpAdd || rec.ID != ents[i].ID || rec.Entity != ents[i].Name || !reflect.DeepEqual(rec.Elements, ents[i].Elements) {
+			t.Fatalf("record %d: %+v want %+v", i, rec, ents[i])
 		}
-		var prev uint64
-		for _, rec := range snap {
-			if rec.Op != wal.OpAdd {
-				t.Fatalf("shard %d: op %d in snapshot", i, rec.Op)
-			}
-			if rec.ID <= prev {
-				t.Fatalf("shard %d: IDs not ascending (%d after %d)", i, rec.ID, prev)
-			}
-			prev = rec.ID
-			if got := shard.ShardOf(multiset.ID(rec.ID), shards); got != i {
-				t.Fatalf("entity %d in shard %d, routes to %d", rec.ID, i, got)
-			}
-			want := byID[rec.ID]
-			if rec.Entity != want.Name || !reflect.DeepEqual(rec.Elements, want.Elements) {
-				t.Fatalf("entity %d round-trip: %+v want %+v", rec.ID, rec, want)
-			}
-		}
-		total += len(snap)
 	}
-	if total != len(ents) {
-		t.Fatalf("shards hold %d entities, corpus has %d", total, len(ents))
+}
+
+// dirNames lists a directory's entries.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestBuildEmptyCorpus(t *testing.T) {
@@ -102,13 +98,11 @@ func TestBuildEmptyCorpus(t *testing.T) {
 	if stats.Entities != 0 {
 		t.Fatalf("stats %+v", stats)
 	}
-	// Every shard dir exists with an empty, loadable snapshot: the
-	// layout records the shard count even when no entity hashed there.
-	for i := 0; i < 3; i++ {
-		snap, tail := loadShard(t, filepath.Join(dir, wal.ShardDirName(i)), "jaccard")
-		if len(snap) != 0 || len(tail) != 0 {
-			t.Fatalf("shard %d: %d snap + %d tail records", i, len(snap), len(tail))
-		}
+	// An empty corpus still leaves a loadable snapshot recording the
+	// measure and the shard count: a dir without one is no index.
+	snap, tail, shards := load(t, dir, "jaccard")
+	if len(snap) != 0 || len(tail) != 0 || shards != 3 {
+		t.Fatalf("%d snap + %d tail records, %d shards recorded", len(snap), len(tail), shards)
 	}
 }
 
@@ -126,7 +120,7 @@ func TestBuildDedupsByID(t *testing.T) {
 	if stats.Entities != 2 || stats.Deduped != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
-	snap, _ := loadShard(t, filepath.Join(dir, wal.ShardDirName(0)), "ruzicka")
+	snap, _, _ := load(t, dir, "ruzicka")
 	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
 		t.Fatalf("snapshot %+v", snap)
 	}
@@ -165,7 +159,7 @@ func TestBuildRefusals(t *testing.T) {
 
 // TestBuildSpills pins that the builder inherits the engine's
 // spill-to-disk shuffle: a tiny buffer must force spilling and still
-// produce byte-identical shard files.
+// produce a byte-identical snapshot.
 func TestBuildSpills(t *testing.T) {
 	ents := corpus(64)
 	plain := filepath.Join(t.TempDir(), "plain")
@@ -182,17 +176,15 @@ func TestBuildSpills(t *testing.T) {
 	if stats.Job.SpilledBytes == 0 {
 		t.Fatal("256-byte buffer did not spill")
 	}
-	for i := 0; i < 2; i++ {
-		a, err := os.ReadFile(filepath.Join(plain, wal.ShardDirName(i), wal.SnapName(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(spilled, wal.ShardDirName(i), wal.SnapName(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("shard %d differs between spilled and in-memory shuffle", i)
-		}
+	a, err := os.ReadFile(filepath.Join(plain, wal.SnapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(spilled, wal.SnapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("the snapshot differs between spilled and in-memory shuffle")
 	}
 }

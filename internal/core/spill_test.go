@@ -183,15 +183,8 @@ func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
 			if err != nil {
 				return nil, 0, err
 			}
-			var out []byte
-			for s := 0; s < 3; s++ {
-				snap, err := os.ReadFile(filepath.Join(dir, wal.ShardDirName(s), wal.SnapName(1)))
-				if err != nil {
-					return nil, 0, err
-				}
-				out = append(out, snap...)
-			}
-			return out, stats.Job.SpilledBytes, nil
+			snap, err := os.ReadFile(filepath.Join(dir, wal.SnapName(1)))
+			return snap, stats.Job.SpilledBytes, err
 		},
 	}
 	for name, run := range pipelines {

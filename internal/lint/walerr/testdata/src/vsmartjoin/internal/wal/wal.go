@@ -8,11 +8,10 @@ type Record struct{ Entity string }
 // Log is the stub write-ahead log.
 type Log struct{}
 
-func (*Log) Append(Record) error                                { return nil }
-func (*Log) AppendBatchDeferred([]Record) (func() error, error) { return nil, nil }
-func (*Log) Snapshot(func(emit func(Record) error) error) error { return nil }
-func (*Log) Sync() error                                        { return nil }
-func (*Log) Close() error                                       { return nil }
+func (*Log) Append(Record) error                                     { return nil }
+func (*Log) AppendBatchDeferred([]Record) (func() error, error)      { return nil, nil }
+func (*Log) Snapshot(int, func(emit func(Record) error) error) error { return nil }
+func (*Log) Close() error                                            { return nil }
 
 // WriteSnapshot is the stub package-level snapshot writer.
 func WriteSnapshot(path string) error { return nil }

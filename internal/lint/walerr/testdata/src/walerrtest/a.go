@@ -16,7 +16,7 @@ import (
 func discards(l *wal.Log, ix *vsmartjoin.Index, c *vsmartjoin.Cluster, w *bufio.Writer) {
 	l.Append(wal.Record{}) // want `error from wal\.Log\.Append discarded`
 	defer l.Close()        // want `error from wal\.Log\.Close discarded by defer`
-	go l.Sync()            // want `error from wal\.Log\.Sync discarded by go statement`
+	go l.Snapshot(1, nil)  // want `error from wal\.Log\.Snapshot discarded by go statement`
 	ix.Snapshot()          // want `error from vsmartjoin\.Index\.Snapshot discarded`
 	c.Snapshot()           // want `error from vsmartjoin\.Cluster\.Snapshot discarded`
 	wal.WriteSnapshot("x") // want `error from wal\.WriteSnapshot discarded`

@@ -8,7 +8,7 @@
 // The must-check set, matched by callee identity:
 //
 //   - (internal/wal) Log.Append, Log.AppendBatchDeferred, Log.Snapshot,
-//     Log.Sync, Log.Close and the package function WriteSnapshot;
+//     Log.Close and the package function WriteSnapshot;
 //   - (internal/frame) Writer.WriteFrame, Writer.Flush, Append,
 //     ReplayFile;
 //   - (vsmartjoin) Index.Apply and its conveniences Index.Add,
@@ -50,7 +50,6 @@ var mustCheck = []callee{
 	{"vsmartjoin/internal/wal", "Log", "Append"},
 	{"vsmartjoin/internal/wal", "Log", "AppendBatchDeferred"},
 	{"vsmartjoin/internal/wal", "Log", "Snapshot"},
-	{"vsmartjoin/internal/wal", "Log", "Sync"},
 	{"vsmartjoin/internal/wal", "Log", "Close"},
 	{"vsmartjoin/internal/wal", "", "WriteSnapshot"},
 	{"vsmartjoin/internal/frame", "Writer", "WriteFrame"},

@@ -1,9 +1,11 @@
-// Package shard partitions the online index horizontally: a Set is N
-// hash-partitioned internal/index.Index shards behind the same API as a
-// single index. Entities are routed to shards by a mixed hash of their
-// ID and mutations lock only the owning shard — per-shard RWMutexes
-// instead of one global one, so writers stop serializing against the
-// whole dataset.
+// Package shard partitions the online index horizontally, in memory: a
+// Set is N hash-partitioned internal/index.Index shards behind the same
+// API as a single index, with entities routed to shards by a mixed hash
+// of their ID. The partition is a layout for the query walk and nothing
+// else. Each shard has its own lock, but vsmartjoin.Index serializes
+// every write on its own lock before it reaches a shard, and it persists
+// one log for the whole set, so the shard count is not part of any
+// on-disk format: a reopened index may re-partition freely.
 //
 // A query is one pass on the caller's goroutine (index.QueryAcross): it
 // walks the shards in order, each under its own read lock, with one
@@ -78,10 +80,8 @@ func shardHash(id multiset.ID) uint64 {
 }
 
 // ShardOf is the one routing function: the shard index owning entity id
-// in an n-shard set. The bulk index builder (internal/build) partitions
-// with it so batch-written shard files match the shard a live Set would
-// route every entity to; the per-shard durability layout depends on the
-// two never disagreeing.
+// in an n-shard set, which vsmartjoin.Index uses to group a write batch
+// per shard and to route recovered entities to their shard's bulk load.
 // A width below 2 routes everything to shard 0, matching New's "n < 1
 // is treated as 1": without the guard a zero width panics on the mod
 // (integer divide by zero) and a negative width wraps through uint64(n)
@@ -98,8 +98,7 @@ func (s *Set) shardOf(id multiset.ID) *index.Index {
 }
 
 // At returns shard i, for callers that manage per-shard concerns the
-// set does not own — per-shard write-ahead logs, snapshot iteration,
-// and bulk loading (vsmartjoin.Index, internal/build).
+// set does not own — batched applies and bulk loading (vsmartjoin.Index).
 func (s *Set) At(i int) *index.Index { return s.shards[i] }
 
 // Add upserts an entity into its owning shard. Ownership follows the
@@ -131,7 +130,8 @@ func (s *Set) Len() int {
 // multisets are immutable entries the callback must not mutate, and the
 // iteration is a point-in-time capture, not a frozen global view under
 // concurrent mutation — callers wanting an atomic snapshot (the WAL
-// snapshot writer) hold their own write-side lock.
+// snapshot writer, its one non-test caller) hold their own write-side
+// lock.
 func (s *Set) Range(fn func(m multiset.Multiset) bool) {
 	if len(s.shards) == 1 {
 		s.shards[0].Range(fn)

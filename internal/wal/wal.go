@@ -10,12 +10,15 @@
 // the previous generation is deleted — so recovery never has to reason
 // about a half-written snapshot under its final name.
 //
-// A sharded index keeps one such directory per shard ("shard-000",
-// "shard-001", ...) under its data dir; ShardDirName and CountShardDirs
-// define that layout for both the serving path (vsmartjoin.Index) and
-// the offline bulk builder (internal/build), which writes a generation-1
-// snapshot per shard directly with WriteSnapshot so a cold start loads
-// files instead of replaying per-record appends.
+// An index keeps exactly one such log in its data dir, however many
+// shards it has in memory: one ordered history of every mutation. A
+// snapshot's header records the similarity measure and the shard count
+// of the index it holds; the shard count is a default for the next open,
+// never a routing contract, since no record is placed by shard. The
+// offline bulk builder (internal/build) writes the generation-1 snapshot
+// directly with WriteSnapshot, so a cold start loads one file instead of
+// replaying per-record appends. A directory still holding the retired
+// per-shard layout ("shard-NNN" subdirectories) is refused.
 //
 // Both files are sequences of internal/frame frames: a uvarint payload
 // length, a fixed 4-byte CRC-32C of the payload, and the payload itself
@@ -64,9 +67,9 @@ import (
 const MaxFrameLen = frame.MaxFrameLen
 
 // snapMagic heads every snapshot file, versioned so a future format can
-// be told apart from corruption. v2 added the entity ID to every record
-// (the shard-routing key of the per-shard layout).
-const snapMagic = "vsmartjoin-snap-v2"
+// be told apart from corruption. v2 added the entity ID to every record,
+// v3 the shard count to the header.
+const snapMagic = "vsmartjoin-snap-v3"
 
 // Record operation kinds. The zero byte is reserved for the snapshot
 // trailer so a truncated snapshot can never alias a record.
@@ -87,9 +90,9 @@ type Element struct {
 // Record is one logical mutation of the index: an upsert (OpAdd) or a
 // deletion (OpRemove) of a named entity. Records carry element names,
 // not interned IDs, so a log replays into a fresh dictionary. OpAdd
-// records also carry the entity's numeric ID: shard routing is a hash
-// of the ID, so recovery must reproduce the exact assignment or a
-// replayed entity would land outside the shard whose log holds it.
+// records also carry the entity's numeric ID: queries break ties by it
+// and shards route by it, so recovery must reproduce the exact
+// assignment.
 type Record struct {
 	Op       byte
 	ID       uint64 // entity ID (OpAdd only; 0 on OpRemove)
@@ -115,6 +118,7 @@ type Log struct {
 
 	mu      sync.Mutex
 	gen     uint64
+	shards  int      // shard count the current snapshot records; 0 without one
 	f       *os.File // current WAL, open for append; nil after Close
 	off     int64    // bytes of intact frames in f; write rollback point
 	seq     uint64   // records written across all generations
@@ -149,8 +153,7 @@ type LogMetrics struct {
 	// observation per call, not per record).
 	Append metrics.Histogram
 	// Fsync is the wall time of every fsync the log issues — group
-	// commits, explicit Sync calls, snapshot file syncs, and the final
-	// sync in Close.
+	// commits, snapshot file syncs, and the final sync in Close.
 	Fsync metrics.Histogram
 	// CommitWait is how long an acknowledged append waited for the
 	// group commit covering it (group-commit mode only): the latency
@@ -180,47 +183,40 @@ func walName(gen uint64) string  { return fmt.Sprintf("wal-%08d", gen) }
 // WriteSnapshot creates and Open loads.
 func SnapName(gen uint64) string { return snapName(gen) }
 
-// ShardDirName names shard i's log directory under a sharded data dir.
-func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// CountShardDirs inspects a data dir and reports how many contiguous
-// shard directories (shard-000 .. shard-NNN) it holds: 0 for a missing
-// or empty dir. A gap in the numbering, stray shard names, or a legacy
-// flat layout (generation files directly in dir) are hard errors — the
-// shard count IS the routing function, so a half-recognized layout must
-// never be opened.
-func CountShardDirs(dir string) (int, error) {
+// scanDir lists the snapshot and WAL generations in dir and the temp
+// files an interrupted snapshot left behind; a missing dir lists
+// nothing. A "shard-*" subdirectory is the retired per-shard layout,
+// whose files this package no longer reads: it is an error, so such a
+// dir is never taken for an empty one.
+func scanDir(dir string) (snaps, wals []uint64, stale []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+		return nil, nil, nil, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return nil, nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	seen := map[int]bool{}
 	for _, ent := range entries {
 		name := ent.Name()
-		if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") {
-			return 0, fmt.Errorf("wal: %s holds a legacy flat-layout index (%s); rebuild it into the per-shard layout", dir, name)
-		}
-		if !strings.HasPrefix(name, "shard-") {
-			continue
-		}
-		// Only the canonical zero-padded spelling counts: accepting
-		// shard-0 or shard-00 here while Open reads shard-000 would
-		// silently serve an empty index beside the real data.
-		n, err := strconv.Atoi(name[len("shard-"):])
-		if err != nil || n < 0 || name != ShardDirName(n) || !ent.IsDir() {
-			return 0, fmt.Errorf("wal: %s: unrecognized shard directory %q", dir, name)
-		}
-		seen[n] = true
-	}
-	for i := 0; i < len(seen); i++ {
-		if !seen[i] {
-			return 0, fmt.Errorf("wal: %s: shard directories are not contiguous (missing %s)", dir, ShardDirName(i))
+		if gen, ok := parseGen(name, "snap-"); ok {
+			snaps = append(snaps, gen)
+		} else if gen, ok := parseGen(name, "wal-"); ok {
+			wals = append(wals, gen)
+		} else if strings.HasSuffix(name, ".tmp") {
+			stale = append(stale, name)
+		} else if ent.IsDir() && strings.HasPrefix(name, "shard-") {
+			return nil, nil, nil, fmt.Errorf("wal: %s holds the per-shard layout (%s); rebuild the index", dir, name)
 		}
 	}
-	return len(seen), nil
+	return snaps, wals, stale, nil
+}
+
+// Exists reports whether dir holds a snapshot — whether it holds an
+// index at all, since an index writes its first snapshot when it
+// creates its directory.
+func Exists(dir string) (bool, error) {
+	snaps, _, _, err := scanDir(dir)
+	return len(snaps) > 0, err
 }
 
 // parseGen extracts the generation from a "snap-NNNNNNNN" or
@@ -261,29 +257,15 @@ func WithGroupCommit(window time.Duration) Option {
 // cheaper path than the general upsert replay. measure names the
 // similarity measure of the index being persisted; a snapshot recorded
 // under a different measure is refused, since replaying it would
-// silently change every score.
+// silently change every score. Shards reports the shard count the
+// loaded snapshot recorded.
 func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...Option) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	snaps, wals, stale, err := scanDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var snaps, wals []uint64
-	var stale []string
-	for _, ent := range entries {
-		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			stale = append(stale, name) // interrupted snapshot write
-		default:
-			if gen, ok := parseGen(name, "snap-"); ok {
-				snaps = append(snaps, gen)
-			} else if gen, ok := parseGen(name, "wal-"); ok {
-				wals = append(wals, gen)
-			}
-		}
+		return nil, err
 	}
 	gen := uint64(1)
 	for _, g := range append(append([]uint64{}, snaps...), wals...) {
@@ -348,6 +330,14 @@ func (l *Log) Gen() uint64 {
 	return l.gen
 }
 
+// Shards reports the shard count the current generation's snapshot
+// records, or 0 if the generation has no snapshot.
+func (l *Log) Shards() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.shards
+}
+
 // encodeRecord appends rec's payload encoding to buf.
 func encodeRecord(buf *codec.Buffer, rec Record) error {
 	switch rec.Op {
@@ -409,13 +399,14 @@ func (l *Log) loadSnapshot(path string, apply func(Record) error) error {
 		return fmt.Errorf("wal: %s: corrupt snapshot header", path)
 	}
 	hr := codec.NewReader(header)
-	magic, measure := hr.String(), hr.String()
+	magic, measure, shards := hr.String(), hr.String(), hr.Uvarint()
 	if hr.Err() != nil || !hr.Done() || magic != snapMagic {
-		return fmt.Errorf("wal: %s: not a snapshot file", path)
+		return fmt.Errorf("wal: %s: not a %s file", path, snapMagic)
 	}
 	if measure != l.measure {
 		return fmt.Errorf("wal: %s: snapshot measure %q, index measure %q", path, measure, l.measure)
 	}
+	l.shards = int(shards)
 	var count uint64
 	for {
 		payload, next, ok := frame.Parse(data, off)
@@ -657,9 +648,9 @@ func (l *Log) stopCommitter() {
 }
 
 // commitTo advances the group-commit ledger to seq and clears any
-// sticky fsync error — called after an operation that made every
-// record up to seq durable through its own fsync (Sync, Snapshot,
-// Close). Caller may hold l.mu (lock order mu → gmu).
+// sticky fsync error — called after a snapshot rotation made every
+// record up to seq durable through its own fsync. Caller may hold l.mu
+// (lock order mu → gmu).
 func (l *Log) commitTo(seq uint64) {
 	if !l.syncMode {
 		return
@@ -674,28 +665,12 @@ func (l *Log) commitTo(seq uint64) {
 	l.gmu.Unlock()
 }
 
-// Sync fsyncs the current WAL file.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("wal: log is closed")
-	}
-	start := metrics.Now()
-	err := l.f.Sync()
-	l.m.Fsync.ObserveSince(start)
-	if err == nil {
-		l.commitTo(l.seq)
-	}
-	return err
-}
-
-// writeSnapshotFile writes a complete snapshot — header, one OpAdd
-// frame per record the iterator emits, trailer — to path, fsyncing
-// before close. On any error the partial file is removed. fsync, when
-// non-nil, records the duration of the final sync (the bulk builder's
-// WriteSnapshot has no Log and passes nil).
-func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func(emit func(Record) error) error) error {
+// writeSnapshotFile writes a complete snapshot — header (magic, measure,
+// shard count), one OpAdd frame per record the iterator emits, trailer —
+// to path, fsyncing before close. On any error the partial file is
+// removed. fsync, when non-nil, records the duration of the final sync
+// (WriteSnapshot has no Log and passes nil).
+func writeSnapshotFile(path, measure string, shards int, fsync *metrics.Histogram, iter func(emit func(Record) error) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
@@ -709,6 +684,7 @@ func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func
 	payload := codec.NewBuffer(256)
 	payload.PutString(snapMagic)
 	payload.PutString(measure)
+	payload.PutUvarint(uint64(shards))
 	if err := w.WriteFrame(payload.Bytes()); err != nil {
 		return fail(fmt.Errorf("wal: snapshot: %w", err))
 	}
@@ -750,11 +726,13 @@ func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func
 }
 
 // WriteSnapshot creates the snapshot file of generation gen in dir
-// without opening a Log: the bulk builder's path for materializing a
-// loadable generation directly from a batch job. It goes through the
-// same temp-file + fsync + atomic-rename protocol as Log.Snapshot, so a
-// file under its final name is always complete. Records must be OpAdd.
-func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(Record) error) error) error {
+// without opening a Log: how the bulk builder materializes a loadable
+// generation directly from a batch job, and how an index records its
+// measure and shard count in the directory it creates. It goes through
+// the same temp-file + fsync + atomic-rename protocol as Log.Snapshot,
+// so a file under its final name is always complete. Records must be
+// OpAdd.
+func WriteSnapshot(dir string, gen uint64, measure string, shards int, iter func(emit func(Record) error) error) error {
 	if gen == 0 {
 		return errors.New("wal: snapshot generation must be positive")
 	}
@@ -762,7 +740,7 @@ func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(R
 		return fmt.Errorf("wal: %w", err)
 	}
 	tmp := filepath.Join(dir, snapName(gen)+".tmp")
-	if err := writeSnapshotFile(tmp, measure, nil, iter); err != nil {
+	if err := writeSnapshotFile(tmp, measure, shards, nil, iter); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapName(gen))); err != nil {
@@ -774,12 +752,12 @@ func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(R
 }
 
 // Snapshot cuts a new generation: it writes every record the iterator
-// emits (all must be OpAdd) to a temp snapshot, fsyncs and renames it
-// into place, starts a fresh empty WAL, and deletes the previous
-// generation. On error the log keeps its current generation and stays
-// usable. The iterator runs with the log lock held; it must not call
-// back into the log.
-func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
+// emits (all must be OpAdd) to a temp snapshot whose header records
+// shards, fsyncs and renames it into place, starts a fresh empty WAL,
+// and deletes the previous generation. On error the log keeps its
+// current generation and stays usable. The iterator runs with the log
+// lock held; it must not call back into the log.
+func (l *Log) Snapshot(shards int, iter func(emit func(Record) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -787,7 +765,7 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	}
 	next := l.gen + 1
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
-	if err := writeSnapshotFile(tmp, l.measure, &l.m.Fsync, iter); err != nil {
+	if err := writeSnapshotFile(tmp, l.measure, shards, &l.m.Fsync, iter); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapName(next))); err != nil {
@@ -804,7 +782,7 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	}
 	syncDir(l.dir)
 	old := l.gen
-	l.gen = next
+	l.gen, l.shards = next, shards
 	l.f.Close()
 	l.f = nf
 	l.off = 0

@@ -102,7 +102,7 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 	// Snapshot the surviving state (just "b"), then log one more record.
 	state := []Record{addRec("b", Element{"y", 2})}
-	if err := l.Snapshot(func(emit func(Record) error) error {
+	if err := l.Snapshot(1, func(emit func(Record) error) error {
 		for _, rec := range state {
 			if err := emit(rec); err != nil {
 				return err
@@ -227,7 +227,7 @@ func TestCorruptSnapshotIsHardError(t *testing.T) {
 	if err := l.Append(addRec("a", Element{"x", 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(func(emit func(Record) error) error {
+	if err := l.Snapshot(1, func(emit func(Record) error) error {
 		return emit(addRec("a", Element{"x", 1}))
 	}); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestMeasureMismatch(t *testing.T) {
 	if err := l.Append(addRec("a", Element{"x", 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(func(emit func(Record) error) error {
+	if err := l.Snapshot(1, func(emit func(Record) error) error {
 		return emit(addRec("a", Element{"x", 1}))
 	}); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestAppendRejectsBadOp(t *testing.T) {
 	if err := l.Append(Record{Op: 99, Entity: "x"}); err == nil {
 		t.Fatal("unknown op should fail to encode")
 	}
-	if err := l.Snapshot(func(emit func(Record) error) error {
+	if err := l.Snapshot(1, func(emit func(Record) error) error {
 		return emit(removeRec("x"))
 	}); err == nil {
 		t.Fatal("snapshot must reject non-Add records")
@@ -335,55 +335,55 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Append(addRec("x")); err == nil {
 		t.Fatal("append after close should fail")
 	}
-	if err := l.Snapshot(func(func(Record) error) error { return nil }); err == nil {
+	if err := l.Snapshot(1, func(func(Record) error) error { return nil }); err == nil {
 		t.Fatal("snapshot after close should fail")
 	}
 }
 
-// TestCountShardDirs pins the layout recognizer: canonical names only,
-// contiguity enforced, legacy flat layouts refused.
-func TestCountShardDirs(t *testing.T) {
-	if n, err := CountShardDirs(filepath.Join(t.TempDir(), "absent")); n != 0 || err != nil {
-		t.Fatalf("missing dir: %d %v", n, err)
-	}
+// TestSnapshotRecordsShards pins what a directory says about the index
+// in it: Exists is "holds a snapshot", the snapshot header carries the
+// shard count of the index that cut it, and the retired per-shard layout
+// is refused by Exists and Open alike instead of reading as empty.
+func TestSnapshotRecordsShards(t *testing.T) {
 	dir := t.TempDir()
-	if n, err := CountShardDirs(dir); n != 0 || err != nil {
-		t.Fatalf("empty dir: %d %v", n, err)
+	if ok, err := Exists(filepath.Join(dir, "absent")); ok || err != nil {
+		t.Fatalf("missing dir: %v %v", ok, err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := os.Mkdir(filepath.Join(dir, ShardDirName(i)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, err := CountShardDirs(dir); n != 3 || err != nil {
-		t.Fatalf("3 shards: %d %v", n, err)
-	}
-	// Non-canonical spellings must be hard errors, not silently skipped:
-	// Open would read only the zero-padded names and serve nothing.
-	for _, bad := range []string{"shard-3x", "shard-03", "shard-+4"} {
-		if err := os.Mkdir(filepath.Join(dir, bad), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := CountShardDirs(dir); err == nil {
-			t.Fatalf("%s accepted", bad)
-		}
-		os.Remove(filepath.Join(dir, bad))
-	}
-	// A gap in the numbering is a hard error.
-	if err := os.Mkdir(filepath.Join(dir, ShardDirName(4)), 0o755); err != nil {
+	_, l := collect(t, dir, "ruzicka")
+	if err := l.Append(addRec("a", Element{"x", 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CountShardDirs(dir); err == nil {
-		t.Fatal("gap in shard numbering accepted")
+	if ok, err := Exists(dir); ok || err != nil {
+		t.Fatalf("a WAL without a snapshot: %v %v", ok, err)
 	}
-	os.Remove(filepath.Join(dir, ShardDirName(4)))
-	// Legacy flat layout: generation files directly in the dir.
-	legacy := t.TempDir()
-	//lint:vsmart-allow framesafety test plants a bogus legacy snap file by hand to prove CountShardDirs rejects the flat layout
-	if err := os.WriteFile(filepath.Join(legacy, snapName(1)), []byte("x"), 0o644); err != nil {
+	if got := l.Shards(); got != 0 {
+		t.Fatalf("shards without a snapshot: %d", got)
+	}
+	if err := l.Snapshot(5, func(emit func(Record) error) error { return emit(addRec("a", Element{"x", 1})) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CountShardDirs(legacy); err == nil {
-		t.Fatal("legacy layout accepted")
+	if got := l.Shards(); got != 5 {
+		t.Fatalf("shards after Snapshot(5): %d", got)
+	}
+	closeLog(t, l)
+	if ok, err := Exists(dir); !ok || err != nil {
+		t.Fatalf("after a snapshot: %v %v", ok, err)
+	}
+	_, l2 := collect(t, dir, "ruzicka")
+	if got := l2.Shards(); got != 5 {
+		t.Fatalf("reopened shards: %d", got)
+	}
+	closeLog(t, l2)
+
+	perShard := t.TempDir()
+	if err := os.Mkdir(filepath.Join(perShard, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exists(perShard); err == nil || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("Exists on the per-shard layout: %v", err)
+	}
+	nop := func(Record) error { return nil }
+	if _, err := Open(perShard, "ruzicka", nop, nop); err == nil || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("Open on the per-shard layout: %v", err)
 	}
 }

@@ -5,14 +5,13 @@ package vsmartjoin
 // one (Add, Remove, AddBatch, RemoveBatch, AddDataset, the daemon's
 // /add, /remove and /bulk) is a batch handed to one method,
 // Index.Apply (and, over a cluster of nodes, Cluster.Apply): resolve
-// names to IDs → append each touched shard's records to its write-ahead
+// names to IDs → append the batch's records to the index's write-ahead
 // log → apply to the name tables and the shards → wait for durability →
 // acknowledge. A batch of one is a batch.
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -50,34 +49,32 @@ type BatchEntry struct {
 
 // Apply is the one write method of an Index: it applies muts in order
 // and reports, per mutation, whether it changed the index — false for
-// the removal of a name that is not indexed (a no-op, never logged), for
-// an upsert superseded by a later upsert of the same entity in the same
-// batch with no removal in between (coalesced last-write-wins before it
-// ever reaches the log), and for anything routed to a shard whose log
-// append failed. The context is accepted for symmetry with Cluster.Apply
-// and unused, the index being local.
+// the removal of a name that is not indexed (a no-op, never logged) and
+// for an upsert superseded by a later upsert of the same entity in the
+// same batch with no removal in between (coalesced last-write-wins
+// before it ever reaches the log). The context is accepted for symmetry
+// with Cluster.Apply and unused, the index being local.
 //
 // A batch costs one WAL append (one write and, under DurabilitySync,
-// one group-committed fsync) and one shard-lock acquisition per touched
-// shard, and one result-cache invalidation in all. Relative order across
-// different entities is preserved per shard. Each shard's records are
-// appended to its log before anything on that shard is applied; the
-// inner insert happens under the name-table lock, so a concurrent
-// removal of the same name cannot slip between the two steps and leave a
-// nameless ghost entity behind.
+// one group-committed fsync), one shard-lock acquisition per touched
+// shard, and one result-cache invalidation. Writes serialize on the
+// index: the batch's records are appended to the log in batch order
+// before anything is applied, and the apply happens under the same
+// name-table lock, so the log's order is the apply order and a
+// concurrent removal of the same name cannot slip between the two steps
+// and leave a nameless ghost entity behind.
 //
-// On error the batch may be partially applied at shard granularity, per
-// shard all or nothing: an append error means the mutations routed to
-// that shard did NOT happen while those on other shards did (automatic
-// snapshot trouble is reported by Snapshot/Close instead). Under
-// DurabilitySync, Apply additionally waits — outside the index lock, so
-// queries and other writers keep flowing — until a group-committed fsync
-// covers the records; an error from that wait means applied in memory
-// but NOT guaranteed durable. It fails with ErrIndexClosed after Close
-// on a durable index, and on an Op that is neither OpAdd nor OpRemove
-// (nothing is applied); a volatile index cannot fail otherwise. Its body
-// is the only code in the package that appends to the write-ahead logs
-// and mutates the name tables and shards.
+// A batch is all or nothing: if the append fails, nothing is applied
+// and the error says so (automatic snapshot trouble is reported by
+// Snapshot/Close instead). Under DurabilitySync, Apply additionally
+// waits — outside the index lock, so queries and other writers keep
+// flowing — until a group-committed fsync covers the records; an error
+// from that wait means applied in memory but NOT guaranteed durable. It
+// fails with ErrIndexClosed after Close on a durable index, and on an Op
+// that is neither OpAdd nor OpRemove (nothing is applied); a volatile
+// index cannot fail otherwise. Its body is the only code in the package
+// that appends to the write-ahead log and mutates the name tables and
+// shards.
 func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 	for i := range muts {
 		if op := muts[i].Op; op != OpAdd && op != OpRemove {
@@ -92,30 +89,17 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 		ix.mu.Unlock()
 		return nil, ErrIndexClosed
 	}
-	n := ix.inner.Shards()
 
 	// Pass 1: resolve IDs in order, simulating the name-table effects of
-	// earlier ops of the same batch, and group the ops by shard — groups
-	// holds the touched shards only, so a small batch on a wide index
-	// pays for what it touches. last maps a name to the latest op of this
-	// batch that changed it: after a removal the name is absent, after an
-	// upsert it holds that op's ID — and a second upsert with no removal
-	// in between supersedes the first (last write wins).
+	// earlier ops of the same batch. last maps a name to the latest op of
+	// this batch that changed it: after a removal the name is absent,
+	// after an upsert it holds that op's ID — and a second upsert with no
+	// removal in between supersedes the first (last write wins).
 	type resolved struct {
 		skip bool // no-op remove, or upsert superseded within the batch
 		id   multiset.ID
-		g    int // index into groups
-	}
-	type shardGroup struct {
-		si   int
-		recs []wal.Record
-		ops  []index.BatchOp
-		wait func() error
-		err  error
 	}
 	res := make([]resolved, len(muts))
-	var groups []shardGroup
-	groupOf := map[int]int{} // shard → index into groups
 	last := map[string]int{}
 	for i := range muts {
 		m := &muts[i]
@@ -129,103 +113,92 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 			res[i].skip = true
 			continue
 		case m.Op == OpAdd && !present:
-			// The ID is fixed before the WAL append: routing is a hash of
-			// the ID, so the record must land in the shard log it will
-			// replay from. An ID burned on a failed append leaves a harmless
-			// gap: recovery derives nextID from the highest ID it replays.
+			// An ID burned on a failed append leaves a harmless gap:
+			// recovery derives nextID from the highest ID it replays.
 			id = ix.nextID
 			ix.nextID++
 		case m.Op == OpAdd && inBatch:
 			res[prev].skip = true
 		}
 		last[m.Entity] = i
-		si := shard.ShardOf(id, n)
-		g, ok := groupOf[si]
-		if !ok {
-			g, groupOf[si] = len(groups), len(groups)
-			groups = append(groups, shardGroup{si: si})
-		}
-		res[i] = resolved{id: id, g: g}
+		res[i].id = id
 	}
 
-	// Pass 2: one WAL append per touched shard, still under ix.mu so the
-	// record order of each shard's log matches the apply order and cannot
-	// interleave with a snapshot cut. The commit waits are collected and
-	// paid after the lock drops.
-	if ix.logs != nil {
+	// Pass 2: one WAL append for the batch, still under ix.mu so the
+	// log's order is the apply order and cannot interleave with a
+	// snapshot cut. The commit wait is paid after the lock drops.
+	wait := func() error { return nil }
+	if ix.log != nil {
+		recs := make([]wal.Record, 0, len(muts))
 		for i, m := range muts {
-			if res[i].skip {
-				continue
-			}
-			g := &groups[res[i].g]
-			if m.Op == OpRemove {
-				g.recs = append(g.recs, wal.Record{Op: wal.OpRemove, Entity: m.Entity})
-			} else {
-				g.recs = append(g.recs, walAddRecord(res[i].id, m.Entity, m.Elements))
+			switch {
+			case res[i].skip:
+			case m.Op == OpRemove:
+				recs = append(recs, wal.Record{Op: wal.OpRemove, Entity: m.Entity})
+			default:
+				recs = append(recs, walAddRecord(res[i].id, m.Entity, m.Elements))
 			}
 		}
-		for gi := range groups {
-			g := &groups[gi]
-			if g.wait, g.err = ix.logs[g.si].AppendBatchDeferred(g.recs); g.err != nil {
-				g.err = fmt.Errorf("vsmartjoin: append %s: %w", wal.ShardDirName(g.si), g.err)
-			}
+		var err error
+		if wait, err = ix.log.AppendBatchDeferred(recs); err != nil {
+			ix.mu.Unlock()
+			return nil, fmt.Errorf("vsmartjoin: append: %w", err)
 		}
 	}
 
-	// Pass 3: apply, in original batch order, every op whose shard
-	// append succeeded — name tables inline, shard structures grouped so
-	// each shard pays one lock acquisition.
+	// Pass 3: apply in batch order — name tables inline, shard
+	// structures grouped so each touched shard pays one lock acquisition.
+	type shardOps struct {
+		si  int
+		ops []index.BatchOp
+	}
+	var groups []shardOps
+	groupOf := map[int]int{} // shard → index into groups
 	applied := make([]bool, len(muts))
 	for i, m := range muts {
 		r := res[i]
-		if r.skip || groups[r.g].err != nil {
+		if r.skip {
 			continue
 		}
-		g := &groups[r.g]
+		si := shard.ShardOf(r.id, ix.inner.Shards())
+		g, ok := groupOf[si]
+		if !ok {
+			g, groupOf[si] = len(groups), len(groups)
+			groups = append(groups, shardOps{si: si})
+		}
 		if m.Op == OpRemove {
 			delete(ix.byName, m.Entity)
 			delete(ix.names, r.id)
 			ix.order.remove(m.Entity)
-			g.ops = append(g.ops, index.BatchOp{Remove: true, ID: r.id})
+			groups[g].ops = append(groups[g].ops, index.BatchOp{Remove: true, ID: r.id})
 		} else {
 			if _, ok := ix.byName[m.Entity]; !ok { // an upsert of an indexed name skips the search
 				ix.order.insert(m.Entity)
 			}
 			ix.byName[m.Entity] = r.id
 			ix.names[r.id] = m.Entity
-			g.ops = append(g.ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
+			groups[g].ops = append(groups[g].ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
 		}
 		applied[i] = true
 	}
-	changed := false
+	n := 0
 	for _, g := range groups {
-		if len(g.ops) > 0 {
-			ix.inner.At(g.si).ApplyBatch(g.ops)
-			changed = true
-			if ix.logs != nil {
-				ix.noteLoggedLocked(g.si, len(g.ops))
-			}
-		}
+		ix.inner.At(g.si).ApplyBatch(g.ops)
+		n += len(g.ops)
 	}
-	if changed {
+	if n > 0 {
 		ix.gen.Add(1) // one generation bump invalidates the cache for the whole batch
+		if ix.log != nil {
+			ix.noteLoggedLocked(n)
+		}
 	}
 	ix.mu.Unlock()
 
-	// Pass 4: durability waits, outside every lock.
-	var errs []error
-	for gi := range groups {
-		g := &groups[gi]
-		if g.wait != nil {
-			if err := g.wait(); err != nil {
-				g.err = fmt.Errorf("vsmartjoin: commit %s: %w", wal.ShardDirName(g.si), err)
-			}
-		}
-		if g.err != nil {
-			errs = append(errs, g.err)
-		}
+	// Pass 4: the durability wait, outside every lock.
+	if err := wait(); err != nil {
+		return applied, fmt.Errorf("vsmartjoin: commit: %w", err)
 	}
-	return applied, errors.Join(errs...)
+	return applied, nil
 }
 
 // Add is Apply for one OpAdd mutation.
@@ -274,7 +247,7 @@ func (ix *Index) RemoveBatch(entities []string) (int, error) {
 
 // AddDataset upserts every entity of d, in the dataset's order, through
 // Apply in chunks of applyChunk — on a durable index one WAL write per
-// touched shard and chunk instead of one per entity. It stops at the
+// chunk instead of one per entity. It stops at the
 // first chunk that fails. To materialize a large corpus as snapshot
 // files instead, use BuildIndexFiles + OpenIndex.
 func (ix *Index) AddDataset(d *Dataset) error {

@@ -60,8 +60,8 @@ type IndexMetrics struct {
 	// the timing itself stays off the hot path; cache hits are counted
 	// in IndexStats but not timed.
 	Query metrics.Snapshot
-	// WALAppend and WALFsync are durability stalls, merged across the
-	// per-shard logs; both are empty for a volatile index.
+	// WALAppend and WALFsync are durability stalls of the write-ahead
+	// log; both are empty for a volatile index.
 	WALAppend metrics.Snapshot
 	WALFsync  metrics.Snapshot
 	// WALCommitWait is how long acknowledged mutations waited for the
@@ -69,14 +69,13 @@ type IndexMetrics struct {
 	// paid outside every lock. Empty under DurabilityOS.
 	WALCommitWait metrics.Snapshot
 	// WALBatch is the records-per-append distribution (how large the
-	// batches arriving at the logs are, single mutations included);
+	// batches arriving at the log are, single mutations included);
 	// WALGroupCommit is the records-per-fsync distribution of the group
-	// committer (the amortization it achieves). Both merged across
-	// shards.
+	// committer (the amortization it achieves).
 	WALBatch       metrics.SizeSnapshot
 	WALGroupCommit metrics.SizeSnapshot
-	// WALRecords counts every record appended across shards and
-	// WALFsyncs every fsync issued; their ratio inverted —
+	// WALRecords counts every record appended and WALFsyncs every
+	// fsync issued; their ratio inverted —
 	// WALFsyncs/WALRecords — is the fsyncs-per-mutation cost the
 	// group-commit layer is amortizing down.
 	WALRecords int64
@@ -102,19 +101,16 @@ func (c *Cluster) Metrics() ClusterMetrics {
 // Metrics captures the index's latency histograms.
 func (ix *Index) Metrics() IndexMetrics {
 	m := IndexMetrics{Query: ix.queryLatency.Snapshot()}
-	ix.mu.RLock()
-	logs := ix.logs
-	ix.mu.RUnlock()
-	for _, l := range logs {
-		lm := l.Metrics()
-		m.WALAppend.Merge(lm.Append.Snapshot())
-		fs := lm.Fsync.Snapshot()
-		m.WALFsync.Merge(fs)
-		m.WALFsyncs += int64(fs.Count)
-		m.WALCommitWait.Merge(lm.CommitWait.Snapshot())
-		m.WALBatch.Merge(lm.Batch.Snapshot())
-		m.WALGroupCommit.Merge(lm.GroupCommit.Snapshot())
-		m.WALRecords += lm.Records.Load()
+	if ix.log == nil {
+		return m
 	}
+	lm := ix.log.Metrics()
+	m.WALAppend = lm.Append.Snapshot()
+	m.WALFsync = lm.Fsync.Snapshot()
+	m.WALFsyncs = int64(m.WALFsync.Count)
+	m.WALCommitWait = lm.CommitWait.Snapshot()
+	m.WALBatch = lm.Batch.Snapshot()
+	m.WALGroupCommit = lm.GroupCommit.Snapshot()
+	m.WALRecords = lm.Records.Load()
 	return m
 }

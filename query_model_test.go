@@ -476,8 +476,8 @@ func TestMutationScriptModel(t *testing.T) {
 		return out
 	}
 	byApply, byAddRemove := files(filepath.Join(root, "one op per Apply")), files(filepath.Join(root, "Add and Remove"))
-	if len(byApply) != 6 || len(byApply) != len(byAddRemove) { // 3 shards × (snap, wal)
-		t.Fatalf("files: %d by Apply, %d by Add/Remove, want 6 each", len(byApply), len(byAddRemove))
+	if len(byApply) != 2 || len(byApply) != len(byAddRemove) { // one snap, one wal at 3 shards
+		t.Fatalf("files: %d by Apply, %d by Add/Remove, want 2 each", len(byApply), len(byAddRemove))
 	}
 	for name, data := range byApply {
 		other, ok := byAddRemove[name]
