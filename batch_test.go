@@ -78,7 +78,7 @@ func TestRemoveBatchCounts(t *testing.T) {
 
 func TestBatchDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 3, Durability: DurabilitySync}
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Durability: DurabilitySync}
 	ix, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -444,39 +444,6 @@ func BenchmarkZipfRepeatedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQuery compares the query pass across shard widths:
-// threshold and top-k queries against the identical 10k-entity dataset
-// partitioned 1/4/8 ways. A query visits every shard in turn, and its
-// single-client latency here is what each extra shard costs — and the
-// row a parallel walk would have to beat (README "Shard-count
-// guidance").
-func BenchmarkShardedQuery(b *testing.B) {
-	entities := benchIndexEntities(10000)
-	for _, shards := range []int{1, 4, 8} {
-		ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i, counts := range entities {
-			if err := ix.Add(fmt.Sprintf("entity-%d", i), counts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("shards=%d/threshold", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.QueryThreshold(entities[i%len(entities)], 0.5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("shards=%d/topk", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ix.QueryTopK(entities[i%len(entities)], 10)
-			}
-		})
-	}
-}
-
 // BenchmarkWALAppend measures write throughput with durability off and
 // on: the WAL-on figure includes encoding, framing, checksumming, and
 // the unbuffered write into the OS cache on every Add (but no fsync,
@@ -642,10 +609,10 @@ func BenchmarkBulkBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dir := b.TempDir() + "/idx"
-				if _, err := BuildIndexFiles(d, IndexOptions{Measure: "ruzicka", Shards: 4, Dir: dir}); err != nil {
+				if _, err := BuildIndexFiles(d, IndexOptions{Measure: "ruzicka", Dir: dir}); err != nil {
 					b.Fatal(err)
 				}
-				ix, err := OpenIndex(IndexOptions{Measure: "ruzicka", Shards: 4, Dir: dir})
+				ix, err := OpenIndex(IndexOptions{Measure: "ruzicka", Dir: dir})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -670,7 +637,7 @@ func BenchmarkColdStartPerAdd(b *testing.B) {
 		d := benchColdStartDataset(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: 4, Dir: b.TempDir() + "/idx"})
+				ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Dir: b.TempDir() + "/idx"})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -700,7 +667,7 @@ func BenchmarkIndexOpen(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		d := benchColdStartDataset(n)
 		dir := b.TempDir() + "/idx"
-		opts := IndexOptions{Measure: "ruzicka", Shards: 4, Dir: dir}
+		opts := IndexOptions{Measure: "ruzicka", Dir: dir}
 		if _, err := BuildIndexFiles(d, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -720,14 +687,14 @@ func BenchmarkIndexOpen(b *testing.B) {
 	}
 }
 
-// benchNamedIndex builds a volatile, uncached two-shard index of n
+// benchNamedIndex builds a volatile, uncached index of n
 // one-element entities "entity-<i>" for the benchmarks and gates whose
 // cost may depend on how many names are indexed and on nothing else
 // about them: no entity carries the element "absent", so a query for it
 // is answered by the kNN pad alone.
 func benchNamedIndex(tb testing.TB, n int) *Index {
 	tb.Helper()
-	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: 2, CacheSize: -1})
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -803,13 +770,11 @@ func TestKNNPadAllocsIndependentOfLen(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryKNN measures the online kNN read path across shard
-// widths: the same 10k-entity dataset as BenchmarkShardedQuery,
-// partitioned 1/4/8 ways, k=10 nearest per query. The inner pass is
-// QueryTopK's — one similarity floor carried through the shards — so
-// the shard trade reads the same way. The padded sub-benchmarks ask
-// for the 10 nearest to a query that shares no element with the corpus
-// — the whole answer is pad — at two index sizes.
+// BenchmarkQueryKNN measures the online kNN read path: the same
+// 10k-entity dataset as BenchmarkIndexTopK, k=10 nearest per query,
+// uncached (the inner pass is QueryTopK's). The padded sub-benchmarks
+// ask for the 10 nearest to a query that shares no element with the
+// corpus — the whole answer is pad — at two index sizes.
 func BenchmarkQueryKNN(b *testing.B) {
 	for _, n := range benchNameCounts {
 		b.Run(fmt.Sprintf("padded/n=%d", n), func(b *testing.B) {
@@ -826,26 +791,22 @@ func BenchmarkQueryKNN(b *testing.B) {
 		})
 	}
 	entities := benchIndexEntities(10000)
-	for _, shards := range []int{1, 4, 8} {
-		ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: shards, CacheSize: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i, counts := range entities {
-			if err := ix.Add(fmt.Sprintf("entity-%d", i), counts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ns := ix.QueryKNN(entities[i%len(entities)], 10); len(ns) != 10 {
-					b.Fatalf("got %d neighbors", len(ns))
-				}
-			}
-		})
-		ix.Close()
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer ix.Close()
+	for i, counts := range entities {
+		mustAdd(b, ix, fmt.Sprintf("entity-%d", i), counts)
+	}
+	b.Run("overlap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ns := ix.QueryKNN(entities[i%len(entities)], 10); len(ns) != 10 {
+				b.Fatalf("got %d neighbors", len(ns))
+			}
+		}
+	})
 }
 
 // BenchmarkAllKNN measures the batch MapReduce pipeline end to end:

@@ -11,12 +11,14 @@ import (
 	"vsmartjoin/internal/similarity"
 )
 
+// maxPartitions bounds BuildClusterFiles' partition count: a router
+// scatters every query to every partition.
+const maxPartitions = 1024
+
 // BuildStats reports what BuildIndexFiles wrote.
 type BuildStats struct {
 	// Entities is the number of entities written.
 	Entities int64
-	// Shards is the shard count the written snapshot records.
-	Shards int
 	// SimulatedSeconds is the simulated cluster time of the underlying
 	// MapReduce build job (the same cost model AllPairs reports).
 	SimulatedSeconds float64
@@ -35,12 +37,12 @@ type BuildStats struct {
 // with zero WAL records to replay, answers queries exactly like an
 // index built by the same Adds, and accepts further durable mutations.
 //
-// opts.Dir is required and must not already hold anything; Measure and
-// Shards mean what they do for NewIndex and are recorded in the
-// snapshot's header.
-// SnapshotEvery plays no role at build time. Entity IDs are assigned in
-// dataset insertion order, exactly as BuildIndex's Adds would assign
-// them, so the two paths produce identical results down to tie-breaks.
+// opts.Dir is required and must not already hold anything; Measure
+// means what it does for NewIndex and is recorded in the snapshot's
+// header. SnapshotEvery plays no role at build time. Entity IDs are
+// assigned in dataset insertion order, exactly as BuildIndex's Adds
+// would assign them, so the two paths produce identical results down to
+// tie-breaks.
 func BuildIndexFiles(d *Dataset, opts IndexOptions) (BuildStats, error) {
 	var bs BuildStats
 	if opts.Dir == "" {
@@ -54,24 +56,15 @@ func BuildIndexFiles(d *Dataset, opts IndexOptions) (BuildStats, error) {
 	if err != nil {
 		return bs, err
 	}
-	shards := opts.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 0 || shards > maxShards {
-		return bs, fmt.Errorf("vsmartjoin: shard count %d outside [0, %d], 0 = default", opts.Shards, maxShards)
-	}
 	stats, err := build.Build(bulkSource(d), build.Options{
 		Dir:                opts.Dir,
 		Measure:            m.Name(),
-		Shards:             shards,
 		ShuffleBufferBytes: opts.BuildShuffleBufferBytes,
 	})
 	if err != nil {
 		return bs, fmt.Errorf("vsmartjoin: build index files: %w", err)
 	}
 	bs.Entities = stats.Entities
-	bs.Shards = stats.Shards
 	bs.SimulatedSeconds = stats.Job.TotalSeconds
 	bs.SpilledBytes = stats.Job.SpilledBytes
 	return bs, nil
@@ -101,16 +94,16 @@ func NodeDirName(p int) string { return fmt.Sprintf("node-%03d", p) }
 // job instead of a million quorum writes.
 //
 // opts is interpreted as for BuildIndexFiles, with opts.Dir naming the
-// parent of the node directories; opts.Shards is each node's internal
-// shard count. partitions must match the router's partition count —
-// entities would otherwise be searched on nodes that do not hold them.
+// parent of the node directories. partitions must match the router's
+// partition count — entities would otherwise be searched on nodes that
+// do not hold them.
 func BuildClusterFiles(d *Dataset, opts IndexOptions, partitions int) (ClusterBuildStats, error) {
 	var cs ClusterBuildStats
 	if opts.Dir == "" {
 		return cs, errors.New("vsmartjoin: BuildClusterFiles requires Dir")
 	}
-	if partitions < 1 || partitions > maxShards {
-		return cs, fmt.Errorf("vsmartjoin: partition count %d outside [1, %d]", partitions, maxShards)
+	if partitions < 1 || partitions > maxPartitions {
+		return cs, fmt.Errorf("vsmartjoin: partition count %d outside [1, %d]", partitions, maxPartitions)
 	}
 	// Carve by name hash. Dataset.Add merges repeated entities, which is
 	// NOT the upsert Cluster.Add applies — but d.Each already yields each

@@ -215,7 +215,7 @@ func (c *Cluster) Ready() (queries, writes bool) { return c.inner.Ready() }
 
 // ClusterNodeStatus is one node's row in ClusterStats: its address and
 // partition, the router's latest health observation, and the readiness
-// counters (generation, entities, mutations, shards) last read from
+// counters (generation, entities, mutations) last read from
 // the node — the signals that expose a stale replica.
 type ClusterNodeStatus = cluster.NodeStatus
 

@@ -353,7 +353,7 @@ func TestClusterCarvedBulkBuild(t *testing.T) {
 
 	const partitions = 3
 	dir := filepath.Join(t.TempDir(), "cluster")
-	opts := vsmartjoin.IndexOptions{Measure: "jaccard", Shards: 2, Dir: dir}
+	opts := vsmartjoin.IndexOptions{Measure: "jaccard", Dir: dir}
 	cs, err := vsmartjoin.BuildClusterFiles(d, opts, partitions)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@
 //
 //	vsmartjoin -measure ruzicka -t 0.5 -algorithm sharding -in trace.tsv
 //	vsmartjoin -measure jaccard -knn 10 -in trace.tsv
-//	vsmartjoin -measure ruzicka -shards 8 -build-index /var/lib/vsmartjoin -in trace.tsv.gz
+//	vsmartjoin -measure ruzicka -build-index /var/lib/vsmartjoin -in trace.tsv.gz
 //	vsmartjoind -measure ruzicka -data-dir /var/lib/vsmartjoin
 package main
 
@@ -60,7 +60,6 @@ func main() {
 		showStats  = flag.Bool("stats", false, "print simulated cluster stats to stderr")
 		knnK       = flag.Int("knn", 0, "compute each entity's k nearest neighbors (distance 1-similarity) instead of a threshold join")
 		buildIndex = flag.String("build-index", "", "bulk-build a durable serving index into this directory instead of joining")
-		shards     = flag.Int("shards", 1, "shard count the built index records, the count an opening daemon adopts by default (with -build-index)")
 		partitions = flag.Int("build-cluster", 0, "with -build-index: carve the corpus into this many per-node index directories (node-000, ...) for a vsmartjoind cluster")
 	)
 	flag.Parse()
@@ -88,7 +87,6 @@ func main() {
 	if *buildIndex != "" {
 		opts := vsmartjoin.IndexOptions{
 			Measure:                 *measure,
-			Shards:                  *shards,
 			Dir:                     *buildIndex,
 			BuildShuffleBufferBytes: *shufbuf,
 		}
@@ -98,8 +96,8 @@ func main() {
 				log.Fatal(err)
 			}
 			for p, bs := range cs.Nodes {
-				fmt.Fprintf(os.Stderr, "built %s/%s: %d entities in %d shards\n",
-					*buildIndex, vsmartjoin.NodeDirName(p), bs.Entities, bs.Shards)
+				fmt.Fprintf(os.Stderr, "built %s/%s: %d entities\n",
+					*buildIndex, vsmartjoin.NodeDirName(p), bs.Entities)
 			}
 			return
 		}
@@ -107,8 +105,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "built %s: %d entities in %d shards (simulated %.1fs, spilled %dB)\n",
-			*buildIndex, bs.Entities, bs.Shards, bs.SimulatedSeconds, bs.SpilledBytes)
+		fmt.Fprintf(os.Stderr, "built %s: %d entities (simulated %.1fs, spilled %dB)\n",
+			*buildIndex, bs.Entities, bs.SimulatedSeconds, bs.SpilledBytes)
 		return
 	}
 

@@ -30,11 +30,7 @@
 // restarts into exactly its prior state. -durability sync additionally
 // fsyncs before every acknowledgement, group-committed so concurrent
 // writers (and /bulk batches) share one fsync; -group-commit-window
-// tunes how long the committer waits for company. -shards partitions
-// the index in memory; a query visits every shard in turn and writes
-// serialize on the index either way (0 adopts the shard count the
-// data dir's snapshot records; any other count re-partitions on load).
-// On SIGINT/SIGTERM
+// tunes how long the committer waits for company. On SIGINT/SIGTERM
 // the daemon stops accepting connections, drains in-flight requests —
 // the routers' peer connections included — writes a final snapshot,
 // and exits.
@@ -67,7 +63,7 @@
 //
 // Examples:
 //
-//	vsmartjoind -measure ruzicka -addr :8321 -data-dir /var/lib/vsmartjoin -shards 8 &
+//	vsmartjoind -measure ruzicka -addr :8321 -data-dir /var/lib/vsmartjoin &
 //	vsmartjoind -addr :9000 -cluster 'host-a:8321,host-b:8321;host-c:8321,host-d:8321' &
 //	curl -s localhost:9000/query -d '{"elements":{"cookie-a":3},"threshold":0.5}'
 package main
@@ -99,7 +95,6 @@ func main() {
 		addr          = flag.String("addr", "localhost:8321", "listen address")
 		measure       = flag.String("measure", "ruzicka", "similarity measure: ruzicka, jaccard, dice, set-dice, cosine, set-cosine, vector-cosine, overlap")
 		load          = flag.String("load", "", "TSV trace to preload (entity<TAB>element[<TAB>count] per line, .gz accepted)")
-		shards        = flag.Int("shards", 0, "hash-partitioned in-memory index shards (a query visits each in turn; writes serialize either way); 0 = adopt an existing data-dir's recorded count, else 1")
 		dataDir       = flag.String("data-dir", "", "durability directory (one write-ahead log + snapshot); empty = volatile")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (needs -data-dir; negative = only on /snapshot and shutdown)")
 		durability    = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)
@@ -145,7 +140,6 @@ func main() {
 	} else {
 		opts := vsmartjoin.IndexOptions{
 			Measure:           *measure,
-			Shards:            *shards,
 			Dir:               *dataDir,
 			SnapshotEvery:     *snapshotEvery,
 			GroupCommitWindow: *gcWindow,
@@ -161,7 +155,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("serving %s similarity (%d shards)", *measure, ix.Stats().Shards)
+		log.Printf("serving %s similarity", *measure)
 		handler, closer = nodeServer(ix, httpd.Options{MaxInFlight: *maxInFlight})
 	}
 
@@ -348,7 +342,7 @@ func openIndex(opts vsmartjoin.IndexOptions, load string, logf func(string, ...a
 		if err != nil {
 			return nil, err
 		}
-		logf("bulk-built %d entities in %d shards from %s into %s", bs.Entities, bs.Shards, load, opts.Dir)
+		logf("bulk-built %d entities from %s into %s", bs.Entities, load, opts.Dir)
 		return ix, nil
 	case errors.Is(err, vsmartjoin.ErrNoIndex):
 		ix, err := vsmartjoin.NewIndex(opts)

@@ -161,12 +161,12 @@ func TestDaemonValidation(t *testing.T) {
 }
 
 // TestDaemonDurableRestart drives the full daemon lifecycle: serve a
-// durable sharded index, mutate it over HTTP, force a snapshot via
+// durable index, mutate it over HTTP, force a snapshot via
 // POST /snapshot, shut down gracefully (the SIGINT path minus the
 // signal), and restart into exactly the prior state.
 func TestDaemonDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 2, SnapshotEvery: -1}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1}
 	ix, err := vsmartjoin.NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -347,11 +347,11 @@ func TestPreload(t *testing.T) {
 }
 
 // TestDaemonHealthAndReadiness: /healthz is pure liveness, /readyz
-// carries the staleness counters (generation, entities, mutations,
-// shards) a router compares across replicas.
+// carries the staleness counters (generation, entities, mutations) a
+// router compares across replicas.
 func TestDaemonHealthAndReadiness(t *testing.T) {
 	dir := t.TempDir()
-	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 2})
+	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +392,8 @@ func TestDaemonHealthAndReadiness(t *testing.T) {
 	if out["ready"] != true || out["measure"] != "ruzicka" {
 		t.Fatalf("readyz payload: %v", out)
 	}
-	// 2 adds + 1 remove = 3 mutations, 1 live entity, generation 1, 2 shards.
-	for field, want := range map[string]float64{"mutations": 3, "entities": 1, "generation": 1, "shards": 2} {
+	// 2 adds + 1 remove = 3 mutations, 1 live entity, generation 1.
+	for field, want := range map[string]float64{"mutations": 3, "entities": 1, "generation": 1} {
 		if out[field].(float64) != want {
 			t.Fatalf("readyz %s = %v, want %v (payload %v)", field, out[field], want, out)
 		}
@@ -583,7 +583,7 @@ func TestOpenIndexBulkBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "data")
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 2}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir}
 	logf := func(string, ...any) {}
 
 	ix, err := openIndex(opts, trace, logf)

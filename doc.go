@@ -52,26 +52,20 @@
 // cmd/vsmartjoind daemon serves an Index over HTTP, and examples/serving
 // is a worked walkthrough.
 //
-// # Durability and sharding
+// # Durability
 //
-// IndexOptions configures both serving-scale concerns:
+// An Index is one partition in one process; spreading entities over
+// machines is Cluster's job. IndexOptions configures durability:
 //
 //   - Measure fixes the similarity measure ("ruzicka" by default); a
 //     durable index records it in every snapshot and refuses to reopen
 //     under a different one.
 //
-//   - Shards hash-partitions the index in memory by entity: a query
-//     walks the shards in turn on its caller's goroutine, carrying one
-//     top-k floor through all of them, to exactly the single-shard
-//     answer (internal/shard). Writes serialize on the index whatever
-//     the count. A durable index's snapshots record the count, which
-//     Shards == 0 adopts on reopen; any other count re-partitions.
-//
 //   - Dir makes the index durable: every mutation is appended to the
 //     index's one write-ahead log before it is applied, so a killed
 //     process — even one dying mid-append, leaving a torn frame —
 //     reopens into exactly its prior state (internal/wal). The dir
-//     holds one snapshot and one log at any shard count.
+//     holds one snapshot and one log.
 //
 //   - SnapshotEvery sets how many logged mutations trigger an automatic
 //     snapshot, which truncates the log; Snapshot forces one and Close
@@ -92,7 +86,6 @@
 //
 //	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{
 //		Measure:       "ruzicka",
-//		Shards:        8,
 //		Dir:           "/var/lib/vsmartjoin",
 //		SnapshotEvery: 4096,
 //	})
@@ -105,8 +98,8 @@
 // of one named entity — and every write goes through one method,
 // Index.Apply (Cluster.Apply over a cluster), which takes a batch of
 // them: the batch is appended to the log as a single write and applied
-// under one lock acquisition per touched shard, all or nothing, with
-// last-write-wins for repeated upserts of an entity inside a batch.
+// under one lock acquisition, all or nothing, with last-write-wins for
+// repeated upserts of an entity inside a batch.
 // Add, Remove, AddBatch and RemoveBatch are conveniences that build the
 // batch — a batch of one pays one lock acquisition and one WAL append.
 // A writer with many mutations on its hands batches them itself: the
@@ -134,7 +127,6 @@
 //
 //	_, err := vsmartjoin.BuildIndexFiles(d, vsmartjoin.IndexOptions{
 //		Measure: "ruzicka",
-//		Shards:  8,
 //		Dir:     "/var/lib/vsmartjoin",
 //	})
 //	if err != nil { ... }
@@ -202,7 +194,7 @@
 // and online lists are byte-identical; knn_diff_test.go gates both
 // against a brute-force oracle.
 //
-// Candidate generation has one path on every shard: the prefix-filter
+// Candidate generation has one path: the prefix-filter
 // probe of the inverted index, for threshold, top-k and kNN queries
 // alike. README.md carries the measurements that retired a scan and a
 // MinHash-seeded alternative, and the bar for bringing a planner back.
@@ -250,10 +242,9 @@
 // enough (one clock read, three atomic adds, zero allocations) that
 // the query hot path stays 0 allocs/op with instrumentation on.
 // IndexStats carries latency summaries (count, mean, p50/p99/p999) for
-// the uncached query path, the cross-shard merge, and WAL
-// append/fsync stalls; ClusterStats adds quorum-write and
-// scatter-gather query latency, hedge-fired/hedge-won counts, and the
-// current anti-entropy repair backlog:
+// the uncached query path and WAL append/fsync stalls; ClusterStats
+// adds quorum-write and scatter-gather query latency, hedge-fired/
+// hedge-won counts, and the current anti-entropy repair backlog:
 //
 //	st := ix.Stats()
 //	fmt.Printf("p99 query: %.2fms\n", st.QueryLatency.P99Ns/1e6)

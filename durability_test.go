@@ -1,15 +1,10 @@
 package vsmartjoin
 
-// Durability and sharding gates at the public-API level, reusing the
-// api_diff_test.go harness (randomEntities + exact-match comparison):
-//
-//   - crash recovery: an Index with a Dir, killed at arbitrary points
-//     (including a torn final WAL frame), must reopen into a state that
-//     answers every query exactly like an uninterrupted in-memory
-//     oracle that saw the same mutations;
-//   - sharding: for shard counts {1, 3, 8}, every query must match the
-//     single-shard index exactly — same matches, same scores, same
-//     top-k order.
+// Durability gates at the public-API level, reusing the api_diff_test.go
+// harness (randomEntities + exact-match comparison): an Index with a
+// Dir, killed at arbitrary points (including a torn final WAL frame),
+// must reopen into a state that answers every query exactly like an
+// uninterrupted in-memory oracle that saw the same mutations.
 
 import (
 	"context"
@@ -17,14 +12,13 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // walPath returns the data dir's one WAL file (via bulk_test.go's
-// walFiles): an index keeps one log whatever its shard count.
+// walFiles).
 func walPath(t *testing.T, dir string) string {
 	t.Helper()
 	wals := walFiles(t, dir)
@@ -58,7 +52,7 @@ func tearWALTail(t *testing.T, dir string, rng *rand.Rand) {
 	}
 }
 
-// mustAgree compares a recovered/sharded index against the oracle on
+// mustAgree compares a recovered index against the oracle on
 // Len plus threshold and top-k probes, demanding exact equality of
 // matches, scores, and order.
 func mustAgree(t *testing.T, tag string, got, oracle *Index, probes []map[string]uint32) {
@@ -98,7 +92,7 @@ func mustAgree(t *testing.T, tag string, got, oracle *Index, probes []map[string
 }
 
 // TestCrashRecoveryDifferential interleaves Add/Remove/Query on a
-// durable sharded index and an in-memory oracle, hard-stops the durable
+// durable index and an in-memory oracle, hard-stops the durable
 // one (abandoned without Close, WAL tail torn mid-frame), reopens it,
 // and requires the recovered index to answer exactly like the oracle.
 // The tight SnapshotEvery forces several snapshot rotations along the
@@ -106,7 +100,7 @@ func mustAgree(t *testing.T, tag string, got, oracle *Index, probes []map[string
 func TestCrashRecoveryDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 3, SnapshotEvery: 17}
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 17}
 	durable, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -216,16 +210,6 @@ func TestDurableMutationsAfterClose(t *testing.T) {
 
 // TestDurableOptionValidation covers the new IndexOptions surface.
 func TestDurableOptionValidation(t *testing.T) {
-	if _, err := NewIndex(IndexOptions{Shards: -1}); err == nil {
-		t.Fatal("negative shards should fail")
-	}
-	const wantRange = "shard count 5000 outside [0, 1024], 0 = default"
-	if _, err := NewIndex(IndexOptions{Shards: 5000}); err == nil || !strings.Contains(err.Error(), wantRange) {
-		t.Fatalf("absurd shard count: got %v, want an error naming %q", err, wantRange)
-	}
-	if _, err := BuildIndexFiles(NewDataset(), IndexOptions{Dir: t.TempDir(), Shards: 5000}); err == nil || !strings.Contains(err.Error(), wantRange) {
-		t.Fatalf("absurd bulk shard count: got %v, want an error naming %q", err, wantRange)
-	}
 	vol, err := NewIndex(IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -279,67 +263,6 @@ func TestDurableOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedIndex is the public sharded gate: for shard
-// counts {1, 3, 8} the full query surface must match the single-shard
-// index exactly, before and after churn.
-func TestDifferentialShardedIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	entities := randomEntities(rng, 40, 28, 8, 4)
-	d := datasetOf(entities)
-	single, err := BuildIndex(d, IndexOptions{Measure: "ruzicka", Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var probes []map[string]uint32
-	for _, counts := range entities {
-		probes = append(probes, counts)
-		if len(probes) == 8 {
-			break
-		}
-	}
-	for _, shards := range []int{1, 3, 8} {
-		sharded, err := BuildIndex(d, IndexOptions{Measure: "ruzicka", Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sharded.Stats().Shards; got != shards {
-			t.Fatalf("stats report %d shards, want %d", got, shards)
-		}
-		mustAgree(t, fmt.Sprintf("shards=%d", shards), sharded, single, probes)
-
-		// Churn both the same way, then compare again.
-		i := 0
-		for name := range entities {
-			switch i % 3 {
-			case 0:
-				if _, err := sharded.Remove(name); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := single.Remove(name); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				counts := map[string]uint32{fmt.Sprintf("e%d", i%28): uint32(i%4 + 1)}
-				if err := sharded.Add(name, counts); err != nil {
-					t.Fatal(err)
-				}
-				if err := single.Add(name, counts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i++
-		}
-		mustAgree(t, fmt.Sprintf("shards=%d churned", shards), sharded, single, probes)
-
-		// Rebuild the single oracle for the next shard width (the churn
-		// above mutated it).
-		single, err = BuildIndex(d, IndexOptions{Measure: "ruzicka", Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // indexAgrees is mustAgree's non-fatal twin: it reports whether two
 // indexes answer identically instead of failing the test, so torn-batch
 // recovery can search for WHICH prefix of a batch survived.
@@ -371,19 +294,15 @@ func indexAgrees(got, oracle *Index, probes []map[string]uint32) bool {
 // group-commit acknowledgement boundary — everything acknowledged
 // before the batch (the base) must survive every cut, and the recovered
 // state must always equal base + some prefix of the torn batch, never a
-// subset with holes and never invented records. At 3 shards the batch
-// spreads over every shard, and its prefix must still be a prefix in
-// batch order: the shards share the one log, so a cut is a cut of one
-// history.
+// subset with holes and never invented records. Its one leg is named for
+// the one partition every index is.
 func TestCrashRecoveryMidGroupCommit(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { crashMidGroupCommit(t, shards) })
-	}
+	t.Run("shards=1", crashMidGroupCommit)
 }
 
-func crashMidGroupCommit(t *testing.T, shards int) {
+func crashMidGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: shards, SnapshotEvery: -1,
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
 		Durability: DurabilitySync, GroupCommitWindow: 50 * time.Microsecond}
 	ix, err := NewIndex(opts)
 	if err != nil {
@@ -506,7 +425,7 @@ func crashMidGroupCommit(t *testing.T, shards int) {
 // this is also the batched write path's data-race gate.
 func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Shards: 3, SnapshotEvery: 29,
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 29,
 		Durability: DurabilitySync, GroupCommitWindow: 100 * time.Microsecond}
 	ix, err := NewIndex(opts)
 	if err != nil {

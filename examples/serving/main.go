@@ -97,8 +97,8 @@ func main() {
 	fmt.Printf("query funnel: %d probes -> %d candidates (%d length-pruned) -> %d verified -> %d results\n",
 		s.Probes, s.Candidates, s.LengthPruned, s.Verified, s.Results)
 
-	// 5. Durability + sharding: the same index, partitioned 4 ways with a
-	// write-ahead log under dir. Kill -9 at any point and reopening the
+	// 5. Durability: the same kind of index with a write-ahead log under
+	// dir. Kill -9 at any point and reopening the
 	// dir recovers every completed mutation — here we just drop the
 	// handle without Close, the moral equivalent.
 	dir, err := os.MkdirTemp("", "vsmartjoin-serving-")
@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Shards: 4, Dir: dir, SnapshotEvery: 64}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 64}
 	func() { // scope the doomed handle: it "crashes" without Close
 		durable, err := vsmartjoin.NewIndex(opts)
 		if err != nil {
@@ -124,8 +124,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer recovered.Close()
-	fmt.Printf("\nafter simulated crash, recovered %d entities from %s (%d shards)\n",
-		recovered.Len(), dir, recovered.Stats().Shards)
+	fmt.Printf("\nafter simulated crash, recovered %d entities from %s\n", recovered.Len(), dir)
 
 	// 6. Bulk bootstrap: cold-starting a corpus through Add writes one
 	// WAL record per entity; BuildIndexFiles runs it through the batch
@@ -149,7 +148,7 @@ func main() {
 	}
 	defer os.RemoveAll(bulkDir)
 	bulkDir += "/idx" // BuildIndexFiles wants a fresh path
-	bs, err := vsmartjoin.BuildIndexFiles(corpus, vsmartjoin.IndexOptions{Measure: "ruzicka", Shards: 4, Dir: bulkDir})
+	bs, err := vsmartjoin.BuildIndexFiles(corpus, vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: bulkDir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,8 +157,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer bulk.Close()
-	fmt.Printf("\nbulk-built %d entities into one snapshot (%d shards recorded); opened %d at generation %d with no WAL replay\n",
-		bs.Entities, bs.Shards, bulk.Len(), bulk.Generation())
+	fmt.Printf("\nbulk-built %d entities into one snapshot; opened %d at generation %d with no WAL replay\n",
+		bs.Entities, bulk.Len(), bulk.Generation())
 
-	fmt.Println("\nserve the same index over HTTP with: go run ./cmd/vsmartjoind -data-dir <dir> -shards 4")
+	fmt.Println("\nserve the same index over HTTP with: go run ./cmd/vsmartjoind -data-dir <dir>")
 }

@@ -4,15 +4,16 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/metrics"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/shard"
 	"vsmartjoin/internal/similarity"
 	"vsmartjoin/internal/wal"
 )
@@ -35,10 +36,6 @@ var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 // mutations logged after which the index cuts a snapshot and truncates
 // its write-ahead log.
 const defaultSnapshotEvery = 4096
-
-// maxShards bounds IndexOptions.Shards: every query visits every shard,
-// and past this the walk costs far more than any shard saves.
-const maxShards = 1024
 
 // defaultGroupCommitWindow is how long the group committer waits after
 // the first pending record for neighbors to pile onto the same fsync
@@ -76,19 +73,8 @@ type IndexOptions struct {
 	// in every snapshot and reopening under a different one is refused.
 	Measure string
 
-	// Shards is the number of hash-partitioned sub-indexes, in
-	// [0, 1024], 0 = default (1, or the count an existing data dir
-	// records). Shards are an in-memory layout for the query walk:
-	// entities are routed to shards by their ID and a query visits the
-	// shards one after another on its caller's goroutine, with results
-	// identical to one shard. Writes serialize on the index either way,
-	// so sharding buys no write concurrency; README "Shard-count
-	// guidance" has what a second shard costs a query.
-	//
-	// A durable index keeps one write-ahead log whatever its shard
-	// count, and its snapshots record the count only as a default:
-	// opening an existing data dir with Shards == 0 adopts the recorded
-	// count, and any other count re-partitions the entities on load.
+	// Deprecated: ignored — an Index is one partition; kept only because
+	// benchmark/ sets it.
 	Shards int
 
 	// Dir, when non-empty, makes the index durable: every Add/Remove is
@@ -96,12 +82,12 @@ type IndexOptions struct {
 	// applied, and periodic snapshots truncate the log. NewIndex
 	// recovers the prior state (snapshot load + log replay, tolerating a
 	// torn final frame) from a Dir that already holds one, and otherwise
-	// creates it with an empty snapshot recording Measure and Shards;
-	// OpenIndex does the same but refuses to start fresh. Empty means
-	// fully in-memory. Dir holds one generation, snap-<gen> plus
-	// wal-<gen>, at any shard count — the same files the bulk builder
-	// (BuildIndexFiles) writes, so a batch-built dir and a
-	// serving-written dir are interchangeable.
+	// creates it with an empty snapshot recording Measure; OpenIndex
+	// does the same but refuses to start fresh. Empty means fully
+	// in-memory. Dir holds one generation, snap-<gen> plus wal-<gen> —
+	// the same files the bulk builder (BuildIndexFiles) writes, so a
+	// batch-built dir and a serving-written dir are interchangeable.
+	// Dirs written when an index could be sharded open unchanged.
 	Dir string
 
 	// SnapshotEvery is the number of mutations logged between automatic
@@ -145,15 +131,11 @@ type IndexOptions struct {
 // the field docs on internal/index.Stats for the pruning pipeline the
 // Probes → Candidates → Verified → Results funnel describes (Probes
 // includes the postings walked only to finish admitted candidates'
-// partial sums; Verified counts similarities computed). Entities,
-// Adds, Removes and the query counters are global; Elements and
-// Postings are summed across shards (an element present in several
-// shards counts once per shard). Generation is the write-ahead log's
-// generation (0 for a volatile index); bulk-built and freshly created
-// directories open at generation 1.
+// partial sums; Verified counts similarities computed). Generation is
+// the write-ahead log's generation (0 for a volatile index); bulk-built
+// and freshly created directories open at generation 1.
 type IndexStats struct {
 	Measure    string `json:"measure"`
-	Shards     int    `json:"shards"`
 	Generation uint64 `json:"generation"`
 	Entities   int    `json:"entities"`
 	Elements   int    `json:"elements"`
@@ -209,16 +191,15 @@ type IndexStats struct {
 // similarity index serving threshold, top-k and kNN queries (Query, in
 // query.go) against a live dataset. Entities can be added and removed
 // at any time, concurrently with queries; see internal/index for the
-// data structure and locking design, internal/shard for the hash
-// partitioning, and internal/wal for the durability layer.
-// Use AllPairs for periodic full joins and an Index for interactive
+// data structure and locking design and internal/wal for the durability
+// layer. Use AllPairs for periodic full joins and an Index for interactive
 // lookups against the same entities.
 type Index struct {
 	measure similarity.Measure
-	inner   *shard.Set
+	inner   *index.Index
 
 	// mu guards the name tables and serializes every mutation, logged or
-	// not, and every snapshot; the shards have their own locks, always
+	// not, and every snapshot; the inner index has its own lock, always
 	// nested inside mu, so the nesting cannot deadlock.
 	mu     sync.RWMutex
 	dict   *multiset.Dict
@@ -278,9 +259,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards < 0 || opts.Shards > maxShards {
-		return nil, fmt.Errorf("vsmartjoin: shard count %d outside [0, %d], 0 = default", opts.Shards, maxShards)
-	}
 	snapshotEvery := opts.SnapshotEvery
 	if snapshotEvery == 0 {
 		snapshotEvery = defaultSnapshotEvery
@@ -302,6 +280,7 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	}
 	ix := &Index{
 		measure:       m,
+		inner:         index.New(m),
 		dict:          multiset.NewDict(),
 		byName:        make(map[string]multiset.ID),
 		names:         make(map[multiset.ID]string),
@@ -316,7 +295,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		ix.cache = newQueryCache(cacheSize)
 	}
 	if opts.Dir == "" {
-		ix.inner = shard.New(m, opts.Shards)
 		return ix, nil
 	}
 	exists, err := wal.Exists(opts.Dir)
@@ -326,7 +304,7 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if !exists && !create {
 		return nil, fmt.Errorf("%w: %s", ErrNoIndex, opts.Dir)
 	}
-	if err := ix.openLog(opts.Dir, opts.Shards, !exists, walOpts); err != nil {
+	if err := ix.openLog(opts.Dir, !exists, walOpts); err != nil {
 		if ix.log != nil {
 			//lint:vsmart-allow walerr best-effort cleanup on the constructor's error path; the openLog error is what the caller gets
 			ix.log.Close()
@@ -338,17 +316,15 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 
 // openLog opens the index's one write-ahead log in dir and recovers it.
 // A fresh dir first gets an empty generation-1 snapshot recording the
-// measure and shard count, so every data dir is one snapshot plus one
-// WAL from the start and is never reopened under another measure.
-// Recovery replays the snapshot and then the WAL, in the one order they
-// were logged, into the name tables and one entity table; each entity
-// is then routed to its shard by ID and every shard is bulk-loaded
-// through the sealed internal/index path. shards == 0 adopts the count
-// the snapshot records; any other count re-partitions. The index is not
-// yet shared, so no locking is needed here.
-func (ix *Index) openLog(dir string, shards int, fresh bool, opts []wal.Option) error {
+// measure, so every data dir is one snapshot plus one WAL from the start
+// and is never reopened under another measure. Recovery replays the
+// snapshot and then the WAL, in the one order they were logged, into the
+// name tables and one entity table, which is then bulk-loaded in ID
+// order through the sealed internal/index path. The index is not yet
+// shared, so no locking is needed here.
+func (ix *Index) openLog(dir string, fresh bool, opts []wal.Option) error {
 	if fresh {
-		err := wal.WriteSnapshot(dir, 1, ix.measure.Name(), max(shards, 1), func(func(wal.Record) error) error { return nil })
+		err := wal.WriteSnapshot(dir, 1, ix.measure.Name(), func(func(wal.Record) error) error { return nil })
 		if err != nil {
 			return err
 		}
@@ -380,26 +356,11 @@ func (ix *Index) openLog(dir string, shards int, fresh bool, opts []wal.Option) 
 		return err
 	}
 	ix.log = l
-	if shards == 0 {
-		shards = l.Shards()
+	byID := slices.SortedFunc(maps.Values(sets), func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
+	if err := ix.inner.BulkLoad(byID); err != nil {
+		return err
 	}
-	ix.inner = shard.New(ix.measure, shards)
-	perShard := make([][]multiset.Multiset, ix.inner.Shards())
-	for id, set := range sets {
-		si := shard.ShardOf(id, len(perShard))
-		perShard[si] = append(perShard[si], set)
-	}
-	for si, shardSets := range perShard {
-		slices.SortFunc(shardSets, func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
-		if err := ix.inner.At(si).BulkLoad(shardSets); err != nil {
-			return err
-		}
-	}
-	names := make([]string, 0, len(ix.byName))
-	for name := range ix.byName {
-		names = append(names, name)
-	}
-	ix.order.load(names)
+	ix.order.load(slices.Collect(maps.Keys(ix.byName)))
 	return nil
 }
 
@@ -430,14 +391,14 @@ func (ix *Index) noteLoggedLocked(n int) {
 }
 
 // snapshotLocked writes the index's snapshot, every entity in ID order
-// (shard.Set.Range), truncates the log and resets the cadence counter.
+// (index.Range), truncates the log and resets the cadence counter.
 // Each entity's elements are emitted in ascending name order, as
 // walAddRecord logs them — element IDs follow the order a run happened
 // to intern the names in, and the bytes must depend on the logical state
 // alone. Caller holds ix.mu, which quiesces all mutations (they all take
 // ix.mu), so the iteration is an atomic view.
 func (ix *Index) snapshotLocked() error {
-	err := ix.log.Snapshot(ix.inner.Shards(), func(emit func(wal.Record) error) error {
+	err := ix.log.Snapshot(func(emit func(wal.Record) error) error {
 		var emitErr error
 		ix.inner.Range(func(m multiset.Multiset) bool {
 			elems := make([]wal.Element, len(m.Entries))
@@ -513,32 +474,21 @@ func (ix *Index) Generation() uint64 {
 // multiplicities, or ok == false if the entity is not indexed. The
 // cluster router uses it (via the daemon's GET /entity endpoint) to
 // turn an entity-relative query into an element query it can scatter
-// to the other partitions.
+// to the other partitions. The name, the multiset and the element names
+// are read in one ix.mu read hold, so a concurrent remove and re-add
+// cannot pair the name with a dead ID.
 func (ix *Index) Elements(entity string) (counts map[string]uint32, ok bool) {
 	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	id, ok := ix.byName[entity]
-	ix.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	m := ix.inner.Snapshot(id)
-	if len(m.Entries) == 0 {
-		// Either the entity was legitimately indexed empty, or it was
-		// removed between the name lookup and the snapshot — re-check so
-		// a vanished entity reads as not-found, not as empty.
-		ix.mu.RLock()
-		_, ok = ix.byName[entity]
-		ix.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-	}
+	m := ix.inner.View(id)
 	counts = make(map[string]uint32, len(m.Entries))
-	ix.mu.RLock()
 	for _, e := range m.Entries {
 		counts[ix.dict.Name(e.Elem)] += e.Count
 	}
-	ix.mu.RUnlock()
 	return counts, true
 }
 
@@ -555,7 +505,6 @@ func (ix *Index) Stats() IndexStats {
 	}
 	return IndexStats{
 		Measure:            ix.measure.Name(),
-		Shards:             ix.inner.Shards(),
 		Generation:         ix.Generation(),
 		Entities:           s.Entities,
 		Elements:           s.Elements,

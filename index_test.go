@@ -3,9 +3,11 @@ package vsmartjoin
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -319,7 +321,7 @@ func TestEntityQueryDoesNotCopyTheEntity(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts under -race measure the detector")
 	}
-	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Shards: 2, CacheSize: -1})
+	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,5 +375,61 @@ func TestElementQueryAllocs(t *testing.T) {
 	topk := testing.AllocsPerRun(100, func() { ix.QueryTopK(q, 10) })
 	if threshold != 2 || topk != 2 {
 		t.Fatalf("a 9-element query allocates %v/op (threshold) and %v/op (top-k), want 2", threshold, topk)
+	}
+}
+
+// TestElementsUnderChurn: Elements and the entity form of a query read
+// the name and its multiset in one hold of the name-table lock, so a
+// name removed and re-added between two steps of the read can neither
+// come back present but empty nor probe with a dead ID. One goroutine
+// churns "e" while the test reads it: every Elements answer is absent or
+// exactly e's elements, and every entity query that finds "e" finds
+// "twin", which holds the same elements, at similarity 1 (a dead ID
+// probes with an empty multiset and finds nothing).
+func TestElementsUnderChurn(t *testing.T) {
+	ix, err := NewIndex(IndexOptions{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint32{"x": 1, "y": 2}
+	mustAdd(t, ix, "e", want)
+	mustAdd(t, ix, "twin", want)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := ix.Remove("e"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ix.Add("e", want); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(done)
+	reads := 2_000_000
+	if raceDetector {
+		reads = 400_000
+	}
+	for i := 0; i < reads; i++ {
+		if got, ok := ix.Elements("e"); ok && !maps.Equal(got, want) {
+			t.Fatalf("read %d: Elements(e) = %v, want %v or absent", i, got, want)
+		}
+		if i%8 != 0 {
+			continue
+		}
+		if ms, err := ix.QueryEntity("e", 0.5); err == nil && !slices.Contains(ms, Match{Entity: "twin", Similarity: 1}) {
+			t.Fatalf("read %d: QueryEntity(e) = %v, want twin at 1 among them", i, ms)
+		}
 	}
 }

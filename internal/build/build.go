@@ -11,10 +11,8 @@
 // group, so it arrives ID-sorted with repeats in upsert order, and the
 // one reducer streams it straight into the generation-1 snapshot
 // (internal/wal.WriteSnapshot) — sorted, deduplicated, stamped with the
-// measure and shard count. That is the file an index's own Snapshot
-// writes for the same entities, byte for byte. Shards never route
-// anything here: the serving index partitions the entities by ID when
-// it loads them. Because the shuffle is the engine's, the builder
+// measure. That is the file an index's own Snapshot writes for the same
+// entities, byte for byte. Because the shuffle is the engine's, the builder
 // inherits its spill-to-disk mode: a ShuffleBufferBytes cap bounds
 // builder memory on corpora that outgrow it.
 //
@@ -35,8 +33,8 @@ import (
 	"vsmartjoin/internal/wal"
 )
 
-// Entity is one corpus entry: the entity ID the serving index will route
-// and tie-break by (0 is reserved for ad-hoc queries), its name, and its
+// Entity is one corpus entry: the entity ID the serving index will
+// tie-break by (0 is reserved for ad-hoc queries), its name, and its
 // element multiplicities.
 type Entity struct {
 	ID       uint64
@@ -74,9 +72,6 @@ type Options struct {
 	// Measure is the canonical similarity measure name stamped into the
 	// snapshot; opening under a different measure is refused.
 	Measure string
-	// Shards is the shard count stamped into the snapshot (>= 1): the
-	// count an index opening the dir with Shards 0 adopts.
-	Shards int
 	// Machines is the simulated cluster width of the build job
 	// (default 16, like AllPairs).
 	Machines int
@@ -97,8 +92,6 @@ type Stats struct {
 	// carried the same ID — the upsert collapses of a corpus that
 	// observes an entity more than once.
 	Deduped int64
-	// Shards is the shard count the snapshot records.
-	Shards int
 	// Job is the cost accounting of the underlying MapReduce run.
 	Job mr.JobStats
 }
@@ -118,9 +111,6 @@ func Build(src Source, opts Options) (Stats, error) {
 	}
 	if opts.Measure == "" {
 		return stats, errors.New("build: no measure name")
-	}
-	if opts.Shards < 1 {
-		return stats, fmt.Errorf("build: shard count %d < 1", opts.Shards)
 	}
 	machines := opts.Machines
 	if machines == 0 {
@@ -152,7 +142,7 @@ func Build(src Source, opts Options) (Stats, error) {
 		Name:              "bulk-index-build",
 		Input:             input,
 		Mapper:            mr.MapperFunc(snapshotMapper),
-		Reducer:           mr.ReducerFunc(makeSnapshotReducer(tmp, opts.Measure, opts.Shards)),
+		Reducer:           mr.ReducerFunc(makeSnapshotReducer(tmp, opts.Measure)),
 		NumReducers:       1,
 		UsesSecondaryKeys: true, // the reduce group arrives ID-sorted
 		OutputName:        "bulk-index-manifest",
@@ -161,7 +151,7 @@ func Build(src Source, opts Options) (Stats, error) {
 		return stats, fmt.Errorf("build: %w", err)
 	}
 	if jobStats.Counters[counterEntities] == 0 { // no record, no reduce group
-		if err := wal.WriteSnapshot(tmp, 1, opts.Measure, opts.Shards, func(func(wal.Record) error) error { return nil }); err != nil {
+		if err := wal.WriteSnapshot(tmp, 1, opts.Measure, func(func(wal.Record) error) error { return nil }); err != nil {
 			return stats, fmt.Errorf("build: %w", err)
 		}
 	}
@@ -176,7 +166,6 @@ func Build(src Source, opts Options) (Stats, error) {
 
 	stats.Entities = jobStats.Counters[counterEntities]
 	stats.Deduped = jobStats.Counters[counterDeduped]
-	stats.Shards = opts.Shards
 	stats.Job = jobStats
 	return stats, nil
 }
@@ -275,10 +264,10 @@ func snapshotMapper(_ *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 // occurrence — the secondary key ends in the input sequence number, so
 // "last in sort order" is exactly upsert order — and the group never
 // materializes beyond the one-record lookahead the dedup needs.
-func makeSnapshotReducer(dir, measure string, shards int) func(*mr.TaskContext, []byte, *mr.Values, mr.Emitter) error {
+func makeSnapshotReducer(dir, measure string) func(*mr.TaskContext, []byte, *mr.Values, mr.Emitter) error {
 	return func(ctx *mr.TaskContext, _ []byte, values *mr.Values, _ mr.Emitter) error {
 		var written, deduped int64
-		err := wal.WriteSnapshot(dir, 1, measure, shards, func(emit func(wal.Record) error) error {
+		err := wal.WriteSnapshot(dir, 1, measure, func(emit func(wal.Record) error) error {
 			var pending *wal.Record
 			flush := func() error {
 				if pending == nil {

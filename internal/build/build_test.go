@@ -27,8 +27,8 @@ func corpus(n int) []Entity {
 }
 
 // load reopens a built dir through the wal and returns its records,
-// separating snapshot body from WAL tail, and the recorded shard count.
-func load(t *testing.T, dir string, measure string) (snap, tail []wal.Record, shards int) {
+// separating snapshot body from WAL tail.
+func load(t *testing.T, dir string, measure string) (snap, tail []wal.Record) {
 	t.Helper()
 	l, err := wal.Open(dir, measure,
 		func(rec wal.Record) error { snap = append(snap, rec); return nil },
@@ -36,33 +36,29 @@ func load(t *testing.T, dir string, measure string) (snap, tail []wal.Record, sh
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards = l.Shards()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snap, tail, shards
+	return snap, tail
 }
 
-func TestBuildWritesLoadableShards(t *testing.T) {
-	const shards = 4
+func TestBuildWritesLoadableSnapshot(t *testing.T) {
 	ents := corpus(37)
 	dir := filepath.Join(t.TempDir(), "idx")
-	stats, err := Build(Entities(ents), Options{Dir: dir, Measure: "ruzicka", Shards: shards})
+	stats, err := Build(Entities(ents), Options{Dir: dir, Measure: "ruzicka"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entities != int64(len(ents)) || stats.Shards != shards || stats.Deduped != 0 {
+	if stats.Entities != int64(len(ents)) || stats.Deduped != 0 {
 		t.Fatalf("stats %+v", stats)
 	}
-	// One file, whatever the shard count: the shards are the serving
-	// index's business.
 	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{wal.SnapName(1)}) {
 		t.Fatalf("dir holds %v, want only %s", names, wal.SnapName(1))
 	}
 
-	snap, tail, recorded := load(t, dir, "ruzicka")
-	if len(tail) != 0 || recorded != shards {
-		t.Fatalf("%d WAL records to replay and %d shards recorded, want 0 and %d", len(tail), recorded, shards)
+	snap, tail := load(t, dir, "ruzicka")
+	if len(tail) != 0 {
+		t.Fatalf("%d WAL records to replay, want 0", len(tail))
 	}
 	if len(snap) != len(ents) {
 		t.Fatalf("snapshot holds %d entities, corpus has %d", len(snap), len(ents))
@@ -91,7 +87,7 @@ func dirNames(t *testing.T, dir string) []string {
 
 func TestBuildEmptyCorpus(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "idx")
-	stats, err := Build(nil, Options{Dir: dir, Measure: "jaccard", Shards: 3})
+	stats, err := Build(nil, Options{Dir: dir, Measure: "jaccard"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +95,10 @@ func TestBuildEmptyCorpus(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	// An empty corpus still leaves a loadable snapshot recording the
-	// measure and the shard count: a dir without one is no index.
-	snap, tail, shards := load(t, dir, "jaccard")
-	if len(snap) != 0 || len(tail) != 0 || shards != 3 {
-		t.Fatalf("%d snap + %d tail records, %d shards recorded", len(snap), len(tail), shards)
+	// measure: a dir without one is no index.
+	snap, tail := load(t, dir, "jaccard")
+	if len(snap) != 0 || len(tail) != 0 {
+		t.Fatalf("%d snap + %d tail records", len(snap), len(tail))
 	}
 }
 
@@ -113,14 +109,14 @@ func TestBuildDedupsByID(t *testing.T) {
 		{ID: 1, Name: "a", Elements: []wal.Element{{Name: "y", Count: 3}}},
 	}
 	dir := filepath.Join(t.TempDir(), "idx")
-	stats, err := Build(Entities(ents), Options{Dir: dir, Measure: "ruzicka", Shards: 1})
+	stats, err := Build(Entities(ents), Options{Dir: dir, Measure: "ruzicka"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Entities != 2 || stats.Deduped != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
-	snap, _, _ := load(t, dir, "ruzicka")
+	snap, _ := load(t, dir, "ruzicka")
 	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
 		t.Fatalf("snapshot %+v", snap)
 	}
@@ -132,18 +128,15 @@ func TestBuildDedupsByID(t *testing.T) {
 
 func TestBuildRefusals(t *testing.T) {
 	ents := corpus(3)
-	if _, err := Build(Entities(ents), Options{Measure: "ruzicka", Shards: 1}); err == nil {
+	if _, err := Build(Entities(ents), Options{Measure: "ruzicka"}); err == nil {
 		t.Fatal("missing dir accepted")
 	}
-	if _, err := Build(Entities(ents), Options{Dir: t.TempDir() + "/x", Shards: 1}); err == nil {
+	if _, err := Build(Entities(ents), Options{Dir: t.TempDir() + "/x"}); err == nil {
 		t.Fatal("missing measure accepted")
-	}
-	if _, err := Build(Entities(ents), Options{Dir: t.TempDir() + "/x", Measure: "ruzicka"}); err == nil {
-		t.Fatal("zero shards accepted")
 	}
 	// ID 0 is reserved; the job must fail and leave no index behind.
 	dir := filepath.Join(t.TempDir(), "idx")
-	if _, err := Build(Entities([]Entity{{ID: 0, Name: "zero"}}), Options{Dir: dir, Measure: "ruzicka", Shards: 1}); err == nil {
+	if _, err := Build(Entities([]Entity{{ID: 0, Name: "zero"}}), Options{Dir: dir, Measure: "ruzicka"}); err == nil {
 		t.Fatal("ID 0 accepted")
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
@@ -152,7 +145,7 @@ func TestBuildRefusals(t *testing.T) {
 	// Occupied target.
 	occupied := t.TempDir()
 	os.WriteFile(filepath.Join(occupied, "f"), []byte("x"), 0o644)
-	if _, err := Build(Entities(ents), Options{Dir: occupied, Measure: "ruzicka", Shards: 1}); err == nil {
+	if _, err := Build(Entities(ents), Options{Dir: occupied, Measure: "ruzicka"}); err == nil {
 		t.Fatal("non-empty target accepted")
 	}
 }
@@ -163,13 +156,13 @@ func TestBuildRefusals(t *testing.T) {
 func TestBuildSpills(t *testing.T) {
 	ents := corpus(64)
 	plain := filepath.Join(t.TempDir(), "plain")
-	if _, err := Build(Entities(ents), Options{Dir: plain, Measure: "ruzicka", Shards: 2}); err != nil {
+	if _, err := Build(Entities(ents), Options{Dir: plain, Measure: "ruzicka"}); err != nil {
 		t.Fatal(err)
 	}
 	spilled := filepath.Join(t.TempDir(), "spilled")
 	// One simulated machine → few map tasks → enough records per task
 	// to overflow a 256-byte buffer.
-	stats, err := Build(Entities(ents), Options{Dir: spilled, Measure: "ruzicka", Shards: 2, Machines: 1, ShuffleBufferBytes: 256})
+	stats, err := Build(Entities(ents), Options{Dir: spilled, Measure: "ruzicka", Machines: 1, ShuffleBufferBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 // Package cluster is the multi-node serving layer: a stateless query
 // router that treats N vsmartjoind processes as partitions of one
-// logical similarity index. It is the network-distributed counterpart
-// of internal/shard — where a shard.Set walks a query across the shards
-// of one process, a Cluster scatters it across node daemons and merges
-// their answers — and it follows the same partition/merge structure the
-// paper's sharding algorithm uses for the batch join.
+// logical similarity index. A Cluster scatters a query across node
+// daemons and merges their answers, the same partition/merge structure
+// the paper's sharding algorithm uses for the batch join; partitioning
+// happens here, between processes, and never inside a node.
 //
 // # The router↔node hop
 //
@@ -145,7 +144,6 @@ type Readiness struct {
 	Generation uint64 `json:"generation"`
 	Entities   int    `json:"entities"`
 	Mutations  int64  `json:"mutations"`
-	Shards     int    `json:"shards"`
 }
 
 // Cluster is the router. Construct with New; Close stops the
@@ -302,9 +300,9 @@ func normalizeAddr(addr string) string {
 
 // PartitionOf is the one write-routing function: the partition owning
 // an entity name in an n-partition cluster. The name is FNV-64a hashed
-// and folded through the same splitmix64 finalizer (shard.ShardOf)
-// that routes entity IDs to shards inside one node, so cluster-level
-// and node-level placement share their mixing function. Routing by
+// and folded through shard.ShardOf's splitmix64 finalizer; carved
+// cluster directories depend on that exact function, so it must not
+// change. Routing by
 // name — the only identity that exists outside a node — is what lets
 // any number of stateless routers agree on ownership, and what
 // BuildClusterFiles relies on to carve a bulk-built corpus into

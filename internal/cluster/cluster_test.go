@@ -187,7 +187,7 @@ func (f *fakeNode) Readiness() (Readiness, error) {
 		return Readiness{}, errDown
 	}
 	return Readiness{Ready: true, Measure: "ruzicka", Generation: 1,
-		Entities: len(f.ents), Mutations: f.mutations, Shards: 1}, nil
+		Entities: len(f.ents), Mutations: f.mutations}, nil
 }
 
 func (f *fakeNode) Snapshot() error {

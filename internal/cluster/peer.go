@@ -176,7 +176,7 @@ func (p *peerReply) encode(b *codec.Buffer) {
 	rd := &p.ready
 	b.PutByte(boolByte(rd.Ready))
 	b.PutString(rd.Measure)
-	for _, v := range []uint64{rd.Generation, uint64(rd.Entities), uint64(rd.Mutations), uint64(rd.Shards)} {
+	for _, v := range []uint64{rd.Generation, uint64(rd.Entities), uint64(rd.Mutations)} {
 		b.PutUvarint(v)
 	}
 	b.PutUvarint(uint64(len(p.applied)))
@@ -201,7 +201,7 @@ func decodeReply(payload []byte) (p peerReply, err error) {
 	}
 	p.elements = r.elements()
 	p.ready = Readiness{Ready: r.Byte() != 0, Measure: r.String(), Generation: r.Uvarint(),
-		Entities: r.int(), Mutations: int64(r.int()), Shards: r.int()}
+		Entities: r.int(), Mutations: int64(r.int())}
 	p.applied = make([]bool, r.count(minFlagLen))
 	for i := range p.applied {
 		p.applied[i] = r.Byte() != 0

@@ -41,7 +41,7 @@ func peerSeeds() (requests, replies [][]byte) {
 		{status: 200, result: QueryResult{Matches: []Match{{"a", 1}, {"b", 0.25}}}},
 		{status: 200, result: QueryResult{Neighbors: []Neighbor{{"a", 0}, {"b", 1}}}},
 		{status: 200, elements: elems},
-		{status: 200, ready: Readiness{Ready: true, Measure: "ruzicka", Generation: 3, Entities: 9, Mutations: 12, Shards: 2}},
+		{status: 200, ready: Readiness{Ready: true, Measure: "ruzicka", Generation: 3, Entities: 9, Mutations: 12}},
 		{status: 200, applied: []bool{true, false}},
 		{status: 404, msg: "not indexed"},
 	} {
@@ -121,7 +121,7 @@ func TestPeerCountsBoundedByPayload(t *testing.T) {
 		}
 	}
 	ok := []byte{0xc8, 0x01, 0} // status 200, no message
-	ready := []byte{0, 0, 0, 0, 0, 0}
+	ready := []byte{0, 0, 0, 0, 0}
 	for name, payload := range map[string][]byte{
 		"matches":   cat(ok, huge),
 		"neighbors": cat(ok, []byte{0}, huge),
@@ -159,8 +159,8 @@ func TestPeerDecodeAllocationBoundedByPayload(t *testing.T) {
 		{"ops", false, cat(query, []byte{0}, count(size/minOpLen), make([]byte, size/minOpLen*minOpLen)), 16},
 		{"one-element ops", false, cat(query, []byte{0}, count(size/5), bytes.Repeat([]byte{0, 0, 1, 0, 1}, size/5)), 64},
 		{"one element repeated", false, cat(query, count(size/minElementLen), make([]byte, size/minElementLen*minElementLen), []byte{0}), 1},
-		{"matches", true, cat(ok, count(size/minScoredLen), make([]byte, size/minScoredLen*minScoredLen), make([]byte, 9)), 4},
-		{"flags", true, cat(ok, make([]byte, 9), count(size), make([]byte, size)), 2},
+		{"matches", true, cat(ok, count(size/minScoredLen), make([]byte, size/minScoredLen*minScoredLen), make([]byte, 8)), 4},
+		{"flags", true, cat(ok, make([]byte, 8), count(size), make([]byte, size)), 2},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

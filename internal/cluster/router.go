@@ -259,7 +259,6 @@ type NodeStatus struct {
 	Generation    uint64    `json:"generation"`
 	Entities      int       `json:"entities"`
 	Mutations     int64     `json:"mutations"`
-	Shards        int       `json:"shards"`
 	PendingRepair int       `json:"pending_repair"` // ops owed: issued to the node, not yet acknowledged
 }
 
@@ -307,7 +306,6 @@ func (c *Cluster) Stats() Stats {
 			Generation:    n.ready.Generation,
 			Entities:      n.ready.Entities,
 			Mutations:     n.ready.Mutations,
-			Shards:        n.ready.Shards,
 			PendingRepair: len(n.pending),
 		})
 		n.mu.Unlock()

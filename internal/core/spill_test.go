@@ -177,7 +177,7 @@ func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
 		"build": func(cl mr.ClusterConfig) ([]byte, int64, error) {
 			dir := filepath.Join(t.TempDir(), "idx")
 			stats, err := build.Build(build.Entities(ents), build.Options{
-				Dir: dir, Measure: "ruzicka", Shards: 3,
+				Dir: dir, Measure: "ruzicka",
 				Machines: cl.Machines, MemPerMachine: cl.MemPerMachine, ShuffleBufferBytes: cl.ShuffleBufferBytes,
 			})
 			if err != nil {

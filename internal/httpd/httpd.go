@@ -15,9 +15,9 @@
 //
 // Probing is split in two: GET /healthz is liveness — any 200 means
 // the process is serving — while GET /readyz is readiness and carries
-// the state counters (generation, entity count, mutation counter,
-// shard count) that let a router or load balancer detect a stale or
-// lagging replica, not just a dead one.
+// the state counters (generation, entity count, mutation counter) that
+// let a router or load balancer detect a stale or lagging replica, not
+// just a dead one.
 package httpd
 
 import (
@@ -225,8 +225,8 @@ type removeRequest struct {
 // batched-ingest path, whose wire types live in internal/cluster beside
 // the mutation model, so every producer shares one schema. On
 // a node that makes a /bulk body, mixed ops included, one WAL append and
-// one lock acquisition per touched shard, applied per shard all or
-// nothing; on a router, one quorum write per touched partition.
+// one index write-lock hold, applied all or nothing; on a router, one
+// quorum write per touched partition.
 type writes struct {
 	backend mutator
 	// entities, set on a node only, is the live entity count every node
@@ -452,15 +452,14 @@ type nodeServer struct {
 
 // handleMetrics serves the node's Prometheus scrape: index size and
 // funnel counters, cache traffic, and the latency histograms of every
-// layer under this process (query, shard merge, WAL append/fsync).
+// layer under this process (query, WAL append/fsync/commit wait).
 func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.ix.Stats()
 	m := s.ix.Metrics()
 	w.Header().Set("Content-Type", promContentType)
 	p := promWriter{w}
 	p.gauge("vsmart_entities", "Live indexed entities.", float64(st.Entities))
-	p.gauge("vsmart_index_generation", "Highest write-ahead log generation across shards (0 = volatile).", float64(st.Generation))
-	p.gauge("vsmart_index_shards", "Hash-partitioned shards in this index.", float64(st.Shards))
+	p.gauge("vsmart_index_generation", "Write-ahead log generation (0 = volatile).", float64(st.Generation))
 	p.counter("vsmart_adds_total", "Entity upserts applied.", float64(st.Adds))
 	p.counter("vsmart_removes_total", "Entity removals applied.", float64(st.Removes))
 	p.counter("vsmart_queries_total", "Queries answered by the inner index (cache hits excluded).", float64(st.Queries))
@@ -476,8 +475,8 @@ func (s *nodeServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.histogram("vsmart_wal_append_latency_seconds", "Write-ahead log append stalls.", m.WALAppend)
 	p.histogram("vsmart_wal_fsync_latency_seconds", "Write-ahead log fsync stalls.", m.WALFsync)
 	p.histogram("vsmart_wal_commit_wait_seconds", "Wait for the group commit covering an acknowledged mutation (DurabilitySync only).", m.WALCommitWait)
-	p.counter("vsmart_wal_records_total", "Write-ahead log records appended across shards.", float64(m.WALRecords))
-	p.counter("vsmart_wal_fsyncs_total", "Write-ahead log fsyncs issued across shards; the ratio to records is the amortized durability cost.", float64(m.WALFsyncs))
+	p.counter("vsmart_wal_records_total", "Write-ahead log records appended.", float64(m.WALRecords))
+	p.counter("vsmart_wal_fsyncs_total", "Write-ahead log fsyncs issued; the ratio to records is the amortized durability cost.", float64(m.WALFsyncs))
 	p.admission(s.lim)
 }
 
@@ -532,7 +531,6 @@ func (s *nodeServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"generation": st.Generation,
 		"entities":   st.Entities,
 		"mutations":  st.Adds + st.Removes,
-		"shards":     st.Shards,
 	})
 }
 
@@ -559,7 +557,7 @@ func (p peerBackend) Entity(name string) (map[string]uint32, error) {
 func (p peerBackend) Readiness() (cluster.Readiness, error) {
 	st := p.Stats()
 	return cluster.Readiness{Ready: true, Measure: st.Measure, Generation: st.Generation,
-		Entities: st.Entities, Mutations: st.Adds + st.Removes, Shards: st.Shards}, nil
+		Entities: st.Entities, Mutations: st.Adds + st.Removes}, nil
 }
 
 func (p peerBackend) Snapshot() error {

@@ -544,11 +544,11 @@ func TestRequestTracing(t *testing.T) {
 // TestNodeBulkMixedOpsIsOneApply: a /bulk body alternating adds and
 // removes used to be cut into same-kind runs, each its own WAL append,
 // lock round and (under sync) commit wait. It is one Apply: on a durable
-// 2-shard node a 64-op alternating body costs at most one append per
-// shard and ends in the state the op-at-a-time sequence ends in.
+// node a 64-op alternating body costs one append and ends in the state
+// the op-at-a-time sequence ends in.
 func TestNodeBulkMixedOpsIsOneApply(t *testing.T) {
 	open := func() (*vsmartjoin.Index, *httptest.Server) {
-		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), Shards: 2, SnapshotEvery: -1})
+		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,8 +583,8 @@ func TestNodeBulkMixedOpsIsOneApply(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || out["applied"] != float64(64) || out["entities"] != float64(stepped.Len()) {
 		t.Fatalf("bulk: %d %v, want 64 applied and %d entities", resp.StatusCode, out, stepped.Len())
 	}
-	if appends := bulked.Metrics().WALAppend.Count - before; appends > 2 {
-		t.Fatalf("a 64-op mixed /bulk cost %d WAL appends on 2 shards, want at most 2", appends)
+	if appends := bulked.Metrics().WALAppend.Count - before; appends != 1 {
+		t.Fatalf("a 64-op mixed /bulk cost %d WAL appends, want 1", appends)
 	}
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("new%d", i)

@@ -26,9 +26,9 @@
 // they are taken in, so every similarity is the one similarity.ConjOf's
 // merge scan gives.
 //
-// One query is one pass (QueryAcross) over one Index or over several
-// holding disjoint partitions of the entities (internal/shard), on the
-// caller's goroutine.
+// One query is one pass (QueryAcross) over one Index — or over several
+// holding disjoint partitions of the entities, as internal/shard's Set
+// does — on the caller's goroutine.
 //
 // Concurrency: a single RWMutex guards the tables. Mutations (Add, Remove,
 // compaction) take the write lock; queries share the read lock, so the hot
@@ -148,8 +148,8 @@ type Index struct {
 	slots     []entry
 	freeSlots []int32
 	// postings is the posting directory. A table indexed by element ID
-	// would be faster to look up, but every shard shares the root's one
-	// dictionary, so it would cost each shard the whole alphabet.
+	// would be faster to look up, but partitions sharing one dictionary
+	// would each pay for the whole alphabet.
 	postings map[multiset.Elem][]posting
 	// postingCount tracks total posting entries; deadPostings the stale
 	// ones. Compaction triggers when dead entries outnumber live ones,
@@ -588,10 +588,10 @@ func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
 // looked up back to back, before any list is walked. The lookups are
 // independent, so their cache misses overlap; interleaved with the walks
 // each one waits alone, behind a walk that has pushed the posting
-// directory out of cache, and a query over S shards makes S times as
-// many. On queries new to the caches that is most of a sharded query's
-// time (root BenchmarkShardedQuery, 8 shards, top-k: 107 → 47 µs; warm,
-// 46 → 42). Caller holds the read lock.
+// directory out of cache, and a query over S partitions makes S times
+// as many (measured over 8 partitions of 10k entities, top-k on queries
+// new to the caches: 107 → 47 µs; warm, 46 → 42). Caller holds the read
+// lock.
 func (ix *Index) openLocked(p *pass) {
 	p.mark(len(ix.slots))
 	p.lists = p.lists[:0]

@@ -13,10 +13,10 @@
 //     Reads (Snapshot) are not atomic across buckets — a snapshot taken
 //     under concurrent writes can be off by in-flight observations,
 //     which is fine for monitoring and cheap for writers.
-//   - Mergeable. A Snapshot from every shard, node, or worker adds into
-//     one distribution (Merge), because bucket boundaries are fixed and
-//     identical everywhere — the property that lets a sharded index
-//     and a cluster router share one percentile pipeline.
+//   - Mergeable. A Snapshot from every node or worker adds into one
+//     distribution (Merge), because bucket boundaries are fixed and
+//     identical everywhere — the property that lets the nodes and a
+//     cluster router share one percentile pipeline.
 //
 // Buckets are log-spaced: four per octave (bounds grow by 2^(1/4) ≈
 // 1.19), from 256ns up to ~17.6s, plus an overflow bucket. That bounds
@@ -84,7 +84,7 @@ var bounds = func() [NumBuckets - 1]uint64 {
 // BucketBound reports bucket i's inclusive upper bound in nanoseconds;
 // the last bucket reports +Inf. Bounds are identical across every
 // histogram in the process and across processes of the same build —
-// what makes snapshots mergeable across shards and nodes.
+// what makes snapshots mergeable across nodes.
 func BucketBound(i int) float64 {
 	if i >= NumBuckets-1 {
 		return math.Inf(1)
@@ -164,8 +164,7 @@ type Snapshot struct {
 	Buckets [NumBuckets]uint64 `json:"buckets"`
 }
 
-// Merge adds o's observations into s — the cross-shard / cross-node
-// fold. Bucket boundaries are fixed and shared, so merging is
+// Merge adds o's observations into s — the cross-node fold. Bucket boundaries are fixed and shared, so merging is
 // element-wise addition and percentiles of the merged snapshot are
 // exactly the percentiles of the combined observation stream (up to
 // bucket resolution).
@@ -241,7 +240,7 @@ const SizeNumBuckets = 33
 
 // SizeBucketBound reports size bucket i's inclusive upper bound; the
 // last bucket reports +Inf. Like the latency bounds, they are fixed
-// and shared, so size snapshots merge across shards and nodes.
+// and shared, so size snapshots merge across nodes.
 func SizeBucketBound(i int) float64 {
 	if i >= SizeNumBuckets-1 {
 		return math.Inf(1)

@@ -127,66 +127,6 @@ func TestDifferentialAfterChurn(t *testing.T) {
 	}
 }
 
-// TestRangeOrder: Range must yield every live entity exactly once in
-// ascending ID order regardless of shard width — the WAL snapshot
-// writer depends on it for deterministic snapshots.
-func TestRangeOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	m, _ := similarity.ByName("ruzicka")
-	sets := randomSets(rng, 40, 20, 6, 3)
-	for _, shards := range []int{1, 4} {
-		set := New(m, shards)
-		for _, s := range sets {
-			set.Add(s)
-		}
-		set.Remove(sets[7].ID)
-		var ids []multiset.ID
-		set.Range(func(got multiset.Multiset) bool {
-			ids = append(ids, got.ID)
-			return true
-		})
-		if len(ids) != len(sets)-1 {
-			t.Fatalf("shards=%d: ranged %d of %d", shards, len(ids), len(sets)-1)
-		}
-		for i := 1; i < len(ids); i++ {
-			if ids[i-1] >= ids[i] {
-				t.Fatalf("shards=%d: out of order at %d: %v", shards, i, ids[i-1:i+1])
-			}
-		}
-		// Early stop is honored.
-		n := 0
-		set.Range(func(multiset.Multiset) bool { n++; return n < 3 })
-		if n != 3 {
-			t.Fatalf("shards=%d: early stop ranged %d", shards, n)
-		}
-	}
-}
-
-// TestStats: sizes and mutation counters sum across shards; queries are
-// counted once per query, not once per shard.
-func TestStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	m, _ := similarity.ByName("ruzicka")
-	set := New(m, 4)
-	sets := randomSets(rng, 30, 16, 6, 3)
-	for _, s := range sets {
-		set.Add(s)
-	}
-	set.Remove(sets[0].ID)
-	set.QueryThresholdInto(index.QueryOf(sets[1]), 0.5, nil)
-	set.QueryTopKInto(index.QueryOf(sets[2]), 3, nil)
-	st := set.Stats()
-	if st.Entities != 29 || st.Adds != 30 || st.Removes != 1 {
-		t.Fatalf("sizes: %+v", st)
-	}
-	if st.Queries != 2 {
-		t.Fatalf("queries counted per shard, not per query: %+v", st)
-	}
-	if st.Probes == 0 || st.Verified == 0 {
-		t.Fatalf("probe funnel empty: %+v", st)
-	}
-}
-
 // TestConcurrentQueriesAndWriters hammers mutations and queries
 // together: every query walks all eight shards on its own goroutine,
 // taking each shard's read lock in turn while writers take them one at
@@ -212,7 +152,7 @@ func TestConcurrentQueriesAndWriters(t *testing.T) {
 					buf = set.QueryTopKInto(index.QueryOf(s), 5, buf[:0])
 				case 3:
 					set.Remove(s.ID)
-					set.Stats()
+					set.Len()
 				}
 			}
 		}(g)

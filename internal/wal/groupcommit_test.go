@@ -231,7 +231,7 @@ func TestGroupCommitSnapshotRotation(t *testing.T) {
 	if err := appendBatch(l, []Record{addRec("a", Element{"x", 1}), addRec("b", Element{"y", 2})}); err != nil {
 		t.Fatal(err)
 	}
-	err = l.Snapshot(1, func(emit func(Record) error) error {
+	err = l.Snapshot(func(emit func(Record) error) error {
 		if err := emit(addRec("a", Element{"x", 1})); err != nil {
 			return err
 		}

@@ -10,11 +10,9 @@
 // the previous generation is deleted — so recovery never has to reason
 // about a half-written snapshot under its final name.
 //
-// An index keeps exactly one such log in its data dir, however many
-// shards it has in memory: one ordered history of every mutation. A
-// snapshot's header records the similarity measure and the shard count
-// of the index it holds; the shard count is a default for the next open,
-// never a routing contract, since no record is placed by shard. The
+// An index keeps exactly one such log in its data dir: one ordered
+// history of every mutation. A snapshot's header records the similarity
+// measure of the index it holds. The
 // offline bulk builder (internal/build) writes the generation-1 snapshot
 // directly with WriteSnapshot, so a cold start loads one file instead of
 // replaying per-record appends. A directory still holding the retired
@@ -68,7 +66,9 @@ const MaxFrameLen = frame.MaxFrameLen
 
 // snapMagic heads every snapshot file, versioned so a future format can
 // be told apart from corruption. v2 added the entity ID to every record,
-// v3 the shard count to the header.
+// v3 a shard count to the header. An index is one partition now, so the
+// count is always written as 1 and skipped on read: the field stays so
+// that v3 dirs written at any shard count open unchanged.
 const snapMagic = "vsmartjoin-snap-v3"
 
 // Record operation kinds. The zero byte is reserved for the snapshot
@@ -90,9 +90,8 @@ type Element struct {
 // Record is one logical mutation of the index: an upsert (OpAdd) or a
 // deletion (OpRemove) of a named entity. Records carry element names,
 // not interned IDs, so a log replays into a fresh dictionary. OpAdd
-// records also carry the entity's numeric ID: queries break ties by it
-// and shards route by it, so recovery must reproduce the exact
-// assignment.
+// records also carry the entity's numeric ID: queries break ties by it,
+// so recovery must reproduce the exact assignment.
 type Record struct {
 	Op       byte
 	ID       uint64 // entity ID (OpAdd only; 0 on OpRemove)
@@ -118,7 +117,6 @@ type Log struct {
 
 	mu      sync.Mutex
 	gen     uint64
-	shards  int      // shard count the current snapshot records; 0 without one
 	f       *os.File // current WAL, open for append; nil after Close
 	off     int64    // bytes of intact frames in f; write rollback point
 	seq     uint64   // records written across all generations
@@ -257,8 +255,7 @@ func WithGroupCommit(window time.Duration) Option {
 // cheaper path than the general upsert replay. measure names the
 // similarity measure of the index being persisted; a snapshot recorded
 // under a different measure is refused, since replaying it would
-// silently change every score. Shards reports the shard count the
-// loaded snapshot recorded.
+// silently change every score.
 func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...Option) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -330,14 +327,6 @@ func (l *Log) Gen() uint64 {
 	return l.gen
 }
 
-// Shards reports the shard count the current generation's snapshot
-// records, or 0 if the generation has no snapshot.
-func (l *Log) Shards() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.shards
-}
-
 // encodeRecord appends rec's payload encoding to buf.
 func encodeRecord(buf *codec.Buffer, rec Record) error {
 	switch rec.Op {
@@ -399,14 +388,14 @@ func (l *Log) loadSnapshot(path string, apply func(Record) error) error {
 		return fmt.Errorf("wal: %s: corrupt snapshot header", path)
 	}
 	hr := codec.NewReader(header)
-	magic, measure, shards := hr.String(), hr.String(), hr.Uvarint()
+	magic, measure := hr.String(), hr.String()
+	hr.Uvarint() // the v3 shard count: ignored (see snapMagic)
 	if hr.Err() != nil || !hr.Done() || magic != snapMagic {
 		return fmt.Errorf("wal: %s: not a %s file", path, snapMagic)
 	}
 	if measure != l.measure {
 		return fmt.Errorf("wal: %s: snapshot measure %q, index measure %q", path, measure, l.measure)
 	}
-	l.shards = int(shards)
 	var count uint64
 	for {
 		payload, next, ok := frame.Parse(data, off)
@@ -666,11 +655,12 @@ func (l *Log) commitTo(seq uint64) {
 }
 
 // writeSnapshotFile writes a complete snapshot — header (magic, measure,
-// shard count), one OpAdd frame per record the iterator emits, trailer —
+// the v3 shard count 1), one OpAdd frame per record the iterator emits,
+// trailer —
 // to path, fsyncing before close. On any error the partial file is
 // removed. fsync, when non-nil, records the duration of the final sync
 // (WriteSnapshot has no Log and passes nil).
-func writeSnapshotFile(path, measure string, shards int, fsync *metrics.Histogram, iter func(emit func(Record) error) error) error {
+func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func(emit func(Record) error) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
@@ -684,7 +674,7 @@ func writeSnapshotFile(path, measure string, shards int, fsync *metrics.Histogra
 	payload := codec.NewBuffer(256)
 	payload.PutString(snapMagic)
 	payload.PutString(measure)
-	payload.PutUvarint(uint64(shards))
+	payload.PutUvarint(1) // the v3 shard count (see snapMagic)
 	if err := w.WriteFrame(payload.Bytes()); err != nil {
 		return fail(fmt.Errorf("wal: snapshot: %w", err))
 	}
@@ -728,11 +718,11 @@ func writeSnapshotFile(path, measure string, shards int, fsync *metrics.Histogra
 // WriteSnapshot creates the snapshot file of generation gen in dir
 // without opening a Log: how the bulk builder materializes a loadable
 // generation directly from a batch job, and how an index records its
-// measure and shard count in the directory it creates. It goes through
+// measure in the directory it creates. It goes through
 // the same temp-file + fsync + atomic-rename protocol as Log.Snapshot,
 // so a file under its final name is always complete. Records must be
 // OpAdd.
-func WriteSnapshot(dir string, gen uint64, measure string, shards int, iter func(emit func(Record) error) error) error {
+func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(Record) error) error) error {
 	if gen == 0 {
 		return errors.New("wal: snapshot generation must be positive")
 	}
@@ -740,7 +730,7 @@ func WriteSnapshot(dir string, gen uint64, measure string, shards int, iter func
 		return fmt.Errorf("wal: %w", err)
 	}
 	tmp := filepath.Join(dir, snapName(gen)+".tmp")
-	if err := writeSnapshotFile(tmp, measure, shards, nil, iter); err != nil {
+	if err := writeSnapshotFile(tmp, measure, nil, iter); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapName(gen))); err != nil {
@@ -752,12 +742,11 @@ func WriteSnapshot(dir string, gen uint64, measure string, shards int, iter func
 }
 
 // Snapshot cuts a new generation: it writes every record the iterator
-// emits (all must be OpAdd) to a temp snapshot whose header records
-// shards, fsyncs and renames it into place, starts a fresh empty WAL,
-// and deletes the previous generation. On error the log keeps its
+// emits (all must be OpAdd) to a temp snapshot, fsyncs and renames it
+// into place, starts a fresh empty WAL, and deletes the previous generation. On error the log keeps its
 // current generation and stays usable. The iterator runs with the log
 // lock held; it must not call back into the log.
-func (l *Log) Snapshot(shards int, iter func(emit func(Record) error) error) error {
+func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -765,7 +754,7 @@ func (l *Log) Snapshot(shards int, iter func(emit func(Record) error) error) err
 	}
 	next := l.gen + 1
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
-	if err := writeSnapshotFile(tmp, l.measure, shards, &l.m.Fsync, iter); err != nil {
+	if err := writeSnapshotFile(tmp, l.measure, &l.m.Fsync, iter); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapName(next))); err != nil {
@@ -782,7 +771,7 @@ func (l *Log) Snapshot(shards int, iter func(emit func(Record) error) error) err
 	}
 	syncDir(l.dir)
 	old := l.gen
-	l.gen, l.shards = next, shards
+	l.gen = next
 	l.f.Close()
 	l.f = nf
 	l.off = 0

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vsmartjoin/internal/codec"
+	"vsmartjoin/internal/frame"
 )
 
 func addRec(entity string, elems ...Element) Record {
@@ -102,7 +105,7 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 	// Snapshot the surviving state (just "b"), then log one more record.
 	state := []Record{addRec("b", Element{"y", 2})}
-	if err := l.Snapshot(1, func(emit func(Record) error) error {
+	if err := l.Snapshot(func(emit func(Record) error) error {
 		for _, rec := range state {
 			if err := emit(rec); err != nil {
 				return err
@@ -227,7 +230,7 @@ func TestCorruptSnapshotIsHardError(t *testing.T) {
 	if err := l.Append(addRec("a", Element{"x", 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(1, func(emit func(Record) error) error {
+	if err := l.Snapshot(func(emit func(Record) error) error {
 		return emit(addRec("a", Element{"x", 1}))
 	}); err != nil {
 		t.Fatal(err)
@@ -265,7 +268,7 @@ func TestMeasureMismatch(t *testing.T) {
 	if err := l.Append(addRec("a", Element{"x", 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(1, func(emit func(Record) error) error {
+	if err := l.Snapshot(func(emit func(Record) error) error {
 		return emit(addRec("a", Element{"x", 1}))
 	}); err != nil {
 		t.Fatal(err)
@@ -309,7 +312,7 @@ func TestAppendRejectsBadOp(t *testing.T) {
 	if err := l.Append(Record{Op: 99, Entity: "x"}); err == nil {
 		t.Fatal("unknown op should fail to encode")
 	}
-	if err := l.Snapshot(1, func(emit func(Record) error) error {
+	if err := l.Snapshot(func(emit func(Record) error) error {
 		return emit(removeRec("x"))
 	}); err == nil {
 		t.Fatal("snapshot must reject non-Add records")
@@ -335,16 +338,17 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Append(addRec("x")); err == nil {
 		t.Fatal("append after close should fail")
 	}
-	if err := l.Snapshot(1, func(func(Record) error) error { return nil }); err == nil {
+	if err := l.Snapshot(func(func(Record) error) error { return nil }); err == nil {
 		t.Fatal("snapshot after close should fail")
 	}
 }
 
-// TestSnapshotRecordsShards pins what a directory says about the index
-// in it: Exists is "holds a snapshot", the snapshot header carries the
-// shard count of the index that cut it, and the retired per-shard layout
-// is refused by Exists and Open alike instead of reading as empty.
-func TestSnapshotRecordsShards(t *testing.T) {
+// TestSnapshotHeader pins what a directory says about the index in it:
+// Exists is "holds a snapshot", a snapshot's header is the v3 one —
+// magic, measure, and a shard count written as 1 — and the retired
+// per-shard layout is refused by Exists and Open alike instead of
+// reading as empty.
+func TestSnapshotHeader(t *testing.T) {
 	dir := t.TempDir()
 	if ok, err := Exists(filepath.Join(dir, "absent")); ok || err != nil {
 		t.Fatalf("missing dir: %v %v", ok, err)
@@ -356,24 +360,25 @@ func TestSnapshotRecordsShards(t *testing.T) {
 	if ok, err := Exists(dir); ok || err != nil {
 		t.Fatalf("a WAL without a snapshot: %v %v", ok, err)
 	}
-	if got := l.Shards(); got != 0 {
-		t.Fatalf("shards without a snapshot: %d", got)
-	}
-	if err := l.Snapshot(5, func(emit func(Record) error) error { return emit(addRec("a", Element{"x", 1})) }); err != nil {
+	if err := l.Snapshot(func(emit func(Record) error) error { return emit(addRec("a", Element{"x", 1})) }); err != nil {
 		t.Fatal(err)
-	}
-	if got := l.Shards(); got != 5 {
-		t.Fatalf("shards after Snapshot(5): %d", got)
 	}
 	closeLog(t, l)
 	if ok, err := Exists(dir); !ok || err != nil {
 		t.Fatalf("after a snapshot: %v %v", ok, err)
 	}
-	_, l2 := collect(t, dir, "ruzicka")
-	if got := l2.Shards(); got != 5 {
-		t.Fatalf("reopened shards: %d", got)
+	data, err := os.ReadFile(filepath.Join(dir, snapName(2)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	closeLog(t, l2)
+	header, _, ok := frame.Parse(data, 0)
+	if !ok {
+		t.Fatal("no header frame")
+	}
+	r := codec.NewReader(header)
+	if magic, measure, shards := r.String(), r.String(), r.Uvarint(); magic != snapMagic || measure != "ruzicka" || shards != 1 || !r.Done() {
+		t.Fatalf("header %q %q %d (done %v), want %q \"ruzicka\" 1", magic, measure, shards, r.Done(), snapMagic)
+	}
 
 	perShard := t.TempDir()
 	if err := os.Mkdir(filepath.Join(perShard, "shard-000"), 0o755); err != nil {

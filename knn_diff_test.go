@@ -4,11 +4,8 @@ package vsmartjoin
 // distance-ordered query surface: online QueryKNN/QueryKNNEntity and
 // batch AllKNN must reproduce a brute-force oracle built on the public
 // Similarity function — for every measure family, for k below, at, and
-// beyond the corpus size, across shard counts, and after churn. Shard
-// counts are additionally held byte-identical to each other: the
-// canonical (distance ascending, name ascending) order may not depend
-// on the deployment shape. Batch AllKNN lists are also gated
-// byte-identical against online QueryKNNEntity — the two pipelines
+// beyond the corpus size, and after churn. Batch AllKNN lists are also
+// gated byte-identical against online QueryKNNEntity — the two pipelines
 // answer the same question and must agree to the last bit.
 
 import (
@@ -113,8 +110,7 @@ func knnProbes(entities map[string]map[string]uint32) []map[string]uint32 {
 }
 
 // TestKNNDifferentialQuery is the online acceptance gate: measures ×
-// shard counts {1,3,8} × k {1,5,50} against the oracle, with all shard
-// counts byte-identical to each other, before and after churn.
+// k {1,5,50} against the oracle, before and after churn.
 func TestKNNDifferentialQuery(t *testing.T) {
 	for _, measure := range knnDiffMeasures {
 		t.Run(measure, func(t *testing.T) {
@@ -132,39 +128,21 @@ func runKNNDifferentialQuery(t *testing.T, measure string) {
 	}
 	sort.Strings(names)
 
-	shardCounts := []int{1, 3, 8}
-	indexes := make([]*Index, len(shardCounts))
-	for i, shards := range shardCounts {
-		ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		indexes[i] = ix
-		for _, name := range names {
-			mustAdd(t, ix, name, entities[name])
-		}
+	ix, err := NewIndex(IndexOptions{Measure: measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, name := range names {
+		mustAdd(t, ix, name, entities[name])
 	}
 
 	compare := func(stage string) {
 		t.Helper()
 		for pi, probe := range knnProbes(entities) {
 			for _, k := range knnDiffKs {
-				var ref []byte
-				for i, ix := range indexes {
-					got := ix.QueryKNN(probe, k)
-					tag := fmt.Sprintf("%s probe %d k=%d shards=%d", stage, pi, k, shardCounts[i])
-					mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, probe, "", k))
-					raw, err := json.Marshal(got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ref == nil {
-						ref = raw
-					} else if !bytes.Equal(ref, raw) {
-						t.Fatalf("%s: shard counts disagree\n%d shards: %s\n1 shard:  %s", tag, shardCounts[i], raw, ref)
-					}
-				}
+				tag := fmt.Sprintf("%s probe %d k=%d", stage, pi, k)
+				mustMatchKNN(t, tag, ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
 			}
 		}
 		// Entity-relative form: a twin (its own tie group), a hermit (all
@@ -174,14 +152,12 @@ func runKNNDifferentialQuery(t *testing.T, measure string) {
 				continue // removed by churn
 			}
 			for _, k := range knnDiffKs {
-				for i, ix := range indexes {
-					got, err := ix.QueryKNNEntity(entity, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tag := fmt.Sprintf("%s entity %q k=%d shards=%d", stage, entity, k, shardCounts[i])
-					mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, entities[entity], entity, k))
+				got, err := ix.QueryKNNEntity(entity, k)
+				if err != nil {
+					t.Fatal(err)
 				}
+				tag := fmt.Sprintf("%s entity %q k=%d", stage, entity, k)
+				mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, entities[entity], entity, k))
 			}
 		}
 	}
@@ -192,25 +168,19 @@ func runKNNDifferentialQuery(t *testing.T, measure string) {
 	for i, name := range names {
 		switch i % 3 {
 		case 0:
-			for _, ix := range indexes {
-				mustRemove(t, ix, name)
-			}
+			mustRemove(t, ix, name)
 			delete(entities, name)
 		case 1:
 			fresh := make(map[string]uint32)
 			for j, n := 0, 1+rng.Intn(5); j < n; j++ {
 				fresh[fmt.Sprintf("e%d", rng.Intn(26))] = uint32(1 + rng.Intn(4))
 			}
-			for _, ix := range indexes {
-				mustAdd(t, ix, name, fresh)
-			}
+			mustAdd(t, ix, name, fresh)
 			entities[name] = fresh
 		}
 	}
 	lateTwin := map[string]uint32{"e1": 3, "e2": 1, "e7": 2}
-	for _, ix := range indexes {
-		mustAdd(t, ix, "late-twin", lateTwin)
-	}
+	mustAdd(t, ix, "late-twin", lateTwin)
 	entities["late-twin"] = lateTwin
 	compare("churn")
 }
@@ -312,8 +282,8 @@ func mustMatchMatches(t *testing.T, tag string, got, want []Match) {
 // TestRegimeCorporaMatchOracle runs every query kind against the oracle
 // on the three partition shapes a candidate-generation choice would
 // turn on — a handful of entities, a uniform alphabet, and a stop word
-// every entity carries (its posting list is the whole partition) — on
-// one shard and three, before and after churn through the hottest
+// every entity carries (its posting list is the whole partition) —
+// before and after churn through the hottest
 // posting list: its heaviest carriers are removed (tombstones in the
 // list every query probes) and then re-added.
 func TestRegimeCorporaMatchOracle(t *testing.T) {
@@ -362,62 +332,51 @@ func TestRegimeCorporaMatchOracle(t *testing.T) {
 			heaviest = heaviest[:len(names)/10]
 			probes := []map[string]uint32{entities[names[3]], entities[heaviest[0]], {hot: 1}}
 
-			shardCounts := []int{1, 3}
-			indexes := make([]*Index, len(shardCounts))
-			for i, shards := range shardCounts {
-				ix, err := NewIndex(IndexOptions{Measure: measure, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ix.Close()
-				indexes[i] = ix
-				for _, name := range names {
-					mustAdd(t, ix, name, entities[name])
-				}
+			ix, err := NewIndex(IndexOptions{Measure: measure})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			for _, name := range names {
+				mustAdd(t, ix, name, entities[name])
 			}
 			compare := func(stage string) {
 				t.Helper()
-				for i, ix := range indexes {
-					for pi, probe := range probes {
-						tag := fmt.Sprintf("%s shards=%d probe %d", stage, shardCounts[i], pi)
-						all := oracleMatches(t, entities, measure, probe)
-						for _, thr := range []float64{0, 0.5} {
-							want := all
-							for n, m := range all {
-								if m.Similarity+1e-12 < thr {
-									want = all[:n]
-									break
-								}
+				for pi, probe := range probes {
+					tag := fmt.Sprintf("%s probe %d", stage, pi)
+					all := oracleMatches(t, entities, measure, probe)
+					for _, thr := range []float64{0, 0.5} {
+						want := all
+						for n, m := range all {
+							if m.Similarity+1e-12 < thr {
+								want = all[:n]
+								break
 							}
-							got, err := ix.QueryThreshold(probe, thr)
-							if err != nil {
-								t.Fatal(err)
-							}
-							mustMatchMatches(t, fmt.Sprintf("%s t=%v", tag, thr), got, want)
 						}
-						for _, k := range []int{1, 5} {
-							mustMatchMatches(t, fmt.Sprintf("%s top-%d", tag, k),
-								ix.QueryTopK(probe, k), all[:min(k, len(all))])
-							mustMatchKNN(t, fmt.Sprintf("%s knn k=%d", tag, k),
-								ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
+						got, err := ix.QueryThreshold(probe, thr)
+						if err != nil {
+							t.Fatal(err)
 						}
+						mustMatchMatches(t, fmt.Sprintf("%s t=%v", tag, thr), got, want)
+					}
+					for _, k := range []int{1, 5} {
+						mustMatchMatches(t, fmt.Sprintf("%s top-%d", tag, k),
+							ix.QueryTopK(probe, k), all[:min(k, len(all))])
+						mustMatchKNN(t, fmt.Sprintf("%s knn k=%d", tag, k),
+							ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
 					}
 				}
 			}
 			compare("initial")
 			removed := make(map[string]map[string]uint32, len(heaviest))
 			for _, name := range heaviest {
-				for _, ix := range indexes {
-					mustRemove(t, ix, name)
-				}
+				mustRemove(t, ix, name)
 				removed[name] = entities[name]
 				delete(entities, name)
 			}
 			compare("removed")
 			for _, name := range heaviest {
-				for _, ix := range indexes {
-					mustAdd(t, ix, name, removed[name])
-				}
+				mustAdd(t, ix, name, removed[name])
 				entities[name] = removed[name]
 			}
 			compare("re-added")
@@ -435,30 +394,28 @@ var padProbes = []map[string]uint32{
 	{"e5": 4},
 }
 
-// mustPadLikeOracle holds every index's padded answers — element and
+// mustPadLikeOracle holds the index's padded answers — element and
 // entity-relative queries, k from 1 to beyond Len() — to the oracle over
 // entities. selves are the entities to ask QueryKNNEntity about; ones
 // not currently in entities are passed over.
-func mustPadLikeOracle(t *testing.T, stage string, ixs []*Index, entities map[string]map[string]uint32, measure string, selves []string) {
+func mustPadLikeOracle(t *testing.T, stage string, ix *Index, entities map[string]map[string]uint32, measure string, selves []string) {
 	t.Helper()
 	n := len(entities)
 	for _, k := range []int{1, 5, n - 1, n, n + 7} {
-		for i, ix := range ixs {
-			for pi, probe := range padProbes {
-				tag := fmt.Sprintf("%s index %d probe %d k=%d", stage, i, pi, k)
-				mustMatchKNN(t, tag, ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
+		for pi, probe := range padProbes {
+			tag := fmt.Sprintf("%s probe %d k=%d", stage, pi, k)
+			mustMatchKNN(t, tag, ix.QueryKNN(probe, k), oracleKNN(t, entities, measure, probe, "", k))
+		}
+		for _, self := range selves {
+			if _, ok := entities[self]; !ok {
+				continue
 			}
-			for _, self := range selves {
-				if _, ok := entities[self]; !ok {
-					continue
-				}
-				got, err := ix.QueryKNNEntity(self, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := fmt.Sprintf("%s index %d entity %q k=%d", stage, i, self, k)
-				mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, entities[self], self, k))
+			got, err := ix.QueryKNNEntity(self, k)
+			if err != nil {
+				t.Fatal(err)
 			}
+			tag := fmt.Sprintf("%s entity %q k=%d", stage, self, k)
+			mustMatchKNN(t, tag, got, oracleKNN(t, entities, measure, entities[self], self, k))
 		}
 	}
 }
@@ -470,44 +427,36 @@ func mustPadLikeOracle(t *testing.T, stage string, ixs []*Index, entities map[st
 func TestKNNPadAfterNameChurn(t *testing.T) {
 	const measure = "jaccard"
 	entities := knnEntities(rand.New(rand.NewSource(1014)), 40)
-	var ixs []*Index
-	for _, shards := range []int{1, 3} {
-		ix, err := BuildIndex(datasetOf(entities), IndexOptions{Measure: measure, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		ixs = append(ixs, ix)
+	ix, err := BuildIndex(datasetOf(entities), IndexOptions{Measure: measure})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ix.Close()
 	selves := []string{"!first", "!!", "hermit-a", "twin-0"}
 	add := func(name string, counts map[string]uint32) {
 		t.Helper()
-		for _, ix := range ixs {
-			mustAdd(t, ix, name, counts)
-		}
+		mustAdd(t, ix, name, counts)
 		entities[name] = counts
 	}
 	remove := func(name string) {
 		t.Helper()
-		for _, ix := range ixs {
-			mustRemove(t, ix, name)
-		}
+		mustRemove(t, ix, name)
 		delete(entities, name)
 	}
-	mustPadLikeOracle(t, "initial", ixs, entities, measure, selves)
+	mustPadLikeOracle(t, "initial", ix, entities, measure, selves)
 	add("!first", map[string]uint32{"only-first": 1})
 	add("!!", map[string]uint32{"e5": 1})
 	add("~last", map[string]uint32{"only-last": 3})
-	mustPadLikeOracle(t, "added", ixs, entities, measure, selves)
+	mustPadLikeOracle(t, "added", ix, entities, measure, selves)
 	remove("!first")
-	mustPadLikeOracle(t, "removed", ixs, entities, measure, selves)
+	mustPadLikeOracle(t, "removed", ix, entities, measure, selves)
 	add("!first", map[string]uint32{"only-a": 1}) // back, now overlapping hermit-a
 	add("!!", map[string]uint32{"only-b": 2})     // upsert in place: the name stays once
-	mustPadLikeOracle(t, "re-added", ixs, entities, measure, selves)
+	mustPadLikeOracle(t, "re-added", ix, entities, measure, selves)
 	remove("!!")
 	remove("!first")
 	remove("~last")
-	mustPadLikeOracle(t, "all removed", ixs, entities, measure, selves)
+	mustPadLikeOracle(t, "all removed", ix, entities, measure, selves)
 }
 
 // TestKNNPadAfterReopen holds a durable index's pad, after OpenIndex
@@ -517,7 +466,7 @@ func TestKNNPadAfterNameChurn(t *testing.T) {
 // same mutations.
 func TestKNNPadAfterReopen(t *testing.T) {
 	const measure = "jaccard"
-	opts := IndexOptions{Measure: measure, Dir: t.TempDir(), Shards: 2, SnapshotEvery: -1}
+	opts := IndexOptions{Measure: measure, Dir: t.TempDir(), SnapshotEvery: -1}
 	durable, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +517,7 @@ func TestKNNPadAfterReopen(t *testing.T) {
 	selves := []string{"!first", "!!", "!ghost", "hermit-a"}
 	mustPadIdentical := func(stage string, re *Index) {
 		t.Helper()
-		mustPadLikeOracle(t, stage, []*Index{re}, entities, measure, selves)
+		mustPadLikeOracle(t, stage, re, entities, measure, selves)
 		for _, k := range []int{3, len(entities) + 1} {
 			for pi, probe := range padProbes {
 				got, err := json.Marshal(re.QueryKNN(probe, k))
@@ -601,7 +550,7 @@ func TestKNNPadAfterReopen(t *testing.T) {
 // names — resolve and the pad read one state of the name tables — with
 // the overlapping entities, which no writer touches, always leading it.
 func TestKNNPadConcurrentWithApply(t *testing.T) {
-	ix, err := NewIndex(IndexOptions{Measure: "jaccard", Shards: 3, CacheSize: -1})
+	ix, err := NewIndex(IndexOptions{Measure: "jaccard", CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

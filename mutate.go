@@ -6,7 +6,7 @@ package vsmartjoin
 // /add, /remove and /bulk) is a batch handed to one method,
 // Index.Apply (and, over a cluster of nodes, Cluster.Apply): resolve
 // names to IDs → append the batch's records to the index's write-ahead
-// log → apply to the name tables and the shards → wait for durability →
+// log → apply to the name tables and the inner index → wait for durability →
 // acknowledge. A batch of one is a batch.
 
 import (
@@ -19,7 +19,6 @@ import (
 	"vsmartjoin/internal/cluster"
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/shard"
 	"vsmartjoin/internal/wal"
 )
 
@@ -56,8 +55,8 @@ type BatchEntry struct {
 // with Cluster.Apply and unused, the index being local.
 //
 // A batch costs one WAL append (one write and, under DurabilitySync,
-// one group-committed fsync), one shard-lock acquisition per touched
-// shard, and one result-cache invalidation. Writes serialize on the
+// one group-committed fsync), one write-lock hold of the inner index,
+// and one result-cache invalidation. Writes serialize on the
 // index: the batch's records are appended to the log in batch order
 // before anything is applied, and the apply happens under the same
 // name-table lock, so the log's order is the apply order and a
@@ -74,7 +73,7 @@ type BatchEntry struct {
 // that is neither OpAdd nor OpRemove (nothing is applied); a volatile
 // index cannot fail otherwise. Its body is the only code in the package
 // that appends to the write-ahead log and mutates the name tables and
-// shards.
+// the inner index.
 func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 	for i := range muts {
 		if op := muts[i].Op; op != OpAdd && op != OpRemove {
@@ -146,47 +145,32 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 		}
 	}
 
-	// Pass 3: apply in batch order — name tables inline, shard
-	// structures grouped so each touched shard pays one lock acquisition.
-	type shardOps struct {
-		si  int
-		ops []index.BatchOp
-	}
-	var groups []shardOps
-	groupOf := map[int]int{} // shard → index into groups
+	// Pass 3: apply in batch order — name tables inline, the inner index
+	// in one ApplyBatch.
+	ops := make([]index.BatchOp, 0, len(muts))
 	applied := make([]bool, len(muts))
 	for i, m := range muts {
 		r := res[i]
 		if r.skip {
 			continue
 		}
-		si := shard.ShardOf(r.id, ix.inner.Shards())
-		g, ok := groupOf[si]
-		if !ok {
-			g, groupOf[si] = len(groups), len(groups)
-			groups = append(groups, shardOps{si: si})
-		}
 		if m.Op == OpRemove {
 			delete(ix.byName, m.Entity)
 			delete(ix.names, r.id)
 			ix.order.remove(m.Entity)
-			groups[g].ops = append(groups[g].ops, index.BatchOp{Remove: true, ID: r.id})
+			ops = append(ops, index.BatchOp{Remove: true, ID: r.id})
 		} else {
 			if _, ok := ix.byName[m.Entity]; !ok { // an upsert of an indexed name skips the search
 				ix.order.insert(m.Entity)
 			}
 			ix.byName[m.Entity] = r.id
 			ix.names[r.id] = m.Entity
-			groups[g].ops = append(groups[g].ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
+			ops = append(ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
 		}
 		applied[i] = true
 	}
-	n := 0
-	for _, g := range groups {
-		ix.inner.At(g.si).ApplyBatch(g.ops)
-		n += len(g.ops)
-	}
-	if n > 0 {
+	ix.inner.ApplyBatch(ops)
+	if n := len(ops); n > 0 {
 		ix.gen.Add(1) // one generation bump invalidates the cache for the whole batch
 		if ix.log != nil {
 			ix.noteLoggedLocked(n)

@@ -4,14 +4,14 @@ package vsmartjoin
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
 // Cluster.Query): validate → result cache → intern or look up the query
-// → one pass over the shards → boundary-tie re-query → resolve IDs to
+// → one pass over the inner index → boundary-tie re-query → resolve IDs to
 // names and pad a short kNN list (one read-lock hold, O(results + k)
 // whatever the index holds) → cache fill. The named methods
 // (QueryThreshold, QueryEntity, QueryTopK, QueryKNN, QueryKNNEntity) are
 // conveniences over it.
 //
-// Below this file similarity is the only currency: the sharded inner
-// index answers threshold and top-k queries in (similarity, entity ID)
+// Below this file similarity is the only currency: the inner index
+// answers threshold and top-k queries in (similarity, entity ID)
 // order and knows nothing of distances. kNN under d = 1 − similarity IS
 // top-k — d is decreasing in the similarity, so "nearest first" is
 // "most similar first" and the rising k-th-distance floor the
@@ -36,8 +36,8 @@ import (
 // canonically: decreasing similarity, entity name ascending on ties.
 // Name-based tie-breaking (rather than internal entity IDs) is what
 // makes results reproducible across every deployment shape — a single
-// index, a sharded one, and a Cluster of independent nodes (each with
-// its own private ID space) all answer byte-identically.
+// index and a Cluster of independent nodes (each with its own private
+// ID space) answer byte-identically.
 type Match = cluster.Match
 
 // Neighbor is one kNN query result, {Entity string; Distance float64}
@@ -94,8 +94,7 @@ func SortNeighborsByName(ns []Neighbor) { cluster.SortNeighbors(ns) }
 
 // Query answers q against the index as of the call; the context is
 // accepted for symmetry with Cluster.Query and unused, the index being
-// local. The answer is independent of the shard count and of insertion
-// order: where more than K entities tie at the K-th best similarity (or
+// local. The answer is independent of insertion order: where more than K entities tie at the K-th best similarity (or
 // distance) the smallest names win, so selection is a pure function of
 // the indexed (name, multiset) pairs. It fails on a malformed query
 // (threshold outside [0, 1], K not positive, both Entity and Elements
@@ -132,16 +131,18 @@ func (ix *Index) query(q Query) (QueryResult, error) {
 	if q.Entity == "" {
 		iq = ix.buildQuery(q.Elements)
 	} else {
+		// The name and its multiset are read in one ix.mu hold, so the
+		// probe never carries a dead ID; it carries the entity's own ID so
+		// the index skips the self-pair.
 		ix.mu.RLock()
 		id, ok := ix.byName[q.Entity]
+		if ok {
+			iq = index.Query{Set: ix.inner.View(id)}
+		}
 		ix.mu.RUnlock()
 		if !ok {
 			return QueryResult{}, fmt.Errorf("vsmartjoin: entity %q not indexed", q.Entity)
 		}
-		// The probe carries the entity's own ID so the index skips the
-		// self-pair; an entity removed since the lookup just yields an
-		// empty multiset and no matches.
-		iq = index.Query{Set: ix.inner.View(id)}
 	}
 	bp := matchBufPool.Get().(*queryBuf)
 	start, timed := bp.sample()

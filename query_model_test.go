@@ -48,7 +48,7 @@ type surfaceUnderTest struct {
 }
 
 // surfacesUnderTest loads entities into an Index with the result cache
-// on, one with it off (two shards), and a 2-partition Cluster.
+// on, one with it off, and a 2-partition Cluster.
 func surfacesUnderTest(t *testing.T, measure string, entities map[string]map[string]uint32) []surfaceUnderTest {
 	t.Helper()
 	names := make([]string, 0, len(entities))
@@ -59,7 +59,7 @@ func surfacesUnderTest(t *testing.T, measure string, entities map[string]map[str
 	var out []surfaceUnderTest
 	for _, opts := range []vsmartjoin.IndexOptions{
 		{Measure: measure},
-		{Measure: measure, Shards: 2, CacheSize: -1},
+		{Measure: measure, CacheSize: -1},
 	} {
 		ix, err := vsmartjoin.NewIndex(opts)
 		if err != nil {
@@ -71,7 +71,7 @@ func surfacesUnderTest(t *testing.T, measure string, entities map[string]map[str
 			}
 		}
 		out = append(out, surfaceUnderTest{
-			name:         fmt.Sprintf("index/shards=%d/cache=%d", opts.Shards, opts.CacheSize),
+			name:         fmt.Sprintf("index/cache=%d", opts.CacheSize),
 			querySurface: ix,
 			topK: func(counts map[string]uint32, k int) ([]vsmartjoin.Match, error) {
 				return ix.QueryTopK(counts, k), nil
@@ -167,8 +167,7 @@ type writeSurface interface {
 // Apply does with the batch it stands for — results, errors (by
 // errors.Is target), entity and mutation counts, and the result-cache
 // invalidation a changing write must cause and a no-op must not — on a
-// volatile, an OS-durable and a sync-durable Index at 1 and 3 shards,
-// and on a replicated Cluster, with and without a quorum. Two twins are
+// volatile, an OS-durable and a sync-durable Index, and on a replicated Cluster, with and without a quorum. Two twins are
 // driven side by side, one through the conveniences, one through Apply.
 func TestConveniencesEqualApply(t *testing.T) {
 	ctx := context.Background()
@@ -231,19 +230,15 @@ func TestConveniencesEqualApply(t *testing.T) {
 	}
 
 	for _, shape := range []struct {
-		shards  int
 		durable bool
 		opts    vsmartjoin.IndexOptions
 	}{
-		{1, false, vsmartjoin.IndexOptions{}}, {3, false, vsmartjoin.IndexOptions{}},
-		{1, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilityOS}},
-		{3, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilityOS}},
-		{1, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilitySync}},
-		{3, true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilitySync}},
+		{false, vsmartjoin.IndexOptions{}},
+		{true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilityOS}},
+		{true, vsmartjoin.IndexOptions{Durability: vsmartjoin.DurabilitySync}},
 	} {
 		opts, durable := shape.opts, shape.durable
-		opts.Shards = shape.shards
-		t.Run(fmt.Sprintf("index/shards=%d/durable=%v/durability=%d", opts.Shards, durable, opts.Durability), func(t *testing.T) {
+		t.Run(fmt.Sprintf("index/durable=%v/durability=%d", durable, opts.Durability), func(t *testing.T) {
 			var twins [2]*vsmartjoin.Index
 			for i := range twins {
 				o := opts
@@ -438,7 +433,7 @@ func TestMutationScriptModel(t *testing.T) {
 	root := t.TempDir()
 	for name, drive := range drivers {
 		t.Run(name, func(t *testing.T) {
-			opts := vsmartjoin.IndexOptions{Dir: filepath.Join(root, name), Shards: 3, SnapshotEvery: 16}
+			opts := vsmartjoin.IndexOptions{Dir: filepath.Join(root, name), SnapshotEvery: 16}
 			ix, err := vsmartjoin.NewIndex(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -476,7 +471,7 @@ func TestMutationScriptModel(t *testing.T) {
 		return out
 	}
 	byApply, byAddRemove := files(filepath.Join(root, "one op per Apply")), files(filepath.Join(root, "Add and Remove"))
-	if len(byApply) != 2 || len(byApply) != len(byAddRemove) { // one snap, one wal at 3 shards
+	if len(byApply) != 2 || len(byApply) != len(byAddRemove) { // one snap, one wal
 		t.Fatalf("files: %d by Apply, %d by Add/Remove, want 2 each", len(byApply), len(byAddRemove))
 	}
 	for name, data := range byApply {
@@ -542,29 +537,25 @@ func TestKNNDistanceTiesBrokenByName(t *testing.T) {
 		return out[:min(k, len(out))]
 	}
 
-	var shapes []surfaceUnderTest
-	for _, shards := range []int{1, 3, 8} {
-		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: measure, Shards: shards})
-		if err != nil {
+	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, counts := range entities {
+		if err := ix.Add(name, counts); err != nil {
 			t.Fatal(err)
 		}
-		for name, counts := range entities {
-			if err := ix.Add(name, counts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		shapes = append(shapes, surfaceUnderTest{
-			name: fmt.Sprintf("index/shards=%d", shards), querySurface: ix,
-			knn: func(counts map[string]uint32, k int) ([]vsmartjoin.Neighbor, error) {
-				return ix.QueryKNN(counts, k), nil
-			},
-		})
 	}
 	cut := startCluster(t, measure, 3, 1)
 	for name, counts := range entities {
 		cut.add(t, name, counts)
 	}
-	shapes = append(shapes, surfaceUnderTest{name: "cluster/p3", querySurface: cut.cluster, knn: cut.cluster.QueryKNN})
+	shapes := []surfaceUnderTest{
+		{name: "index", querySurface: ix, knn: func(counts map[string]uint32, k int) ([]vsmartjoin.Neighbor, error) {
+			return ix.QueryKNN(counts, k), nil
+		}},
+		{name: "cluster/p3", querySurface: cut.cluster, knn: cut.cluster.QueryKNN},
+	}
 
 	for _, k := range []int{1, 2, perGroup - 1, perGroup, perGroup + 3, 3 * perGroup, 100} {
 		for _, s := range shapes {
@@ -581,7 +572,7 @@ func TestKNNDistanceTiesBrokenByName(t *testing.T) {
 // probes for K+1 (and the router for one more), which used to wrap
 // negative at K = math.MaxInt and silently answer nothing (top-k) or
 // every entity at distance 1 (kNN). Now K saturates, so the largest K
-// answers exactly as K = Len() — on an Index, a 2-shard Index, a
+// answers exactly as K = Len() — on a cached and an uncached Index, a
 // Cluster, and through both HTTP surfaces.
 func TestHugeKAnswersLikeLen(t *testing.T) {
 	entities := clusterEntities(rand.New(rand.NewSource(11)), 20)
