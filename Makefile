@@ -51,7 +51,7 @@ bench-check:
 loc:
 	@find . -name '*.go' -not -path './.git/*' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-# Batch AllKNN smoke: run the three-job MapReduce kNN pipeline over a
+# Batch AllKNN smoke: run every entity's kNN query over a
 # tiny generated trace and demand one neighbor line per entity — a PR
 # cannot silently break the -knn CLI path. CI runs this in its test job.
 allknn-smoke:

@@ -1,44 +1,25 @@
 package vsmartjoin
 
-// Batch all-k-nearest-neighbors: the MapReduce counterpart of
-// QueryKNN, answering the neighbor question for every entity at once
-// through internal/knn's partition-and-refine pipeline. Entity IDs are
-// renumbered by ascending name rank before the run, so the pipeline's
-// ID tie-breaks are name tie-breaks — each list comes back in the same
-// canonical (distance, name) order the online path produces, and the
-// differential suite gates the two against each other entity by
-// entity.
+// Batch all-k-nearest-neighbors: the neighbor question for every entity
+// at once. AllKNN loads the dataset into a volatile Index and asks
+// QueryKNNEntity about each entity, so every list is the online answer
+// by construction — the same top-k pass, tie re-query and name pad —
+// and the differential suite holds both to a brute-force oracle.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"vsmartjoin/internal/knn"
-	"vsmartjoin/internal/mr"
-	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/records"
-	"vsmartjoin/internal/similarity"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// KNNStats summarizes the simulated cluster cost of an AllKNN run.
+// KNNStats summarizes the cost of an AllKNN run.
 type KNNStats struct {
-	// TotalSeconds is the simulated wall time of the pipeline; Jobs is
-	// its MapReduce step count.
-	TotalSeconds float64
-	Jobs         int
-	// GroupsProbed and GroupsPruned count the refine stage's per-entity
-	// decisions about foreign cardinality groups: pruned groups were
-	// excluded by the distance lower bound alone.
-	GroupsProbed int64
-	GroupsPruned int64
-	// SpilledBytes is the shuffle volume spilled to disk across all jobs
-	// (0 unless Options.ShuffleBufferBytes forced spilling).
-	SpilledBytes int64
-	// WallSeconds is the real (measured, not simulated) time the jobs took
-	// in this process; JobTimes splits it by job and engine phase.
+	// WallSeconds is the real time the run took in this process, index
+	// build included.
 	WallSeconds float64
-	JobTimes    []JobTime
 }
 
 // KNNResult is the outcome of AllKNN.
@@ -47,7 +28,7 @@ type KNNResult struct {
 	// first, names ascending on distance ties. A list is shorter than k
 	// only when the dataset holds fewer than k other entities.
 	Neighbors map[string][]Neighbor
-	// Stats is the simulated cluster cost.
+	// Stats is the cost of the run.
 	Stats KNNStats
 }
 
@@ -56,9 +37,9 @@ type KNNResult struct {
 // exactly 1 and legitimately fill lists when fewer than k entities
 // overlap — the same population the online QueryKNN pads with.
 //
-// Options is interpreted as for AllPairs, except that Threshold,
-// Algorithm, StopWordQ, and ShardC do not apply to the kNN pipeline
-// and are ignored.
+// Only Options.Measure applies; the other fields configure AllPairs'
+// simulated cluster and are ignored. The entities are queried by
+// GOMAXPROCS goroutines.
 func AllKNN(d *Dataset, k int, opts Options) (*KNNResult, error) {
 	if d == nil || len(d.sets) == 0 {
 		return nil, errors.New("vsmartjoin: empty dataset")
@@ -66,114 +47,42 @@ func AllKNN(d *Dataset, k int, opts Options) (*KNNResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("vsmartjoin: k must be positive, got %d", k)
 	}
-	measureName := opts.Measure
-	if measureName == "" {
-		measureName = "ruzicka"
-	}
-	measure, err := similarity.ByName(measureName)
+	start := time.Now()
+	ix, err := BuildIndex(d, IndexOptions{Measure: opts.Measure, CacheSize: -1})
 	if err != nil {
 		return nil, err
 	}
-	machines := opts.Machines
-	if machines == 0 {
-		machines = 16
-	}
-	mem := opts.MemPerMachine
-	if mem == 0 {
-		mem = 1 << 30
-	}
-	cluster := mr.NewCluster(machines, mem)
-	cluster.ShuffleBufferBytes = opts.ShuffleBufferBytes
-	if opts.HadoopCompat {
-		// The kNN jobs never rely on secondary keys, so Hadoop semantics
-		// only flip the cluster flag — results are identical.
-		cluster = cluster.Hadoop()
-	}
+	defer ix.Close()
 
-	// Renumber entities by ascending name rank: the pipeline breaks
-	// distance ties by ID, and rank IDs make that exactly the public
-	// name order — no per-list re-sorting, no order divergence from the
-	// online path.
 	rev := d.nameTable()
-	names := make([]string, 0, len(d.sets))
-	for _, m := range d.sets {
-		names = append(names, rev[m.ID])
+	names := make([]string, len(d.sets))
+	for i, m := range d.sets {
+		names[i] = rev[m.ID]
 	}
-	sort.Strings(names)
-	rank := make(map[string]multiset.ID, len(names))
-	for i, n := range names {
-		rank[n] = multiset.ID(i + 1)
+	lists := make([][]Neighbor, len(names))
+	errs := make([]error, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(names); i = int(next.Add(1) - 1) {
+				lists[i], errs[i] = ix.QueryKNNEntity(names[i], k)
+			}
+		}()
 	}
-	byRank := make(map[multiset.ID]string, len(names))
-	for n, id := range rank {
-		byRank[id] = n
-	}
-	renumbered := make([]multiset.Multiset, 0, len(d.sets))
-	var empties []string // entities with no elements never enter the pipeline
-	for _, m := range d.sets {
-		if len(m.Entries) == 0 {
-			empties = append(empties, rev[m.ID])
-			continue
-		}
-		renumbered = append(renumbered, multiset.Multiset{ID: rank[rev[m.ID]], Entries: m.Entries})
-	}
-	sort.Strings(empties)
-
-	out := &KNNResult{Neighbors: make(map[string][]Neighbor, len(names))}
-	if len(renumbered) > 0 {
-		input := records.BuildInput("knn-input", renumbered, 4*machines)
-		res, err := knn.AllKNN(cluster, input, knn.Config{Measure: measure, K: k})
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out.Stats = KNNStats{
-			TotalSeconds: res.Stats.TotalSeconds,
-			Jobs:         len(res.Stats.Jobs),
-			GroupsProbed: res.Stats.Counter(knn.CounterGroupsProbed),
-			GroupsPruned: res.Stats.Counter(knn.CounterGroupsPruned),
-			WallSeconds:  res.Stats.WallSeconds,
-			JobTimes:     jobTimes(res.Stats),
-		}
-		for _, j := range res.Stats.Jobs {
-			out.Stats.SpilledBytes += j.SpilledBytes
-		}
-		for id, list := range res.Lists {
-			ns := make([]Neighbor, 0, min(len(list)+len(empties), k))
-			for _, n := range list {
-				ns = append(ns, Neighbor{Entity: byRank[n.ID], Distance: n.Dist})
-			}
-			// Empty entities are at distance exactly 1 from everything, like
-			// any non-overlapping entity; fold them into the canonical order.
-			ns = append(ns, padNeighbors(empties, "", k)...)
-			SortNeighborsByName(ns)
-			if len(ns) > k {
-				ns = ns[:k]
-			}
-			out.Neighbors[byRank[id]] = ns
-		}
 	}
-	// An empty entity is at distance 1 from every other entity, so its k
-	// nearest are simply the k smallest names besides its own.
-	for _, name := range empties {
-		ns := padNeighbors(names, name, k)
-		out.Neighbors[name] = ns
-	}
-	return out, nil
-}
 
-// padNeighbors returns the first k of pool (ascending, self excluded)
-// as distance-1 neighbors. pool must be sorted.
-func padNeighbors(pool []string, self string, k int) []Neighbor {
-	ns := make([]Neighbor, 0, min(len(pool), k))
-	for _, n := range pool {
-		if n == self {
-			continue
-		}
-		if len(ns) == k {
-			break
-		}
-		ns = append(ns, Neighbor{Entity: n, Distance: 1})
+	out := &KNNResult{Neighbors: make(map[string][]Neighbor, len(names))}
+	for i, name := range names {
+		out.Neighbors[name] = lists[i]
 	}
-	//lint:vsmart-allow canonicalorder a constant-distance list in ascending name order is canonical by construction; callers folding it into a mixed list re-sort
-	return ns
+	out.Stats.WallSeconds = time.Since(start).Seconds()
+	return out, nil
 }

@@ -35,7 +35,8 @@ const (
 type Dataset struct {
 	dict     *multiset.Dict
 	names    map[multiset.ID]string
-	byName   map[string]int // entity name → index into sets
+	byName   map[string]int      // entity name → index into sets
+	byID     map[multiset.ID]int // AddByID entity → index into sets
 	sets     []multiset.Multiset
 	nextID   multiset.ID
 	numbered bool
@@ -47,6 +48,7 @@ func NewDataset() *Dataset {
 		dict:   multiset.NewDict(),
 		names:  make(map[multiset.ID]string),
 		byName: make(map[string]int),
+		byID:   make(map[multiset.ID]int),
 		nextID: 1,
 	}
 }
@@ -91,15 +93,23 @@ func (d *Dataset) AddSet(entity string, elements []string) {
 	d.Add(entity, counts)
 }
 
-// AddByID registers a pre-numbered entity. Mixing Add and AddByID in one
-// dataset is not supported.
+// AddByID registers a pre-numbered entity. Adding the same entity ID
+// twice merges the multiplicities, as Add does for names. Mixing Add
+// and AddByID in one dataset is not supported.
 func (d *Dataset) AddByID(entity uint64, counts map[uint64]uint32) {
 	d.numbered = true
-	entries := make([]multiset.Entry, 0, len(counts))
+	id := multiset.ID(entity)
+	idx, ok := d.byID[id]
+	if !ok {
+		idx = len(d.sets)
+		d.byID[id] = idx
+		d.sets = append(d.sets, multiset.Multiset{ID: id})
+	}
+	entries := d.sets[idx].Entries
 	for e, c := range counts {
 		entries = append(entries, multiset.Entry{Elem: multiset.Elem(e), Count: c})
 	}
-	d.sets = append(d.sets, multiset.New(multiset.ID(entity), entries))
+	d.sets[idx] = multiset.New(id, entries)
 }
 
 // Len reports the number of entities.
@@ -140,7 +150,8 @@ func (d *Dataset) Each(fn func(entity string, counts map[string]uint32) bool) {
 // is negative (unset).
 const DefaultThreshold = 0.5
 
-// Options configures AllPairs.
+// Options configures AllPairs. AllKNN reads only Measure: the other
+// fields do not apply to it.
 type Options struct {
 	// Measure is the similarity measure name (default "ruzicka").
 	Measure string

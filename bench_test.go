@@ -809,27 +809,39 @@ func BenchmarkQueryKNN(b *testing.B) {
 	})
 }
 
-// BenchmarkAllKNN measures the batch MapReduce pipeline end to end:
-// grouping, bound computation, and refine over a 2000-entity dataset,
-// k=10 lists for every entity per iteration. The entities/s metric is
-// the per-run amortized rate the CLI path sustains.
+// BenchmarkAllKNN measures AllKNN end to end — the index build and one
+// kNN query per entity — over a 2000-entity dataset, k=10 lists for
+// every entity per iteration. zipf is the skewed benchmark corpus;
+// stopword adds one element every entity carries, so each query's
+// candidates are the whole dataset. The entities/s metric is the
+// per-run amortized rate the CLI path sustains.
 func BenchmarkAllKNN(b *testing.B) {
 	const n = 2000
-	entities := benchIndexEntities(n)
-	d := NewDataset()
-	for i, counts := range entities {
-		d.Add(fmt.Sprintf("entity-%d", i), counts)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := AllKNN(d, 10, Options{Measure: "ruzicka"})
-		if err != nil {
-			b.Fatal(err)
+	for _, stopword := range []bool{false, true} {
+		name := "zipf"
+		if stopword {
+			name = "stopword"
 		}
-		if len(res.Neighbors) != n {
-			b.Fatalf("lists for %d entities, want %d", len(res.Neighbors), n)
-		}
+		b.Run(name, func(b *testing.B) {
+			d := NewDataset()
+			for i, counts := range benchIndexEntities(n) {
+				if stopword {
+					counts["stop"] = 1
+				}
+				d.Add(fmt.Sprintf("entity-%d", i), counts)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := AllKNN(d, 10, Options{Measure: "ruzicka"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Neighbors) != n {
+					b.Fatalf("lists for %d entities, want %d", len(res.Neighbors), n)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "entities/s")
+		})
 	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "entities/s")
 }

@@ -138,8 +138,9 @@ func BuildClusterFiles(d *Dataset, opts IndexOptions, partitions int) (ClusterBu
 // follow first-seen insertion order, elements encode through the same
 // walAddRecord the serving WAL uses (one canonical encoding keeps the
 // bulk-equals-incremental differential honest), and a name seen twice
-// (possible only via AddByID) yields its first ID again — the builder's
-// last-occurrence-wins dedup then reproduces Add's upsert. The yielded
+// (possible only by mixing Add and AddByID) yields its first ID again —
+// the builder's last-occurrence-wins dedup then reproduces Add's
+// upsert. The yielded
 // entities are transient: the builder encodes each straight into its
 // job-input record, so beyond that input no intermediate copy of the
 // corpus is materialized.

@@ -16,11 +16,12 @@
 // write-ahead log to replay. This is the cold-start path for
 // large corpora: one batch job instead of one logged Add per entity.
 //
-// With -knn k the trace is not threshold-joined either: the batch
-// all-k-nearest-neighbors pipeline computes every entity's exact k
-// nearest entities under the distance 1 − similarity, printed one
-// neighbor per line as "entity<TAB>neighbor<TAB>distance", entities
-// sorted, neighbors nearest first.
+// With -knn k the trace is not threshold-joined either: AllKNN computes
+// every entity's exact k nearest entities under the distance
+// 1 − similarity, printed one neighbor per line as
+// "entity<TAB>neighbor<TAB>distance", entities sorted, neighbors
+// nearest first. Only -measure applies to it; the simulated-cluster
+// flags configure the threshold join and the index build.
 //
 // Examples:
 //
@@ -111,13 +112,7 @@ func main() {
 	}
 
 	if *knnK > 0 {
-		res, err := vsmartjoin.AllKNN(d, *knnK, vsmartjoin.Options{
-			Measure:            *measure,
-			Machines:           *machines,
-			MemPerMachine:      *memory,
-			ShuffleBufferBytes: *shufbuf,
-			HadoopCompat:       *hadoop,
-		})
+		res, err := vsmartjoin.AllKNN(d, *knnK, vsmartjoin.Options{Measure: *measure})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -136,10 +131,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *showStats {
-			fmt.Fprintf(os.Stderr, "%d entities; %d MapReduce jobs; simulated %.1fs, wall %.0fms; groups probed %d, pruned %d; spilled %dB\n",
-				len(res.Neighbors), res.Stats.Jobs, res.Stats.TotalSeconds, res.Stats.WallSeconds*1e3,
-				res.Stats.GroupsProbed, res.Stats.GroupsPruned, res.Stats.SpilledBytes)
-			printJobTimes(res.Stats.JobTimes)
+			fmt.Fprintf(os.Stderr, "%d entities; wall %.0fms\n", len(res.Neighbors), res.Stats.WallSeconds*1e3)
 		}
 		return
 	}
@@ -176,14 +168,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d pairs; %d MapReduce jobs; simulated %.1fs (joining %.1fs, similarity %.1fs), wall %.0fms; spilled %dB\n",
 			len(res.Pairs), res.Stats.Jobs, res.Stats.TotalSeconds,
 			res.Stats.JoiningSeconds, res.Stats.SimilaritySeconds, res.Stats.WallSeconds*1e3, res.Stats.SpilledBytes)
-		printJobTimes(res.Stats.JobTimes)
-	}
-}
-
-// printJobTimes lists each job's simulated seconds beside its real
-// milliseconds and their split over map, shuffle and reduce.
-func printJobTimes(jobs []vsmartjoin.JobTime) {
-	for _, j := range jobs {
-		fmt.Fprintf(os.Stderr, "  %s\n", j)
+		// Each job's simulated seconds beside its real milliseconds and
+		// their split over map, shuffle and reduce.
+		for _, j := range res.Stats.JobTimes {
+			fmt.Fprintf(os.Stderr, "  %s\n", j)
+		}
 	}
 }

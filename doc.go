@@ -187,12 +187,11 @@
 //	}
 //
 // AllKNN is the batch counterpart — every entity's exact k nearest
-// lists in one simulated-cluster MapReduce run (cmd/vsmartjoin -knn on
-// the command line), computed by partition-and-refine: entities group
-// by cardinality, and a group is probed only when a similarity upper
-// bound says it could still improve the query's k-th distance. Batch
-// and online lists are byte-identical; knn_diff_test.go gates both
-// against a brute-force oracle.
+// lists at once (cmd/vsmartjoin -knn on the command line). It loads the
+// dataset into a volatile Index and runs QueryKNNEntity for every
+// entity on GOMAXPROCS goroutines, so batch and online lists are the
+// same answer by construction; knn_diff_test.go gates both against a
+// brute-force oracle.
 //
 // Candidate generation has one path: the prefix-filter
 // probe of the inverted index, for threshold, top-k and kNN queries

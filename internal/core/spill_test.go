@@ -6,16 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"vsmartjoin/internal/build"
 	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/datagen"
-	"vsmartjoin/internal/knn"
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
-	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 	"vsmartjoin/internal/vcl"
@@ -111,8 +108,8 @@ func flatten(d *mrfs.Dataset) []byte {
 }
 
 // TestOutputsIdenticalAcrossShuffleBuffers runs every pipeline built on
-// the engine — the three joining algorithms, the VCL baseline, batch kNN
-// and the bulk index build — with the shuffle in memory, spilling at 4 KiB
+// the engine — the three joining algorithms, the VCL baseline and the
+// bulk index build — with the shuffle in memory, spilling at 4 KiB
 // and spilling at 64 KiB, and demands byte-identical output: the same
 // records in the same partitions (for the build, the same snapshot files).
 // In-memory and spilled modes share one record representation; this pins
@@ -157,22 +154,6 @@ func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
 				return nil, 0, err
 			}
 			return flatten(res.Output), spilled(res.Stats), nil
-		},
-		"knn": func(cl mr.ClusterConfig) ([]byte, int64, error) {
-			res, err := knn.AllKNN(cl, input, knn.Config{Measure: similarity.Ruzicka{}, K: 3})
-			if err != nil {
-				return nil, 0, err
-			}
-			ids := make([]multiset.ID, 0, len(res.Lists))
-			for id := range res.Lists {
-				ids = append(ids, id)
-			}
-			slices.Sort(ids)
-			var out []byte
-			for _, id := range ids {
-				out = fmt.Appendf(out, "%d %v\n", id, res.Lists[id])
-			}
-			return out, spilled(res.Stats), nil
 		},
 		"build": func(cl mr.ClusterConfig) ([]byte, int64, error) {
 			dir := filepath.Join(t.TempDir(), "idx")

@@ -187,54 +187,107 @@ func runKNNDifferentialQuery(t *testing.T, measure string) {
 
 // TestKNNDifferentialAllKNN is the batch acceptance gate: AllKNN's
 // per-entity lists against the oracle for measures × k, and
-// byte-identical to online QueryKNNEntity over the same corpus — the
-// MapReduce pipeline and the serving path answering the same question
-// must agree to the last bit.
+// byte-identical to online QueryKNNEntity over the same dataset. The
+// datasets: the differential corpus; one where every entity carries the
+// same element (a posting list as long as the dataset); one holding an
+// entity added with only zero counts (distance 1 from everything); and
+// a numbered dataset whose IDs repeat, so AddByID merges.
 func TestKNNDifferentialAllKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1013))
-	entities := knnEntities(rng, 35)
-	d := datasetOf(entities)
-	names := make([]string, 0, len(entities))
-	for name := range entities {
-		names = append(names, name)
+	stopword := randomEntities(rng, 40, 26, 7, 4)
+	for _, counts := range stopword {
+		counts["hot"] = 1
 	}
-	sort.Strings(names)
+	zeroed := knnEntities(rng, 20)
+	zeroed["ghost"] = map[string]uint32{"e1": 0, "e2": 0}
+	numbered := NewDataset()
+	for i := 0; i < 40; i++ {
+		counts := make(map[uint64]uint32)
+		for j, n := 0, 1+rng.Intn(4); j < n; j++ {
+			counts[uint64(rng.Intn(15))] = uint32(1 + rng.Intn(3))
+		}
+		numbered.AddByID(uint64(1+rng.Intn(25)), counts)
+	}
+	cases := []struct {
+		name string
+		d    *Dataset
+	}{
+		{"corpus", datasetOf(knnEntities(rng, 35))},
+		{"stopword", datasetOf(stopword)},
+		{"zero-counts", datasetOf(zeroed)},
+		{"numbered", numbered},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The oracle reads the dataset's own view of each entity.
+			entities := make(map[string]map[string]uint32, tc.d.Len())
+			tc.d.Each(func(name string, counts map[string]uint32) bool {
+				entities[name] = counts
+				return true
+			})
+			names := make([]string, 0, len(entities))
+			for name := range entities {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, measure := range diffMeasures {
+				ix, err := BuildIndex(tc.d, IndexOptions{Measure: measure})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
+				for _, k := range knnDiffKs {
+					res, err := AllKNN(tc.d, k, Options{Measure: measure})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Neighbors) != len(names) {
+						t.Fatalf("%s k=%d: lists for %d entities, want %d", measure, k, len(res.Neighbors), len(names))
+					}
+					for _, name := range names {
+						tag := fmt.Sprintf("allknn %s k=%d entity %q", measure, k, name)
+						batch := res.Neighbors[name]
+						mustMatchKNN(t, tag, batch, oracleKNN(t, entities, measure, entities[name], name, k))
+						online, err := ix.QueryKNNEntity(name, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bj, err := json.Marshal(batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						oj, err := json.Marshal(online)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(bj, oj) {
+							t.Fatalf("%s: batch and online disagree\nbatch:  %s\nonline: %s", tag, bj, oj)
+						}
+					}
+				}
+			}
+		})
+	}
+}
 
-	for _, measure := range knnDiffMeasures {
-		ix, err := BuildIndex(d, IndexOptions{Measure: measure})
-		if err != nil {
-			t.Fatal(err)
+// TestAllKNNRejectsBadConfig covers AllKNN's argument guards.
+func TestAllKNNRejectsBadConfig(t *testing.T) {
+	d := datasetOf(knnEntities(rand.New(rand.NewSource(1)), 4))
+	for _, tc := range []struct {
+		name string
+		d    *Dataset
+		k    int
+		opts Options
+	}{
+		{"k=0", d, 0, Options{}},
+		{"k<0", d, -3, Options{}},
+		{"nil dataset", nil, 3, Options{}},
+		{"empty dataset", NewDataset(), 3, Options{}},
+		{"unknown measure", d, 3, Options{Measure: "nope"}},
+	} {
+		if _, err := AllKNN(tc.d, tc.k, tc.opts); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
-		for _, k := range knnDiffKs {
-			res, err := AllKNN(d, k, Options{Measure: measure, Machines: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Neighbors) != len(names) {
-				t.Fatalf("%s k=%d: lists for %d entities, want %d", measure, k, len(res.Neighbors), len(names))
-			}
-			for _, name := range names {
-				tag := fmt.Sprintf("allknn %s k=%d entity %q", measure, k, name)
-				batch := res.Neighbors[name]
-				mustMatchKNN(t, tag, batch, oracleKNN(t, entities, measure, entities[name], name, k))
-				online, err := ix.QueryKNNEntity(name, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bj, err := json.Marshal(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oj, err := json.Marshal(online)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(bj, oj) {
-					t.Fatalf("%s: batch and online disagree\nbatch:  %s\nonline: %s", tag, bj, oj)
-				}
-			}
-		}
-		ix.Close()
 	}
 }
 
