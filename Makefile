@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke loc
+.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke allpairs-smoke loc
 
 all: build test
 
@@ -65,3 +65,21 @@ allknn-smoke:
 	if [ "$$lines" -ne 24 ]; then \
 		echo "allknn smoke: got $$lines neighbor lines, want 24 (8 entities x k=3)" >&2; exit 1; fi; \
 	echo "allknn smoke: 8 entities x k=3 neighbors OK"
+
+# Batch AllPairs smoke: a five-entity trace through vsmartjoin -stats.
+# At t = 0.5 under Ruzicka it must print exactly the pairs a~b (0.75) and
+# d~e (1), and the candidate funnel: 8 tuples emitted, and the 2 tuples
+# pairing c ({x}) with a and b, whose sizes alone keep them below t,
+# length-pruned. CI runs this in its test job.
+allpairs-smoke:
+	@set -e; \
+	printf 'a\tx\t2\na\ty\t2\nb\tx\t2\nb\ty\t1\nc\tx\t1\nd\ty\t1\nd\tz\t1\ne\ty\t1\ne\tz\t1\n' \
+		> /tmp/allpairs.smoke.tsv; \
+	$(GO) run ./cmd/vsmartjoin -stats -in /tmp/allpairs.smoke.tsv \
+		> /tmp/allpairs.smoke.out 2> /tmp/allpairs.smoke.err; \
+	printf 'a\tb\t0.750000\nd\te\t1.000000\n' | cmp -s - /tmp/allpairs.smoke.out || { \
+		echo "allpairs smoke: pairs differ from a~b 0.75, d~e 1:" >&2; cat /tmp/allpairs.smoke.out >&2; exit 1; }; \
+	grep -q '^8 candidate tuples (2 length-pruned) -> 2 pairs;' /tmp/allpairs.smoke.err || { \
+		echo "allpairs smoke: no funnel line '8 candidate tuples (2 length-pruned) -> 2 pairs':" >&2; \
+		cat /tmp/allpairs.smoke.err >&2; exit 1; }; \
+	echo "allpairs smoke: 2 pairs, 8 candidate tuples, 2 length-pruned OK"

@@ -197,9 +197,13 @@ type Stats struct {
 	TotalSeconds      float64
 	// Jobs is the number of MapReduce steps executed.
 	Jobs int
-	// CandidateTuples counts the pair tuples Similarity1 emitted;
-	// OutputPairs counts the final pairs.
+	// The candidate funnel. CandidateTuples counts the pair tuples
+	// Similarity1 emitted, one per shared element of a pair, after its
+	// length filter; LengthPruned counts the tuples that filter dropped,
+	// because the two entities' sizes alone keep the pair below the
+	// threshold; OutputPairs counts the final pairs.
 	CandidateTuples int64
+	LengthPruned    int64
 	OutputPairs     int64
 	// SpilledBytes is the shuffle volume spilled to disk across all jobs
 	// (0 unless Options.ShuffleBufferBytes forced spilling).
@@ -346,6 +350,7 @@ func AllPairs(d *Dataset, opts Options) (*Result, error) {
 		TotalSeconds:      res.Stats.TotalSeconds,
 		Jobs:              len(res.Stats.Jobs),
 		CandidateTuples:   res.Stats.Counter(core.CounterCandidateTuples),
+		LengthPruned:      res.Stats.Counter(core.CounterLengthPruned),
 		OutputPairs:       res.Stats.Counter(core.CounterOutputPairs),
 		WallSeconds:       res.Stats.WallSeconds,
 		JobTimes:          jobTimes(res.Stats),

@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -64,10 +65,10 @@ func main() {
 		partitions = flag.Int("build-cluster", 0, "with -build-index: carve the corpus into this many per-node index directories (node-000, ...) for a vsmartjoind cluster")
 	)
 	flag.Parse()
-	// The library treats negative thresholds as "use the default"; the flag
-	// already has an explicit default, so a negative here is a typo.
-	if *threshold < 0 {
-		log.Fatalf("threshold %v outside [0, 1]", *threshold)
+	if err := checkFlags(*threshold, *knnK, *buildIndex, *partitions); err != nil {
+		fmt.Fprintf(os.Stderr, "vsmartjoin: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var d *vsmartjoin.Dataset
@@ -165,8 +166,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if *showStats {
-		fmt.Fprintf(os.Stderr, "%d pairs; %d MapReduce jobs; simulated %.1fs (joining %.1fs, similarity %.1fs), wall %.0fms; spilled %dB\n",
-			len(res.Pairs), res.Stats.Jobs, res.Stats.TotalSeconds,
+		fmt.Fprintf(os.Stderr, "%d candidate tuples (%d length-pruned) -> %d pairs; %d MapReduce jobs; simulated %.1fs (joining %.1fs, similarity %.1fs), wall %.0fms; spilled %dB\n",
+			res.Stats.CandidateTuples, res.Stats.LengthPruned, len(res.Pairs), res.Stats.Jobs, res.Stats.TotalSeconds,
 			res.Stats.JoiningSeconds, res.Stats.SimilaritySeconds, res.Stats.WallSeconds*1e3, res.Stats.SpilledBytes)
 		// Each job's simulated seconds beside its real milliseconds and
 		// their split over map, shuffle and reduce.
@@ -174,4 +175,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", j)
 		}
 	}
+}
+
+// checkFlags rejects flag combinations the command would otherwise
+// ignore without a word: each one is a usage error, not a silent join.
+func checkFlags(threshold float64, knn int, buildIndex string, partitions int) error {
+	switch {
+	case threshold < 0:
+		// The library treats negative thresholds as "use the default"; the
+		// flag already has an explicit default, so a negative is a typo.
+		return fmt.Errorf("threshold %v outside [0, 1]", threshold)
+	case knn < 0:
+		return fmt.Errorf("-knn %d: k must be positive", knn)
+	case partitions < 0:
+		return fmt.Errorf("-build-cluster %d: the partition count must be positive", partitions)
+	case partitions > 0 && buildIndex == "":
+		return fmt.Errorf("-build-cluster %d needs -build-index to name the directory to carve into", partitions)
+	case knn > 0 && buildIndex != "":
+		return errors.New("-knn and -build-index are exclusive: a run either computes neighbors or builds an index")
+	}
+	return nil
 }

@@ -13,7 +13,10 @@
 // accounting the wall-clock a cluster of the configured size would have
 // spent. Three joining algorithms from the paper are provided
 // (Online-Aggregation, Lookup, and Sharding), plus the VCL prefix-filter
-// baseline in the internal packages.
+// baseline in the internal packages. Beyond the paper, the similarity
+// phase never emits a candidate pair whose two sizes alone keep it below
+// the threshold — the length filter the online index applies too — so
+// results are unchanged and Stats.LengthPruned counts what was skipped.
 //
 // Quick start:
 //

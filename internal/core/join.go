@@ -30,6 +30,11 @@ type Config struct {
 	// switch for measuring how much the paper's combiner usage saves in
 	// shuffle volume and reducer balance. Results are unaffected.
 	DisableCombiners bool
+	// NoLengthFilter runs the paper's unpruned Similarity1, which emits a
+	// tuple for every pair sharing an element. By default Similarity1
+	// skips each pair whose similarity.SimUpperBound is below the
+	// threshold; results are the same either way.
+	NoLengthFilter bool
 }
 
 // stripCombiner clears the job's combiner when the ablation is active.
@@ -100,6 +105,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 	}
 	res := &Result{}
 	numReducers := cfg.NumReducers
+	filter := newLengthFilter(cfg)
 
 	// Optional preprocessing: discard stop words.
 	if cfg.StopWordQ > 0 {
@@ -121,7 +127,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 			return nil, err
 		}
 		res.JoiningStats.Add(stats)
-		pairs, s1, err := mr.Run(cluster, similarity1Job(joined, numReducers))
+		pairs, s1, err := mr.Run(cluster, similarity1Job(joined, filter, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +140,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 			return nil, err
 		}
 		res.JoiningStats.Add(stats)
-		pairs, s1, err := mr.Run(cluster, lookup2Job(input, table, numReducers))
+		pairs, s1, err := mr.Run(cluster, lookup2Job(input, table, filter, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +165,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 			return nil, err
 		}
 		res.JoiningStats.Add(s2)
-		pairs, s3, err := mr.Run(cluster, similarity1Job(joined, numReducers))
+		pairs, s3, err := mr.Run(cluster, similarity1Job(joined, filter, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +177,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 	}
 
 	// Similarity2: aggregate conjunctive partials and apply the measure.
-	out, s2, err := mr.Run(cluster, cfg.stripCombiner(similarity2Job(sim1Out, cfg.Measure, cfg.Threshold, numReducers)))
+	out, s2, err := mr.Run(cluster, cfg.stripCombiner(similarity2Job(sim1Out, filter, cfg.Measure, cfg.Threshold, numReducers)))
 	if err != nil {
 		return nil, err
 	}

@@ -274,12 +274,12 @@ func (m *lookupSim1Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emi
 }
 
 // lookup2Job is the fused Lookup2 map + Similarity1 reduce step.
-func lookup2Job(input *mrfs.Dataset, table *mrfs.Dataset, numReducers int) mr.Job {
+func lookup2Job(input *mrfs.Dataset, table *mrfs.Dataset, f lengthFilter, numReducers int) mr.Job {
 	return mr.Job{
 		Name:        "lookup2+similarity1",
 		Input:       input,
 		Mapper:      &lookupSim1Mapper{},
-		Reducer:     sim1Reducer{},
+		Reducer:     sim1Reducer{filter: f},
 		NumReducers: numReducers,
 		SideInputs:  map[string]*mrfs.Dataset{"uni-table": table},
 		OutputName:  "sim1-pairs",

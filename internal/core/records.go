@@ -10,7 +10,10 @@
 // augmented with Uni(.) values and emits candidate pairs with conjunctive
 // partials; Similarity2 aggregates the partials with combiners and applies
 // the measure's F() to produce ⟨Mi, Mj, Sim(Mi,Mj)⟩ for every pair at or
-// above the threshold.
+// above the threshold. Unless Config.NoLengthFilter asks for the paper's
+// unpruned step, Similarity1 emits no tuple for a pair whose
+// similarity.SimUpperBound over the two Uni(.) values is below the
+// threshold, so such a pair never reaches the shuffle.
 package core
 
 import (

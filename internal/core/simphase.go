@@ -13,6 +13,7 @@ import (
 // Counter names exported by the similarity phase.
 const (
 	CounterCandidateTuples = "sim1:candidate_tuples" // pair tuples emitted (one per shared element)
+	CounterLengthPruned    = "sim1:length_pruned"    // pair tuples the length filter did not emit
 	CounterChunkedLists    = "sim1:chunked_lists"    // reduce lists that overflowed memory
 	CounterChunkRecords    = "sim1:chunk_records"    // chunk-pair records emitted
 	CounterOutputPairs     = "sim2:output_pairs"     // final pairs at or above threshold
@@ -23,6 +24,37 @@ const (
 // simEps absorbs float rounding in threshold comparisons so that exact
 // fractions like 1/2 are kept at t = 0.5.
 const simEps = 1e-12
+
+// boundEps is the slack between the length filter's bound and the
+// threshold, as in internal/index: far looser than any float rounding of
+// a bound or a similarity, so the filter never drops a pair sim2Reducer
+// would keep.
+const boundEps = 1e-9
+
+// lengthFilter is Similarity1's size filter. A pair whose
+// similarity.SimUpperBound over its two Uni(.) values is below the
+// threshold cannot reach it whatever elements the two share, so none of
+// its tuples is emitted. The decision depends only on the pair, so every
+// shared element drops it alike and a kept pair keeps all its partials.
+// The zero value keeps every pair: the paper's unpruned Similarity1.
+type lengthFilter struct {
+	measure similarity.Measure
+	floor   float64
+}
+
+// newLengthFilter returns the filter a run applies: none when cfg opts out
+// or when the threshold leaves no bound to fall below.
+func newLengthFilter(cfg Config) lengthFilter {
+	floor := cfg.Threshold - simEps - boundEps
+	if cfg.NoLengthFilter || floor <= 0 {
+		return lengthFilter{}
+	}
+	return lengthFilter{measure: cfg.Measure, floor: floor}
+}
+
+func (f lengthFilter) keep(a, b similarity.UniStats) bool {
+	return f.measure == nil || similarity.SimUpperBound(f.measure, a, b) >= f.floor
+}
 
 // sim1Mapper turns joined tuples ⟨Mi, Uni(Mi), mi,k⟩ into inverted-index
 // postings keyed by element: ⟨ak, (Mi, Uni(Mi), fi,k)⟩ (mapSimilarity1).
@@ -55,9 +87,11 @@ func emitPosting(ctx *mr.TaskContext, elem multiset.Elem, e indexEntry, emit mr.
 // reducer switches to the paper's chunked mode: it dissects the list into T
 // chunks of at most B/2 bytes and emits the T·(T+1)/2 chunk pairs for
 // Similarity2 mappers to expand, rewinding the list once per chunk.
-type sim1Reducer struct{}
+type sim1Reducer struct {
+	filter lengthFilter
+}
 
-func (sim1Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
+func (r sim1Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, emit mr.Emitter) error {
 	elem, err := decodeElemKey(key)
 	if err != nil {
 		return err
@@ -77,7 +111,7 @@ func (sim1Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, em
 			}
 			entries = append(entries, e)
 		}
-		emitAllPairs(ctx, entries, nil, emit)
+		emitAllPairs(ctx, r.filter, entries, nil, emit)
 		return nil
 	}
 	// Chunked mode.
@@ -86,23 +120,36 @@ func (sim1Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, em
 }
 
 // emitAllPairs emits candidate-pair tuples for every cross pair of
-// left × right, or every unordered pair within left when right is nil.
-func emitAllPairs(ctx *mr.TaskContext, left, right []indexEntry, emit mr.Emitter) {
-	if right == nil {
+// left × right, or every unordered pair within left when right is empty,
+// except the pairs f rules out, which it counts as length-pruned.
+func emitAllPairs(ctx *mr.TaskContext, f lengthFilter, left, right []indexEntry, emit mr.Emitter) {
+	var pruned int64
+	if len(right) == 0 {
 		for i := 0; i < len(left); i++ {
 			for j := i + 1; j < len(left); j++ {
+				if !f.keep(left[i].Uni, left[j].Uni) {
+					pruned++
+					continue
+				}
 				emitPair(ctx, left[i], left[j], emit)
 			}
 		}
-		return
-	}
-	for _, a := range left {
-		for _, b := range right {
-			if a.ID == b.ID {
-				continue
+	} else {
+		for _, a := range left {
+			for _, b := range right {
+				if a.ID == b.ID {
+					continue
+				}
+				if !f.keep(a.Uni, b.Uni) {
+					pruned++
+					continue
+				}
+				emitPair(ctx, a, b, emit)
 			}
-			emitPair(ctx, a, b, emit)
 		}
+	}
+	if pruned > 0 {
+		ctx.Counters.Add(CounterLengthPruned, pruned)
 	}
 }
 
@@ -217,9 +264,11 @@ func emitChunk(ctx *mr.TaskContext, elem multiset.Elem, p, q int, left, right []
 // sim2Mapper is the Similarity2 map stage: an identity map for ordinary
 // candidate-pair tuples, and the chunk-pair expansion path for flagged
 // records from overloaded Similarity1 reducers.
-type sim2Mapper struct{}
+type sim2Mapper struct {
+	filter lengthFilter
+}
 
-func (sim2Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
+func (m sim2Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) error {
 	if len(rec.Key) == 0 {
 		return fmt.Errorf("core: empty similarity2 key")
 	}
@@ -237,11 +286,7 @@ func (sim2Mapper) Map(ctx *mr.TaskContext, rec mrfs.Record, emit mr.Emitter) err
 		if err != nil {
 			return err
 		}
-		if len(right) == 0 {
-			emitAllPairs(ctx, left, nil, emit)
-		} else {
-			emitAllPairs(ctx, left, right, emit)
-		}
+		emitAllPairs(ctx, m.filter, left, right, emit)
 		return nil
 	default:
 		return fmt.Errorf("core: unknown similarity2 record tag %d", rec.Key[0])
@@ -312,23 +357,23 @@ func (r sim2Reducer) Reduce(ctx *mr.TaskContext, key []byte, values *mr.Values, 
 }
 
 // similarity1Job builds the Similarity1 step over a joined-tuple dataset.
-func similarity1Job(joined *mrfs.Dataset, numReducers int) mr.Job {
+func similarity1Job(joined *mrfs.Dataset, f lengthFilter, numReducers int) mr.Job {
 	return mr.Job{
 		Name:        "similarity1",
 		Input:       joined,
 		Mapper:      sim1Mapper{},
-		Reducer:     sim1Reducer{},
+		Reducer:     sim1Reducer{filter: f},
 		NumReducers: numReducers,
 		OutputName:  "sim1-pairs",
 	}
 }
 
 // similarity2Job builds the Similarity2 step over Similarity1's output.
-func similarity2Job(pairs *mrfs.Dataset, m similarity.Measure, t float64, numReducers int) mr.Job {
+func similarity2Job(pairs *mrfs.Dataset, f lengthFilter, m similarity.Measure, t float64, numReducers int) mr.Job {
 	return mr.Job{
 		Name:        "similarity2",
 		Input:       pairs,
-		Mapper:      sim2Mapper{},
+		Mapper:      sim2Mapper{filter: f},
 		Combiner:    conjCombiner{},
 		Reducer:     sim2Reducer{measure: m, threshold: t},
 		NumReducers: numReducers,

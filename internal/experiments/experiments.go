@@ -60,6 +60,17 @@ func Cluster(machines int) mr.ClusterConfig {
 	}
 }
 
+// paperJoin runs V-SMART-Join as the paper configures it for every figure:
+// Ruzicka at threshold t over NumReducers reduce tasks, with the paper's
+// unpruned Similarity1, so the simulated times are those of the
+// algorithms the figures reproduce.
+func paperJoin(cluster mr.ClusterConfig, input *mrfs.Dataset, t float64, alg core.Algorithm) (*core.Result, error) {
+	return core.Join(cluster, input, core.Config{
+		Measure: similarity.Ruzicka{}, Threshold: t, Algorithm: alg, NumReducers: NumReducers,
+		NoLengthFilter: true,
+	})
+}
+
 // Env caches the generated traces and their raw-tuple datasets across
 // figure drivers.
 type Env struct {
@@ -207,9 +218,7 @@ func thresholdSweep(input *mrfs.Dataset, caption string) (Report, error) {
 	for _, t := range thresholds {
 		row := Fig4Row{Threshold: t, Seconds: map[string]float64{}, Pairs: map[string]int{}}
 		for _, alg := range algos {
-			res, err := core.Join(cluster, input, core.Config{
-				Measure: similarity.Ruzicka{}, Threshold: t, Algorithm: alg, NumReducers: NumReducers,
-			})
+			res, err := paperJoin(cluster, input, t, alg)
 			if err != nil {
 				return Report{}, fmt.Errorf("fig4 %s t=%v: %w", alg, t, err)
 			}
@@ -279,9 +288,7 @@ func Fig5(env *Env) (Report, error) {
 	}
 	var runs []algRun
 	for _, alg := range []core.Algorithm{core.OnlineAggregation, core.Lookup, core.Sharding} {
-		res, err := core.Join(cluster, input, core.Config{
-			Measure: similarity.Ruzicka{}, Threshold: SweepThreshold, Algorithm: alg, NumReducers: NumReducers,
-		})
+		res, err := paperJoin(cluster, input, SweepThreshold, alg)
 		if err != nil {
 			return Report{}, fmt.Errorf("fig5 %s: %w", alg, err)
 		}
@@ -361,9 +368,7 @@ func Fig6(env *Env) (Report, error) {
 	var body strings.Builder
 
 	// Lookup: expected to fail loading the Mi → Uni(Mi) table.
-	_, lerr := core.Join(cluster, input, core.Config{
-		Measure: similarity.Ruzicka{}, Threshold: SweepThreshold, Algorithm: core.Lookup, NumReducers: NumReducers,
-	})
+	_, lerr := paperJoin(cluster, input, SweepThreshold, core.Lookup)
 	if lerr == nil {
 		return Report{}, fmt.Errorf("fig6: lookup unexpectedly succeeded on the realistic dataset")
 	}
@@ -387,9 +392,7 @@ func Fig6(env *Env) (Report, error) {
 	surv := map[string]phase{}
 	order := []string{"online-aggregation", "sharding"}
 	for _, alg := range []core.Algorithm{core.OnlineAggregation, core.Sharding} {
-		res, err := core.Join(cluster, input, core.Config{
-			Measure: similarity.Ruzicka{}, Threshold: SweepThreshold, Algorithm: alg, NumReducers: NumReducers,
-		})
+		res, err := paperJoin(cluster, input, SweepThreshold, alg)
 		if err != nil {
 			return Report{}, fmt.Errorf("fig6 %s: %w", alg, err)
 		}
@@ -492,9 +495,7 @@ func ProxyStudy(env *Env) (Report, error) {
 		return Report{}, err
 	}
 	cluster := Cluster(DefaultMachines)
-	base, err := core.Join(cluster, input, core.Config{
-		Measure: similarity.Ruzicka{}, Threshold: 0.1, Algorithm: core.OnlineAggregation, NumReducers: NumReducers,
-	})
+	base, err := paperJoin(cluster, input, 0.1, core.OnlineAggregation)
 	if err != nil {
 		return Report{}, err
 	}
@@ -526,9 +527,7 @@ func ProxyStudy(env *Env) (Report, error) {
 		}
 	}
 	fin := records.BuildInput("small-filtered", filtered, NumReducers)
-	fres, err := core.Join(cluster, fin, core.Config{
-		Measure: similarity.Ruzicka{}, Threshold: 0.1, Algorithm: core.OnlineAggregation, NumReducers: NumReducers,
-	})
+	fres, err := paperJoin(cluster, fin, 0.1, core.OnlineAggregation)
 	if err != nil {
 		return Report{}, err
 	}
@@ -548,9 +547,7 @@ func ProxyStudy(env *Env) (Report, error) {
 	fmt.Fprintf(&body, "\nAfter filtering: %d of %d IPs remain; %d distinct cookies — %.0fx more cookies than IPs\n",
 		kept, len(tr.Multisets), distinctCookies, float64(distinctCookies)/float64(kept))
 	// The Lookup table for the filtered dataset fits in memory again.
-	_, lerr := core.Join(cluster, fin, core.Config{
-		Measure: similarity.Ruzicka{}, Threshold: SweepThreshold, Algorithm: core.Lookup, NumReducers: NumReducers,
-	})
+	_, lerr := paperJoin(cluster, fin, SweepThreshold, core.Lookup)
 	fmt.Fprintf(&body, "Lookup on the filtered dataset: %s\n", okOrErr(lerr))
 	body.WriteString("\nPaper: t=0.1 gives the highest coverage and the most false positives;\n" +
 		"filtering IPs with <50 cookies almost eliminates false positives, leaves about\n" +

@@ -65,9 +65,7 @@ func TestEvalTotalMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Join(Cluster(DefaultMachines), input, core.Config{
-		Measure: similarity.Ruzicka{}, Threshold: 0.5, Algorithm: core.Sharding, NumReducers: NumReducers,
-	})
+	res, err := paperJoin(Cluster(DefaultMachines), input, 0.5, core.Sharding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +76,37 @@ func TestEvalTotalMonotone(t *testing.T) {
 			t.Fatalf("time increased with machines: w=%d %v > %v", w, cur, prev)
 		}
 		prev = cur
+	}
+}
+
+// TestPaperJoinIsUnpruned holds the figure reproductions to the paper's
+// Similarity1: every pair sharing an element is emitted, none is
+// length-pruned, so the simulated times stay those of the paper's
+// algorithms.
+func TestPaperJoinIsUnpruned(t *testing.T) {
+	_, input, err := NewTinyEnv().Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []core.Algorithm{core.OnlineAggregation, core.Lookup, core.Sharding} {
+		res, err := paperJoin(Cluster(DefaultMachines), input, 0.5, alg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if n := res.Stats.Counter(core.CounterLengthPruned); n != 0 {
+			t.Fatalf("%s: %d tuples length-pruned, want the paper's unpruned Similarity1", alg, n)
+		}
+		// The same join with the filter on does prune this input, so the
+		// zero above is the opt-out's doing.
+		pruned, err := core.Join(Cluster(DefaultMachines), input, core.Config{
+			Measure: similarity.Ruzicka{}, Threshold: 0.5, Algorithm: alg, NumReducers: NumReducers,
+		})
+		if err != nil {
+			t.Fatalf("%s filtered: %v", alg, err)
+		}
+		if pruned.Stats.Counter(core.CounterLengthPruned) == 0 {
+			t.Fatalf("%s: the filtered join pruned nothing either", alg)
+		}
 	}
 }
 
