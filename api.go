@@ -282,11 +282,7 @@ func AllPairs(d *Dataset, opts Options) (*Result, error) {
 	if d == nil || len(d.sets) == 0 {
 		return nil, errors.New("vsmartjoin: empty dataset")
 	}
-	measureName := opts.Measure
-	if measureName == "" {
-		measureName = "ruzicka"
-	}
-	measure, err := similarity.ByName(measureName)
+	measure, err := measureByName(opts.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -385,6 +381,15 @@ func (d *Dataset) nameTable() map[multiset.ID]string {
 		}
 	}
 	return rev
+}
+
+// measureByName resolves a measure name, "" meaning the default,
+// ruzicka.
+func measureByName(name string) (similarity.Measure, error) {
+	if name == "" {
+		name = "ruzicka"
+	}
+	return similarity.ByName(name)
 }
 
 // Similarity computes the similarity of two entities directly — a

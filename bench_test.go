@@ -192,39 +192,6 @@ func BenchmarkProxyStudy(b *testing.B) {
 
 // --- ablation and micro benchmarks ---
 
-// BenchmarkAblation_Combiners quantifies the dedicated-combiner design
-// choice the paper calls out: identical results, smaller shuffle and
-// better reducer balance with combiners on.
-func BenchmarkAblation_Combiners(b *testing.B) {
-	_, input := benchInput(b)
-	for _, disabled := range []bool{false, true} {
-		name := "with-combiners"
-		if disabled {
-			name = "without-combiners"
-		}
-		b.Run(name, func(b *testing.B) {
-			var sim float64
-			var shuffle int64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Join(benchCluster(), input, core.Config{
-					Measure: similarity.Ruzicka{}, Threshold: 0.5, Algorithm: core.OnlineAggregation,
-					NumReducers: 64, DisableCombiners: disabled,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = res.Stats.TotalSeconds
-				shuffle = 0
-				for _, j := range res.Stats.Jobs {
-					shuffle += j.ShuffleBytes
-				}
-			}
-			b.ReportMetric(sim, "sim-s/run")
-			b.ReportMetric(float64(shuffle), "shuffle-B/run")
-		})
-	}
-}
-
 // BenchmarkAblation_StopWords quantifies the §4 stop-word preprocessing:
 // dropping hot elements trades an extra MR step for quadratic pair-list
 // savings in Similarity1.
@@ -601,7 +568,7 @@ func benchColdStartDataset(n int) *Dataset {
 }
 
 // BenchmarkBulkBuild measures the offline cold-start path: materialize a
-// corpus as one snapshot file (one batch job, no WAL appends) and open
+// corpus as one snapshot file (one pass, no WAL appends) and open
 // it. Compare with BenchmarkColdStartPerAdd on the same corpus.
 func BenchmarkBulkBuild(b *testing.B) {
 	for _, n := range []int{10000, 50000} {

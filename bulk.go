@@ -3,12 +3,12 @@ package vsmartjoin
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 
-	"vsmartjoin/internal/build"
 	"vsmartjoin/internal/cluster"
 	"vsmartjoin/internal/multiset"
-	"vsmartjoin/internal/similarity"
+	"vsmartjoin/internal/wal"
 )
 
 // maxPartitions bounds BuildClusterFiles' partition count: a router
@@ -19,54 +19,40 @@ const maxPartitions = 1024
 type BuildStats struct {
 	// Entities is the number of entities written.
 	Entities int64
-	// SimulatedSeconds is the simulated cluster time of the underlying
-	// MapReduce build job (the same cost model AllPairs reports).
-	SimulatedSeconds float64
-	// SpilledBytes is the shuffle volume spilled to disk (0 unless
-	// BuildShuffleBufferBytes forced spilling).
-	SpilledBytes int64
 }
 
 // BuildIndexFiles materializes a Dataset as a durable index directory
 // at opts.Dir — the offline bulk path. Where BuildIndex with a Dir
 // WAL-appends every entity through the serving code, BuildIndexFiles
-// streams the corpus through the batch MapReduce machinery and writes
-// the index's generation-1 snapshot file directly: cold-starting a
-// large corpus becomes one batch job instead of a million logged Adds.
-// The directory then opens with OpenIndex (or vsmartjoind -data-dir)
-// with zero WAL records to replay, answers queries exactly like an
-// index built by the same Adds, and accepts further durable mutations.
+// writes the index's generation-1 snapshot file directly in one pass
+// over the Dataset: cold-starting a large corpus becomes one file write
+// instead of a million logged Adds. The directory then opens with
+// OpenIndex (or vsmartjoind -data-dir) with zero WAL records to replay,
+// answers queries exactly like an index built by the same Adds, and
+// accepts further durable mutations.
 //
 // opts.Dir is required and must not already hold anything; Measure
 // means what it does for NewIndex and is recorded in the snapshot's
 // header. SnapshotEvery plays no role at build time. Entity IDs are
 // assigned in dataset insertion order, exactly as BuildIndex's Adds
 // would assign them, so the two paths produce identical results down to
-// tie-breaks.
+// tie-breaks. The directory materializes under a temporary name and is
+// renamed into place only once the snapshot is complete, so a failed
+// build never leaves an index behind.
 func BuildIndexFiles(d *Dataset, opts IndexOptions) (BuildStats, error) {
 	var bs BuildStats
 	if opts.Dir == "" {
 		return bs, errors.New("vsmartjoin: BuildIndexFiles requires Dir")
 	}
-	name := opts.Measure
-	if name == "" {
-		name = "ruzicka"
-	}
-	m, err := similarity.ByName(name)
+	m, err := measureByName(opts.Measure)
 	if err != nil {
 		return bs, err
 	}
-	stats, err := build.Build(bulkSource(d), build.Options{
-		Dir:                opts.Dir,
-		Measure:            m.Name(),
-		ShuffleBufferBytes: opts.BuildShuffleBufferBytes,
-	})
-	if err != nil {
+	recs := bulkRecords(d, 1)[0]
+	if err := writeIndexDir(opts.Dir, m.Name(), recs); err != nil {
 		return bs, fmt.Errorf("vsmartjoin: build index files: %w", err)
 	}
-	bs.Entities = stats.Entities
-	bs.SimulatedSeconds = stats.Job.TotalSeconds
-	bs.SpilledBytes = stats.Job.SpilledBytes
+	bs.Entities = int64(len(recs))
 	return bs, nil
 }
 
@@ -84,14 +70,14 @@ func NodeDirName(p int) string { return fmt.Sprintf("node-%03d", p) }
 
 // BuildClusterFiles carves a Dataset into per-node index directories —
 // the bulk cold-start path for a vsmartjoind cluster. Every entity is
-// routed to one of partitions sub-datasets by the same entity-name
-// hash the cluster router writes with (PartitionOfEntity), and each
-// sub-dataset is bulk-built (BuildIndexFiles) into
-// opts.Dir/node-000 ... node-NNN. Starting one node daemon per
+// routed to one of partitions indexes by the same entity-name hash the
+// cluster router writes with (PartitionOfEntity), and each partition is
+// written as BuildIndexFiles would write the entities routed to it,
+// into opts.Dir/node-000 ... node-NNN. Starting one node daemon per
 // directory (replicas of a partition copy the same directory) and
 // pointing a router at them yields exactly the cluster that routing
-// the same entities through Cluster.Add would have built — one batch
-// job instead of a million quorum writes.
+// the same entities through Cluster.Add would have built — one pass
+// over the corpus instead of a million quorum writes.
 //
 // opts is interpreted as for BuildIndexFiles, with opts.Dir naming the
 // parent of the node directories. partitions must match the router's
@@ -105,59 +91,95 @@ func BuildClusterFiles(d *Dataset, opts IndexOptions, partitions int) (ClusterBu
 	if partitions < 1 || partitions > maxPartitions {
 		return cs, fmt.Errorf("vsmartjoin: partition count %d outside [1, %d]", partitions, maxPartitions)
 	}
-	// Carve by name hash. Dataset.Add merges repeated entities, which is
-	// NOT the upsert Cluster.Add applies — but d.Each already yields each
-	// entity once with its final (merged) counts, so the sub-datasets see
-	// every entity exactly once either way.
-	parts := make([]*Dataset, partitions)
-	for i := range parts {
-		parts[i] = NewDataset()
-	}
-	if d != nil {
-		d.Each(func(entity string, counts map[string]uint32) bool {
-			parts[cluster.PartitionOf(entity, partitions)].Add(entity, counts)
-			return true
-		})
+	m, err := measureByName(opts.Measure)
+	if err != nil {
+		return cs, err
 	}
 	cs.Partitions = partitions
 	cs.Nodes = make([]BuildStats, partitions)
-	for p, part := range parts {
-		sub := opts
-		sub.Dir = filepath.Join(opts.Dir, NodeDirName(p))
-		bs, err := BuildIndexFiles(part, sub)
-		if err != nil {
+	for p, recs := range bulkRecords(d, partitions) {
+		if err := writeIndexDir(filepath.Join(opts.Dir, NodeDirName(p)), m.Name(), recs); err != nil {
 			return cs, fmt.Errorf("vsmartjoin: build cluster partition %d: %w", p, err)
 		}
-		cs.Nodes[p] = bs
+		cs.Nodes[p].Entities = int64(len(recs))
 	}
 	return cs, nil
 }
 
-// bulkSource streams a Dataset into the builder with the exact ID
-// assignment and element encoding the incremental path would make: IDs
-// follow first-seen insertion order, elements encode through the same
-// walAddRecord the serving WAL uses (one canonical encoding keeps the
-// bulk-equals-incremental differential honest), and a name seen twice
-// (possible only by mixing Add and AddByID) yields its first ID again —
-// the builder's last-occurrence-wins dedup then reproduces Add's
-// upsert. The yielded
-// entities are transient: the builder encodes each straight into its
-// job-input record, so beyond that input no intermediate copy of the
-// corpus is materialized.
-func bulkSource(d *Dataset) build.Source {
-	return func(yield func(build.Entity) bool) {
-		if d == nil {
-			return
-		}
-		byName := make(map[string]uint64, d.Len())
-		d.Each(func(entity string, counts map[string]uint32) bool {
-			id, ok := byName[entity]
-			if !ok {
-				id = uint64(len(byName) + 1)
-				byName[entity] = id
-			}
-			rec := walAddRecord(multiset.ID(id), entity, counts)
-			return yield(build.Entity{ID: id, Name: entity, Elements: rec.Elements})
-		})
+// bulkRecords turns a Dataset into the snapshot records of partitions
+// indexes, each entity routed by PartitionOfEntity, with the exact ID
+// assignment and element encoding the incremental path would make: a
+// partition's IDs follow first-seen insertion order from 1, and
+// elements encode through the same walAddRecord the serving WAL uses
+// (one canonical encoding keeps the bulk-equals-incremental
+// differential honest). A name seen twice (possible only by mixing Add
+// and AddByID) keeps its first ID and takes its last counts — Add's
+// upsert. A partition's records are therefore in ascending ID order,
+// the order a snapshot holds them in.
+func bulkRecords(d *Dataset, partitions int) [][]wal.Record {
+	parts := make([][]wal.Record, partitions)
+	if d == nil {
+		return parts
 	}
+	for p := range parts {
+		parts[p] = make([]wal.Record, 0, d.Len()/partitions)
+	}
+	pos := make(map[string]int, d.Len())
+	d.Each(func(entity string, counts map[string]uint32) bool {
+		p := cluster.PartitionOf(entity, partitions)
+		i, ok := pos[entity]
+		if !ok {
+			i = len(parts[p])
+			pos[entity] = i
+			parts[p] = append(parts[p], wal.Record{})
+		}
+		parts[p][i] = walAddRecord(multiset.ID(i+1), entity, counts)
+		return true
+	})
+	return parts
+}
+
+// writeIndexDir writes recs as the generation-1 snapshot of a new index
+// directory. The directory is built under dir + ".building" and renamed
+// into place only once the snapshot is complete, so a failed build
+// never leaves an index-shaped directory behind.
+func writeIndexDir(dir, measure string, recs []wal.Record) error {
+	if err := checkTarget(dir); err != nil {
+		return err
+	}
+	tmp := dir + ".building"
+	if err := os.RemoveAll(tmp); err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp) // no-op after the final rename
+	err := wal.WriteSnapshot(tmp, 1, measure, func(emit func(wal.Record) error) error {
+		for _, rec := range recs {
+			if err := emit(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(dir); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err // the pre-checked empty dir
+	}
+	return os.Rename(tmp, dir)
+}
+
+// checkTarget refuses any existing, non-empty output path.
+func checkTarget(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if len(entries) > 0 {
+		return fmt.Errorf("refusing to overwrite non-empty %s", dir)
+	}
+	return nil
 }

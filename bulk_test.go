@@ -18,9 +18,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"vsmartjoin/internal/wal"
 )
 
 // walFiles returns every wal-* file under a data dir with its size.
@@ -197,6 +200,131 @@ func TestBulkBuildValidation(t *testing.T) {
 	defer ix.Close()
 	if ix.Len() != 1 {
 		t.Fatalf("len %d", ix.Len())
+	}
+}
+
+// TestBulkBuildEmptyDataset pins that an empty (or nil) Dataset still
+// writes a loadable snapshot recording the measure: a dir without one
+// is no index, and one without the measure could reopen under another.
+func TestBulkBuildEmptyDataset(t *testing.T) {
+	for _, d := range []*Dataset{NewDataset(), nil} {
+		dir := filepath.Join(t.TempDir(), "idx")
+		bs, err := BuildIndexFiles(d, IndexOptions{Dir: dir, Measure: "jaccard"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.Entities != 0 {
+			t.Fatalf("build stats %+v, want 0 entities", bs)
+		}
+		if got := dirNames(t, dir); !slices.Equal(got, []string{"snap-00000001"}) {
+			t.Fatalf("empty build wrote %v", got)
+		}
+		if _, err := OpenIndex(IndexOptions{Dir: dir, Measure: "ruzicka"}); err == nil {
+			t.Fatal("an empty jaccard build opened as ruzicka")
+		}
+		ix, err := OpenIndex(IndexOptions{Dir: dir, Measure: "jaccard"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ix.Len(); n != 0 {
+			t.Fatalf("empty build opened with %d entities", n)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBulkBuildRepeatedName pins the upsert of a name a Dataset yields
+// twice (possible only by mixing Add and AddByID): the bulk-built
+// snapshot keeps the name's first ID and its last counts, byte for byte
+// the snapshot BuildIndex's Adds leave behind.
+func TestBulkBuildRepeatedName(t *testing.T) {
+	d := NewDataset()
+	d.Add("5", map[string]uint32{"x": 1})
+	d.Add("a", map[string]uint32{"x": 2})
+	d.AddByID(5, map[uint64]uint32{7: 3}) // yielded under the name "5" again
+	if d.Len() != 3 {
+		t.Fatalf("dataset holds %d multisets, want 3", d.Len())
+	}
+	built := filepath.Join(t.TempDir(), "built")
+	bs, err := BuildIndexFiles(d, IndexOptions{Dir: built})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.Entities != 2 {
+		t.Fatalf("build stats %+v, want 2 entities", bs)
+	}
+	var snap []wal.Record
+	l, err := wal.Open(built, "ruzicka",
+		func(rec wal.Record) error { snap = append(snap, rec); return nil },
+		func(wal.Record) error { return errors.New("a bulk-built dir has no WAL to replay") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := wal.Record{Op: wal.OpAdd, ID: 1, Entity: "5", Elements: []wal.Element{{Name: "#7", Count: 3}}}
+	if len(snap) != 2 || !reflect.DeepEqual(snap[0], want) || snap[1].ID != 2 || snap[1].Entity != "a" {
+		t.Fatalf("snapshot %+v, want %+v then ID 2 = a", snap, want)
+	}
+
+	served := t.TempDir()
+	ix, err := BuildIndex(d, IndexOptions{Dir: served, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readSnap(t, served, 2), readSnap(t, built, 1)) {
+		t.Fatal("the bulk-built snapshot differs from BuildIndex's")
+	}
+}
+
+// TestClusterCarvedSnapshotsAreIndexSnapshots pins BuildClusterFiles to
+// the one definition of an index's persisted state: each node-NNN
+// snapshot is byte for byte the Snapshot() of an index holding exactly
+// the entities PartitionOfEntity routes to that partition, added in
+// dataset order.
+func TestClusterCarvedSnapshotsAreIndexSnapshots(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	d := datasetOf(randomEntities(rng, 60, 30, 8, 4))
+	const partitions = 3
+	dir := filepath.Join(t.TempDir(), "cluster")
+	cs, err := BuildClusterFiles(d, IndexOptions{Dir: dir, Measure: "jaccard"}, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < partitions; p++ {
+		served := t.TempDir()
+		ix, err := NewIndex(IndexOptions{Dir: served, Measure: "jaccard", SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Each(func(entity string, counts map[string]uint32) bool {
+			if PartitionOfEntity(entity, partitions) == p {
+				err = ix.Add(entity, counts)
+			}
+			return err == nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(ix.Len()); n == 0 || n != cs.Nodes[p].Entities {
+			t.Fatalf("partition %d: build reports %d entities, the index holds %d", p, cs.Nodes[p].Entities, n)
+		}
+		if err := ix.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readSnap(t, served, 2), readSnap(t, filepath.Join(dir, NodeDirName(p)), 1)) {
+			t.Fatalf("partition %d: the carved snapshot differs from the index's", p)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -59,7 +59,6 @@ func newQueryCache(capacity int) *queryCache {
 // cloneResult copies an answer so the cache never shares a slice with
 // a caller.
 func cloneResult(r QueryResult) QueryResult {
-	//lint:vsmart-allow canonicalorder entries are stored already-canonical and cloned verbatim; order is preserved
 	return QueryResult{Matches: slices.Clone(r.Matches), Neighbors: slices.Clone(r.Neighbors)}
 }
 

@@ -10,18 +10,18 @@
 // The count column is optional (default 1). Output: one similar pair per
 // line, "entityA<TAB>entityB<TAB>similarity", sorted.
 //
-// With -build-index the trace is not joined: it streams through the
-// batch machinery into a durable index directory — one snapshot file a
-// vsmartjoind daemon (or vsmartjoin.OpenIndex) opens instantly, with no
-// write-ahead log to replay. This is the cold-start path for
-// large corpora: one batch job instead of one logged Add per entity.
+// With -build-index the trace is not joined: it is written straight
+// into a durable index directory — one snapshot file a vsmartjoind
+// daemon (or vsmartjoin.OpenIndex) opens instantly, with no write-ahead
+// log to replay. This is the cold-start path for large corpora: one
+// file write instead of one logged Add per entity.
 //
 // With -knn k the trace is not threshold-joined either: AllKNN computes
 // every entity's exact k nearest entities under the distance
 // 1 − similarity, printed one neighbor per line as
 // "entity<TAB>neighbor<TAB>distance", entities sorted, neighbors
 // nearest first. Only -measure applies to it; the simulated-cluster
-// flags configure the threshold join and the index build.
+// flags configure only the threshold join.
 //
 // Examples:
 //
@@ -65,7 +65,7 @@ func main() {
 		partitions = flag.Int("build-cluster", 0, "with -build-index: carve the corpus into this many per-node index directories (node-000, ...) for a vsmartjoind cluster")
 	)
 	flag.Parse()
-	if err := checkFlags(*threshold, *knnK, *buildIndex, *partitions); err != nil {
+	if err := checkFlags(*threshold, *knnK, *shufbuf, *buildIndex, *partitions); err != nil {
 		fmt.Fprintf(os.Stderr, "vsmartjoin: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -87,11 +87,7 @@ func main() {
 	}
 
 	if *buildIndex != "" {
-		opts := vsmartjoin.IndexOptions{
-			Measure:                 *measure,
-			Dir:                     *buildIndex,
-			BuildShuffleBufferBytes: *shufbuf,
-		}
+		opts := vsmartjoin.IndexOptions{Measure: *measure, Dir: *buildIndex}
 		if *partitions > 0 {
 			cs, err := vsmartjoin.BuildClusterFiles(d, opts, *partitions)
 			if err != nil {
@@ -107,8 +103,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "built %s: %d entities (simulated %.1fs, spilled %dB)\n",
-			*buildIndex, bs.Entities, bs.SimulatedSeconds, bs.SpilledBytes)
+		fmt.Fprintf(os.Stderr, "built %s: %d entities\n", *buildIndex, bs.Entities)
 		return
 	}
 
@@ -179,7 +174,7 @@ func main() {
 
 // checkFlags rejects flag combinations the command would otherwise
 // ignore without a word: each one is a usage error, not a silent join.
-func checkFlags(threshold float64, knn int, buildIndex string, partitions int) error {
+func checkFlags(threshold float64, knn int, shuffleBuffer int64, buildIndex string, partitions int) error {
 	switch {
 	case threshold < 0:
 		// The library treats negative thresholds as "use the default"; the
@@ -193,6 +188,8 @@ func checkFlags(threshold float64, knn int, buildIndex string, partitions int) e
 		return fmt.Errorf("-build-cluster %d needs -build-index to name the directory to carve into", partitions)
 	case knn > 0 && buildIndex != "":
 		return errors.New("-knn and -build-index are exclusive: a run either computes neighbors or builds an index")
+	case shuffleBuffer != 0 && buildIndex != "":
+		return errors.New("-shuffle-buffer configures the join's shuffle; -build-index writes its snapshot directly and has none")
 	}
 	return nil
 }

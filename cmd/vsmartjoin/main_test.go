@@ -12,6 +12,7 @@ func TestCheckFlags(t *testing.T) {
 		name       string
 		threshold  float64
 		knn        int
+		shufbuf    int64
 		buildIndex string
 		partitions int
 		wantErr    string // "" means accepted
@@ -25,9 +26,11 @@ func TestCheckFlags(t *testing.T) {
 		{name: "build-cluster without build-index", threshold: 0.5, partitions: 3, wantErr: "needs -build-index"},
 		{name: "negative build-cluster", threshold: 0.5, buildIndex: "idx", partitions: -1, wantErr: "-build-cluster -1"},
 		{name: "knn with build-index", threshold: 0.5, knn: 3, buildIndex: "idx", wantErr: "exclusive"},
+		{name: "join with shuffle-buffer", threshold: 0.5, shufbuf: 2048},
+		{name: "shuffle-buffer with build-index", threshold: 0.5, shufbuf: 2048, buildIndex: "idx", wantErr: "-shuffle-buffer"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkFlags(tc.threshold, tc.knn, tc.buildIndex, tc.partitions)
+			err := checkFlags(tc.threshold, tc.knn, tc.shufbuf, tc.buildIndex, tc.partitions)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("rejected: %v", err)

@@ -37,8 +37,8 @@
 //
 // -load preloads a TSV trace (gzip-decompressed on a .gz suffix). When
 // -data-dir names a directory with no index yet, the trace is
-// bulk-built into snapshot files first and then opened — one batch job
-// instead of one write-ahead-logged Add per entity. A data dir that
+// bulk-built into a snapshot file first and then opened — one file
+// write instead of one write-ahead-logged Add per entity. A data dir that
 // already holds an index recovers it and applies the trace as ordinary
 // (logged) upserts, a chunk per write; without -data-dir the trace
 // loads a volatile index the same way.
@@ -328,8 +328,8 @@ func openIndex(opts vsmartjoin.IndexOptions, load string, logf func(string, ...a
 		}
 		return ix, nil
 	case errors.Is(err, vsmartjoin.ErrNoIndex) && load != "":
-		// Fresh data dir + trace: the bulk path. Build snapshot files as
-		// a batch job, then open them — no per-record WAL appends.
+		// Fresh data dir + trace: the bulk path. Write the snapshot file
+		// directly, then open it — no per-record WAL appends.
 		d, _, err := vsmartjoin.ReadTraceFile(load)
 		if err != nil {
 			return nil, err

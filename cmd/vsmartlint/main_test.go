@@ -71,7 +71,7 @@ func TestListAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"framesafety", "lockscope", "canonicalorder", "boundedclient", "walerr"} {
+	for _, name := range []string{"framesafety", "lockscope", "boundedclient", "walerr"} {
 		if !strings.Contains(string(data), name) {
 			t.Errorf("-list output missing %q:\n%s", name, data)
 		}

@@ -122,11 +122,11 @@
 //
 // Cold-starting a large corpus through Apply would write every entity
 // to a WAL first — a million logged records before the first query.
-// BuildIndexFiles instead runs the corpus through the batch MapReduce
-// machinery (internal/build) and writes the index's snapshot file
-// directly; OpenIndex then loads the result with zero WAL records to
-// replay, through a sealed bulk-load path that skips the upsert
-// machinery entirely:
+// BuildIndexFiles instead writes the index's snapshot file directly, in
+// one pass over the Dataset with IDs in first-seen order, as Add would
+// assign them; no MapReduce job runs. OpenIndex then loads the result
+// with zero WAL records to replay, through a sealed bulk-load path that
+// skips the upsert machinery entirely:
 //
 //	_, err := vsmartjoin.BuildIndexFiles(d, vsmartjoin.IndexOptions{
 //		Measure: "ruzicka",

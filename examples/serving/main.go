@@ -127,9 +127,9 @@ func main() {
 	fmt.Printf("\nafter simulated crash, recovered %d entities from %s\n", recovered.Len(), dir)
 
 	// 6. Bulk bootstrap: cold-starting a corpus through Add writes one
-	// WAL record per entity; BuildIndexFiles runs it through the batch
-	// MapReduce machinery instead and writes the index's snapshot file
-	// directly. The directory opens with nothing to replay and accepts
+	// WAL record per entity; BuildIndexFiles instead writes the index's
+	// snapshot file directly, in one pass over the dataset. The
+	// directory opens with nothing to replay and accepts
 	// further durable mutations.
 	corpus := vsmartjoin.NewDataset()
 	for member := 0; member < 5; member++ {

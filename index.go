@@ -118,13 +118,6 @@ type IndexOptions struct {
 	// (1024 entries); negative disables caching entirely. Hit/miss
 	// traffic is reported by IndexStats.CacheHits/CacheMisses.
 	CacheSize int
-
-	// BuildShuffleBufferBytes caps per-map-task shuffle memory of the
-	// offline BuildIndexFiles job before sorted runs spill to disk
-	// (0 = all in memory); see Options.ShuffleBufferBytes for the
-	// mechanism. It tunes only the bulk build, never the index the
-	// files open into, and is ignored by NewIndex/OpenIndex/BuildIndex.
-	BuildShuffleBufferBytes int64
 }
 
 // IndexStats snapshots the size and traffic counters of an Index; see
@@ -251,11 +244,7 @@ func OpenIndex(opts IndexOptions) (*Index, error) {
 }
 
 func newIndex(opts IndexOptions, create bool) (*Index, error) {
-	name := opts.Measure
-	if name == "" {
-		name = "ruzicka"
-	}
-	m, err := similarity.ByName(name)
+	m, err := measureByName(opts.Measure)
 	if err != nil {
 		return nil, err
 	}

@@ -207,7 +207,6 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, p int, req *peerReques
 				if r.hedged {
 					c.hedgeWins.Add(1)
 				}
-				//lint:vsmart-allow canonicalorder one partition's node-local reply; Query canonicalizes after merging partitions
 				return r.v, nil
 			}
 			errs = append(errs, r.err)

@@ -1,50 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 )
-
-// TestCombinerAblation verifies the paper's combiner claims: disabling
-// dedicated combiners changes no results but inflates the shuffle volume
-// of the aggregation jobs.
-func TestCombinerAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	sets := randomMultisets(rng, 80, 30, 10, 4)
-	input := records.BuildInput("in", sets, 8)
-	for _, alg := range allAlgorithms() {
-		with, err := Join(testCluster(4), input, Config{
-			Measure: similarity.Ruzicka{}, Threshold: 0.5, Algorithm: alg,
-		})
-		if err != nil {
-			t.Fatalf("%s with combiners: %v", alg, err)
-		}
-		without, err := Join(testCluster(4), input, Config{
-			Measure: similarity.Ruzicka{}, Threshold: 0.5, Algorithm: alg, DisableCombiners: true,
-		})
-		if err != nil {
-			t.Fatalf("%s without combiners: %v", alg, err)
-		}
-		if !records.SamePairs(with.Pairs, without.Pairs, 1e-9) {
-			t.Fatalf("%s: ablation changed results (%d vs %d pairs)",
-				alg, len(with.Pairs), len(without.Pairs))
-		}
-		var withShuffle, withoutShuffle int64
-		for _, j := range with.Stats.Jobs {
-			withShuffle += j.ShuffleBytes
-		}
-		for _, j := range without.Stats.Jobs {
-			withoutShuffle += j.ShuffleBytes
-		}
-		if withoutShuffle <= withShuffle {
-			t.Fatalf("%s: combiners did not reduce shuffle (%d vs %d bytes)",
-				alg, withShuffle, withoutShuffle)
-		}
-	}
-}
 
 // TestVectorJoin exercises the vector semantics of the framework: sparse
 // non-negative vectors joined under vector cosine.

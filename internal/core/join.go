@@ -26,23 +26,11 @@ type Config struct {
 	StopWordQ int
 	// NumReducers overrides the reduce task count (0 = cluster machines).
 	NumReducers int
-	// DisableCombiners turns off every dedicated combiner — an ablation
-	// switch for measuring how much the paper's combiner usage saves in
-	// shuffle volume and reducer balance. Results are unaffected.
-	DisableCombiners bool
 	// NoLengthFilter runs the paper's unpruned Similarity1, which emits a
 	// tuple for every pair sharing an element. By default Similarity1
 	// skips each pair whose similarity.SimUpperBound is below the
 	// threshold; results are the same either way.
 	NoLengthFilter bool
-}
-
-// stripCombiner clears the job's combiner when the ablation is active.
-func (c Config) stripCombiner(job mr.Job) mr.Job {
-	if c.DisableCombiners {
-		job.Combiner = nil
-	}
-	return job
 }
 
 // Validate checks the configuration.
@@ -122,7 +110,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 	var sim1Out *mrfs.Dataset
 	switch cfg.Algorithm {
 	case OnlineAggregation:
-		joined, stats, err := mr.Run(cluster, cfg.stripCombiner(onlineAggregationJob(input, numReducers)))
+		joined, stats, err := mr.Run(cluster, onlineAggregationJob(input, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +123,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 		sim1Out = pairs
 
 	case Lookup:
-		table, stats, err := mr.Run(cluster, cfg.stripCombiner(lookup1Job(input, numReducers)))
+		table, stats, err := mr.Run(cluster, lookup1Job(input, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +143,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 		if c == 0 {
 			c = DefaultShardC
 		}
-		table, s1, err := mr.Run(cluster, cfg.stripCombiner(sharding1Job(input, c, numReducers)))
+		table, s1, err := mr.Run(cluster, sharding1Job(input, c, numReducers))
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +165,7 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 	}
 
 	// Similarity2: aggregate conjunctive partials and apply the measure.
-	out, s2, err := mr.Run(cluster, cfg.stripCombiner(similarity2Job(sim1Out, filter, cfg.Measure, cfg.Threshold, numReducers)))
+	out, s2, err := mr.Run(cluster, similarity2Job(sim1Out, filter, cfg.Measure, cfg.Threshold, numReducers))
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,9 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"vsmartjoin/internal/build"
 	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/datagen"
 	"vsmartjoin/internal/mr"
@@ -16,7 +12,6 @@ import (
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 	"vsmartjoin/internal/vcl"
-	"vsmartjoin/internal/wal"
 )
 
 // TestJoinSpillMatchesInMemory forces the whole multi-job pipeline through
@@ -108,10 +103,10 @@ func flatten(d *mrfs.Dataset) []byte {
 }
 
 // TestOutputsIdenticalAcrossShuffleBuffers runs every pipeline built on
-// the engine — the three joining algorithms, the VCL baseline and the
-// bulk index build — with the shuffle in memory, spilling at 4 KiB
-// and spilling at 64 KiB, and demands byte-identical output: the same
-// records in the same partitions (for the build, the same snapshot files).
+// the engine — the three joining algorithms and the VCL baseline — with
+// the shuffle in memory, spilling at 4 KiB and spilling at 64 KiB, and
+// demands byte-identical output: the same records in the same
+// partitions.
 // In-memory and spilled modes share one record representation; this pins
 // that they also share one answer.
 func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
@@ -121,14 +116,6 @@ func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
 	}
 	// Two input partitions: each map task emits enough to overflow 64 KiB.
 	input := records.BuildInput("in", tr.Multisets, 2)
-	var ents []build.Entity
-	for _, m := range tr.Multisets {
-		e := build.Entity{ID: uint64(m.ID), Name: fmt.Sprintf("ip-%d", m.ID)}
-		for _, en := range m.Entries {
-			e.Elements = append(e.Elements, wal.Element{Name: fmt.Sprintf("cookie-%d", en.Elem), Count: en.Count})
-		}
-		ents = append(ents, e)
-	}
 	spilled := func(ps mr.PipelineStats) (n int64) {
 		for _, j := range ps.Jobs {
 			n += j.SpilledBytes
@@ -154,18 +141,6 @@ func TestOutputsIdenticalAcrossShuffleBuffers(t *testing.T) {
 				return nil, 0, err
 			}
 			return flatten(res.Output), spilled(res.Stats), nil
-		},
-		"build": func(cl mr.ClusterConfig) ([]byte, int64, error) {
-			dir := filepath.Join(t.TempDir(), "idx")
-			stats, err := build.Build(build.Entities(ents), build.Options{
-				Dir: dir, Measure: "ruzicka",
-				Machines: cl.Machines, MemPerMachine: cl.MemPerMachine, ShuffleBufferBytes: cl.ShuffleBufferBytes,
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-			snap, err := os.ReadFile(filepath.Join(dir, wal.SnapName(1)))
-			return snap, stats.Job.SpilledBytes, err
 		},
 	}
 	for name, run := range pipelines {

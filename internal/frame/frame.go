@@ -1,7 +1,7 @@
 // Package frame is the one length-prefixed, checksummed record framing
 // shared by every durable file in the system: MapReduce shuffle-spill
-// segments (internal/mrfs), write-ahead logs and snapshots
-// (internal/wal), and the bulk-built index generations (internal/build).
+// segments (internal/mrfs), and write-ahead logs and snapshots
+// (internal/wal), bulk-built index generations included.
 //
 // A frame is a uvarint payload length, a fixed 4-byte CRC-32C
 // (Castagnoli) of the payload, and the payload bytes. Lengths are capped

@@ -1,5 +1,5 @@
 // Package lint assembles the project's custom static-analysis suite:
-// six analyzers, each machine-checking an invariant that a refactor
+// five analyzers, each machine-checking an invariant that a refactor
 // introduced and that go vet / staticcheck cannot see.
 //
 //   - framesafety (PR 4): every durable byte flows through the one
@@ -8,9 +8,6 @@
 //   - lockscope (PR 2): mutex-guarded index state is only touched under
 //     the lock, and exact similarity verification never runs inside it —
 //     the lock-free-read hot-path contract.
-//   - canonicalorder (PR 5): every []Match that can reach the public
-//     API passes through a canonicalizer, so any topology answers
-//     byte-identically.
 //   - boundedclient (PR 5): every HTTP dialer uses the bounded pooled
 //     cluster.NewHTTPClient — no http.Get, no http.DefaultClient, no
 //     ad-hoc http.Client literals.
@@ -32,7 +29,6 @@ package lint
 import (
 	"vsmartjoin/internal/lint/analysis"
 	"vsmartjoin/internal/lint/boundedclient"
-	"vsmartjoin/internal/lint/canonicalorder"
 	"vsmartjoin/internal/lint/framesafety"
 	"vsmartjoin/internal/lint/hotpathmetrics"
 	"vsmartjoin/internal/lint/lockscope"
@@ -43,7 +39,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		boundedclient.Analyzer,
-		canonicalorder.Analyzer,
 		framesafety.Analyzer,
 		hotpathmetrics.Analyzer,
 		lockscope.Analyzer,

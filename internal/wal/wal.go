@@ -13,9 +13,9 @@
 // An index keeps exactly one such log in its data dir: one ordered
 // history of every mutation. A snapshot's header records the similarity
 // measure of the index it holds. The
-// offline bulk builder (internal/build) writes the generation-1 snapshot
-// directly with WriteSnapshot, so a cold start loads one file instead of
-// replaying per-record appends. A directory still holding the retired
+// offline bulk builder (vsmartjoin.BuildIndexFiles) writes the
+// generation-1 snapshot directly with WriteSnapshot, so a cold start
+// loads one file instead of replaying per-record appends. A directory still holding the retired
 // per-shard layout ("shard-NNN" subdirectories) is refused.
 //
 // Both files are sequences of internal/frame frames: a uvarint payload
@@ -717,7 +717,7 @@ func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func
 
 // WriteSnapshot creates the snapshot file of generation gen in dir
 // without opening a Log: how the bulk builder materializes a loadable
-// generation directly from a batch job, and how an index records its
+// generation directly from a dataset, and how an index records its
 // measure in the directory it creates. It goes through
 // the same temp-file + fsync + atomic-rename protocol as Log.Snapshot,
 // so a file under its final name is always complete. Records must be

@@ -324,7 +324,6 @@ func (ix *Index) padKNNLocked(out []Neighbor, k int, self string) []Neighbor {
 			out = append(out, Neighbor{Entity: name, Distance: 1})
 		}
 	}
-	//lint:vsmart-allow canonicalorder the pad is a pure suffix: every prior entry overlaps the query (dist < 1 strictly) and resolve sorts those, the appended names are all at dist exactly 1 in ascending name order
 	return out
 }
 
