@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke allpairs-smoke loc
+.PHONY: all build test race lint fmt vet vsmartlint staticcheck govulncheck bench-check allknn-smoke allpairs-smoke fuzz-smoke loc
 
 all: build test
 
@@ -50,6 +50,22 @@ bench-check:
 # line outside the benchmark module. CI's test job echoes it.
 loc:
 	@find . -name '*.go' -not -path './.git/*' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+# Fuzz smoke: every Fuzz target for 10 s — the codec and segment
+# decoders, the record batch's order contract, the WAL frame decoder and
+# the router↔node hop's decoders. A -fuzz run takes one target, so this
+# walks them package:target by package:target. CI runs this in its test
+# job.
+FUZZ_TARGETS = \
+	./internal/codec:FuzzReaderDecode ./internal/codec:FuzzRoundTrip \
+	./internal/mrfs:FuzzSegmentRead ./internal/mrfs:FuzzBatchOrder \
+	./internal/wal:FuzzWALFrameDecode \
+	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=10s $${t%%:*}; \
+	done
 
 # Batch AllKNN smoke: run every entity's kNN query over a
 # tiny generated trace and demand one neighbor line per entity — a PR

@@ -54,10 +54,9 @@ func AllKNN(d *Dataset, k int, opts Options) (*KNNResult, error) {
 	}
 	defer ix.Close()
 
-	rev := d.nameTable()
 	names := make([]string, len(d.sets))
 	for i, m := range d.sets {
-		names[i] = rev[m.ID]
+		names[i] = d.names[m.ID]
 	}
 	lists := make([][]Neighbor, len(names))
 	errs := make([]error, len(names))

@@ -3,6 +3,7 @@ package vsmartjoin
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -31,15 +32,13 @@ const (
 // "set-dice", "cosine", "set-cosine", "vector-cosine", "overlap".
 
 // Dataset accumulates entities for a join. Entities and elements are
-// strings, interned internally; use AddByID for pre-numbered data.
+// strings, interned internally.
 type Dataset struct {
-	dict     *multiset.Dict
-	names    map[multiset.ID]string
-	byName   map[string]int      // entity name → index into sets
-	byID     map[multiset.ID]int // AddByID entity → index into sets
-	sets     []multiset.Multiset
-	nextID   multiset.ID
-	numbered bool
+	dict   *multiset.Dict
+	names  map[multiset.ID]string
+	byName map[string]int // entity name → index into sets
+	sets   []multiset.Multiset
+	nextID multiset.ID
 }
 
 // NewDataset returns an empty dataset.
@@ -48,7 +47,6 @@ func NewDataset() *Dataset {
 		dict:   multiset.NewDict(),
 		names:  make(map[multiset.ID]string),
 		byName: make(map[string]int),
-		byID:   make(map[multiset.ID]int),
 		nextID: 1,
 	}
 }
@@ -93,54 +91,20 @@ func (d *Dataset) AddSet(entity string, elements []string) {
 	d.Add(entity, counts)
 }
 
-// AddByID registers a pre-numbered entity. Adding the same entity ID
-// twice merges the multiplicities, as Add does for names. Mixing Add
-// and AddByID in one dataset is not supported.
-func (d *Dataset) AddByID(entity uint64, counts map[uint64]uint32) {
-	d.numbered = true
-	id := multiset.ID(entity)
-	idx, ok := d.byID[id]
-	if !ok {
-		idx = len(d.sets)
-		d.byID[id] = idx
-		d.sets = append(d.sets, multiset.Multiset{ID: id})
-	}
-	entries := d.sets[idx].Entries
-	for e, c := range counts {
-		entries = append(entries, multiset.Entry{Elem: multiset.Elem(e), Count: c})
-	}
-	d.sets[idx] = multiset.New(id, entries)
-}
-
 // Len reports the number of entities.
 func (d *Dataset) Len() int { return len(d.sets) }
 
 // Each calls fn for every entity in insertion order with its name and
-// element multiplicities, stopping early if fn returns false. Numbered
-// (AddByID) entities get the same synthesized names and "#<elem>"
-// element strings BuildIndex and AllPairs report for them. The counts
-// map is freshly built per call and may be retained by fn.
+// element multiplicities, stopping early if fn returns false. Every
+// entity appears once: Add merges a repeated name. The counts map is
+// freshly built per call and may be retained by fn.
 func (d *Dataset) Each(fn func(entity string, counts map[string]uint32) bool) {
 	for _, m := range d.sets {
-		name, ok := d.names[m.ID]
-		if !ok {
-			name = fmt.Sprintf("%d", uint64(m.ID))
-		}
 		counts := make(map[string]uint32, len(m.Entries))
 		for _, e := range m.Entries {
-			// Named datasets intern through d.dict; numbered (AddByID)
-			// datasets have no string alphabet, so synthesize one. Branch
-			// on the dataset kind, not on Name() == "" — the empty string
-			// is a legitimate interned element name.
-			var elem string
-			if d.numbered {
-				elem = fmt.Sprintf("#%d", uint64(e.Elem))
-			} else {
-				elem = d.dict.Name(e.Elem)
-			}
-			counts[elem] += e.Count
+			counts[d.dict.Name(e.Elem)] += e.Count
 		}
-		if !fn(name, counts) {
+		if !fn(d.names[m.ID], counts) {
 			return
 		}
 	}
@@ -339,7 +303,7 @@ func AllPairs(d *Dataset, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	out := &Result{ids: res.Pairs, rev: d.nameTable()}
+	out := &Result{ids: res.Pairs, rev: maps.Clone(d.names)}
 	out.Stats = Stats{
 		JoiningSeconds:    res.JoiningStats.TotalSeconds,
 		SimilaritySeconds: res.SimilarityStats.TotalSeconds,
@@ -368,19 +332,6 @@ func AllPairs(d *Dataset, opts Options) (*Result, error) {
 		return out.Pairs[i].B < out.Pairs[j].B
 	})
 	return out, nil
-}
-
-// nameTable maps IDs back to entity names (synthesized for AddByID data).
-func (d *Dataset) nameTable() map[multiset.ID]string {
-	rev := make(map[multiset.ID]string, len(d.sets))
-	for _, m := range d.sets {
-		if n, ok := d.names[m.ID]; ok {
-			rev[m.ID] = n
-		} else {
-			rev[m.ID] = fmt.Sprintf("%d", uint64(m.ID))
-		}
-	}
-	return rev
 }
 
 // measureByName resolves a measure name, "" meaning the default,

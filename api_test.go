@@ -104,6 +104,15 @@ func TestAddMergesDuplicates(t *testing.T) {
 	if err != nil || sim != 1 {
 		t.Fatalf("similarity: %v %v", sim, err)
 	}
+	// AllPairs joins the merged multiset {x:3, y:1}.
+	d.Add("f", map[string]uint32{"x": 3, "y": 1})
+	res, err := AllPairs(d, Options{Threshold: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Pair{{A: "e", B: "f", Similarity: 1}}; !reflect.DeepEqual(res.Pairs, want) {
+		t.Fatalf("AllPairs: %v, want %v", res.Pairs, want)
+	}
 }
 
 func TestAddSetAndByID(t *testing.T) {
@@ -116,56 +125,6 @@ func TestAddSetAndByID(t *testing.T) {
 	}
 	if len(res.Pairs) != 1 || math.Abs(res.Pairs[0].Similarity-0.5) > 1e-12 {
 		t.Fatalf("pairs: %v", res.Pairs)
-	}
-
-	n := NewDataset()
-	n.AddByID(10, map[uint64]uint32{1: 1, 2: 1})
-	n.AddByID(20, map[uint64]uint32{1: 1, 2: 1})
-	nres, err := AllPairs(n, Options{Threshold: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nres.Pairs) != 1 || nres.Pairs[0].A != "10" || nres.Pairs[0].B != "20" {
-		t.Fatalf("numbered pairs: %v", nres.Pairs)
-	}
-}
-
-// TestAddByIDMergesRepeatedID adds one ID twice: the dataset holds one
-// merged multiset, so AllPairs, BuildIndex and AllKNN all see entity 1
-// as {10, 11, 12, 13} and score it 0.5 against entity 2's {12, 13}.
-func TestAddByIDMergesRepeatedID(t *testing.T) {
-	d := NewDataset()
-	d.AddByID(1, map[uint64]uint32{10: 1, 11: 1})
-	d.AddByID(1, map[uint64]uint32{12: 1, 13: 1})
-	d.AddByID(2, map[uint64]uint32{12: 1, 13: 1})
-	if d.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", d.Len())
-	}
-	pairs, err := AllPairs(d, Options{Threshold: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []Pair{{A: "1", B: "2", Similarity: 0.5}}; !reflect.DeepEqual(pairs.Pairs, want) {
-		t.Fatalf("AllPairs: %v, want %v", pairs.Pairs, want)
-	}
-	ix, err := BuildIndex(d, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	matches, err := ix.QueryEntity("1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []Match{{Entity: "2", Similarity: 0.5}}; !reflect.DeepEqual(matches, want) {
-		t.Fatalf("BuildIndex: %v, want %v", matches, want)
-	}
-	knn, err := AllKNN(d, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []Neighbor{{Entity: "2", Distance: 0.5}}; !reflect.DeepEqual(knn.Neighbors["1"], want) {
-		t.Fatalf("AllKNN: %v, want %v", knn.Neighbors["1"], want)
 	}
 }
 

@@ -3,8 +3,8 @@ package vsmartjoin
 // The benchmark harness regenerates every figure of the paper's evaluation
 // (§7) at benchmark scale. Each BenchmarkFigN exercises the same code paths
 // as `cmd/experiments -fig N` on reduced traces so `go test -bench=.`
-// finishes quickly; the full-scale reproduction lives in cmd/experiments
-// and its output is recorded in EXPERIMENTS.md.
+// finishes quickly; the full-scale reproduction is
+// `go run ./cmd/experiments`.
 //
 // Custom metrics: sim-s/run is the simulated cluster seconds of the
 // measured configuration; pairs/run is the result size.

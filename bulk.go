@@ -112,10 +112,9 @@ func BuildClusterFiles(d *Dataset, opts IndexOptions, partitions int) (ClusterBu
 // partition's IDs follow first-seen insertion order from 1, and
 // elements encode through the same walAddRecord the serving WAL uses
 // (one canonical encoding keeps the bulk-equals-incremental
-// differential honest). A name seen twice (possible only by mixing Add
-// and AddByID) keeps its first ID and takes its last counts — Add's
-// upsert. A partition's records are therefore in ascending ID order,
-// the order a snapshot holds them in.
+// differential honest). A Dataset holds each name once, so a
+// partition's records are in ascending ID order, the order a snapshot
+// holds them in.
 func bulkRecords(d *Dataset, partitions int) [][]wal.Record {
 	parts := make([][]wal.Record, partitions)
 	if d == nil {
@@ -124,16 +123,9 @@ func bulkRecords(d *Dataset, partitions int) [][]wal.Record {
 	for p := range parts {
 		parts[p] = make([]wal.Record, 0, d.Len()/partitions)
 	}
-	pos := make(map[string]int, d.Len())
 	d.Each(func(entity string, counts map[string]uint32) bool {
 		p := cluster.PartitionOf(entity, partitions)
-		i, ok := pos[entity]
-		if !ok {
-			i = len(parts[p])
-			pos[entity] = i
-			parts[p] = append(parts[p], wal.Record{})
-		}
-		parts[p][i] = walAddRecord(multiset.ID(i+1), entity, counts)
+		parts[p] = append(parts[p], walAddRecord(multiset.ID(len(parts[p])+1), entity, counts))
 		return true
 	})
 	return parts

@@ -18,12 +18,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
-
-	"vsmartjoin/internal/wal"
 )
 
 // walFiles returns every wal-* file under a data dir with its size.
@@ -232,55 +229,6 @@ func TestBulkBuildEmptyDataset(t *testing.T) {
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestBulkBuildRepeatedName pins the upsert of a name a Dataset yields
-// twice (possible only by mixing Add and AddByID): the bulk-built
-// snapshot keeps the name's first ID and its last counts, byte for byte
-// the snapshot BuildIndex's Adds leave behind.
-func TestBulkBuildRepeatedName(t *testing.T) {
-	d := NewDataset()
-	d.Add("5", map[string]uint32{"x": 1})
-	d.Add("a", map[string]uint32{"x": 2})
-	d.AddByID(5, map[uint64]uint32{7: 3}) // yielded under the name "5" again
-	if d.Len() != 3 {
-		t.Fatalf("dataset holds %d multisets, want 3", d.Len())
-	}
-	built := filepath.Join(t.TempDir(), "built")
-	bs, err := BuildIndexFiles(d, IndexOptions{Dir: built})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.Entities != 2 {
-		t.Fatalf("build stats %+v, want 2 entities", bs)
-	}
-	var snap []wal.Record
-	l, err := wal.Open(built, "ruzicka",
-		func(rec wal.Record) error { snap = append(snap, rec); return nil },
-		func(wal.Record) error { return errors.New("a bulk-built dir has no WAL to replay") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := wal.Record{Op: wal.OpAdd, ID: 1, Entity: "5", Elements: []wal.Element{{Name: "#7", Count: 3}}}
-	if len(snap) != 2 || !reflect.DeepEqual(snap[0], want) || snap[1].ID != 2 || snap[1].Entity != "a" {
-		t.Fatalf("snapshot %+v, want %+v then ID 2 = a", snap, want)
-	}
-
-	served := t.TempDir()
-	ix, err := BuildIndex(d, IndexOptions{Dir: served, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if err := ix.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readSnap(t, served, 2), readSnap(t, built, 1)) {
-		t.Fatal("the bulk-built snapshot differs from BuildIndex's")
 	}
 }
 

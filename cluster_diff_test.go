@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
@@ -396,4 +397,68 @@ func TestClusterCarvedBulkBuild(t *testing.T) {
 	cut.add(t, "post-carve", map[string]uint32{"w1": 2, "fresh": 1})
 	cut.remove(t, names[2])
 	cut.compare(t, "carved+churn", []map[string]uint32{{"w1": 3, "w2": 1, "tie": 2}}, []string{"post-carve"})
+}
+
+// TestRouterSnapshotFanOut drives the router's POST /snapshot over
+// in-process nodes: over durable nodes it answers 200 and every node
+// writes exactly one new generation; over a volatile node, which
+// refuses with 409, the router answers 409 too, not a server failure.
+func TestRouterSnapshotFanOut(t *testing.T) {
+	postSnapshot := func(t *testing.T, c *vsmartjoin.Cluster) int {
+		t.Helper()
+		router := httptest.NewServer(httpd.NewRouter(c, httpd.Options{}))
+		defer router.Close()
+		resp, err := router.Client().Post(router.URL+"/snapshot", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	t.Run("durable", func(t *testing.T) {
+		var nodes []*vsmartjoin.Index
+		var topo [][]string
+		for p := 0; p < 2; p++ {
+			ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ix.Close() })
+			node := httpd.NewNode(ix, httpd.Options{})
+			ts := httptest.NewServer(node)
+			t.Cleanup(nodeServer{ts, node}.Close)
+			nodes = append(nodes, ix)
+			topo = append(topo, []string{ts.URL})
+		}
+		c, err := vsmartjoin.NewCluster(vsmartjoin.ClusterOptions{Nodes: topo, HealthEvery: -1, RepairEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		for i := 0; i < 6; i++ {
+			if err := c.Add(fmt.Sprintf("e%d", i), map[string]uint32{"x": uint32(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := make([]uint64, len(nodes))
+		for i, ix := range nodes {
+			before[i] = ix.Generation()
+		}
+		if code := postSnapshot(t, c); code != http.StatusOK {
+			t.Fatalf("POST /snapshot over durable nodes: %d, want 200", code)
+		}
+		for i, ix := range nodes {
+			if got := ix.Generation(); got != before[i]+1 {
+				t.Errorf("node %d generation %d after /snapshot, want %d", i, got, before[i]+1)
+			}
+		}
+	})
+
+	t.Run("volatile", func(t *testing.T) {
+		cut := startCluster(t, "ruzicka", 1, 1)
+		if code := postSnapshot(t, cut.cluster); code != http.StatusConflict {
+			t.Fatalf("POST /snapshot over a volatile node: %d, want 409", code)
+		}
+	})
 }

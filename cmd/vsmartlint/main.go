@@ -1,6 +1,6 @@
 // Command vsmartlint runs the project's custom static-analysis suite
 // (internal/lint) over Go packages: the machine-checked forms of the
-// engine's framing, locking, result-ordering, dialer, and durability
+// engine's framing, locking, hot-path timing, and durability
 // invariants.
 //
 //	vsmartlint ./...          # what CI runs; exits 1 on any finding

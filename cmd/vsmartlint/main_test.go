@@ -38,7 +38,6 @@ func TestBinaryOverBadModule(t *testing.T) {
 
 	got := stdout.String()
 	for _, want := range []string{
-		"boundedclient: http.Get uses the unbounded default client",
 		"framesafety: raw length-prefix write binary.AppendUvarint outside internal/frame",
 		"framesafety: checksum construction crc32.Checksum outside internal/frame",
 		"framesafety: direct os.Create of snap-* file outside internal/wal",
@@ -71,7 +70,7 @@ func TestListAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"framesafety", "lockscope", "boundedclient", "walerr"} {
+	for _, name := range []string{"framesafety", "hotpathmetrics", "lockscope", "walerr"} {
 		if !strings.Contains(string(data), name) {
 			t.Errorf("-list output missing %q:\n%s", name, data)
 		}

@@ -7,13 +7,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"hash/crc32"
-	"net/http"
 	"os"
 )
 
 func main() {
-	_, _ = http.Get("http://example.invalid")
-
 	buf := binary.AppendUvarint(nil, 42)
 	_ = crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
 

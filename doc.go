@@ -265,6 +265,7 @@
 // benchmark (BENCHMARK.json, bash benchmark/run.sh) measures all of it
 // end to end and layer by layer.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// See the README's "Algorithms" and "The simulated cluster" sections for
+// the architecture; `go run ./cmd/experiments` reproduces the paper's
+// evaluation.
 package vsmartjoin

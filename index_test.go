@@ -141,19 +141,6 @@ func TestBuildIndexFromDataset(t *testing.T) {
 		t.Fatalf("matches: %v", got)
 	}
 
-	// Numbered datasets load too, with synthesized names.
-	n := NewDataset()
-	n.AddByID(10, map[uint64]uint32{1: 1, 2: 1})
-	n.AddByID(20, map[uint64]uint32{1: 1, 2: 1})
-	nx, err := BuildIndex(n, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm, err := nx.QueryEntity("10", 0.9)
-	if err != nil || len(nm) != 1 || nm[0].Entity != "20" {
-		t.Fatalf("numbered: %v %v", nm, err)
-	}
-
 	// The empty string is a legitimate element name and must survive the
 	// round trip through BuildIndex's name translation.
 	e := NewDataset()

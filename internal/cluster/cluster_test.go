@@ -280,6 +280,32 @@ func TestPartitionOfDeterministicAndSpread(t *testing.T) {
 	}
 }
 
+// TestPartitionOfGolden pins PartitionOf to fixed values: directories
+// carved by BuildClusterFiles route by this exact function, so a change
+// to it would strand every entity already on disk.
+func TestPartitionOfGolden(t *testing.T) {
+	ns := [4]int{2, 3, 7, 16}
+	for _, tc := range []struct {
+		name string
+		want [4]int // partition at each of ns
+	}{
+		{"", [4]int{0, 0, 4, 0}},
+		{"ip-1", [4]int{0, 2, 5, 8}},
+		{"ip-5", [4]int{0, 0, 0, 0}},
+		{"ip-7", [4]int{1, 1, 2, 3}},
+		{"cookie-42", [4]int{1, 1, 2, 13}},
+		{"doc-7", [4]int{0, 1, 3, 4}},
+		{"e000", [4]int{0, 0, 6, 6}},
+		{"192.168.0.1", [4]int{1, 2, 5, 13}},
+	} {
+		for i, n := range ns {
+			if got := PartitionOf(tc.name, n); got != tc.want[i] {
+				t.Errorf("PartitionOf(%q, %d) = %d, want %d", tc.name, n, got, tc.want[i])
+			}
+		}
+	}
+}
+
 func TestNormalizeAddr(t *testing.T) {
 	for in, want := range map[string]string{
 		" host:8321 ":       "http://host:8321",

@@ -139,20 +139,15 @@ func Join(cluster mr.ClusterConfig, input *mrfs.Dataset, cfg Config) (*Result, e
 		sim1Out = pairs
 
 	case Sharding:
-		c := cfg.ShardC
-		if c == 0 {
-			c = DefaultShardC
-		}
-		table, s1, err := mr.Run(cluster, sharding1Job(input, c, numReducers))
+		joined, stats, err := ShardingJoining(cluster, input, cfg.ShardC, numReducers)
 		if err != nil {
 			return nil, err
 		}
-		res.JoiningStats.Add(s1)
-		joined, s2, err := mr.Run(cluster, sharding2Job(input, table, numReducers))
-		if err != nil {
-			return nil, err
+		// Add job by job rather than Merge: after a stop-word step the
+		// simulated seconds must sum in the same order as each step ran.
+		for _, j := range stats.Jobs {
+			res.JoiningStats.Add(j)
 		}
-		res.JoiningStats.Add(s2)
 		pairs, s3, err := mr.Run(cluster, similarity1Job(joined, filter, numReducers))
 		if err != nil {
 			return nil, err

@@ -191,7 +191,8 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 }
 
 // SmallConfig is the scaled stand-in for the paper's small dataset
-// (82M IPs × 133M cookies, scaled ≈1:2000 — see DESIGN.md §5).
+// (82M IPs × 133M cookies, scaled ≈1:2000, as internal/experiments
+// scales its cost model).
 func SmallConfig() TraceConfig {
 	return TraceConfig{
 		Seed:               1,

@@ -1,8 +1,7 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (§7) on the scaled synthetic workloads of internal/datagen. Each driver
 // returns a Report whose body holds the tables and ASCII charts that
-// correspond to one figure; EXPERIMENTS.md records the paper-vs-measured
-// comparison.
+// correspond to one figure, printed by `go run ./cmd/experiments`.
 //
 // Simulated times are in scaled cluster-seconds: the datasets are ~1:2000
 // of the paper's, and the cost-model coefficients are inflated by the same
@@ -37,7 +36,7 @@ const (
 )
 
 // CostModel returns the scaled coefficients calibrated against the
-// paper's reported ratios (see DESIGN.md §1 and EXPERIMENTS.md).
+// paper's reported ratios (see the README's "The simulated cluster").
 func CostModel() mr.CostModel {
 	return mr.CostModel{
 		JobStartup:      200, // start/stop dominates at high machine counts (§7.1)

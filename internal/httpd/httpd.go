@@ -655,10 +655,28 @@ func (s *routerServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.c.Snapshot(); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, fanOutSnapshotStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"snapshot": true})
+}
+
+// fanOutSnapshotStatus classes a Cluster.Snapshot failure, which joins
+// one error per failed node: 409 when every node refused with 409 (no
+// durability dir), as each node would answer itself; 500 when any node
+// failed otherwise.
+func fanOutSnapshotStatus(err error) int {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return http.StatusInternalServerError
+	}
+	for _, e := range joined.Unwrap() {
+		var se cluster.StatusError
+		if !errors.As(e, &se) || se.Code != http.StatusConflict {
+			return http.StatusInternalServerError
+		}
+	}
+	return http.StatusConflict
 }
 
 // handleReadyz is the router readiness probe: 200 only while every

@@ -3,7 +3,7 @@ package driver_test
 import (
 	"testing"
 
-	"vsmartjoin/internal/lint/boundedclient"
+	"vsmartjoin/internal/lint/framesafety"
 	"vsmartjoin/internal/lint/linttest"
 )
 
@@ -11,5 +11,5 @@ import (
 // exercises every shape of //lint:vsmart-allow the driver must accept
 // or reject.
 func TestSuppressionContract(t *testing.T) {
-	linttest.Run(t, boundedclient.Analyzer, "testdata", "supptest")
+	linttest.Run(t, framesafety.Analyzer, "testdata", "supptest")
 }

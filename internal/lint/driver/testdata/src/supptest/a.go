@@ -4,7 +4,7 @@
 // the finding on its own or the next line.
 package supptest
 
-import "net/http"
+import "hash/crc32"
 
 func malformed() {
 	//lint:vsmart-allow // want `malformed suppression: want //lint:vsmart-allow <analyzer> <reason>`
@@ -15,18 +15,18 @@ func unknown() {
 }
 
 func noReason() {
-	//lint:vsmart-allow boundedclient // want `suppression of boundedclient has no reason: say why the exception is sound`
+	//lint:vsmart-allow framesafety // want `suppression of framesafety has no reason: say why the exception is sound`
 }
 
 func honored() {
-	//lint:vsmart-allow boundedclient hermetic fixture call, never dialed
-	_, _ = http.Get("http://a")
+	//lint:vsmart-allow framesafety hermetic fixture checksum, never framed
+	_ = crc32.Checksum(nil, crc32.IEEETable)
 }
 
 func sameLineHonored() {
-	_, _ = http.Head("http://a") //lint:vsmart-allow boundedclient hermetic fixture call, never dialed
+	_ = crc32.Checksum(nil, crc32.IEEETable) //lint:vsmart-allow framesafety hermetic fixture checksum, never framed
 }
 
 func unsuppressed() {
-	_, _ = http.Get("http://a") // want `http\.Get uses the unbounded default client`
+	_ = crc32.Checksum(nil, crc32.IEEETable) // want `checksum construction crc32\.Checksum outside internal/frame`
 }

@@ -1,5 +1,5 @@
 // Package lint assembles the project's custom static-analysis suite:
-// five analyzers, each machine-checking an invariant that a refactor
+// four analyzers, each machine-checking an invariant that a refactor
 // introduced and that go vet / staticcheck cannot see.
 //
 //   - framesafety (PR 4): every durable byte flows through the one
@@ -8,9 +8,6 @@
 //   - lockscope (PR 2): mutex-guarded index state is only touched under
 //     the lock, and exact similarity verification never runs inside it —
 //     the lock-free-read hot-path contract.
-//   - boundedclient (PR 5): every HTTP dialer uses the bounded pooled
-//     cluster.NewHTTPClient — no http.Get, no http.DefaultClient, no
-//     ad-hoc http.Client literals.
 //   - walerr (PR 3): errors from the WAL, framing, and public mutation
 //     paths — batched included — are never discarded,
 //     append-before-apply durability.
@@ -28,7 +25,6 @@ package lint
 
 import (
 	"vsmartjoin/internal/lint/analysis"
-	"vsmartjoin/internal/lint/boundedclient"
 	"vsmartjoin/internal/lint/framesafety"
 	"vsmartjoin/internal/lint/hotpathmetrics"
 	"vsmartjoin/internal/lint/lockscope"
@@ -38,7 +34,6 @@ import (
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		boundedclient.Analyzer,
 		framesafety.Analyzer,
 		hotpathmetrics.Analyzer,
 		lockscope.Analyzer,

@@ -13,10 +13,6 @@
 //     Reads (Snapshot) are not atomic across buckets — a snapshot taken
 //     under concurrent writes can be off by in-flight observations,
 //     which is fine for monitoring and cheap for writers.
-//   - Mergeable. A Snapshot from every node or worker adds into one
-//     distribution (Merge), because bucket boundaries are fixed and
-//     identical everywhere — the property that lets the nodes and a
-//     cluster router share one percentile pipeline.
 //
 // Buckets are log-spaced: four per octave (bounds grow by 2^(1/4) ≈
 // 1.19), from 256ns up to ~17.6s, plus an overflow bucket. That bounds
@@ -28,7 +24,7 @@
 // time.Now directly: the hotpathmetrics analyzer (internal/lint) bans
 // ad-hoc time.Now/time.Since accounting in internal/index, internal/
 // shard, and internal/wal, so every hot-path duration demonstrably
-// flows into a mergeable histogram instead of a one-off counter.
+// flows into a histogram instead of a one-off counter.
 package metrics
 
 import (
@@ -83,8 +79,7 @@ var bounds = func() [NumBuckets - 1]uint64 {
 
 // BucketBound reports bucket i's inclusive upper bound in nanoseconds;
 // the last bucket reports +Inf. Bounds are identical across every
-// histogram in the process and across processes of the same build —
-// what makes snapshots mergeable across nodes.
+// histogram in the process and across processes of the same build.
 func BucketBound(i int) float64 {
 	if i >= NumBuckets-1 {
 		return math.Inf(1)
@@ -155,25 +150,13 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a frozen histogram: mergeable, serializable, and the
-// input to percentile extraction. The zero value is an empty
+// Snapshot is a frozen histogram: serializable, and the input to
+// percentile extraction. The zero value is an empty
 // distribution.
 type Snapshot struct {
 	Count   uint64             `json:"count"`
 	Sum     uint64             `json:"sum_ns"`
 	Buckets [NumBuckets]uint64 `json:"buckets"`
-}
-
-// Merge adds o's observations into s — the cross-node fold. Bucket boundaries are fixed and shared, so merging is
-// element-wise addition and percentiles of the merged snapshot are
-// exactly the percentiles of the combined observation stream (up to
-// bucket resolution).
-func (s *Snapshot) Merge(o Snapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of the distribution in
@@ -289,21 +272,12 @@ func (h *SizeHistogram) Snapshot() SizeSnapshot {
 	return s
 }
 
-// SizeSnapshot is a frozen SizeHistogram: mergeable, serializable, and
-// the input to quantile extraction. The zero value is empty.
+// SizeSnapshot is a frozen SizeHistogram: serializable, and the input
+// to quantile extraction. The zero value is empty.
 type SizeSnapshot struct {
 	Count   uint64                 `json:"count"`
 	Sum     uint64                 `json:"sum"`
 	Buckets [SizeNumBuckets]uint64 `json:"buckets"`
-}
-
-// Merge adds o's observations into s.
-func (s *SizeSnapshot) Merge(o SizeSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Mean returns the average observed size (0 when empty).

@@ -122,29 +122,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 500; i++ {
-		a.Observe(time.Duration(i+1) * time.Microsecond)
-	}
-	for i := 500; i < 1000; i++ {
-		b.Observe(time.Duration(i+1) * time.Microsecond)
-	}
-	var whole Histogram
-	for i := 0; i < 1000; i++ {
-		whole.Observe(time.Duration(i+1) * time.Microsecond)
-	}
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	want := whole.Snapshot()
-	if merged != want {
-		t.Fatalf("merged snapshot differs from the single-histogram capture:\n%+v\n%+v", merged, want)
-	}
-	if merged.Count != 1000 {
-		t.Fatalf("merged count = %d, want 1000", merged.Count)
-	}
-}
-
 func TestConcurrentWriters(t *testing.T) {
 	// Run with -race: W writers hammer one histogram (plus a counter),
 	// then the totals must balance exactly.

@@ -232,7 +232,7 @@ func TestMapDeadlineKillMidTask(t *testing.T) {
 	for i := range lines {
 		lines[i] = "z"
 	}
-	_, _, err := Run(cl, Job{Name: "boom", Input: wordCountInput(2, lines...), Mapper: mapper})
+	_, _, err := Run(cl, Job{Name: "boom", Input: wordCountInput(2, lines...), Mapper: mapper, Reducer: sumReducer})
 	if !errors.Is(err, ErrTaskKilled) {
 		t.Fatalf("want ErrTaskKilled, got %v", err)
 	}

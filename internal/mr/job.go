@@ -22,8 +22,7 @@ type Job struct {
 	// task's output before the shuffle (the paper uses dedicated combiners
 	// in every aggregation).
 	Combiner Reducer
-	// Reducer folds grouped values. When nil the job is map-only: mapper
-	// output is shuffled into partitions and written out unreduced.
+	// Reducer folds grouped values. Required.
 	Reducer Reducer
 	// NumReducers sets the reduce task count (defaults to the cluster's
 	// machine count).
@@ -31,12 +30,10 @@ type Job struct {
 	// UsesSecondaryKeys declares that the reducer depends on value lists
 	// sorted by secondary key. Hadoop-compatible clusters reject such jobs.
 	UsesSecondaryKeys bool
-	// SideInputs are loaded into every task's context at stage start;
-	// their bytes are charged to memory and to per-machine load time.
+	// SideInputs are loaded into every map task's context at map-stage
+	// start; their bytes are charged to memory and to per-machine load
+	// time.
 	SideInputs map[string]*mrfs.Dataset
-	// SideInputsAtReduce also loads side inputs for reduce tasks
-	// (default: map tasks only, the common pattern).
-	SideInputsAtReduce bool
 	// OutputName names the result dataset.
 	OutputName string
 }
@@ -69,7 +66,6 @@ type CostProfile struct {
 	ShuffleBytes   int64
 	ShuffleRecords int64
 	SideBytes      int64
-	SideAtReduce   bool
 }
 
 // JobTimes is the simulated wall-clock breakdown of one job at a given
@@ -99,9 +95,6 @@ func (p *CostProfile) Evaluate(w int, cm CostModel) JobTimes {
 	t.Shuffle = float64(p.ShuffleBytes)*cm.NetPerByte/float64(w) +
 		float64(p.ShuffleRecords)*cm.CPUPerRecord/float64(w)
 	t.Reduce = maxOf(assignTasks(taskCosts(p.ReduceTasks, cm), w))
-	if p.SideAtReduce && p.SideBytes > 0 {
-		t.Reduce += float64(p.SideBytes) * cm.SideLoadPerByte
-	}
 	t.Total = t.Startup + t.Map + t.Shuffle + t.Reduce
 	return t
 }
@@ -127,13 +120,11 @@ type JobStats struct {
 	Counters       map[string]int64
 
 	// Simulated seconds.
-	StartupSeconds    float64
-	MapSeconds        float64 // slowest machine's map time
-	ShuffleSeconds    float64
-	ReduceSeconds     float64 // slowest machine's reduce time
-	TotalSeconds      float64
-	SlowestMapTask    float64
-	SlowestReduceTask float64
+	StartupSeconds float64
+	MapSeconds     float64 // slowest machine's map time
+	ShuffleSeconds float64
+	ReduceSeconds  float64 // slowest machine's reduce time
+	TotalSeconds   float64
 
 	// Real wall-clock seconds this in-process run took, read at the phase
 	// boundaries of Run. Unlike every field above they are measured, not
@@ -252,6 +243,9 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	if job.Mapper == nil {
 		return nil, stats, fmt.Errorf("mr: job %q has no mapper", job.Name)
 	}
+	if job.Reducer == nil {
+		return nil, stats, fmt.Errorf("mr: job %q has no reducer", job.Name)
+	}
 	if job.Input == nil {
 		return nil, stats, fmt.Errorf("mr: job %q has no input", job.Name)
 	}
@@ -268,8 +262,8 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		sideBytes += d.Bytes()
 	}
 	// newTask returns a task's context: counters of its own (merged into
-	// the job's when the task ends), the memory budget and, when the stage
-	// loads them, the side inputs already charged against it.
+	// the job's when the task ends), the memory budget and, for the map
+	// stage, the side inputs already charged against it.
 	newTask := func(index int, side bool, what string) (*TaskContext, error) {
 		ctx := &TaskContext{JobName: job.Name, TaskIndex: index, Counters: NewCounters(), memBudget: cluster.MemPerMachine}
 		if side {
@@ -280,30 +274,20 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		}
 		return ctx, nil
 	}
-	// setup runs the Setup of a map or reduce function that has one, on a
-	// context of its own.
-	setup := func(fn any, side bool, stage string) error {
-		s, ok := fn.(Setupper)
-		if !ok {
-			return nil
-		}
-		ctx, err := newTask(-1, side, stage+" setup")
-		if err != nil {
-			return err
-		}
-		if err := s.Setup(ctx); err != nil {
-			return fmt.Errorf("mr: job %q %s setup: %w", job.Name, stage, err)
-		}
-		counters.Merge(ctx.Counters)
-		return nil
-	}
 
 	// ---- Map stage ----
 	// Side inputs load once, at stage start, before any record is mapped —
 	// the paper's rule for keeping map functions pure. Mapper state derived
 	// here is read-only during the parallel tasks.
-	if err := setup(job.Mapper, true, "map"); err != nil {
-		return nil, stats, err
+	if s, ok := job.Mapper.(Setupper); ok {
+		ctx, err := newTask(-1, true, "map setup")
+		if err != nil {
+			return nil, stats, err
+		}
+		if err := s.Setup(ctx); err != nil {
+			return nil, stats, fmt.Errorf("mr: job %q map setup: %w", job.Name, err)
+		}
+		counters.Merge(ctx.Counters)
 	}
 	stats.MapTasks = job.Input.NumPartitions()
 	maps := make([]*mapTask, stats.MapTasks)
@@ -416,16 +400,11 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	shuffled := time.Now()
 
 	// ---- Reduce stage ----
-	if job.Reducer != nil {
-		if err := setup(job.Reducer, job.SideInputsAtReduce, "reduce"); err != nil {
-			return nil, stats, err
-		}
-	}
 	out := make([]mrfs.Batch, numReducers) // the reducers' output, before re-striping
 	stats.ReduceTasks = numReducers
 	reduceIOs := make([]TaskIO, numReducers)
 	err = parallelFor(numReducers, func(p int) error {
-		ctx, err := newTask(p, job.SideInputsAtReduce, fmt.Sprintf("reduce task %d", p))
+		ctx, err := newTask(p, false, fmt.Sprintf("reduce task %d", p))
 		if err != nil {
 			return err
 		}
@@ -472,18 +451,15 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		ShuffleBytes:   stats.ShuffleBytes,
 		ShuffleRecords: shuffleRecords,
 		SideBytes:      sideBytes,
-		SideAtReduce:   job.SideInputsAtReduce,
 	}
-	stats.SlowestMapTask = maxOf(taskCosts(mapIOs, cm))
-	stats.SlowestReduceTask = maxOf(taskCosts(reduceIOs, cm))
 	if cm.MaxTaskSeconds > 0 {
-		if stats.SlowestMapTask > cm.MaxTaskSeconds {
+		if slowest := maxOf(taskCosts(mapIOs, cm)); slowest > cm.MaxTaskSeconds {
 			return nil, stats, fmt.Errorf("mr: job %q: map task ran %.0fs (deadline %.0fs): %w",
-				job.Name, stats.SlowestMapTask, cm.MaxTaskSeconds, ErrTaskKilled)
+				job.Name, slowest, cm.MaxTaskSeconds, ErrTaskKilled)
 		}
-		if stats.SlowestReduceTask > cm.MaxTaskSeconds {
+		if slowest := maxOf(taskCosts(reduceIOs, cm)); slowest > cm.MaxTaskSeconds {
 			return nil, stats, fmt.Errorf("mr: job %q: reduce task ran %.0fs (deadline %.0fs): %w",
-				job.Name, stats.SlowestReduceTask, cm.MaxTaskSeconds, ErrTaskKilled)
+				job.Name, slowest, cm.MaxTaskSeconds, ErrTaskKilled)
 		}
 	}
 
@@ -543,8 +519,8 @@ func restripe(name string, out []mrfs.Batch) *mrfs.Dataset {
 type groupReducer struct {
 	ctx   *TaskContext
 	job   *Job
-	fn    Reducer // nil passes the records through (a map-only job)
-	stage string  // "reduce" or "combiner", for errors
+	fn    Reducer
+	stage string // "reduce" or "combiner", for errors
 	em    batchEmitter
 	// cm is set for the reduce stage only: the scheduler deadline is
 	// checked between groups so a runaway reduce task is killed mid-flight.
@@ -574,12 +550,6 @@ func (g *groupReducer) batch(b *mrfs.Batch) error {
 func (g *groupReducer) reduce(b *mrfs.Batch, lo, hi int, size int64) error {
 	g.inRecords += int64(hi - lo)
 	g.inBytes += size
-	if g.fn == nil {
-		for i := lo; i < hi; i++ {
-			g.em.out.AppendFrom(b, i)
-		}
-		return nil
-	}
 	g.vals = Values{b: b, lo: lo, hi: hi, pos: lo, bytes: size}
 	err := g.fn.Reduce(g.ctx, b.Key(lo), &g.vals, &g.em)
 	if err == nil {

@@ -220,23 +220,6 @@ func TestGroupingOneReducerCallPerKey(t *testing.T) {
 	}
 }
 
-func TestMapOnlyJob(t *testing.T) {
-	out, stats, err := Run(testCluster(2), Job{
-		Name:   "maponly",
-		Input:  wordCountInput(2, "a b", "c"),
-		Mapper: wordCountMapper,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRecords() != 3 {
-		t.Fatalf("records: got %d want 3", out.NumRecords())
-	}
-	if stats.ReduceOutRecs != 3 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
 func TestOOMOnReserve(t *testing.T) {
 	cl := NewCluster(2, 100) // tiny budget
 	mapper := MapperFunc(func(ctx *TaskContext, rec mrfs.Record, emit Emitter) error {
@@ -245,7 +228,7 @@ func TestOOMOnReserve(t *testing.T) {
 		}
 		return nil
 	})
-	_, _, err := Run(cl, Job{Name: "oom", Input: wordCountInput(1, "x"), Mapper: mapper})
+	_, _, err := Run(cl, Job{Name: "oom", Input: wordCountInput(1, "x"), Mapper: mapper, Reducer: sumReducer})
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("want ErrOutOfMemory, got %v", err)
 	}
@@ -261,6 +244,7 @@ func TestOOMOnSideInputs(t *testing.T) {
 		Name:       "side-oom",
 		Input:      wordCountInput(1, "x"),
 		Mapper:     wordCountMapper,
+		Reducer:    sumReducer,
 		SideInputs: map[string]*mrfs.Dataset{"table": big},
 	})
 	if !errors.Is(err, ErrOutOfMemory) {
@@ -280,6 +264,7 @@ func TestSideInputsAvailableInSetup(t *testing.T) {
 		Name:       "side",
 		Input:      wordCountInput(1, "a"),
 		Mapper:     m,
+		Reducer:    sumReducer,
 		SideInputs: map[string]*mrfs.Dataset{"table": table},
 	})
 	if err != nil {
@@ -351,9 +336,15 @@ func TestRewindChargesIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withRewind.SlowestReduceTask <= plain.SlowestReduceTask {
-		t.Fatalf("rewinds should cost: %v vs %v", withRewind.SlowestReduceTask, plain.SlowestReduceTask)
+	cm := testCluster(1).Cost
+	if w, p := slowestReduceTask(withRewind, cm), slowestReduceTask(plain, cm); w <= p {
+		t.Fatalf("rewinds should cost: %v vs %v", w, p)
 	}
+}
+
+// slowestReduceTask prices a run's costliest reduce task under cm.
+func slowestReduceTask(s JobStats, cm CostModel) float64 {
+	return maxOf(taskCosts(s.Profile.ReduceTasks, cm))
 }
 
 func TestMoreMachinesReduceSimulatedTime(t *testing.T) {
@@ -391,9 +382,9 @@ func TestSkewedKeyBottlenecksOneReducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s32.SlowestReduceTask < s4.SlowestReduceTask*0.9 {
-		t.Fatalf("skewed reduce should not parallelize: %.4f vs %.4f",
-			s32.SlowestReduceTask, s4.SlowestReduceTask)
+	cm := testCluster(1).Cost
+	if r32, r4 := slowestReduceTask(s32, cm), slowestReduceTask(s4, cm); r32 < r4*0.9 {
+		t.Fatalf("skewed reduce should not parallelize: %.4f vs %.4f", r32, r4)
 	}
 }
 
@@ -404,15 +395,18 @@ func TestValidationErrors(t *testing.T) {
 	if _, _, err := Run(testCluster(1), Job{Name: "nomapper", Input: wordCountInput(1, "x")}); err == nil {
 		t.Fatal("want no-mapper error")
 	}
-	if _, _, err := Run(testCluster(1), Job{Name: "noinput", Mapper: wordCountMapper}); err == nil {
+	if _, _, err := Run(testCluster(1), Job{Name: "noinput", Mapper: wordCountMapper, Reducer: sumReducer}); err == nil {
 		t.Fatal("want no-input error")
+	}
+	if _, _, err := Run(testCluster(1), Job{Name: "noreducer", Input: wordCountInput(1, "x"), Mapper: wordCountMapper}); err == nil {
+		t.Fatal("want no-reducer error")
 	}
 }
 
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	mapper := MapperFunc(func(_ *TaskContext, _ mrfs.Record, _ Emitter) error { return boom })
-	_, _, err := Run(testCluster(1), Job{Name: "err", Input: wordCountInput(1, "x"), Mapper: mapper})
+	_, _, err := Run(testCluster(1), Job{Name: "err", Input: wordCountInput(1, "x"), Mapper: mapper, Reducer: sumReducer})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -430,11 +424,11 @@ func TestReduceErrorPropagates(t *testing.T) {
 func TestCountersMergeAcrossTasks(t *testing.T) {
 	mapper := MapperFunc(func(ctx *TaskContext, rec mrfs.Record, emit Emitter) error {
 		ctx.Counters.Inc("records")
-		emit.Emit(rec.Key, rec.Val)
+		emit.Emit(rec.Key, []byte("1"))
 		return nil
 	})
 	_, stats, err := Run(testCluster(3), Job{
-		Name: "cnt", Input: wordCountInput(5, "a", "b", "c", "d", "e", "f", "g"), Mapper: mapper,
+		Name: "cnt", Input: wordCountInput(5, "a", "b", "c", "d", "e", "f", "g"), Mapper: mapper, Reducer: sumReducer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -99,22 +99,6 @@ func TestSpillWithCombiner(t *testing.T) {
 	}
 }
 
-// TestSpillMapOnly covers the map-only (nil Reducer) passthrough over the
-// merged stream.
-func TestSpillMapOnly(t *testing.T) {
-	job := Job{
-		Name:   "passthrough",
-		Input:  bigWordInput(3, 200),
-		Mapper: wordCountMapper,
-	}
-	mem, _ := runSorted(t, testCluster(3), job)
-	spill, stats := runSorted(t, spillCluster(3, 100), job)
-	if stats.Spills == 0 {
-		t.Fatal("no spill happened")
-	}
-	assertSameRecords(t, spill, mem)
-}
-
 // TestSpillSecondaryKeys asserts the merge preserves secondary-key order
 // for reducers that depend on it.
 func TestSpillSecondaryKeys(t *testing.T) {
@@ -208,7 +192,7 @@ func TestSpillCostAccounting(t *testing.T) {
 // TestSpillValidation rejects a negative cap.
 func TestSpillValidation(t *testing.T) {
 	cl := spillCluster(2, -1)
-	_, _, err := Run(cl, Job{Name: "bad", Input: bigWordInput(1, 2), Mapper: wordCountMapper})
+	_, _, err := Run(cl, Job{Name: "bad", Input: bigWordInput(1, 2), Mapper: wordCountMapper, Reducer: sumReducer})
 	if err == nil {
 		t.Fatal("negative ShuffleBufferBytes accepted")
 	}

@@ -9,7 +9,7 @@
 // The programming model follows the paper's §2: map:
 // ⟨key1,value1⟩ → (⟨key2,value2⟩)*, reduce: ⟨key2,(value2)*⟩ → (value3)*,
 // optional secondary keys (Google MR only), dedicated combiners, side-input
-// loading at stage start, and rewindable reduce value lists.
+// loading at map-stage start, and rewindable reduce value lists.
 //
 // Records have one in-memory form from a job's input to its output: the
 // mrfs.Batch, an append-only byte slab plus a pointer-free index. Dataset
@@ -71,9 +71,10 @@ func (f ReducerFunc) Reduce(ctx *TaskContext, key []byte, values *Values, emit E
 	return f(ctx, key, values, emit)
 }
 
-// Setupper is an optional extension: Setup runs once per task before the
-// first record, after side inputs are loaded. Mappers use it to build
-// lookup tables from side inputs.
+// Setupper is an optional Mapper extension: Setup runs once per map
+// stage, on a context of its own, after side inputs are loaded and before
+// any map task starts. Mappers use it to build read-only lookup tables
+// from side inputs.
 type Setupper interface {
 	Setup(ctx *TaskContext) error
 }
@@ -134,7 +135,8 @@ type TaskContext struct {
 	// tasks never contend on a counter.
 	Counters *Counters
 	// Side holds the side-input datasets declared by the job, keyed by
-	// name. Loading cost and memory are charged automatically.
+	// name, in map tasks and map setup (nil in reduce tasks). Loading
+	// cost and memory are charged automatically.
 	Side map[string]*mrfs.Dataset
 
 	memBudget int64

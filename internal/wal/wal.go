@@ -177,10 +177,6 @@ func (l *Log) Metrics() *LogMetrics { return &l.m }
 func snapName(gen uint64) string { return fmt.Sprintf("snap-%08d", gen) }
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%08d", gen) }
 
-// SnapName names the snapshot file of a generation — the file
-// WriteSnapshot creates and Open loads.
-func SnapName(gen uint64) string { return snapName(gen) }
-
 // scanDir lists the snapshot and WAL generations in dir and the temp
 // files an interrupted snapshot left behind; a missing dir lists
 // nothing. A "shard-*" subdirectory is the retired per-shard layout,

@@ -191,7 +191,8 @@ func runKNNDifferentialQuery(t *testing.T, measure string) {
 // datasets: the differential corpus; one where every entity carries the
 // same element (a posting list as long as the dataset); one holding an
 // entity added with only zero counts (distance 1 from everything); and
-// a numbered dataset whose IDs repeat, so AddByID merges.
+// one whose entities, named by number, are added repeatedly, so Add
+// merges.
 func TestKNNDifferentialAllKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1013))
 	stopword := randomEntities(rng, 40, 26, 7, 4)
@@ -202,11 +203,11 @@ func TestKNNDifferentialAllKNN(t *testing.T) {
 	zeroed["ghost"] = map[string]uint32{"e1": 0, "e2": 0}
 	numbered := NewDataset()
 	for i := 0; i < 40; i++ {
-		counts := make(map[uint64]uint32)
+		counts := make(map[string]uint32)
 		for j, n := 0, 1+rng.Intn(4); j < n; j++ {
-			counts[uint64(rng.Intn(15))] = uint32(1 + rng.Intn(3))
+			counts[fmt.Sprint(rng.Intn(15))] = uint32(1 + rng.Intn(3))
 		}
-		numbered.AddByID(uint64(1+rng.Intn(25)), counts)
+		numbered.Add(fmt.Sprint(1+rng.Intn(25)), counts)
 	}
 	cases := []struct {
 		name string
