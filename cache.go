@@ -18,6 +18,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"vsmartjoin/internal/index"
 )
 
 // defaultCacheSize is the result-cache capacity when IndexOptions leaves
@@ -26,7 +28,7 @@ import (
 // a skewed stream.
 const defaultCacheSize = 1024
 
-// queryCache is a bounded LRU over canonicalized query keys. All state
+// queryCache is a bounded LRU over interned query keys (appendKey). All state
 // sits behind one mutex — lookups copy in and out, so the critical
 // section is short and the cache never holds a reference a caller could
 // mutate.
@@ -63,10 +65,12 @@ func cloneResult(r QueryResult) QueryResult {
 }
 
 // get returns a copy of the cached answer for key if one exists and was
-// computed at the given generation. A stale entry (any other generation)
-// is evicted and reads as a miss. The key is raw bytes so the lookup
-// stays allocation-free: Go elides the string conversion in a map index
-// expression, and only put materializes the string.
+// computed at the given generation. A stale entry (an older generation)
+// is evicted and reads as a miss; a newer one, filled by a query that
+// began after this one read gen, is left for the lookups it can serve.
+// The key is raw bytes so the lookup stays allocation-free: Go elides
+// the string conversion in a map index expression, and only put
+// materializes the string.
 func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 	c.mu.Lock()
 	el, ok := c.byKey[string(key)]
@@ -77,8 +81,10 @@ func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 	}
 	ent := el.Value.(*cacheEntry)
 	if ent.gen != gen {
-		c.lru.Remove(el)
-		delete(c.byKey, ent.key)
+		if ent.gen < gen {
+			c.lru.Remove(el)
+			delete(c.byKey, ent.key)
+		}
 		c.mu.Unlock()
 		c.misses.Add(1)
 		return QueryResult{}, false
@@ -92,25 +98,33 @@ func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 
 // put stores a copy of res under key, stamped with gen (the generation
 // read before the query ran — see the package comment above for why a
-// racing mutation then yields a false miss, never a stale hit), and
-// evicts least-recently-used entries beyond capacity.
+// racing mutation then yields a false miss, never a stale hit). An
+// entry already under key is replaced only by a newer generation's
+// answer: a slow miss landing after a faster one of a later generation
+// must not swap a current answer for one that can never hit. A full
+// cache evicts its least-recently-used entry and reuses its node. The
+// copies are made before the lock is taken.
 func (c *queryCache) put(key []byte, gen uint64, res QueryResult) {
+	k, res := string(key), cloneResult(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[string(key)]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.gen = gen
-		ent.res = cloneResult(res)
+	if el, ok := c.byKey[k]; ok {
+		if ent := el.Value.(*cacheEntry); gen > ent.gen {
+			ent.gen, ent.res = gen, res
+		}
 		c.lru.MoveToFront(el)
 		return
 	}
-	k := string(key)
-	c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, gen: gen, res: cloneResult(res)})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
+	if c.lru.Len() < c.cap {
+		c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, gen: gen, res: res})
+		return
 	}
+	el := c.lru.Back()
+	ent := el.Value.(*cacheEntry)
+	delete(c.byKey, ent.key)
+	*ent = cacheEntry{key: k, gen: gen, res: res}
+	c.lru.MoveToFront(el)
+	c.byKey[k] = el
 }
 
 // len reports the number of live entries (stale ones included until
@@ -121,59 +135,39 @@ func (c *queryCache) len() int {
 	return c.lru.Len()
 }
 
-// Cache key layout: the query kind byte, the measure name
+// appendKey appends the cache key of q, resolved by the index into iq,
+// to b. The layout: the query kind byte, the measure name
 // (NUL-terminated — measure names never contain NUL), the kind's
-// parameter (threshold bits or k), then the subject: 'E' and the entity
-// name, or 'M' and the canonicalized multiset. Element names are
-// length-prefixed so adjacent names cannot alias, and sorted so the key
-// is independent of map iteration order — two maps holding the same
-// multiset always build the same key.
-//
-// Keys are built into pooled scratch buffers so the cache hit path does
-// not allocate for key construction; the key string is materialized only
-// when put inserts a new entry.
-
-type keyScratch struct {
-	b     []byte
-	names []string
-}
-
-var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
-
-// release returns ks to the pool, dropping the element names so a pooled
-// scratch cannot pin a caller's strings in memory.
-func (ks *keyScratch) release() {
-	clear(ks.names)
-	keyScratchPool.Put(ks)
-}
-
-// build writes q's cache key into ks.b. q has passed CheckQuery, so
-// exactly the fields its kind reads are meaningful.
-func (ks *keyScratch) build(measure string, q Query) {
+// parameter (threshold bits or k), then the subject as the index
+// resolved it — 'E' and the entity name, or 'M', iq.Extra's Card, UCard
+// and SumSq, and the (element ID, count) pairs of iq.Set in element
+// order, all fixed-width big-endian. Every field but the entity name is
+// fixed-width and the name comes last, so distinct subjects cannot
+// alias. The inner answer depends only on (Set, Extra, t or k), so two
+// element queries whose unknown names differ but whose counts match
+// share one key; element IDs are never reassigned, and a new one is
+// interned only inside an Apply, which bumps the generation every entry
+// is stamped with. q has passed CheckQuery, so exactly the fields its
+// kind reads are meaningful.
+func appendKey(b []byte, measure string, q Query, iq index.Query) []byte {
 	param := uint64(q.K)
 	if q.Kind == KindThreshold {
 		param = math.Float64bits(q.Threshold)
 	}
-	b := append(ks.b[:0], byte(q.Kind))
+	b = append(b, byte(q.Kind))
 	b = append(b, measure...)
 	b = append(b, 0)
 	b = binary.BigEndian.AppendUint64(b, param)
 	if q.Entity != "" {
-		ks.b = append(append(b, 'E'), q.Entity...)
-		return
+		return append(append(b, 'E'), q.Entity...)
 	}
 	b = append(b, 'M')
-	names := ks.names[:0]
-	for name, c := range q.Elements {
-		if c > 0 { // zero counts are ignored by queries, so they can't split keys
-			names = append(names, name)
-		}
+	b = binary.BigEndian.AppendUint64(b, iq.Extra.Card)
+	b = binary.BigEndian.AppendUint64(b, iq.Extra.UCard)
+	b = binary.BigEndian.AppendUint64(b, iq.Extra.SumSq)
+	for _, e := range iq.Set.Entries {
+		b = binary.BigEndian.AppendUint64(b, uint64(e.Elem))
+		b = binary.BigEndian.AppendUint32(b, e.Count)
 	}
-	slices.Sort(names)
-	for _, name := range names {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(name)))
-		b = append(b, name...)
-		b = binary.BigEndian.AppendUint32(b, q.Elements[name])
-	}
-	ks.b, ks.names = b, names
+	return b
 }

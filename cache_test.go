@@ -3,6 +3,7 @@ package vsmartjoin
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -209,5 +210,85 @@ func TestCacheHitIsACopy(t *testing.T) {
 	third, _ := ix.QueryThreshold(q, 0.0)
 	if !reflect.DeepEqual(first, third) {
 		t.Fatalf("caller mutation leaked into the cache:\nwant %v\ngot  %v", first, third)
+	}
+}
+
+// TestCachePutKeepsNewerGeneration: a slow miss stamped with an older
+// generation, landing after a fast one of a newer generation, must not
+// replace the current answer; nor may a lookup at the older generation
+// evict it.
+func TestCachePutKeepsNewerGeneration(t *testing.T) {
+	c := newQueryCache(4)
+	key := []byte("k")
+	a := QueryResult{Matches: []Match{{Entity: "a", Similarity: 1}}}
+	b := QueryResult{Matches: []Match{{Entity: "b", Similarity: 1}}}
+	c.put(key, 5, a)
+	c.put(key, 4, b)
+	if res, ok := c.get(key, 5); !ok || !reflect.DeepEqual(res, a) {
+		t.Fatalf("get at generation 5 = %v, %v; want a hit on %v", res, ok, a)
+	}
+	if _, ok := c.get(key, 4); ok {
+		t.Fatal("generation-4 lookup hit a generation-5 entry")
+	}
+	if res, ok := c.get(key, 5); !ok || !reflect.DeepEqual(res, a) {
+		t.Fatalf("after an older lookup, get at generation 5 = %v, %v; want a hit on %v", res, ok, a)
+	}
+	c.put(key, 6, b)
+	if res, ok := c.get(key, 6); !ok || !reflect.DeepEqual(res, b) {
+		t.Fatalf("get at generation 6 = %v, %v; want a hit on %v", res, ok, b)
+	}
+}
+
+// TestCacheKeysUnknownElementsByCounts: the key is built from the
+// interned query, where elements the index has never seen are only
+// their counts, so two queries differing only in the names of those
+// share one entry — the inner index cannot tell them apart either.
+func TestCacheKeysUnknownElementsByCounts(t *testing.T) {
+	ix := cacheTestIndex(t, IndexOptions{})
+	oracle := cacheTestIndex(t, IndexOptions{CacheSize: -1})
+	q1 := map[string]uint32{"e0": 2, "shared": 3, "unseen-x": 4, "unseen-y": 1}
+	q2 := map[string]uint32{"e0": 2, "shared": 3, "unseen-z": 1, "unseen-w": 4}
+	for i, q := range []map[string]uint32{q1, q2} {
+		got, err := ix.QueryThreshold(q, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.QueryThreshold(q, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: got %v, want %v (uncached)", i+1, got, want)
+		}
+	}
+	if st := ix.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 || st.CacheEntries != 1 {
+		t.Fatalf("the second query should hit the first's entry, stats %+v", st)
+	}
+}
+
+// TestCacheMissesAfterElementInterned: a query naming an element no
+// entity holds is cached with that element as a count; an Add that
+// interns it bumps the generation, so the same query misses and its
+// answer holds the new entity.
+func TestCacheMissesAfterElementInterned(t *testing.T) {
+	ix := cacheTestIndex(t, IndexOptions{})
+	q := map[string]uint32{"e0": 2, "novel": 5}
+	before, err := ix.QueryThreshold(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add("newcomer", map[string]uint32{"novel": 5}); err != nil {
+		t.Fatal(err)
+	}
+	misses := ix.Stats().CacheMisses
+	after, err := ix.QueryThreshold(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.CacheMisses != misses+1 {
+		t.Fatalf("query after the interning Add should miss, stats %+v", st)
+	}
+	if len(after) != len(before)+1 || !slices.ContainsFunc(after, func(m Match) bool { return m.Entity == "newcomer" }) {
+		t.Fatalf("after the Add: %v; want %v plus newcomer", after, before)
 	}
 }

@@ -152,11 +152,12 @@
 // engine (the benchmark's index.allocs_per_op; see benchmark/README.md).
 //
 // On top of that, Index keeps a bounded LRU cache of complete query
-// results, keyed by the measure, the canonicalized query elements, and
-// the threshold or k. IndexOptions.CacheSize bounds it: 0 means the
-// default of 1024 cached results, a negative value disables caching
-// entirely, and any positive value is the maximum number of results
-// retained. The cache is invalidated by generation: every Add or
+// results, keyed by the measure, the query as the index interned it
+// (known elements by ID, elements it has never seen by their counts
+// alone), and the threshold or k. IndexOptions.CacheSize bounds it: 0
+// means the default of 1024 cached results, a negative value disables
+// caching entirely, and any positive value is the maximum number of
+// results retained. The cache is invalidated by generation: every Add or
 // Remove bumps an internal generation counter and cached entries only
 // answer queries at the generation they were computed under, so a
 // cached answer is never stale — a mutation racing a lookup can only

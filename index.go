@@ -110,7 +110,7 @@ type IndexOptions struct {
 	GroupCommitWindow time.Duration
 
 	// CacheSize bounds the query result cache: a per-index LRU over
-	// canonicalized queries ((measure, query elements, t or k) keys)
+	// interned queries ((measure, element IDs and counts, t or k) keys)
 	// that short-circuits repeated queries — the head of a zipf-skewed
 	// query population — without ever serving a stale answer: every
 	// Add/Remove bumps the index generation and a cached entry only hits
@@ -150,8 +150,9 @@ type IndexStats struct {
 	// current number of cached answers. A cache hit bypasses the inner
 	// index entirely, so it advances none of the funnel counters
 	// (Queries included) — with the cache on, public query traffic is
-	// CacheHits + CacheMisses and the funnel keeps describing real
-	// pruning work.
+	// CacheHits + CacheMisses (a query naming an entity that is not
+	// indexed fails before the cache and counts as neither) and the
+	// funnel keeps describing real pruning work.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`

@@ -30,6 +30,11 @@
 // holding disjoint partitions of the entities, as internal/shard's Set
 // does — on the caller's goroutine.
 //
+// Element IDs come from a multiset.Dict, so they are dense: the posting
+// directory is a table indexed by element ID, as long as the largest
+// element ever added. A query may name any element — one past the end
+// of the table has an empty posting list, and a query never grows it.
+//
 // Concurrency: a single RWMutex guards the tables. Mutations (Add, Remove,
 // compaction) take the write lock; queries share the read lock, so the hot
 // path never serializes reads against each other. The probe copies what
@@ -147,10 +152,11 @@ type Index struct {
 	// entities, so the table stays as dense as the peak live count.
 	slots     []entry
 	freeSlots []int32
-	// postings is the posting directory. A table indexed by element ID
-	// would be faster to look up, but partitions sharing one dictionary
-	// would each pay for the whole alphabet.
-	postings map[multiset.Elem][]posting
+	// postings is the posting directory, indexed by element ID: grown
+	// by storeLocked, never by a query. elements counts its non-empty
+	// lists.
+	postings [][]posting
+	elements int
 	// postingCount tracks total posting entries; deadPostings the stale
 	// ones. Compaction triggers when dead entries outnumber live ones,
 	// keeping probe work amortized-linear.
@@ -173,7 +179,6 @@ func New(m similarity.Measure) *Index {
 	return &Index{
 		measure:  m,
 		entities: make(map[multiset.ID]int32),
-		postings: make(map[multiset.Elem][]posting),
 	}
 }
 
@@ -209,7 +214,14 @@ func (ix *Index) storeLocked(s int32, m multiset.Multiset) {
 	e := &ix.slots[s]
 	e.set, e.uni = m, similarity.UniOf(m)
 	for _, ent := range m.Entries {
-		ix.postings[ent.Elem] = append(ix.postings[ent.Elem], posting{slot: s, gen: e.gen, count: ent.Count})
+		if n := int(ent.Elem) + 1; n > len(ix.postings) {
+			ix.postings = append(ix.postings, make([][]posting, n-len(ix.postings))...)
+		}
+		list := ix.postings[ent.Elem]
+		if len(list) == 0 {
+			ix.elements++
+		}
+		ix.postings[ent.Elem] = append(list, posting{slot: s, gen: e.gen, count: ent.Count})
 	}
 	ix.postingCount += len(m.Entries)
 	ix.entities[m.ID] = s
@@ -312,8 +324,10 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	// doubling leaves up to half of every list's capacity unused.
 	all := make([]posting, 0, ix.postingCount)
 	for elem, list := range ix.postings {
-		all = append(all, list...)
-		ix.postings[elem] = all[len(all)-len(list) : len(all) : len(all)]
+		if len(list) > 0 {
+			all = append(all, list...)
+			ix.postings[elem] = all[len(all)-len(list) : len(all) : len(all)]
+		}
 	}
 	// Bulk-loaded entities are mutations like any other: a daemon
 	// bootstrapped from snapshot files must report the entities it
@@ -329,6 +343,9 @@ func (ix *Index) maybeCompactLocked() {
 		return
 	}
 	for elem, list := range ix.postings {
+		if len(list) == 0 {
+			continue
+		}
 		w := 0
 		for _, p := range list {
 			if ix.slots[p.slot].gen == p.gen {
@@ -337,7 +354,8 @@ func (ix *Index) maybeCompactLocked() {
 			}
 		}
 		if w == 0 {
-			delete(ix.postings, elem)
+			ix.postings[elem] = nil
+			ix.elements--
 			continue
 		}
 		ix.postings[elem] = list[:w]
@@ -391,7 +409,7 @@ func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	s := Stats{
 		Entities: len(ix.entities),
-		Elements: len(ix.postings),
+		Elements: ix.elements,
 		Postings: ix.postingCount,
 	}
 	ix.mu.RUnlock()
@@ -584,19 +602,21 @@ func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
 }
 
 // openLocked readies p for a probe of this index: the marks cover its
-// slots, and p.lists holds the posting list of every query element —
-// looked up back to back, before any list is walked. The lookups are
+// slots, and p.lists holds the posting list of every query element — a
+// directory slot each, read back to back before any list is walked, and
+// nil for an element past the directory's end. The reads are
 // independent, so their cache misses overlap; interleaved with the walks
-// each one waits alone, behind a walk that has pushed the posting
-// directory out of cache, and a query over S partitions makes S times
-// as many (measured over 8 partitions of 10k entities, top-k on queries
-// new to the caches: 107 → 47 µs; warm, 46 → 42). Caller holds the read
-// lock.
+// each one waits alone, behind a walk that has pushed the directory out
+// of cache. Caller holds the read lock.
 func (ix *Index) openLocked(p *pass) {
 	p.mark(len(ix.slots))
 	p.lists = p.lists[:0]
 	for _, ent := range p.order {
-		p.lists = append(p.lists, ix.postings[ent.Elem])
+		var list []posting
+		if ent.Elem < multiset.Elem(len(ix.postings)) {
+			list = ix.postings[ent.Elem]
+		}
+		p.lists = append(p.lists, list)
 	}
 }
 

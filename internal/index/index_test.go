@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -394,6 +395,74 @@ func TestBulkLoadMatchesAdds(t *testing.T) {
 		if g[i] != w[i] {
 			t.Fatalf("after churn match %d: %v vs %v", i, g[i], w[i])
 		}
+	}
+}
+
+// TestBulkLoadGappedElements: a directory indexed by element ID has
+// empty slots between the elements used; BulkLoad's repack skips them,
+// and the loaded index answers like the same Adds — queries naming a gap
+// or an element past the end included.
+func TestBulkLoadGappedElements(t *testing.T) {
+	elems := []multiset.Elem{0, 5, 1000}
+	var sets []multiset.Multiset
+	for i := range 12 {
+		entries := []multiset.Entry{{Elem: elems[i%3], Count: uint32(1 + i%4)}}
+		if i%2 == 0 {
+			entries = append(entries, multiset.Entry{Elem: elems[(i+1)%3], Count: 2})
+		}
+		sets = append(sets, multiset.New(multiset.ID(i+1), entries))
+	}
+	m := similarity.Ruzicka{}
+	added := buildIndex(m, sets)
+	bulk := New(m)
+	if err := bulk.BulkLoad(cloneSets(sets)); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := bulk.Stats(), added.Stats(); g.Elements != 3 || w.Elements != 3 || g.Postings != w.Postings {
+		t.Fatalf("bulk stats %+v, added stats %+v; want 3 elements each and equal postings", g, w)
+	}
+	queries := []multiset.Multiset{
+		multiset.New(0, []multiset.Entry{{Elem: 0, Count: 1}, {Elem: 5, Count: 2}, {Elem: 1000, Count: 3}}),
+		multiset.New(0, []multiset.Entry{{Elem: 3, Count: 1}, {Elem: 1000, Count: 1}, {Elem: 4000, Count: 2}}),
+		multiset.New(0, []multiset.Entry{{Elem: 999, Count: 1}}),
+	}
+	for _, q := range append(queries, sets...) {
+		for _, thr := range []float64{0, 0.5} {
+			g := bulk.QueryThresholdInto(QueryOf(q), thr, nil)
+			w := added.QueryThresholdInto(QueryOf(q), thr, nil)
+			if !slices.Equal(g, w) {
+				t.Fatalf("query %v t=%v: bulk %v, added %v", q, thr, g, w)
+			}
+		}
+		if g, w := bulk.QueryTopKInto(QueryOf(q), 4, nil), added.QueryTopKInto(QueryOf(q), 4, nil); !slices.Equal(g, w) {
+			t.Fatalf("query %v top-4: bulk %v, added %v", q, g, w)
+		}
+	}
+	if got := bulk.QueryThresholdInto(QueryOf(queries[2]), 0, nil); len(got) != 0 {
+		t.Fatalf("a query on a gap matched %v", got)
+	}
+}
+
+// TestStatsElementsFollowCompaction: Stats.Elements counts the elements
+// with a posting list, so it drops when compaction purges an element's
+// last posting and counts the element again when an entity re-adds it.
+func TestStatsElementsFollowCompaction(t *testing.T) {
+	ix := New(similarity.Ruzicka{})
+	ix.Add(multiset.FromSet(1, []multiset.Elem{1, 2, 3}))
+	ix.Add(multiset.FromSet(2, []multiset.Elem{3}))
+	if s := ix.Stats(); s.Elements != 3 {
+		t.Fatalf("before remove: %+v", s)
+	}
+	ix.Remove(1) // 3 dead postings against 1 live: compaction runs
+	if s := ix.Stats(); s.Compactions != 1 || s.Elements != 1 || s.Postings != 1 {
+		t.Fatalf("after compaction: %+v, want 1 compaction, 1 element, 1 posting", s)
+	}
+	ix.Add(multiset.FromSet(3, []multiset.Elem{1}))
+	if s := ix.Stats(); s.Elements != 2 {
+		t.Fatalf("after re-add: %+v, want 2 elements", s)
+	}
+	if got := ix.QueryThresholdInto(QueryOf(multiset.FromSet(0, []multiset.Elem{1})), 0.9, nil); len(got) != 1 || got[0].ID != 3 {
+		t.Fatalf("re-added element: %v", got)
 	}
 }
 

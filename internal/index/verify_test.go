@@ -143,7 +143,8 @@ func TestStalePostingsAddNothing(t *testing.T) {
 // against a small index matches nothing through it, weighs it into every
 // denominator exactly as ConjOf-based verification does, and sizes no
 // scratch table by it: the pass's tables follow the index's slot count
-// and the query's length.
+// and the query's length, and the posting directory follows the largest
+// element added.
 func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const alphabet = 50
@@ -170,6 +171,7 @@ func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	}
 
 	ix := buildIndex(similarity.Ruzicka{}, sets)
+	dir := len(ix.postings)
 	q := QueryOf(multiset.New(0, []multiset.Entry{{Elem: 1, Count: 1}, {Elem: 7, Count: 2}, {Elem: 1 << 40, Count: 3}}))
 	p := new(pass)
 	p.begin(q, nil)
@@ -177,6 +179,10 @@ func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	if len(p.marks) > len(sets)*3/2+16 || len(p.lists) != len(q.Set.Entries) {
 		t.Fatalf("pass tables: %d marks, %d lists for %d entities and a %d-element query",
 			len(p.marks), len(p.lists), len(sets), len(q.Set.Entries))
+	}
+	ix.QueryTopKInto(q, 5, nil)
+	if len(ix.postings) != dir || dir > alphabet {
+		t.Fatalf("posting directory: %d slots after the queries, %d before, for a %d-element alphabet", len(ix.postings), dir, alphabet)
 	}
 	if raceDetector {
 		return

@@ -47,6 +47,26 @@ func (d *Dict) Lookup(name string) (Elem, bool) {
 	return id, ok
 }
 
+// LookupCounts resolves a map of name counts without interning, under
+// one read-lock hold: it appends an Entry to known for every name the
+// dictionary holds and the count of every other name to unknown,
+// skipping zero counts, in map order.
+func (d *Dict) LookupCounts(counts map[string]uint32, known []Entry, unknown []uint32) ([]Entry, []uint32) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for name, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if id, ok := d.byName[name]; ok {
+			known = append(known, Entry{Elem: id, Count: c})
+		} else {
+			unknown = append(unknown, c)
+		}
+	}
+	return known, unknown
+}
+
 // Name returns the string for id, or "" if id was never assigned.
 func (d *Dict) Name(id Elem) string {
 	d.mu.RLock()

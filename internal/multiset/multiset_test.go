@@ -200,6 +200,13 @@ func TestDict(t *testing.T) {
 	if d.Name(Elem(99)) != "" {
 		t.Fatal("Name of unknown id should be empty")
 	}
+	known, unknown := d.LookupCounts(map[string]uint32{"cookie-a": 3, "cookie-b": 0, "missing": 2, "gone": 0}, nil, nil)
+	if len(known) != 1 || known[0] != (Entry{Elem: a, Count: 3}) || len(unknown) != 1 || unknown[0] != 2 {
+		t.Fatalf("LookupCounts: known %v, unknown %v", known, unknown)
+	}
+	if d.Len() != 2 {
+		t.Fatal("LookupCounts interned")
+	}
 }
 
 func TestDictConcurrent(t *testing.T) {

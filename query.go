@@ -3,12 +3,12 @@ package vsmartjoin
 // The public read path. Every online query — threshold, top-k, kNN; by
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
-// Cluster.Query): validate → result cache → intern or look up the query
-// → one pass over the inner index → boundary-tie re-query → resolve IDs to
-// names and pad a short kNN list (one read-lock hold, O(results + k)
-// whatever the index holds) → cache fill. The named methods
-// (QueryThreshold, QueryEntity, QueryTopK, QueryKNN, QueryKNNEntity) are
-// conveniences over it.
+// Cluster.Query): validate → intern or look up the query → result cache,
+// keyed by the interned form → one pass over the inner index →
+// boundary-tie re-query → resolve IDs to names and pad a short kNN list
+// (one read-lock hold, O(results + k) whatever the index holds) → cache
+// fill. The named methods (QueryThreshold, QueryEntity, QueryTopK,
+// QueryKNN, QueryKNNEntity) are conveniences over it.
 //
 // Below this file similarity is the only currency: the inner index
 // answers threshold and top-k queries in (similarity, entity ID)
@@ -105,46 +105,55 @@ func (ix *Index) Query(_ context.Context, q Query) (QueryResult, error) {
 	if err := cluster.CheckQuery(&q); err != nil {
 		return QueryResult{}, fmt.Errorf("vsmartjoin: %w", err)
 	}
-	if ix.cache == nil {
-		return ix.query(q)
-	}
-	ks := keyScratchPool.Get().(*keyScratch)
-	defer ks.release()
-	ks.build(ix.measure.Name(), q)
-	// The generation is read BEFORE the entity lookup and the query run:
-	// a mutation racing the fill leaves a stale stamp behind, so the
-	// entry can only be a false miss later, never a stale hit.
+	// The generation is read BEFORE the subject is resolved and the
+	// query runs: a mutation racing the fill leaves a stale stamp
+	// behind, so the entry can only be a false miss later, never a
+	// stale hit.
 	gen := ix.gen.Load()
-	if res, ok := ix.cache.get(ks.b, gen); ok {
+	bp := matchBufPool.Get().(*queryBuf)
+	defer matchBufPool.Put(bp)
+	iq, err := ix.subject(q, bp)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	if ix.cache == nil {
+		return ix.query(q, iq, bp), nil
+	}
+	bp.key = appendKey(bp.key[:0], ix.measure.Name(), q, iq)
+	if res, ok := ix.cache.get(bp.key, gen); ok {
 		return res, nil
 	}
-	res, err := ix.query(q)
-	if err == nil {
-		ix.cache.put(ks.b, gen, res)
-	}
-	return res, err
+	res := ix.query(q, iq, bp)
+	ix.cache.put(bp.key, gen, res)
+	return res, nil
 }
 
-// query is Query below the cache.
-func (ix *Index) query(q Query) (QueryResult, error) {
-	var iq index.Query
+// subject resolves q's subject into the inner index's query, once per
+// Query: an Elements query through buildQuery into bp's pooled entries,
+// an Entity query to the entity's own multiset. The name and its
+// multiset are read in one ix.mu hold, so the probe never carries a
+// dead ID; it carries the entity's own ID so the index skips the
+// self-pair.
+func (ix *Index) subject(q Query, bp *queryBuf) (index.Query, error) {
 	if q.Entity == "" {
-		iq = ix.buildQuery(q.Elements)
-	} else {
-		// The name and its multiset are read in one ix.mu hold, so the
-		// probe never carries a dead ID; it carries the entity's own ID so
-		// the index skips the self-pair.
-		ix.mu.RLock()
-		id, ok := ix.byName[q.Entity]
-		if ok {
-			iq = index.Query{Set: ix.inner.View(id)}
-		}
-		ix.mu.RUnlock()
-		if !ok {
-			return QueryResult{}, fmt.Errorf("vsmartjoin: entity %q not indexed", q.Entity)
-		}
+		return ix.buildQuery(q.Elements, bp), nil
 	}
-	bp := matchBufPool.Get().(*queryBuf)
+	var iq index.Query
+	ix.mu.RLock()
+	id, ok := ix.byName[q.Entity]
+	if ok {
+		iq.Set = ix.inner.View(id)
+	}
+	ix.mu.RUnlock()
+	if !ok {
+		return index.Query{}, fmt.Errorf("vsmartjoin: entity %q not indexed", q.Entity)
+	}
+	return iq, nil
+}
+
+// query is Query below the cache: one pass over the inner index for iq,
+// q's subject as resolved, using bp's staging buffer.
+func (ix *Index) query(q Query, iq index.Query, bp *queryBuf) QueryResult {
 	start, timed := bp.sample()
 	k := q.K
 	var ms []index.Match
@@ -175,11 +184,10 @@ func (ix *Index) query(q Query) (QueryResult, error) {
 	}
 	res := ix.resolve(ms, q)
 	bp.ms = ms
-	matchBufPool.Put(bp)
 	if timed {
 		ix.queryLatency.ObserveSince(start)
 	}
-	return res, nil
+	return res
 }
 
 // QueryThreshold is Query for a KindThreshold query by elements.
@@ -225,30 +233,23 @@ func (ix *Index) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
 }
 
 // buildQuery maps query element names into the index alphabet without
-// interning them. Unknown elements can match nothing, but they still count
-// toward the query's cardinalities (every measure's denominator), so they
-// are folded into the query's Extra stats.
-func (ix *Index) buildQuery(counts map[string]uint32) index.Query {
+// interning them, into bp's pooled entries: one hold of the
+// dictionary's own lock resolves the whole map. Unknown elements can
+// match nothing, but they still count toward the query's cardinalities
+// (every measure's denominator), so they are folded into the query's
+// Extra stats.
+func (ix *Index) buildQuery(counts map[string]uint32, bp *queryBuf) index.Query {
 	// Map iteration order is irrelevant here: Extra accumulation is
 	// commutative and the entries are sorted by element below. Map keys
 	// are distinct and zero counts are skipped, so there is nothing for
 	// multiset.New to merge, and its copy is spared.
 	var q index.Query
-	entries := make([]multiset.Entry, 0, len(counts))
-	ix.mu.RLock()
-	for elem, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if id, ok := ix.dict.Lookup(elem); ok {
-			entries = append(entries, multiset.Entry{Elem: id, Count: c})
-		} else {
-			q.Extra.AccumulateUni(c)
-		}
+	bp.entries, bp.unknown = ix.dict.LookupCounts(counts, bp.entries[:0], bp.unknown[:0])
+	for _, c := range bp.unknown {
+		q.Extra.AccumulateUni(c)
 	}
-	ix.mu.RUnlock()
-	multiset.SortEntries(entries)
-	q.Set = multiset.Multiset{Entries: entries}
+	multiset.SortEntries(bp.entries)
+	q.Set = multiset.Multiset{Entries: bp.entries}
 	return q
 }
 
@@ -327,10 +328,13 @@ func (ix *Index) padKNNLocked(out []Neighbor, k int, self string) []Neighbor {
 	return out
 }
 
-// queryBuf is the pooled per-query state of the public read path: the
-// internal-match staging buffer (the inner Into query fills it, resolve
-// translates it into public results, and it never reaches a caller, so
-// pooling is safe) plus a latency-sampling tick. Query latency is
+// queryBuf is the pooled per-query state of the public read path, held
+// by one Query from subject resolution to the cache fill: the interned
+// query's entries and its unknown elements' counts (buildQuery), the
+// cache key, the internal-match
+// staging buffer (the inner Into query fills it, resolve translates it
+// into public results) — none of which reaches a caller, so pooling is
+// safe — plus a latency-sampling tick. Query latency is
 // observed on one query in eight per buffer: the two clock reads and
 // the histogram's shared-cacheline bump leave the hot path seven times
 // out of eight, keeping the uncached read at its pre-instrumentation
@@ -338,8 +342,11 @@ func (ix *Index) padKNNLocked(out []Neighbor, k int, self string) []Neighbor {
 // distribution (sampling is unbiased — the tick has no correlation
 // with query difficulty).
 type queryBuf struct {
-	ms   []index.Match
-	tick uint8
+	entries []multiset.Entry
+	unknown []uint32
+	key     []byte
+	ms      []index.Match
+	tick    uint8
 }
 
 // sample advances the buffer's tick and stamps the clock on the queries
