@@ -10,6 +10,7 @@ package vsmartjoin_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -292,8 +293,33 @@ func runClusterDifferential(t *testing.T, measure string, partitions, replicas i
 		cut.servers[0][0].Close()
 		cut.compare(t, "one node killed", probes, []string{"late-dup"})
 		// And again with the router's health table aware of the death.
-		cut.cluster.CheckHealth()
+		cut.cluster.CheckNow(context.Background())
 		cut.compare(t, "one node killed, health known", probes, []string{"late-dup"})
+	}
+}
+
+// TestClusterNonPositiveK: the k-taking conveniences keep Index's
+// contract on a Cluster — a non-positive k asks for nothing and returns
+// nil, with no error, even for an entity nobody indexed.
+func TestClusterNonPositiveK(t *testing.T) {
+	cut := startCluster(t, "ruzicka", 2, 1)
+	for i := 0; i < 6; i++ {
+		cut.add(t, fmt.Sprintf("e%d", i), map[string]uint32{"x": uint32(i + 1), "y": 2})
+	}
+	probe := map[string]uint32{"x": 2, "y": 1}
+	for _, k := range []int{0, -1} {
+		got, err := cut.cluster.QueryTopK(probe, k)
+		mustMatch(t, fmt.Sprintf("topk %d", k), got, cut.oracle.QueryTopK(probe, k), err)
+		gotN, err := cut.cluster.QueryKNN(probe, k)
+		mustMatchNeighbors(t, fmt.Sprintf("knn %d", k), gotN, cut.oracle.QueryKNN(probe, k), err)
+		for _, entity := range []string{"e1", "no-such-entity"} {
+			gotN, err := cut.cluster.QueryKNNEntity(entity, k)
+			wantN, werr := cut.oracle.QueryKNNEntity(entity, k)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			mustMatchNeighbors(t, fmt.Sprintf("knn entity %q %d", entity, k), gotN, wantN, err)
+		}
 	}
 }
 

@@ -236,7 +236,10 @@
 // connections per node, opened by an HTTP/1.1 Upgrade (GET /peer) on
 // the node's own listener — while the vsmartjoind -cluster flag serves
 // a Cluster over the identical JSON surface a node exposes, so clients
-// and load balancers cannot tell router from node.
+// and load balancers cannot tell router from node. There is one Cluster
+// type: Cluster, ClusterOptions, ClusterStats and ClusterMetrics are
+// aliases of internal/cluster's Cluster, Config, Stats and Metrics, so
+// the daemon's router and this API are the same code.
 //
 // # Observability
 //

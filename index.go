@@ -511,12 +511,12 @@ func (ix *Index) Stats() IndexStats {
 		CacheHits:          cacheHits,
 		CacheMisses:        cacheMisses,
 		CacheEntries:       cacheEntries,
-		QueryLatency:       summarize(m.Query),
-		WALAppend:          summarize(m.WALAppend),
-		WALFsync:           summarize(m.WALFsync),
-		WALCommitWait:      summarize(m.WALCommitWait),
-		WALBatchSize:       summarizeSize(m.WALBatch),
-		WALGroupCommitSize: summarizeSize(m.WALGroupCommit),
+		QueryLatency:       m.Query.Summary(),
+		WALAppend:          m.WALAppend.Summary(),
+		WALFsync:           m.WALFsync.Summary(),
+		WALCommitWait:      m.WALCommitWait.Summary(),
+		WALBatchSize:       m.WALBatch.Summary(),
+		WALGroupCommitSize: m.WALGroupCommit.Summary(),
 		WALRecords:         m.WALRecords,
 		WALFsyncs:          m.WALFsyncs,
 	}

@@ -3,7 +3,9 @@
 // logical similarity index. A Cluster scatters a query across node
 // daemons and merges their answers, the same partition/merge structure
 // the paper's sharding algorithm uses for the batch join; partitioning
-// happens here, between processes, and never inside a node.
+// happens here, between processes, and never inside a node. The public
+// vsmartjoin.Cluster, ClusterOptions, ClusterStats and ClusterMetrics
+// are aliases of Cluster, Config, Stats and Metrics: one router type.
 //
 // # The router↔node hop
 //
@@ -91,14 +93,15 @@ const (
 	DefaultRepairEvery = 5 * time.Second
 )
 
-// Config describes a cluster to New.
+// Config describes a cluster to New (vsmartjoin.ClusterOptions is an
+// alias).
 type Config struct {
-	// Partitions is the topology: Partitions[p] lists the base URLs of
-	// partition p's replicas (e.g. "http://10.0.0.7:8321"). A URL
-	// without a scheme gets "http://". At least one partition with at
-	// least one replica is required; partitions may have different
-	// replica counts (each uses its own majority).
-	Partitions [][]string
+	// Nodes is the topology: Nodes[p] lists the base URLs of partition
+	// p's replicas (e.g. "http://10.0.0.7:8321"). A URL without a
+	// scheme gets "http://". At least one partition with at least one
+	// replica is required; partitions may have different replica counts
+	// (each uses its own majority).
+	Nodes [][]string
 
 	// Timeout bounds every single node request (default DefaultTimeout).
 	Timeout time.Duration
@@ -146,8 +149,9 @@ type Readiness struct {
 	Mutations  int64  `json:"mutations"`
 }
 
-// Cluster is the router. Construct with New; Close stops the
-// background loops.
+// Cluster is the router (the public vsmartjoin.Cluster is an alias):
+// a client of the node grid that mirrors an Index's Apply/Query surface.
+// Construct with New; Close stops the background loops.
 type Cluster struct {
 	parts   [][]*node    // [partition][replica]
 	nodes   []*node      // flattened
@@ -193,11 +197,11 @@ func (c *Cluster) Metrics() Metrics {
 // cluster whose nodes are still booting constructs fine and converges
 // as probes and traffic discover them.
 func New(cfg Config) (*Cluster, error) {
-	if len(cfg.Partitions) == 0 {
+	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no partitions")
 	}
 	c := &Cluster{
-		issuing: make([]sync.Mutex, len(cfg.Partitions)),
+		issuing: make([]sync.Mutex, len(cfg.Nodes)),
 		timeout: cfg.Timeout,
 		hedge:   cfg.HedgeAfter,
 		stop:    make(chan struct{}),
@@ -209,7 +213,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.hedge = DefaultHedgeAfter
 	}
 	seen := make(map[string]bool)
-	for p, replicas := range cfg.Partitions {
+	for p, replicas := range cfg.Nodes {
 		if len(replicas) == 0 {
 			return nil, fmt.Errorf("cluster: partition %d has no replicas", p)
 		}

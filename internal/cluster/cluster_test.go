@@ -215,7 +215,7 @@ func grid(t *testing.T, p, r int, hedge time.Duration) ([][]*fakeNode, *Cluster)
 		}
 	}
 	c, err := New(Config{
-		Partitions:  topo,
+		Nodes:       topo,
 		Timeout:     5 * time.Second,
 		HedgeAfter:  hedge,
 		HealthEvery: -1,
@@ -337,7 +337,7 @@ func TestNewRejectsBadTopologies(t *testing.T) {
 		{{"http://user@a:1"}},
 		{{"http://a:80", "a"}}, // one dial address, two spellings
 	} {
-		if _, err := New(Config{Partitions: bad, HealthEvery: -1, RepairEvery: -1}); err == nil {
+		if _, err := New(Config{Nodes: bad, HealthEvery: -1, RepairEvery: -1}); err == nil {
 			t.Fatalf("topology %v should be rejected", bad)
 		}
 	}
@@ -599,7 +599,7 @@ func TestNodeDownAtStartup(t *testing.T) {
 	dead.Close() // nothing ever listens here again
 
 	c, err := New(Config{
-		Partitions:  [][]string{{deadURL, live.URL}},
+		Nodes:       [][]string{{deadURL, live.URL}},
 		Timeout:     5 * time.Second,
 		HedgeAfter:  -1,
 		HealthEvery: -1,

@@ -78,7 +78,8 @@ func hasMass(elements map[string]uint32) bool {
 // other partitions are unaffected. An error means NOT guaranteed
 // applied, never guaranteed not applied: a replica that fails keeps the
 // write's ops owed in its ledger, so partial replicas converge through
-// the normal anti-entropy pass.
+// the normal anti-entropy pass. A mutation CheckMutations refuses fails
+// the whole batch before anything is sent.
 //
 // The result reports, per mutation, whether its group reached quorum —
 // except for a removal that travelled alone in its group, where it
@@ -119,6 +120,43 @@ func (c *Cluster) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
 		applied[i] = flags[p]
 	}
 	return applied, errors.Join(errs...)
+}
+
+// Add is Apply for one OpAdd mutation.
+func (c *Cluster) Add(entity string, counts map[string]uint32) error {
+	_, err := c.Apply(context.Background(), []BulkOp{{Op: OpAdd, Entity: entity, Elements: counts}})
+	return err
+}
+
+// Remove is Apply for one OpRemove mutation, reporting whether any
+// acknowledging replica still had the entity — meaningful only when err
+// is nil; a removal that missed quorum reports false.
+func (c *Cluster) Remove(entity string) (bool, error) {
+	had, err := c.Apply(context.Background(), []BulkOp{{Op: OpRemove, Entity: entity}})
+	return len(had) > 0 && had[0], err
+}
+
+// AddBatch is Apply for a batch of OpAdd mutations.
+func (c *Cluster) AddBatch(entries []BatchEntry) error {
+	_, err := c.Apply(context.Background(), AddOps(entries))
+	return err
+}
+
+// BatchEntry is one entity of an AddBatch: a name with its element
+// multiplicities, the same shape Add takes.
+type BatchEntry struct {
+	Entity   string
+	Elements map[string]uint32
+}
+
+// AddOps is the OpAdd mutations an AddBatch stands for, in order (an
+// Index's AddBatch too).
+func AddOps(entries []BatchEntry) []BulkOp {
+	muts := make([]BulkOp, len(entries))
+	for i, e := range entries {
+		muts[i] = BulkOp{Op: OpAdd, Entity: e.Entity, Elements: e.Elements}
+	}
+	return muts
 }
 
 // quorumWrite drives one partition's group of mutations through its

@@ -286,7 +286,7 @@ func TestNodeRestartedOnSameAddress(t *testing.T) {
 		return f, ts
 	}
 	first, ts := start(ln)
-	c, err := New(Config{Partitions: [][]string{{addr}}, HedgeAfter: -1, HealthEvery: -1, RepairEvery: -1})
+	c, err := New(Config{Nodes: [][]string{{addr}}, HedgeAfter: -1, HealthEvery: -1, RepairEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,11 @@ import (
 // K+1 covers. Node distances pass through untouched: recomputing them
 // from similarities here would not round-trip (1 − (1 − d) ≠ d below
 // 0.5) and break byte-identity with a single Index.
+//
+// Cancelling ctx reels in the scatter, and trace values (WithRequestID)
+// propagate onto every node request. Besides a malformed query or an
+// unknown Entity, Query fails with ErrUnavailable when a partition has
+// no answering replica: never a partial answer.
 func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 	if err := CheckQuery(&q); err != nil {
 		return QueryResult{}, fmt.Errorf("cluster: %w", err)
@@ -80,6 +85,48 @@ func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 		out.Neighbors = out.Neighbors[:min(len(out.Neighbors), q.K)]
 	}
 	return out, nil
+}
+
+// QueryThreshold is Query for a KindThreshold query by elements.
+func (c *Cluster) QueryThreshold(counts map[string]uint32, t float64) ([]Match, error) {
+	res, err := c.Query(context.Background(), Query{Elements: counts, Threshold: t})
+	return res.Matches, err
+}
+
+// QueryEntity is Query for a KindThreshold query by indexed entity.
+func (c *Cluster) QueryEntity(entity string, t float64) ([]Match, error) {
+	res, err := c.Query(context.Background(), Query{Entity: entity, Threshold: t})
+	return res.Matches, err
+}
+
+// QueryTopK is Query for a KindTopK query by elements; as on an Index, a
+// non-positive k asks for nothing and returns nil.
+func (c *Cluster) QueryTopK(counts map[string]uint32, k int) ([]Match, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	res, err := c.Query(context.Background(), Query{Elements: counts, Kind: KindTopK, K: k})
+	return res.Matches, err
+}
+
+// QueryKNN is Query for a KindKNN query by elements; a non-positive k
+// asks for nothing and returns nil.
+func (c *Cluster) QueryKNN(counts map[string]uint32, k int) ([]Neighbor, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	res, err := c.Query(context.Background(), Query{Elements: counts, Kind: KindKNN, K: k})
+	return res.Neighbors, err
+}
+
+// QueryKNNEntity is Query for a KindKNN query by indexed entity; a
+// non-positive k asks for nothing and returns nil.
+func (c *Cluster) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	res, err := c.Query(context.Background(), Query{Entity: entity, Kind: KindKNN, K: k})
+	return res.Neighbors, err
 }
 
 // fetchEntity reads an entity's stored multiset from its owner
@@ -276,22 +323,30 @@ type Stats struct {
 	// each counted from issue until its replica acknowledges it, so a
 	// straggler's ops count as well as a failed replica's — where Repairs
 	// counts ops already re-driven.
-	RepairBacklog int          `json:"repair_backlog"`
-	Nodes         []NodeStatus `json:"nodes"`
+	RepairBacklog int `json:"repair_backlog"`
+
+	// WriteLatency times quorum writes to their decision point;
+	// QueryLatency times scatter-gather queries end to end.
+	WriteLatency metrics.Summary `json:"write_latency"`
+	QueryLatency metrics.Summary `json:"query_latency"`
+
+	Nodes []NodeStatus `json:"nodes"`
 }
 
-// Stats reports topology, router counters, and the latest per-node
-// health the router has observed (from traffic and readiness probes; it
-// performs no network calls itself).
+// Stats reports topology, router counters, latency digests, and the
+// latest per-node health the router has observed (from traffic and
+// readiness probes; it performs no network calls itself).
 func (c *Cluster) Stats() Stats {
 	s := Stats{
-		Partitions: len(c.parts),
-		Queries:    c.queries.Load(),
-		Hedges:     c.hedges.Load(),
-		HedgeWins:  c.hedgeWins.Load(),
-		Failovers:  c.failovers.Load(),
-		WriteFails: c.writeFails.Load(),
-		Repairs:    c.repairs.Load(),
+		Partitions:   len(c.parts),
+		Queries:      c.queries.Load(),
+		Hedges:       c.hedges.Load(),
+		HedgeWins:    c.hedgeWins.Load(),
+		Failovers:    c.failovers.Load(),
+		WriteFails:   c.writeFails.Load(),
+		Repairs:      c.repairs.Load(),
+		WriteLatency: c.writeLatency.Snapshot().Summary(),
+		QueryLatency: c.queryLatency.Snapshot().Summary(),
 	}
 	for _, n := range c.nodes {
 		n.mu.Lock()

@@ -2,11 +2,13 @@ package httpd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -378,6 +380,86 @@ func TestRouterMetricsAndStats(t *testing.T) {
 	if stats.RepairBacklog != 0 {
 		t.Fatalf("repair backlog = %d against healthy nodes", stats.RepairBacklog)
 	}
+}
+
+// TestRouterGolden pins the router's public edge: the GET /stats JSON —
+// keys, key order and every counter after a fixed write/query script,
+// with the timing fields of the latency digests, the health timestamps
+// and the node addresses normalized — and the metric families of
+// GET /metrics.
+func TestRouterGolden(t *testing.T) {
+	cl, router, nodes := startCluster(t, 2)
+	c := router.Client()
+	for i := 0; i < 6; i++ {
+		body := fmt.Sprintf(`{"entity": "e%d", "elements": {"a": %d, "b": 2}}`, i, i+1)
+		if resp, out := post(t, c, router.URL+"/add", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("add: %d %v", resp.StatusCode, out)
+		}
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/bulk", `{"ops": [{"op": "add", "entity": "f1", "elements": {"b": 1, "c": 4}}, {"op": "remove", "entity": "e2"}]}`},
+		{"/remove", `{"entity": "e3"}`},
+		{"/query", `{"elements": {"a": 2, "b": 2}, "threshold": 0.1}`},
+		{"/query", `{"elements": {"a": 2, "b": 2}, "topk": 3}`},
+		{"/query", `{"entity": "e1", "threshold": 0.2}`},
+		{"/knn", `{"entity": "f1", "k": 2}`},
+	} {
+		if resp, out := post(t, c, router.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d %v", req.path, req.body, resp.StatusCode, out)
+		}
+	}
+	cl.CheckNow(context.Background())
+
+	got := strings.TrimSpace(string(getBody(t, c, router.URL+"/stats")))
+	for i, ns := range nodes {
+		got = strings.ReplaceAll(got, ns.URL, fmt.Sprintf("node-%d", i))
+	}
+	got = regexp.MustCompile(`"(mean_ns|p50_ns|p99_ns|p999_ns)":[^,}]+`).ReplaceAllString(got, `"$1":0`)
+	got = regexp.MustCompile(`"last_checked":"[^"]*"`).ReplaceAllString(got, `"last_checked":""`)
+	const wantStats = `{"partitions":2,"queries":4,"hedges":0,"hedge_wins":0,"failovers":0,"write_fails":0,"repairs":0,"repair_backlog":0,"write_latency":{"count":9,"mean_ns":0,"p50_ns":0,"p99_ns":0,"p999_ns":0},"query_latency":{"count":4,"mean_ns":0,"p50_ns":0,"p99_ns":0,"p999_ns":0},"nodes":[{"addr":"node-0","partition":0,"healthy":true,"last_checked":"","generation":0,"entities":2,"mutations":6,"pending_repair":0},{"addr":"node-1","partition":1,"healthy":true,"last_checked":"","generation":0,"entities":3,"mutations":3,"pending_repair":0}]}`
+	if got != wantStats {
+		t.Errorf("GET /stats:\n got %s\nwant %s", got, wantStats)
+	}
+
+	var families []string
+	for _, line := range strings.Split(string(getBody(t, c, router.URL+"/metrics")), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, name)
+		}
+	}
+	const wantFamilies = `vsmart_cluster_partitions gauge
+vsmart_cluster_queries_total counter
+vsmart_cluster_hedges_total counter
+vsmart_cluster_hedge_wins_total counter
+vsmart_cluster_failovers_total counter
+vsmart_cluster_write_fails_total counter
+vsmart_cluster_repairs_total counter
+vsmart_cluster_repair_backlog gauge
+vsmart_cluster_query_latency_seconds histogram
+vsmart_cluster_write_latency_seconds histogram
+vsmart_cluster_node_healthy gauge
+vsmart_cluster_node_pending_repair gauge
+vsmart_http_in_flight_requests gauge
+vsmart_http_rejected_total counter`
+	if got := strings.Join(families, "\n"); got != wantFamilies {
+		t.Errorf("GET /metrics families:\n%s\nwant\n%s", got, wantFamilies)
+	}
+}
+
+// getBody GETs url and returns the response body, failing on any
+// status but 200.
+func getBody(t *testing.T, c *http.Client, url string) []byte {
+	t.Helper()
+	resp, err := c.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+	}
+	return raw
 }
 
 // TestAdmissionControl saturates a MaxInFlight=1 node by parking one

@@ -3,23 +3,20 @@
 // contract.
 package vsmartjoin
 
-import "context"
+import (
+	"context"
+
+	"vsmartjoin/internal/cluster"
+)
 
 // Index is the stub durable index.
 type Index struct{}
 
-// BatchEntry is the stub AddBatch entry.
-type BatchEntry struct {
-	Entity   string
-	Elements map[string]uint32
-}
+// BatchEntry is the stub AddBatch entry, an alias as in the module.
+type BatchEntry = cluster.BatchEntry
 
-// Mutation is the stub mutation.
-type Mutation struct {
-	Op       string
-	Entity   string
-	Elements map[string]uint32
-}
+// Mutation is the stub mutation, an alias as in the module.
+type Mutation = cluster.BulkOp
 
 // Dataset is the stub entity collection.
 type Dataset struct{}
@@ -32,11 +29,6 @@ func (*Index) Remove(name string) (bool, error)                           { retu
 func (*Index) RemoveBatch(names []string) (int, error)                    { return 0, nil }
 func (*Index) Snapshot() error                                            { return nil }
 
-// Cluster is the stub multi-node client.
-type Cluster struct{}
-
-func (*Cluster) Apply(ctx context.Context, muts []Mutation) ([]bool, error) { return nil, nil }
-func (*Cluster) Add(name string, counts map[string]uint32) error            { return nil }
-func (*Cluster) AddBatch(entries []BatchEntry) error                        { return nil }
-func (*Cluster) Remove(name string) (bool, error)                           { return false, nil }
-func (*Cluster) Snapshot() error                                            { return nil }
+// Cluster is the stub multi-node client: like the module's, an alias of
+// the router package's type, whose methods walerr matches there.
+type Cluster = cluster.Cluster

@@ -13,9 +13,11 @@
 //     ReplayFile;
 //   - (vsmartjoin) Index.Apply and its conveniences Index.Add,
 //     Index.AddBatch, Index.AddDataset, Index.Remove, Index.RemoveBatch,
-//     Index.Snapshot, and Cluster.Apply, Cluster.Add, Cluster.AddBatch,
-//     Cluster.Remove, Cluster.Snapshot — the public mutation surface
-//     whose errors are the durability contract;
+//     Index.Snapshot, and (internal/cluster, exported as the alias
+//     vsmartjoin.Cluster and reported under that name) Cluster.Apply,
+//     Cluster.Add, Cluster.AddBatch, Cluster.Remove, Cluster.Snapshot —
+//     the public mutation surface whose errors are the durability
+//     contract;
 //   - (bufio) Writer.Flush — the classic way a CLI loses its last block
 //     of output.
 //
@@ -46,6 +48,11 @@ type callee struct {
 	name string
 }
 
+// aliasedAs names the package a must-check package's types are exported
+// from as aliases, so a report names the type as its caller wrote it:
+// vsmartjoin.Cluster, not cluster.Cluster.
+var aliasedAs = map[string]string{"vsmartjoin/internal/cluster": "vsmartjoin"}
+
 var mustCheck = []callee{
 	{"vsmartjoin/internal/wal", "Log", "Append"},
 	{"vsmartjoin/internal/wal", "Log", "AppendBatchDeferred"},
@@ -63,11 +70,11 @@ var mustCheck = []callee{
 	{"vsmartjoin", "Index", "Remove"},
 	{"vsmartjoin", "Index", "RemoveBatch"},
 	{"vsmartjoin", "Index", "Snapshot"},
-	{"vsmartjoin", "Cluster", "Apply"},
-	{"vsmartjoin", "Cluster", "Add"},
-	{"vsmartjoin", "Cluster", "AddBatch"},
-	{"vsmartjoin", "Cluster", "Remove"},
-	{"vsmartjoin", "Cluster", "Snapshot"},
+	{"vsmartjoin/internal/cluster", "Cluster", "Apply"},
+	{"vsmartjoin/internal/cluster", "Cluster", "Add"},
+	{"vsmartjoin/internal/cluster", "Cluster", "AddBatch"},
+	{"vsmartjoin/internal/cluster", "Cluster", "Remove"},
+	{"vsmartjoin/internal/cluster", "Cluster", "Snapshot"},
 	{"bufio", "Writer", "Flush"},
 }
 
@@ -167,10 +174,14 @@ func matchCall(pass *analysis.Pass, call *ast.CallExpr) *callee {
 }
 
 func describe(c *callee) string {
-	if c.recv == "" {
-		return pkgBase(c.pkg) + "." + c.name
+	pkg, ok := aliasedAs[c.pkg]
+	if !ok {
+		pkg = pkgBase(c.pkg)
 	}
-	return pkgBase(c.pkg) + "." + c.recv + "." + c.name
+	if c.recv == "" {
+		return pkg + "." + c.name
+	}
+	return pkg + "." + c.recv + "." + c.name
 }
 
 func pkgBase(path string) string {

@@ -160,12 +160,22 @@ type Snapshot struct {
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of the distribution in
-// nanoseconds, interpolated log-linearly inside the winning bucket. An
-// empty distribution reports 0; a quantile landing in the overflow
-// bucket reports the last finite bound (a floor, not a lie: the true
-// value is at least that).
+// nanoseconds, interpolated log-linearly inside the winning bucket (the
+// first bucket linearly from zero). An empty distribution reports 0; a
+// quantile landing in the overflow bucket reports the last finite bound
+// (a floor, not a lie: the true value is at least that).
 func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
+	return quantile(s.Buckets[:], s.Count, q, BucketBound, true)
+}
+
+// quantile is the one quantile routine of both histogram kinds: it
+// finds the bucket holding the q-quantile's rank and interpolates
+// log-linearly between that bucket's bounds. The first bucket
+// interpolates linearly from zero when firstFromZero is set and
+// otherwise reports its bound; the overflow bucket reports the last
+// finite bound.
+func quantile(buckets []uint64, count uint64, q float64, bound func(int) float64, firstFromZero bool) float64 {
+	if count == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -176,12 +186,12 @@ func (s Snapshot) Quantile(q float64) float64 {
 	}
 	// rank is the 1-based index of the wanted observation under the
 	// usual nearest-rank-with-interpolation convention.
-	rank := q * float64(s.Count)
+	rank := q * float64(count)
 	if rank < 1 {
 		rank = 1
 	}
 	var cum float64
-	for i, c := range s.Buckets {
+	for i, c := range buckets {
 		if c == 0 {
 			continue
 		}
@@ -190,23 +200,21 @@ func (s Snapshot) Quantile(q float64) float64 {
 		if cum+1e-9 < rank {
 			continue
 		}
-		lo := float64(0)
-		if i > 0 {
-			lo = BucketBound(i - 1)
-		}
-		hi := BucketBound(i)
+		hi := bound(i)
 		if math.IsInf(hi, 1) {
-			return BucketBound(i - 1) // overflow: report the known floor
+			return bound(i - 1) // overflow: report the known floor
 		}
-		if lo == 0 {
-			// First bucket: linear interpolation from zero.
-			return hi * (rank - prev) / float64(c)
+		if i == 0 {
+			if firstFromZero {
+				return hi * (rank - prev) / float64(c)
+			}
+			return hi
 		}
-		// Log-linear interpolation between the bucket's bounds.
+		lo := bound(i - 1)
 		frac := (rank - prev) / float64(c)
 		return lo * math.Exp2(frac*math.Log2(hi/lo))
 	}
-	return BucketBound(NumBuckets - 2)
+	return bound(len(buckets) - 2)
 }
 
 // Mean returns the average observation in nanoseconds (0 when empty).
@@ -290,41 +298,52 @@ func (s SizeSnapshot) Mean() float64 {
 
 // Quantile returns the q-quantile of the size distribution,
 // interpolated log-linearly inside the winning bucket (the same
-// convention as the latency Snapshot).
+// convention as the latency Snapshot, except that the first bucket
+// reports its bound, 1).
 func (s SizeSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
+	return quantile(s.Buckets[:], s.Count, q, SizeBucketBound, false)
+}
+
+// Summary is the JSON-friendly digest of a latency histogram: the
+// count and the mean/p50/p99/p999 in nanoseconds. Percentiles come from
+// the log-spaced buckets, so each is accurate to about ±9% —
+// distribution shape, not an exact order statistic. A zero Count means
+// the summary is empty and the other fields are 0.
+type Summary struct {
+	Count  uint64  `json:"count"`
+	MeanNs float64 `json:"mean_ns"`
+	P50Ns  float64 `json:"p50_ns"`
+	P99Ns  float64 `json:"p99_ns"`
+	P999Ns float64 `json:"p999_ns"`
+}
+
+// Summary digests the snapshot.
+func (s Snapshot) Summary() Summary {
+	return Summary{
+		Count:  s.Count,
+		MeanNs: s.Mean(),
+		P50Ns:  s.Quantile(0.50),
+		P99Ns:  s.Quantile(0.99),
+		P999Ns: s.Quantile(0.999),
 	}
-	if q < 0 {
-		q = 0
+}
+
+// SizeSummary is the JSON-friendly digest of a size distribution: the
+// count of observations, the mean, and p50/p99, within a factor of two
+// (power-of-two buckets). A zero Count means empty.
+type SizeSummary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P99   float64 `json:"p99"`
+}
+
+// Summary digests the snapshot.
+func (s SizeSnapshot) Summary() SizeSummary {
+	return SizeSummary{
+		Count: s.Count,
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P99:   s.Quantile(0.99),
 	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum+1e-9 < rank {
-			continue
-		}
-		hi := SizeBucketBound(i)
-		if math.IsInf(hi, 1) {
-			return SizeBucketBound(i - 1)
-		}
-		if i == 0 {
-			return hi
-		}
-		lo := SizeBucketBound(i - 1)
-		frac := (rank - prev) / float64(c)
-		return lo * math.Exp2(frac*math.Log2(hi/lo))
-	}
-	return SizeBucketBound(SizeNumBuckets - 2)
 }

@@ -177,3 +177,35 @@ func BenchmarkObserve(b *testing.B) {
 		h.Observe(time.Duration(i) * time.Nanosecond)
 	}
 }
+
+func TestSizeQuantile(t *testing.T) {
+	var h SizeHistogram
+	for _, n := range []uint64{0, 1, 1, 3, 3, 3, 5, 100, 1 << 40} {
+		h.Observe(n)
+	}
+	s := h.Snapshot()
+	// 0 and 1 share bucket 0, 3 rounds up to the bucket of 4, 5 to 8,
+	// 100 to 128, and 2^40 overflows.
+	want := map[int]uint64{0: 3, 2: 3, 3: 1, 7: 1, SizeNumBuckets - 1: 1}
+	for i, c := range s.Buckets {
+		if c != want[i] {
+			t.Fatalf("bucket %d holds %d, want %d: %v", i, c, want[i], s.Buckets)
+		}
+	}
+	if s.Count != 9 || s.Sum != 1<<40+116 {
+		t.Fatalf("count %d sum %d", s.Count, s.Sum)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 1},                   // the first bucket reports its bound
+		{0.5, 2 * math.Sqrt2},    // rank 4.5: halfway through (2, 4], log-linearly
+		{0.99, float64(1 << 31)}, // overflow: the last finite bound
+		{1, float64(1 << 31)},
+	} {
+		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-9*c.want {
+			t.Errorf("q%g = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := (SizeSnapshot{}).Quantile(0.5); got != 0 {
+		t.Errorf("empty quantile = %v, want 0", got)
+	}
+}

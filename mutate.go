@@ -39,13 +39,6 @@ const (
 	OpRemove = cluster.OpRemove
 )
 
-// BatchEntry is one entity of an AddBatch: a name with its element
-// multiplicities, the same shape Add takes.
-type BatchEntry struct {
-	Entity   string
-	Elements map[string]uint32
-}
-
 // Apply is the one write method of an Index: it applies muts in order
 // and reports, per mutation, whether it changed the index — false for
 // the removal of a name that is not indexed (a no-op, never logged) and
@@ -200,16 +193,8 @@ func (ix *Index) Remove(entity string) (bool, error) {
 
 // AddBatch is Apply for a batch of OpAdd mutations.
 func (ix *Index) AddBatch(entries []BatchEntry) error {
-	_, err := ix.Apply(context.Background(), addMutations(entries))
+	_, err := ix.Apply(context.Background(), cluster.AddOps(entries))
 	return err
-}
-
-func addMutations(entries []BatchEntry) []Mutation {
-	muts := make([]Mutation, len(entries))
-	for i, e := range entries {
-		muts[i] = Mutation{Op: OpAdd, Entity: e.Entity, Elements: e.Elements}
-	}
-	return muts
 }
 
 // RemoveBatch is Apply for a batch of OpRemove mutations, reporting how

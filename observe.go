@@ -3,51 +3,21 @@ package vsmartjoin
 import "vsmartjoin/internal/metrics"
 
 // LatencySummary is the JSON-friendly digest of a latency histogram:
-// the count and the mean/p50/p99/p999 in nanoseconds. Percentiles are
-// extracted from log-spaced fixed buckets (internal/metrics), so each
-// is accurate to about ±9% — distribution shape, not an exact order
-// statistic. A zero Count means the summary is empty and the other
-// fields are 0.
-type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-}
-
-// summarize digests a histogram snapshot into the public form.
-func summarize(s metrics.Snapshot) LatencySummary {
-	return LatencySummary{
-		Count:  s.Count,
-		MeanNs: s.Mean(),
-		P50Ns:  s.Quantile(0.50),
-		P99Ns:  s.Quantile(0.99),
-		P999Ns: s.Quantile(0.999),
-	}
-}
+// {Count uint64; MeanNs, P50Ns, P99Ns, P999Ns float64} (JSON "count",
+// "mean_ns", "p50_ns", "p99_ns", "p999_ns"), the count and the
+// mean/p50/p99/p999 in nanoseconds. Percentiles are extracted from
+// log-spaced fixed buckets (internal/metrics), so each is accurate to
+// about ±9% — distribution shape, not an exact order statistic. A zero
+// Count means the summary is empty and the other fields are 0.
+type LatencySummary = metrics.Summary
 
 // SizeSummary is the JSON-friendly digest of a size distribution
-// (records per batch, records per group commit): count of
-// observations, mean, and p50/p99 with LatencySummary's bucket
-// accuracy caveat (power-of-two buckets, so within a factor of two).
-// A zero Count means empty.
-type SizeSummary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-}
-
-// summarizeSize digests a size-histogram snapshot into the public form.
-func summarizeSize(s metrics.SizeSnapshot) SizeSummary {
-	return SizeSummary{
-		Count: s.Count,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P99:   s.Quantile(0.99),
-	}
-}
+// (records per batch, records per group commit): {Count uint64; Mean,
+// P50, P99 float64} (JSON "count", "mean", "p50", "p99"), the count of
+// observations, mean, and p50/p99 with LatencySummary's bucket accuracy
+// caveat (power-of-two buckets, so within a factor of two). A zero
+// Count means empty.
+type SizeSummary = metrics.SizeSummary
 
 // IndexMetrics is the full-resolution capture of an Index's latency
 // histograms — what the /metrics endpoint (internal/httpd) renders as
@@ -80,22 +50,6 @@ type IndexMetrics struct {
 	// group-commit layer is amortizing down.
 	WALRecords int64
 	WALFsyncs  int64
-}
-
-// ClusterMetrics is the full-resolution capture of a Cluster router's
-// latency histograms — the /metrics counterpart of the digests in
-// ClusterStats.
-type ClusterMetrics struct {
-	// Write times quorum writes to their decision point; Query times
-	// scatter-gather queries end to end.
-	Write metrics.Snapshot
-	Query metrics.Snapshot
-}
-
-// Metrics captures the router's latency histograms.
-func (c *Cluster) Metrics() ClusterMetrics {
-	m := c.inner.Metrics()
-	return ClusterMetrics{Write: m.Write, Query: m.Query}
 }
 
 // Metrics captures the index's latency histograms.
