@@ -187,7 +187,7 @@ type JobTime struct {
 	SimulatedSeconds   float64
 	WallSeconds        float64
 	WallMapSeconds     float64 // map tasks, with combining and spilling
-	WallShuffleSeconds float64 // gathering and sorting the reduce partitions
+	WallShuffleSeconds float64 // gathering and merging the reduce partitions, inside the reduce tasks
 	WallReduceSeconds  float64 // reduce tasks
 }
 

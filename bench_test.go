@@ -274,6 +274,57 @@ func BenchmarkShuffleSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkAllPairs is one public AllPairs call, defaults throughout, on
+// the benchmark module's batch_skew trace shape: datagen.SmallConfig cut
+// to 12 000 background IPs over an 18 000-cookie alphabet, 30 proxies of
+// 12–16 members drawing on pools of 36–48 cookies, and two big proxies
+// sharing a pool of 1 500. Beside time and B/op it reports the pairs
+// found and the engine's wall time summed over the jobs, split by phase,
+// so a shuffle change shows where it moved time.
+func BenchmarkAllPairs(b *testing.B) {
+	cfg := datagen.SmallConfig()
+	cfg.NumBackground = 12000
+	cfg.BackgroundAlphabet = 18000
+	cfg.NumProxies = 30
+	cfg.ProxySizeMin, cfg.ProxySizeMax = 12, 16
+	cfg.PoolSizeMin, cfg.PoolSizeMax = 36, 48
+	cfg.NumBigProxies = 2
+	cfg.BigPoolSize = 1500
+	tr, err := datagen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := NewDataset()
+	for _, m := range tr.Multisets {
+		counts := make(map[string]uint32, len(m.Entries))
+		for _, e := range m.Entries {
+			counts[fmt.Sprintf("cookie-%d", uint64(e.Elem))] += e.Count
+		}
+		d.Add(fmt.Sprintf("ip-%d", uint64(m.ID)), counts)
+	}
+	var pairs int
+	var mapS, shuffleS, reduceS float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := AllPairs(d, Options{Threshold: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs = len(res.Pairs)
+		for _, j := range res.Stats.JobTimes {
+			mapS += j.WallMapSeconds
+			shuffleS += j.WallShuffleSeconds
+			reduceS += j.WallReduceSeconds
+		}
+	}
+	b.ReportMetric(float64(pairs), "pairs")
+	n := float64(b.N)
+	b.ReportMetric(mapS*1e3/n, "map-ms/op")
+	b.ReportMetric(shuffleS*1e3/n, "shuffle-ms/op")
+	b.ReportMetric(reduceS*1e3/n, "reduce-ms/op")
+}
+
 // --- online serving benchmarks ---
 
 // benchIndexEntities synthesizes entity→counts inputs for the online

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vsmartjoin/internal/mrfs"
@@ -126,12 +127,18 @@ type JobStats struct {
 	ReduceSeconds  float64 // slowest machine's reduce time
 	TotalSeconds   float64
 
-	// Real wall-clock seconds this in-process run took, read at the phase
+	// Real wall-clock seconds this in-process run took, read at the stage
 	// boundaries of Run. Unlike every field above they are measured, not
 	// simulated, and differ from run to run.
-	WallSeconds        float64 // the whole Run call
-	WallMapSeconds     float64 // map tasks, including combining and spilling
-	WallShuffleSeconds float64 // gathering and sorting the reduce partitions
+	WallSeconds    float64 // the whole Run call
+	WallMapSeconds float64 // map tasks, including combining and spilling
+	// WallShuffleSeconds is the time spent gathering and merging the
+	// in-memory reduce partitions. Each reduce task gathers and merges its
+	// own partition before reducing it, so the stage's wall time is split
+	// between this field and WallReduceSeconds in proportion to the tasks'
+	// summed gather-and-merge and reduce times. Under a spill cap the merge
+	// streams inside the reduce and counts there.
+	WallShuffleSeconds float64
 	WallReduceSeconds  float64 // reduce tasks
 }
 
@@ -151,15 +158,38 @@ func partitionOf(key []byte, n int) int {
 	return int(h % uint32(n))
 }
 
+// mapBuffers is one map worker's emission buffers — a batch per reduce
+// partition and the combiner's output — reused by every map task the
+// worker runs. Each batch keeps its storage and its sort scratch, so a
+// job's map tasks grow them only while they meet bigger outputs. A Run
+// holds one per worker of its map stage and drops them when it returns:
+// nothing is reused across jobs, so no buffer grows to the largest role
+// it ever served.
+type mapBuffers struct {
+	parts []mrfs.Batch
+	spare mrfs.Batch // the combiner's output, swapped with the partition it replaces
+}
+
+// reduceBuffers is one reduce worker's input batch, which a reduce task
+// gathers its partition into and merges, and the run ends of that merge.
+// The batch keeps its storage and merge scratch for the worker's next
+// task.
+type reduceBuffers struct {
+	in   mrfs.Batch
+	ends []int
+}
+
 // mapTask is one map task: its emitter — emitted tuples are partitioned
 // into one batch per reducer, every byte slice copied into the batch's
 // slab (callers reuse their encode buffers) — and the work it accounts.
-// When a spill cap is set, buffers that grow past it are flushed to sorted
-// on-disk segment runs (see spill.go); with cap == 0 everything stays in
-// memory.
+// Emission fills the worker's buffers; finish leaves each sealed
+// partition in a batch of the task's own (see finish). When a spill cap is
+// set, buffers that grow past it are flushed to sorted on-disk segment
+// runs (see spill.go); with cap == 0 everything stays in memory.
 type mapTask struct {
 	ctx *TaskContext
 	job *Job
+	buf *mapBuffers // the worker's emission buffers, while the task runs
 
 	parts              []mrfs.Batch // the output: after finish, one sorted run per reduce partition
 	inRecords, inBytes int64        // mapped so far
@@ -168,7 +198,6 @@ type mapTask struct {
 	combineOut         int64        // records after combining (filled by seal)
 	outBytes           int64        // post-combine record bytes (shuffle volume)
 	combiner           groupReducer // runs job.Combiner over a sorted partition
-	spare              mrfs.Batch   // the combiner's output, swapped with the partition it replaces
 
 	// Spill state. cap == 0 disables spilling entirely.
 	cap          int64
@@ -185,7 +214,7 @@ func (m *mapTask) add(key, sec, val []byte) {
 	if m.err != nil {
 		return
 	}
-	if err := m.parts[partitionOf(key, len(m.parts))].Append(key, sec, val); err != nil {
+	if err := m.buf.parts[partitionOf(key, len(m.parts))].Append(key, sec, val); err != nil {
 		m.err = fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
 		return
 	}
@@ -302,17 +331,23 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		defer os.RemoveAll(spillDir)
 	}
 	cm := cluster.Cost
-	err := parallelFor(stats.MapTasks, func(t int) error {
+	mapWorkers := workers(stats.MapTasks)
+	mapBufs := make([]mapBuffers, mapWorkers)
+	err := parallelFor(stats.MapTasks, mapWorkers, func(t, w int) error {
 		ctx, err := newTask(t, true, fmt.Sprintf("map task %d", t))
 		if err != nil {
 			return err
 		}
+		buf := &mapBufs[w]
+		if buf.parts == nil {
+			buf.parts = make([]mrfs.Batch, numReducers)
+		}
 		m := &mapTask{
-			ctx: ctx, job: &job, cap: spillCap, dir: spillDir,
+			ctx: ctx, job: &job, buf: buf, cap: spillCap, dir: spillDir,
 			parts: make([]mrfs.Batch, numReducers),
 			runs:  make([][]string, numReducers),
 		}
-		m.combiner = groupReducer{ctx: ctx, job: &job, fn: job.Combiner, stage: "combiner", em: batchEmitter{out: &m.spare}}
+		m.combiner = groupReducer{ctx: ctx, job: &job, fn: job.Combiner, stage: "combiner", em: batchEmitter{out: &buf.spare}}
 		in := job.Input.Partition(t)
 		for i := 0; i < in.Len(); i++ {
 			m.inRecords++
@@ -351,13 +386,14 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	}
 	mapped := time.Now()
 
-	// ---- Shuffle: gather per-reducer groups ----
+	// ---- Shuffle and reduce ----
 	// Every map task left each of its partitions as a run sorted by (key,
 	// sec, val) — the shuffle's grouping and secondary-key ordering. With no
-	// spill cap, a reduce partition is the concatenation of its runs, merged
-	// in memory; the map outputs are released as they are copied. Under a
-	// cap the runs are in-memory leftovers plus on-disk segments, and the
-	// reduce stage streams a k-way merge over them instead.
+	// spill cap, each reduce task gathers its partition's runs into its
+	// worker's input batch, releasing the map outputs as it copies them,
+	// and merges them in memory before reducing. Under a cap the runs are
+	// in-memory leftovers plus on-disk segments, and the reduce task streams
+	// a k-way merge over them instead.
 	mapIOs := make([]TaskIO, len(maps))
 	var shuffleRecords int64
 	for t, m := range maps {
@@ -373,37 +409,18 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 			shuffleRecords += int64(m.parts[p].Len())
 		}
 	}
-	reduceInput := make([]mrfs.Batch, numReducers)
-	if spillCap <= 0 {
-		err = parallelFor(numReducers, func(p int) error {
-			in := &reduceInput[p]
-			var n int
-			var size int64
-			for _, m := range maps {
-				n += m.parts[p].Len()
-				size += m.parts[p].Bytes()
-			}
-			in.Grow(n, size)
-			ends := make([]int, 0, len(maps))
-			for _, m := range maps {
-				in.AppendBatch(&m.parts[p])
-				m.parts[p] = mrfs.Batch{}
-				ends = append(ends, in.Len())
-			}
-			in.MergeRuns(ends)
-			return nil
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	shuffled := time.Now()
-
-	// ---- Reduce stage ----
+	reduceBegan := time.Now()
 	out := make([]mrfs.Batch, numReducers) // the reducers' output, before re-striping
 	stats.ReduceTasks = numReducers
 	reduceIOs := make([]TaskIO, numReducers)
-	err = parallelFor(numReducers, func(p int) error {
+	// Each reduce task's gather-and-merge and reduce times, which split the
+	// stage's wall time between shuffle and reduce.
+	gatherTime := make([]time.Duration, numReducers)
+	reduceTime := make([]time.Duration, numReducers)
+	reduceWorkers := workers(numReducers)
+	inputs := make([]reduceBuffers, reduceWorkers)
+	err = parallelFor(numReducers, reduceWorkers, func(p, w int) error {
+		start := time.Now()
 		ctx, err := newTask(p, false, fmt.Sprintf("reduce task %d", p))
 		if err != nil {
 			return err
@@ -415,9 +432,15 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		if spillCap > 0 {
 			err = g.merged(maps, p, spillDir, &segRead)
 		} else {
-			err = g.batch(&reduceInput[p])
-			reduceInput[p] = mrfs.Batch{}
+			r := &inputs[w]
+			gather(r, maps, p)
+			gathered := time.Now()
+			gatherTime[p] = gathered.Sub(start)
+			start = gathered
+			err = g.batch(&r.in)
+			r.in.Reset()
 		}
+		reduceTime[p] = time.Since(start)
 		if err != nil {
 			return err
 		}
@@ -471,10 +494,38 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	stats.TotalSeconds = times.Total
 
 	stats.WallMapSeconds = mapped.Sub(began).Seconds()
-	stats.WallShuffleSeconds = shuffled.Sub(mapped).Seconds()
-	stats.WallReduceSeconds = reduced.Sub(shuffled).Seconds()
+	stage := reduced.Sub(reduceBegan).Seconds()
+	var gathering, reducing time.Duration
+	for p := range gatherTime {
+		gathering += gatherTime[p]
+		reducing += reduceTime[p]
+	}
+	if busy := gathering + reducing; busy > 0 {
+		stats.WallShuffleSeconds = stage * gathering.Seconds() / busy.Seconds()
+	}
+	stats.WallReduceSeconds = stage - stats.WallShuffleSeconds
 	stats.WallSeconds = time.Since(began).Seconds()
 	return striped, stats, nil
+}
+
+// gather fills r.in with reduce partition p, the concatenation of every
+// map task's run for it, releasing each run as it is copied, and merges
+// the runs into one sorted batch.
+func gather(r *reduceBuffers, maps []*mapTask, p int) {
+	var n int
+	var size int64
+	for _, m := range maps {
+		n += m.parts[p].Len()
+		size += m.parts[p].Bytes()
+	}
+	r.in.Grow(n, size)
+	r.ends = r.ends[:0]
+	for _, m := range maps {
+		r.in.AppendBatch(&m.parts[p])
+		m.parts[p] = mrfs.Batch{}
+		r.ends = append(r.ends, r.in.Len())
+	}
+	r.in.MergeRuns(r.ends)
 }
 
 // restripe spreads a job's reduce output across partitions, modelling
@@ -488,7 +539,7 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 func restripe(name string, out []mrfs.Batch) *mrfs.Dataset {
 	n := len(out)
 	striped := mrfs.NewDataset(name, n)
-	_ = parallelFor(n, func(q int) error { // copying cannot fail: there is no error to lose
+	_ = parallelFor(n, workers(n), func(q, _ int) error { // copying cannot fail: there is no error to lose
 		dst := striped.Partition(q)
 		// each walks the records bound for q: in source p, whose first
 		// record is number start of the output, every n-th from the first i
@@ -572,27 +623,26 @@ func (g *groupReducer) reduce(b *mrfs.Batch, lo, hi int, size int64) error {
 	return nil
 }
 
-// parallelFor runs f(0..n-1) on a bounded worker pool, returning the first
-// error (by lowest index, for determinism).
-func parallelFor(n int, f func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// workers is the size of parallelFor's pool for n tasks: GOMAXPROCS, but
+// no more than n and at least 1.
+func workers(n int) int { return max(1, min(n, runtime.GOMAXPROCS(0))) }
+
+// parallelFor runs f(0..n-1) on a pool of w worker goroutines, returning
+// the first error (by lowest index, for determinism). Tasks start in index
+// order; f's second argument is the worker in [0, w) that runs the task,
+// so a caller can give each worker buffers of its own.
+func parallelFor(n, w int, f func(i, worker int) error) error {
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
+	for worker := range w {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = f(i)
-		}(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = f(i, worker)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -485,6 +485,36 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
+// TestWallSplit: with an in-memory shuffle the reduce tasks gather and
+// merge their partitions themselves, and the stage's wall time is split
+// between shuffle and reduce by the tasks' own timings — each phase is
+// measured, and the three never add up to more than the whole run.
+func TestWallSplit(t *testing.T) {
+	lines := make([]string, 2000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("w%d w%d w%d", i%97, i%31, i)
+	}
+	_, stats, err := Run(testCluster(4), Job{
+		Name:    "wordcount",
+		Input:   wordCountInput(8, lines...),
+		Mapper:  wordCountMapper,
+		Reducer: sumReducer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShuffleBytes == 0 {
+		t.Fatal("empty shuffle")
+	}
+	if stats.WallMapSeconds <= 0 || stats.WallShuffleSeconds <= 0 || stats.WallReduceSeconds <= 0 {
+		t.Fatalf("wall split map %g, shuffle %g, reduce %g s: want each > 0",
+			stats.WallMapSeconds, stats.WallShuffleSeconds, stats.WallReduceSeconds)
+	}
+	if sum := stats.WallMapSeconds + stats.WallShuffleSeconds + stats.WallReduceSeconds; sum > stats.WallSeconds {
+		t.Fatalf("phases sum to %g s, more than the run's %g s", sum, stats.WallSeconds)
+	}
+}
+
 func TestAssignTasksGreedy(t *testing.T) {
 	loads := assignTasks([]float64{5, 1, 1, 1, 1, 1}, 2)
 	// greedy by index: 5→m0, then 1s→m1,m1,m1,m1,m1 → [5,5]

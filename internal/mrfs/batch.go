@@ -38,7 +38,8 @@ func (e entry) size() int64 { return int64(e.key) + int64(e.sec) + int64(e.val) 
 type Batch struct {
 	slab  []byte
 	index []entry
-	bytes int64 // encoded size of all records (the sum of their Size)
+	bytes int64   // encoded size of all records (the sum of their Size)
+	keys  []keyed // Sort and MergeRuns scratch, kept across Reset
 }
 
 // Len reports the number of records.
@@ -154,48 +155,180 @@ func (b *Batch) SameKey(i, j int) bool {
 	return x.key == y.key && bytes.Equal(b.slab[x.off:x.off+uint64(x.key)], b.slab[y.off:y.off+uint64(y.key)])
 }
 
+// prefix returns the first 8 bytes of e's key as a big-endian word,
+// zero-padded past the key's end: integer order on prefixes is byte order
+// on the keys' first 8 bytes, so most comparisons of a sort or merge are
+// decided by one integer compare that never touches the slab.
+func prefix(slab []byte, e entry) uint64 {
+	if e.off+8 <= uint64(len(slab)) {
+		w := binary.BigEndian.Uint64(slab[e.off:])
+		if e.key < 8 {
+			w &^= ^uint64(0) >> (8 * e.key)
+		}
+		return w
+	}
+	var w uint64
+	for i := range uint64(8) {
+		w <<= 8
+		if i < uint64(e.key) {
+			w |= uint64(slab[e.off+i])
+		}
+	}
+	return w
+}
+
 // compare orders two entries of one slab by (Key, Sec, Val),
 // byte-lexicographically — the order Compare gives over their records.
 func compare(slab []byte, x, y entry) int {
+	if px, py := prefix(slab, x), prefix(slab, y); px != py {
+		if px < py {
+			return -1
+		}
+		return 1
+	}
+	return compareTied(slab, x, y)
+}
+
+// compareTied is compare for two entries whose key prefixes are equal.
+// When either key is at most 8 bytes long, equal prefixes leave two cases:
+// the keys are equal, or the shorter one is the longer one's start (zero
+// padding made them look alike: "\x01" against "\x01\x00"). The key
+// lengths tell the two apart, and the shorter key sorts first. Only keys
+// both longer than 8 bytes are compared past the prefix.
+func compareTied(slab []byte, x, y entry) int {
 	xs, ys := x.off+uint64(x.key), y.off+uint64(y.key)
-	if x.key >= 8 && y.key >= 8 {
-		// Most comparisons are decided by the first few key bytes: read
-		// them as one big-endian word before calling into bytes.Compare.
-		if px, py := binary.BigEndian.Uint64(slab[x.off:]), binary.BigEndian.Uint64(slab[y.off:]); px != py {
-			if px < py {
+	if x.key <= 8 || y.key <= 8 {
+		if x.key != y.key {
+			if x.key < y.key {
 				return -1
 			}
 			return 1
 		}
-	}
-	if c := bytes.Compare(slab[x.off:xs], slab[y.off:ys]); c != 0 {
+	} else if c := bytes.Compare(slab[x.off+8:xs], slab[y.off+8:ys]); c != 0 {
 		return c
 	}
 	xv, yv := xs+uint64(x.sec), ys+uint64(y.sec)
-	if c := bytes.Compare(slab[xs:xv], slab[ys:yv]); c != 0 {
-		return c
+	if x.sec|y.sec != 0 {
+		if c := bytes.Compare(slab[xs:xv], slab[ys:yv]); c != 0 {
+			return c
+		}
 	}
 	return bytes.Compare(slab[xv:xv+uint64(x.val)], slab[yv:yv+uint64(y.val)])
 }
 
-// Sort orders the index by (Key, Sec, Val). Records that compare equal are
-// byte-identical, so the unstable sort is still deterministic.
+// keyed is an index entry beside its key prefix: the element the radix
+// sort and the merge move, so that ordering reads the slab only on ties.
+type keyed struct {
+	pre uint64
+	e   entry
+}
+
+// scratch returns the batch's sort and merge scratch, two halves of n
+// keyed entries each. It is kept across Reset, so a batch that is sorted
+// or merged again at a size it has seen allocates nothing.
+func (b *Batch) scratch(n int) (src, dst []keyed) {
+	if cap(b.keys) < 2*n {
+		b.keys = slices.Grow(b.keys[:0], 2*n)
+	}
+	keys := b.keys[:2*n]
+	return keys[:n], keys[n:]
+}
+
+// loadKeys fills dst with the index entries and their prefixes, in index
+// order.
+func (b *Batch) loadKeys(dst []keyed) {
+	for i, e := range b.index {
+		dst[i] = keyed{pre: prefix(b.slab, e), e: e}
+	}
+}
+
+// Sort orders the index by (Key, Sec, Val). It first checks, in one pass,
+// whether the index is already in order — a combiner that emits in order
+// costs its output's sort that pass and nothing more. Otherwise it sorts
+// by key prefix: a stable LSD radix sort of the keyed side array, one
+// counting pass per prefix byte that differs between records (bytes every
+// record shares are skipped; a 1-byte key costs one pass), after which
+// each run of equal prefixes is finished with compareTied. Records that
+// compare equal are byte-identical, so the order is fully determined. The
+// side array is the batch's scratch, kept for the next Sort or MergeRuns.
 func (b *Batch) Sort() {
-	slab := b.slab
-	slices.SortFunc(b.index, func(x, y entry) int { return compare(slab, x, y) })
+	if b.isSorted() {
+		return
+	}
+	slab, idx := b.slab, b.index
+	src, dst := b.scratch(len(idx))
+	b.loadKeys(src)
+	var differ uint64 // bits in which some prefix differs from the first
+	for _, k := range src {
+		differ |= k.pre ^ src[0].pre
+	}
+	var counts [8][256]uint32
+	var shiftBuf [8]uint
+	shifts := shiftBuf[:0]
+	for s := uint(0); s < 64; s += 8 {
+		if byte(differ>>s) != 0 {
+			shifts = append(shifts, s)
+		}
+	}
+	for _, k := range src {
+		for d, s := range shifts {
+			counts[d][byte(k.pre>>s)]++
+		}
+	}
+	for d, s := range shifts {
+		at := &counts[d]
+		var sum uint32
+		for c, n := range at {
+			at[c] = sum
+			sum += n
+		}
+		for _, k := range src {
+			c := byte(k.pre >> s)
+			dst[at[c]] = k
+			at[c]++
+		}
+		src, dst = dst, src
+	}
+	for lo := 0; lo < len(src); {
+		hi := lo + 1
+		for hi < len(src) && src[hi].pre == src[lo].pre {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			idx[i] = src[i].e
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(idx[lo:hi], func(x, y entry) int { return compareTied(slab, x, y) })
+		}
+		lo = hi
+	}
+}
+
+// isSorted reports whether the index is already in (Key, Sec, Val) order.
+func (b *Batch) isSorted() bool {
+	for i := 1; i < len(b.index); i++ {
+		if compare(b.slab, b.index[i], b.index[i-1]) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MergeRuns sorts a batch that is a concatenation of sorted runs — run i
 // is records [ends[i-1], ends[i]), the last end being Len — by merging
 // neighbouring runs pairwise until one is left: about log2(len(ends))
 // comparisons per record where a sort from scratch needs log2(Len), and
-// the early passes stay inside one run's stretch of the slab. ends is
-// consumed.
+// the early passes stay inside one run's stretch of the slab. The merge
+// moves keyed entries through the batch's scratch and compares prefixes,
+// calling compareTied only when two are equal; the scratch is kept, so a
+// batch that merges again at a size it has seen allocates nothing. ends
+// is consumed.
 func (b *Batch) MergeRuns(ends []int) {
 	if len(ends) < 2 {
 		return
 	}
-	src, dst := b.index, make([]entry, len(b.index))
+	src, dst := b.scratch(len(b.index))
+	b.loadKeys(src)
 	for len(ends) > 1 {
 		lo, merged := 0, ends[:0]
 		for i := 0; i < len(ends); i += 2 {
@@ -206,18 +339,29 @@ func (b *Batch) MergeRuns(ends []int) {
 		}
 		src, dst, ends = dst, src, merged
 	}
-	b.index = src
+	for i, k := range src {
+		b.index[i] = k.e
+	}
+}
+
+// less orders two keyed entries of one slab as compare orders their
+// entries.
+func less(slab []byte, x, y keyed) bool {
+	return x.pre < y.pre || x.pre == y.pre && compareTied(slab, x.e, y.e) < 0
 }
 
 // mergeInto merges the sorted runs x and y into dst, len(x)+len(y) long.
-func mergeInto(dst, x, y []entry, slab []byte) {
-	for len(x) > 0 && len(y) > 0 {
-		if compare(slab, y[0], x[0]) < 0 {
-			dst[0], y = y[0], y[1:]
+func mergeInto(dst, x, y []keyed, slab []byte) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if less(slab, y[j], x[i]) {
+			dst[k] = y[j]
+			j++
 		} else {
-			dst[0], x = x[0], x[1:]
+			dst[k] = x[i]
+			i++
 		}
-		dst = dst[1:]
+		k++
 	}
-	copy(dst[copy(dst, x):], y)
+	copy(dst[k+copy(dst[k:], x[i:]):], y[j:])
 }

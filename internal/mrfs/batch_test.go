@@ -48,52 +48,7 @@ func sameRecord(a, b Record) bool {
 // record i into partition i mod n and All reads the partitions back.
 func checkBatchOrder(t *testing.T, recs []Record, n int) {
 	t.Helper()
-	want := slices.Clone(recs)
-	slices.SortStableFunc(want, func(a, b Record) int {
-		switch {
-		case Less(a, b):
-			return -1
-		case Less(b, a):
-			return 1
-		}
-		return 0
-	})
-
-	var sorted, merged Batch
-	var ends []int
-	for _, r := range recs {
-		if err := sorted.Append(r.Key, r.Sec, r.Val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Runs of n records, each sorted on its own, then merged.
-	for lo := 0; lo < len(recs); lo += n {
-		var run Batch
-		for _, r := range recs[lo:min(lo+n, len(recs))] {
-			if err := run.Append(r.Key, r.Sec, r.Val); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run.Sort()
-		merged.AppendBatch(&run)
-		ends = append(ends, merged.Len())
-	}
-	sorted.Sort()
-	merged.MergeRuns(ends)
-	for name, b := range map[string]*Batch{"Sort": &sorted, "MergeRuns": &merged} {
-		if b.Len() != len(want) {
-			t.Fatalf("%s: %d records, want %d", name, b.Len(), len(want))
-		}
-		for i := range want {
-			if got := b.Record(i); !sameRecord(got, want[i]) {
-				t.Fatalf("%s: record %d is %q/%q/%q, Less puts %q/%q/%q there",
-					name, i, got.Key, got.Sec, got.Val, want[i].Key, want[i].Sec, want[i].Val)
-			}
-			if i > 0 && b.SameKey(i-1, i) != bytes.Equal(want[i-1].Key, want[i].Key) {
-				t.Fatalf("%s: SameKey(%d, %d) disagrees with the keys", name, i-1, i)
-			}
-		}
-	}
+	checkSortAndMerge(t, recs, n)
 
 	d, err := FromRecords("d", recs, n)
 	if err != nil {
@@ -124,6 +79,60 @@ func checkBatchOrder(t *testing.T, recs []Record, n int) {
 	}
 }
 
+// checkSortAndMerge asserts that the batch sort, and the merge of runs of
+// runLen records each sorted on its own, both yield exactly the sequence
+// a stable sort by Less gives over the materialised records.
+func checkSortAndMerge(t *testing.T, recs []Record, runLen int) {
+	t.Helper()
+	want := slices.Clone(recs)
+	slices.SortStableFunc(want, func(a, b Record) int {
+		switch {
+		case Less(a, b):
+			return -1
+		case Less(b, a):
+			return 1
+		}
+		return 0
+	})
+
+	var sorted, merged Batch
+	var ends []int
+	for _, r := range recs {
+		if err := sorted.Append(r.Key, r.Sec, r.Val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Runs of runLen records, each sorted on its own, then merged.
+	for lo := 0; lo < len(recs); lo += runLen {
+		var run Batch
+		for _, r := range recs[lo:min(lo+runLen, len(recs))] {
+			if err := run.Append(r.Key, r.Sec, r.Val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run.Sort()
+		merged.AppendBatch(&run)
+		ends = append(ends, merged.Len())
+	}
+	sorted.Sort()
+	merged.MergeRuns(ends)
+	for name, b := range map[string]*Batch{"Sort": &sorted, "MergeRuns": &merged} {
+		if b.Len() != len(want) {
+			t.Fatalf("%s: %d records, want %d", name, b.Len(), len(want))
+		}
+		for i := range want {
+			if got := b.Record(i); !sameRecord(got, want[i]) {
+				t.Fatalf("%s: record %d is %q/%q/%q, Less puts %q/%q/%q there",
+					name, i, got.Key, got.Sec, got.Val, want[i].Key, want[i].Sec, want[i].Val)
+			}
+			if i > 0 && b.SameKey(i-1, i) != bytes.Equal(want[i-1].Key, want[i].Key) {
+				t.Fatalf("%s: SameKey(%d, %d) disagrees with the keys", name, i-1, i)
+			}
+		}
+	}
+
+}
+
 func TestBatchOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
@@ -139,12 +148,96 @@ func TestBatchOrderProperty(t *testing.T) {
 	}
 }
 
+// radixRecords draws n records for the radix path: keys of 0–9 bytes,
+// secondary keys of 0–2 and values of 0–3, all over {0x00, 0x01, 0xff}.
+// Such keys often share their whole 8-byte prefix, differ only past the
+// zero padding ("\x01" against "\x01\x00"), or are exactly 8 bytes long.
+func radixRecords(rng *rand.Rand, n int) []Record {
+	field := func(max int) []byte {
+		f := make([]byte, rng.Intn(max+1))
+		for i := range f {
+			f[i] = "\x00\x01\xff"[rng.Intn(3)]
+		}
+		return f
+	}
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Key: field(9), Sec: field(2), Val: field(3)}
+	}
+	return recs
+}
+
+// TestBatchOrderRadixPath holds Sort and MergeRuns to the order contract
+// on batches of 1k–20k records, merged from 1 to 17 runs.
+func TestBatchOrderRadixPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for round := 0; round < 12; round++ {
+		n := 1000 + rng.Intn(19001)
+		runs := 1 + rng.Intn(17)
+		checkSortAndMerge(t, radixRecords(rng, n), (n+runs-1)/runs)
+	}
+}
+
+// TestSortAndMergeReuseScratch: once a batch has sorted or merged at a
+// size, doing so again allocates nothing — the keyed scratch is kept.
+func TestSortAndMergeReuseScratch(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	var shuffled, runs Batch
+	var runEnds []int
+	rng := rand.New(rand.NewSource(5))
+	for r := 0; r < 7; r++ {
+		var run Batch
+		for _, rec := range radixRecords(rng, 700) {
+			if err := run.Append(rec.Key, rec.Sec, rec.Val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shuffled.AppendBatch(&run)
+		run.Sort()
+		runs.AppendBatch(&run)
+		runEnds = append(runEnds, runs.Len())
+	}
+	var b Batch
+	var ends []int
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Sort shuffled", func() { b.Reset(); b.AppendBatch(&shuffled); b.Sort() }},
+		{"Sort sorted", func() { b.Sort() }}, // b is left sorted by the case before
+		{"MergeRuns", func() {
+			b.Reset()
+			b.AppendBatch(&runs)
+			ends = append(ends[:0], runEnds...)
+			b.MergeRuns(ends)
+		}},
+	} {
+		c.f()
+		if allocs := testing.AllocsPerRun(5, c.f); allocs != 0 {
+			t.Errorf("%s: %.0f allocations after a warm-up, want 0", c.name, allocs)
+		}
+	}
+	if b.Len() != shuffled.Len() {
+		t.Fatalf("merged %d records, want %d", b.Len(), shuffled.Len())
+	}
+}
+
 func FuzzBatchOrder(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{3, 201, 2, 'a', 'b', 'c', 'x', 'y', 2, 201, 2, 'a', 'b', 'x', 'y'}, uint8(2)) // key "ab" is a prefix of "abc"
 	f.Add([]byte{1, 1, 1, 'k', 's', 'v', 7, 7, 7, 7, 1, 7, 't', 7, 7, 1, 'w'}, uint8(3))       // duplicates; equal key, sec or val differs
 	f.Add([]byte{255, 255, 255, 0, 0, 0, 1, 0, 255, 'k'}, uint8(4))                            // nil and empty fields
 	f.Add(bytes.Repeat([]byte{9, 2, 5, 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q', 'q'}, 12), uint8(5))
+	// 150 records over {0x00, 0x01, 0xff}: the whole-batch Sort meets many
+	// equal prefixes and ties that only zero padding separates.
+	var radix []byte
+	for _, r := range radixRecords(rand.New(rand.NewSource(1)), 150) {
+		radix = append(radix, byte(len(r.Key)), byte(len(r.Sec)), byte(len(r.Val)))
+		radix = append(append(append(radix, r.Key...), r.Sec...), r.Val...)
+	}
+	f.Add(radix, uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		checkBatchOrder(t, recordsFromBytes(data), 1+int(parts%8))
 	})
