@@ -52,15 +52,17 @@ loc:
 	@find . -name '*.go' -not -path './.git/*' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Fuzz smoke: every Fuzz target for 10 s — the codec and segment
-# decoders, the record batch's order contract, the WAL frame decoder and
-# the router↔node hop's decoders. A -fuzz run takes one target, so this
+# decoders, the record batch's order contract, the WAL frame decoder,
+# the router↔node hop's decoders, and the daemons' JSON wire codec held
+# to encoding/json. A -fuzz run takes one target, so this
 # walks them package:target by package:target. CI runs this in its test
 # job.
 FUZZ_TARGETS = \
 	./internal/codec:FuzzReaderDecode ./internal/codec:FuzzRoundTrip \
 	./internal/mrfs:FuzzSegmentRead ./internal/mrfs:FuzzBatchOrder \
 	./internal/wal:FuzzWALFrameDecode \
-	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply
+	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply \
+	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzAnswerString
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -141,6 +141,8 @@ func TestDaemonValidation(t *testing.T) {
 			`{"entity": "e", "topk": 2}`,                          // topk by entity unsupported
 			`{"entity": "never-added-entity", "threshold": 0.5}`,  // unknown entity
 			`{"elements": {"a": 1}, "threshold": 0.5} trailing`,   // trailing garbage
+			`{"elements": {"a": 1}, "threshold": 0.5}}`,           // a stray closing brace
+			`{"elements": {"a": 1}, "threshold": 0.5}]`,           // a stray closing bracket
 		},
 	} {
 		for _, body := range bodies {

@@ -174,32 +174,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// decodeBody parses exactly one JSON value into v with unknown fields
-// rejected. Every failure is answered with a JSON error payload: 400
-// for malformed, unknown-field, or trailing-garbage bodies, 413 when
-// the body exceeds the size cap.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	// A well-formed first value followed by more input is a malformed
-	// request, not something to silently ignore.
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after request body")
-		return false
-	}
-	return true
+	a := newAnswer()
+	a.string("error", fmt.Sprintf(format, args...))
+	a.send(w, status)
 }
 
 // handleHealthz is the liveness probe, identical for both modes: the
@@ -236,7 +213,7 @@ type writes struct {
 
 func (s writes) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req addRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, func(d *decoder) { d.addRequest(&req) }) {
 		return
 	}
 	muts := []vsmartjoin.Mutation{{Op: vsmartjoin.OpAdd, Entity: req.Entity, Elements: req.Elements}}
@@ -249,14 +226,18 @@ func (s writes) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing elements")
 	default:
 		if _, ok := s.apply(w, r, muts); ok {
-			s.reply(w, map[string]any{"ok": true})
+			a := newAnswer()
+			if !s.count(a) {
+				a.bool("ok", true)
+			}
+			a.send(w, http.StatusOK)
 		}
 	}
 }
 
 func (s writes) handleRemove(w http.ResponseWriter, r *http.Request) {
 	var req removeRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, func(d *decoder) { d.removeRequest(&req) }) {
 		return
 	}
 	if req.Entity == "" {
@@ -264,13 +245,16 @@ func (s writes) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if removed, ok := s.apply(w, r, []vsmartjoin.Mutation{{Op: vsmartjoin.OpRemove, Entity: req.Entity}}); ok {
-		s.reply(w, map[string]any{"removed": removed[0]})
+		a := newAnswer()
+		s.count(a)
+		a.bool("removed", removed[0])
+		a.send(w, http.StatusOK)
 	}
 }
 
 func (s writes) handleBulk(w http.ResponseWriter, r *http.Request) {
 	var req cluster.BulkRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, func(d *decoder) { d.bulkRequest(&req) }) {
 		return
 	}
 	// Every op is checked before anything is applied, so a malformed op
@@ -280,7 +264,10 @@ func (s writes) handleBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, ok := s.apply(w, r, req.Ops); ok {
-		s.reply(w, map[string]any{"applied": len(req.Ops)})
+		a := newAnswer()
+		a.int("applied", int64(len(req.Ops)))
+		s.count(a)
+		a.send(w, http.StatusOK)
 	}
 }
 
@@ -303,15 +290,16 @@ func (s writes) apply(w http.ResponseWriter, r *http.Request, muts []vsmartjoin.
 	return applied, true
 }
 
-// reply answers a write with 200 and resp — on a node, with the entity
-// count added (and without "ok": a node's /add has always answered with
-// the count alone).
-func (s writes) reply(w http.ResponseWriter, resp map[string]any) {
-	if s.entities != nil {
-		delete(resp, "ok")
-		resp["entities"] = s.entities()
+// count adds, on a node, the entity count every node write reply
+// carries, and reports whether it did: a node's /add answers with the
+// count alone, a router's with "ok". Callers add the members around it
+// in sorted key order ("applied" < "entities" < "ok" < "removed").
+func (s writes) count(a *answer) bool {
+	if s.entities == nil {
+		return false
 	}
-	writeJSON(w, http.StatusOK, resp)
+	a.int("entities", int64(s.entities()))
+	return true
 }
 
 type queryRequest struct {
@@ -327,16 +315,6 @@ type queryRequest struct {
 	// Debug asks for a trace annotation block (request ID, per-stage
 	// timings) alongside the matches.
 	Debug bool `json:"debug"`
-}
-
-// queryDebug is the optional trace block a Debug query gets back: the
-// request ID (also on the response header, and propagated to every
-// node sub-request in router mode) and per-stage wall times.
-type queryDebug struct {
-	RequestID string `json:"request_id"`
-	DecodeNs  int64  `json:"decode_ns"`
-	QueryNs   int64  `json:"query_ns"`
-	TotalNs   int64  `json:"total_ns"`
 }
 
 type knnRequest struct {
@@ -357,7 +335,7 @@ func parseQuery(w http.ResponseWriter, r *http.Request, knn bool) (q vsmartjoin.
 	if knn {
 		var req knnRequest
 		switch {
-		case !decodeBody(w, r, &req):
+		case !readRequest(w, r, func(d *decoder) { d.knnRequest(&req) }):
 		case req.Entity != "" && len(req.Elements) > 0:
 			writeError(w, http.StatusBadRequest, "name the query with at most one of entity or elements")
 		case req.K <= 0:
@@ -369,7 +347,7 @@ func parseQuery(w http.ResponseWriter, r *http.Request, knn bool) (q vsmartjoin.
 	}
 	var req queryRequest
 	switch {
-	case !decodeBody(w, r, &req):
+	case !readRequest(w, r, func(d *decoder) { d.queryRequest(&req) }):
 	case (req.Entity == "") == (len(req.Elements) == 0):
 		writeError(w, http.StatusBadRequest, "name the query with exactly one of entity or elements")
 	case (req.Threshold == nil) == (req.TopK == 0):
@@ -411,36 +389,19 @@ func handleQuery(w http.ResponseWriter, r *http.Request, backend querier, knn bo
 		writeError(w, status, "%v", err)
 		return
 	}
-	// The answer's list is always an array on the wire, never null.
-	resp := map[string]any{}
-	if knn {
-		if res.Neighbors == nil {
-			res.Neighbors = []vsmartjoin.Neighbor{}
-		}
-		resp["neighbors"] = res.Neighbors
-	} else {
-		if res.Matches == nil {
-			res.Matches = []vsmartjoin.Match{}
-		}
-		resp["matches"] = res.Matches
-	}
+	a := newAnswer()
 	if debug {
 		queried := time.Now()
-		resp["debug"] = queryDebug{
-			RequestID: rid,
-			DecodeNs:  decoded.Sub(start).Nanoseconds(),
-			QueryNs:   queried.Sub(decoded).Nanoseconds(),
-			TotalNs:   queried.Sub(start).Nanoseconds(),
-		}
+		a.debug(rid, decoded.Sub(start), queried.Sub(decoded), queried.Sub(start))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	a.results(res, knn)
+	a.send(w, http.StatusOK)
 }
 
 // snapshotBody enforces "optional, but well-formed if present" for the
 // /snapshot endpoints.
 func snapshotBody(w http.ResponseWriter, r *http.Request) bool {
-	var req struct{}
-	return r.ContentLength == 0 || decodeBody(w, r, &req)
+	return r.ContentLength == 0 || readRequest(w, r, (*decoder).emptyRequest)
 }
 
 // ---- node mode ----

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -679,6 +680,102 @@ func TestNodeBulkMixedOpsIsOneApply(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if _, ok := bulked.Elements(fmt.Sprintf("old%d", i)); ok {
 			t.Fatalf("old%d survived its remove", i)
+		}
+	}
+}
+
+// TestRepliesMatchEncodingJSON holds every answer the write and query
+// handlers append by hand, on a node and on a router, to what
+// json.NewEncoder wrote for the maps they used to build: the body byte
+// for byte, and the headers (content type, request ID, length).
+func TestRepliesMatchEncodingJSON(t *testing.T) {
+	_, router, nodes := startCluster(t, 1)
+	node := nodes[0]
+	encode := func(v any) string {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	send := func(ts *httptest.Server, path, body string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: Content-Type %q", path, ct)
+		}
+		if resp.Header.Get(cluster.HeaderRequestID) == "" {
+			t.Fatalf("%s: no request ID", path)
+		}
+		if resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("%s: Content-Length %d for %d bytes", path, resp.ContentLength, len(raw))
+		}
+		return resp.StatusCode, string(raw)
+	}
+	check := func(ts *httptest.Server, path, body string, code int, want any) {
+		t.Helper()
+		if gotCode, got := send(ts, path, body); gotCode != code || got != encode(want) {
+			t.Fatalf("%s %s: %d %q, want %d %q", path, body, gotCode, got, code, encode(want))
+		}
+	}
+	// Writes through the router, then straight to its one node: the node
+	// answers with its entity count, the router without.
+	check(router, "/add", `{"entity": "<a&b>", "elements": {"x": 2, "y": 1}}`, 200, map[string]any{"ok": true})
+	check(node, "/add", `{"entity": "e\u2028", "elements": {"x": 1}}`, 200, map[string]any{"entities": 2})
+	check(router, "/remove", `{"entity": "ghost"}`, 200, map[string]any{"removed": false})
+	check(node, "/remove", `{"entity": "ghost"}`, 200, map[string]any{"removed": false, "entities": 2})
+	check(router, "/bulk", `{"ops": [{"op": "add", "entity": "f", "elements": {"y": 3}}]}`, 200, map[string]any{"applied": 1})
+	check(node, "/bulk", `{"ops": []}`, 200, map[string]any{"applied": 0, "entities": 3})
+	check(node, "/bulk", `null`, 200, map[string]any{"applied": 0, "entities": 3})
+	check(node, "/remove", `{"entity": "f"}`, 200, map[string]any{"removed": true, "entities": 2})
+	check(router, "/remove", `{"entity": "e\u2028"}`, 200, map[string]any{"removed": true})
+	check(router, "/add", `{"entity": "e\"q", "elements": {"x": 3, "z": 1}}`, 200, map[string]any{"ok": true})
+	// Errors: the payload and its status.
+	check(node, "/add", `{"entity": "e"}`, 400, map[string]string{"error": "missing elements"})
+	check(router, "/query", `{"entity": "never\"<seen>", "threshold": 0.5}`, 400,
+		map[string]string{"error": `cluster: entity "never\"<seen>" not indexed`})
+	check(node, "/knn", `{"k": 0}`, 400, map[string]string{"error": "k must be positive"})
+	check(router, "/remove", `{}}`, 400, map[string]string{"error": "trailing data after request body"})
+	// Answers: decoded and re-encoded the way the handlers used to.
+	type answer struct {
+		Matches   []vsmartjoin.Match    `json:"matches,omitempty"`
+		Neighbors []vsmartjoin.Neighbor `json:"neighbors,omitempty"`
+	}
+	for _, ts := range []*httptest.Server{node, router} {
+		for _, q := range []struct{ path, body string }{
+			{"/query", `{"elements": {"x": 2, "y": 1}, "threshold": 0.1}`},
+			{"/query", `{"elements": {"x": 2, "y": 1}, "threshold": 0.99}`},
+			{"/query", `{"elements": {"z": 1, "x": 1}, "topk": 2}`},
+			{"/query", `{"entity": "<a&b>", "threshold": 0}`},
+			{"/knn", `{"elements": {"x": 1}, "k": 3}`},
+			{"/knn", `{"entity": "e\"q", "k": 1}`},
+			{"/knn", `{"entity": "<a&b>", "k": 9}`},
+		} {
+			code, got := send(ts, q.path, q.body)
+			var out answer
+			if err := json.Unmarshal([]byte(got), &out); err != nil || code != 200 {
+				t.Fatalf("%s %s: %d %q %v", q.path, q.body, code, got, err)
+			}
+			want := map[string]any{"matches": out.Matches}
+			if q.path == "/knn" {
+				want = map[string]any{"neighbors": out.Neighbors}
+			}
+			for k, v := range want {
+				if reflect.ValueOf(v).IsNil() {
+					want[k] = []struct{}{}
+				}
+			}
+			if got != encode(want) {
+				t.Fatalf("%s %s:\n got %q\nwant %q", q.path, q.body, got, encode(want))
+			}
 		}
 	}
 }

@@ -81,13 +81,17 @@ func (l *limiter) inFlight() int { return len(l.slots) }
 // epoch distinguishes processes, an atomic sequence distinguishes
 // requests. A router-assigned ID arriving on the trace header is kept,
 // so node-side records correlate with the router's.
+// The epoch part, with its "-", is formatted once; a stamp appends the
+// sequence number to it in a stack buffer, so the string is its one
+// allocation.
 var (
-	reqEpoch = time.Now().UnixNano()
-	reqSeq   atomic.Uint64
+	reqPrefix = strconv.FormatInt(time.Now().UnixNano(), 36) + "-"
+	reqSeq    atomic.Uint64
 )
 
 func nextRequestID() string {
-	return strconv.FormatInt(reqEpoch, 36) + "-" + strconv.FormatUint(reqSeq.Add(1), 36)
+	var buf [40]byte
+	return string(strconv.AppendUint(append(buf[:0], reqPrefix...), reqSeq.Add(1), 36))
 }
 
 // exemptPath reports the endpoints admission control never sheds:
