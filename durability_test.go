@@ -208,6 +208,36 @@ func TestDurableMutationsAfterClose(t *testing.T) {
 	}
 }
 
+// TestApplyReportsRefusedAppend pins append-before-apply at the public
+// write method: when the write-ahead log refuses a batch, Apply reports
+// the error and applies nothing, so no unlogged mutation is ever served.
+func TestApplyReportsRefusedAppend(t *testing.T) {
+	ix, err := NewIndex(IndexOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add("a", map[string]uint32{"x": 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Close the log underneath the index, which itself stays open: the
+	// next append is refused.
+	if err := ix.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := ix.Apply(context.Background(), []Mutation{
+		{Op: OpAdd, Entity: "b", Elements: map[string]uint32{"y": 1}},
+	})
+	if err == nil || applied != nil {
+		t.Fatalf("Apply over a refusing log = %v, %v; want an error and nil applied", applied, err)
+	}
+	if n := ix.Len(); n != 1 {
+		t.Fatalf("Len after a refused append = %d, want 1", n)
+	}
+	if _, ok := ix.Elements("b"); ok {
+		t.Fatal("entity of a refused append is present")
+	}
+}
+
 // TestDurableOptionValidation covers the new IndexOptions surface.
 func TestDurableOptionValidation(t *testing.T) {
 	vol, err := NewIndex(IndexOptions{})

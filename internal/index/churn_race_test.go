@@ -5,10 +5,11 @@ package index
 // (every removal marks postings dead, and compaction fires once dead
 // postings outnumber live ones) while readers run threshold and top-k
 // queries through the pooled scratch/epoch-stamped candidate path the
-// whole time. Run under -race this proves the slot-recycling dedup
-// machinery never reads or stamps across a concurrent slot reuse; the
-// final oracle comparison proves the quiesced index still answers
-// exactly.
+// whole time, and now and then read the guarded counters through Len
+// and Stats. Run under -race this proves the slot-recycling dedup
+// machinery never reads or stamps across a concurrent slot reuse and
+// that Len and Stats read guarded state under the lock; the final
+// oracle comparison proves the quiesced index still answers exactly.
 
 import (
 	"sync"
@@ -60,14 +61,21 @@ func TestChurnWithConcurrentQueries(t *testing.T) {
 	}
 
 	// Readers: threshold and top-k queries with reused buffers until the
-	// writers finish. Results are only sanity-checked here (the index is
-	// in flux); exactness is proven post-quiesce against the oracle.
+	// writers finish, and every 64th iteration Len and Stats. Results are
+	// only sanity-checked here (the index is in flux); exactness is
+	// proven post-quiesce against the oracle.
 	for g := 0; g < readers; g++ {
 		readerWG.Add(1)
 		go func(g int) {
 			defer readerWG.Done()
 			var buf []Match
 			for i := 0; !stop.Load(); i++ {
+				if i%64 == 0 {
+					if n, st := ix.Len(), ix.Stats(); n > entities || st.Entities > entities {
+						t.Errorf("Len %d, Stats.Entities %d: more than the %d entities ever indexed", n, st.Entities, entities)
+						return
+					}
+				}
 				q := QueryOf(churnSet(1+(g*31+i)%entities, i%7))
 				if i%2 == 0 {
 					buf = ix.QueryThresholdInto(q, 0.5, buf[:0])

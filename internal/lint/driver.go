@@ -1,17 +1,4 @@
-// Package driver runs the lint analyzers over loaded packages and
-// applies the project's suppression contract.
-//
-// A finding may be silenced with a comment of the form
-//
-//	//lint:vsmart-allow <analyzer> <reason>
-//
-// placed on the flagged line or on the line directly above it. The
-// reason is mandatory — a suppression must say why the exception is
-// sound — and every suppression must actually silence a finding of the
-// named analyzer: one that no longer matches anything is itself reported
-// as an error, so stale exceptions cannot linger after the code under
-// them is fixed or deleted.
-package driver
+package lint
 
 import (
 	"fmt"
@@ -19,9 +6,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-
-	"vsmartjoin/internal/lint/analysis"
-	"vsmartjoin/internal/lint/load"
 )
 
 // SuppressPrefix starts a suppression comment (after the leading "//").
@@ -51,7 +35,7 @@ type suppression struct {
 // Run applies every analyzer to every package, resolves suppressions,
 // and returns the surviving findings sorted by position. The error
 // return is reserved for analyzer-internal failures.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -66,14 +50,14 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error
 		findings = append(findings, bad...)
 
 		for _, a := range analyzers {
-			var diags []analysis.Diagnostic
-			pass := &analysis.Pass{
+			var diags []Diagnostic
+			pass := &Pass{
 				Analyzer:  a,
 				Fset:      fset,
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+				Report:    func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

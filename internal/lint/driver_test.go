@@ -1,4 +1,4 @@
-package driver_test
+package lint_test
 
 import (
 	"testing"
@@ -11,5 +11,5 @@ import (
 // exercises every shape of //lint:vsmart-allow the driver must accept
 // or reject.
 func TestSuppressionContract(t *testing.T) {
-	linttest.Run(t, framesafety.Analyzer, "testdata", "supptest")
+	linttest.Run(t, framesafety.Analyzer, "testdata", "vsmartjoin/supptest")
 }

@@ -28,11 +28,11 @@ import (
 	"go/ast"
 	"strings"
 
-	"vsmartjoin/internal/lint/analysis"
+	"vsmartjoin/internal/lint"
 )
 
 // Analyzer is the framesafety checker.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: "framesafety",
 	Doc:  "disk framing (length prefixes, checksums, snap-*/wal-* files) must go through internal/frame",
 	Run:  run,
@@ -60,7 +60,7 @@ var fileWriters = map[string]bool{
 	"WriteFile": true,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *lint.Pass) error {
 	if pass.Pkg.Path() == framePkg || pass.Pkg.Path() == framePkg+"_test" {
 		return nil
 	}
@@ -72,13 +72,13 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := analysis.Callee(pass.TypesInfo, call)
+			fn := lint.Callee(pass.TypesInfo, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
 			switch fn.Pkg().Path() {
 			case "encoding/binary":
-				if varintWriters[fn.Name()] && analysis.PkgLevel(fn) {
+				if varintWriters[fn.Name()] && lint.PkgLevel(fn) {
 					pass.Reportf(call.Pos(),
 						"raw length-prefix write binary.%s outside internal/frame: frame all on-disk records with frame.Append/frame.Writer", fn.Name())
 				}
@@ -86,7 +86,7 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(),
 					"checksum construction crc32.%s outside internal/frame: internal/frame owns the one CRC-32C framing", fn.Name())
 			case "os":
-				if fileWriters[fn.Name()] && analysis.PkgLevel(fn) && !(inWal && !pass.InTestFile(call.Pos())) {
+				if fileWriters[fn.Name()] && lint.PkgLevel(fn) && !(inWal && !pass.InTestFile(call.Pos())) {
 					if arg := durableFileArg(pass, call); arg != "" {
 						pass.Reportf(call.Pos(),
 							"direct os.%s of %s file outside internal/wal: durable generation files are written through internal/frame by internal/wal only", fn.Name(), arg)
@@ -104,7 +104,7 @@ func run(pass *analysis.Pass) error {
 // a string literal containing "snap-" or "wal-", or a call to a helper
 // whose name contains SnapName/WalName. It returns a short description
 // of the evidence, or "".
-func durableFileArg(pass *analysis.Pass, call *ast.CallExpr) string {
+func durableFileArg(pass *lint.Pass, call *ast.CallExpr) string {
 	if len(call.Args) == 0 {
 		return ""
 	}
@@ -122,7 +122,7 @@ func durableFileArg(pass *analysis.Pass, call *ast.CallExpr) string {
 				found = "wal-*"
 			}
 		case *ast.CallExpr:
-			if fn := analysis.Callee(pass.TypesInfo, e); fn != nil {
+			if fn := lint.Callee(pass.TypesInfo, e); fn != nil {
 				name := strings.ToLower(fn.Name())
 				if strings.Contains(name, "snapname") {
 					found = "snap-*"

@@ -9,5 +9,5 @@ import (
 
 func TestFramesafety(t *testing.T) {
 	linttest.Run(t, framesafety.Analyzer, "testdata",
-		"fstest", "vsmartjoin/internal/wal", "vsmartjoin/internal/frame")
+		"vsmartjoin/fstest", "vsmartjoin/internal/wal", "vsmartjoin/internal/frame")
 }

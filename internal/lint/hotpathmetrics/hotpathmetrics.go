@@ -21,11 +21,11 @@ package hotpathmetrics
 import (
 	"go/ast"
 
-	"vsmartjoin/internal/lint/analysis"
+	"vsmartjoin/internal/lint"
 )
 
 // Analyzer is the hotpathmetrics checker.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: "hotpathmetrics",
 	Doc:  "hot-path packages (index/shard/wal) must time through internal/metrics, not raw time.Now/time.Since",
 	Run:  run,
@@ -49,7 +49,7 @@ var banned = map[string]string{
 	"Since": "metrics.ObserveSince",
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *lint.Pass) error {
 	if !hotPkgs[pass.Pkg.Path()] {
 		return nil
 	}
@@ -59,12 +59,12 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := analysis.Callee(pass.TypesInfo, call)
+			fn := lint.Callee(pass.TypesInfo, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}
 			want, hit := banned[fn.Name()]
-			if !hit || !analysis.PkgLevel(fn) || pass.InTestFile(call.Pos()) {
+			if !hit || !lint.PkgLevel(fn) || pass.InTestFile(call.Pos()) {
 				return true
 			}
 			pass.Reportf(call.Pos(),

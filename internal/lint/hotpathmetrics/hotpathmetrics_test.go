@@ -9,5 +9,5 @@ import (
 
 func TestHotpathmetrics(t *testing.T) {
 	linttest.Run(t, hotpathmetrics.Analyzer, "testdata",
-		"hmtest", "vsmartjoin/internal/wal", "vsmartjoin/internal/metrics")
+		"vsmartjoin/hmtest", "vsmartjoin/internal/wal", "vsmartjoin/internal/metrics")
 }

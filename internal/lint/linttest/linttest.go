@@ -1,12 +1,14 @@
 // Package linttest is the analyzers' test harness, a miniature
 // counterpart of golang.org/x/tools/go/analysis/analysistest built on
-// the same stdlib-only loader the vsmartlint driver uses.
+// the loader vsmartlint uses. It is a package of its own so that the
+// vsmartlint binary does not link testing.
 //
-// Fixtures live in a GOPATH-style tree under <root>/src/<importpath>.
-// Because the loader resolves fixture-local imports inside that tree
-// first, a fixture may stub a real module package (declare a tiny
-// vsmartjoin/internal/wal, say) so path-matching analyzers trigger
-// without depending on the real code — the tests stay hermetic.
+// A fixture is a small module (module vsmartjoin) in the analyzer's
+// testdata directory, loaded exactly as `vsmartlint ./...` loads the
+// repo. Because the fixture module shares the real module's path, it
+// may stub a real package (declare a tiny vsmartjoin/internal/wal, say)
+// so path-matching analyzers trigger without depending on the real code
+// — the tests stay hermetic.
 //
 // Expected findings are declared in the fixture source with trailing
 // comments of the form
@@ -26,9 +28,7 @@ import (
 	"strings"
 	"testing"
 
-	"vsmartjoin/internal/lint/analysis"
-	"vsmartjoin/internal/lint/driver"
-	"vsmartjoin/internal/lint/load"
+	"vsmartjoin/internal/lint"
 )
 
 // expectation is one parsed // want regexp, bound to a file and line.
@@ -40,17 +40,17 @@ type expectation struct {
 	met  bool
 }
 
-// Run loads the fixture packages at the given import paths under
-// root/src, applies analyzer a through the driver (suppressions
-// included), and fails t unless findings and // want expectations match
-// one-to-one.
-func Run(t *testing.T, a *analysis.Analyzer, root string, paths ...string) {
+// Run loads the fixture packages at the given import paths from the
+// fixture module in dir, applies analyzer a through the driver
+// (suppressions included), and fails t unless findings and // want
+// expectations match one-to-one.
+func Run(t *testing.T, a *lint.Analyzer, dir string, paths ...string) {
 	t.Helper()
-	pkgs, err := load.Load(load.Config{FixtureRoot: root}, paths...)
+	pkgs, err := lint.Load(dir, paths...)
 	if err != nil {
 		t.Fatalf("load fixtures: %v", err)
 	}
-	findings, err := driver.Run(pkgs, []*analysis.Analyzer{a})
+	findings, err := lint.Run(pkgs, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
@@ -69,7 +69,7 @@ func Run(t *testing.T, a *analysis.Analyzer, root string, paths ...string) {
 
 // claim marks the first open expectation on the finding's line whose
 // regexp matches its message.
-func claim(expects []*expectation, f driver.Finding) bool {
+func claim(expects []*expectation, f lint.Finding) bool {
 	for _, e := range expects {
 		if !e.met && e.file == f.Pos.Filename && e.line == f.Pos.Line && e.re.MatchString(f.Message) {
 			e.met = true
@@ -84,7 +84,7 @@ func claim(expects []*expectation, f driver.Finding) bool {
 var wantToken = regexp.MustCompile("^\\s*(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 
 // collectWants extracts the // want expectations from fixture comments.
-func collectWants(t *testing.T, pkgs []*load.Package) []*expectation {
+func collectWants(t *testing.T, pkgs []*lint.Package) []*expectation {
 	t.Helper()
 	var out []*expectation
 	for _, pkg := range pkgs {

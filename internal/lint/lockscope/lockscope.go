@@ -30,11 +30,11 @@ import (
 	"go/types"
 	"strings"
 
-	"vsmartjoin/internal/lint/analysis"
+	"vsmartjoin/internal/lint"
 )
 
 // Analyzer is the lockscope checker.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: "lockscope",
 	Doc:  "guarded fields need the lock held; Measure.Sim verification must run outside it",
 	Run:  run,
@@ -48,7 +48,7 @@ var scopePkgs = map[string]bool{
 
 const similarityPkg = "vsmartjoin/internal/similarity"
 
-func run(pass *analysis.Pass) error {
+func run(pass *lint.Pass) error {
 	base := strings.TrimSuffix(pass.Pkg.Path(), "_test")
 	if !scopePkgs[base] {
 		return nil
@@ -77,7 +77,7 @@ type guardInfo struct {
 // collectGuards finds every struct in the package with a sync.Mutex or
 // sync.RWMutex field and derives its guarded field set from the
 // declaration paragraph following the mutex.
-func collectGuards(pass *analysis.Pass) map[*types.Named]*guardInfo {
+func collectGuards(pass *lint.Pass) map[*types.Named]*guardInfo {
 	out := map[*types.Named]*guardInfo{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -107,7 +107,7 @@ func collectGuards(pass *analysis.Pass) map[*types.Named]*guardInfo {
 	return out
 }
 
-func structGuards(pass *analysis.Pass, st *ast.StructType) *guardInfo {
+func structGuards(pass *lint.Pass, st *ast.StructType) *guardInfo {
 	var gi *guardInfo
 	collecting := false
 	var prevEnd int // line the previous guarded-paragraph field ends on
@@ -148,16 +148,16 @@ func structGuards(pass *analysis.Pass, st *ast.StructType) *guardInfo {
 }
 
 func isMutexType(t types.Type) bool {
-	return analysis.IsNamed(t, "sync", "Mutex") || analysis.IsNamed(t, "sync", "RWMutex")
+	return lint.IsNamed(t, "sync", "Mutex") || lint.IsNamed(t, "sync", "RWMutex")
 }
 
 // checkFunc scans one function body in source order.
-func checkFunc(pass *analysis.Pass, guards map[*types.Named]*guardInfo, fd *ast.FuncDecl) {
+func checkFunc(pass *lint.Pass, guards map[*types.Named]*guardInfo, fd *ast.FuncDecl) {
 	var gi *guardInfo
 	var recv *types.Var
 	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 		if v, ok := pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-			if named := analysis.NamedOf(v.Type()); named != nil {
+			if named := lint.NamedOf(v.Type()); named != nil {
 				gi = guards[named]
 				recv = v
 			}
@@ -180,7 +180,7 @@ func checkFunc(pass *analysis.Pass, guards map[*types.Named]*guardInfo, fd *ast.
 // scanner walks statements in source order tracking how many
 // lock acquisitions on the receiver's mutex are outstanding.
 type scanner struct {
-	pass     *analysis.Pass
+	pass     *lint.Pass
 	gi       *guardInfo // nil when the receiver has no guarded fields
 	recv     *types.Var
 	funcName string
@@ -309,8 +309,8 @@ func (s *scanner) expr(n ast.Expr) {
 			inner.stmt(e.Body)
 			return false
 		case *ast.CallExpr:
-			if fn := analysis.Callee(s.pass.TypesInfo, e); fn != nil && s.held() {
-				if analysis.IsMethod(fn, similarityPkg, "", "Sim") {
+			if fn := lint.Callee(s.pass.TypesInfo, e); fn != nil && s.held() {
+				if lint.IsMethod(fn, similarityPkg, "", "Sim") {
 					s.pass.Reportf(e.Pos(),
 						"similarity verification %s.Sim while the %s lock is held: verify outside the lock (the hot path's lock-free-read contract)",
 						recvTypeName(fn), s.lockName())
@@ -372,7 +372,7 @@ func (s *scanner) lockCall(e ast.Expr) int {
 	}
 	// The callee must be a sync mutex method and the receiver expression
 	// a field selection on the method's receiver (ix.mu.Lock()).
-	fn := analysis.Callee(s.pass.TypesInfo, call)
+	fn := lint.Callee(s.pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return 0
 	}
@@ -388,7 +388,7 @@ func (s *scanner) lockCall(e ast.Expr) int {
 
 func recvTypeName(fn *types.Func) string {
 	sig := fn.Type().(*types.Signature)
-	if named := analysis.NamedRecv(sig); named != nil {
+	if named := lint.NamedRecv(sig); named != nil {
 		return named.Obj().Name()
 	}
 	return "Measure"

@@ -31,11 +31,11 @@ import (
 	"go/ast"
 	"go/types"
 
-	"vsmartjoin/internal/lint/analysis"
+	"vsmartjoin/internal/lint"
 )
 
 // Analyzer is the walerr checker.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: "walerr",
 	Doc:  "errors from WAL, frame, index-mutation, and flush paths must not be discarded",
 	Run:  run,
@@ -78,7 +78,7 @@ var mustCheck = []callee{
 	{"bufio", "Writer", "Flush"},
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *lint.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch st := n.(type) {
@@ -98,7 +98,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // report flags e when it is a must-check call whose results are unused.
-func report(pass *analysis.Pass, e ast.Expr, how string) {
+func report(pass *lint.Pass, e ast.Expr, how string) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return
@@ -112,7 +112,7 @@ func report(pass *analysis.Pass, e ast.Expr, how string) {
 // checkBlankAssign flags `_ = mustCheckCall()` and multi-assigns whose
 // error position is blank (`v, _ := ix.Snapshot(...)` has no error — the
 // blank check applies only when the error result itself is discarded).
-func checkBlankAssign(pass *analysis.Pass, st *ast.AssignStmt) {
+func checkBlankAssign(pass *lint.Pass, st *ast.AssignStmt) {
 	if len(st.Rhs) != 1 {
 		return
 	}
@@ -124,7 +124,7 @@ func checkBlankAssign(pass *analysis.Pass, st *ast.AssignStmt) {
 	if c == nil {
 		return
 	}
-	fn := analysis.Callee(pass.TypesInfo, call)
+	fn := lint.Callee(pass.TypesInfo, call)
 	sig := fn.Type().(*types.Signature)
 	// Find the error results and require a non-blank identifier at each.
 	for i := 0; i < sig.Results().Len(); i++ {
@@ -150,8 +150,8 @@ func checkBlankAssign(pass *analysis.Pass, st *ast.AssignStmt) {
 	}
 }
 
-func matchCall(pass *analysis.Pass, call *ast.CallExpr) *callee {
-	fn := analysis.Callee(pass.TypesInfo, call)
+func matchCall(pass *lint.Pass, call *ast.CallExpr) *callee {
+	fn := lint.Callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
@@ -161,12 +161,12 @@ func matchCall(pass *analysis.Pass, call *ast.CallExpr) *callee {
 			continue
 		}
 		if c.recv == "" {
-			if analysis.PkgLevel(fn) {
+			if lint.PkgLevel(fn) {
 				return c
 			}
 			continue
 		}
-		if analysis.IsMethod(fn, c.pkg, c.recv, c.name) {
+		if lint.IsMethod(fn, c.pkg, c.recv, c.name) {
 			return c
 		}
 	}

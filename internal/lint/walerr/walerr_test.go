@@ -8,5 +8,5 @@ import (
 )
 
 func TestWalerr(t *testing.T) {
-	linttest.Run(t, walerr.Analyzer, "testdata", "walerrtest")
+	linttest.Run(t, walerr.Analyzer, "testdata", "vsmartjoin/walerrtest")
 }
