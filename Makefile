@@ -54,8 +54,9 @@ loc:
 
 # Fuzz smoke: every Fuzz target for 10 s — the codec and segment
 # decoders, the record batch's order contract, the WAL frame decoder,
-# the router↔node hop's decoders, and the daemons' JSON wire codec held
-# to encoding/json. A -fuzz run takes one target, so this
+# the router↔node hop's decoders, the daemons' JSON wire codec held
+# to encoding/json, and the TSV trace reader held to a reference sum.
+# A -fuzz run takes one target, so this
 # walks them package:target by package:target. CI runs this in its test
 # job.
 FUZZ_TARGETS = \
@@ -63,7 +64,8 @@ FUZZ_TARGETS = \
 	./internal/mrfs:FuzzSegmentRead ./internal/mrfs:FuzzBatchOrder \
 	./internal/wal:FuzzWALFrameDecode \
 	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply \
-	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzAnswerString
+	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzAnswerString \
+	.:FuzzReadTrace
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

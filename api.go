@@ -52,7 +52,8 @@ func NewDataset() *Dataset {
 }
 
 // Add registers an entity with its element multiplicities. Adding the
-// same entity name twice merges the multiplicities.
+// same entity name twice merges the multiplicities by summing them; a
+// sum past math.MaxUint32 saturates at math.MaxUint32.
 func (d *Dataset) Add(entity string, counts map[string]uint32) {
 	idx, ok := d.byName[entity]
 	if !ok {

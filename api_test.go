@@ -113,6 +113,15 @@ func TestAddMergesDuplicates(t *testing.T) {
 	if want := []Pair{{A: "e", B: "f", Similarity: 1}}; !reflect.DeepEqual(res.Pairs, want) {
 		t.Fatalf("AllPairs: %v, want %v", res.Pairs, want)
 	}
+	// A merged count past math.MaxUint32 saturates instead of wrapping.
+	d.Add("g", map[string]uint32{"x": math.MaxUint32})
+	d.Add("g", map[string]uint32{"x": 2})
+	d.Each(func(name string, counts map[string]uint32) bool {
+		if name == "g" && counts["x"] != math.MaxUint32 {
+			t.Fatalf("saturating merge: x = %d, want %d", counts["x"], uint32(math.MaxUint32))
+		}
+		return true
+	})
 }
 
 func TestAddSetAndByID(t *testing.T) {

@@ -1,22 +1,12 @@
-// Package vsmartjoin is a from-scratch Go implementation of V-SMART-Join
-// (Metwally & Faloutsos, PVLDB 2012): a scalable MapReduce framework for
-// exact all-pair similarity joins of sets, multisets, and vectors.
+// Package vsmartjoin is a Go implementation of V-SMART-Join (Metwally &
+// Faloutsos, PVLDB 2012): exact all-pair similarity joins of sets,
+// multisets and vectors on MapReduce, plus an online index that serves
+// the same similarities to queries.
 //
-// The package finds every pair of entities whose similarity under a
-// nominal similarity measure (Ruzicka, Jaccard, Dice, cosine, ...) meets a
-// threshold. Entities are multisets — bags of elements with
-// multiplicities — such as the cookies observed with an IP address, the
-// shingles of a document, or the sparse coordinates of a vector.
-//
-// The join executes on a simulated shared-nothing MapReduce cluster that
-// really runs the map/combine/shuffle/reduce pipeline in-process while
-// accounting the wall-clock a cluster of the configured size would have
-// spent. Three joining algorithms from the paper are provided
-// (Online-Aggregation, Lookup, and Sharding), plus the VCL prefix-filter
-// baseline in the internal packages. Beyond the paper, the similarity
-// phase never emits a candidate pair whose two sizes alone keep it below
-// the threshold — the length filter the online index applies too — so
-// results are unchanged and Stats.LengthPruned counts what was skipped.
+// An entity is a named multiset: elements with multiplicities, such as
+// the cookies seen with an IP address or the shingles of a document. A
+// Dataset holds entities for the batch paths; Add merges a repeated name
+// by summing its counts.
 //
 // Quick start:
 //
@@ -33,243 +23,89 @@
 //		fmt.Printf("%s ~ %s: %.3f\n", p.A, p.B, p.Similarity)
 //	}
 //
-// # Online serving
+// # AllPairs
 //
-// AllPairs answers "find every similar pair, once"; Index answers "what
-// is similar to this, right now" against a dataset that keeps changing.
-// It is an incremental inverted index with measure-derived prefix and
-// length filtering, safe for concurrent mutation and queries:
+// AllPairs returns every pair of entities whose similarity under
+// Options.Measure is at least Options.Threshold, exactly, sorted by
+// entity names. A threshold of 0 is real (every pair sharing an
+// element); a negative one means DefaultThreshold; one above 1, or NaN,
+// is an error. The join runs the paper's two stages, joining (with
+// Options.Algorithm: online-aggregation, lookup or sharding) and then
+// similarity, on an in-process MapReduce engine whose cost model prices
+// a cluster of Options.Machines machines. Result.Stats reports the
+// simulated seconds, the real seconds and the candidate funnel; the
+// pairs do not depend on the algorithm, the machine count or
+// Options.ShuffleBufferBytes. AllKNN computes every entity's k nearest
+// neighbors and reads only Options.Measure.
 //
-//	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: "ruzicka"})
-//	ix.Add("ip-1", map[string]uint32{"cookie-a": 3, "cookie-b": 1})
-//	matches, err := ix.QueryThreshold(map[string]uint32{"cookie-a": 3}, 0.5)
-//	top := ix.QueryTopK(map[string]uint32{"cookie-a": 3}, 10)
+// # Index
 //
-// Every online query — threshold, top-k or kNN, by element multiset or
-// by indexed entity — is one Query value answered by Index.Query (and,
-// over a cluster, by Cluster.Query); the named methods are conveniences
-// over it.
+// An Index answers similarity queries against a dataset that changes
+// while it serves. NewIndex creates one, OpenIndex reopens a durable
+// one, BuildIndex loads a Dataset. Mutations and queries may run
+// concurrently. Every write is a batch of Mutation values passed to
+// Index.Apply, applied in order and all or nothing, repeated upserts of
+// an entity coalescing last-write-wins; Add, Remove, AddBatch,
+// RemoveBatch and AddDataset build such batches. Index.Add replaces an
+// entity's multiset, where Dataset.Add merges.
 //
-// BuildIndex bulk-loads the same Dataset AllPairs consumes, and the two
-// paths return provably consistent results (see api_diff_test.go). The
-// cmd/vsmartjoind daemon serves an Index over HTTP, and examples/serving
-// is a worked walkthrough.
+// # Query
+//
+// Every online query is a Query value: an indexed Entity (excluded from
+// its own answer) or ad-hoc Elements, a Kind (KindThreshold, KindTopK or
+// KindKNN) and its Threshold or K. Index.Query and Cluster.Query answer
+// it; QueryThreshold, QueryEntity, QueryTopK, QueryKNN and
+// QueryKNNEntity are conveniences over it. A query fails on a threshold
+// outside [0, 1], a K that is not positive, both subjects set, or an
+// Entity that is not indexed. KindThreshold returns every entity at or
+// above the threshold; KindTopK the K most similar among those sharing
+// an element; KindKNN the K nearest under the distance 1 − similarity,
+// padded with non-overlapping entities at distance exactly 1 when fewer
+// than K overlap.
+//
+// The canonical order: matches by similarity descending, neighbors by
+// distance ascending, entity names ascending on ties, and the smallest
+// names win a tie at the K-th place. An answer is therefore a function
+// of the indexed (name, multiset) pairs alone: an Index and a Cluster
+// of any shape holding the same entities answer byte for byte alike,
+// and AllKNN's lists are QueryKNNEntity's answers. Answers are
+// fresh: the result cache (IndexOptions.CacheSize) is invalidated by
+// every mutation and never serves a stale answer.
 //
 // # Durability
 //
-// An Index is one partition in one process; spreading entities over
-// machines is Cluster's job. IndexOptions configures durability:
+// IndexOptions.Dir makes an index durable: each mutation is appended to
+// the index's write-ahead log before it is applied, and every
+// IndexOptions.SnapshotEvery mutations a snapshot replaces the log.
+// Reopening recovers every mutation the log holds up to its first torn
+// frame, so the recovered state is always a prefix of the applied
+// history. IndexOptions.Durability sets what an acknowledgement means:
 //
-//   - Measure fixes the similarity measure ("ruzicka" by default); a
-//     durable index records it in every snapshot and refuses to reopen
-//     under a different one.
+//   - DurabilityOS (the default): the record has reached the operating
+//     system. A killed process loses nothing; a machine crash can lose
+//     the un-fsynced tail of the log.
+//   - DurabilitySync: the record is fsynced. Concurrent writers share
+//     group-committed fsyncs, within IndexOptions.GroupCommitWindow.
 //
-//   - Dir makes the index durable: every mutation is appended to the
-//     index's one write-ahead log before it is applied, so a killed
-//     process — even one dying mid-append, leaving a torn frame —
-//     reopens into exactly its prior state (internal/wal). The dir
-//     holds one snapshot and one log.
+// In both modes a mutation is visible to queries before its commit wait
+// ends, so an error from that wait means applied but not guaranteed
+// durable. Close writes a final snapshot; a durable index then refuses
+// mutations with ErrIndexClosed. BuildIndexFiles writes a durable index
+// directory straight from a Dataset, byte for byte the snapshot an
+// Index holding the same entities would write.
 //
-//   - SnapshotEvery sets how many logged mutations trigger an automatic
-//     snapshot, which truncates the log; Snapshot forces one and Close
-//     writes a final one.
+// # Cluster
 //
-//   - Durability picks the acknowledgement contract: DurabilityOS (the
-//     default) acknowledges once the WAL append reaches the OS, while
-//     DurabilitySync makes every acknowledgement wait for an fsync. The
-//     fsync is group-committed — one sync covers every append that
-//     arrived while the previous sync was in flight — so the cost
-//     amortizes over concurrent writers instead of multiplying.
+// A Cluster routes one logical index over vsmartjoind node daemons.
+// Each entity belongs to the partition PartitionOfEntity names; a write
+// succeeds when a majority of that partition's replicas acknowledge it,
+// and writes a replica missed are re-sent in the background. A query
+// needs one answering replica per partition, or it fails with
+// ErrClusterUnavailable rather than return a partial answer.
+// BuildClusterFiles carves a Dataset into per-node index directories
+// along the same hash.
 //
-//   - GroupCommitWindow bounds how long the committer waits to coalesce
-//     more appends into one fsync (default 200µs; only meaningful under
-//     DurabilitySync).
-//
-// A production-shaped serving index combines them:
-//
-//	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{
-//		Measure:       "ruzicka",
-//		Dir:           "/var/lib/vsmartjoin",
-//		SnapshotEvery: 4096,
-//	})
-//	if err != nil { ... }
-//	defer ix.Close()
-//
-// # Mutations
-//
-// Every write is a Mutation — an upsert (OpAdd) or a removal (OpRemove)
-// of one named entity — and every write goes through one method,
-// Index.Apply (Cluster.Apply over a cluster), which takes a batch of
-// them: the batch is appended to the log as a single write and applied
-// under one lock acquisition, all or nothing, with last-write-wins for
-// repeated upserts of an entity inside a batch.
-// Add, Remove, AddBatch and RemoveBatch are conveniences that build the
-// batch — a batch of one pays one lock acquisition and one WAL append.
-// A writer with many mutations on its hands batches them itself: the
-// wider the batch, the fewer lock acquisitions, log writes and fsyncs
-// per mutation (BenchmarkWriteStorm). After Close a durable index
-// refuses mutations with ErrIndexClosed; a volatile index has nothing to
-// close and keeps accepting them.
-//
-// Queries keep their lock-free read contract throughout: a batch
-// becomes visible atomically, and under DurabilitySync it is
-// acknowledged only after its group-committed fsync. IndexStats
-// reports the moving parts — WALBatchSize and WALGroupCommitSize
-// histograms, WALRecords/WALFsyncs counters (their ratio is the
-// fsyncs-per-mutation amortization) and WALCommitWait latency.
-//
-// # Bulk building
-//
-// Cold-starting a large corpus through Apply would write every entity
-// to a WAL first — a million logged records before the first query.
-// BuildIndexFiles instead writes the index's snapshot file directly, in
-// one pass over the Dataset with IDs in first-seen order, as Add would
-// assign them; no MapReduce job runs. OpenIndex then loads the result
-// with zero WAL records to replay, through a sealed bulk-load path that
-// skips the upsert machinery entirely:
-//
-//	_, err := vsmartjoin.BuildIndexFiles(d, vsmartjoin.IndexOptions{
-//		Measure: "ruzicka",
-//		Dir:     "/var/lib/vsmartjoin",
-//	})
-//	if err != nil { ... }
-//	ix, err := vsmartjoin.OpenIndex(vsmartjoin.IndexOptions{Dir: "/var/lib/vsmartjoin"})
-//
-// A bulk-built directory is indistinguishable from one the serving path
-// wrote: it answers queries identically to an index built by the same
-// Adds (down to tie-breaks) and accepts further durable mutations, with
-// the write-ahead log resuming on top of the built snapshot — which is
-// byte for byte the snapshot such an index would write. The
-// cmd/vsmartjoin -build-index flag exposes the builder on the command
-// line, and cmd/vsmartjoind bootstraps through it when -load points at
-// a trace and -data-dir at a directory with no index yet.
-//
-// # Query performance and the result cache
-//
-// The query hot path is allocation-free at steady state: per-query
-// scratch is pooled and reused, so sustained QueryThreshold/QueryTopK
-// traffic settles at zero allocations per operation inside the index
-// engine (the benchmark's index.allocs_per_op; see benchmark/README.md).
-//
-// On top of that, Index keeps a bounded LRU cache of complete query
-// results, keyed by the measure, the query as the index interned it
-// (known elements by ID, elements it has never seen by their counts
-// alone), and the threshold or k. IndexOptions.CacheSize bounds it: 0
-// means the default of 1024 cached results, a negative value disables
-// caching entirely, and any positive value is the maximum number of
-// results retained. The cache is invalidated by generation: every Add or
-// Remove bumps an internal generation counter and cached entries only
-// answer queries at the generation they were computed under, so a
-// cached answer is never stale — a mutation racing a lookup can only
-// demote a hit to a recomputation. Cached results are defensive
-// copies; callers may freely modify returned slices.
-//
-// IndexStats reports cache effectiveness alongside the engine
-// counters: CacheHits and CacheMisses count lookups against the cache
-// (hits return before reaching the engine, so they do not advance
-// Queries or the funnel counters), and CacheEntries is the current
-// resident size. The vsmartjoind daemon surfaces the same fields in
-// its /stats endpoint, and its -debug-addr flag serves net/http/pprof
-// on a private listener for live profiling.
-//
-// # kNN queries
-//
-// The third query shape is k-nearest-neighbor under the distance
-// 1 − similarity. QueryKNN returns the k nearest indexed entities to a
-// query multiset, nearest first with entity names ascending on
-// distance ties; QueryKNNEntity asks the same of an indexed entity's
-// own elements, excluding the entity from its list. kNN has no
-// similarity cut-off: entities sharing nothing with the query sit at
-// distance exactly 1 and legitimately fill a list when fewer than k
-// entities overlap, smallest names first; the index keeps its entity
-// names ordered as they are added and removed, so that pad costs O(k)
-// whatever the index holds.
-//
-//	ns := ix.QueryKNN(map[string]uint32{"cookie-a": 3}, 10)
-//	for _, n := range ns {
-//		fmt.Printf("%s at distance %.3f\n", n.Entity, n.Distance)
-//	}
-//
-// AllKNN is the batch counterpart — every entity's exact k nearest
-// lists at once (cmd/vsmartjoin -knn on the command line). It loads the
-// dataset into a volatile Index and runs QueryKNNEntity for every
-// entity on GOMAXPROCS goroutines, so batch and online lists are the
-// same answer by construction; knn_diff_test.go gates both against a
-// brute-force oracle.
-//
-// Candidate generation has one path: the prefix-filter
-// probe of the inverted index, for threshold, top-k and kNN queries
-// alike. README.md carries the measurements that retired a scan and a
-// MinHash-seeded alternative, and the bar for bringing a planner back.
-//
-// # Cluster serving
-//
-// Cluster scales the same serving surface across machines: it is a
-// stateless router that treats N vsmartjoind node daemons as
-// partitions of one logical index, mirroring Index's mutation and
-// query API:
-//
-//	c, err := vsmartjoin.NewCluster(vsmartjoin.ClusterOptions{
-//		Nodes: [][]string{
-//			{"http://10.0.0.1:8321", "http://10.0.0.2:8321"}, // partition 0 replicas
-//			{"http://10.0.0.3:8321", "http://10.0.0.4:8321"}, // partition 1 replicas
-//		},
-//	})
-//	if err != nil { ... }
-//	defer c.Close()
-//	err = c.Add("ip-1", map[string]uint32{"cookie-a": 3})
-//	matches, err := c.QueryTopK(map[string]uint32{"cookie-a": 3}, 10)
-//
-// Entities route to partitions by a hash of their name
-// (PartitionOfEntity), writes replicate to every replica of the owner
-// partition and succeed at majority quorum, and queries scatter to one
-// healthy replica per partition — with per-node timeouts, failover,
-// and hedged retry — then merge under the canonical result ordering
-// (similarity descending, entity name ascending on ties). Because that
-// ordering is a pure function of the stored entities, a Cluster of any
-// shape answers byte-identically to a single Index holding the same
-// data; cluster_diff_test.go gates exactly that. Writes that miss a
-// replica are re-driven by a background anti-entropy pass, and
-// BuildClusterFiles carves a bulk-built corpus into per-node
-// directories along the same routing hash. The router reaches its
-// nodes over one binary hop — framed requests on a few persistent
-// connections per node, opened by an HTTP/1.1 Upgrade (GET /peer) on
-// the node's own listener — while the vsmartjoind -cluster flag serves
-// a Cluster over the identical JSON surface a node exposes, so clients
-// and load balancers cannot tell router from node. There is one Cluster
-// type: Cluster, ClusterOptions, ClusterStats and ClusterMetrics are
-// aliases of internal/cluster's Cluster, Config, Stats and Metrics, so
-// the daemon's router and this API are the same code.
-//
-// # Observability
-//
-// Every layer is instrumented through internal/metrics — atomic
-// counters and fixed-bucket log-spaced latency histograms, cheap
-// enough (one clock read, three atomic adds, zero allocations) that
-// the query hot path stays 0 allocs/op with instrumentation on.
-// IndexStats carries latency summaries (count, mean, p50/p99/p999) for
-// the uncached query path and WAL append/fsync stalls; ClusterStats
-// adds quorum-write and scatter-gather query latency, hedge-fired/
-// hedge-won counts, and the current anti-entropy repair backlog:
-//
-//	st := ix.Stats()
-//	fmt.Printf("p99 query: %.2fms\n", st.QueryLatency.P99Ns/1e6)
-//
-// The vsmartjoind daemon exposes the same data two ways: GET /stats
-// (the stats structs as JSON) and GET /metrics (Prometheus text
-// exposition, hand-rolled, no client dependency) on both node and
-// router modes. Every request carries an X-Vsmart-Request-Id header —
-// assigned if absent, echoed on the response, and propagated from the
-// router to its node sub-requests (WithRequestID attaches one to a
-// Cluster call's context) — and a query with "debug": true returns
-// per-stage timings alongside the matches. The daemon sheds load
-// predictably: -max-inflight bounds concurrently served requests, and
-// beyond the bound requests are answered 429 + Retry-After instead of
-// queueing (probes and the metrics scrape are exempt). The repository's
-// benchmark (BENCHMARK.json, bash benchmark/run.sh) measures all of it
-// end to end and layer by layer.
-//
-// See the README's "Algorithms" and "The simulated cluster" sections for
-// the architecture; `go run ./cmd/experiments` reproduces the paper's
-// evaluation.
+// README.md covers operation: the command-line tools, the daemon's
+// HTTP surface, the data-directory layout, the measurements and the
+// repository layout.
 package vsmartjoin

@@ -15,11 +15,14 @@ import (
 
 	"vsmartjoin/internal/core"
 	"vsmartjoin/internal/datagen"
+	"vsmartjoin/internal/graph"
 	"vsmartjoin/internal/mr"
 	"vsmartjoin/internal/mrfs"
+	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/records"
 	"vsmartjoin/internal/similarity"
 	"vsmartjoin/internal/stats"
+	"vsmartjoin/internal/vcl"
 )
 
 const (
@@ -224,7 +227,7 @@ func thresholdSweep(input *mrfs.Dataset, caption string) (Report, error) {
 			row.Seconds[alg.String()] = res.Stats.TotalSeconds
 			row.Pairs[alg.String()] = len(res.Pairs)
 		}
-		vres, err := vclJoin(cluster, input, t)
+		vres, err := vclJoin(cluster, input, t, false)
 		if err != nil {
 			return Report{}, fmt.Errorf("fig4 vcl t=%v: %w", t, err)
 		}
@@ -293,7 +296,7 @@ func Fig5(env *Env) (Report, error) {
 		}
 		runs = append(runs, algRun{alg.String(), res.Stats})
 	}
-	vres, err := vclJoin(cluster, input, SweepThreshold)
+	vres, err := vclJoin(cluster, input, SweepThreshold, false)
 	if err != nil {
 		return Report{}, fmt.Errorf("fig5 vcl: %w", err)
 	}
@@ -338,20 +341,14 @@ func Fig5(env *Env) (Report, error) {
 	return Report{ID: "fig5", Title: "Run time vs machines (small)", Body: body.String()}, nil
 }
 
-// vclResult is the subset of the VCL result the reports need.
-type vclResult struct {
-	Pairs            []records.Pair
-	Stats            mr.PipelineStats
-	KernelMapSeconds float64
-}
-
-// vclJoin is a thin wrapper so experiments depend on one VCL entry point.
-func vclJoin(cluster mr.ClusterConfig, input *mrfs.Dataset, t float64) (*vclResult, error) {
-	res, err := vclRun(cluster, input, t, false)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+// vclJoin runs the VCL baseline with the experiment defaults.
+func vclJoin(cluster mr.ClusterConfig, input *mrfs.Dataset, t float64, hashOrder bool) (*vcl.Result, error) {
+	return vcl.Join(cluster, input, vcl.Config{
+		Measure:     similarity.Ruzicka{},
+		Threshold:   t,
+		HashOrder:   hashOrder,
+		NumReducers: NumReducers,
+	})
 }
 
 // Fig6 reproduces the realistic-dataset comparison: Lookup cannot load its
@@ -375,12 +372,12 @@ func Fig6(env *Env) (Report, error) {
 
 	// VCL: frequency ordering fails on memory; the hash-order modification
 	// gets further but its kernel mappers exceed the scheduler deadline.
-	_, verr := vclRun(cluster, input, SweepThreshold, false)
+	_, verr := vclJoin(cluster, input, SweepThreshold, false)
 	if verr == nil {
 		return Report{}, fmt.Errorf("fig6: vcl unexpectedly succeeded on the realistic dataset")
 	}
 	fmt.Fprintf(&body, "VCL:      FAILED as in the paper — %v\n", verr)
-	_, herr := vclRun(cluster, input, SweepThreshold, true)
+	_, herr := vclJoin(cluster, input, SweepThreshold, true)
 	if herr == nil {
 		return Report{}, fmt.Errorf("fig6: hash-order vcl unexpectedly succeeded")
 	}
@@ -389,7 +386,6 @@ func Fig6(env *Env) (Report, error) {
 	// Survivors.
 	type phase struct{ joining, sim mr.PipelineStats }
 	surv := map[string]phase{}
-	order := []string{"online-aggregation", "sharding"}
 	for _, alg := range []core.Algorithm{core.OnlineAggregation, core.Sharding} {
 		res, err := paperJoin(cluster, input, SweepThreshold, alg)
 		if err != nil {
@@ -423,7 +419,6 @@ func Fig6(env *Env) (Report, error) {
 	body.WriteString(tbl.String())
 	body.WriteString("\n")
 	body.WriteString(stats.Chart(series, 64, 14))
-	_ = order
 	body.WriteString("\nPaper: only Online-Aggregation and Sharding finish; both keep scaling with\n" +
 		"machines; the Sharding joining phase costs roughly twice Online-Aggregation's.\n")
 	return Report{ID: "fig6", Title: "Run time vs machines (realistic)", Body: body.String()}, nil
@@ -516,7 +511,7 @@ func ProxyStudy(env *Env) (Report, error) {
 
 	// Filter IPs with fewer than 50 cookie observations and re-join.
 	var kept int
-	var filtered []multisetAlias
+	var filtered []multiset.Multiset
 	var totalCookies int64
 	for _, m := range tr.Multisets {
 		if m.Cardinality() >= 50 {
@@ -571,7 +566,7 @@ func filterPairs(pairs []records.Pair, t float64) []records.Pair {
 	return out
 }
 
-func countDistinctElements(sets []multisetAlias) int {
+func countDistinctElements(sets []multiset.Multiset) int {
 	seen := map[uint64]struct{}{}
 	for _, m := range sets {
 		for _, e := range m.Entries {
@@ -579,4 +574,18 @@ func countDistinctElements(sets []multisetAlias) int {
 		}
 	}
 	return len(seen)
+}
+
+// proxyMetrics extends graph.Metrics with the community count.
+type proxyMetrics struct {
+	graph.Metrics
+	Communities int
+}
+
+// graphScore runs the §7.4 post-processing: cluster the pairs, score them
+// against the planted truth.
+func graphScore(pairs []records.Pair, tr *datagen.Trace) proxyMetrics {
+	m := graph.Score(pairs, tr.Communities)
+	comps := graph.Communities(pairs)
+	return proxyMetrics{Metrics: m, Communities: len(comps)}
 }

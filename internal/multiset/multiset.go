@@ -12,6 +12,7 @@ package multiset
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -37,8 +38,8 @@ type Multiset struct {
 }
 
 // New builds a normalized multiset from possibly unsorted, possibly
-// duplicated entries. Duplicate elements have their multiplicities summed;
-// zero-multiplicity entries are dropped.
+// duplicated entries. Duplicate elements have their multiplicities summed,
+// saturating at math.MaxUint32; zero-multiplicity entries are dropped.
 func New(id ID, entries []Entry) Multiset {
 	out := make([]Entry, 0, len(entries))
 	for _, e := range entries {
@@ -51,7 +52,11 @@ func New(id ID, entries []Entry) Multiset {
 	w := 0
 	for _, e := range out {
 		if w > 0 && out[w-1].Elem == e.Elem {
-			out[w-1].Count += e.Count
+			if sum := out[w-1].Count + e.Count; sum >= e.Count {
+				out[w-1].Count = sum
+			} else {
+				out[w-1].Count = math.MaxUint32
+			}
 			continue
 		}
 		out[w] = e

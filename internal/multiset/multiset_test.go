@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,8 +19,10 @@ func ms(id ID, pairs ...uint64) Multiset {
 }
 
 func TestNewNormalizes(t *testing.T) {
-	m := New(7, []Entry{{3, 2}, {1, 1}, {3, 5}, {2, 0}, {9, 1}})
-	want := []Entry{{1, 1}, {3, 7}, {9, 1}}
+	// Element 5's sum saturates; element 6's lands exactly on the cap.
+	m := New(7, []Entry{{3, 2}, {1, 1}, {3, 5}, {2, 0}, {9, 1},
+		{5, math.MaxUint32}, {5, 2}, {5, 1}, {6, math.MaxUint32 - 1}, {6, 1}})
+	want := []Entry{{1, 1}, {3, 7}, {5, math.MaxUint32}, {6, math.MaxUint32}, {9, 1}}
 	if len(m.Entries) != len(want) {
 		t.Fatalf("got %v want %v", m.Entries, want)
 	}

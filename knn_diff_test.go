@@ -17,6 +17,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"vsmartjoin/internal/cluster"
 )
 
 var knnDiffMeasures = []string{"ruzicka", "jaccard", "dice", "cosine"}
@@ -87,7 +89,7 @@ func mustMatchKNN(t *testing.T, tag string, got, want []Neighbor) {
 		}
 	}
 	sorted := append([]Neighbor(nil), got...)
-	SortNeighborsByName(sorted)
+	cluster.SortNeighbors(sorted)
 	for i := range got {
 		if got[i] != sorted[i] {
 			t.Fatalf("%s: answer not in canonical order at %d: %v", tag, i, got)

@@ -82,16 +82,6 @@ const (
 // KindKNN ones (the other field is nil).
 type QueryResult = cluster.QueryResult
 
-// SortMatchesByName orders matches best first under the canonical
-// public ordering (similarity descending, entity name ascending on
-// ties). Query results are already sorted; the function is exported for
-// callers merging match lists from several sources.
-func SortMatchesByName(ms []Match) { cluster.SortMatches(ms) }
-
-// SortNeighborsByName is SortMatchesByName for kNN lists (distance
-// ascending, entity name ascending on ties).
-func SortNeighborsByName(ns []Neighbor) { cluster.SortNeighbors(ns) }
-
 // Query answers q against the index as of the call; the context is
 // accepted for symmetry with Cluster.Query and unused, the index being
 // local. The answer is independent of insertion order: where more than K entities tie at the K-th best similarity (or
