@@ -252,7 +252,7 @@ func (p *peerPool) dial(deadline time.Time) (*peerConn, error) {
 		return nil, err
 	}
 	pc := &peerConn{conn: conn, rx: countingReader{r: conn}}
-	br := bufio.NewReaderSize(&pc.rx, 1<<16) // the size frame.NewReader adopts as is
+	br := bufio.NewReaderSize(&pc.rx, frame.DefaultBuffer) // the size frame.NewReader adopts as is
 	err = conn.SetDeadline(deadline)
 	if err == nil {
 		_, err = io.WriteString(conn, "GET "+PeerPath+" HTTP/1.1\r\nHost: "+p.host+

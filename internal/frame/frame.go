@@ -80,9 +80,21 @@ type Writer struct {
 	bytes int64
 }
 
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+// DefaultBuffer is the buffer NewWriter and NewReader give a stream.
+const DefaultBuffer = 64 << 10
+
+// minBuffer is the smallest buffer a sized constructor gives: bufio's own
+// floor for a reader.
+const minBuffer = 16
+
+// NewWriter returns a Writer over w with a DefaultBuffer-byte buffer.
+func NewWriter(w io.Writer) *Writer { return NewWriterSize(w, DefaultBuffer) }
+
+// NewWriterSize returns a Writer over w whose buffer holds size bytes (at
+// least 16): a stream known to be short gets a buffer no bigger than
+// itself.
+func NewWriterSize(w io.Writer, size int) *Writer {
+	return &Writer{w: bufio.NewWriterSize(w, max(size, minBuffer))}
 }
 
 // WriteFrame appends one frame. The payload is fully buffered or
@@ -120,9 +132,14 @@ type Reader struct {
 	bytes int64
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	rd := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+// NewReader returns a Reader over r with a DefaultBuffer-byte buffer.
+func NewReader(r io.Reader) *Reader { return NewReaderSize(r, DefaultBuffer) }
+
+// NewReaderSize returns a Reader over r whose buffer holds size bytes (at
+// least 16). As with bufio, an r that is already a *bufio.Reader at
+// least that big is read directly.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	rd := &Reader{r: bufio.NewReaderSize(r, max(size, minBuffer))}
 	rd.cr.r = rd.r
 	return rd
 }

@@ -1,16 +1,15 @@
 package mr
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Counters is a set of named monotonic counters (the MapReduce counter
 // facility): every task counts into a set of its own, which the engine
-// merges into the job's when the task ends. It is safe for concurrent use.
+// merges into the job's, under a job-level lock, when the task ends. A set
+// takes no lock itself — a task's functions run on one goroutine — so it
+// is not safe for concurrent use: goroutines sharing one must serialize
+// their calls.
 type Counters struct {
-	mu sync.Mutex
-	m  map[string]*int64
+	m map[string]*int64
 	// The counter of the previous Add: a reduce function bumps the same
 	// one or two names once per record, so most Adds skip the map.
 	lastName string
@@ -24,7 +23,6 @@ func NewCounters() *Counters {
 
 // Add increments counter name by delta.
 func (c *Counters) Add(name string, delta int64) {
-	c.mu.Lock()
 	if c.last == nil || c.lastName != name {
 		v, ok := c.m[name]
 		if !ok {
@@ -34,7 +32,6 @@ func (c *Counters) Add(name string, delta int64) {
 		c.lastName, c.last = name, v
 	}
 	*c.last += delta
-	c.mu.Unlock()
 }
 
 // Inc increments counter name by one.
@@ -42,8 +39,6 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 
 // Get returns the current value of counter name.
 func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if v, ok := c.m[name]; ok {
 		return *v
 	}
@@ -52,8 +47,6 @@ func (c *Counters) Get(name string) int64 {
 
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make(map[string]int64, len(c.m))
 	for k, v := range c.m {
 		out[k] = *v
@@ -63,8 +56,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 
 // Names returns the sorted counter names.
 func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.m))
 	for k := range c.m {
 		out = append(out, k)
@@ -75,7 +66,7 @@ func (c *Counters) Names() []string {
 
 // Merge folds another counter set into c.
 func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.Snapshot() {
-		c.Add(k, v)
+	for k, v := range other.m {
+		c.Add(k, *v)
 	}
 }

@@ -158,38 +158,17 @@ func partitionOf(key []byte, n int) int {
 	return int(h % uint32(n))
 }
 
-// mapBuffers is one map worker's emission buffers — a batch per reduce
-// partition and the combiner's output — reused by every map task the
-// worker runs. Each batch keeps its storage and its sort scratch, so a
-// job's map tasks grow them only while they meet bigger outputs. A Run
-// holds one per worker of its map stage and drops them when it returns:
-// nothing is reused across jobs, so no buffer grows to the largest role
-// it ever served.
-type mapBuffers struct {
-	parts []mrfs.Batch
-	spare mrfs.Batch // the combiner's output, swapped with the partition it replaces
-}
-
-// reduceBuffers is one reduce worker's input batch, which a reduce task
-// gathers its partition into and merges, and the run ends of that merge.
-// The batch keeps its storage and merge scratch for the worker's next
-// task.
-type reduceBuffers struct {
-	in   mrfs.Batch
-	ends []int
-}
-
 // mapTask is one map task: its emitter — emitted tuples are partitioned
 // into one batch per reducer, every byte slice copied into the batch's
 // slab (callers reuse their encode buffers) — and the work it accounts.
-// Emission fills the worker's buffers; finish leaves each sealed
-// partition in a batch of the task's own (see finish). When a spill cap is
-// set, buffers that grow past it are flushed to sorted on-disk segment
-// runs (see spill.go); with cap == 0 everything stays in memory.
+// Emission fills the worker's slot; finish leaves each sealed partition
+// in a batch of the task's own (see finish). When a spill cap is set,
+// buffers that grow past it are flushed to sorted on-disk segment runs
+// (see spill.go); with cap == 0 everything stays in memory.
 type mapTask struct {
 	ctx *TaskContext
 	job *Job
-	buf *mapBuffers // the worker's emission buffers, while the task runs
+	buf *slot // the worker's staging storage, while the task runs
 
 	parts              []mrfs.Batch // the output: after finish, one sorted run per reduce partition
 	inRecords, inBytes int64        // mapped so far
@@ -285,7 +264,15 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	if numReducers <= 0 {
 		numReducers = cluster.Machines
 	}
+	// Each task counts into a set of its own; the sets are merged into the
+	// job's under one lock as the tasks end.
 	counters := NewCounters()
+	var countersMu sync.Mutex
+	merge := func(c *Counters) {
+		countersMu.Lock()
+		counters.Merge(c)
+		countersMu.Unlock()
+	}
 	sideBytes := int64(0)
 	for _, d := range job.SideInputs {
 		sideBytes += d.Bytes()
@@ -316,7 +303,7 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		if err := s.Setup(ctx); err != nil {
 			return nil, stats, fmt.Errorf("mr: job %q map setup: %w", job.Name, err)
 		}
-		counters.Merge(ctx.Counters)
+		merge(ctx.Counters)
 	}
 	stats.MapTasks = job.Input.NumPartitions()
 	maps := make([]*mapTask, stats.MapTasks)
@@ -331,17 +318,18 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		defer os.RemoveAll(spillDir)
 	}
 	cm := cluster.Cost
-	mapWorkers := workers(stats.MapTasks)
-	mapBufs := make([]mapBuffers, mapWorkers)
+	// One slot per worker of the wider stage, taken from the pool for this
+	// Run and returned to it, emptied, when the Run ends.
+	mapWorkers, reduceWorkers := workers(stats.MapTasks), workers(numReducers)
+	slots := takeSlots(max(mapWorkers, reduceWorkers))
+	defer returnSlots(slots, cluster.MemPerMachine)
 	err := parallelFor(stats.MapTasks, mapWorkers, func(t, w int) error {
 		ctx, err := newTask(t, true, fmt.Sprintf("map task %d", t))
 		if err != nil {
 			return err
 		}
-		buf := &mapBufs[w]
-		if buf.parts == nil {
-			buf.parts = make([]mrfs.Batch, numReducers)
-		}
+		buf := slots[w]
+		buf.resize(numReducers)
 		m := &mapTask{
 			ctx: ctx, job: &job, buf: buf, cap: spillCap, dir: spillDir,
 			parts: make([]mrfs.Batch, numReducers),
@@ -378,7 +366,7 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 			return err
 		}
 		maps[t] = m
-		counters.Merge(ctx.Counters)
+		merge(ctx.Counters)
 		return nil
 	})
 	if err != nil {
@@ -390,10 +378,12 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	// Every map task left each of its partitions as a run sorted by (key,
 	// sec, val) — the shuffle's grouping and secondary-key ordering. With no
 	// spill cap, each reduce task gathers its partition's runs into its
-	// worker's input batch, releasing the map outputs as it copies them,
-	// and merges them in memory before reducing. Under a cap the runs are
-	// in-memory leftovers plus on-disk segments, and the reduce task streams
-	// a k-way merge over them instead.
+	// worker slot's input batch, releasing the map outputs as it copies
+	// them, and merges them in memory before reducing. Under a cap the runs
+	// are in-memory leftovers plus on-disk segments, and the reduce task
+	// streams a k-way merge over them instead. Either way the reducer emits
+	// into the slot's output batch, which the task copies into an exactly
+	// sized out[p] when it ends.
 	mapIOs := make([]TaskIO, len(maps))
 	var shuffleRecords int64
 	for t, m := range maps {
@@ -417,29 +407,32 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	// stage's wall time between shuffle and reduce.
 	gatherTime := make([]time.Duration, numReducers)
 	reduceTime := make([]time.Duration, numReducers)
-	reduceWorkers := workers(numReducers)
-	inputs := make([]reduceBuffers, reduceWorkers)
 	err = parallelFor(numReducers, reduceWorkers, func(p, w int) error {
 		start := time.Now()
 		ctx, err := newTask(p, false, fmt.Sprintf("reduce task %d", p))
 		if err != nil {
 			return err
 		}
-		g := &groupReducer{ctx: ctx, job: &job, fn: job.Reducer, stage: "reduce", cm: cm, em: batchEmitter{out: &out[p]}}
+		s := slots[w]
+		g := &groupReducer{ctx: ctx, job: &job, fn: job.Reducer, stage: "reduce", cm: cm, em: batchEmitter{out: &s.out}}
 		// The partition's sorted record stream: the merged in-memory batch,
 		// or a k-way merge over the map tasks' spilled and leftover runs.
 		var segRead int64
 		if spillCap > 0 {
+			g.group = &s.in
 			err = g.merged(maps, p, spillDir, &segRead)
 		} else {
-			r := &inputs[w]
-			gather(r, maps, p)
+			gather(s, maps, p)
 			gathered := time.Now()
 			gatherTime[p] = gathered.Sub(start)
 			start = gathered
-			err = g.batch(&r.in)
-			r.in.Reset()
+			err = g.batch(&s.in)
 		}
+		s.in.Reset()
+		if err == nil {
+			out[p].AppendBatch(&s.out) // exactly sized: the slot keeps its own storage
+		}
+		s.out.Reset()
 		reduceTime[p] = time.Since(start)
 		if err != nil {
 			return err
@@ -453,7 +446,7 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 			ExtraCPU:   ctx.extraCPU,
 			SpillIO:    segRead,
 		}
-		counters.Merge(ctx.Counters)
+		merge(ctx.Counters)
 		return nil
 	})
 	if err != nil {
@@ -508,24 +501,24 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	return striped, stats, nil
 }
 
-// gather fills r.in with reduce partition p, the concatenation of every
+// gather fills s.in with reduce partition p, the concatenation of every
 // map task's run for it, releasing each run as it is copied, and merges
 // the runs into one sorted batch.
-func gather(r *reduceBuffers, maps []*mapTask, p int) {
+func gather(s *slot, maps []*mapTask, p int) {
 	var n int
 	var size int64
 	for _, m := range maps {
 		n += m.parts[p].Len()
 		size += m.parts[p].Bytes()
 	}
-	r.in.Grow(n, size)
-	r.ends = r.ends[:0]
+	s.in.Grow(n, size)
+	s.ends = s.ends[:0]
 	for _, m := range maps {
-		r.in.AppendBatch(&m.parts[p])
+		s.in.AppendBatch(&m.parts[p])
 		m.parts[p] = mrfs.Batch{}
-		r.ends = append(r.ends, r.in.Len())
+		s.ends = append(s.ends, s.in.Len())
 	}
-	r.in.MergeRuns(r.ends)
+	s.in.MergeRuns(s.ends, &s.scratch)
 }
 
 // restripe spreads a job's reduce output across partitions, modelling
@@ -578,8 +571,8 @@ type groupReducer struct {
 	cm CostModel
 
 	vals               Values
-	inRecords, inBytes int64      // consumed from the stream so far
-	group              mrfs.Batch // stream mode: the current group, copied out of the merge
+	inRecords, inBytes int64       // consumed from the stream so far
+	group              *mrfs.Batch // stream mode: the current group, copied out of the merge
 }
 
 // batch reduces every key group of a sorted batch; the Values are windows

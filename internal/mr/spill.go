@@ -60,7 +60,9 @@ func (m *mapTask) spill() error {
 // writeRun writes a sorted batch as one segment file, straight from its
 // index, and reports the file bytes written.
 func writeRun(path string, b *mrfs.Batch) (int64, error) {
-	w, err := mrfs.CreateSegment(path)
+	// A record's frame is at most 8 bytes longer than its Size while each
+	// field is under 16 KiB, so this bounds the file and sizes the buffer.
+	w, err := mrfs.CreateSegment(path, b.Bytes()+8*int64(b.Len()))
 	if err != nil {
 		return 0, err
 	}
@@ -76,7 +78,7 @@ func writeRun(path string, b *mrfs.Batch) (int64, error) {
 	return w.Bytes(), nil
 }
 
-// seal completes partition p of the worker's buffers as a merge run:
+// seal completes partition p of the worker's slot as a merge run:
 // sorted by (key, sec, val) and, when the job has a dedicated combiner,
 // grouped by key and replaced by the combiner's output, sorted again.
 // Batch.Sort first checks whether its input is in order, so a combiner
@@ -84,14 +86,14 @@ func writeRun(path string, b *mrfs.Batch) (int64, error) {
 // second sort one pass. The post-combine volume is accounted.
 func (m *mapTask) seal(p int) error {
 	b := &m.buf.parts[p]
-	b.Sort()
+	b.Sort(&m.buf.scratch)
 	if m.job.Combiner != nil && b.Len() > 0 {
 		m.buf.spare.Reset()
 		if err := m.combiner.batch(b); err != nil {
 			return err
 		}
 		*b, m.buf.spare = m.buf.spare, *b
-		b.Sort()
+		b.Sort(&m.buf.scratch)
 	}
 	m.combineOut += int64(b.Len())
 	m.outBytes += b.Bytes()
@@ -102,12 +104,14 @@ func (m *mapTask) seal(p int) error {
 // spill cap, the leftovers after the last spill under one — as the
 // in-memory runs the reduce stage consumes. With no cap it copies each
 // partition into an exactly sized batch of the task's own, leaving the
-// worker's buffers empty for its next task; handing the doubling-grown
-// buffers over instead costs BenchmarkAllPairs 141 → 220 MB/op. Under a
-// cap the leftovers are small and are handed over: copying them shrinks a
-// spilling job's few-megabyte heap enough that the collector runs ≈45 %
-// more often (BenchmarkShuffleSpill 12 % slower on 2 vCPUs, segments on
-// tmpfs).
+// slot's batches empty, their storage kept for the worker's next task and
+// the next job; handing the doubling-grown batches over instead would
+// leave the slot to regrow them. Under a cap the leftovers are small and
+// the batch itself is handed over, the slot's place taken by an empty
+// one: copying them shrinks a spilling job's few-megabyte heap enough
+// that the collector runs ≈45 % more often (BenchmarkShuffleSpill 12 %
+// slower on 2 vCPUs, segments on tmpfs). A handed-over batch carries no
+// scratch; the slot's one scratch stays with the slot.
 func (m *mapTask) finish() error {
 	for p := range m.buf.parts {
 		if err := m.seal(p); err != nil {
@@ -276,7 +280,7 @@ func (g *groupReducer) merged(maps []*mapTask, p int, dir string, readBytes *int
 				return fmt.Errorf("mr: job %q reduce task %d: %w", g.job.Name, p, err)
 			}
 		}
-		if err := g.reduce(&g.group, 0, g.group.Len(), g.group.Bytes()); err != nil {
+		if err := g.reduce(g.group, 0, g.group.Len(), g.group.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -353,7 +357,7 @@ func compactRuns(dir string, p int, paths []string, ioBytes *int64) ([]string, e
 // segment at outPath, removing the inputs afterwards. The bytes read and
 // written are added to ioBytes.
 func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
-	var read int64
+	var read, size int64
 	var its []run
 	for _, path := range paths {
 		r, err := mrfs.OpenSegment(path)
@@ -363,6 +367,7 @@ func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
 			}
 			return err
 		}
+		size += r.Size()
 		its = append(its, &segmentRun{r: r, read: &read})
 	}
 	m, err := newMergeIter(its)
@@ -370,7 +375,7 @@ func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
 		return err
 	}
 	defer m.close()
-	w, err := mrfs.CreateSegment(outPath)
+	w, err := mrfs.CreateSegment(outPath, size)
 	if err != nil {
 		return err
 	}

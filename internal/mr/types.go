@@ -132,7 +132,8 @@ type TaskContext struct {
 	TaskIndex int
 	// Counters collects this task's counter increments; the engine folds
 	// them into the job's totals (JobStats.Counters) when the task ends, so
-	// tasks never contend on a counter.
+	// tasks never contend on a counter. The set takes no lock: a function
+	// that counts from goroutines of its own must serialize them.
 	Counters *Counters
 	// Side holds the side-input datasets declared by the job, keyed by
 	// name, in map tasks and map setup (nil in reduce tasks). Loading

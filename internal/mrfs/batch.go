@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // ErrFieldTooLarge is returned by Batch.Append when a key, secondary key
@@ -38,8 +39,7 @@ func (e entry) size() int64 { return int64(e.key) + int64(e.sec) + int64(e.val) 
 type Batch struct {
 	slab  []byte
 	index []entry
-	bytes int64   // encoded size of all records (the sum of their Size)
-	keys  []keyed // Sort and MergeRuns scratch, kept across Reset
+	bytes int64 // encoded size of all records (the sum of their Size)
 }
 
 // Len reports the number of records.
@@ -48,6 +48,12 @@ func (b *Batch) Len() int { return len(b.index) }
 // Bytes reports the encoded size of all records — the quantity the cost
 // model charges — not the slab's footprint.
 func (b *Batch) Bytes() int64 { return b.bytes }
+
+// Footprint reports the bytes the batch's storage holds: its slab's and
+// its index's capacity, whatever their length.
+func (b *Batch) Footprint() int64 {
+	return int64(cap(b.slab)) + int64(cap(b.index))*int64(unsafe.Sizeof(entry{}))
+}
 
 // Reset empties the batch, keeping its storage for reuse. Views handed
 // out earlier are invalidated.
@@ -223,16 +229,28 @@ type keyed struct {
 	e   entry
 }
 
-// scratch returns the batch's sort and merge scratch, two halves of n
-// keyed entries each. It is kept across Reset, so a batch that is sorted
-// or merged again at a size it has seen allocates nothing.
-func (b *Batch) scratch(n int) (src, dst []keyed) {
-	if cap(b.keys) < 2*n {
-		b.keys = slices.Grow(b.keys[:0], 2*n)
+// Scratch is the side array Sort and MergeRuns order a batch through.
+// One scratch serves any number of batches, one at a time, and keeps its
+// storage: a sort or merge at a size it has met before allocates nothing.
+// The MapReduce engine gives each worker one, shared by every batch the
+// worker stages, rather than one per batch. The zero value is ready for
+// use; a scratch is not safe for concurrent use.
+type Scratch struct {
+	keys []keyed
+}
+
+// halves returns two halves of n keyed entries each, growing the scratch
+// when it is smaller.
+func (s *Scratch) halves(n int) (src, dst []keyed) {
+	if cap(s.keys) < 2*n {
+		s.keys = slices.Grow(s.keys[:0], 2*n)
 	}
-	keys := b.keys[:2*n]
+	keys := s.keys[:2*n]
 	return keys[:n], keys[n:]
 }
+
+// Footprint reports the bytes the scratch holds.
+func (s *Scratch) Footprint() int64 { return int64(cap(s.keys)) * int64(unsafe.Sizeof(keyed{})) }
 
 // loadKeys fills dst with the index entries and their prefixes, in index
 // order.
@@ -250,13 +268,13 @@ func (b *Batch) loadKeys(dst []keyed) {
 // record shares are skipped; a 1-byte key costs one pass), after which
 // each run of equal prefixes is finished with compareTied. Records that
 // compare equal are byte-identical, so the order is fully determined. The
-// side array is the batch's scratch, kept for the next Sort or MergeRuns.
-func (b *Batch) Sort() {
+// side array lives in sc.
+func (b *Batch) Sort(sc *Scratch) {
 	if b.isSorted() {
 		return
 	}
 	slab, idx := b.slab, b.index
-	src, dst := b.scratch(len(idx))
+	src, dst := sc.halves(len(idx))
 	b.loadKeys(src)
 	var differ uint64 // bits in which some prefix differs from the first
 	for _, k := range src {
@@ -319,15 +337,13 @@ func (b *Batch) isSorted() bool {
 // neighbouring runs pairwise until one is left: about log2(len(ends))
 // comparisons per record where a sort from scratch needs log2(Len), and
 // the early passes stay inside one run's stretch of the slab. The merge
-// moves keyed entries through the batch's scratch and compares prefixes,
-// calling compareTied only when two are equal; the scratch is kept, so a
-// batch that merges again at a size it has seen allocates nothing. ends
-// is consumed.
-func (b *Batch) MergeRuns(ends []int) {
+// moves keyed entries through sc and compares prefixes, calling
+// compareTied only when two are equal. ends is consumed.
+func (b *Batch) MergeRuns(ends []int, sc *Scratch) {
 	if len(ends) < 2 {
 		return
 	}
-	src, dst := b.scratch(len(b.index))
+	src, dst := sc.halves(len(b.index))
 	b.loadKeys(src)
 	for len(ends) > 1 {
 		lo, merged := 0, ends[:0]

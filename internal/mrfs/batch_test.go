@@ -97,6 +97,7 @@ func checkSortAndMerge(t *testing.T, recs []Record, runLen int) {
 
 	var sorted, merged Batch
 	var ends []int
+	var sc Scratch // one scratch for every sort and the merge, as an engine worker shares one
 	for _, r := range recs {
 		if err := sorted.Append(r.Key, r.Sec, r.Val); err != nil {
 			t.Fatal(err)
@@ -110,12 +111,12 @@ func checkSortAndMerge(t *testing.T, recs []Record, runLen int) {
 				t.Fatal(err)
 			}
 		}
-		run.Sort()
+		run.Sort(&sc)
 		merged.AppendBatch(&run)
 		ends = append(ends, merged.Len())
 	}
-	sorted.Sort()
-	merged.MergeRuns(ends)
+	sorted.Sort(&sc)
+	merged.MergeRuns(ends, &sc)
 	for name, b := range map[string]*Batch{"Sort": &sorted, "MergeRuns": &merged} {
 		if b.Len() != len(want) {
 			t.Fatalf("%s: %d records, want %d", name, b.Len(), len(want))
@@ -178,14 +179,16 @@ func TestBatchOrderRadixPath(t *testing.T) {
 	}
 }
 
-// TestSortAndMergeReuseScratch: once a batch has sorted or merged at a
-// size, doing so again allocates nothing — the keyed scratch is kept.
+// TestSortAndMergeReuseScratch: once a scratch has served a sort or merge
+// at a size, sorting or merging again through it allocates nothing, for
+// whichever batch — the scratch keeps its storage.
 func TestSortAndMergeReuseScratch(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts under -race measure the detector")
 	}
 	var shuffled, runs Batch
 	var runEnds []int
+	var sc Scratch
 	rng := rand.New(rand.NewSource(5))
 	for r := 0; r < 7; r++ {
 		var run Batch
@@ -195,7 +198,7 @@ func TestSortAndMergeReuseScratch(t *testing.T) {
 			}
 		}
 		shuffled.AppendBatch(&run)
-		run.Sort()
+		run.Sort(&sc)
 		runs.AppendBatch(&run)
 		runEnds = append(runEnds, runs.Len())
 	}
@@ -205,13 +208,13 @@ func TestSortAndMergeReuseScratch(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"Sort shuffled", func() { b.Reset(); b.AppendBatch(&shuffled); b.Sort() }},
-		{"Sort sorted", func() { b.Sort() }}, // b is left sorted by the case before
+		{"Sort shuffled", func() { b.Reset(); b.AppendBatch(&shuffled); b.Sort(&sc) }},
+		{"Sort sorted", func() { b.Sort(&sc) }}, // b is left sorted by the case before
 		{"MergeRuns", func() {
 			b.Reset()
 			b.AppendBatch(&runs)
 			ends = append(ends[:0], runEnds...)
-			b.MergeRuns(ends)
+			b.MergeRuns(ends, &sc)
 		}},
 	} {
 		c.f()
@@ -255,7 +258,7 @@ func TestBatchWideFields(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.Sort()
+	b.Sort(new(Scratch))
 	if got := b.Record(1); !sameRecord(got, Record{Key: key, Sec: sec, Val: val}) {
 		t.Fatalf("wide record came back %d/%d/%d bytes", len(got.Key), len(got.Sec), len(got.Val))
 	}

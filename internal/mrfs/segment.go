@@ -31,14 +31,22 @@ type SegmentWriter struct {
 	records int64
 }
 
+// segmentBuffer returns the I/O buffer for a segment of size bytes: the
+// segment's own size up to frame.DefaultBuffer. A map task under a small
+// spill cap writes a few-kilobyte run per reduce partition per spill; a
+// full-size buffer for each made BenchmarkShuffleSpill/spill-cap-4KiB
+// allocate 540 MB to spill 288 KB.
+func segmentBuffer(size int64) int { return int(min(size, frame.DefaultBuffer)) }
+
 // CreateSegment opens a new segment file at path, truncating any previous
-// contents.
-func CreateSegment(path string) (*SegmentWriter, error) {
+// contents. size is the number of file bytes the caller means to write, or
+// a bound on it; it sizes the write buffer and nothing else.
+func CreateSegment(path string, size int64) (*SegmentWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("mrfs: create segment: %w", err)
 	}
-	return &SegmentWriter{f: f, w: frame.NewWriter(f), buf: codec.NewBuffer(256)}, nil
+	return &SegmentWriter{f: f, w: frame.NewWriterSize(f, segmentBuffer(size)), buf: codec.NewBuffer(256)}, nil
 }
 
 // Write appends one record to the segment. Callers are responsible for
@@ -75,19 +83,29 @@ func (s *SegmentWriter) Close() error {
 
 // SegmentReader streams records back out of a segment file.
 type SegmentReader struct {
-	f   *os.File
-	r   *frame.Reader
-	dec codec.Reader
+	f    *os.File
+	r    *frame.Reader
+	dec  codec.Reader
+	size int64
 }
 
-// OpenSegment opens a segment file for reading.
+// OpenSegment opens a segment file for reading, with a read buffer no
+// bigger than the file.
 func OpenSegment(path string) (*SegmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("mrfs: open segment: %w", err)
 	}
-	return &SegmentReader{f: f, r: frame.NewReader(f)}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("mrfs: open segment: %w", err)
+	}
+	return &SegmentReader{f: f, r: frame.NewReaderSize(f, segmentBuffer(fi.Size())), size: fi.Size()}, nil
 }
+
+// Size reports the segment file's size when it was opened.
+func (s *SegmentReader) Size() int64 { return s.size }
 
 // Next decodes the next record. It returns ok=false at a clean end of
 // file; the returned record is a view of the reader's buffer, valid until

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		{Key: []byte("bb"), Sec: []byte(""), Val: nil},
 		{Key: bytes.Repeat([]byte("k"), 300), Val: bytes.Repeat([]byte("x"), 1000)},
 	}
-	w, err := CreateSegment(path)
+	w, err := CreateSegment(path, 64) // a buffer smaller than the last record
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.seg")
-	w, err := CreateSegment(path)
+	w, err := CreateSegment(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSegmentEmpty(t *testing.T) {
 
 func TestSegmentManyRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "many.seg")
-	w, err := CreateSegment(path)
+	w, err := CreateSegment(path, 1<<30) // a size past the cap gets the full buffer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +115,62 @@ func TestSegmentManyRecords(t *testing.T) {
 	}
 	if _, ok, _ := r.Next(); ok {
 		t.Fatal("trailing records")
+	}
+}
+
+// TestSmallSegmentSmallBuffers: writing and reading back a segment of a
+// hundred-odd bytes allocates buffers of about its size, not the 64 KiB a
+// long stream gets — a spilling map task writes one such segment per
+// reduce partition per spill.
+func TestSmallSegmentSmallBuffers(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation figures under -race measure the detector")
+	}
+	path := filepath.Join(t.TempDir(), "small.seg")
+	rec := Record{Key: []byte("key"), Val: bytes.Repeat([]byte("v"), 20)}
+	cycle := func() {
+		w, err := CreateSegment(path, 5*rec.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 5 {
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.Size() != w.Bytes() {
+			t.Fatalf("reader sees %d bytes, writer wrote %d", r.Size(), w.Bytes())
+		}
+		for n := 0; ; n++ {
+			_, ok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if n != 5 {
+					t.Fatalf("read %d records, wrote 5", n)
+				}
+				break
+			}
+		}
+	}
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const cycles = 20
+	for range cycles {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per > 8<<10 {
+		t.Fatalf("a 5-record segment's write and read allocate %d bytes, want ≤ 8 KiB", per)
 	}
 }
