@@ -55,7 +55,9 @@ loc:
 # Fuzz smoke: every Fuzz target for 10 s — the codec and segment
 # decoders, the record batch's order contract, the WAL frame decoder,
 # the router↔node hop's decoders, the daemons' JSON wire codec held
-# to encoding/json, and the TSV trace reader held to a reference sum.
+# to encoding/json (what it accepts, json accepts alike; every
+# json.Marshal-style body decodes as json's; every answer is json's
+# bytes), and the TSV trace reader held to a reference sum.
 # A -fuzz run takes one target, so this
 # walks them package:target by package:target. CI runs this in its test
 # job.
@@ -64,7 +66,8 @@ FUZZ_TARGETS = \
 	./internal/mrfs:FuzzSegmentRead ./internal/mrfs:FuzzBatchOrder \
 	./internal/wal:FuzzWALFrameDecode \
 	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply \
-	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzAnswerString \
+	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzCanonicalBody \
+	./internal/httpd:FuzzAnswerString \
 	.:FuzzReadTrace
 
 fuzz-smoke:

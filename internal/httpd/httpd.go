@@ -399,9 +399,9 @@ func handleQuery(w http.ResponseWriter, r *http.Request, backend querier, knn bo
 }
 
 // snapshotBody enforces "optional, but well-formed if present" for the
-// /snapshot endpoints.
+// /snapshot endpoints: no body, an empty chunked one included, is absent.
 func snapshotBody(w http.ResponseWriter, r *http.Request) bool {
-	return r.ContentLength == 0 || readRequest(w, r, (*decoder).emptyRequest)
+	return readRequest(w, r, nil)
 }
 
 // ---- node mode ----

@@ -312,6 +312,37 @@ func startCluster(t *testing.T, n int) (*vsmartjoin.Cluster, *httptest.Server, [
 	return c, router, nodes
 }
 
+// TestSnapshotOptionalBody: /snapshot's body is optional on a node and
+// on a router. No body — an empty chunked one (no declared length, no
+// bytes) included — or only whitespace, {} or null reach the snapshot:
+// 200 on a durable node, 409 on a router over volatile nodes. A body
+// with a field is 400.
+func TestSnapshotOptionalBody(t *testing.T) {
+	node := httpd.NewNode(newTestIndex(t, t.TempDir()), httpd.Options{})
+	_, router, _ := startCluster(t, 1)
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+		ok   int
+	}{{"node", node, http.StatusOK}, {"router", router.Config.Handler, http.StatusConflict}} {
+		for _, body := range []string{"", " \n", "{}", "null", `{"x": 1}`} {
+			for _, length := range []int64{int64(len(body)), -1} {
+				r := httptest.NewRequest(http.MethodPost, "/snapshot", strings.NewReader(body))
+				r.ContentLength = length // -1: sent chunked
+				rec := httptest.NewRecorder()
+				c.h.ServeHTTP(rec, r)
+				want := c.ok
+				if strings.Contains(body, "x") {
+					want = http.StatusBadRequest
+				}
+				if rec.Code != want {
+					t.Errorf("%s: /snapshot %q (length %d): %d %s, want %d", c.name, body, length, rec.Code, rec.Body.String(), want)
+				}
+			}
+		}
+	}
+}
+
 func TestRouterMetricsAndStats(t *testing.T) {
 	_, router, _ := startCluster(t, 2)
 	c := router.Client()

@@ -1,28 +1,33 @@
 package httpd
 
-// The JSON wire codec of the hot bodies: a strict scanner for every
+// The JSON wire codec of the hot bodies: a strict decoder for every
 // request body the daemons accept, and append-style encoders for the
 // /query and /knn answers, the write replies and the error payload.
-// Both keep encoding/json's observable behaviour: the decoder accepts
-// and rejects what json.Decoder (DisallowUnknownFields) does and
-// decodes the same values — with one deliberate difference: any byte
+//
+// The decoder reads the documented schema in one pass and stops at the
+// first fault. A key must be one of its object's field names, exactly
+// (after unescaping), and may appear once; an unknown or repeated key,
+// or a value of the wrong kind, ends the decode there. null means
+// absent. Every body json.Marshal of the request types can produce
+// decodes as encoding/json decodes it, and whatever the decoder
+// accepts, encoding/json accepts with the same value: a string holding
+// an escape or an invalid UTF-8 byte is unquoted by encoding/json
+// itself, numbers keep json's grammar and range checks, and any byte
 // but whitespace after the value is rejected (json.Decoder.More lets a
-// stray '}' or ']' through) — and every answer is byte for byte what
+// stray '}' or ']' through). Every answer is byte for byte what
 // json.NewEncoder(w).Encode writes. Cold status endpoints keep
 // writeJSON.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"vsmartjoin"
@@ -32,13 +37,10 @@ import (
 // maxBody caps a request body; past it the answer is 413.
 const maxBody = 8 << 20
 
-// maxPooled is the largest buffer put back in the pool: a rare large
+// maxPooled is the largest buffer put back in the pool, and the most a
+// body's declared length reserves before its bytes arrive: a rare large
 // /bulk body should not stay resident behind it.
 const maxPooled = 64 << 10
-
-// maxDepth is encoding/json's nesting limit, kept so the same bodies
-// are syntax errors.
-const maxDepth = 10000
 
 // Decoders and answers are pooled for their buffers; every value a
 // decoder hands out is copied out of its buffer.
@@ -49,36 +51,37 @@ var (
 
 // ---- requests ----
 
-// decoder scans one JSON request body held in buf. A syntax error (or
-// the end of the body inside the value) stops it: err. A value of the
-// wrong type or an unknown field is recorded in typeErr while the scan
-// goes on, as json's decoder checks the whole value first — so err, if
-// any, is the one reported.
+// decoder scans one JSON request body held in buf. The first fault — a
+// syntax error, the end of the body inside the value, an unknown or
+// repeated key, a value of the wrong kind — sets err and ends the scan.
 type decoder struct {
 	buf     []byte
 	pos     int
 	readErr error // what ended the body read early: the cap, or a broken connection
 	err     error
-	typeErr error
-	depth   int
-	scratch []byte // a decoded string that needed unescaping
 }
 
 // readRequest reads r's body under the size cap and decodes it with
-// value, which fills the request it closes over. On failure it has
-// answered — 413 when the value runs past the cap, else 400 — and
-// returns false.
+// value, which fills the request it closes over. A nil value reads the
+// optional /snapshot body: absent when it holds nothing but whitespace,
+// else an object with no fields, or null. On failure it has answered —
+// 413 when the body ran past the cap before the decode failed, else
+// 400 — and returns false.
 func readRequest(w http.ResponseWriter, r *http.Request, value func(d *decoder)) bool {
 	d := decoders.Get().(*decoder)
 	defer func() {
-		if cap(d.buf) <= maxPooled && cap(d.scratch) <= maxPooled {
+		if cap(d.buf) <= maxPooled {
 			decoders.Put(d)
 		}
 	}()
+	optional := value == nil
+	if optional {
+		value = (*decoder).emptyRequest
+	}
 	buf, readErr := readBody(w, r, d.buf[:0])
 	var tooBig *http.MaxBytesError
 	switch err := d.decode(buf, readErr, value); {
-	case err == nil:
+	case err == nil, err == io.EOF && optional:
 		return true
 	case err == errTrailing:
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -97,19 +100,15 @@ var errTrailing = errors.New("trailing data after request body")
 // decode scans buf, the body read up to readErr (nil: all of it), as
 // one JSON value decoded by value, then nothing but whitespace.
 func (d *decoder) decode(buf []byte, readErr error, value func(d *decoder)) error {
-	*d = decoder{buf: buf, readErr: readErr, scratch: d.scratch}
+	*d = decoder{buf: buf, readErr: readErr}
 	if d.skipSpace(); d.pos == len(d.buf) {
 		if readErr != nil {
 			return readErr
 		}
 		return io.EOF
 	}
-	value(d)
-	switch {
-	case d.err != nil:
+	if value(d); d.err != nil {
 		return d.err
-	case d.typeErr != nil:
-		return d.typeErr
 	}
 	if d.skipSpace(); d.pos < len(d.buf) {
 		return errTrailing
@@ -118,10 +117,12 @@ func (d *decoder) decode(buf []byte, readErr error, value func(d *decoder)) erro
 }
 
 // readBody appends r's body to buf, stopping at the cap. The error is
-// the read's, nil at a clean end.
+// the read's, nil at a clean end. A declared length reserves at most
+// maxPooled up front; reads grow the buffer past that, so memory
+// follows the bytes that arrive, not the bytes a client announces.
 func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if n := r.ContentLength; n > 0 && n < maxBody && int(n) >= cap(buf) {
+	if n := min(r.ContentLength, maxPooled-1); n > 0 && int(n) >= cap(buf) {
 		buf = make([]byte, 0, n+1) // room for the read that sees the end
 	}
 	for {
@@ -162,9 +163,6 @@ func (d *decoder) peek() byte {
 // syntax records a syntax error at the current byte, or the end of the
 // value's input there.
 func (d *decoder) syntax(context string) {
-	if d.err != nil {
-		return
-	}
 	switch {
 	case d.pos < len(d.buf):
 		d.err = fmt.Errorf("invalid character %q %s (offset %d)", d.buf[d.pos], context, d.pos)
@@ -175,12 +173,14 @@ func (d *decoder) syntax(context string) {
 	}
 }
 
-// mismatch records a value of the wrong JSON kind for a field and skips it.
-func (d *decoder) mismatch(field, want string) {
-	if d.typeErr == nil {
-		d.typeErr = fmt.Errorf("%s: want %s (offset %d)", field, want, d.pos)
+// wrongKind records a field's value that is not of the field's kind. A
+// value cut off by the end of the body is the body's fault instead.
+func (d *decoder) wrongKind(field, want string) {
+	if d.pos == len(d.buf) {
+		d.syntax("")
+		return
 	}
-	d.skip()
+	d.err = fmt.Errorf("%s: want %s (offset %d)", field, want, d.pos)
 }
 
 // literal consumes one of true, false, null.
@@ -194,8 +194,13 @@ func (d *decoder) literal(word string) {
 	}
 }
 
-// number consumes a JSON number and returns its text.
-func (d *decoder) number() []byte {
+// number consumes the JSON number a field holds and returns its text;
+// nil once the decode has failed.
+func (d *decoder) number(field string) []byte {
+	if c := d.peek(); c != '-' && (c < '0' || c > '9') {
+		d.wrongKind(field, "a number")
+		return nil
+	}
 	start := d.pos
 	if d.pos < len(d.buf) && d.buf[d.pos] == '-' {
 		d.pos++
@@ -241,178 +246,55 @@ func (d *decoder) digits() bool {
 	return d.pos > start
 }
 
-// str consumes a JSON string and returns its decoded bytes, as
-// encoding/json unquotes them: escapes resolved, a lone or broken
-// surrogate escape and every invalid UTF-8 byte made U+FFFD. They alias
-// the body or the scratch buffer: copy before the next str.
+func (d *decoder) badNumber(field string, lit []byte, want string) {
+	d.err = fmt.Errorf("%s: number %s is not %s", field, lit, want)
+}
+
+// str consumes the JSON string at d.pos and returns its value. A plain,
+// valid UTF-8 literal is returned as a slice of the body; one holding
+// an escape or an invalid UTF-8 byte is decoded by json.Unmarshal, so
+// escapes, surrogates and U+FFFD replacement are encoding/json's own.
 func (d *decoder) str() []byte {
-	d.pos++ // the opening quote
-	start := d.pos
-	for d.pos < len(d.buf) {
-		switch c := d.buf[d.pos]; {
+	buf, start, plain := d.buf, d.pos, true
+	for i := start + 1; i < len(buf); {
+		switch c := buf[i]; {
 		case c == '"':
-			d.pos++
-			return d.buf[start : d.pos-1]
+			d.pos = i + 1
+			if plain {
+				return buf[start+1 : i]
+			}
+			var s string
+			if err := json.Unmarshal(buf[start:d.pos], &s); err != nil {
+				d.err = err
+				return nil
+			}
+			return []byte(s)
 		case c == '\\':
-			return d.unquote(start)
+			plain = false
+			i += 2 // the escaped byte cannot end the literal
 		case c < ' ':
+			d.pos = i
 			d.syntax("in string literal")
 			return nil
 		case c < utf8.RuneSelf:
-			d.pos++
+			i++
 		default:
-			r, size := utf8.DecodeRune(d.buf[d.pos:])
-			if r == utf8.RuneError && size == 1 {
-				return d.unquote(start)
-			}
-			d.pos += size
+			r, size := utf8.DecodeRune(buf[i:])
+			plain = plain && !(r == utf8.RuneError && size == 1)
+			i += size
 		}
 	}
+	d.pos = len(buf)
 	d.syntax("")
 	return nil
 }
 
-// unquote finishes a string from d.pos into the scratch buffer, the
-// bytes from start on already known to be plain.
-func (d *decoder) unquote(start int) []byte {
-	b := append(d.scratch[:0], d.buf[start:d.pos]...)
-	for d.pos < len(d.buf) {
-		c := d.buf[d.pos]
-		switch {
-		case c == '"':
-			d.pos++
-			d.scratch = b
-			return b
-		case c < ' ':
-			d.syntax("in string literal")
-			return nil
-		case c == '\\':
-			if d.pos+1 >= len(d.buf) {
-				d.pos++
-				d.syntax("")
-				return nil
-			}
-			d.pos++
-			if i := strings.IndexByte(`"\/bfnrt`, d.buf[d.pos]); i >= 0 {
-				b = append(b, "\"\\/\b\f\n\r\t"[i])
-				d.pos++
-				continue
-			}
-			if d.buf[d.pos] != 'u' {
-				d.syntax("in string escape code")
-				return nil
-			}
-			r := d.hex4()
-			if r < 0 {
-				return nil
-			}
-			if utf16.IsSurrogate(r) {
-				r = d.lowSurrogate(r)
-			}
-			b = utf8.AppendRune(b, r)
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.pos++
-		default:
-			r, size := utf8.DecodeRune(d.buf[d.pos:])
-			b = utf8.AppendRune(b, r)
-			d.pos += size
-		}
-	}
-	d.syntax("")
-	return nil
-}
-
-// hex4 reads the four hex digits of a \u escape, d.pos on its 'u', and
-// leaves d.pos past them; -1 on a syntax error.
-func (d *decoder) hex4() rune {
-	var r rune
-	for i := 0; i < 4; i++ {
-		d.pos++
-		if d.pos >= len(d.buf) {
-			d.syntax("")
-			return -1
-		}
-		c := d.buf[d.pos]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			d.syntax("in \\u hexadecimal character escape")
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	d.pos++
-	return r
-}
-
-// lowSurrogate completes the surrogate escape r1: when a \u escape
-// follows that pairs with it, it consumes that and returns the pair's
-// rune; otherwise U+FFFD, leaving what follows to decode on its own.
-func (d *decoder) lowSurrogate(r1 rune) rune {
-	if d.pos+5 < len(d.buf) && d.buf[d.pos] == '\\' && d.buf[d.pos+1] == 'u' {
-		save := d.pos
-		d.pos++
-		if r := utf16.DecodeRune(r1, d.hex4()); r != unicode.ReplacementChar {
-			return r
-		}
-		d.pos, d.err = save, nil // a bad escape is reported when decoded on its own
-	}
-	return unicode.ReplacementChar
-}
-
-// skip consumes one JSON value of any kind, checking its syntax.
-func (d *decoder) skip() {
-	if d.err != nil {
-		return
-	}
-	switch c := d.peek(); {
-	case c == '{':
-		d.members(func([]byte) { d.skip() })
-	case c == '[':
-		d.elements(d.skip)
-	case c == '"':
-		d.str()
-	case c == 't':
-		d.literal("true")
-	case c == 'f':
-		d.literal("false")
-	case c == 'n':
-		d.literal("null")
-	case numeric(c):
-		d.number()
-	default:
-		d.syntax("looking for beginning of value")
-	}
-}
-
-// numeric reports whether c starts a JSON number.
-func numeric(c byte) bool { return c == '-' || '0' <= c && c <= '9' }
-
-// open enters a container at its opening byte.
-func (d *decoder) open() bool {
-	d.pos++
-	if d.depth++; d.depth > maxDepth {
-		d.err = errors.New("exceeded max depth")
-		return false
-	}
-	return true
-}
-
-// members walks the object at d.pos: member is called with each decoded
-// key (valid until the next string is read) and must consume the value.
+// members walks the object at d.pos: member is called with each key and
+// must consume the value.
 func (d *decoder) members(member func(key []byte)) {
-	if !d.open() {
-		return
-	}
+	d.pos++
 	if d.peek() == '}' {
 		d.pos++
-		d.depth--
 		return
 	}
 	for d.err == nil {
@@ -429,8 +311,7 @@ func (d *decoder) members(member func(key []byte)) {
 			return
 		}
 		d.pos++
-		member(key)
-		if d.err != nil {
+		if member(key); d.err != nil {
 			return
 		}
 		switch d.peek() {
@@ -438,7 +319,6 @@ func (d *decoder) members(member func(key []byte)) {
 			d.pos++
 		case '}':
 			d.pos++
-			d.depth--
 			return
 		default:
 			d.syntax("after object key:value pair")
@@ -449,17 +329,13 @@ func (d *decoder) members(member func(key []byte)) {
 // elements walks the array at d.pos: each is called once per element
 // and must consume it.
 func (d *decoder) elements(each func()) {
-	if !d.open() {
-		return
-	}
+	d.pos++
 	if d.peek() == ']' {
 		d.pos++
-		d.depth--
 		return
 	}
 	for d.err == nil {
-		each()
-		if d.err != nil {
+		if each(); d.err != nil {
 			return
 		}
 		switch d.peek() {
@@ -467,7 +343,6 @@ func (d *decoder) elements(each func()) {
 			d.pos++
 		case ']':
 			d.pos++
-			d.depth--
 			return
 		default:
 			d.syntax("after array element")
@@ -475,135 +350,77 @@ func (d *decoder) elements(each func()) {
 	}
 }
 
-// fields decodes an object into a struct whose JSON field names are
-// names: member is called with the matched field's index and must
-// consume its value. A key matches a name exactly, else under
-// encoding/json's case folding; an unknown key is an error. A null
-// leaves the struct as it is.
+// fields decodes an object into a zero struct whose JSON field names
+// are names: member is called with the index of each field present and
+// must consume its value. A key must be one of names, exactly, and may
+// appear once; anything else ends the decode. null — the object's or
+// a field's — means absent: with no key repeated, that is all json's
+// null rules come to on a zero struct.
 func (d *decoder) fields(what string, names []string, member func(i int)) {
 	switch d.peek() {
 	case 'n':
 		d.literal("null")
+		return
 	case '{':
-		d.members(func(key []byte) {
-			i := fieldIndex(key, names)
-			if i < 0 {
-				if d.typeErr == nil {
-					d.typeErr = fmt.Errorf("json: unknown field %q", key) // json's words
-				}
-				d.skip()
-				return
-			}
-			member(i)
-		})
 	default:
-		d.mismatch(what, "an object")
+		d.wrongKind(what, "an object")
+		return
 	}
-}
-
-// fieldIndex returns the index of key in names, matched as
-// encoding/json matches struct fields; -1 if none matches.
-func fieldIndex(key []byte, names []string) int {
-	for i, name := range names {
-		if string(key) == name {
-			return i
-		}
-	}
-	var keyArr, nameArr [32]byte
-	folded := foldName(keyArr[:0], key)
-	for i, name := range names {
-		if string(folded) == string(foldName(nameArr[:0], []byte(name))) {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldName appends in's case-folded form: encoding/json's, so that two
-// names fold equal exactly when json would match them.
-func foldName(out, in []byte) []byte {
-	for i := 0; i < len(in); {
-		if c := in[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			out = append(out, c)
+	var seen uint64 // one bit per name
+	d.members(func(key []byte) {
+		i := 0
+		for i < len(names) && names[i] != string(key) {
 			i++
-			continue
 		}
-		r, n := utf8.DecodeRune(in[i:])
-		for { // the smallest rune of r's fold set
-			r2 := unicode.SimpleFold(r)
-			if r2 <= r {
-				r = r2
-				break
-			}
-			r = r2
+		switch {
+		case i == len(names):
+			d.err = fmt.Errorf("json: unknown field %q", key) // json's words
+		case seen&(1<<i) != 0:
+			d.err = fmt.Errorf("repeated field %q", key)
+		case d.peek() == 'n':
+			seen |= 1 << i
+			d.literal("null")
+		default:
+			seen |= 1 << i
+			member(i)
 		}
-		out = utf8.AppendRune(out, r)
-		i += n
-	}
-	return out
+	})
 }
 
-// text decodes a string field; null leaves it as it is.
+// text decodes a string field.
 func (d *decoder) text(dst *string, field string) {
-	switch d.peek() {
-	case '"':
-		if s := d.str(); d.err == nil {
-			*dst = string(s)
-		}
-	case 'n':
-		d.literal("null")
-	default:
-		d.mismatch(field, "a string")
+	if d.peek() != '"' {
+		d.wrongKind(field, "a string")
+	} else if s := d.str(); d.err == nil {
+		*dst = string(s)
 	}
 }
 
-// integer decodes an int field; null leaves it as it is.
+// integer decodes an int field.
 func (d *decoder) integer(dst *int, field string) {
-	switch c := d.peek(); {
-	case numeric(c):
-		lit := d.number()
-		if d.err != nil {
-			return
-		}
+	if lit := d.number(field); lit != nil {
 		n, err := strconv.ParseInt(string(lit), 10, 0)
 		if err != nil {
 			d.badNumber(field, lit, "an int")
 			return
 		}
 		*dst = int(n)
-	case c == 'n':
-		d.literal("null")
-	default:
-		d.mismatch(field, "a number")
 	}
 }
 
-// float decodes a *float64 field: a number into a new value, null to nil.
+// float decodes a *float64 field into a new value.
 func (d *decoder) float(dst **float64, field string) {
-	switch c := d.peek(); {
-	case numeric(c):
-		lit := d.number()
-		if d.err != nil {
-			return
-		}
+	if lit := d.number(field); lit != nil {
 		f, err := strconv.ParseFloat(string(lit), 64)
 		if err != nil {
 			d.badNumber(field, lit, "a float64")
 			return
 		}
 		*dst = &f
-	case c == 'n':
-		d.literal("null")
-		*dst = nil
-	default:
-		d.mismatch(field, "a number")
 	}
 }
 
-// flag decodes a bool field; null leaves it as it is.
+// flag decodes a bool field.
 func (d *decoder) flag(dst *bool, field string) {
 	switch d.peek() {
 	case 't':
@@ -611,59 +428,35 @@ func (d *decoder) flag(dst *bool, field string) {
 		*dst = true
 	case 'f':
 		d.literal("false")
-		*dst = false
-	case 'n':
-		d.literal("null")
 	default:
-		d.mismatch(field, "a boolean")
+		d.wrongKind(field, "a boolean")
 	}
 }
 
-// counts decodes an element multiset. An object's entries are added to
-// the map (made if nil — a repeated key merges, as json reuses the
-// map); null sets it to nil; a null count is 0. The map is the
-// request's own, never pooled: a hedged Cluster.Query may still read
-// it after returning.
+// counts decodes an element multiset into a new map. As in json's, an
+// element named twice keeps its last count and a null count is 0. The
+// map is the request's own, never pooled: a hedged Cluster.Query may
+// still read it after returning.
 func (d *decoder) counts(dst *map[string]uint32, field string) {
-	switch d.peek() {
-	case '{':
-		if *dst == nil {
-			*dst = make(map[string]uint32)
-		}
-		m := *dst
-		d.members(func(key []byte) {
-			name := string(key)
-			var n uint32
-			switch c := d.peek(); {
-			case numeric(c):
-				lit := d.number()
-				if d.err != nil {
-					return
-				}
-				v, err := strconv.ParseUint(string(lit), 10, 32)
-				if err != nil {
-					d.badNumber(field, lit, "a uint32")
-				}
-				n = uint32(v)
-			case c == 'n':
-				d.literal("null")
-			default:
-				d.mismatch(field, "a number")
+	if d.peek() != '{' {
+		d.wrongKind(field, "an object")
+		return
+	}
+	m := make(map[string]uint32)
+	*dst = m
+	d.members(func(key []byte) {
+		var n uint32
+		if d.peek() == 'n' {
+			d.literal("null")
+		} else if lit := d.number(field); lit != nil {
+			v, err := strconv.ParseUint(string(lit), 10, 32)
+			if err != nil {
+				d.badNumber(field, lit, "a uint32")
 			}
-			m[name] = n
-		})
-	case 'n':
-		d.literal("null")
-		*dst = nil
-	default:
-		d.mismatch(field, "an object")
-	}
-}
-
-func (d *decoder) badNumber(field string, lit []byte, want string) {
-	if d.typeErr == nil {
-		d.typeErr = fmt.Errorf("%s: number %s is not %s", field, lit, want)
-	}
+			n = uint32(v)
+		}
+		m[string(key)] = n
+	})
 }
 
 var (
@@ -719,35 +512,19 @@ func (d *decoder) removeRequest(req *removeRequest) {
 	d.fields("body", removeFields, func(int) { d.text(&req.Entity, "entity") })
 }
 
-// bulkRequest decodes a /bulk body. The ops array decodes into the
-// slice already there, as json's does for a repeated "ops" key: element
-// i of a later array is decoded over element i of an earlier one, and
-// an empty array leaves an empty, non-nil slice.
+// bulkRequest decodes a /bulk body. An empty ops array is an empty,
+// non-nil slice and a null op a zero one, as in json's.
 func (d *decoder) bulkRequest(req *cluster.BulkRequest) {
 	d.fields("body", bulkFields, func(int) {
-		switch d.peek() {
-		case '[':
-			ops, n := req.Ops, 0
-			d.elements(func() {
-				if n == len(ops) {
-					if n == cap(ops) {
-						ops = append(ops[:cap(ops)], cluster.BulkOp{})
-					}
-					ops = ops[:n+1]
-				}
-				d.bulkOp(&ops[n])
-				n++
-			})
-			if n == 0 {
-				ops = []cluster.BulkOp{}
-			}
-			req.Ops = ops[:n]
-		case 'n':
-			d.literal("null")
-			req.Ops = nil
-		default:
-			d.mismatch("ops", "an array")
+		if d.peek() != '[' {
+			d.wrongKind("ops", "an array")
+			return
 		}
+		req.Ops = []cluster.BulkOp{}
+		d.elements(func() {
+			req.Ops = append(req.Ops, cluster.BulkOp{})
+			d.bulkOp(&req.Ops[len(req.Ops)-1])
+		})
 	})
 }
 
@@ -764,8 +541,8 @@ func (d *decoder) bulkOp(op *cluster.BulkOp) {
 	})
 }
 
-// emptyRequest decodes the optional /snapshot body: an object with no
-// fields, or null.
+// emptyRequest decodes the /snapshot body: an object with no fields, or
+// null.
 func (d *decoder) emptyRequest() { d.fields("body", nil, nil) }
 
 // ---- answers ----
