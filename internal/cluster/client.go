@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,14 +74,15 @@ func newPeerPool(addr string) (*peerPool, error) {
 	return &peerPool{host: host, idle: make(chan *peerConn, peerIdle), open: make(chan struct{}, peerOpen)}, nil
 }
 
-// peerConn is one upgraded connection.
+// peerConn is one upgraded connection. A request goes out as one write
+// of bytes framed in advance (frameBuf), so the connection needs no write
+// buffer of its own.
 type peerConn struct {
 	conn   net.Conn
 	rx     countingReader // the bytes received, to tell whether a reply began
+	br     *bufio.Reader  // in's buffer, where a reply's first byte is awaited
 	in     *frame.Reader
-	out    *frame.Writer
-	buf    codec.Buffer // the request payload, reused call to call
-	broken bool         // a failed or interrupted call left it in an unknown state
+	broken bool // a failed or interrupted call left it in an unknown state
 }
 
 type countingReader struct {
@@ -94,66 +96,115 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// call is the one router→node exchange: req on a pooled connection to n,
-// its outcome recorded in n's health. A transport failure or a 5xx
-// refusal marks the node unhealthy; a 4xx is the caller's fault and
-// records a healthy contact.
+// frameBuf is one request encoded and framed once, ready to be written
+// to any number of connections.
+type frameBuf struct {
+	payload codec.Buffer
+	framed  []byte
+}
+
+var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// encode frames req, carrying request ID rid; a request over the frame
+// cap is the caller's fault, refused as the node would refuse it.
+func (b *frameBuf) encode(req *peerRequest, rid string) error {
+	b.payload.Reset()
+	req.encode(&b.payload, rid)
+	framed, err := frame.Append(b.framed[:0], b.payload.Bytes())
+	if err != nil {
+		return StatusError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request of %d bytes exceeds the %d-byte frame cap", b.payload.Len(), frame.MaxFrameLen)}
+	}
+	b.framed = framed
+	return nil
+}
+
+// call is the one router→node exchange outside a query's scatter: req on
+// a pooled connection to n, its outcome recorded in n's health.
 func (c *Cluster) call(ctx context.Context, n *node, req *peerRequest) (peerReply, error) {
-	rep, err := n.pool.roundTrip(ctx, c.timeout, req, RequestID(ctx))
+	b := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(b)
+	var rep peerReply
+	err := b.encode(req, RequestID(ctx))
+	if err == nil {
+		// A write is not retried: it stays owed in the node's ledger for repair.
+		retry := req.op != peerApply && req.op != peerSnapshot
+		rep, err = n.pool.roundTrip(ctx, c.deadline(ctx, time.Now()), b.framed, retry)
+	}
+	return rep, c.settle(n, req.op, rep, err)
+}
+
+// deadline is a call's one deadline: timeout from now, or ctx's if that
+// is earlier.
+func (c *Cluster) deadline(ctx context.Context, now time.Time) time.Time {
+	deadline := now.Add(c.timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline
+}
+
+// settle turns a call's outcome into its error and records it in n's
+// health. A transport failure or a 5xx refusal marks the node unhealthy;
+// a 4xx is the caller's fault and records a healthy contact.
+func (c *Cluster) settle(n *node, op byte, rep peerReply, err error) error {
 	if err == nil && rep.status != http.StatusOK {
 		err = StatusError{Code: rep.status, Msg: fmt.Sprintf("%d %s (%s)", rep.status, http.StatusText(rep.status), rep.msg)}
 	}
 	if err != nil {
-		err = fmt.Errorf("%s %s: %w", n.addr, peerOpNames[req.op], err)
+		err = fmt.Errorf("%s %s: %w", n.addr, peerOpNames[op], err)
 	}
 	if se := (StatusError{}); errors.As(err, &se) && se.Code/100 == 4 {
 		n.markHealthy(nil)
 	} else {
 		n.markHealthy(err)
 	}
+	return err
+}
+
+// roundTrip runs framed on a connection of the pool under ctx and
+// deadline. A call that fails on a reused connection before any reply
+// byte arrived (the node restarted under it) is retried once on a fresh
+// dial if retry allows it.
+func (p *peerPool) roundTrip(ctx context.Context, deadline time.Time, framed []byte, retry bool) (peerReply, error) {
+	rep, again, err := p.try(ctx, deadline, framed, false)
+	if again && retry {
+		rep, _, err = p.try(ctx, deadline, framed, true)
+	}
 	return rep, err
 }
 
-// roundTrip runs req on a connection of the pool under one deadline —
-// ctx's, or timeout from now if that is earlier. A connection whose call
-// failed or was cancelled is closed, never pooled. A read that fails on
-// a reused connection before any reply byte arrived (the node restarted
-// under it) is retried once on a fresh dial; a write is not — it stays
-// owed in the node's ledger for repair.
-func (p *peerPool) roundTrip(ctx context.Context, timeout time.Duration, req *peerRequest, rid string) (peerReply, error) {
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+// try runs framed once, on an idle connection unless fresh, and reports
+// whether its failure may be retried on a fresh dial (see release).
+func (p *peerPool) try(ctx context.Context, deadline time.Time, framed []byte, fresh bool) (peerReply, bool, error) {
+	pc, reused, err := p.get(ctx, deadline, fresh)
+	if err != nil {
+		return peerReply{}, false, err
 	}
-	for fresh := false; ; fresh = true {
-		pc, reused, err := p.get(ctx, deadline, fresh)
-		if err != nil {
-			return peerReply{}, err
-		}
-		rx := pc.rx.n
-		rep, err := pc.exchange(ctx, deadline, req, rid)
-		broken, replied := pc.broken, pc.rx.n != rx
-		if broken {
-			p.discard(pc)
-		} else {
-			p.put(pc)
-		}
-		if err == nil || !broken || !reused || fresh || replied || req.op == peerApply || req.op == peerSnapshot {
-			return rep, err
-		}
-	}
+	rx := pc.rx.n
+	rep, err := pc.exchange(ctx, deadline, framed)
+	return rep, p.release(ctx, pc, reused, rx, err), err
 }
 
-// exchange writes one request frame on pc and reads the reply frame, on
-// the calling goroutine. It leaves pc.broken set unless the connection
-// is known to be ready for the next call.
-func (pc *peerConn) exchange(ctx context.Context, deadline time.Time, req *peerRequest, rid string) (rep peerReply, err error) {
-	pc.buf.Reset()
-	req.encode(&pc.buf, rid)
-	if n := pc.buf.Len(); n > frame.MaxFrameLen {
-		return rep, StatusError{Code: http.StatusRequestEntityTooLarge,
-			Msg: fmt.Sprintf("request of %d bytes exceeds the %d-byte frame cap", n, frame.MaxFrameLen)}
+// release ends a call on pc that ended in err: a connection the call left
+// broken is closed, never pooled. It reports whether a fresh dial may get
+// past the failure: the call broke a reused connection before any reply
+// byte arrived (rx is what pc had received when the call began), the mark
+// of a connection the node dropped while it sat idle, and ctx is live.
+func (p *peerPool) release(ctx context.Context, pc *peerConn, reused bool, rx int64, err error) bool {
+	if !pc.broken {
+		p.put(pc)
+		return false
 	}
+	p.discard(pc)
+	return reused && pc.rx.n == rx && err != nil && ctx.Err() == nil
+}
+
+// exchange writes framed on pc, unless it is nil (the request is already
+// on the wire), and reads the reply, on the calling goroutine. It leaves
+// pc.broken set unless the connection is known to be ready for the next
+// call.
+func (pc *peerConn) exchange(ctx context.Context, deadline time.Time, framed []byte) (rep peerReply, err error) {
 	pc.broken = true
 	if err := pc.conn.SetDeadline(deadline); err != nil {
 		return rep, err
@@ -161,7 +212,7 @@ func (pc *peerConn) exchange(ctx context.Context, deadline time.Time, req *peerR
 	// Cancellation fails the blocked I/O at once. Once the callback may
 	// have run, the deadline is no longer this call's to manage, so the
 	// connection is not reused even if the reply came in.
-	stop := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
+	stop := context.AfterFunc(ctx, pc.interrupt)
 	defer func() {
 		if !stop() {
 			pc.broken = true
@@ -170,17 +221,26 @@ func (pc *peerConn) exchange(ctx context.Context, deadline time.Time, req *peerR
 			}
 		}
 	}()
-	if err := pc.out.WriteFrame(pc.buf.Bytes()); err != nil {
-		return rep, err
+	if framed != nil {
+		if _, err := pc.conn.Write(framed); err != nil {
+			return rep, err
+		}
 	}
-	if err := pc.out.Flush(); err != nil {
-		return rep, err
-	}
+	return pc.receive()
+}
+
+// interrupt fails pc's blocked I/O at once.
+func (pc *peerConn) interrupt() { pc.conn.SetDeadline(time.Unix(1, 0)) }
+
+// receive reads and decodes one reply frame, clearing pc.broken once a
+// whole reply is in.
+func (pc *peerConn) receive() (peerReply, error) {
 	payload, err := pc.in.Next()
 	if err != nil {
-		return rep, err
+		return peerReply{}, err
 	}
-	if rep, err = decodeReply(payload); err == nil {
+	rep, err := decodeReply(payload)
+	if err == nil {
 		pc.broken = false
 	}
 	return rep, err
@@ -192,11 +252,8 @@ func (p *peerPool) get(ctx context.Context, deadline time.Time, fresh bool) (*pe
 	idle := p.idle
 	if fresh {
 		idle = nil
-	}
-	select {
-	case pc := <-idle:
+	} else if pc := p.idleConn(); pc != nil {
 		return pc, true, nil
-	default:
 	}
 	select {
 	case pc := <-idle:
@@ -210,6 +267,16 @@ func (p *peerPool) get(ctx context.Context, deadline time.Time, fresh bool) (*pe
 		<-p.open
 	}
 	return pc, false, err
+}
+
+// idleConn hands out an idle connection, or nil if none is idle.
+func (p *peerPool) idleConn() *peerConn {
+	select {
+	case pc := <-p.idle:
+		return pc
+	default:
+		return nil
+	}
 }
 
 // put keeps a healthy connection for reuse, or closes it when the idle
@@ -252,7 +319,7 @@ func (p *peerPool) dial(deadline time.Time) (*peerConn, error) {
 		return nil, err
 	}
 	pc := &peerConn{conn: conn, rx: countingReader{r: conn}}
-	br := bufio.NewReaderSize(&pc.rx, frame.DefaultBuffer) // the size frame.NewReader adopts as is
+	pc.br = bufio.NewReaderSize(&pc.rx, frame.DefaultBuffer) // the size frame.NewReader adopts as is
 	err = conn.SetDeadline(deadline)
 	if err == nil {
 		_, err = io.WriteString(conn, "GET "+PeerPath+" HTTP/1.1\r\nHost: "+p.host+
@@ -260,7 +327,7 @@ func (p *peerPool) dial(deadline time.Time) (*peerConn, error) {
 	}
 	var resp *http.Response
 	if err == nil {
-		resp, err = http.ReadResponse(br, nil)
+		resp, err = http.ReadResponse(pc.br, nil)
 	}
 	if err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
@@ -270,7 +337,7 @@ func (p *peerPool) dial(deadline time.Time) (*peerConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("peer upgrade: %w", err)
 	}
-	pc.in, pc.out = frame.NewReader(br), frame.NewWriter(conn)
+	pc.in = frame.NewReader(pc.br)
 	return pc, nil
 }
 

@@ -45,17 +45,21 @@
 //
 // # Queries
 //
-// Query (query.go holds the query model, router.go the method) scatters
-// to ONE replica per partition (healthy replicas preferred, chosen
-// round-robin), each attempt bounded by a per-node timeout. A replica that fails is immediately
-// failed over to the next; a replica that is merely slow is hedged: after
+// Query (query.go holds the query model, router.go the method) asks ONE
+// replica per partition (healthy replicas preferred, chosen
+// round-robin), all under one deadline, the per-node timeout. The
+// calling goroutine writes the request to every partition, then reads
+// the replies in turn; a partition starts goroutines only when its
+// attempt fails, its replica has no idle connection, or its reply has
+// not begun by HedgeAfter. A replica that fails is immediately failed
+// over to the next; a replica that is merely slow is hedged: after
 // HedgeAfter the same query is fired at the next replica and the first
 // answer wins. Per-partition results merge under the canonical public
 // ordering (similarity descending — for kNN distance ascending — entity
-// name ascending), which is a
-// pure function of the stored (name, multiset) pairs — so the merged
-// answer is byte-identical to a single index holding every entity,
-// regardless of P, R, or which replica answered.
+// name ascending), which is a pure function of the stored (name,
+// multiset) pairs — so the merged answer is byte-identical to a single
+// index holding every entity, regardless of P, R, or which replica
+// answered.
 //
 // A query needs one live replica per partition; a write needs a
 // majority of the owner partition. With R=2 a single dead node
@@ -159,7 +163,8 @@ type Cluster struct {
 	timeout time.Duration
 	hedge   time.Duration
 
-	rr atomic.Uint64 // round-robin cursor for replica preference
+	rr       atomic.Uint64 // round-robin cursor for replica preference
+	scatters sync.Pool     // of *scatter, a query's state
 
 	queries    atomic.Int64
 	hedges     atomic.Int64
@@ -206,6 +211,7 @@ func New(cfg Config) (*Cluster, error) {
 		hedge:   cfg.HedgeAfter,
 		stop:    make(chan struct{}),
 	}
+	c.scatters.New = c.newScatter
 	if c.timeout == 0 {
 		c.timeout = DefaultTimeout
 	}

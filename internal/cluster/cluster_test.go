@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,6 +30,8 @@ type fakeNode struct {
 	failWrites bool
 	down       bool
 	hangQuery  bool
+	hangOnce   *atomic.Bool  // non-nil: the first query to find it set clears it and hangs
+	delay      time.Duration // how long a query takes to answer
 	hold       chan struct{} // non-nil: writes wait for it to close (a straggler)
 	writes     int           // Apply calls begun
 	bulks      int
@@ -118,8 +121,10 @@ func (f *fakeNode) Serve(_ string, answer func()) { answer() }
 
 func (f *fakeNode) Query(ctx context.Context, q Query) (QueryResult, error) {
 	f.mu.Lock()
-	down, hang := f.down, f.hangQuery
+	down, hang, delay := f.down, f.hangQuery, f.delay
+	hang = hang || f.hangOnce != nil && f.hangOnce.CompareAndSwap(true, false)
 	f.mu.Unlock()
+	time.Sleep(delay)
 	switch {
 	case down:
 		return QueryResult{}, errDown
@@ -690,6 +695,121 @@ func TestAllReplicasDownFailsQuery(t *testing.T) {
 	}
 	if q, _ := c.Ready(); q {
 		t.Fatal("cluster with a dead partition reports query-ready")
+	}
+}
+
+// TestQueryCancelReelsInScatter: cancelling the caller's context fails a
+// query stuck on a replica that never answers at once, under a node
+// timeout far past the test's patience, and the hung connection is
+// closed rather than pooled.
+func TestQueryCancelReelsInScatter(t *testing.T) {
+	f := newFakeNode()
+	ts := httptest.NewServer(f)
+	t.Cleanup(ts.Close)
+	t.Cleanup(f.stop)
+	c, err := New(Config{Nodes: [][]string{{ts.URL}}, Timeout: 10 * time.Second,
+		HedgeAfter: -1, HealthEvery: -1, RepairEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	q := Query{Elements: map[string]uint32{"x": 1}}
+	if _, err := c.Query(context.Background(), q); err != nil {
+		t.Fatal(err) // leaves one idle connection: the hung query reuses it
+	}
+	f.set(func(f *fakeNode) { f.hangQuery = true })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = c.Query(ctx, q)
+	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || elapsed > time.Second {
+		t.Fatalf("cancelled query returned %v after %v, want context.Canceled within 1s", err, elapsed)
+	}
+	if pool := c.parts[0][0].pool; len(pool.idle) != 0 || len(pool.open) != 0 {
+		t.Fatalf("after the cancelled query: %d open, %d idle connections, want none", len(pool.open), len(pool.idle))
+	}
+}
+
+// slowGrid plants one entity per partition on every replica of a p×r
+// grid, sets each replica up with set, and returns the exact answer a
+// query for element x gets. A readiness probe of every node first leaves
+// an idle connection to each, so a query starts on warm connections.
+func slowGrid(t *testing.T, p, r int, hedge time.Duration, set func(f *fakeNode, p int)) (*Cluster, []Match) {
+	t.Helper()
+	nodes, c := grid(t, p, r, hedge)
+	var want []Match
+	for pi, row := range nodes {
+		name := fmt.Sprintf("e%d", pi)
+		want = append(want, Match{Entity: name, Similarity: 1})
+		for _, f := range row {
+			f.set(func(f *fakeNode) {
+				f.ents[name] = map[string]uint32{"x": 1}
+			})
+		}
+	}
+	c.CheckNow(context.Background())
+	for pi, row := range nodes {
+		for _, f := range row {
+			f.set(func(f *fakeNode) { set(f, pi) })
+		}
+	}
+	return c, want
+}
+
+// TestPartitionsWaitConcurrently: partitions that each take 200ms to
+// answer cost a query 200ms, not 200ms apiece.
+func TestPartitionsWaitConcurrently(t *testing.T) {
+	c, want := slowGrid(t, 3, 2, -1, func(f *fakeNode, _ int) { f.delay = 200 * time.Millisecond })
+	start := time.Now()
+	res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if elapsed := time.Since(start); err != nil || !reflect.DeepEqual(res.Matches, want) || elapsed >= 350*time.Millisecond {
+		t.Fatalf("query over 3 slow partitions: %v %v after %v, want %v under 350ms", res.Matches, err, elapsed, want)
+	}
+}
+
+// TestPartitionHedgesFireConcurrently: in each of two partitions the
+// first replica asked never answers, so both partitions hedge after
+// 300ms; the hedges run side by side, so the exact answer arrives well
+// before the 600ms that hedging one partition after the other would take.
+func TestPartitionHedgesFireConcurrently(t *testing.T) {
+	first := []*atomic.Bool{new(atomic.Bool), new(atomic.Bool)}
+	for _, b := range first {
+		b.Store(true)
+	}
+	c, want := slowGrid(t, 2, 2, 300*time.Millisecond, func(f *fakeNode, p int) { f.hangOnce = first[p] })
+	start := time.Now()
+	res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if elapsed := time.Since(start); err != nil || !reflect.DeepEqual(res.Matches, want) || elapsed >= 500*time.Millisecond {
+		t.Fatalf("query hedging 2 partitions: %v %v after %v, want %v under 500ms", res.Matches, err, elapsed, want)
+	}
+	if s := c.Stats(); s.Hedges != 2 || s.HedgeWins != 2 {
+		t.Fatalf("hedges %d, hedge wins %d; want 2 and 2", s.Hedges, s.HedgeWins)
+	}
+}
+
+// maxRouterQueryAllocs is what TestRouterQueryAllocs's query costs the
+// process, the router's and both fake nodes' allocations together. A
+// goroutine, a hedge timer, a context and a cancellation hook per
+// partition and attempt, and an encoding per attempt, made it 56.
+const maxRouterQueryAllocs = 19
+
+// TestRouterQueryAllocs gates the allocations of a threshold query over
+// two single-replica partitions of in-process fake nodes, hedging armed.
+func TestRouterQueryAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	c, want := slowGrid(t, 2, 1, DefaultHedgeAfter, func(*fakeNode, int) {})
+	q := Query{Elements: map[string]uint32{"x": 1}}
+	got := testing.AllocsPerRun(200, func() {
+		if res, err := c.Query(context.Background(), q); err != nil || len(res.Matches) != len(want) {
+			t.Fatalf("query: %v %v", res, err)
+		}
+	})
+	t.Logf("%.1f allocations a query", got)
+	if got > maxRouterQueryAllocs {
+		t.Fatalf("threshold query over 2 partitions: %.1f allocations, want <= %d", got, maxRouterQueryAllocs)
 	}
 }
 

@@ -105,14 +105,17 @@ func (c *Cluster) Apply(ctx context.Context, muts []BulkOp) ([]bool, error) {
 	errs := make([]error, len(c.parts))
 	var wg sync.WaitGroup
 	for p, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int, group []BulkOp) {
-			defer wg.Done()
+		switch len(group) {
+		case 0:
+		case len(muts): // the batch's one partition, as for every /add and /remove
 			flags[p], errs[p] = c.quorumWrite(ctx, p, group)
-		}(p, group)
+		default:
+			wg.Add(1)
+			go func(p int, group []BulkOp) {
+				defer wg.Done()
+				flags[p], errs[p] = c.quorumWrite(ctx, p, group)
+			}(p, group)
+		}
 	}
 	wg.Wait()
 	applied := make([]bool, len(muts))

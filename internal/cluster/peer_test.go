@@ -222,7 +222,11 @@ func TestPeerCorruptFrameClosesOnlyItsConnection(t *testing.T) {
 		if n, err := bad.conn.Read(make([]byte, 1)); err != io.EOF {
 			t.Fatalf("%s: read %d bytes, %v; want the node to close the connection", name, n, err)
 		}
-		rep, err := good.exchange(context.Background(), time.Now().Add(5*time.Second), &peerRequest{op: peerReady}, "")
+		var ready frameBuf
+		if err := ready.encode(&peerRequest{op: peerReady}, ""); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := good.exchange(context.Background(), time.Now().Add(5*time.Second), ready.framed)
 		if err != nil || rep.status != http.StatusOK || !rep.ready.Ready {
 			t.Fatalf("after %s, the other connection: %+v %v", name, rep, err)
 		}
@@ -261,6 +265,62 @@ func TestHedgeLoserConnectionDiscarded(t *testing.T) {
 	}
 	if got := slow.dialCount(); got != 2 {
 		t.Fatalf("the former loser accepted %d connections, want 2 (the lost one, then a fresh one)", got)
+	}
+}
+
+// splitNode serves the peer protocol with one answer to every request,
+// one match, writing the reply frame's first bytes at once and the rest
+// after pause.
+func splitNode(t *testing.T, pause time.Duration) string {
+	var b codec.Buffer
+	(&peerReply{status: http.StatusOK, result: QueryResult{Matches: []Match{{Entity: "e1", Similarity: 1}}}}).encode(&b)
+	reply, err := frame.Append(nil, b.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := AcceptPeer(w, r)
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			in := frame.NewReader(conn)
+			for {
+				if _, err := in.Next(); err != nil {
+					return
+				}
+				if _, err := conn.Write(reply[:3]); err != nil {
+					return
+				}
+				time.Sleep(pause)
+				if _, err := conn.Write(reply[3:]); err != nil {
+					return
+				}
+			}
+		}()
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestReplyBegunBeforeHedgeIsReadWhole: a query reply whose first bytes
+// arrive before the hedge time and the rest after it is read to the end
+// under the node timeout, neither hedged nor failed over.
+func TestReplyBegunBeforeHedgeIsReadWhole(t *testing.T) {
+	topo := [][]string{{splitNode(t, 100*time.Millisecond), splitNode(t, 100*time.Millisecond)}}
+	c, err := New(Config{Nodes: topo, HedgeAfter: 30 * time.Millisecond, HealthEvery: -1, RepairEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.CheckNow(context.Background()) // an idle connection to each node
+	res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if err != nil || len(res.Matches) != 1 {
+		t.Fatalf("query: %v %v", res, err)
+	}
+	if s := c.Stats(); s.Hedges != 0 || s.Failovers != 0 {
+		t.Fatalf("%d hedges, %d failovers for a reply that began before the hedge time", s.Hedges, s.Failovers)
 	}
 }
 

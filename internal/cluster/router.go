@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
+	"vsmartjoin/internal/frame"
 	"vsmartjoin/internal/metrics"
 )
 
@@ -26,10 +30,12 @@ import (
 // from similarities here would not round-trip (1 − (1 − d) ≠ d below
 // 0.5) and break byte-identity with a single Index.
 //
-// Cancelling ctx reels in the scatter, and trace values (WithRequestID)
-// propagate onto every node request. Besides a malformed query or an
-// unknown Entity, Query fails with ErrUnavailable when a partition has
-// no answering replica: never a partial answer.
+// The request is encoded once, before any node is asked, so Query reads
+// q.Elements only until it returns. Cancelling ctx reels in the scatter,
+// and trace values (WithRequestID) propagate onto every node request.
+// Besides a malformed query or an unknown Entity, Query fails with
+// ErrUnavailable when a partition has no answering replica: never a
+// partial answer.
 func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 	if err := CheckQuery(&q); err != nil {
 		return QueryResult{}, fmt.Errorf("cluster: %w", err)
@@ -62,11 +68,22 @@ func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 		// matches: no node needs asking.
 		return out, nil
 	}
-	per, err := c.scatter(ctx, &req)
+	sc, err := c.scatter(ctx, &req)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	for _, r := range per {
+	defer sc.release()
+	matches, neighbors := 0, 0
+	for _, r := range sc.per {
+		matches, neighbors = matches+len(r.Matches), neighbors+len(r.Neighbors)
+	}
+	if matches > 0 {
+		out.Matches = make([]Match, 0, matches)
+	}
+	if neighbors > 0 {
+		out.Neighbors = make([]Neighbor, 0, neighbors)
+	}
+	for _, r := range sc.per {
 		for _, m := range r.Matches {
 			if m.Entity != q.Entity {
 				out.Matches = append(out.Matches, m)
@@ -136,7 +153,8 @@ func (c *Cluster) QueryKNNEntity(entity string, k int) ([]Neighbor, error) {
 func (c *Cluster) fetchEntity(callerCtx context.Context, entity string) (map[string]uint32, error) {
 	var errs []error
 	req := peerRequest{op: peerEntity, name: entity}
-	for _, n := range c.prefer(c.owner(entity)) {
+	row := c.owner(entity)
+	for _, n := range c.prefer(make([]*node, len(row)), row) {
 		ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
 		rep, err := c.call(ctx, n, &req)
 		cancel()
@@ -159,66 +177,321 @@ func strings404(err error) bool {
 	return errors.As(err, &se) && se.Code == http.StatusNotFound
 }
 
-// scatter fans one query request out to every partition in parallel —
-// each through raceReplicas' failover and hedging — and returns the
-// per-partition answers. Any partition with no answering replica fails
-// the whole query: a partial answer would be silently wrong, the one
-// thing the differential harness exists to prevent.
-func (c *Cluster) scatter(ctx context.Context, req *peerRequest) ([]QueryResult, error) {
+// A scatter is one query in flight across the partitions: the request,
+// framed once, and each partition's attempt on the inline path, the one
+// the calling goroutine drives. Scatters are pooled by their Cluster.
+type scatter struct {
+	c        *Cluster
+	req      frameBuf
+	order    []*node       // every partition's replica order, rows end to end
+	attempts []attempt     // [partition]
+	per      []QueryResult // [partition]: the answers
+	// deadline bounds every partition; hedgeAt is the query's hedge
+	// time, deadline when hedging is off.
+	deadline, hedgeAt time.Time
+	// loose marks a scatter the pool must not take back: a partition left
+	// the inline path, and the goroutines raceReplicas started may still
+	// be writing req, or the hook has started.
+	loose bool
+
+	// held is the inline path's connections in use, the ones interrupt
+	// fails when the caller's context ends; mu guards it and interrupted,
+	// which tells the caller that the hook has run.
+	mu          sync.Mutex
+	held        []*peerConn // [partition]
+	interrupted bool
+	hook        func() // interrupt, bound once
+}
+
+// An attempt is one partition's query on the inline path: the request
+// written to its preferred replica over an idle connection, and the
+// reply read on the calling goroutine. A partition that leaves the path
+// takes its attempt to raceReplicas in one of four states: pc set, the
+// request still in flight at the partition's hedge time; err set, a
+// settled failure; retry set, a failure a fresh dial may get past (see
+// peerPool.release); or none of these, no idle connection to send on.
+type attempt struct {
+	order []*node   // the partition's replicas, in the order they are tried
+	pc    *peerConn // the connection the request went out on, until released
+	rx    int64     // what pc had received before the request went out
+	err   error
+	retry bool
+}
+
+func (c *Cluster) newScatter() any {
+	s := &scatter{c: c, order: make([]*node, len(c.nodes)), attempts: make([]attempt, len(c.parts)),
+		per: make([]QueryResult, len(c.parts)), held: make([]*peerConn, len(c.parts))}
+	s.hook = s.interrupt
+	return s
+}
+
+// release hands s back to the pool, clear of its answers, unless it is
+// loose.
+func (s *scatter) release() {
+	if s.loose {
+		return
+	}
+	clear(s.per)
+	clear(s.attempts)
+	s.c.scatters.Put(s)
+}
+
+// interrupt is the query's one hook on the caller's context: it fails
+// the blocked I/O of every held connection at once.
+func (s *scatter) interrupt() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.interrupted = true
+	for _, pc := range s.held {
+		if pc != nil {
+			pc.interrupt()
+		}
+	}
+}
+
+// hold makes pc partition p's held connection and reports false if the
+// hook has already run.
+func (s *scatter) hold(p int, pc *peerConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.held[p] = pc
+	return !s.interrupted
+}
+
+// drop lets partition p's held connection go and reports whether the
+// hook has run: its deadline was then no longer the caller's to set, so
+// the connection is broken.
+func (s *scatter) drop(p int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.interrupted {
+		s.held[p].broken = true
+	}
+	s.held[p] = nil
+	return s.interrupted
+}
+
+// extend moves partition p's read deadline out to the query's, unless
+// the hook has run.
+func (s *scatter) extend(p int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.interrupted {
+		s.held[p].conn.SetReadDeadline(s.deadline)
+	}
+}
+
+// scatter runs one query request on every partition and returns the
+// per-partition answers in s.per; the caller releases s. The calling
+// goroutine drives the query: it writes the request, encoded once, to
+// each partition's preferred replica over an idle connection, then
+// reads the replies in partition order, waiting for a partition's first
+// reply byte only until its hedge time (the query's start + HedgeAfter).
+// A partition whose write or read fails, whose reply has not begun by
+// then, or whose replica had no idle connection goes to raceReplicas on
+// a goroutine of its own while the caller moves on; the partitions
+// handed off are collected last, so their hedges fire side by side. One
+// deadline (the node timeout, or ctx's if earlier) bounds every
+// partition, and one hook on ctx reels the inline path in.
+//
+// Any partition with no answering replica fails the whole query: a
+// partial answer would be silently wrong, the one thing the
+// differential harness exists to prevent.
+func (c *Cluster) scatter(ctx context.Context, req *peerRequest) (*scatter, error) {
 	c.queries.Add(1)
 	start := metrics.Now()
 	defer c.queryLatency.ObserveSince(start)
-	per := make([]QueryResult, len(c.parts))
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
-	for p := range c.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			per[p], errs[p] = c.raceReplicas(ctx, p, req)
-		}(p)
+	s := c.scatters.Get().(*scatter)
+	if err := s.req.encode(req, RequestID(ctx)); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	wg.Wait()
+	now := time.Now()
+	s.deadline = c.deadline(ctx, now)
+	s.hedgeAt = s.deadline
+	if c.hedge >= 0 && now.Add(c.hedge).Before(s.deadline) {
+		s.hedgeAt = now.Add(c.hedge)
+	}
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, s.hook)
+		defer func() { s.loose = !stop() || s.loose }()
+	}
+
+	off := 0
+	for p, row := range c.parts {
+		s.attempts[p].order = c.prefer(s.order[off:off+len(row)], row)
+		off += len(row)
+		s.send(ctx, p)
+	}
+	var done chan error
+	handed := 0
+	for p := range s.attempts {
+		if s.receive(ctx, p) {
+			continue
+		}
+		if done == nil {
+			done = make(chan error, len(s.attempts))
+			s.loose = true
+		}
+		handed++
+		go func(p int, done chan<- error) {
+			var err error
+			if s.per[p], err = c.raceReplicas(ctx, s.deadline, s.hedgeTime(p), s.req.framed, &s.attempts[p]); err != nil {
+				err = fmt.Errorf("partition %d: %w", p, err)
+			}
+			done <- err
+		}(p, done)
+	}
 	var bad []error
-	for p, err := range errs {
-		if err != nil {
-			bad = append(bad, fmt.Errorf("partition %d: %w", p, err))
+	for ; handed > 0; handed-- {
+		if err := <-done; err != nil {
+			bad = append(bad, err)
 		}
 	}
 	if len(bad) > 0 {
 		return nil, fmt.Errorf("cluster: %w: %w", ErrUnavailable, errors.Join(bad...))
 	}
-	return per, nil
+	return s, nil
 }
 
-// prefer orders a replica row for querying: healthy replicas first (in
-// round-robin rotation so load spreads), then the unhealthy ones as a
-// last resort — health information is advisory and possibly stale, so
-// a "down" node is still worth a final attempt before the partition is
-// declared unavailable.
-func (c *Cluster) prefer(replicas []*node) []*node {
-	out := make([]*node, 0, len(replicas))
-	rot := int(c.rr.Add(1) - 1)
-	var sick []*node
+// hedgeTime is partition p's hedge time: the query's, unless the
+// partition has no second replica to hedge to.
+func (s *scatter) hedgeTime(p int) time.Time {
+	if len(s.attempts[p].order) < 2 {
+		return s.deadline
+	}
+	return s.hedgeAt
+}
+
+// send writes partition p's request to its preferred replica on an idle
+// connection, with the read deadline at the partition's hedge time. With
+// no connection idle nothing is sent: a dial belongs on raceReplicas'
+// goroutines, where a hedge can overtake it.
+func (s *scatter) send(ctx context.Context, p int) {
+	a := &s.attempts[p]
+	pc := a.order[0].pool.idleConn()
+	if pc == nil {
+		return
+	}
+	a.pc, a.rx, pc.broken = pc, pc.rx.n, true
+	err := pc.conn.SetDeadline(s.deadline)
+	if hedgeAt := s.hedgeTime(p); err == nil && hedgeAt.Before(s.deadline) {
+		err = pc.conn.SetReadDeadline(hedgeAt)
+	}
+	if !s.hold(p, pc) && err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		_, err = pc.conn.Write(s.req.framed)
+	}
+	if err != nil {
+		s.end(ctx, p, peerReply{}, err, s.drop(p))
+	}
+}
+
+// receive reads partition p's reply on the calling goroutine and reports
+// whether the partition's answer is in; if not, the partition leaves the
+// inline path.
+func (s *scatter) receive(ctx context.Context, p int) bool {
+	a := &s.attempts[p]
+	pc := a.pc
+	if pc == nil {
+		return false
+	}
+	hedged := s.hedgeTime(p).Before(s.deadline)
+	var rep peerReply
+	_, err := pc.br.Peek(1)
+	if err == nil {
+		// The rest of the reply is read under the query's deadline, unless
+		// it is already buffered whole, as a small reply usually is.
+		if hedged && !bufferedWhole(pc.br) {
+			s.extend(p)
+		}
+		rep, err = pc.receive()
+	}
+	interrupted := s.drop(p)
+	if hedged && !interrupted && pc.rx.n == a.rx && errors.Is(err, os.ErrDeadlineExceeded) {
+		return false // no reply byte by the hedge time: raceReplicas adopts the call in flight
+	}
+	return s.end(ctx, p, rep, err, interrupted)
+}
+
+// bufferedWhole reports whether br already holds a whole frame, which
+// is then read without touching the connection.
+func bufferedWhole(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered()) // a peek within what is buffered cannot fail
+	_, _, whole := frame.Parse(b, 0)
+	return whole
+}
+
+// end closes partition p's inline attempt: it hands the connection back
+// (or closes it), settles the outcome, and reports whether the answer is
+// in.
+func (s *scatter) end(ctx context.Context, p int, rep peerReply, err error, interrupted bool) bool {
+	a := &s.attempts[p]
+	n := a.order[0]
+	if interrupted && err != nil {
+		err = ctx.Err()
+	}
+	a.retry = n.pool.release(ctx, a.pc, true, a.rx, err)
+	a.pc = nil
+	if a.retry {
+		return false
+	}
+	if a.err = s.c.settle(n, peerQuery, rep, err); a.err != nil {
+		return false
+	}
+	s.per[p] = rep.result
+	return true
+}
+
+// finish completes a partition's inline attempt on a goroutine of
+// raceReplicas: it reads the reply still in flight, or makes the try on
+// a fresh dial that no idle connection, or a broken one, prevented.
+func (a *attempt) finish(ctx context.Context, deadline time.Time, framed []byte) (peerReply, error) {
+	pool := a.order[0].pool
+	if a.pc != nil {
+		rep, err := a.pc.exchange(ctx, deadline, nil)
+		if !pool.release(ctx, a.pc, true, a.rx, err) {
+			return rep, err
+		}
+	} else if !a.retry {
+		return pool.roundTrip(ctx, deadline, framed, true)
+	}
+	rep, _, err := pool.try(ctx, deadline, framed, true)
+	return rep, err
+}
+
+// prefer fills dst, as long as replicas, with the order a partition's
+// replicas are tried in: healthy replicas first (in round-robin rotation
+// so load spreads), then the unhealthy ones as a last resort — health
+// information is advisory and possibly stale, so a "down" node is still
+// worth a final attempt before the partition is declared unavailable.
+func (c *Cluster) prefer(dst, replicas []*node) []*node {
+	rot := c.rr.Add(1) - 1
+	healthy, sick := 0, len(replicas)
 	for i := range replicas {
-		n := replicas[(rot+i)%len(replicas)]
+		n := replicas[(rot+uint64(i))%uint64(len(replicas))]
 		if n.isHealthy() {
-			out = append(out, n)
+			dst[healthy] = n
+			healthy++
 		} else {
-			sick = append(sick, n)
+			sick--
+			dst[sick] = n
 		}
 	}
-	return append(out, sick...)
+	slices.Reverse(dst[healthy:])
+	return dst
 }
 
-// raceReplicas runs one partition's request: first attempt on the
-// preferred replica, immediate failover on error, and a hedged second
-// attempt if the current one is slow. The first successful answer
-// wins; cancelling the partition context reels the losers back in, and
+// raceReplicas finishes a partition's query that left scatter's inline
+// path. It adopts the inline attempt as its first launch, on the
+// preferred replica; an error fails over to the next replica at once,
+// and an attempt still running at hedgeAt is hedged to the next one. The
+// first successful answer wins; returning reels the losers back in, and
 // their connections are closed rather than pooled.
-func (c *Cluster) raceReplicas(callerCtx context.Context, p int, req *peerRequest) (QueryResult, error) {
-	order := c.prefer(c.parts[p])
-	ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
+func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time.Time, framed []byte, first *attempt) (QueryResult, error) {
+	order := first.order
+	ctx, cancel := context.WithDeadline(callerCtx, deadline)
 	defer cancel()
 
 	type result struct {
@@ -227,21 +500,28 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, p int, req *peerReques
 		hedged bool // this attempt was a hedge, not the primary or a failover
 	}
 	results := make(chan result, len(order))
-	launched := 0
+	if first.err != nil {
+		results <- result{err: first.err}
+	} else {
+		go func() {
+			rep, err := first.finish(ctx, deadline, framed)
+			results <- result{rep.result, c.settle(order[0], peerQuery, rep, err), false}
+		}()
+	}
+	launched := 1
 	launch := func(hedged bool) {
 		n := order[launched]
 		launched++
 		go func() {
-			rep, err := c.call(ctx, n, req)
-			results <- result{rep.result, err, hedged}
+			rep, err := n.pool.roundTrip(ctx, deadline, framed, true)
+			results <- result{rep.result, c.settle(n, peerQuery, rep, err), hedged}
 		}()
 	}
 
-	launch(false)
 	inflight := 1
 	var hedgeC <-chan time.Time
-	if c.hedge >= 0 && launched < len(order) {
-		timer := time.NewTimer(c.hedge)
+	if hedgeAt.Before(deadline) && launched < len(order) {
+		timer := time.NewTimer(time.Until(hedgeAt))
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
