@@ -788,28 +788,53 @@ func TestPartitionHedgesFireConcurrently(t *testing.T) {
 	}
 }
 
+// TestSlowPartitionHedgesAlone: one partition's replicas answer after
+// the hedge time and the other's at once. Only the slow partition is
+// hedged: the caller reads the fast partition's reply, waiting in its
+// socket, after the hedge time has passed.
+func TestSlowPartitionHedgesAlone(t *testing.T) {
+	c, want := slowGrid(t, 2, 2, 50*time.Millisecond, func(f *fakeNode, p int) {
+		if p == 0 {
+			f.delay = 150 * time.Millisecond
+		}
+	})
+	res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if err != nil || !reflect.DeepEqual(res.Matches, want) {
+		t.Fatalf("query: %v %v, want %v", res.Matches, err, want)
+	}
+	if s := c.Stats(); s.Hedges != 1 || s.Failovers != 0 {
+		t.Fatalf("hedges %d, failovers %d; want 1 and 0", s.Hedges, s.Failovers)
+	}
+}
+
 // maxRouterQueryAllocs is what TestRouterQueryAllocs's query costs the
-// process, the router's and both fake nodes' allocations together. A
+// process, the router's and the fake nodes' allocations together. A
 // goroutine, a hedge timer, a context and a cancellation hook per
-// partition and attempt, and an encoding per attempt, made it 56.
+// partition and attempt, and an encoding per attempt, made it 56 with
+// one replica a partition and 62 with two.
 const maxRouterQueryAllocs = 19
 
 // TestRouterQueryAllocs gates the allocations of a threshold query over
-// two single-replica partitions of in-process fake nodes, hedging armed.
+// two partitions of in-process fake nodes, hedging armed: with one
+// replica a partition has nothing to hedge to, with two its reply's
+// first byte is awaited until the hedge time.
 func TestRouterQueryAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts under -race measure the detector")
 	}
-	c, want := slowGrid(t, 2, 1, DefaultHedgeAfter, func(*fakeNode, int) {})
-	q := Query{Elements: map[string]uint32{"x": 1}}
-	got := testing.AllocsPerRun(200, func() {
-		if res, err := c.Query(context.Background(), q); err != nil || len(res.Matches) != len(want) {
-			t.Fatalf("query: %v %v", res, err)
+	for _, replicas := range []int{1, 2} {
+		c, want := slowGrid(t, 2, replicas, DefaultHedgeAfter, func(*fakeNode, int) {})
+		q := Query{Elements: map[string]uint32{"x": 1}}
+		got := testing.AllocsPerRun(200, func() {
+			if res, err := c.Query(context.Background(), q); err != nil || len(res.Matches) != len(want) {
+				t.Fatalf("query: %v %v", res, err)
+			}
+		})
+		t.Logf("%d replicas: %.1f allocations a query", replicas, got)
+		if got > maxRouterQueryAllocs {
+			t.Fatalf("threshold query over 2 partitions of %d replicas: %.1f allocations, want <= %d",
+				replicas, got, maxRouterQueryAllocs)
 		}
-	})
-	t.Logf("%.1f allocations a query", got)
-	if got > maxRouterQueryAllocs {
-		t.Fatalf("threshold query over 2 partitions: %.1f allocations, want <= %d", got, maxRouterQueryAllocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"vsmartjoin/internal/frame"
 	"vsmartjoin/internal/metrics"
 )
 
@@ -271,15 +269,20 @@ func (s *scatter) drop(p int) bool {
 	return s.interrupted
 }
 
-// extend moves partition p's read deadline out to the query's, unless
-// the hook has run.
-func (s *scatter) extend(p int) {
+// readBy moves partition p's read deadline to t, unless the hook has run.
+func (s *scatter) readBy(p int, t time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.interrupted {
-		s.held[p].conn.SetReadDeadline(s.deadline)
+		s.held[p].conn.SetReadDeadline(t)
 	}
 }
+
+// lateLook is how long the caller waits for the first reply byte of a
+// partition it comes to after the hedge time. A reply already waiting
+// is seen at once; lateLook only has to outlast the step from setting
+// the read deadline to the read.
+const lateLook = time.Millisecond
 
 // scatter runs one query request on every partition and returns the
 // per-partition answers in s.per; the caller releases s. The calling
@@ -398,13 +401,21 @@ func (s *scatter) receive(ctx context.Context, p int) bool {
 		return false
 	}
 	hedged := s.hedgeTime(p).Before(s.deadline)
+	if hedged && !time.Now().Before(s.hedgeAt) {
+		// An earlier partition kept the caller past the hedge time, and a
+		// read past an expired deadline fails without looking at the
+		// socket: a reply already waiting there gets lateLook to be seen.
+		look := time.Now().Add(lateLook)
+		if look.After(s.deadline) {
+			look = s.deadline
+		}
+		s.readBy(p, look)
+	}
 	var rep peerReply
 	_, err := pc.br.Peek(1)
 	if err == nil {
-		// The rest of the reply is read under the query's deadline, unless
-		// it is already buffered whole, as a small reply usually is.
-		if hedged && !bufferedWhole(pc.br) {
-			s.extend(p)
+		if hedged {
+			s.readBy(p, s.deadline) // the rest of the reply is read under the query's deadline
 		}
 		rep, err = pc.receive()
 	}
@@ -413,14 +424,6 @@ func (s *scatter) receive(ctx context.Context, p int) bool {
 		return false // no reply byte by the hedge time: raceReplicas adopts the call in flight
 	}
 	return s.end(ctx, p, rep, err, interrupted)
-}
-
-// bufferedWhole reports whether br already holds a whole frame, which
-// is then read without touching the connection.
-func bufferedWhole(br *bufio.Reader) bool {
-	b, _ := br.Peek(br.Buffered()) // a peek within what is buffered cannot fail
-	_, _, whole := frame.Parse(b, 0)
-	return whole
 }
 
 // end closes partition p's inline attempt: it hands the connection back
