@@ -37,8 +37,8 @@ var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 // its write-ahead log.
 const defaultSnapshotEvery = 4096
 
-// defaultGroupCommitWindow is how long the group committer waits after
-// the first pending record for neighbors to pile onto the same fsync
+// defaultGroupCommitWindow is how long the first waiting writer waits
+// for neighbors to pile onto the same fsync before issuing it
 // (DurabilitySync only). Small enough to stay invisible next to the
 // fsync itself, large enough to absorb a burst of concurrent writers.
 const defaultGroupCommitWindow = 200 * time.Microsecond
@@ -57,10 +57,10 @@ const (
 	// machine crash can lose the un-fsynced tail of the log.
 	DurabilityOS Durability = iota
 	// DurabilitySync acknowledges a mutation only after an fsync covers
-	// its WAL record. Fsyncs are group-committed: a committer goroutine
-	// coalesces the fsyncs of concurrent mutations into one, so the
-	// per-mutation cost is an fsync amortized over every write in the
-	// same commit window, not an fsync each. Requires Dir.
+	// its WAL record. Fsyncs are group-committed: the first mutation to
+	// wait issues one fsync for every concurrent mutation logged by then,
+	// so the per-mutation cost is an fsync amortized over every write in
+	// the same commit window, not an fsync each. Requires Dir.
 	DurabilitySync
 )
 
@@ -102,8 +102,8 @@ type IndexOptions struct {
 	// acknowledgement. Ignored without Dir.
 	Durability Durability
 
-	// GroupCommitWindow is how long the group committer waits after the
-	// first pending WAL record for more to join the same fsync
+	// GroupCommitWindow is how long the first mutation waiting for an
+	// fsync waits for more WAL records to join the same fsync
 	// (DurabilitySync only; default 200µs, negative commits
 	// immediately). A longer window batches harder under bursty load at
 	// the cost of per-mutation latency.

@@ -131,7 +131,7 @@ func (c *Cluster) call(ctx context.Context, n *node, req *peerRequest) (peerRepl
 		retry := req.op != peerApply && req.op != peerSnapshot
 		rep, err = n.pool.roundTrip(ctx, c.deadline(ctx, time.Now()), b.framed, retry)
 	}
-	return rep, c.settle(n, req.op, rep, err)
+	return rep, c.settle(ctx, n, req.op, rep, err)
 }
 
 // deadline is a call's one deadline: timeout from now, or ctx's if that
@@ -144,19 +144,55 @@ func (c *Cluster) deadline(ctx context.Context, now time.Time) time.Time {
 	return deadline
 }
 
-// settle turns a call's outcome into its error and records it in n's
-// health. A transport failure or a 5xx refusal marks the node unhealthy;
-// a 4xx is the caller's fault and records a healthy contact.
-func (c *Cluster) settle(n *node, op byte, rep peerReply, err error) error {
+// errTimeout is the cause of every context deadline the router sets
+// itself: a call it ends is the node's failure, unlike one the caller's
+// context ends.
+var errTimeout = errors.New("node timeout")
+
+// withTimeout derives from ctx a context that ends timeout from now with
+// errTimeout as its cause.
+func (c *Cluster) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	return withDeadline(ctx, time.Now().Add(c.timeout))
+}
+
+// withDeadline derives from ctx a context that ends at deadline with
+// errTimeout as its cause, unless ctx ends first or at the same instant:
+// then ctx's own end and cause stand.
+func withDeadline(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if d, ok := ctx.Deadline(); ok && !d.After(deadline) {
+		return context.WithCancel(ctx)
+	}
+	return context.WithDeadlineCause(ctx, deadline, errTimeout)
+}
+
+// ended reports whether ctx, a call's context, ended for a reason other
+// than a deadline the router set: the caller cancelled or ran out of
+// time, or a query's replica race reeled the call in. A connection
+// deadline taken from ctx's can fire before ctx's own timer does, so a
+// ctx past its deadline is waited out and its cause read.
+func ended(ctx context.Context) bool {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		<-ctx.Done()
+	}
+	return ctx.Err() != nil && !errors.Is(context.Cause(ctx), errTimeout)
+}
+
+// settle turns a call's outcome, under ctx, into its error and records
+// it in n's health. A transport failure or a 5xx refusal marks the node
+// unhealthy; a 4xx is the caller's fault and records a healthy contact.
+// A failure after ctx ended (see ended) says nothing of the node and
+// leaves its health alone.
+func (c *Cluster) settle(ctx context.Context, n *node, op byte, rep peerReply, err error) error {
 	if err == nil && rep.status != http.StatusOK {
 		err = StatusError{Code: rep.status, Msg: fmt.Sprintf("%d %s (%s)", rep.status, http.StatusText(rep.status), rep.msg)}
 	}
 	if err != nil {
 		err = fmt.Errorf("%s %s: %w", n.addr, peerOpNames[op], err)
 	}
-	if se := (StatusError{}); errors.As(err, &se) && se.Code/100 == 4 {
+	switch se := (StatusError{}); {
+	case errors.As(err, &se) && se.Code/100 == 4:
 		n.markHealthy(nil)
-	} else {
+	case err == nil || !ended(ctx):
 		n.markHealthy(err)
 	}
 	return err

@@ -273,7 +273,7 @@ func (c *Cluster) loop(every time.Duration, fn func(context.Context)) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+			ctx, cancel := c.withTimeout(context.Background())
 			fn(ctx)
 			cancel()
 		}

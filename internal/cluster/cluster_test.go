@@ -698,36 +698,105 @@ func TestAllReplicasDownFailsQuery(t *testing.T) {
 	}
 }
 
-// TestQueryCancelReelsInScatter: cancelling the caller's context fails a
-// query stuck on a replica that never answers at once, under a node
-// timeout far past the test's patience, and the hung connection is
-// closed rather than pooled.
-func TestQueryCancelReelsInScatter(t *testing.T) {
+// hungNode serves one fake node that answers one query, leaving an idle
+// connection, and then hangs every query, behind a router with the given
+// node timeout and no hedging.
+func hungNode(t *testing.T, timeout time.Duration) *Cluster {
+	t.Helper()
 	f := newFakeNode()
 	ts := httptest.NewServer(f)
 	t.Cleanup(ts.Close)
 	t.Cleanup(f.stop)
-	c, err := New(Config{Nodes: [][]string{{ts.URL}}, Timeout: 10 * time.Second,
+	c, err := New(Config{Nodes: [][]string{{ts.URL}}, Timeout: timeout,
 		HedgeAfter: -1, HealthEvery: -1, RepairEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	q := Query{Elements: map[string]uint32{"x": 1}}
-	if _, err := c.Query(context.Background(), q); err != nil {
-		t.Fatal(err) // leaves one idle connection: the hung query reuses it
+	if _, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}}); err != nil {
+		t.Fatal(err)
 	}
 	f.set(func(f *fakeNode) { f.hangQuery = true })
+	return c
+}
+
+// TestQueryCancelReelsInScatter: cancelling the caller's context fails a
+// query stuck on a replica that never answers at once, under a node
+// timeout far past the test's patience, and the hung connection is
+// closed rather than pooled.
+func TestQueryCancelReelsInScatter(t *testing.T) {
+	c := hungNode(t, 10*time.Second) // the hung query reuses the idle connection
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	_, err = c.Query(ctx, q)
+	_, err := c.Query(ctx, Query{Elements: map[string]uint32{"x": 1}})
 	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || elapsed > time.Second {
 		t.Fatalf("cancelled query returned %v after %v, want context.Canceled within 1s", err, elapsed)
 	}
 	if pool := c.parts[0][0].pool; len(pool.idle) != 0 || len(pool.open) != 0 {
 		t.Fatalf("after the cancelled query: %d open, %d idle connections, want none", len(pool.open), len(pool.idle))
+	}
+}
+
+// TestQueryCancelLeavesNodeHealthy: a caller that gives up on a query
+// says nothing about the node it was waiting on. The query returns the
+// context's error, not ErrUnavailable, and the node stays healthy.
+func TestQueryCancelLeavesNodeHealthy(t *testing.T) {
+	c := hungNode(t, 10*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	_, err := c.Query(ctx, Query{Elements: map[string]uint32{"x": 1}})
+	if n := c.Stats().Nodes[0]; !n.Healthy {
+		t.Fatalf("a cancelled query marked its node unhealthy: %s", n.LastError)
+	}
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("cancelled query returned %v, want context.Canceled without ErrUnavailable", err)
+	}
+}
+
+// TestQueryTimeoutMarksNodeUnlikeCancel: the router's own node timeout
+// is the node's failure, unlike a caller's cancellation: the query fails
+// with ErrUnavailable and the node is marked unhealthy.
+func TestQueryTimeoutMarksNodeUnlikeCancel(t *testing.T) {
+	c := hungNode(t, 50*time.Millisecond)
+	_, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("timed-out query returned %v, want ErrUnavailable", err)
+	}
+	if c.Stats().Nodes[0].Healthy {
+		t.Fatal("a node that timed out is still healthy")
+	}
+}
+
+// TestHedgeLoserLeavesReplicaHealthy: the first replica asked hangs,
+// the hedge to the other wins, and returning reels the loser in. Being
+// called off is not a failure: both replicas stay healthy.
+func TestHedgeLoserLeavesReplicaHealthy(t *testing.T) {
+	first := new(atomic.Bool)
+	first.Store(true)
+	c, want := slowGrid(t, 1, 2, 20*time.Millisecond, func(f *fakeNode, _ int) { f.hangOnce = first })
+	res, err := c.Query(context.Background(), Query{Elements: map[string]uint32{"x": 1}})
+	if err != nil || !reflect.DeepEqual(res.Matches, want) {
+		t.Fatalf("hedged query: %v %v, want %v", res.Matches, err, want)
+	}
+	if s := c.Stats(); s.Hedges != 1 || s.HedgeWins != 1 {
+		t.Fatalf("hedges %d, hedge wins %d; want 1 and 1", s.Hedges, s.HedgeWins)
+	}
+	// The loser's connection closes just before its outcome is settled.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(c.parts[0][0].pool.open) != 0 && len(c.parts[0][1].pool.open) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the hedge loser's connection was never closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, n := range c.Stats().Nodes {
+		if !n.Healthy {
+			t.Fatalf("reeled-in hedge loser %s marked unhealthy: %s", n.Addr, n.LastError)
+		}
 	}
 }
 

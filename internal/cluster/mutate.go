@@ -199,7 +199,7 @@ func (c *Cluster) quorumWrite(callerCtx context.Context, p int, group []BulkOp) 
 	// while detaching its cancellation: stragglers run on after the caller
 	// has moved on, and a request-scoped ctx would abort about-to-succeed
 	// replicas and manufacture repair work.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(callerCtx), c.timeout)
+	ctx, cancel := c.withTimeout(context.WithoutCancel(callerCtx))
 	for i, n := range replicas {
 		go func(n *node, w *write) {
 			rep, err := c.send(ctx, n, w)

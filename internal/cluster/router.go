@@ -33,7 +33,8 @@ import (
 // and trace values (WithRequestID) propagate onto every node request.
 // Besides a malformed query or an unknown Entity, Query fails with
 // ErrUnavailable when a partition has no answering replica: never a
-// partial answer.
+// partial answer. A query that fails once ctx has ended returns ctx's
+// error instead, and books nothing against the nodes it was waiting on.
 func (c *Cluster) Query(ctx context.Context, q Query) (QueryResult, error) {
 	if err := CheckQuery(&q); err != nil {
 		return QueryResult{}, fmt.Errorf("cluster: %w", err)
@@ -153,7 +154,7 @@ func (c *Cluster) fetchEntity(callerCtx context.Context, entity string) (map[str
 	req := peerRequest{op: peerEntity, name: entity}
 	row := c.owner(entity)
 	for _, n := range c.prefer(make([]*node, len(row)), row) {
-		ctx, cancel := context.WithTimeout(callerCtx, c.timeout)
+		ctx, cancel := c.withTimeout(callerCtx)
 		rep, err := c.call(ctx, n, &req)
 		cancel()
 		if err == nil {
@@ -161,6 +162,9 @@ func (c *Cluster) fetchEntity(callerCtx context.Context, entity string) (map[str
 		}
 		if strings404(err) {
 			return nil, fmt.Errorf("cluster: entity %q not indexed", entity)
+		}
+		if ended(callerCtx) {
+			return nil, fmt.Errorf("cluster: %w", callerCtx.Err())
 		}
 		errs = append(errs, err)
 	}
@@ -350,6 +354,9 @@ func (c *Cluster) scatter(ctx context.Context, req *peerRequest) (*scatter, erro
 			bad = append(bad, err)
 		}
 	}
+	if len(bad) > 0 && ended(ctx) {
+		return nil, fmt.Errorf("cluster: %w", ctx.Err())
+	}
 	if len(bad) > 0 {
 		return nil, fmt.Errorf("cluster: %w: %w", ErrUnavailable, errors.Join(bad...))
 	}
@@ -440,7 +447,7 @@ func (s *scatter) end(ctx context.Context, p int, rep peerReply, err error, inte
 	if a.retry {
 		return false
 	}
-	if a.err = s.c.settle(n, peerQuery, rep, err); a.err != nil {
+	if a.err = s.c.settle(ctx, n, peerQuery, rep, err); a.err != nil {
 		return false
 	}
 	s.per[p] = rep.result
@@ -491,10 +498,11 @@ func (c *Cluster) prefer(dst, replicas []*node) []*node {
 // preferred replica; an error fails over to the next replica at once,
 // and an attempt still running at hedgeAt is hedged to the next one. The
 // first successful answer wins; returning reels the losers back in, and
-// their connections are closed rather than pooled.
+// their connections are closed rather than pooled. Once ctx has ended no
+// replica is failed over to.
 func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time.Time, framed []byte, first *attempt) (QueryResult, error) {
 	order := first.order
-	ctx, cancel := context.WithDeadline(callerCtx, deadline)
+	ctx, cancel := withDeadline(callerCtx, deadline)
 	defer cancel()
 
 	type result struct {
@@ -508,7 +516,7 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time
 	} else {
 		go func() {
 			rep, err := first.finish(ctx, deadline, framed)
-			results <- result{rep.result, c.settle(order[0], peerQuery, rep, err), false}
+			results <- result{rep.result, c.settle(ctx, order[0], peerQuery, rep, err), false}
 		}()
 	}
 	launched := 1
@@ -517,7 +525,7 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time
 		launched++
 		go func() {
 			rep, err := n.pool.roundTrip(ctx, deadline, framed, true)
-			results <- result{rep.result, c.settle(n, peerQuery, rep, err), hedged}
+			results <- result{rep.result, c.settle(ctx, n, peerQuery, rep, err), hedged}
 		}()
 	}
 
@@ -540,7 +548,7 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time
 				return r.v, nil
 			}
 			errs = append(errs, r.err)
-			if launched < len(order) {
+			if launched < len(order) && ctx.Err() == nil {
 				c.failovers.Add(1)
 				launch(false)
 				inflight++
@@ -562,7 +570,7 @@ func (c *Cluster) raceReplicas(callerCtx context.Context, deadline, hedgeAt time
 // fan-out of vsmartjoin.Index.Snapshot, not a consistency point: nodes
 // snapshot at their own pace.
 func (c *Cluster) Snapshot() error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	ctx, cancel := c.withTimeout(context.Background())
 	defer cancel()
 	errs := make([]error, len(c.nodes))
 	req := peerRequest{op: peerSnapshot}

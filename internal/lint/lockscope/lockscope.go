@@ -1,5 +1,6 @@
 // Package lockscope enforces the lock discipline of the serving hot
-// path (PR 2): in internal/index and internal/shard,
+// path and its write-ahead log: in internal/index, internal/shard and
+// internal/wal,
 //
 //   - fields guarded by a struct's mutex must only be touched while that
 //     mutex is held, and
@@ -44,6 +45,7 @@ var Analyzer = &lint.Analyzer{
 var scopePkgs = map[string]bool{
 	"vsmartjoin/internal/index": true,
 	"vsmartjoin/internal/shard": true,
+	"vsmartjoin/internal/wal":   true,
 }
 
 const similarityPkg = "vsmartjoin/internal/similarity"

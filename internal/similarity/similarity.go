@@ -229,29 +229,16 @@ func (Overlap) Sim(a, b UniStats, c ConjStats) float64 {
 
 // ByName resolves a measure identifier to its implementation.
 func ByName(name string) (Measure, error) {
-	switch name {
-	case "ruzicka":
-		return Ruzicka{}, nil
-	case "jaccard":
-		return Jaccard{}, nil
-	case "dice":
-		return MultisetDice{}, nil
-	case "set-dice":
-		return SetDice{}, nil
-	case "cosine":
-		return MultisetCosine{}, nil
-	case "set-cosine":
-		return SetCosine{}, nil
-	case "vector-cosine":
-		return VectorCosine{}, nil
-	case "overlap":
-		return Overlap{}, nil
-	default:
-		return nil, fmt.Errorf("similarity: unknown measure %q", name)
+	for _, m := range All() {
+		if m.Name() == name {
+			return m, nil
+		}
 	}
+	return nil, fmt.Errorf("similarity: unknown measure %q", name)
 }
 
-// All returns every built-in measure, for table-driven tests.
+// All returns every built-in measure: the one list ByName resolves
+// against and table-driven tests range over.
 func All() []Measure {
 	return []Measure{
 		Ruzicka{}, Jaccard{}, MultisetDice{}, SetDice{},

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -151,10 +152,8 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	}
 	// Acknowledged means covered: every append returned, so the ledger
 	// must have caught up with the sequence counter.
-	l.gmu.Lock()
-	synced := l.synced
-	l.gmu.Unlock()
 	l.mu.Lock()
+	synced := l.synced
 	seq := l.seq
 	l.mu.Unlock()
 	if synced != seq {
@@ -182,7 +181,7 @@ func TestGroupCommitCloseReleasesWaiters(t *testing.T) {
 	dir := t.TempDir()
 	apply := func(Record) error { return nil }
 	// A long window maximizes the chance appenders are parked waiting
-	// for the committer when Close runs.
+	// for a commit's window to end when Close runs.
 	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -249,5 +248,34 @@ func TestGroupCommitSnapshotRotation(t *testing.T) {
 	defer closeLog(t, l2)
 	if len(got) != 3 || got[2].Entity != "c" {
 		t.Fatalf("after rotation: %+v", got)
+	}
+}
+
+// TestPoisonedTailReleasesWaiters poisons the log (a later append could
+// not rewind its torn tail) while an append waits in the group-commit
+// window. The waiting record is already in the file below the torn
+// bytes, so the commit still covers it: the append must be acknowledged,
+// not left waiting for a Snapshot or Close.
+func TestPoisonedTailReleasesWaiters(t *testing.T) {
+	dir := t.TempDir()
+	apply := func(Record) error { return nil }
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeLog(t, l)
+	done := make(chan error, 1)
+	go func() { done <- l.Append(addRec("e", Element{"x", 1})) }()
+	time.Sleep(10 * time.Millisecond)
+	l.mu.Lock()
+	l.werr = errors.New("wal: planted torn tail")
+	l.mu.Unlock()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("append below the torn tail: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("append still waiting 2s after the log was poisoned")
 	}
 }

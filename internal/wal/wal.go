@@ -35,12 +35,13 @@
 // and Close do. A machine (not process) crash can therefore lose the
 // tail of the current WAL, never a snapshot that Open has once
 // returned. Opening with WithGroupCommit upgrades that: appends do not
-// return until an fsync covers them, and a committer goroutine
-// coalesces the fsyncs of concurrent appenders into one — the classic
-// group commit, one fsync amortized over every record written since
-// the previous one. A torn tail then still truncates to the last
-// intact frame, but everything an append call has acknowledged is
-// below that point even across a machine crash.
+// return until an fsync covers them, and the fsyncs of concurrent
+// appenders coalesce into one — the classic leader/follower group
+// commit. The first waiter whose records are not yet covered leads: it
+// waits out the window, then issues one fsync for every record written
+// so far, while the others wait for its result. A torn tail then still
+// truncates to the last intact frame, but everything an append call has
+// acknowledged is below that point even across a machine crash.
 package wal
 
 import (
@@ -106,15 +107,12 @@ type Log struct {
 	dir     string
 	measure string
 
-	// Group-commit configuration, immutable after Open; the channels
-	// exist only in group-commit mode.
+	// Group-commit configuration, immutable after Open.
 	syncMode bool
 	window   time.Duration
-	wake     chan struct{} // capacity 1: "records await an fsync"
-	quit     chan struct{} // closed to stop the committer
-	done     chan struct{} // closed when the committer has exited
-	stop     sync.Once
 
+	// mu guards the file and its write state, and the group-commit
+	// ledger below them.
 	mu      sync.Mutex
 	gen     uint64
 	f       *os.File // current WAL, open for append; nil after Close
@@ -123,17 +121,16 @@ type Log struct {
 	werr    error    // sticky: the WAL tail is torn and could not be rewound
 	payload *codec.Buffer
 	frame   []byte
-
-	// gmu guards the group-commit ledger: synced is the highest seq a
-	// successful fsync (or snapshot rotation) covers, syncErr is the
-	// sticky fsync failure (cleared by rotation, like werr), closing
-	// releases waiters at Close. gcond broadcasts every change. Lock
-	// order: gmu may be taken while holding mu, never the reverse.
-	gmu     sync.Mutex
-	gcond   *sync.Cond
+	// The ledger: synced is the highest seq a successful fsync (or
+	// snapshot rotation) covers, syncErr is the sticky fsync failure
+	// (cleared by rotation, like werr), leading marks a commit under way
+	// (a waiter is in its window or fsync), closing releases waiters at
+	// Close. cond, over mu, broadcasts every change.
 	synced  uint64
 	syncErr error
+	leading bool
 	closing bool
+	cond    *sync.Cond
 
 	// m is all-atomic and needs no lock; it lives in its own paragraph
 	// so lockscope does not fold it into mu's guard set.
@@ -155,14 +152,14 @@ type LogMetrics struct {
 	Fsync metrics.Histogram
 	// CommitWait is how long an acknowledged append waited for the
 	// group commit covering it (group-commit mode only): the latency
-	// cost of durability, paid outside every lock.
+	// cost of durability, paid after the append's own write.
 	CommitWait metrics.Histogram
 	// Batch is the records-per-call distribution of appends — how large
 	// the batches arriving at the log are. Every append is a batch, so a
 	// single-record Append is observed here too, as a batch of one.
 	Batch metrics.SizeHistogram
-	// GroupCommit is the records-per-fsync distribution of the
-	// committer — the amortization factor group commit achieves.
+	// GroupCommit is the records-per-fsync distribution of the group
+	// commits — the amortization factor group commit achieves.
 	// fsyncs/mutation under load is GroupCommit.Count / Records.
 	GroupCommit metrics.SizeHistogram
 	// Records counts every record appended (single and batched alike),
@@ -227,13 +224,12 @@ func parseGen(name, prefix string) (uint64, bool) {
 type Option func(*Log)
 
 // WithGroupCommit opens the log in group-commit durability mode: an
-// append is not settled until an fsync covers its records, and
-// a committer goroutine coalesces the fsyncs of concurrent appenders —
-// after the first record of a commit lands it waits up to window for
-// neighbors to pile on, then issues one fsync for all of them. A
-// window of zero commits as fast as the disk acknowledges, which still
-// amortizes under load (every append that arrives during an fsync
-// joins the next one).
+// append is not settled until an fsync covers its records, and the
+// fsyncs of concurrent appenders coalesce — the first appender to wait
+// leads the commit: it waits window for neighbors to pile on, then
+// issues one fsync for all of them. A window of zero commits as fast
+// as the disk acknowledges, which still amortizes under load (every
+// append that arrives during an fsync joins the next one).
 func WithGroupCommit(window time.Duration) Option {
 	return func(l *Log) {
 		l.syncMode = true
@@ -268,7 +264,7 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 	}
 
 	l := &Log{dir: dir, measure: measure, gen: gen, payload: codec.NewBuffer(256)}
-	l.gcond = sync.NewCond(&l.gmu)
+	l.cond = sync.NewCond(&l.mu)
 	for _, opt := range opts {
 		opt(l)
 	}
@@ -303,12 +299,6 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 	}
 	for _, name := range stale {
 		os.Remove(filepath.Join(dir, name))
-	}
-	if l.syncMode {
-		l.wake = make(chan struct{}, 1)
-		l.quit = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.committer()
 	}
 	return l, nil
 }
@@ -531,20 +521,43 @@ func (l *Log) appendLocked(recs []Record) error {
 	return nil
 }
 
-// waitCommit blocks until the group-commit ledger covers seq: a wake is
-// sent to the committer (capacity-1 channel, so a pending wake already
-// promises a future fsync) and the caller waits on gcond outside every
-// lock the write path holds.
+// waitCommit blocks until the group-commit ledger covers seq. A waiter
+// that finds no commit under way leads the next one: it waits out the
+// window with mu released, so neighbors can append and join, then
+// fsyncs every record written so far. The fsync runs under mu so it
+// cannot race a Snapshot rotation swapping the file out; appenders that
+// block on mu meanwhile are exactly the ones the next commit absorbs.
+// A poisoned log is fsynced too: its records all lie below the torn
+// tail that recovery truncates. Every other waiter waits on cond.
 func (l *Log) waitCommit(seq uint64) error {
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
 	start := metrics.Now()
-	l.gmu.Lock()
-	defer l.gmu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for l.synced < seq && l.syncErr == nil && !l.closing {
-		l.gcond.Wait()
+		if l.leading {
+			l.cond.Wait()
+			continue
+		}
+		l.leading = true
+		if l.window > 0 {
+			l.mu.Unlock()
+			time.Sleep(l.window)
+			l.mu.Lock()
+		}
+		l.leading = false
+		// Close (f is nil) or a rotation may have settled the ledger
+		// during the window.
+		if covered := l.seq; l.f != nil && covered > l.synced {
+			fsyncStart := metrics.Now()
+			err := l.f.Sync()
+			l.m.Fsync.ObserveSince(fsyncStart)
+			if err != nil {
+				l.syncErr = fmt.Errorf("wal: group commit: %w", err)
+			} else {
+				l.commitLocked(covered)
+			}
+		}
+		l.cond.Broadcast()
 	}
 	l.m.CommitWait.ObserveSince(start)
 	if l.synced >= seq {
@@ -556,98 +569,14 @@ func (l *Log) waitCommit(seq uint64) error {
 	return errors.New("wal: log closed before commit")
 }
 
-// committer is the group-commit goroutine: woken by the first pending
-// append, it waits up to window for neighbors to join, then issues one
-// fsync covering every record written so far and releases their
-// waiters. Runs only in group-commit mode; exits when quit closes.
-func (l *Log) committer() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-l.wake:
-		}
-		if l.window > 0 {
-			timer := time.NewTimer(l.window)
-			select {
-			case <-l.quit:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-		}
-		l.groupCommit()
-	}
-}
-
-// groupCommit fsyncs the current WAL and advances the ledger to the
-// sequence number the fsync covers. The fsync runs under l.mu so it
-// cannot race a Snapshot rotation swapping the file out; appenders
-// that block on l.mu meanwhile are exactly the ones the next commit
-// will absorb.
-func (l *Log) groupCommit() {
-	l.mu.Lock()
-	if l.f == nil || l.werr != nil {
-		// Closed (Close's final fsync settles the ledger) or poisoned
-		// (nothing new reached the file); either way nothing to sync.
-		l.mu.Unlock()
-		return
-	}
-	seq := l.seq
-	l.gmu.Lock()
-	prev := l.synced
-	stale := l.syncErr
-	l.gmu.Unlock()
-	if seq <= prev || stale != nil {
-		l.mu.Unlock()
-		return
-	}
-	start := metrics.Now()
-	err := l.f.Sync()
-	l.m.Fsync.ObserveSince(start)
-	l.mu.Unlock()
-
-	l.gmu.Lock()
-	if err != nil {
-		l.syncErr = fmt.Errorf("wal: group commit: %w", err)
-	} else if seq > l.synced {
+// commitLocked advances the group-commit ledger to seq: an fsync or a
+// snapshot rotation made every record up to it durable. The caller
+// broadcasts on cond.
+func (l *Log) commitLocked(seq uint64) {
+	if l.syncMode && seq > l.synced {
 		l.m.GroupCommit.Observe(seq - l.synced)
 		l.synced = seq
 	}
-	l.gcond.Broadcast()
-	l.gmu.Unlock()
-}
-
-// stopCommitter shuts the committer goroutine down (idempotent; no-op
-// outside group-commit mode). Callers must not hold l.mu: the
-// committer may be blocked on it.
-func (l *Log) stopCommitter() {
-	if !l.syncMode {
-		return
-	}
-	l.stop.Do(func() {
-		close(l.quit)
-		<-l.done
-	})
-}
-
-// commitTo advances the group-commit ledger to seq and clears any
-// sticky fsync error — called after a snapshot rotation made every
-// record up to seq durable through its own fsync. Caller may hold l.mu
-// (lock order mu → gmu).
-func (l *Log) commitTo(seq uint64) {
-	if !l.syncMode {
-		return
-	}
-	l.gmu.Lock()
-	if seq > l.synced {
-		l.m.GroupCommit.Observe(seq - l.synced)
-		l.synced = seq
-	}
-	l.syncErr = nil
-	l.gcond.Broadcast()
-	l.gmu.Unlock()
 }
 
 // writeSnapshotFile writes a complete snapshot — header (magic, measure,
@@ -775,7 +704,9 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	// The fsynced snapshot durably captures every record appended so
 	// far, so the rotation is itself a commit: release group-commit
 	// waiters and clear any sticky fsync error along with the old file.
-	l.commitTo(l.seq)
+	l.commitLocked(l.seq)
+	l.syncErr = nil
+	l.cond.Broadcast()
 	os.Remove(filepath.Join(l.dir, snapName(old)))
 	os.Remove(filepath.Join(l.dir, walName(old)))
 	return nil
@@ -792,13 +723,11 @@ func syncDir(dir string) {
 
 // Close fsyncs and closes the current WAL. The log is unusable after.
 // In group-commit mode the final fsync settles every pending waiter
-// (success releases them, failure surfaces as their commit error) and
-// the committer goroutine is stopped.
+// (success releases them, failure surfaces as their commit error).
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f == nil {
-		l.mu.Unlock()
-		l.stopCommitter()
 		return nil
 	}
 	start := metrics.Now()
@@ -808,19 +737,11 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	l.f = nil
-	seq := l.seq
-	l.mu.Unlock()
-	if l.syncMode {
-		l.gmu.Lock()
-		if err == nil && seq > l.synced {
-			l.m.GroupCommit.Observe(seq - l.synced)
-			l.synced = seq
-		}
-		l.closing = true
-		l.gcond.Broadcast()
-		l.gmu.Unlock()
+	if err == nil {
+		l.commitLocked(l.seq)
 	}
-	l.stopCommitter()
+	l.closing = true
+	l.cond.Broadcast()
 	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}

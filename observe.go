@@ -36,12 +36,12 @@ type IndexMetrics struct {
 	WALFsync  metrics.Snapshot
 	// WALCommitWait is how long acknowledged mutations waited for the
 	// group commit covering them — the latency cost of DurabilitySync,
-	// paid outside every lock. Empty under DurabilityOS.
+	// paid outside the index's locks. Empty under DurabilityOS.
 	WALCommitWait metrics.Snapshot
 	// WALBatch is the records-per-append distribution (how large the
 	// batches arriving at the log are, single mutations included);
 	// WALGroupCommit is the records-per-fsync distribution of the group
-	// committer (the amortization it achieves).
+	// commits (the amortization they achieve).
 	WALBatch       metrics.SizeSnapshot
 	WALGroupCommit metrics.SizeSnapshot
 	// WALRecords counts every record appended and WALFsyncs every
