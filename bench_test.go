@@ -504,8 +504,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // deleted asynchronous write pipeline was measured, kept so the
 // comparison that retired it, recorded in CHANGES.md, stays
 // reproducible). fsyncs/mut reports physical fsyncs per acknowledged
-// mutation, the group-commit amortization gate (< 0.1 under sync
-// batching).
+// mutation: how far group commit amortizes the fsync (sync batching
+// keeps it far below 1).
 func BenchmarkWriteStorm(b *testing.B) {
 	const n = 4096
 	const seqMask = 1<<16 - 1

@@ -28,10 +28,9 @@
 // one log in the directory, a snapshot truncates it every
 // -snapshot-every mutations (or on POST /snapshot), and a killed daemon
 // restarts into exactly its prior state. -durability sync additionally
-// fsyncs before every acknowledgement, group-committed so concurrent
-// writers (and /bulk batches) share one fsync; -group-commit-window
-// tunes how long the first waiting write waits for company before it
-// issues that fsync. On SIGINT/SIGTERM
+// fsyncs before every acknowledgement, group-committed: the first
+// waiting write fsyncs at once, and the writes (and /bulk batches) that
+// arrive during that fsync share the next one. On SIGINT/SIGTERM
 // the daemon stops accepting connections, drains in-flight requests —
 // the routers' peer connections included — writes a final snapshot,
 // and exits.
@@ -99,7 +98,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "durability directory (one write-ahead log + snapshot); empty = volatile")
 		snapshotEvery = flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (needs -data-dir; negative = only on /snapshot and shutdown)")
 		durability    = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)
-		gcWindow      = flag.Duration("group-commit-window", 0, "how long the first write waiting for an fsync waits for concurrent writes to share it (-durability sync; 0 = default 200µs)")
 
 		debugAddr   = flag.String("debug-addr", "", "profiling listen address serving net/http/pprof under /debug/pprof/; empty = disabled (bind loopback or another private interface — the endpoints expose internals)")
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: concurrent requests served before shedding with 429 (0 = default, negative = unlimited)")
@@ -140,10 +138,9 @@ func main() {
 		handler, closer = httpd.NewRouter(c, httpd.Options{MaxInFlight: *maxInFlight}), closerFunc(func() error { c.Close(); return nil })
 	} else {
 		opts := vsmartjoin.IndexOptions{
-			Measure:           *measure,
-			Dir:               *dataDir,
-			SnapshotEvery:     *snapshotEvery,
-			GroupCommitWindow: *gcWindow,
+			Measure:       *measure,
+			Dir:           *dataDir,
+			SnapshotEvery: *snapshotEvery,
 		}
 		switch *durability {
 		case "os":

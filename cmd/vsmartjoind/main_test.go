@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,14 +228,14 @@ func TestDaemonDurableRestart(t *testing.T) {
 }
 
 // TestDaemonDrainsHeldPeerWrite drives the node shutdown path with a
-// router write in flight on its peer connection: the write is applied
-// and parked in a long group-commit wait when the shutdown signal
-// arrives. The drain must let it finish — the router gets its ack — and
+// router write in flight on its peer connection: a middleware around
+// the node holds the write when the shutdown signal arrives. The drain
+// must wait for it and let it finish — the router gets its ack — and
 // the final snapshot must hold it after a restart.
 func TestDaemonDrainsHeldPeerWrite(t *testing.T) {
 	dir := t.TempDir()
 	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
-		Durability: vsmartjoin.DurabilitySync, GroupCommitWindow: 300 * time.Millisecond}
+		Durability: vsmartjoin.DurabilitySync}
 	ix, err := vsmartjoin.NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,17 @@ func TestDaemonDrainsHeldPeerWrite(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	handler, closer := nodeServer(ix, httpd.Options{})
+	node, closer := nodeServer(ix, httpd.Options{})
+	held, release := make(chan struct{}), make(chan struct{})
+	var holding atomic.Bool
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Upgrades pass; the first call over the peer hop waits.
+		if r.URL.Path == cluster.PeerPath && r.Header.Get("Upgrade") == "" && holding.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+		node.ServeHTTP(w, r)
+	})
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, &http.Server{Handler: handler}, ln, closer) }()
 
@@ -258,13 +269,19 @@ func TestDaemonDrainsHeldPeerWrite(t *testing.T) {
 	defer c.Close()
 	acked := make(chan error, 1)
 	go func() { acked <- c.Add("held", map[string]uint32{"a": 1}) }()
-	for deadline := time.Now().Add(10 * time.Second); ix.Len() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the routed write never reached the index")
-		}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the routed write never reached the node")
 	}
 
-	cancel() // applied, not yet acknowledged: the shutdown signal
+	cancel() // in flight, not yet applied: the shutdown signal
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown finished with a peer write in flight: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
 	select {
 	case err := <-done:
 		if err != nil {

@@ -84,8 +84,9 @@
 //   - DurabilityOS (the default): the record has reached the operating
 //     system. A killed process loses nothing; a machine crash can lose
 //     the un-fsynced tail of the log.
-//   - DurabilitySync: the record is fsynced. Concurrent writers share
-//     group-committed fsyncs, within IndexOptions.GroupCommitWindow.
+//   - DurabilitySync: the record is fsynced. The first waiting writer
+//     fsyncs at once, and the writers that append during that fsync
+//     share the next one (group commit).
 //
 // In both modes a mutation is visible to queries before its commit wait
 // ends, so an error from that wait means applied but not guaranteed

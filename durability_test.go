@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // walPath returns the data dir's one WAL file (via bulk_test.go's
@@ -333,7 +332,7 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 func crashMidGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
-		Durability: DurabilitySync, GroupCommitWindow: 50 * time.Microsecond}
+		Durability: DurabilitySync}
 	ix, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +455,7 @@ func crashMidGroupCommit(t *testing.T) {
 func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 	dir := t.TempDir()
 	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 29,
-		Durability: DurabilitySync, GroupCommitWindow: 100 * time.Microsecond}
+		Durability: DurabilitySync}
 	ix, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)

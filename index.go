@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/metrics"
@@ -37,12 +36,6 @@ var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 // its write-ahead log.
 const defaultSnapshotEvery = 4096
 
-// defaultGroupCommitWindow is how long the first waiting writer waits
-// for neighbors to pile onto the same fsync before issuing it
-// (DurabilitySync only). Small enough to stay invisible next to the
-// fsync itself, large enough to absorb a burst of concurrent writers.
-const defaultGroupCommitWindow = 200 * time.Microsecond
-
 // applyChunk caps how many mutations AddDataset, walking a corpus,
 // passes to one Apply call: the batch one WAL append covers.
 const applyChunk = 256
@@ -58,9 +51,10 @@ const (
 	DurabilityOS Durability = iota
 	// DurabilitySync acknowledges a mutation only after an fsync covers
 	// its WAL record. Fsyncs are group-committed: the first mutation to
-	// wait issues one fsync for every concurrent mutation logged by then,
-	// so the per-mutation cost is an fsync amortized over every write in
-	// the same commit window, not an fsync each. Requires Dir.
+	// wait fsyncs at once for every mutation logged by then, and the
+	// mutations logged during that fsync share the next one, so under
+	// concurrent load the per-mutation cost is an fsync amortized over
+	// every write in the same commit, not an fsync each. Requires Dir.
 	DurabilitySync
 )
 
@@ -99,15 +93,10 @@ type IndexOptions struct {
 	// Durability selects the acknowledgement contract of a durable
 	// index (requires Dir): DurabilityOS (default) never fsyncs until a
 	// snapshot, DurabilitySync group-commits an fsync before every
-	// acknowledgement. Ignored without Dir.
+	// acknowledgement: the first waiting mutation fsyncs at once, and
+	// mutations logged during that fsync share the next one. Ignored
+	// without Dir.
 	Durability Durability
-
-	// GroupCommitWindow is how long the first mutation waiting for an
-	// fsync waits for more WAL records to join the same fsync
-	// (DurabilitySync only; default 200µs, negative commits
-	// immediately). A longer window batches harder under bursty load at
-	// the cost of per-mutation latency.
-	GroupCommitWindow time.Duration
 
 	// CacheSize bounds the query result cache: a per-index LRU over
 	// interned queries ((measure, element IDs and counts, t or k) keys)
@@ -260,11 +249,7 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		if opts.Dir == "" {
 			return nil, errors.New("vsmartjoin: DurabilitySync requires Dir")
 		}
-		gcWindow := opts.GroupCommitWindow
-		if gcWindow == 0 {
-			gcWindow = defaultGroupCommitWindow
-		}
-		walOpts = append(walOpts, wal.WithGroupCommit(gcWindow))
+		walOpts = append(walOpts, wal.WithGroupCommit())
 	default:
 		return nil, fmt.Errorf("vsmartjoin: unknown durability %d", opts.Durability)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,7 +117,7 @@ func TestTornBatchRecoversPrefix(t *testing.T) {
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	apply := func(Record) error { return nil }
-	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(500*time.Microsecond))
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +181,9 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 func TestGroupCommitCloseReleasesWaiters(t *testing.T) {
 	dir := t.TempDir()
 	apply := func(Record) error { return nil }
-	// A long window maximizes the chance appenders are parked waiting
-	// for a commit's window to end when Close runs.
-	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(50*time.Millisecond))
+	// Four appenders keep a commit in flight most of the time, so Close
+	// usually runs while some of them wait on a leader's fsync.
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestGroupCommitCloseReleasesWaiters(t *testing.T) {
 func TestGroupCommitSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	apply := func(Record) error { return nil }
-	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(0))
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,31 +252,106 @@ func TestGroupCommitSnapshotRotation(t *testing.T) {
 	}
 }
 
+// TestGroupCommitRacesSnapshot races sync-mode appenders against a loop
+// of Snapshot rotations and then Close. A leader fsyncs outside the log
+// lock, so a rotation or Close that swapped or closed the file under it
+// would fail that commit: every append must be acknowledged or refused
+// because the log closed, and every acknowledged record must replay.
+func TestGroupCommitRacesSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	apply := func(Record) error { return nil }
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// logged holds every record handed to the log, noted before its
+	// append, so a snapshot never misses one the rotated-away WAL held.
+	var mu sync.Mutex
+	var logged, acked []Record
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec := addRec(fmt.Sprintf("w%d-%03d", w, i), Element{"x", 1})
+				mu.Lock()
+				logged = append(logged, rec)
+				mu.Unlock()
+				if err := l.Append(rec); err != nil {
+					if msg := err.Error(); msg != "wal: log is closed" && msg != "wal: log closed before commit" {
+						t.Errorf("append: %v", err)
+					}
+					return
+				}
+				mu.Lock()
+				acked = append(acked, rec)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for i := 0; i < 20; i++ {
+		err := l.Snapshot(func(emit func(Record) error) error {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, rec := range logged {
+				if err := emit(rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeLog(t, l)
+	wg.Wait()
+
+	got, l2 := collect(t, dir, "ruzicka")
+	defer closeLog(t, l2)
+	replayed := make(map[string]bool, len(got))
+	for _, rec := range got {
+		replayed[rec.Entity] = true
+	}
+	if len(acked) == 0 {
+		t.Fatal("no append was acknowledged")
+	}
+	for _, rec := range acked {
+		if !replayed[rec.Entity] {
+			t.Fatalf("acknowledged %s lost across rotations", rec.Entity)
+		}
+	}
+}
+
 // TestPoisonedTailReleasesWaiters poisons the log (a later append could
-// not rewind its torn tail) while an append waits in the group-commit
-// window. The waiting record is already in the file below the torn
-// bytes, so the commit still covers it: the append must be acknowledged,
-// not left waiting for a Snapshot or Close.
+// not rewind its torn tail) between an append and its commit wait. The
+// waiting record is already in the file below the torn bytes, so the
+// commit still covers it: the wait must acknowledge it, not leave it
+// waiting for a Snapshot or Close.
 func TestPoisonedTailReleasesWaiters(t *testing.T) {
 	dir := t.TempDir()
 	apply := func(Record) error { return nil }
-	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit(50*time.Millisecond))
+	l, err := Open(dir, "ruzicka", apply, apply, WithGroupCommit())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeLog(t, l)
-	done := make(chan error, 1)
-	go func() { done <- l.Append(addRec("e", Element{"x", 1})) }()
-	time.Sleep(10 * time.Millisecond)
+	wait, err := l.AppendBatchDeferred([]Record{addRec("e", Element{"x", 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l.mu.Lock()
 	l.werr = errors.New("wal: planted torn tail")
 	l.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("append below the torn tail: %v", err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("append still waiting 2s after the log was poisoned")
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit wait still blocked 10s after the log was poisoned")
 	}
 }

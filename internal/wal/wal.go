@@ -38,8 +38,9 @@
 // return until an fsync covers them, and the fsyncs of concurrent
 // appenders coalesce into one — the classic leader/follower group
 // commit. The first waiter whose records are not yet covered leads: it
-// waits out the window, then issues one fsync for every record written
-// so far, while the others wait for its result. A torn tail then still
+// fsyncs at once, covering every record written so far, while the others
+// wait for its result; appends that arrive during that fsync share the
+// next one. A torn tail then still
 // truncates to the last intact frame, but everything an append call has
 // acknowledged is below that point even across a machine crash.
 package wal
@@ -53,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"vsmartjoin/internal/codec"
 	"vsmartjoin/internal/frame"
@@ -107,15 +107,14 @@ type Log struct {
 	dir     string
 	measure string
 
-	// Group-commit configuration, immutable after Open.
+	// Group-commit mode, immutable after Open.
 	syncMode bool
-	window   time.Duration
 
 	// mu guards the file and its write state, and the group-commit
 	// ledger below them.
 	mu      sync.Mutex
 	gen     uint64
-	f       *os.File // current WAL, open for append; nil after Close
+	f       *os.File // current WAL, open for append; nil after Close, which releases waiters
 	off     int64    // bytes of intact frames in f; write rollback point
 	seq     uint64   // records written across all generations
 	werr    error    // sticky: the WAL tail is torn and could not be rewound
@@ -124,12 +123,11 @@ type Log struct {
 	// The ledger: synced is the highest seq a successful fsync (or
 	// snapshot rotation) covers, syncErr is the sticky fsync failure
 	// (cleared by rotation, like werr), leading marks a commit under way
-	// (a waiter is in its window or fsync), closing releases waiters at
-	// Close. cond, over mu, broadcasts every change.
+	// (a waiter is in its fsync, outside mu). cond, over mu, broadcasts
+	// every change.
 	synced  uint64
 	syncErr error
 	leading bool
-	closing bool
 	cond    *sync.Cond
 
 	// m is all-atomic and needs no lock; it lives in its own paragraph
@@ -225,18 +223,11 @@ type Option func(*Log)
 
 // WithGroupCommit opens the log in group-commit durability mode: an
 // append is not settled until an fsync covers its records, and the
-// fsyncs of concurrent appenders coalesce — the first appender to wait
-// leads the commit: it waits window for neighbors to pile on, then
-// issues one fsync for all of them. A window of zero commits as fast
-// as the disk acknowledges, which still amortizes under load (every
-// append that arrives during an fsync joins the next one).
-func WithGroupCommit(window time.Duration) Option {
-	return func(l *Log) {
-		l.syncMode = true
-		if window > 0 {
-			l.window = window
-		}
-	}
+// fsyncs of concurrent appenders coalesce: the first appender to wait
+// fsyncs at once for every record written so far, and every append that
+// arrives during that fsync shares the next one.
+func WithGroupCommit() Option {
+	return func(l *Log) { l.syncMode = true }
 }
 
 // Open recovers the log in dir, creating the directory if needed: it
@@ -522,40 +513,34 @@ func (l *Log) appendLocked(recs []Record) error {
 }
 
 // waitCommit blocks until the group-commit ledger covers seq. A waiter
-// that finds no commit under way leads the next one: it waits out the
-// window with mu released, so neighbors can append and join, then
-// fsyncs every record written so far. The fsync runs under mu so it
-// cannot race a Snapshot rotation swapping the file out; appenders that
-// block on mu meanwhile are exactly the ones the next commit absorbs.
-// A poisoned log is fsynced too: its records all lie below the torn
-// tail that recovery truncates. Every other waiter waits on cond.
+// that finds no commit under way leads the next one: it fsyncs every
+// record written so far with mu released, so appends keep flowing and
+// the next leader covers them. Snapshot and Close wait out a leading
+// fsync before they touch the file, so it is never closed or swapped
+// under one. A poisoned log is fsynced too: its records all lie below
+// the torn tail that recovery truncates. Every other waiter waits on
+// cond.
 func (l *Log) waitCommit(seq uint64) error {
 	start := metrics.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.synced < seq && l.syncErr == nil && !l.closing {
+	for l.synced < seq && l.syncErr == nil && l.f != nil {
 		if l.leading {
 			l.cond.Wait()
 			continue
 		}
+		covered, f := l.seq, l.f
 		l.leading = true
-		if l.window > 0 {
-			l.mu.Unlock()
-			time.Sleep(l.window)
-			l.mu.Lock()
-		}
+		l.mu.Unlock()
+		fsyncStart := metrics.Now()
+		err := f.Sync()
+		l.m.Fsync.ObserveSince(fsyncStart)
+		l.mu.Lock()
 		l.leading = false
-		// Close (f is nil) or a rotation may have settled the ledger
-		// during the window.
-		if covered := l.seq; l.f != nil && covered > l.synced {
-			fsyncStart := metrics.Now()
-			err := l.f.Sync()
-			l.m.Fsync.ObserveSince(fsyncStart)
-			if err != nil {
-				l.syncErr = fmt.Errorf("wal: group commit: %w", err)
-			} else {
-				l.commitLocked(covered)
-			}
+		if err != nil {
+			l.syncErr = fmt.Errorf("wal: group commit: %w", err)
+		} else {
+			l.commitLocked(covered)
 		}
 		l.cond.Broadcast()
 	}
@@ -674,6 +659,9 @@ func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(R
 func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.leading { // a group-commit fsync on l.f is in flight outside mu
+		l.cond.Wait()
+	}
 	if l.f == nil {
 		return errors.New("wal: log is closed")
 	}
@@ -727,6 +715,9 @@ func syncDir(dir string) {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.leading { // a group-commit fsync on l.f is in flight outside mu
+		l.cond.Wait()
+	}
 	if l.f == nil {
 		return nil
 	}
@@ -740,7 +731,6 @@ func (l *Log) Close() error {
 	if err == nil {
 		l.commitLocked(l.seq)
 	}
-	l.closing = true
 	l.cond.Broadcast()
 	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
