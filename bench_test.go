@@ -465,8 +465,8 @@ func BenchmarkZipfRepeatedQuery(b *testing.B) {
 // BenchmarkWALAppend measures write throughput with durability off and
 // on: the WAL-on figure includes encoding, framing, checksumming, and
 // the unbuffered write into the OS cache on every Add (but no fsync,
-// matching the documented durability granularity). SnapshotEvery is
-// disabled so the numbers isolate the append path.
+// matching the documented durability granularity), and the automatic
+// snapshots the log's growth cuts, reported as rotations/op.
 func BenchmarkWALAppend(b *testing.B) {
 	entities := benchIndexEntities(4096)
 	for _, durable := range []bool{false, true} {
@@ -475,7 +475,6 @@ func BenchmarkWALAppend(b *testing.B) {
 		if durable {
 			name = "wal=on"
 			opts.Dir = b.TempDir()
-			opts.SnapshotEvery = -1
 		}
 		b.Run(name, func(b *testing.B) {
 			ix, err := NewIndex(opts)
@@ -483,12 +482,17 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ix.Close()
+			gen := ix.Generation()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := i % len(entities)
 				if err := ix.Add(fmt.Sprintf("entity-%d", n), entities[n]); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if durable {
+				b.ReportMetric(float64(ix.Generation()-gen)/float64(b.N), "rotations/op")
 			}
 		})
 	}
@@ -505,7 +509,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // comparison that retired it, recorded in CHANGES.md, stays
 // reproducible). fsyncs/mut reports physical fsyncs per acknowledged
 // mutation: how far group commit amortizes the fsync (sync batching
-// keeps it far below 1).
+// keeps it far below 1). The timed writes include the automatic
+// snapshots the log's growth cuts, reported as rotations/op.
 func BenchmarkWriteStorm(b *testing.B) {
 	const n = 4096
 	const seqMask = 1<<16 - 1
@@ -528,12 +533,12 @@ func BenchmarkWriteStorm(b *testing.B) {
 			size int
 		}{{"unbatched", 1}, {"batch=64", 64}, {"batch=256", 256}} {
 			b.Run(dur.name+"/"+mode.name, func(b *testing.B) {
-				ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Dir: b.TempDir(),
-					SnapshotEvery: -1, Durability: dur.d})
+				ix, err := NewIndex(IndexOptions{Measure: "ruzicka", Dir: b.TempDir(), Durability: dur.d})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer ix.Close()
+				gen := ix.Generation()
 				var cursor atomic.Uint64
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
@@ -565,6 +570,7 @@ func BenchmarkWriteStorm(b *testing.B) {
 				if st := ix.Stats(); st.WALRecords > 0 {
 					b.ReportMetric(float64(st.WALFsyncs)/float64(st.WALRecords), "fsyncs/mut")
 				}
+				b.ReportMetric(float64(ix.Generation()-gen)/float64(b.N), "rotations/op")
 			})
 		}
 	}
@@ -646,10 +652,11 @@ func BenchmarkBulkBuild(b *testing.B) {
 
 // BenchmarkColdStartPerAdd measures the same cold start through the
 // serving path: every entity WAL-appended and inserted one by one, with
-// the default snapshot cadence a daemon runs under — the only bootstrap
-// that existed before the bulk builder. The periodic snapshots make
-// this path superlinear in corpus size (every 4096 Adds rewrite the
-// index so far), which is exactly why bulk loads do not belong on it.
+// the automatic snapshots a daemon runs under — the only bootstrap
+// that existed before the bulk builder. Each snapshot rewrites the index
+// so far and Close writes one more, so the path costs well above the
+// bulk build and grows faster than the corpus (README's cold-start
+// table), which is why bulk loads do not belong on it.
 func BenchmarkColdStartPerAdd(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		d := benchColdStartDataset(n)

@@ -33,8 +33,9 @@ type BuildStats struct {
 //
 // opts.Dir is required and must not already hold anything; Measure
 // means what it does for NewIndex and is recorded in the snapshot's
-// header. SnapshotEvery plays no role at build time. Entity IDs are
-// assigned in dataset insertion order, exactly as BuildIndex's Adds
+// header. The snapshot's size is also the log size (at least 1 MiB) at
+// which the opened index cuts its first automatic snapshot. Entity IDs
+// are assigned in dataset insertion order, exactly as BuildIndex's Adds
 // would assign them, so the two paths produce identical results down to
 // tie-breaks. The directory materializes under a temporary name and is
 // renamed into place only once the snapshot is complete, so a failed

@@ -248,7 +248,7 @@ func TestClusterCarvedSnapshotsAreIndexSnapshots(t *testing.T) {
 	}
 	for p := 0; p < partitions; p++ {
 		served := t.TempDir()
-		ix, err := NewIndex(IndexOptions{Dir: served, Measure: "jaccard", SnapshotEvery: -1})
+		ix, err := NewIndex(IndexOptions{Dir: served, Measure: "jaccard"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func bulkBuiltSnapshotIsIndexSnapshot(t *testing.T) {
 	}
 
 	served := t.TempDir()
-	ix, err := NewIndex(IndexOptions{Dir: served, SnapshotEvery: -1})
+	ix, err := NewIndex(IndexOptions{Dir: served})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func readSnap(t *testing.T, dir string, gen int) []byte {
 }
 
 // v3DirOps is the history testdata/v3-three-shards holds: a data dir
-// written at 3 shards, SnapshotEvery -1, by the code that still sharded
+// written at 3 shards, automatic snapshots off, by the code that still sharded
 // an index in memory, so its snapshot header records 3 shards. The
 // snapshotted ops were applied as one batch and cut into snap-00000002
 // by Snapshot; the logged ops were applied one per Apply after it and
@@ -421,7 +421,7 @@ func TestOpenDirWrittenAtThreeShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshDir := t.TempDir()
-	fresh, err := NewIndex(IndexOptions{Dir: freshDir, SnapshotEvery: -1})
+	fresh, err := NewIndex(IndexOptions{Dir: freshDir})
 	if err != nil {
 		t.Fatal(err)
 	}

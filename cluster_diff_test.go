@@ -446,7 +446,7 @@ func TestRouterSnapshotFanOut(t *testing.T) {
 		var nodes []*vsmartjoin.Index
 		var topo [][]string
 		for p := 0; p < 2; p++ {
-			ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
+			ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,8 +25,9 @@
 // "threshold" in [0,1] or a positive "topk".
 //
 // With -data-dir the index is durable: mutations are written ahead to
-// one log in the directory, a snapshot truncates it every
-// -snapshot-every mutations (or on POST /snapshot), and a killed daemon
+// one log in the directory, a snapshot truncates it once the log
+// reaches the size of the snapshot before it, at least 1 MiB (or on
+// POST /snapshot), and a killed daemon
 // restarts into exactly its prior state. -durability sync additionally
 // fsyncs before every acknowledgement, group-committed: the first
 // waiting write fsyncs at once, and the writes (and /bulk batches) that
@@ -92,12 +93,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vsmartjoind: ")
 	var (
-		addr          = flag.String("addr", "localhost:8321", "listen address")
-		measure       = flag.String("measure", "ruzicka", "similarity measure: ruzicka, jaccard, dice, set-dice, cosine, set-cosine, vector-cosine, overlap")
-		load          = flag.String("load", "", "TSV trace to preload (entity<TAB>element[<TAB>count] per line, .gz accepted)")
-		dataDir       = flag.String("data-dir", "", "durability directory (one write-ahead log + snapshot); empty = volatile")
-		snapshotEvery = flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (needs -data-dir; negative = only on /snapshot and shutdown)")
-		durability    = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)
+		addr       = flag.String("addr", "localhost:8321", "listen address")
+		measure    = flag.String("measure", "ruzicka", "similarity measure: ruzicka, jaccard, dice, set-dice, cosine, set-cosine, vector-cosine, overlap")
+		load       = flag.String("load", "", "TSV trace to preload (entity<TAB>element[<TAB>count] per line, .gz accepted)")
+		dataDir    = flag.String("data-dir", "", "durability directory (one write-ahead log + snapshot); empty = volatile")
+		durability = flag.String("durability", "os", `acknowledgement contract (needs -data-dir): "os" pushes records to the kernel, "sync" group-commits an fsync before every acknowledgement`)
 
 		debugAddr   = flag.String("debug-addr", "", "profiling listen address serving net/http/pprof under /debug/pprof/; empty = disabled (bind loopback or another private interface — the endpoints expose internals)")
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: concurrent requests served before shedding with 429 (0 = default, negative = unlimited)")
@@ -137,11 +137,7 @@ func main() {
 		log.Printf("routing %d partitions over %d nodes", len(topology), nodes)
 		handler, closer = httpd.NewRouter(c, httpd.Options{MaxInFlight: *maxInFlight}), closerFunc(func() error { c.Close(); return nil })
 	} else {
-		opts := vsmartjoin.IndexOptions{
-			Measure:       *measure,
-			Dir:           *dataDir,
-			SnapshotEvery: *snapshotEvery,
-		}
+		opts := vsmartjoin.IndexOptions{Measure: *measure, Dir: *dataDir}
 		switch *durability {
 		case "os":
 		case "sync":

@@ -169,7 +169,7 @@ func TestDaemonValidation(t *testing.T) {
 // signal), and restart into exactly the prior state.
 func TestDaemonDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir}
 	ix, err := vsmartjoin.NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +234,7 @@ func TestDaemonDurableRestart(t *testing.T) {
 // the final snapshot must hold it after a restart.
 func TestDaemonDrainsHeldPeerWrite(t *testing.T) {
 	dir := t.TempDir()
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
-		Durability: vsmartjoin.DurabilitySync}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, Durability: vsmartjoin.DurabilitySync}
 	ix, err := vsmartjoin.NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -75,8 +75,9 @@
 // # Durability
 //
 // IndexOptions.Dir makes an index durable: each mutation is appended to
-// the index's write-ahead log before it is applied, and every
-// IndexOptions.SnapshotEvery mutations a snapshot replaces the log.
+// the index's write-ahead log before it is applied, and once the log
+// reaches the size of the snapshot before it (at least 1 MiB) a new
+// snapshot replaces the log.
 // Reopening recovers every mutation the log holds up to its first torn
 // frame, so the recovered state is always a prefix of the applied
 // history. IndexOptions.Durability sets what an acknowledgement means:

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -94,12 +95,12 @@ func mustAgree(t *testing.T, tag string, got, oracle *Index, probes []map[string
 // durable index and an in-memory oracle, hard-stops the durable
 // one (abandoned without Close, WAL tail torn mid-frame), reopens it,
 // and requires the recovered index to answer exactly like the oracle.
-// The tight SnapshotEvery forces several snapshot rotations along the
+// A Snapshot every 17 operations forces several rotations along the
 // way, so recovery exercises snapshot-load + log-replay, not just one.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 17}
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir}
 	durable, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +151,12 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				}
 				if err := oracle.Add(name, counts); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if (round*60+op+1)%17 == 0 {
+				gen := durable.Generation()
+				if err := durable.Snapshot(); err != nil || durable.Generation() != gen+1 {
+					t.Fatalf("round %d op %d: snapshot %v, generation %d -> %d", round, op, err, gen, durable.Generation())
 				}
 			}
 		}
@@ -331,8 +338,7 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 
 func crashMidGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: -1,
-		Durability: DurabilitySync}
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Durability: DurabilitySync}
 	ix, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -450,12 +456,13 @@ func crashMidGroupCommit(t *testing.T) {
 // AddBatch — racing lock-free readers, then hard-stops it (no Close,
 // torn WAL tail) and requires the reopened index to answer exactly like
 // an oracle holding every acknowledged mutation. Writers own disjoint
-// entity spaces so the final state is deterministic. Run under -race
-// this is also the batched write path's data-race gate.
+// entity spaces so the final state is deterministic. A snapshotter cuts
+// a generation each time a writer finishes a round but its last, while
+// the other writers commit. Run under -race this is also the batched
+// write path's data-race gate.
 func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 	dir := t.TempDir()
-	opts := IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 29,
-		Durability: DurabilitySync}
+	opts := IndexOptions{Measure: "ruzicka", Dir: dir, Durability: DurabilitySync}
 	ix, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -482,6 +489,24 @@ func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var readerWG, writerWG sync.WaitGroup
+
+	// The snapshotter rotates once per round a writer reports, and each
+	// rotation must advance the generation.
+	roundDone := make(chan struct{}, writers*(rounds-1)) // one per report: writers never block on it
+	rotations := make(chan int)
+	go func() {
+		n := 0
+		for range roundDone {
+			gen := ix.Generation()
+			if err := ix.Snapshot(); err != nil {
+				fail(err)
+			} else if ix.Generation() <= gen {
+				fail(fmt.Errorf("snapshot left generation %d at %d", gen, ix.Generation()))
+			}
+			n++
+		}
+		rotations <- n
+	}()
 
 	// Readers race the writers on the lock-free query path.
 	for r := 0; r < 2; r++ {
@@ -549,10 +574,17 @@ func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 					fail(err)
 					return
 				}
+				if round < rounds-1 {
+					roundDone <- struct{}{}
+				}
 			}
 		}(w, finals[w])
 	}
 	writerWG.Wait()
+	close(roundDone)
+	if n := <-rotations; n != writers*(rounds-1) {
+		t.Errorf("%d rotations, want %d", n, writers*(rounds-1))
+	}
 	close(done)
 	readerWG.Wait()
 	select {
@@ -598,4 +630,118 @@ func TestCrashRecoveryConcurrentBatches(t *testing.T) {
 		elems(1, 3, rounds-1),
 	}
 	mustAgree(t, "recovered after concurrent batched writes", recovered, oracle, probes)
+}
+
+// genFileSize is the size of the data dir's file of the index's current
+// generation ("snap" or "wal").
+func genFileSize(t *testing.T, ix *Index, dir, kind string) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(dir, fmt.Sprintf("%s-%08d", kind, ix.Generation())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// wideEntity is an entity whose logged record is about 3 KiB and the same
+// size for every i below 100000: 64 elements with fixed-width names.
+func wideEntity(i int) (string, map[string]uint32) {
+	counts := make(map[string]uint32, 64)
+	for j := 0; j < 64; j++ {
+		counts[fmt.Sprintf("element-%02d-of-a-wide-entity-with-long-names-%05d", j, i)] = uint32(1 + j%3)
+	}
+	return fmt.Sprintf("wide-%05d", i), counts
+}
+
+// TestAutoSnapshotAtSnapshotSize pins the automatic snapshot rule: the
+// log rotates on the first mutation that brings it to max(the current
+// snapshot's bytes, snapshotFloor) and on no earlier one, and each new
+// snapshot's size sets the next threshold. The index starts from a
+// bulk-built snapshot of 200 small entities, so every added entity's ID
+// takes two uvarint bytes and each logged record is the same size. The
+// first rotation is at the floor; the third, past a snapshot more than
+// twice the floor, shows the threshold follows the snapshot.
+func TestAutoSnapshotAtSnapshotSize(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "idx")
+	d := NewDataset()
+	for i := 0; i < 200; i++ {
+		d.Add(fmt.Sprintf("small-%03d", i), map[string]uint32{fmt.Sprintf("s%d", i%17): 1})
+	}
+	if _, err := BuildIndexFiles(d, IndexOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenIndex(IndexOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+
+	var frame int64 // the logged bytes of one wide entity
+	var thresholds []int64
+	for i := 0; len(thresholds) < 3; i++ {
+		gen := ix.Generation()
+		walBefore, snap := genFileSize(t, ix, dir, "wal"), genFileSize(t, ix, dir, "snap")
+		threshold := max(snap, snapshotFloor)
+		name, counts := wideEntity(i)
+		if err := ix.Add(name, counts); err != nil {
+			t.Fatal(err)
+		}
+		walAfter := genFileSize(t, ix, dir, "wal")
+		if ix.Generation() == gen {
+			if grew := walAfter - walBefore; frame == 0 {
+				frame = grew
+			} else if grew != frame {
+				t.Fatalf("add %d logged %d bytes, earlier adds %d", i, grew, frame)
+			}
+			if walAfter >= threshold {
+				t.Fatalf("add %d: log at %d bytes, threshold %d (snapshot %d), and no rotation", i, walAfter, threshold, snap)
+			}
+			continue
+		}
+		if ix.Generation() != gen+1 || walAfter != 0 {
+			t.Fatalf("add %d: generation %d -> %d with a %d-byte log", i, gen, ix.Generation(), walAfter)
+		}
+		if frame == 0 || walBefore+frame < threshold {
+			t.Fatalf("add %d: rotated at %d+%d log bytes, threshold %d (snapshot %d)", i, walBefore, frame, threshold, snap)
+		}
+		thresholds = append(thresholds, threshold)
+	}
+	if thresholds[0] != snapshotFloor || thresholds[2] < 2*snapshotFloor {
+		t.Fatalf("thresholds %v: want the floor first and a snapshot over twice the floor third", thresholds)
+	}
+}
+
+// TestAutoSnapshotSparesBulkIndex: a bulk-built index whose snapshot
+// outweighs the log of 4096 small upserts does not rotate after them,
+// although that log is past snapshotFloor.
+func TestAutoSnapshotSparesBulkIndex(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "idx")
+	d := NewDataset()
+	for i := 0; i < 600; i++ {
+		d.Add(wideEntity(i))
+	}
+	if _, err := BuildIndexFiles(d, IndexOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenIndex(IndexOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for i := 0; i < 4096; i++ {
+		counts := map[string]uint32{}
+		for j := 0; j < 16; j++ {
+			counts[fmt.Sprintf("upsert-elem-%02d", j)] = uint32(1 + (i+j)%5)
+		}
+		if err := ix.Add(fmt.Sprintf("upsert-%02d", i%64), counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walBytes, snapBytes := genFileSize(t, ix, dir, "wal"), genFileSize(t, ix, dir, "snap")
+	if ix.Generation() != 1 {
+		t.Fatalf("rotated to generation %d with a %d-byte snapshot", ix.Generation(), snapBytes)
+	}
+	if walBytes <= snapshotFloor || walBytes >= snapBytes {
+		t.Fatalf("log %d bytes, snapshot %d: want the log between the floor and the snapshot", walBytes, snapBytes)
+	}
 }

@@ -100,13 +100,15 @@ func main() {
 	// 5. Durability: the same kind of index with a write-ahead log under
 	// dir. Kill -9 at any point and reopening the
 	// dir recovers every completed mutation — here we just drop the
-	// handle without Close, the moral equivalent.
+	// handle without Close, the moral equivalent. A snapshot after the
+	// third add makes recovery load it and replay the two adds logged
+	// since.
 	dir, err := os.MkdirTemp("", "vsmartjoin-serving-")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir, SnapshotEvery: 64}
+	opts := vsmartjoin.IndexOptions{Measure: "ruzicka", Dir: dir}
 	func() { // scope the doomed handle: it "crashes" without Close
 		durable, err := vsmartjoin.NewIndex(opts)
 		if err != nil {
@@ -116,6 +118,11 @@ func main() {
 			if err := durable.Add(fmt.Sprintf("proxy-ip-%d", member), farm()); err != nil {
 				log.Fatal(err)
 			}
+			if gen := durable.Generation(); member == 2 {
+				if err := durable.Snapshot(); err != nil || durable.Generation() != gen+1 {
+					log.Fatalf("snapshot: %v, generation %d -> %d", err, gen, durable.Generation())
+				}
+			}
 		}
 	}()
 
@@ -124,7 +131,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer recovered.Close()
-	fmt.Printf("\nafter simulated crash, recovered %d entities from %s\n", recovered.Len(), dir)
+	fmt.Printf("\nafter simulated crash, recovered %d entities at generation %d from %s\n", recovered.Len(), recovered.Generation(), dir)
 
 	// 6. Bulk bootstrap: cold-starting a corpus through Add writes one
 	// WAL record per entity; BuildIndexFiles instead writes the index's

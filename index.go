@@ -31,10 +31,11 @@ var ErrIndexClosed = errors.New("vsmartjoin: index is closed")
 // as "create a fresh one".
 var ErrNoIndex = errors.New("vsmartjoin: directory holds no index")
 
-// defaultSnapshotEvery is the automatic snapshot cadence: the number of
-// mutations logged after which the index cuts a snapshot and truncates
-// its write-ahead log.
-const defaultSnapshotEvery = 4096
+// snapshotFloor is the least WAL size, in bytes, that cuts an automatic
+// snapshot: the log rotates at max(its snapshot's size, snapshotFloor),
+// so snapshots cost at most the bytes logged, recovery replays at most
+// about one snapshot's worth, and a small index does not rotate often.
+const snapshotFloor = 1 << 20
 
 // applyChunk caps how many mutations AddDataset, walking a corpus,
 // passes to one Apply call: the batch one WAL append covers.
@@ -73,7 +74,8 @@ type IndexOptions struct {
 
 	// Dir, when non-empty, makes the index durable: every Add/Remove is
 	// appended to the index's write-ahead log under Dir before it is
-	// applied, and periodic snapshots truncate the log. NewIndex
+	// applied, and a snapshot truncates the log once the log reaches
+	// the size of the snapshot before it (at least 1 MiB). NewIndex
 	// recovers the prior state (snapshot load + log replay, tolerating a
 	// torn final frame) from a Dir that already holds one, and otherwise
 	// creates it with an empty snapshot recording Measure; OpenIndex
@@ -83,12 +85,6 @@ type IndexOptions struct {
 	// batch-built dir and a serving-written dir are interchangeable.
 	// Dirs written when an index could be sharded open unchanged.
 	Dir string
-
-	// SnapshotEvery is the number of mutations logged between automatic
-	// snapshots of the index (default 4096). Negative disables automatic
-	// snapshots — the log then grows until Snapshot or Close. Ignored
-	// without Dir.
-	SnapshotEvery int
 
 	// Durability selects the acknowledgement contract of a durable
 	// index (requires Dir): DurabilityOS (default) never fsyncs until a
@@ -191,10 +187,8 @@ type Index struct {
 	order  nameTable // the keys of byName, ascending: the kNN pad's read order
 	nextID multiset.ID
 
-	log           *wal.Log // nil for a volatile index; set at construction, never replaced
-	snapshotEvery int
-	logged        int // mutations since the last snapshot; guarded by mu
-	closed        bool
+	log    *wal.Log // nil for a volatile index; set at construction, never replaced
+	closed bool
 
 	// gen counts mutations; every Add/Remove bumps it, invalidating all
 	// result-cache entries stamped with an earlier value. cache is nil
@@ -238,10 +232,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapshotEvery := opts.SnapshotEvery
-	if snapshotEvery == 0 {
-		snapshotEvery = defaultSnapshotEvery
-	}
 	var walOpts []wal.Option
 	switch opts.Durability {
 	case DurabilityOS:
@@ -254,13 +244,12 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		return nil, fmt.Errorf("vsmartjoin: unknown durability %d", opts.Durability)
 	}
 	ix := &Index{
-		measure:       m,
-		inner:         index.New(m),
-		dict:          multiset.NewDict(),
-		byName:        make(map[string]multiset.ID),
-		names:         make(map[multiset.ID]string),
-		nextID:        1,
-		snapshotEvery: snapshotEvery,
+		measure: m,
+		inner:   index.New(m),
+		dict:    multiset.NewDict(),
+		byName:  make(map[string]multiset.ID),
+		names:   make(map[multiset.ID]string),
+		nextID:  1,
 	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
@@ -352,21 +341,20 @@ func (ix *Index) internElements(elems []wal.Element) []multiset.Entry {
 	return entries
 }
 
-// noteLoggedLocked counts n logged mutations and cuts a snapshot once
-// the cadence is reached. A snapshot failure is NOT the mutations'
-// failure — the records are already durably logged and applied — so
-// the counter is simply left unreset: the next mutation retries, and
-// Close retries too, surfacing a persistent failure there. Caller holds
-// ix.mu.
-func (ix *Index) noteLoggedLocked(n int) {
-	ix.logged += n
-	if ix.snapshotEvery >= 0 && ix.logged >= ix.snapshotEvery {
+// snapshotIfOutgrownLocked cuts a snapshot once the log has reached
+// max(its snapshot's size, snapshotFloor). A snapshot failure is NOT
+// the mutations' failure — the records are already durably logged and
+// applied — and the log keeps its size, so the next mutation retries,
+// and Close retries too, surfacing a persistent failure there. Caller
+// holds ix.mu.
+func (ix *Index) snapshotIfOutgrownLocked() {
+	if walBytes, snapBytes := ix.log.Sizes(); walBytes >= max(snapBytes, snapshotFloor) {
 		_ = ix.snapshotLocked()
 	}
 }
 
 // snapshotLocked writes the index's snapshot, every entity in ID order
-// (index.Range), truncates the log and resets the cadence counter.
+// (index.Range), and truncates the log.
 // Each entity's elements are emitted in ascending name order, as
 // walAddRecord logs them — element IDs follow the order a run happened
 // to intern the names in, and the bytes must depend on the logical state
@@ -389,12 +377,11 @@ func (ix *Index) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("vsmartjoin: snapshot: %w", err)
 	}
-	ix.logged = 0
 	return nil
 }
 
 // Snapshot forces a snapshot and log truncation of a durable index,
-// regardless of the SnapshotEvery cadence. It returns ErrNotDurable on a
+// however small its log. It returns ErrNotDurable on a
 // volatile index and ErrIndexClosed after Close; any other error is a
 // real persistence failure (a failed automatic snapshot is retried
 // here, on the next mutation, and at Close until one succeeds).
@@ -410,8 +397,8 @@ func (ix *Index) Snapshot() error {
 	return ix.snapshotLocked()
 }
 
-// Close writes a final snapshot of a durable index with mutations logged
-// since its last one and closes the write-ahead log. Further mutations
+// Close writes a final snapshot of a durable index whose log holds any
+// record and closes the write-ahead log. Further mutations
 // and snapshots fail with ErrIndexClosed; queries keep working against
 // the in-memory state. Closing a volatile or already-closed index is a
 // no-op: a volatile index keeps accepting mutations.
@@ -423,7 +410,7 @@ func (ix *Index) Close() error {
 	}
 	ix.closed = true
 	var err error
-	if ix.logged > 0 {
+	if walBytes, _ := ix.log.Sizes(); walBytes > 0 {
 		err = ix.snapshotLocked()
 	}
 	if cerr := ix.log.Close(); err == nil {
@@ -447,9 +434,9 @@ func (ix *Index) Generation() uint64 {
 
 // Elements returns a copy of an indexed entity's current element
 // multiplicities, or ok == false if the entity is not indexed. The
-// cluster router uses it (via the daemon's GET /entity endpoint) to
-// turn an entity-relative query into an element query it can scatter
-// to the other partitions. The name, the multiset and the element names
+// cluster router uses it (via the peer hop's entity call) to turn an
+// entity-relative query into an element query it can scatter to the
+// other partitions. The name, the multiset and the element names
 // are read in one ix.mu read hold, so a concurrent remove and re-add
 // cannot pair the name with a dead ID.
 func (ix *Index) Elements(entity string) (counts map[string]uint32, ok bool) {

@@ -161,13 +161,13 @@ func TestBuildIndexFromDataset(t *testing.T) {
 	for i := 0; i < 2*applyChunk+9; i++ {
 		big.Add(fmt.Sprintf("e%04d", i), map[string]uint32{"a": uint32(i%7 + 1), fmt.Sprint("b", i%5): 2})
 	}
-	opts := IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1}
+	opts := IndexOptions{Dir: t.TempDir()}
 	chunked, err := BuildIndex(big, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer chunked.Close()
-	single, err := NewIndex(IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
+	single, err := NewIndex(IndexOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

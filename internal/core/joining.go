@@ -344,12 +344,7 @@ const (
 // paper keys sharded tuples by ⟨Mi, fingerprint(ak)⟩ to distribute the
 // load randomly among all the reducers.
 func fingerprint(e multiset.Elem) uint64 {
-	// SplitMix64 finalizer: cheap, well-mixed, deterministic.
-	x := uint64(e) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return x & 0xffff
+	return multiset.Mix64(uint64(e)) & 0xffff
 }
 
 func putShardKey(b *codec.Buffer, key []byte, fp uint64, sharded bool) {

@@ -662,7 +662,7 @@ func TestRequestTracing(t *testing.T) {
 // the op-at-a-time sequence ends in.
 func TestNodeBulkMixedOpsIsOneApply(t *testing.T) {
 	open := func() (*vsmartjoin.Index, *httptest.Server) {
-		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir(), SnapshotEvery: -1})
+		ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

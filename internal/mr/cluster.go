@@ -48,9 +48,9 @@ type CostModel struct {
 	MaxTaskSeconds float64
 }
 
-// DefaultCostModel returns coefficients calibrated so that the scaled
-// datasets in internal/experiments reproduce the shapes of the paper's
-// figures.
+// DefaultCostModel returns the coefficients NewCluster prices jobs
+// with: the simulated seconds AllPairs and the vsmartjoin CLI report.
+// The paper's figures use experiments.CostModel instead.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		JobStartup:      12.0,

@@ -177,6 +177,16 @@ func Expand(m Multiset) []ExpandedElem {
 	return out
 }
 
+// Mix64 is the splitmix64 finalizer over x + 0x9e3779b97f4a7c15. Entity
+// routing, the Sharding fingerprint and VCL's hash order are built on
+// it, so carved cluster dirs and the simulated figures pin its output.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Equal reports whether a and b have the same ID and identical entries.
 func Equal(a, b Multiset) bool {
 	if a.ID != b.ID || len(a.Entries) != len(b.Entries) {

@@ -230,3 +230,16 @@ func TestDictConcurrent(t *testing.T) {
 		t.Fatalf("Len: got %d want 26", d.Len())
 	}
 }
+
+// TestMix64 pins Mix64 to the reference splitmix64 stream from seed 0:
+// its first outputs are Mix64 of 0 and of one golden-ratio step.
+func TestMix64(t *testing.T) {
+	for _, c := range []struct{ in, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{0x9e3779b97f4a7c15, 0x6e789e6aa1b965f4},
+	} {
+		if got := Mix64(c.in); got != c.want {
+			t.Errorf("Mix64(%#x) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+}

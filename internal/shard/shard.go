@@ -45,31 +45,19 @@ func New(m similarity.Measure, n int) *Set {
 	return s
 }
 
-// shardHash mixes an entity ID (splitmix64 finalizer) so that
-// sequentially assigned IDs — the common case, vsmartjoin.Index hands
-// them out from a counter — spread evenly instead of striping.
-func shardHash(id multiset.ID) uint64 {
-	x := uint64(id) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // ShardOf is the one routing function: the shard index owning entity id
 // in an n-shard set, and the mixing function cluster.PartitionOf places
 // entity names with — carved cluster dirs depend on it staying exactly
 // as it is. A width below 2 routes everything to shard 0, matching
 // New's "n < 1 is treated as 1": without the guard a zero width panics
 // on the mod (integer divide by zero) and a negative width wraps through
-// uint64(n) to an arbitrary huge modulus.
+// uint64(n) to an arbitrary huge modulus. The ID is mixed first
+// (multiset.Mix64) so that sequential IDs spread instead of striping.
 func ShardOf(id multiset.ID, n int) int {
 	if n < 2 {
 		return 0
 	}
-	return int(shardHash(id) % uint64(n))
+	return int(multiset.Mix64(uint64(id)) % uint64(n))
 }
 
 func (s *Set) shardOf(id multiset.ID) *index.Index {

@@ -217,12 +217,10 @@ type expandedItem struct {
 	rank uint64
 }
 
-// hashRank is the hash-signature ordering (SplitMix64 finalizer).
+// hashRank is the hash-signature ordering: the element pre-mixed with
+// the FNV prime, plus the copy, through multiset.Mix64.
 func hashRank(e multiset.Elem, copy uint32) uint64 {
-	x := uint64(e)*0x100000001b3 + uint64(copy) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return multiset.Mix64(uint64(e)*0x100000001b3 + uint64(copy))
 }
 
 // kernelMapper replicates each multiset capsule once per prefix element of

@@ -116,6 +116,7 @@ type Log struct {
 	gen     uint64
 	f       *os.File // current WAL, open for append; nil after Close, which releases waiters
 	off     int64    // bytes of intact frames in f; write rollback point
+	snap    int64    // bytes of the current generation's snapshot file
 	seq     uint64   // records written across all generations
 	werr    error    // sticky: the WAL tail is torn and could not be rewound
 	payload *codec.Buffer
@@ -259,7 +260,8 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 	for _, opt := range opts {
 		opt(l)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
+	if st, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
+		l.snap = st.Size()
 		if err := l.loadSnapshot(filepath.Join(dir, snapName(gen)), applySnap); err != nil {
 			return nil, err
 		}
@@ -302,6 +304,14 @@ func (l *Log) Gen() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.gen
+}
+
+// Sizes reports the bytes of the current generation's WAL (its intact
+// frames) and snapshot file (0 when it has none).
+func (l *Log) Sizes() (walBytes, snapBytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.off, l.snap
 }
 
 // encodeRecord appends rec's payload encoding to buf.
@@ -567,18 +577,18 @@ func (l *Log) commitLocked(seq uint64) {
 // writeSnapshotFile writes a complete snapshot — header (magic, measure,
 // the v3 shard count 1), one OpAdd frame per record the iterator emits,
 // trailer —
-// to path, fsyncing before close. On any error the partial file is
-// removed. fsync, when non-nil, records the duration of the final sync
-// (WriteSnapshot has no Log and passes nil).
-func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func(emit func(Record) error) error) error {
+// to path, fsyncing before close, and returns the file's size. On any
+// error the partial file is removed. fsync, when non-nil, records the
+// duration of the final sync (WriteSnapshot has no Log and passes nil).
+func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func(emit func(Record) error) error) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+		return 0, fmt.Errorf("wal: snapshot: %w", err)
 	}
-	fail := func(err error) error {
+	fail := func(err error) (int64, error) {
 		f.Close()
 		os.Remove(path)
-		return err
+		return 0, err
 	}
 	w := frame.NewWriter(f)
 	payload := codec.NewBuffer(256)
@@ -622,7 +632,7 @@ func writeSnapshotFile(path, measure string, fsync *metrics.Histogram, iter func
 	if err := f.Close(); err != nil {
 		return fail(fmt.Errorf("wal: snapshot: %w", err))
 	}
-	return nil
+	return w.Bytes(), nil
 }
 
 // WriteSnapshot creates the snapshot file of generation gen in dir
@@ -640,7 +650,7 @@ func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(R
 		return fmt.Errorf("wal: %w", err)
 	}
 	tmp := filepath.Join(dir, snapName(gen)+".tmp")
-	if err := writeSnapshotFile(tmp, measure, nil, iter); err != nil {
+	if _, err := writeSnapshotFile(tmp, measure, nil, iter); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapName(gen))); err != nil {
@@ -667,7 +677,8 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	}
 	next := l.gen + 1
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
-	if err := writeSnapshotFile(tmp, l.measure, &l.m.Fsync, iter); err != nil {
+	size, err := writeSnapshotFile(tmp, l.measure, &l.m.Fsync, iter)
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapName(next))); err != nil {
@@ -688,6 +699,7 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	l.f.Close()
 	l.f = nf
 	l.off = 0
+	l.snap = size
 	l.werr = nil // a fresh WAL file clears any poisoned tail
 	// The fsynced snapshot durably captures every record appended so
 	// far, so the rotation is itself a commit: release group-commit

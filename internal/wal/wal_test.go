@@ -392,3 +392,58 @@ func TestSnapshotHeader(t *testing.T) {
 		t.Fatalf("Open on the per-shard layout: %v", err)
 	}
 }
+
+// TestSizes: Sizes reports the current generation's WAL and snapshot
+// bytes as they stand on disk — after Open of a written snapshot, after
+// appends, after a rotation, and after a reopen that replays a log.
+func TestSizes(t *testing.T) {
+	dir := t.TempDir()
+	state := func(emit func(Record) error) error {
+		return emit(addRec("b", Element{"y", 2}, Element{"z", 9}))
+	}
+	if err := WriteSnapshot(dir, 1, "ruzicka", state); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func(name string) int64 {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	check := func(tag string, l *Log) {
+		t.Helper()
+		w, s := l.Sizes()
+		if wantW, wantS := onDisk(walName(l.Gen())), onDisk(snapName(l.Gen())); w != wantW || s != wantS {
+			t.Fatalf("%s: Sizes() = %d, %d; files hold %d, %d", tag, w, s, wantW, wantS)
+		}
+	}
+	_, l := collect(t, dir, "ruzicka")
+	check("opened", l)
+	if w, _ := l.Sizes(); w != 0 {
+		t.Fatalf("opened: WAL %d bytes, want 0", w)
+	}
+	for _, rec := range []Record{addRec("a", Element{"x", 1}), removeRec("b")} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		check("appended", l)
+	}
+	if err := l.Snapshot(func(emit func(Record) error) error {
+		return emit(addRec("a", Element{"x", 1}))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("rotated", l)
+	if err := l.Append(addRec("c", Element{"w", 4})); err != nil {
+		t.Fatal(err)
+	}
+	closeLog(t, l)
+	_, l = collect(t, dir, "ruzicka")
+	defer closeLog(t, l)
+	check("reopened", l)
+	if w, _ := l.Sizes(); w == 0 {
+		t.Fatal("reopened: replayed WAL reports 0 bytes")
+	}
+}

@@ -522,7 +522,7 @@ func TestKNNPadAfterNameChurn(t *testing.T) {
 // same mutations.
 func TestKNNPadAfterReopen(t *testing.T) {
 	const measure = "jaccard"
-	opts := IndexOptions{Measure: measure, Dir: t.TempDir(), SnapshotEvery: -1}
+	opts := IndexOptions{Measure: measure, Dir: t.TempDir()}
 	durable, err := NewIndex(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -163,10 +163,10 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 		applied[i] = true
 	}
 	ix.inner.ApplyBatch(ops)
-	if n := len(ops); n > 0 {
+	if len(ops) > 0 {
 		ix.gen.Add(1) // one generation bump invalidates the cache for the whole batch
 		if ix.log != nil {
-			ix.noteLoggedLocked(n)
+			ix.snapshotIfOutgrownLocked()
 		}
 	}
 	ix.mu.Unlock()

@@ -396,6 +396,19 @@ func TestMutationScriptModel(t *testing.T) {
 			}
 		}
 	}
+	// snapshot cuts a generation whenever a driver's op count passes a
+	// multiple of 16, so the logs and snapshots compared below span
+	// several rotations, and requires that each cut advanced it.
+	snapshot := func(t *testing.T, ix *vsmartjoin.Index, before, after int) {
+		t.Helper()
+		if after/16 == before/16 {
+			return
+		}
+		gen := ix.Generation()
+		if err := ix.Snapshot(); err != nil || ix.Generation() != gen+1 {
+			t.Fatalf("snapshot after op %d: %v, generation %d -> %d", after, err, gen, ix.Generation())
+		}
+	}
 	drivers := map[string]func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32){
 		"one op per Apply": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
 			for i, m := range muts {
@@ -403,6 +416,7 @@ func TestMutationScriptModel(t *testing.T) {
 				if want := oracle(model, []vsmartjoin.Mutation{m}); err != nil || !reflect.DeepEqual(flags, want) {
 					t.Fatalf("op %d %+v: %v %v, want %v", i, m, flags, err, want)
 				}
+				snapshot(t, ix, i, i+1)
 			}
 		},
 		"Add and Remove": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
@@ -416,6 +430,7 @@ func TestMutationScriptModel(t *testing.T) {
 				if want := oracle(model, []vsmartjoin.Mutation{m}); err != nil || had != want[0] {
 					t.Fatalf("op %d %+v: %v %v, want %v", i, m, had, err, want)
 				}
+				snapshot(t, ix, i, i+1)
 			}
 		},
 		"random batches": func(t *testing.T, ix *vsmartjoin.Index, model map[string]map[string]uint32) {
@@ -426,6 +441,7 @@ func TestMutationScriptModel(t *testing.T) {
 				if want := oracle(model, muts[lo:hi]); err != nil || !reflect.DeepEqual(flags, want) {
 					t.Fatalf("batch [%d:%d): %v %v, want %v", lo, hi, flags, err, want)
 				}
+				snapshot(t, ix, lo, hi)
 				lo = hi
 			}
 		},
@@ -433,7 +449,7 @@ func TestMutationScriptModel(t *testing.T) {
 	root := t.TempDir()
 	for name, drive := range drivers {
 		t.Run(name, func(t *testing.T) {
-			opts := vsmartjoin.IndexOptions{Dir: filepath.Join(root, name), SnapshotEvery: 16}
+			opts := vsmartjoin.IndexOptions{Dir: filepath.Join(root, name)}
 			ix, err := vsmartjoin.NewIndex(opts)
 			if err != nil {
 				t.Fatal(err)
