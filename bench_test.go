@@ -236,10 +236,12 @@ func BenchmarkMeasures(b *testing.B) {
 }
 
 // BenchmarkShuffleSpill compares the engine's two shuffle modes on an
-// identical join: all-in-memory versus spill-to-disk with a cap small
-// enough that every map task writes segment runs. Results are identical;
-// the metrics expose the real-time cost of streaming through disk and the
-// simulated I/O charged for it.
+// identical join: all-in-memory versus spill-to-disk under a 4 KiB cap.
+// At that cap only the similarity2 job spills, each of its 64 map tasks
+// once; the online-aggregation and similarity1 jobs' map tasks stay under
+// it. spill-rounds/run and spilled-B/run report what the spilling
+// run exercises. Results are identical; the metrics expose the real-time
+// cost of streaming through disk and the simulated I/O charged for it.
 func BenchmarkShuffleSpill(b *testing.B) {
 	_, input := benchInput(b)
 	for _, cap := range []int64{0, 4 << 10} {
@@ -250,7 +252,7 @@ func BenchmarkShuffleSpill(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cl := benchCluster()
 			cl.ShuffleBufferBytes = cap
-			var pairs int
+			var pairs, rounds int
 			var spilled int64
 			for i := 0; i < b.N; i++ {
 				res, err := core.Join(cl, input, core.Config{
@@ -260,15 +262,17 @@ func BenchmarkShuffleSpill(b *testing.B) {
 					b.Fatal(err)
 				}
 				pairs = len(res.Pairs)
-				spilled = 0
+				spilled, rounds = 0, 0
 				for _, j := range res.Stats.Jobs {
 					spilled += j.SpilledBytes
+					rounds += j.Spills
 				}
 			}
 			if cap > 0 && spilled == 0 {
 				b.Fatal("spill cap set but nothing spilled")
 			}
 			b.ReportMetric(float64(pairs), "pairs/run")
+			b.ReportMetric(float64(rounds), "spill-rounds/run")
 			b.ReportMetric(float64(spilled), "spilled-B/run")
 		})
 	}

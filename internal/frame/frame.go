@@ -11,7 +11,7 @@
 //
 // Two access styles cover the two kinds of caller. Writer/Reader stream
 // frames through buffered file I/O for sequential producers and
-// consumers (segment files). Append/Parse work over in-memory byte
+// consumers (spill segments). Append/Parse work over in-memory byte
 // slices for callers that need offset-level control (the WAL's
 // append-rewind bookkeeping and snapshot loading). ReplayFile is the one
 // torn-tail recovery routine: it feeds every intact leading frame of a

@@ -163,8 +163,8 @@ func partitionOf(key []byte, n int) int {
 // slab (callers reuse their encode buffers) — and the work it accounts.
 // Emission fills the worker's slot; finish leaves each sealed partition
 // in a batch of the task's own (see finish). When a spill cap is set,
-// buffers that grow past it are flushed to sorted on-disk segment runs
-// (see spill.go); with cap == 0 everything stays in memory.
+// buffers that grow past it are appended as sorted runs to the task's one
+// spill file (see spill.go); with cap == 0 everything stays in memory.
 type mapTask struct {
 	ctx *TaskContext
 	job *Job
@@ -181,8 +181,10 @@ type mapTask struct {
 	// Spill state. cap == 0 disables spilling entirely.
 	cap          int64
 	dir          string
-	curBytes     int64      // bytes currently buffered in memory
-	runs         [][]string // per partition: spilled segment paths, in spill order
+	curBytes     int64               // bytes currently buffered in memory
+	file         *os.File            // the spill file, created by the first spill and closed by Run
+	w            *mrfs.SegmentWriter // appends runs to file
+	runs         [][]span            // per partition: spilled runs, ranges of file, in spill order
 	spills       int
 	spilledRecs  int64
 	spilledBytes int64 // file bytes written to segments
@@ -315,7 +317,17 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 			return nil, stats, fmt.Errorf("mr: job %q: creating spill dir: %w", job.Name, derr)
 		}
 		spillDir = dir
-		defer os.RemoveAll(spillDir)
+		// Every task is in maps from its start, so this closes each spill
+		// file, after a failure too. The files are scratch, removed below:
+		// a failed Close loses nothing.
+		defer func() {
+			for _, m := range maps {
+				if m != nil && m.file != nil {
+					m.file.Close()
+				}
+			}
+			os.RemoveAll(spillDir)
+		}()
 	}
 	cm := cluster.Cost
 	// One slot per worker of the wider stage, taken from the pool for this
@@ -333,8 +345,9 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		m := &mapTask{
 			ctx: ctx, job: &job, buf: buf, cap: spillCap, dir: spillDir,
 			parts: make([]mrfs.Batch, numReducers),
-			runs:  make([][]string, numReducers),
+			runs:  make([][]span, numReducers),
 		}
+		maps[t] = m
 		m.combiner = groupReducer{ctx: ctx, job: &job, fn: job.Combiner, stage: "combiner", em: batchEmitter{out: &buf.spare}}
 		in := job.Input.Partition(t)
 		for i := 0; i < in.Len(); i++ {
@@ -365,7 +378,6 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 		if err := m.finish(); err != nil {
 			return err
 		}
-		maps[t] = m
 		merge(ctx.Counters)
 		return nil
 	})
@@ -380,10 +392,10 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	// spill cap, each reduce task gathers its partition's runs into its
 	// worker slot's input batch, releasing the map outputs as it copies
 	// them, and merges them in memory before reducing. Under a cap the runs
-	// are in-memory leftovers plus on-disk segments, and the reduce task
-	// streams a k-way merge over them instead. Either way the reducer emits
-	// into the slot's output batch, which the task copies into an exactly
-	// sized out[p] when it ends.
+	// are in-memory leftovers plus spans of the map tasks' spill files, and
+	// the reduce task streams a k-way merge over them instead. Either way
+	// the reducer emits into the slot's output batch, which the task copies
+	// into an exactly sized out[p] when it ends.
 	mapIOs := make([]TaskIO, len(maps))
 	var shuffleRecords int64
 	for t, m := range maps {

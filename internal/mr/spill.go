@@ -14,13 +14,14 @@ import (
 // map task bounds its in-memory buffer — the worker's emission batches:
 // whenever the buffered bytes exceed the cap, every partition's batch is
 // sealed — sorted, and combined when the job has a dedicated combiner —
-// exactly as at the end of an in-memory task, and written out as one
-// sorted run per (map task, reduce partition) segment file straight from
-// the sorted index. Where an in-memory reduce task gathers its
-// partition's runs into one batch and merges them by key prefix (see
-// gather), a spilling job's reduce task streams the partition through a
-// k-way merge of its runs; the merge reads segments back through reused
-// buffers and copies out only the one key group being reduced.
+// exactly as at the end of an in-memory task, and appended straight from
+// the sorted index, as one sorted run, to the one spill file the task's
+// first spill creates. A run is a byte range of that file, a span. Where an
+// in-memory reduce task gathers its partition's runs into one batch and
+// merges them by key prefix (see gather), a spilling job's reduce task
+// streams the partition through a k-way merge of its runs, reading each
+// span through ReadAt, so reduce tasks share the map files, and copying
+// out only the one key group being reduced.
 //
 // Because runs are sorted by the total order (key, sec, val) and equal
 // records are byte-identical, the merged stream of a combiner-less job is
@@ -30,10 +31,36 @@ import (
 // path delivers one — shuffle volumes and combine counts then differ, and
 // only the final reduce output (and determinism) is identical across the
 // two modes.
+//
+// Disk use: the map files live until Run ends. Compaction appends its
+// merged runs to a file of the partition's own, removed when its reduce
+// task ends; its inputs are ranges of files it cannot shrink, so until
+// then the partition's spilled bytes sit on disk once in the map files
+// and once more per compaction round.
 
-// spill writes every buffered partition out as sorted segment files and
-// empties the in-memory batches, keeping their storage for the next round.
+// span is one spilled run: the n bytes at off of a spill file.
+type span struct {
+	file   *os.File
+	off, n int64
+}
+
+// spill appends every buffered partition to the task's spill file as one
+// sorted run each and empties the in-memory batches, keeping their
+// storage for the next round.
 func (m *mapTask) spill() error {
+	fail := func(err error) error {
+		return fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
+	}
+	if m.file == nil {
+		f, err := os.Create(filepath.Join(m.dir, fmt.Sprintf("map%04d.seg", m.ctx.TaskIndex)))
+		if err != nil {
+			return fail(err)
+		}
+		// This first round writes at most its emitted bytes plus 8 framing
+		// bytes a record while each field is under 16 KiB, and later
+		// rounds about as much: that sizes the buffer.
+		m.file, m.w = f, mrfs.NewSegmentWriter(f, m.curBytes+8*m.outRecords)
+	}
 	for p := range m.buf.parts {
 		if m.buf.parts[p].Len() == 0 {
 			continue
@@ -42,40 +69,23 @@ func (m *mapTask) spill() error {
 			return err
 		}
 		b := &m.buf.parts[p]
-		path := filepath.Join(m.dir, fmt.Sprintf("map%04d-spill%04d-part%04d.seg", m.ctx.TaskIndex, m.spills, p))
-		fileBytes, err := writeRun(path, b)
-		if err != nil {
-			return fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
+		off := m.w.Bytes()
+		for i := 0; i < b.Len(); i++ {
+			if err := m.w.Write(b.Record(i)); err != nil {
+				return fail(err)
+			}
 		}
-		m.runs[p] = append(m.runs[p], path)
+		m.runs[p] = append(m.runs[p], span{m.file, off, m.w.Bytes() - off})
 		m.spilledRecs += int64(b.Len())
-		m.spilledBytes += fileBytes
 		b.Reset()
 	}
+	if err := m.w.Flush(); err != nil {
+		return fail(err)
+	}
+	m.spilledBytes = m.w.Bytes()
 	m.spills++
 	m.curBytes = 0
 	return nil
-}
-
-// writeRun writes a sorted batch as one segment file, straight from its
-// index, and reports the file bytes written.
-func writeRun(path string, b *mrfs.Batch) (int64, error) {
-	// A record's frame is at most 8 bytes longer than its Size while each
-	// field is under 16 KiB, so this bounds the file and sizes the buffer.
-	w, err := mrfs.CreateSegment(path, b.Bytes()+8*int64(b.Len()))
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < b.Len(); i++ {
-		if err := w.Write(b.Record(i)); err != nil {
-			w.Close()
-			return 0, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Bytes(), nil
 }
 
 // seal completes partition p of the worker's slot as a merge run:
@@ -129,11 +139,11 @@ func (m *mapTask) finish() error {
 	return nil
 }
 
-// run streams one sorted run of records. The record next returns is a
-// view valid until the following call.
+// run streams one sorted run of records: a batchRun, or the
+// mrfs.SegmentReader of a spilled run. The record Next returns is a view
+// valid until the following call.
 type run interface {
-	next() (mrfs.Record, bool, error)
-	close() error
+	Next() (mrfs.Record, bool, error)
 }
 
 // batchRun iterates an in-memory sorted run.
@@ -142,7 +152,7 @@ type batchRun struct {
 	i int
 }
 
-func (s *batchRun) next() (mrfs.Record, bool, error) {
+func (s *batchRun) Next() (mrfs.Record, bool, error) {
 	if s.i >= s.b.Len() {
 		return mrfs.Record{}, false, nil
 	}
@@ -150,23 +160,13 @@ func (s *batchRun) next() (mrfs.Record, bool, error) {
 	return s.b.Record(s.i - 1), true, nil
 }
 
-func (s *batchRun) close() error { return nil }
-
-// segmentRun iterates a spilled on-disk run, tracking the file bytes read
-// so the reduce task can be charged for re-reading spilled data.
-type segmentRun struct {
-	r    *mrfs.SegmentReader
-	read *int64
+// open returns a run that reads s and charges its bytes to *read, so the
+// reduce task pays for re-reading spilled data. A merge reads every run
+// to its end or fails, so a run is charged in full when it is opened.
+func (s span) open(read *int64) run {
+	*read += s.n
+	return mrfs.NewSegmentReader(s.file, s.off, s.n)
 }
-
-func (s *segmentRun) next() (mrfs.Record, bool, error) {
-	before := s.r.Bytes()
-	rec, ok, err := s.r.Next()
-	*s.read += s.r.Bytes() - before
-	return rec, ok, err
-}
-
-func (s *segmentRun) close() error { return s.r.Close() }
 
 // mergeItem is one heap entry of the k-way merge: a run and its current
 // record.
@@ -176,18 +176,20 @@ type mergeItem struct {
 	run run
 }
 
-type mergeHeap []mergeItem
+// mergeIter merges sorted runs into one globally sorted stream: a heap of
+// the runs, ordered by their current records.
+type mergeIter []mergeItem
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
+func (h mergeIter) Len() int { return len(h) }
+func (h mergeIter) Less(i, j int) bool {
 	if c := mrfs.Compare(h[i].rec, h[j].rec); c != 0 {
 		return c < 0
 	}
 	return h[i].src < h[j].src // equal records: stable by run index
 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
+func (h mergeIter) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *mergeIter) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
+func (h *mergeIter) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]
@@ -195,80 +197,89 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-// mergeIter merges sorted runs into one globally sorted stream.
-type mergeIter struct {
-	h    mergeHeap
-	runs []run
-}
-
-// newMergeIter primes a merge over the given runs. It takes ownership of
-// the runs; all of them are closed together by close().
+// newMergeIter primes a merge over the given runs.
 func newMergeIter(runs []run) (*mergeIter, error) {
-	m := &mergeIter{runs: runs}
+	var m mergeIter
 	for i, r := range runs {
-		rec, ok, err := r.next()
+		rec, ok, err := r.Next()
 		if err != nil {
-			m.close()
 			return nil, err
 		}
 		if ok {
-			m.h = append(m.h, mergeItem{rec: rec, src: i, run: r})
+			m = append(m, mergeItem{rec: rec, src: i, run: r})
 		}
 	}
-	heap.Init(&m.h)
-	return m, nil
+	heap.Init(&m)
+	return &m, nil
 }
 
 // peek returns the stream's current record without consuming it: a view
 // valid until the next advance. ok is false at the end of the stream.
 func (m *mergeIter) peek() (rec mrfs.Record, ok bool) {
-	if len(m.h) == 0 {
+	if len(*m) == 0 {
 		return mrfs.Record{}, false
 	}
-	return m.h[0].rec, true
+	return (*m)[0].rec, true
 }
 
 // advance consumes the current record.
 func (m *mergeIter) advance() error {
-	top := &m.h[0]
-	rec, ok, err := top.run.next()
+	top := &(*m)[0]
+	rec, ok, err := top.run.Next()
 	if err != nil {
 		return err
 	}
 	if ok {
 		top.rec = rec
-		heap.Fix(&m.h, 0)
+		heap.Fix(m, 0)
 	} else {
-		heap.Pop(&m.h)
+		heap.Pop(m)
 	}
 	return nil
 }
 
-func (m *mergeIter) close() error {
-	var first error
-	for _, r := range m.runs {
-		if err := r.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	m.runs = nil
-	return first
-}
-
 // merged reduces reduce partition p as the k-way merge of the map tasks'
-// runs for it. Only one key group is materialized at a time — copied into
-// a reused batch, since the merge's records are views of buffers the next
-// read overwrites — so a spilled partition never has to fit in memory.
+// runs for it: their in-memory leftovers and every spilled span, the
+// spans pre-merged on disk when there are more than maxMergeFanIn. Only
+// one key group is materialized at a time — copied into a reused batch,
+// since the merge's records are views of buffers the next read overwrites
+// — so a spilled partition never has to fit in memory. readBytes
+// accumulates the spill I/O performed: span bytes read, plus compaction's
+// reads and writes.
 func (g *groupReducer) merged(maps []*mapTask, p int, dir string, readBytes *int64) error {
-	runs, err := partitionRuns(maps, p, dir, readBytes)
-	var m *mergeIter
-	if err == nil {
-		m, err = newMergeIter(runs)
-	}
-	if err != nil {
+	fail := func(err error) error {
 		return fmt.Errorf("mr: job %q reduce task %d: %w", g.job.Name, p, err)
 	}
-	defer m.close()
+	var runs []run
+	var spans []span
+	for _, m := range maps {
+		if m.parts[p].Len() > 0 {
+			runs = append(runs, &batchRun{b: &m.parts[p]})
+		}
+		spans = append(spans, m.runs[p]...)
+	}
+	if len(spans) > maxMergeFanIn {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("compact-part%04d.seg", p)))
+		if err != nil {
+			return fail(err)
+		}
+		// Scratch, removed once the merge is done: a failed Close loses
+		// nothing.
+		defer func() {
+			f.Close()
+			os.Remove(f.Name())
+		}()
+		if spans, err = compactRuns(f, spans, readBytes); err != nil {
+			return fail(err)
+		}
+	}
+	for _, s := range spans {
+		runs = append(runs, s.open(readBytes))
+	}
+	m, err := newMergeIter(runs)
+	if err != nil {
+		return fail(err)
+	}
 	for rec, ok := m.peek(); ok; {
 		g.group.Reset()
 		for ; ok && (g.group.Len() == 0 || bytes.Equal(rec.Key, g.group.Key(0))); rec, ok = m.peek() {
@@ -277,7 +288,7 @@ func (g *groupReducer) merged(maps []*mapTask, p int, dir string, readBytes *int
 				err = m.advance()
 			}
 			if err != nil {
-				return fmt.Errorf("mr: job %q reduce task %d: %w", g.job.Name, p, err)
+				return fail(err)
 			}
 		}
 		if err := g.reduce(g.group, 0, g.group.Len(), g.group.Bytes()); err != nil {
@@ -287,114 +298,69 @@ func (g *groupReducer) merged(maps []*mapTask, p int, dir string, readBytes *int
 	return nil
 }
 
-// maxMergeFanIn caps how many segment files a single merge keeps open at
-// once. A heavily spilling job can leave mapTasks × spillRounds runs per
-// partition; merging them in one pass would exhaust file descriptors at
-// exactly the scales spilling exists for, so wider run sets are first
-// compacted into intermediate segments, maxMergeFanIn at a time.
+// maxMergeFanIn caps how many runs a single merge reads at once, each
+// through a read buffer of up to frame.DefaultBuffer. A heavily spilling
+// job can leave mapTasks × spillRounds runs per partition; one merge of
+// them all would hold memory in proportion at exactly the scales spilling
+// exists for, so wider run sets are first compacted, maxMergeFanIn at a
+// time.
 const maxMergeFanIn = 64
 
-// partitionRuns assembles the sorted runs of one reduce partition across
-// all finished map tasks: the in-memory leftovers plus every spilled
-// segment. Run sets wider than maxMergeFanIn are pre-merged on disk.
-// readBytes accumulates the spill I/O performed (segment bytes read, plus
-// intermediate merge reads and writes).
-func partitionRuns(maps []*mapTask, p int, dir string, readBytes *int64) ([]run, error) {
-	var paths []string
-	var its []run
-	for _, m := range maps {
-		if m.parts[p].Len() > 0 {
-			its = append(its, &batchRun{b: &m.parts[p]})
-		}
-		paths = append(paths, m.runs[p]...)
+// compactRuns repeatedly merges batches of maxMergeFanIn runs into larger
+// intermediate runs appended to f, until at most maxMergeFanIn remain.
+// Merging sorted runs yields a sorted run, so the final k-way merge output
+// is unchanged. The bytes read and written are added to ioBytes.
+func compactRuns(f *os.File, spans []span, ioBytes *int64) ([]span, error) {
+	var size int64
+	for _, s := range spans {
+		size += s.n
 	}
-	paths, err := compactRuns(dir, p, paths, readBytes)
-	if err != nil {
-		return nil, err
-	}
-	for _, path := range paths {
-		r, err := mrfs.OpenSegment(path)
-		if err != nil {
-			for _, it := range its {
-				it.close()
-			}
-			return nil, err
-		}
-		its = append(its, &segmentRun{r: r, read: readBytes})
-	}
-	return its, nil
-}
-
-// compactRuns repeatedly merges batches of maxMergeFanIn segment files
-// into larger intermediate segments until at most maxMergeFanIn remain,
-// deleting each batch's inputs to bound disk usage. Merging sorted runs
-// yields a sorted run, so the final k-way merge output is unchanged.
-func compactRuns(dir string, p int, paths []string, ioBytes *int64) ([]string, error) {
-	for round := 0; len(paths) > maxMergeFanIn; round++ {
-		var next []string
-		for start := 0; start < len(paths); start += maxMergeFanIn {
-			end := start + maxMergeFanIn
-			if end > len(paths) {
-				end = len(paths)
-			}
-			batch := paths[start:end]
+	w := mrfs.NewSegmentWriter(f, size)
+	for len(spans) > maxMergeFanIn {
+		var next []span
+		for start := 0; start < len(spans); start += maxMergeFanIn {
+			batch := spans[start:min(start+maxMergeFanIn, len(spans))]
 			if len(batch) == 1 {
 				next = append(next, batch[0])
 				continue
 			}
-			out := filepath.Join(dir, fmt.Sprintf("compact-part%04d-round%02d-%06d.seg", p, round, start))
-			if err := mergeSegments(batch, out, ioBytes); err != nil {
+			s, err := mergeRuns(f, w, batch, ioBytes)
+			if err != nil {
 				return nil, err
 			}
-			next = append(next, out)
+			next = append(next, s)
 		}
-		paths = next
+		spans = next
 	}
-	return paths, nil
+	return spans, nil
 }
 
-// mergeSegments merges the sorted runs in paths into a single sorted
-// segment at outPath, removing the inputs afterwards. The bytes read and
-// written are added to ioBytes.
-func mergeSegments(paths []string, outPath string, ioBytes *int64) error {
-	var read, size int64
-	var its []run
-	for _, path := range paths {
-		r, err := mrfs.OpenSegment(path)
-		if err != nil {
-			for _, it := range its {
-				it.close()
-			}
-			return err
-		}
-		size += r.Size()
-		its = append(its, &segmentRun{r: r, read: &read})
+// mergeRuns merges the sorted runs in spans into one sorted run that w
+// appends to f, flushed so that a later round can read it back, and
+// returns its span. The bytes read and written are added to ioBytes.
+func mergeRuns(f *os.File, w *mrfs.SegmentWriter, spans []span, ioBytes *int64) (span, error) {
+	runs := make([]run, len(spans))
+	for i, s := range spans {
+		runs[i] = s.open(ioBytes)
 	}
-	m, err := newMergeIter(its)
+	m, err := newMergeIter(runs)
 	if err != nil {
-		return err
+		return span{}, err
 	}
-	defer m.close()
-	w, err := mrfs.CreateSegment(outPath, size)
-	if err != nil {
-		return err
-	}
+	off := w.Bytes()
 	for rec, ok := m.peek(); ok; rec, ok = m.peek() {
 		err := w.Write(rec)
 		if err == nil {
 			err = m.advance()
 		}
 		if err != nil {
-			w.Close()
-			return err
+			return span{}, err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return err
+	if err := w.Flush(); err != nil {
+		return span{}, err
 	}
-	*ioBytes += read + w.Bytes()
-	for _, path := range paths {
-		os.Remove(path)
-	}
-	return nil
+	out := span{f, off, w.Bytes() - off}
+	*ioBytes += out.n
+	return out, nil
 }

@@ -3,8 +3,7 @@ package mrfs
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"vsmartjoin/internal/codec"
@@ -29,33 +28,33 @@ func segmentBytes(recs []Record) []byte {
 	return out
 }
 
-// FuzzSegmentRead feeds arbitrary bytes to the segment reader. Corrupt
-// frames — truncated payloads, oversized length prefixes, garbage inside a
-// frame — must produce errors, never panics or giant allocations, and
-// whatever decodes before the corruption must round-trip exactly.
+// FuzzSegmentRead feeds arbitrary bytes to the segment reader, as a span
+// (off, n) clamped to the input. Corrupt frames — truncated payloads,
+// oversized length prefixes, garbage inside a frame — must produce
+// errors, never panics or giant allocations; the reader must consume
+// nothing past its span; and whatever decodes before the corruption must
+// round-trip exactly.
 func FuzzSegmentRead(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x7f, 0x01})                                                 // frame length far past EOF
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // ~2^63 frame
-	f.Add(segmentBytes([]Record{
+	whole := func(data []byte) { f.Add(data, uint(0), uint(len(data))) }
+	whole([]byte{})
+	whole([]byte{0x00})
+	whole([]byte{0x7f, 0x01})                                                 // frame length far past EOF
+	whole([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // ~2^63 frame
+	whole(segmentBytes([]Record{
 		{Key: []byte("k1"), Sec: []byte("s"), Val: []byte("v1")},
 		{Key: []byte("k2"), Val: []byte("v2")},
 	}))
 	// A valid record followed by a truncated one.
 	good := segmentBytes([]Record{{Key: []byte("key"), Val: []byte("val")}})
-	f.Add(append(append([]byte{}, good...), good[:len(good)-2]...))
+	whole(append(append([]byte{}, good...), good[:len(good)-2]...))
+	// The middle run of three, read as its own span.
+	middle := segmentBytes([]Record{{Key: []byte("mid"), Sec: []byte("s"), Val: []byte("dle")}})
+	f.Add(slices.Concat(good, middle, good), uint(len(good)), uint(len(middle)))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.seg")
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenSegment(path)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		defer r.Close()
+	f.Fuzz(func(t *testing.T, data []byte, off, n uint) {
+		off = min(off, uint(len(data)))
+		n = min(n, uint(len(data))-off)
+		r := NewSegmentReader(bytes.NewReader(data), int64(off), int64(n))
 		var consumed int64
 		for i := 0; ; i++ {
 			rec, ok, err := r.Next()
@@ -64,13 +63,13 @@ func FuzzSegmentRead(f *testing.F) {
 			}
 			if !ok {
 				// Clean EOF: every byte must have been accounted for.
-				if r.Bytes() > int64(len(data)) {
-					t.Fatalf("consumed %d of %d bytes", r.Bytes(), len(data))
+				if r.Bytes() > int64(n) {
+					t.Fatalf("consumed %d of %d bytes", r.Bytes(), n)
 				}
 				return
 			}
-			if r.Bytes() <= consumed || r.Bytes() > int64(len(data)) {
-				t.Fatalf("record %d byte accounting: %d after %d of %d", i, r.Bytes(), consumed, len(data))
+			if r.Bytes() <= consumed || r.Bytes() > int64(n) {
+				t.Fatalf("record %d byte accounting: %d after %d of %d", i, r.Bytes(), consumed, n)
 			}
 			consumed = r.Bytes()
 			// Accepted records must round-trip semantically: writing the
@@ -78,16 +77,7 @@ func FuzzSegmentRead(f *testing.F) {
 			// (Byte identity with the input is not required — the decoder
 			// tolerates non-minimal varints that re-encode shorter.)
 			reenc := segmentBytes([]Record{rec})
-			path2 := filepath.Join(t.TempDir(), "reenc.seg")
-			if err := os.WriteFile(path2, reenc, 0o600); err != nil {
-				t.Fatal(err)
-			}
-			r2, err := OpenSegment(path2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec2, ok2, err2 := r2.Next()
-			r2.Close()
+			rec2, ok2, err2 := NewSegmentReader(bytes.NewReader(reenc), 0, int64(len(reenc))).Next()
 			if err2 != nil || !ok2 ||
 				!bytes.Equal(rec.Key, rec2.Key) || !bytes.Equal(rec.Sec, rec2.Sec) || !bytes.Equal(rec.Val, rec2.Val) {
 				t.Fatalf("record %d does not round-trip: %v %v %v", i, rec2, ok2, err2)
@@ -101,17 +91,9 @@ func FuzzSegmentRead(f *testing.F) {
 
 // TestSegmentReaderRejectsHugeFrame pins the MaxFrameLen guard directly.
 func TestSegmentReaderRejectsHugeFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "huge.seg")
 	//lint:vsmart-allow framesafety hand-crafts a raw oversized length prefix to pin the segment reader's MaxFrameLen guard
 	data := binary.AppendUvarint(nil, MaxFrameLen+1)
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenSegment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := NewSegmentReader(bytes.NewReader(data), 0, int64(len(data)))
 	if _, ok, err := r.Next(); err == nil || ok {
 		t.Fatalf("huge frame accepted: ok=%v err=%v", ok, err)
 	}
