@@ -11,10 +11,25 @@ package vsmartjoin
 // stale entry is evicted on its next lookup) — never a stale hit — so
 // the differential harnesses keep proving byte-identical answers with
 // the cache on.
+//
+// Admission: an answer is stored on its key's second miss, not its
+// first (TinyLFU's doorkeeper: Einziger, Friedman & Manes, ACM TOS
+// 2017). The doorkeeper is a table of fingerprints of recent misses,
+// one atomic word a slot; a miss whose fingerprint is not in its slot
+// writes it there and returns, with no lock, no allocation and no
+// eviction, so the one-off tail of a skewed stream costs the cache
+// nothing. The price is one extra miss per key that does recur. The
+// table has the power of two ≥ 2×capacity slots, sized by the LRU:
+// were every miss stored, each would evict one entry, so a key that
+// recurs only after more misses than the cache holds would be evicted
+// before its next use anyway, and remembering misses for much longer
+// than that buys nothing.
 import (
 	"container/list"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -28,15 +43,19 @@ import (
 // a skewed stream.
 const defaultCacheSize = 1024
 
-// queryCache is a bounded LRU over interned query keys (appendKey). All state
-// sits behind one mutex — lookups copy in and out, so the critical
-// section is short and the cache never holds a reference a caller could
-// mutate.
+// queryCache is a bounded LRU over interned query keys (appendKey),
+// behind a doorkeeper. The LRU sits behind one mutex — lookups copy in
+// and out, so the critical section is short and the cache never holds a
+// reference a caller could mutate. The doorkeeper's slots are atomic
+// and need no lock.
 type queryCache struct {
 	mu    sync.Mutex
 	cap   int
 	lru   *list.List // front = most recently used; values are *cacheEntry
 	byKey map[string]*list.Element
+
+	seed maphash.Seed
+	seen []atomic.Uint64 // fingerprints of recent misses, one per slot; 0 = empty
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -55,6 +74,8 @@ func newQueryCache(capacity int) *queryCache {
 		cap:   capacity,
 		lru:   list.New(),
 		byKey: make(map[string]*list.Element, capacity),
+		seed:  maphash.MakeSeed(),
+		seen:  make([]atomic.Uint64, 1<<bits.Len(uint(2*capacity-1))),
 	}
 }
 
@@ -103,8 +124,16 @@ func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 // answer: a slow miss landing after a faster one of a later generation
 // must not swap a current answer for one that can never hit. A full
 // cache evicts its least-recently-used entry and reuses its node. The
-// copies are made before the lock is taken.
+// copies are made before the lock is taken. A key whose fingerprint is
+// not in its doorkeeper slot is not stored: its fingerprint is, and the
+// key's next miss stores the answer. The low bit of a fingerprint is
+// set, so an empty slot matches no key.
 func (c *queryCache) put(key []byte, gen uint64, res QueryResult) {
+	h := maphash.Bytes(c.seed, key)
+	if slot := &c.seen[h&uint64(len(c.seen)-1)]; slot.Load() != h|1 {
+		slot.Store(h | 1)
+		return
+	}
 	k, res := string(key), cloneResult(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()

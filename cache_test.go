@@ -1,9 +1,13 @@
 package vsmartjoin
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -41,6 +45,10 @@ func TestCacheHitReturnsIdenticalResults(t *testing.T) {
 	if st.CacheHits != 0 {
 		t.Fatalf("no hit expected yet, stats %+v", st)
 	}
+	// The key's second miss stores its answer.
+	if _, err := ix.QueryThreshold(q, 0.4); err != nil {
+		t.Fatal(err)
+	}
 
 	second, err := ix.QueryThreshold(q, 0.4)
 	if err != nil {
@@ -73,6 +81,136 @@ func TestCacheHitReturnsIdenticalResults(t *testing.T) {
 	}
 	if st := ix.Stats(); st.CacheHits != 2 {
 		t.Fatalf("different threshold must not hit, stats %+v", st)
+	}
+}
+
+// TestCacheAdmitsOnSecondMiss: a key's first miss stores nothing but
+// its fingerprint, its second stores the answer, and the third query
+// hits it.
+func TestCacheAdmitsOnSecondMiss(t *testing.T) {
+	ix := cacheTestIndex(t, IndexOptions{})
+	q := map[string]uint32{"e0": 2, "e1": 1, "shared": 3}
+	want, err := ix.QueryThreshold(q, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.CacheMisses != 1 || st.CacheEntries != 0 {
+		t.Fatalf("the first miss must store nothing, stats %+v", st)
+	}
+	if _, err := ix.QueryThreshold(q, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.CacheMisses != 2 || st.CacheHits != 0 || st.CacheEntries != 1 {
+		t.Fatalf("the second miss must store the answer, stats %+v", st)
+	}
+	got, err := ix.QueryThreshold(q, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.CacheHits != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the third query = %v (stats %+v), want a hit on %v", got, st, want)
+	}
+}
+
+// TestCacheOneOffQueriesStoreNothing: queries asked once each store no
+// answer, even in a stream twice as long as the doorkeeper has slots.
+func TestCacheOneOffQueriesStoreNothing(t *testing.T) {
+	ix := cacheTestIndex(t, IndexOptions{})
+	q := map[string]uint32{"e0": 2, "e1": 1, "shared": 3}
+	n := 2 * len(ix.cache.seen)
+	for i := range n {
+		if _, err := ix.QueryThreshold(q, float64(i)/float64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ix.Stats(); st.CacheMisses != int64(n) || st.CacheEntries != 0 {
+		t.Fatalf("%d one-off queries: stats %+v, want %d misses and no entry", n, st, n)
+	}
+}
+
+// TestCacheChurnMatchesUncachedTwin: readers repeat a few queries while
+// a writer steps the index through a script of Adds and Removes, so
+// answers are admitted, hit, invalidated and filled by queries racing a
+// write throughout. A query no write overlapped read one state, so its
+// answer must equal a cache-off twin's at that state; one that
+// overlapped a write is not checked, since a read is not a snapshot
+// (resolve drops a match removed while the probe ran) and the cache may
+// only make it a false miss later. The writer counts the steps it has
+// started and finished; a reader that sees both equal before its query
+// and no new start after it was not overlapped.
+func TestCacheChurnMatchesUncachedTwin(t *testing.T) {
+	ctx := context.Background()
+	queries := []Query{
+		{Elements: map[string]uint32{"e0": 2, "shared": 3, "churn": 1}, Threshold: 0.2},
+		{Elements: map[string]uint32{"e1": 1, "e2": 2, "churn": 2}, Kind: KindTopK, K: 5},
+		{Entity: "entity-3", Kind: KindKNN, K: 4},
+	}
+	const steps = 60
+	step := func(ix *Index, s int) error {
+		if s%3 == 2 {
+			_, err := ix.Remove(fmt.Sprintf("churn-%d", s-2))
+			return err
+		}
+		return ix.Add(fmt.Sprintf("churn-%d", s), map[string]uint32{fmt.Sprintf("e%d", s%7): uint32(1 + s%3), "churn": 1})
+	}
+	// oracle[s][i] is the twin's answer to queries[i] after s steps.
+	twin := cacheTestIndex(t, IndexOptions{CacheSize: -1})
+	oracle := make([][]QueryResult, steps+1)
+	for s := range oracle {
+		if s > 0 {
+			if err := step(twin, s-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queries {
+			res, err := twin.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle[s] = append(oracle[s], res)
+		}
+	}
+
+	ix := cacheTestIndex(t, IndexOptions{})
+	var started, done, checked atomic.Int64
+	var wg sync.WaitGroup
+	for r := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; done.Load() < steps; i++ {
+				qi := i % len(queries)
+				s0, d0 := started.Load(), done.Load()
+				got, err := ix.Query(ctx, queries[qi])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s0 != d0 || started.Load() != s0 {
+					continue // a write overlapped the query
+				}
+				if !reflect.DeepEqual(got, oracle[d0][qi]) {
+					t.Errorf("query %d after step %d = %v, want the twin's %v", qi, d0, got, oracle[d0][qi])
+					return
+				}
+				checked.Add(1)
+			}
+		}()
+	}
+	for s := range steps {
+		// Let every query repeat a few times between two writes.
+		for checked.Load() < int64(12*(s+1)) && !t.Failed() {
+			runtime.Gosched()
+		}
+		started.Store(int64(s + 1))
+		if err := step(ix, s); err != nil {
+			t.Error(err)
+		}
+		done.Store(int64(s + 1))
+	}
+	wg.Wait()
+	if st := ix.Stats(); st.CacheHits == 0 {
+		t.Fatalf("no answer was served from the cache under churn: %+v", st)
 	}
 }
 
@@ -125,6 +263,7 @@ func TestCacheCoversTopKAndEntityQueries(t *testing.T) {
 	q := map[string]uint32{"e0": 2, "e1": 1, "shared": 3}
 
 	first := ix.QueryTopK(q, 5)
+	ix.QueryTopK(q, 5) // the second miss stores the answer
 	second := ix.QueryTopK(q, 5)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached top-k diverged: %v vs %v", first, second)
@@ -136,6 +275,9 @@ func TestCacheCoversTopKAndEntityQueries(t *testing.T) {
 
 	e1, err := ix.QueryEntity("entity-0", 0.3)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.QueryEntity("entity-0", 0.3); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := ix.QueryEntity("entity-0", 0.3)
@@ -156,8 +298,10 @@ func TestCacheLRUBound(t *testing.T) {
 		{"e0": 1}, {"e1": 1}, {"e2": 1},
 	}
 	for _, q := range queries {
-		if _, err := ix.QueryThreshold(q, 0.5); err != nil {
-			t.Fatal(err)
+		for range 2 { // the second miss stores the answer
+			if _, err := ix.QueryThreshold(q, 0.5); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if st := ix.Stats(); st.CacheEntries != 2 {
@@ -204,6 +348,7 @@ func TestCacheHitIsACopy(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("want results")
 	}
+	ix.QueryThreshold(q, 0.0) // the second miss stores the answer
 	// Mutating a returned slice must not corrupt the cached copy.
 	second, _ := ix.QueryThreshold(q, 0.0)
 	second[0] = Match{Entity: "vandalized", Similarity: -1}
@@ -222,6 +367,7 @@ func TestCachePutKeepsNewerGeneration(t *testing.T) {
 	key := []byte("k")
 	a := QueryResult{Matches: []Match{{Entity: "a", Similarity: 1}}}
 	b := QueryResult{Matches: []Match{{Entity: "b", Similarity: 1}}}
+	c.put(key, 5, a) // the first miss leaves only the key's fingerprint
 	c.put(key, 5, a)
 	c.put(key, 4, b)
 	if res, ok := c.get(key, 5); !ok || !reflect.DeepEqual(res, a) {
@@ -242,13 +388,15 @@ func TestCachePutKeepsNewerGeneration(t *testing.T) {
 // TestCacheKeysUnknownElementsByCounts: the key is built from the
 // interned query, where elements the index has never seen are only
 // their counts, so two queries differing only in the names of those
-// share one entry — the inner index cannot tell them apart either.
+// share one entry — the inner index cannot tell them apart either. The
+// second query's miss is its key's second, so it stores the answer the
+// third query, the first again, hits.
 func TestCacheKeysUnknownElementsByCounts(t *testing.T) {
 	ix := cacheTestIndex(t, IndexOptions{})
 	oracle := cacheTestIndex(t, IndexOptions{CacheSize: -1})
 	q1 := map[string]uint32{"e0": 2, "shared": 3, "unseen-x": 4, "unseen-y": 1}
 	q2 := map[string]uint32{"e0": 2, "shared": 3, "unseen-z": 1, "unseen-w": 4}
-	for i, q := range []map[string]uint32{q1, q2} {
+	for i, q := range []map[string]uint32{q1, q2, q1} {
 		got, err := ix.QueryThreshold(q, 0.1)
 		if err != nil {
 			t.Fatal(err)
@@ -261,8 +409,8 @@ func TestCacheKeysUnknownElementsByCounts(t *testing.T) {
 			t.Fatalf("query %d: got %v, want %v (uncached)", i+1, got, want)
 		}
 	}
-	if st := ix.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 || st.CacheEntries != 1 {
-		t.Fatalf("the second query should hit the first's entry, stats %+v", st)
+	if st := ix.Stats(); st.CacheHits != 1 || st.CacheMisses != 2 || st.CacheEntries != 1 {
+		t.Fatalf("the second query should store the first's key and the third hit it, stats %+v", st)
 	}
 }
 

@@ -70,7 +70,9 @@
 // of any shape holding the same entities answer byte for byte alike,
 // and AllKNN's lists are QueryKNNEntity's answers. Answers are
 // fresh: the result cache (IndexOptions.CacheSize) is invalidated by
-// every mutation and never serves a stale answer.
+// every mutation and never serves a stale answer. It stores an answer
+// on its query's second miss, so a query asked once costs the cache
+// nothing and one asked again is served from the third time on.
 //
 // # Durability
 //

@@ -99,9 +99,12 @@ type IndexOptions struct {
 	// that short-circuits repeated queries — the head of a zipf-skewed
 	// query population — without ever serving a stale answer: every
 	// Add/Remove bumps the index generation and a cached entry only hits
-	// while its stamped generation is current. 0 means the default
-	// (1024 entries); negative disables caching entirely. Hit/miss
-	// traffic is reported by IndexStats.CacheHits/CacheMisses.
+	// while its stamped generation is current. An answer is stored on
+	// its key's second miss, so one-off queries never displace the head;
+	// the table of recent misses that decides it has the power of two
+	// at or above 2×CacheSize slots. 0 means the default (1024
+	// entries); negative disables caching entirely. Hit/miss traffic is
+	// reported by IndexStats.CacheHits/CacheMisses.
 	CacheSize int
 }
 

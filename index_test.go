@@ -332,37 +332,48 @@ func TestEntityQueryDoesNotCopyTheEntity(t *testing.T) {
 	}
 }
 
-// TestElementQueryAllocs is the allocation gate on the uncached element
-// form of a query: the result list, nothing else — the interned query's
-// entries live in the pooled query buffer, they are not copied to
-// normalize them, and no reflection-built sort swapper runs (sort.Slice
-// allocated three times a query).
+// TestElementQueryAllocs is the allocation gate on an element query
+// the result cache cannot answer: the result list, nothing else — the
+// interned query's entries live in the pooled query buffer, they are
+// not copied to normalize them, and no reflection-built sort swapper
+// runs (sort.Slice allocated three times a query). With the cache on
+// (the default) every run asks a query no earlier run asked: its miss
+// leaves only a fingerprint in the cache's doorkeeper, so no key
+// string, answer copy or LRU entry is made for a query that never
+// recurs.
 func TestElementQueryAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts under -race measure the detector")
 	}
-	ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	entities := benchIndexEntities(2000)
-	for i, counts := range entities {
-		mustAdd(t, ix, fmt.Sprintf("entity-%d", i), counts)
-	}
 	q := map[string]uint32{"never-indexed": 2}
 	for elem, c := range entities[5] {
 		if len(q) < 9 {
 			q[elem] = c
 		}
 	}
-	threshold := testing.AllocsPerRun(100, func() {
-		if ms, err := ix.QueryThreshold(q, 0.3); err != nil || len(ms) == 0 {
-			t.Fatalf("QueryThreshold = %v, %v", ms, err)
+	for _, cacheSize := range []int{-1, 0} {
+		ix, err := NewIndex(IndexOptions{Measure: "ruzicka", CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	topk := testing.AllocsPerRun(100, func() { ix.QueryTopK(q, 10) })
-	if threshold != 1 || topk != 1 {
-		t.Fatalf("a 9-element query allocates %v/op (threshold) and %v/op (top-k), want 1", threshold, topk)
+		for i, counts := range entities {
+			mustAdd(t, ix, fmt.Sprintf("entity-%d", i), counts)
+		}
+		run := 0
+		threshold := testing.AllocsPerRun(100, func() {
+			run++
+			if ms, err := ix.QueryThreshold(q, 0.3+float64(run)/1e6); err != nil || len(ms) == 0 {
+				t.Fatalf("QueryThreshold = %v, %v", ms, err)
+			}
+		})
+		topk := testing.AllocsPerRun(100, func() {
+			run++
+			ix.QueryTopK(q, 10+run)
+		})
+		if st := ix.Stats(); threshold != 1 || topk != 1 || st.CacheHits != 0 || st.CacheEntries != 0 {
+			t.Fatalf("CacheSize %d: a one-off 9-element query allocates %v/op (threshold) and %v/op (top-k), want 1; stats %+v", cacheSize, threshold, topk, st)
+		}
 	}
 }
 

@@ -63,7 +63,8 @@ func (r *replay) serve() bool {
 // benchNode is a volatile node over 2 000 entities of about 12 elements
 // each, drawn from a 500-element vocabulary, and the three query bodies
 // node_http sends — threshold, top-k, kNN — over one 12-element
-// multiset, each served once so the result cache holds its answer.
+// multiset, each served twice so the result cache holds its answer (an
+// answer is stored on its query's second miss).
 func benchNode(tb testing.TB) map[string]*replay {
 	tb.Helper()
 	ix, err := vsmartjoin.NewIndex(vsmartjoin.IndexOptions{Measure: "ruzicka"})
@@ -92,8 +93,10 @@ func benchNode(tb testing.TB) map[string]*replay {
 		"knn":       newReplay(h, "/knn", `{"elements": `+elements+`, "k": 10}`),
 	}
 	for name, r := range replays {
-		if !r.serve() {
-			tb.Fatalf("%s: answered %d", name, r.w.code)
+		for range 2 {
+			if !r.serve() {
+				tb.Fatalf("%s: answered %d", name, r.w.code)
+			}
 		}
 	}
 	return replays

@@ -93,8 +93,10 @@ func surfacesUnderTest(t *testing.T, measure string, entities map[string]map[str
 
 // TestConveniencesEqualQuery: every named query method returns exactly
 // what Query returns for the same request — results and errors — on an
-// Index with the cache on (asked twice, so the second answer is a hit),
-// with it off, and on a Cluster.
+// Index with the cache on (each request is asked twice a round, so the
+// convenience's miss in the first round is the key's second and stores
+// the answer, and the second round is served by hits), with it off, and
+// on a Cluster.
 func TestConveniencesEqualQuery(t *testing.T) {
 	entities := clusterEntities(rand.New(rand.NewSource(7)), 30)
 	probe := map[string]uint32{"w1": 3, "w2": 1, "tie": 2}
@@ -137,6 +139,11 @@ func TestConveniencesEqualQuery(t *testing.T) {
 		} {
 			if res, err := s.Query(ctx, q); err == nil {
 				t.Fatalf("%s: Query(%+v) = %+v, want an error", s.name, q, res)
+			}
+		}
+		if ix, ok := s.querySurface.(*vsmartjoin.Index); ok && s.name == "index/cache=0" {
+			if st := ix.Stats(); st.CacheHits == 0 {
+				t.Fatalf("%s: the second round hit nothing: %+v", s.name, st)
 			}
 		}
 	}
@@ -270,9 +277,12 @@ func TestConveniencesEqualApply(t *testing.T) {
 				}
 			}
 			agree("empty")
-			agree("empty again") // a cache hit on both
+			agree("empty again")        // the second miss stores the answer
+			agree("empty a third time") // a cache hit on both
 			script(t, a, b, a.RemoveBatch, nil)
+			// The script interned the probe's elements, so its key is new.
 			agree("after the script")
+			agree("after the script again")
 			if removed, err := a.Remove("ghost"); removed || err != nil {
 				t.Fatal(removed, err)
 			}
@@ -595,7 +605,7 @@ func TestHugeKAnswersLikeLen(t *testing.T) {
 	n := len(entities)
 	probe := map[string]uint32{"w1": 3, "w2": 1, "tie": 2}
 	for _, s := range surfacesUnderTest(t, "ruzicka", entities) {
-		for round := 0; round < 2; round++ { // the second round reads the cache where there is one
+		for round := 0; round < 3; round++ { // the third round reads the cache where there is one
 			got, err := s.topK(probe, math.MaxInt)
 			want, werr := s.topK(probe, n)
 			sameAnswer(t, s.name+" topk", got, err, want, werr)
