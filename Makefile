@@ -54,6 +54,7 @@ loc:
 
 # Fuzz smoke: every Fuzz target for 10 s — the codec and segment
 # decoders, the record batch's order contract, the WAL frame decoder,
+# the element intern table held to a map,
 # the router↔node hop's decoders, the daemons' JSON wire codec held
 # to encoding/json (what it accepts, json accepts alike; every
 # json.Marshal-style body decodes as json's; every answer is json's
@@ -64,7 +65,7 @@ loc:
 FUZZ_TARGETS = \
 	./internal/codec:FuzzReaderDecode ./internal/codec:FuzzRoundTrip \
 	./internal/mrfs:FuzzSegmentRead ./internal/mrfs:FuzzBatchOrder \
-	./internal/wal:FuzzWALFrameDecode \
+	./internal/wal:FuzzWALFrameDecode ./internal/multiset:FuzzDict \
 	./internal/cluster:FuzzPeerRequest ./internal/cluster:FuzzPeerReply \
 	./internal/httpd:FuzzRequestBody ./internal/httpd:FuzzCanonicalBody \
 	./internal/httpd:FuzzAnswerString \

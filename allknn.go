@@ -3,8 +3,9 @@ package vsmartjoin
 // Batch all-k-nearest-neighbors: the neighbor question for every entity
 // at once. AllKNN loads the dataset into a volatile Index and asks
 // QueryKNNEntity about each entity, so every list is the online answer
-// by construction — the same top-k pass, tie re-query and name pad —
-// and the differential suite holds both to a brute-force oracle.
+// by construction — the same one top-k pass, boundary ties included,
+// and name pad — and the differential suite holds both to a brute-force
+// oracle.
 
 import (
 	"errors"

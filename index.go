@@ -126,6 +126,9 @@ type IndexStats struct {
 	Removes     int64 `json:"removes"`
 	Compactions int64 `json:"compactions"`
 
+	// Queries counts uncached queries that reached the inner index, one
+	// per query of any kind: a top-k or kNN query's boundary ties come
+	// back from its one pass, so Results counts them too.
 	Queries      int64 `json:"queries"`
 	Probes       int64 `json:"probes"`
 	Candidates   int64 `json:"candidates"`

@@ -110,9 +110,9 @@ type QueryResult struct {
 	Neighbors []Neighbor `json:"neighbors,omitempty"`
 }
 
-// maxK caps Query.K so the k+1 probes above it (the boundary-tie
-// detector, the router's self-drop slot) cannot overflow; no index
-// holds that many entities, so a larger K asks for the same answer.
+// maxK caps Query.K so the k+1 probe above it (the router's self-drop
+// slot) cannot overflow; no index holds that many entities, so a larger
+// K asks for the same answer.
 const maxK = math.MaxInt - 1
 
 // CheckQuery is the one request check every Query entry point runs; it

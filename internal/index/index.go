@@ -124,13 +124,14 @@ type Stats struct {
 	Removes     int64
 	Compactions int64
 
-	// Queries counts lookups; the remaining counters expose how far each
-	// pruning stage narrowed them: Probes is posting entries walked,
-	// including those past the prefix cut walked only to finish the
-	// admitted candidates' sums; Candidates is distinct live entities
-	// met before the cut; LengthPruned is those SimUpperBound dropped;
-	// Verified is similarities computed, one per admitted candidate;
-	// Results is matches returned.
+	// Queries counts passes, one per QueryAcross call; the remaining
+	// counters expose how far each pruning stage narrowed them: Probes
+	// is posting entries walked, including those past the prefix cut
+	// walked only to finish the admitted candidates' sums; Candidates is
+	// distinct live entities met before the cut; LengthPruned is those
+	// SimUpperBound dropped; Verified is similarities computed, one per
+	// admitted candidate; Results is matches the passes returned, a
+	// top-k pass's boundary ties included.
 	Queries      int64
 	Probes       int64
 	Candidates   int64
@@ -436,12 +437,13 @@ func queryStats(q Query) similarity.UniStats {
 // pass is the reusable state of one query: the query with its
 // unilateral stats and sorted probe order (computed once, whatever the
 // partition count), the candidate accumulators and epoch-stamped slot
-// marks each partition's probe reuses, the bounded top-k heap, the
-// floor's scratch heap and the output buffer. QueryAcross hands one pass
-// from partition to partition, which is what lets a top-k query prune
-// every partition against the floor the earlier ones already raised. A
-// pass is owned by exactly one query between begin and reset; pooling
-// them makes the steady-state query path allocation-free.
+// marks each partition's probe reuses, the bounded top-k heap and its
+// boundary ties, the floor's scratch heap and the output buffer.
+// QueryAcross hands one pass from partition to partition, which is what
+// lets a top-k query prune every partition against the floor the
+// earlier ones already raised. A pass is owned by exactly one query
+// between begin and reset; pooling them makes the steady-state query
+// path allocation-free.
 type pass struct {
 	q     Query
 	qUni  similarity.UniStats
@@ -453,6 +455,9 @@ type pass struct {
 	marks []mark
 	epoch uint32
 	heap  topkHeap
+	// ties holds every match the heap turned away or evicted whose
+	// similarity is within verifyEps of the heap's root (offer).
+	ties  []Match
 	floor topkHeap
 	out   []Match
 	// lists[i] is the posting list of order[i] in the partition being
@@ -486,7 +491,7 @@ func (p *pass) begin(q Query, buf []Match) {
 	p.q, p.qUni, p.out = q, queryStats(q), buf
 	p.order = append(p.order[:0], q.Set.Entries...)
 	sortProbeOrder(p.order)
-	p.heap = p.heap[:0]
+	p.heap, p.ties = p.heap[:0], p.ties[:0]
 }
 
 // reset makes the pass fit for the pool: the caller's slices dropped.
@@ -537,17 +542,29 @@ func sortProbeOrder(ord []multiset.Entry) {
 // set, in a single pass on the caller's goroutine, appending to buf
 // (typically a reused buffer truncated to buf[:0], which keeps the
 // steady-state path allocation-free): the threshold query at t when
-// k < 0, the top-k query otherwise. Only the appended region is sorted
-// (decreasing similarity, ID ascending on ties); buf's existing contents
-// are preserved. Each partition is probed under its own read lock, in
-// order, with the one pass state: a threshold query collects every
+// k < 0, the top-k query otherwise. The appended matches are sorted
+// (decreasing similarity, ID ascending on ties), but for a top-k
+// query's boundary ties; buf's existing contents are preserved. Each
+// partition is probed under its own read lock, in order, with the one
+// pass state: a threshold query collects every
 // partition's matches and sorts once; a top-k query carries one bounded
 // heap through all of them, so each partition starts from the floor the
 // previous ones raised and the heap after the last partition is the
 // global top-k — an entity is pruned only when its bound is below k
 // similarities already bounded from below, which keeps it out of any
 // partitioning's answer. One partition is the single-index query.
+//
+// A top-k answer includes the boundary ties: after the k best comes,
+// in no particular order, every other match whose similarity passes
+// the threshold query's inclusion test at the k-th best's, so a caller
+// that breaks ties by something other than ID (names) can pick its k
+// without a second pass. A tie's bound is never below floor − boundEps,
+// so the pruning that finds the k best finds the ties too.
 func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match {
+	// Which partition a query or a result came from is not tracked; the
+	// sum over partitions is what Stats consumers read.
+	last := parts[len(parts)-1]
+	last.queries.Add(1)
 	if k == 0 || len(q.Set.Entries) == 0 {
 		return buf
 	}
@@ -558,14 +575,13 @@ func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match
 		ix.step(p, t, k)
 	}
 	buf = append(p.out, p.heap...)
+	SortMatches(buf[base:])
+	buf = append(buf, p.ties...)
 	p.reset()
 	passPool.Put(p)
 	if k > 0 {
-		// Which partition a survivor came from is not tracked; the sum
-		// over partitions is what Stats consumers read.
-		parts[len(parts)-1].results.Add(int64(len(buf) - base))
+		last.results.Add(int64(len(buf) - base))
 	}
-	SortMatches(buf[base:])
 	return buf
 }
 
@@ -574,12 +590,11 @@ func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match
 // entity whose ID equals the query's own ID is never a candidate
 // (self-pairs are meaningless; use ID 0 for ad-hoc queries).
 func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
-	ix.queries.Add(1)
 	return QueryAcross([]*Index{ix}, q, t, -1, buf)
 }
 
 // QueryTopKInto appends to buf the k most similar indexed entities:
-// QueryAcross over this one index.
+// QueryAcross over this one index, cut to k.
 //
 // The same pass serves k-nearest-neighbor queries: under the distance
 // d = 1 − Sim, "distance ascending" and "similarity descending" are the
@@ -587,8 +602,12 @@ func (ix *Index) QueryThresholdInto(q Query, t float64, buf []Match) []Match {
 // layers above ask for the top k and compute distances where they name
 // the results (vsmartjoin.Index.Query).
 func (ix *Index) QueryTopKInto(q Query, k int, buf []Match) []Match {
-	ix.queries.Add(1)
-	return QueryAcross([]*Index{ix}, q, 0, max(k, 0), buf)
+	k, base := max(k, 0), len(buf)
+	buf = QueryAcross([]*Index{ix}, q, 0, k, buf)
+	if len(buf)-base > k { // the boundary ties follow the k best
+		buf = buf[:base+k]
+	}
+	return buf
 }
 
 // Neighbor and QueryKNNInto remain only because benchmark/ladder.go
@@ -633,7 +652,7 @@ func (ix *Index) step(p *pass, t float64, k int) {
 	for _, c := range p.cands {
 		m := Match{ID: c.id, Sim: ix.measure.Sim(p.qUni, c.uni, c.conj)}
 		if k > 0 {
-			p.heap.offer(m, k)
+			p.offer(m, k)
 		} else if m.Sim+verifyEps >= t {
 			p.out = append(p.out, m)
 		}
@@ -718,6 +737,36 @@ func (ix *Index) gatherLocked(p *pass, t float64, k int) (probes, lenPruned int6
 		residual.Sub(probed)
 	}
 	return probes, lenPruned
+}
+
+// offer puts m into the top-k heap and keeps the boundary ties: a match
+// the heap turns away or evicts joins p.ties when its similarity is
+// within verifyEps of the heap's root, and whenever the root rises the
+// ties that fell out of reach are dropped. The root only rises, so a
+// match within reach of the final root was within reach when it left
+// the heap, and p.ties ends as exactly those matches.
+func (p *pass) offer(m Match, k int) {
+	if len(p.heap) < k {
+		p.heap.offer(m, k)
+		return
+	}
+	if root := p.heap[0]; worseMatch(root, m) {
+		p.heap.offer(m, k)
+		m = root
+		if floor := p.heap[0].Sim; floor > root.Sim {
+			w := 0
+			for _, tie := range p.ties {
+				if tie.Sim+verifyEps >= floor {
+					p.ties[w] = tie
+					w++
+				}
+			}
+			p.ties = p.ties[:w]
+		}
+	}
+	if m.Sim+verifyEps >= p.heap[0].Sim {
+		p.ties = append(p.ties, m)
+	}
 }
 
 // finish adds the partials of list, the posting list of an element the

@@ -91,7 +91,12 @@ func (s *Set) QueryThresholdInto(q index.Query, t float64, buf []index.Match) []
 // QueryTopKInto appends the global top-k to buf: exactly the
 // single-index answer, ID tie-breaks included.
 func (s *Set) QueryTopKInto(q index.Query, k int, buf []index.Match) []index.Match {
-	return index.QueryAcross(s.shards, q, 0, max(k, 0), buf)
+	k, base := max(k, 0), len(buf)
+	buf = index.QueryAcross(s.shards, q, 0, k, buf)
+	if len(buf)-base > k { // the boundary ties follow the k best
+		buf = buf[:base+k]
+	}
+	return buf
 }
 
 // QueryKNNInto is QueryTopKInto, kept because benchmark/ladder.go names

@@ -2,12 +2,12 @@
 // of Add/Remove records plus periodic full snapshots, so a serving
 // process killed at any point restarts into exactly its prior state.
 //
-// On disk a log directory holds at most one generation of two files,
+// On disk a log directory holds one generation of two files,
 // "snap-<gen>" and "wal-<gen>". A snapshot is the full entity set at the
 // moment it was cut; the WAL of the same generation holds every mutation
 // logged since. Snapshot writes go through a temp file and an atomic
 // rename, then a fresh (empty) WAL of the next generation is created and
-// the previous generation is deleted — so recovery never has to reason
+// every older generation is deleted — so recovery never has to reason
 // about a half-written snapshot under its final name.
 //
 // An index keeps exactly one such log in its data dir: one ordered
@@ -24,9 +24,12 @@
 // MapReduce segment files, so a corrupt length prefix fails cleanly
 // instead of driving a giant allocation.
 //
-// Recovery (Open) loads the newest snapshot, replays the matching WAL,
-// and truncates the WAL at the first torn or corrupt frame — the
-// expected shape of a crash mid-append. Corruption inside a snapshot is
+// Recovery (Open) loads the newest snapshot, replays the matching WAL
+// and then every later one in generation order (a WAL can outlive its
+// snapshot if the rename was lost), and truncates a WAL at the first
+// torn or corrupt frame — the expected shape of a crash mid-append.
+// It deletes only the generations older than the newest snapshot; the
+// next Snapshot deletes the rest. Corruption inside a snapshot is
 // a hard error instead: snapshots are renamed into place only after an
 // fsync, so a bad one means real damage the caller must see.
 //
@@ -50,6 +53,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,8 +237,9 @@ func WithGroupCommit() Option {
 
 // Open recovers the log in dir, creating the directory if needed: it
 // loads the newest snapshot (feeding every entity to applySnap), then
-// replays the matching WAL (truncating a torn tail) through applyWAL,
-// and returns the log ready for appends. The two callbacks let callers
+// replays the matching WAL and every later one, in generation order
+// (truncating a torn tail), through applyWAL, and returns the log ready
+// for appends to the newest WAL. The two callbacks let callers
 // bulk-load the snapshot body — pre-sorted, all OpAdd — through a
 // cheaper path than the general upsert replay. measure names the
 // similarity measure of the index being persisted; a snapshot recorded
@@ -248,11 +253,19 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 	if err != nil {
 		return nil, err
 	}
-	gen := uint64(1)
-	for _, g := range append(append([]uint64{}, snaps...), wals...) {
-		if g > gen {
-			gen = g
-		}
+	// base is the newest snapshot (0: none). Every WAL from base on
+	// holds mutations logged after it, in generation order, and the
+	// newest generation is the one appended to.
+	var base uint64
+	for _, g := range snaps {
+		base = max(base, g)
+	}
+	slices.Sort(wals)
+	i, _ := slices.BinarySearch(wals, base)
+	replay := wals[i:]
+	gen := max(base, 1)
+	if len(replay) > 0 {
+		gen = max(gen, replay[len(replay)-1])
 	}
 
 	l := &Log{dir: dir, measure: measure, gen: gen, payload: codec.NewBuffer(256)}
@@ -260,14 +273,19 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 	for _, opt := range opts {
 		opt(l)
 	}
-	if st, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
-		l.snap = st.Size()
-		if err := l.loadSnapshot(filepath.Join(dir, snapName(gen)), applySnap); err != nil {
+	if base > 0 {
+		path := filepath.Join(dir, snapName(base))
+		if st, err := os.Stat(path); err == nil {
+			l.snap = st.Size()
+		}
+		if err := l.loadSnapshot(path, applySnap); err != nil {
 			return nil, err
 		}
 	}
-	if err := l.replayWAL(filepath.Join(dir, walName(gen)), applyWAL); err != nil {
-		return nil, err
+	for _, g := range replay {
+		if err := l.replayWAL(filepath.Join(dir, walName(g)), applyWAL); err != nil {
+			return nil, err
+		}
 	}
 	f, err := os.OpenFile(filepath.Join(dir, walName(gen)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -278,18 +296,10 @@ func Open(dir, measure string, applySnap, applyWAL func(Record) error, opts ...O
 		l.off = st.Size() // every byte below is an intact, replayed frame
 	}
 
-	// Earlier generations are fully captured by the current one; leftover
-	// temp files never made it into any generation. Best-effort cleanup.
-	for _, g := range snaps {
-		if g != gen {
-			os.Remove(filepath.Join(dir, snapName(g)))
-		}
-	}
-	for _, g := range wals {
-		if g != gen {
-			os.Remove(filepath.Join(dir, walName(g)))
-		}
-	}
+	// Generations older than the newest snapshot are captured by it;
+	// leftover temp files never made it into any generation.
+	// Best-effort cleanup.
+	removeBelow(dir, base)
 	for _, name := range stale {
 		os.Remove(filepath.Join(dir, name))
 	}
@@ -663,7 +673,8 @@ func WriteSnapshot(dir string, gen uint64, measure string, iter func(emit func(R
 
 // Snapshot cuts a new generation: it writes every record the iterator
 // emits (all must be OpAdd) to a temp snapshot, fsyncs and renames it
-// into place, starts a fresh empty WAL, and deletes the previous generation. On error the log keeps its
+// into place, starts a fresh empty WAL, and deletes every older
+// generation. On error the log keeps its
 // current generation and stays usable. The iterator runs with the log
 // lock held; it must not call back into the log.
 func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
@@ -694,7 +705,6 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 		return fmt.Errorf("wal: snapshot: rotate wal: %w", err)
 	}
 	syncDir(l.dir)
-	old := l.gen
 	l.gen = next
 	l.f.Close()
 	l.f = nf
@@ -707,9 +717,26 @@ func (l *Log) Snapshot(iter func(emit func(Record) error) error) error {
 	l.commitLocked(l.seq)
 	l.syncErr = nil
 	l.cond.Broadcast()
-	os.Remove(filepath.Join(l.dir, snapName(old)))
-	os.Remove(filepath.Join(l.dir, walName(old)))
+	// The new snapshot captures every generation below it: the one just
+	// retired, and any older ones Open replayed and left in place.
+	removeBelow(l.dir, next)
 	return nil
+}
+
+// removeBelow deletes the snapshots and WALs in dir whose generation is
+// below gen, best-effort.
+func removeBelow(dir string, gen uint64) {
+	snaps, wals, _, _ := scanDir(dir)
+	for _, g := range snaps {
+		if g < gen {
+			os.Remove(filepath.Join(dir, snapName(g)))
+		}
+	}
+	for _, g := range wals {
+		if g < gen {
+			os.Remove(filepath.Join(dir, walName(g)))
+		}
+	}
 }
 
 // syncDir fsyncs a directory so renames and creates inside it are

@@ -4,8 +4,9 @@ package vsmartjoin
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
 // Cluster.Query): validate → intern or look up the query → result cache,
-// keyed by the interned form → one pass over the inner index →
-// boundary-tie re-query → resolve IDs to names and pad a short kNN list
+// keyed by the interned form → one pass over the inner index, which
+// returns a top-k or kNN query's boundary ties beside its k best →
+// resolve IDs to names, re-break ties by name and pad a short kNN list
 // (one read-lock hold, O(results + k) whatever the index holds) → cache
 // fill. The named methods (QueryThreshold, QueryEntity, QueryTopK,
 // QueryKNN, QueryKNNEntity) are conveniences over it.
@@ -145,32 +146,16 @@ func (ix *Index) subject(q Query, bp *queryBuf) (index.Query, error) {
 // q's subject as resolved, using bp's staging buffer.
 func (ix *Index) query(q Query, iq index.Query, bp *queryBuf) QueryResult {
 	start, timed := bp.sample()
-	k := q.K
 	var ms []index.Match
 	if q.Kind == KindThreshold {
 		ms = ix.inner.QueryThresholdInto(iq, q.Threshold, bp.ms[:0])
 	} else {
-		// Probe for k+1: the extra result is a tie detector. If the k-th
-		// and (k+1)-th best differ (or fewer than k+1 exist), no tied
-		// entity was evicted at the boundary and the heap's selection is
-		// already the canonical one — the common case, served by one pass.
-		ms = ix.inner.QueryTopKInto(iq, k+1, bp.ms[:0])
-		if len(ms) == k+1 {
-			tied := ms[k-1].Sim == ms[k].Sim
-			if q.Kind == KindKNN {
-				tied = 1-ms[k-1].Sim == 1-ms[k].Sim
-			}
-			if tied {
-				// Ties straddle the boundary, and the heap broke them by
-				// entity ID; fetch every entity at or above the boundary
-				// similarity and let the canonical sort pick by name
-				// (the threshold path's inclusion tolerance dwarfs the
-				// similarity gaps one distance can hide). The buffer is
-				// reused from the top: the boundary is read first, and
-				// the re-query only appends.
-				ms = ix.inner.QueryThresholdInto(iq, ms[k-1].Sim, ms[:0])
-			}
-		}
+		// The k best and, after them, every match tied with the k-th
+		// (index.QueryAcross): the heap broke ties by entity ID, and
+		// resolve's canonical sort re-picks among them by name. The
+		// inclusion tolerance dwarfs the similarity gaps one distance
+		// can hide, so the kNN ties 1 − sim creates are there too.
+		ms = index.QueryAcross([]*index.Index{ix.inner}, iq, 0, q.K, bp.ms[:0])
 	}
 	res := ix.resolve(ms, q)
 	bp.ms = ms
