@@ -4,13 +4,17 @@ package vsmartjoin
 // queries repeat constantly while the long tail is seen once, so a small
 // bounded LRU in front of the probe→prune→verify pipeline absorbs the
 // head at near-zero cost. Correctness comes from generation stamping,
-// not timers: every Add/Remove bumps the index generation, each cached
-// answer is stamped with the generation read BEFORE its query ran, and
-// a lookup only hits when the stamp equals the current generation. A
-// mutation racing a fill can therefore only cause a false miss (the
-// stale entry is evicted on its next lookup) — never a stale hit — so
-// the differential harnesses keep proving byte-identical answers with
-// the cache on.
+// not timers: every Apply bumps the index generation under the write
+// lock, and a miss computes its answer in one read hold and stamps it
+// with the generation read in that hold, so an entry is exactly the
+// answer at its stamp. A lookup reads the generation before it looks up
+// the query's elements and hits only an entry of that stamp: element IDs
+// are never reassigned and are interned only by an Apply, so the key is
+// the query's key at that generation, and the hit is the answer of the
+// state current when the lookup began — a racing mutation can cause a
+// false miss, never a stale hit. A miss whose lookup found an element
+// unknown redoes the lookup, and its key, in the hold when the
+// generation has moved since (query.go).
 //
 // Admission: an answer is stored on its key's second miss, not its
 // first (TinyLFU's doorkeeper: Einziger, Friedman & Manes, ACM TOS
@@ -97,7 +101,6 @@ func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 	el, ok := c.byKey[string(key)]
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Add(1)
 		return QueryResult{}, false
 	}
 	ent := el.Value.(*cacheEntry)
@@ -107,7 +110,6 @@ func (c *queryCache) get(key []byte, gen uint64) (QueryResult, bool) {
 			delete(c.byKey, ent.key)
 		}
 		c.mu.Unlock()
-		c.misses.Add(1)
 		return QueryResult{}, false
 	}
 	c.lru.MoveToFront(el)

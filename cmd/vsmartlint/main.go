@@ -17,9 +17,9 @@
 //     packages (index/shard/wal) goes through internal/metrics — no
 //     ad-hoc time.Now/time.Since stopwatches dodging the shared
 //     histograms.
-//   - lockscope: mutex-guarded index state is only touched under
-//     the lock, and exact similarity verification never runs inside it —
-//     the lock-free-read hot-path contract.
+//   - lockscope: mutex-guarded shard and WAL state is only touched
+//     under the lock, and exact similarity verification never runs
+//     inside it.
 //   - walerr: errors from the WAL, framing, and public mutation
 //     paths — batched included — are never discarded,
 //     append-before-apply durability.

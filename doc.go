@@ -69,7 +69,10 @@
 // of the indexed (name, multiset) pairs alone: an Index and a Cluster
 // of any shape holding the same entities answer byte for byte alike,
 // and AllKNN's lists are QueryKNNEntity's answers. Answers are
-// fresh: the result cache (IndexOptions.CacheSize) is invalidated by
+// linearizable: a query reads the index in one read-lock hold, from its
+// subject to its resolved names, and every mutation takes the write
+// lock, so each answer is the index as it stood between two Apply calls
+// during the query. The result cache (IndexOptions.CacheSize) is invalidated by
 // every mutation and never serves a stale answer. It stores an answer
 // on its query's second miss, so a query asked once costs the cache
 // nothing and one asked again is served from the third time on.

@@ -142,7 +142,7 @@ type IndexStats struct {
 	// index entirely, so it advances none of the funnel counters
 	// (Queries included) — with the cache on, public query traffic is
 	// CacheHits + CacheMisses (a query naming an entity that is not
-	// indexed fails before the cache and counts as neither) and the
+	// indexed fails and counts as neither) and the
 	// funnel keeps describing real pruning work.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -183,13 +183,15 @@ type Index struct {
 	measure similarity.Measure
 	inner   *index.Index
 
-	// mu guards the name tables and serializes every mutation, logged or
-	// not, and every snapshot; the inner index has its own lock, always
-	// nested inside mu, so the nesting cannot deadlock.
+	// mu guards the name tables and the inner index, which has no lock
+	// of its own: every mutation, logged or not, and every snapshot hold
+	// it for writing, and every uncached query holds it for reading from
+	// its subject to its resolved answer. Entity names live beside their
+	// slots in the inner index (index.BatchOp.Name). The dictionary has a
+	// lock of its own, taken inside mu when both are held.
 	mu     sync.RWMutex
 	dict   *multiset.Dict
 	byName map[string]multiset.ID
-	names  map[multiset.ID]string
 	order  nameTable // the keys of byName, ascending: the kNN pad's read order
 	nextID multiset.ID
 
@@ -254,7 +256,6 @@ func newIndex(opts IndexOptions, create bool) (*Index, error) {
 		inner:   index.New(m),
 		dict:    multiset.NewDict(),
 		byName:  make(map[string]multiset.ID),
-		names:   make(map[multiset.ID]string),
 		nextID:  1,
 	}
 	cacheSize := opts.CacheSize
@@ -299,13 +300,16 @@ func (ix *Index) openLog(dir string, fresh bool, opts []wal.Option) error {
 			return err
 		}
 	}
-	sets := make(map[multiset.ID]multiset.Multiset)
+	type entity struct {
+		name string
+		set  multiset.Multiset
+	}
+	sets := make(map[multiset.ID]entity)
 	apply := func(rec wal.Record) error {
 		// Every record retires the entity that holds the name, if any;
 		// an OpAdd then installs its own (a replayed upsert keeps its ID).
 		if id, ok := ix.byName[rec.Entity]; ok {
 			delete(sets, id)
-			delete(ix.names, id)
 			delete(ix.byName, rec.Entity)
 		}
 		if rec.Op != wal.OpAdd {
@@ -315,9 +319,8 @@ func (ix *Index) openLog(dir string, fresh bool, opts []wal.Option) error {
 		if id == 0 {
 			return fmt.Errorf("recover: entity %q has no ID", rec.Entity)
 		}
-		sets[id] = multiset.New(id, ix.internElements(rec.Elements))
+		sets[id] = entity{rec.Entity, multiset.New(id, ix.internElements(rec.Elements))}
 		ix.byName[rec.Entity] = id
-		ix.names[id] = rec.Entity
 		ix.nextID = max(ix.nextID, id+1)
 		return nil
 	}
@@ -326,11 +329,15 @@ func (ix *Index) openLog(dir string, fresh bool, opts []wal.Option) error {
 		return err
 	}
 	ix.log = l
-	byID := slices.SortedFunc(maps.Values(sets), func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
-	if err := ix.inner.BulkLoad(byID); err != nil {
+	all := slices.SortedFunc(maps.Values(sets), func(a, b entity) int { return cmp.Compare(a.set.ID, b.set.ID) })
+	byID, names := make([]multiset.Multiset, len(all)), make([]string, len(all))
+	for i, e := range all {
+		byID[i], names[i] = e.set, e.name
+	}
+	if err := ix.inner.BulkLoad(byID, names...); err != nil {
 		return err
 	}
-	ix.order.load(slices.Collect(maps.Keys(ix.byName)))
+	ix.order.load(names) // sorts names, which BulkLoad has copied
 	return nil
 }
 
@@ -375,7 +382,7 @@ func (ix *Index) snapshotLocked() error {
 				elems[i] = wal.Element{Name: ix.dict.Name(e.Elem), Count: e.Count}
 			}
 			slices.SortFunc(elems, func(a, b wal.Element) int { return strings.Compare(a.Name, b.Name) })
-			emitErr = emit(wal.Record{Op: wal.OpAdd, ID: uint64(m.ID), Entity: ix.names[m.ID], Elements: elems})
+			emitErr = emit(wal.Record{Op: wal.OpAdd, ID: uint64(m.ID), Entity: ix.inner.Name(m.ID), Elements: elems})
 			return emitErr == nil
 		})
 		return emitErr
@@ -426,7 +433,11 @@ func (ix *Index) Close() error {
 }
 
 // Len reports the number of indexed entities.
-func (ix *Index) Len() int { return ix.inner.Len() }
+func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.inner.Len()
+}
 
 // Generation reports the write-ahead log's generation, or 0 for a
 // volatile index. A bulk-built or freshly created directory opens at
@@ -462,7 +473,9 @@ func (ix *Index) Elements(entity string) (counts map[string]uint32, ok bool) {
 
 // Stats returns a snapshot of the index counters.
 func (ix *Index) Stats() IndexStats {
+	ix.mu.RLock()
 	s := ix.inner.Stats()
+	ix.mu.RUnlock()
 	m := ix.Metrics()
 	var cacheHits, cacheMisses int64
 	var cacheEntries int

@@ -1,15 +1,18 @@
 package index
 
 // Churn-vs-query schedule for the race detector: writers hammer
-// Add/Remove hard enough to force repeated maybeCompactLocked rewrites
+// Add/Remove hard enough to force repeated maybeCompact rewrites
 // (every removal marks postings dead, and compaction fires once dead
 // postings outnumber live ones) while readers run threshold and top-k
 // queries through the pooled scratch/epoch-stamped candidate path the
 // whole time, and now and then read the guarded counters through Len
-// and Stats. Run under -race this proves the slot-recycling dedup
-// machinery never reads or stamps across a concurrent slot reuse and
-// that Len and Stats read guarded state under the lock; the final
-// oracle comparison proves the quiesced index still answers exactly.
+// and Stats. The index has no lock of its own: like vsmartjoin.Index,
+// the test holds an RWMutex for writing across each mutation and for
+// reading across each query, Len and Stats. Run under -race this proves
+// the slot-recycling dedup machinery never reads or stamps across a slot
+// reuse and that no read path writes shared state beyond its atomic
+// counters; the final oracle comparison proves the quiesced index still
+// answers exactly.
 
 import (
 	"sync"
@@ -41,6 +44,7 @@ func TestChurnWithConcurrentQueries(t *testing.T) {
 		ix.Add(churnSet(id, 0))
 	}
 
+	var mu sync.RWMutex // the exclusion a caller provides
 	var stop atomic.Bool
 	var writerWG, readerWG sync.WaitGroup
 
@@ -53,8 +57,12 @@ func TestChurnWithConcurrentQueries(t *testing.T) {
 			defer writerWG.Done()
 			for r := 0; r < rounds; r++ {
 				for id := 1 + w; id <= entities; id += writers {
+					mu.Lock()
 					ix.Remove(multiset.ID(id))
+					mu.Unlock()
+					mu.Lock()
 					ix.Add(churnSet(id, r%7))
+					mu.Unlock()
 				}
 			}
 		}(w)
@@ -71,17 +79,22 @@ func TestChurnWithConcurrentQueries(t *testing.T) {
 			var buf []Match
 			for i := 0; !stop.Load(); i++ {
 				if i%64 == 0 {
-					if n, st := ix.Len(), ix.Stats(); n > entities || st.Entities > entities {
+					mu.RLock()
+					n, st := ix.Len(), ix.Stats()
+					mu.RUnlock()
+					if n > entities || st.Entities > entities {
 						t.Errorf("Len %d, Stats.Entities %d: more than the %d entities ever indexed", n, st.Entities, entities)
 						return
 					}
 				}
 				q := QueryOf(churnSet(1+(g*31+i)%entities, i%7))
+				mu.RLock()
 				if i%2 == 0 {
 					buf = ix.QueryThresholdInto(q, 0.5, buf[:0])
 				} else {
 					buf = ix.QueryTopKInto(q, 10, buf[:0])
 				}
+				mu.RUnlock()
 				for j := 1; j < len(buf); j++ {
 					if worseMatch(buf[j-1], buf[j]) {
 						t.Errorf("results out of canonical order: %v before %v", buf[j-1], buf[j])

@@ -35,14 +35,19 @@
 // element ever added. A query may name any element — one past the end
 // of the table has an empty posting list, and a query never grows it.
 //
-// Concurrency: a single RWMutex guards the tables. Mutations (Add, Remove,
-// compaction) take the write lock; queries share the read lock, so the hot
-// path never serializes reads against each other. The probe copies what
-// scoring needs — each candidate's ID, UniStats and summed partials —
-// into the query's own state, so the similarities are computed after the
-// lock is released. Stale postings left behind by Remove or replacement
-// carry an outdated slot generation, are skipped, and are reclaimed by an
-// amortized compaction pass.
+// Concurrency: an Index has no lock of its own; its caller provides the
+// exclusion. Mutations (ApplyBatch and its Add and Remove, BulkLoad) must
+// not overlap each other or any read; reads (the queries, Len, View,
+// Range, Name, Stats) may run concurrently with each other.
+// vsmartjoin.Index holds its RWMutex for writing across a batch and for
+// reading across a whole query, and internal/shard's Set holds one of its
+// own, so a query reads one state from the probe to the names of its
+// results. Because no slot changes under a query, a candidate is only its
+// slot and its summed partials: scoring reads the slot's UniStats and ID
+// where they lie, and a result's name is read from its slot. The traffic
+// counters are atomic, as concurrent queries bump them. Stale postings
+// left behind by Remove or replacement carry an outdated slot generation,
+// are skipped, and are reclaimed by an amortized compaction pass.
 package index
 
 import (
@@ -141,20 +146,24 @@ type Stats struct {
 }
 
 // Index is an incremental inverted similarity index. The zero value is not
-// usable; construct with New.
+// usable; construct with New. See the package doc for the exclusion its
+// caller provides.
 type Index struct {
 	measure similarity.Measure
 
-	mu sync.RWMutex
 	// entities maps each live entity to its slot; the probe never reads
 	// it, as postings name slots.
 	entities map[multiset.ID]int32
 	// slots is the slot table; freeSlots recycles the slots of removed
 	// entities, so the table stays as dense as the peak live count.
+	// names[s] is the name of slot s's entity ("" for a free slot or an
+	// unnamed entity), recycled with the slot. It lies beside slots, not
+	// in entry, which is one 64-byte line.
 	slots     []entry
 	freeSlots []int32
+	names     []string
 	// postings is the posting directory, indexed by element ID: grown
-	// by storeLocked, never by a query. elements counts its non-empty
+	// by store, never by a query. elements counts its non-empty
 	// lists.
 	postings [][]posting
 	elements int
@@ -191,11 +200,7 @@ func (ix *Index) SetPlanner(planner.Heuristic) {}
 func (ix *Index) Measure() similarity.Measure { return ix.measure }
 
 // Len reports the number of live entities.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.entities)
-}
+func (ix *Index) Len() int { return len(ix.entities) }
 
 // Add inserts an entity, replacing any previous entity with the same ID:
 // a one-op ApplyBatch. The index takes ownership of m: callers must not
@@ -209,11 +214,12 @@ func (ix *Index) Remove(id multiset.ID) bool {
 	return ix.ApplyBatch([]BatchOp{{Remove: true, ID: id}}) == 1
 }
 
-// storeLocked puts m in slot s under the slot's current generation and
-// appends it to its elements' posting lists. Caller holds the write lock.
-func (ix *Index) storeLocked(s int32, m multiset.Multiset) {
+// store puts m, named name, in slot s under the slot's current
+// generation and appends it to its elements' posting lists.
+func (ix *Index) store(s int32, m multiset.Multiset, name string) {
 	e := &ix.slots[s]
 	e.set, e.uni = m, similarity.UniOf(m)
+	ix.names[s] = name
 	for _, ent := range m.Entries {
 		if n := int(ent.Elem) + 1; n > len(ix.postings) {
 			ix.postings = append(ix.postings, make([][]posting, n-len(ix.postings))...)
@@ -228,43 +234,41 @@ func (ix *Index) storeLocked(s int32, m multiset.Multiset) {
 	ix.entities[m.ID] = s
 }
 
-// killLocked retires the entity in slot s: its postings go stale and the
-// slot lets go of its multiset. Caller holds the write lock.
-func (ix *Index) killLocked(s int32) {
+// kill retires the entity in slot s: its postings go stale and the
+// slot lets go of its multiset and name.
+func (ix *Index) kill(s int32) {
 	e := &ix.slots[s]
 	if n := len(e.set.Entries); n > 0 {
 		ix.deadPostings += n
 		e.gen++
 	}
-	e.set = multiset.Multiset{}
+	e.set, ix.names[s] = multiset.Multiset{}, ""
 }
 
-// BatchOp is one mutation of an ApplyBatch: an upsert of Set when
-// Remove is false, a deletion of ID when it is true.
+// BatchOp is one mutation of an ApplyBatch: an upsert of Set, named
+// Name, when Remove is false, a deletion of ID when it is true.
 type BatchOp struct {
 	Remove bool
 	ID     multiset.ID       // deletion target (Remove only)
 	Set    multiset.Multiset // upsert payload (Add only); the index takes ownership
+	Name   string            // the upserted entity's name (Add only), which Name and QueryNamed report
 }
 
-// ApplyBatch applies ops in order under a single write-lock
-// acquisition and reports how many removals found their entity — the
-// one mutation path of a live index (BulkLoad is the sealed path for an
-// empty one). A contended write storm pays the lock handoff and the
-// compaction-trigger check once per batch instead of once per mutation,
-// so readers see one short exclusion window instead of N. A replacement
-// keeps its entity's slot under the next generation.
+// ApplyBatch applies ops in order and reports how many removals found
+// their entity — the one mutation path of a live index (BulkLoad is the
+// sealed path for an empty one). The compaction-trigger check runs once
+// per batch instead of once per mutation. A replacement keeps its
+// entity's slot under the next generation.
 func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 	if len(ops) == 0 {
 		return 0
 	}
 	adds := 0
-	ix.mu.Lock()
 	for _, op := range ops {
 		if op.Remove {
 			if s, ok := ix.entities[op.ID]; ok {
 				delete(ix.entities, op.ID)
-				ix.killLocked(s)
+				ix.kill(s)
 				ix.freeSlots = append(ix.freeSlots, s)
 				removed++
 			}
@@ -273,19 +277,19 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 		s, ok := ix.entities[op.Set.ID]
 		switch {
 		case ok:
-			ix.killLocked(s)
+			ix.kill(s)
 		case len(ix.freeSlots) > 0:
 			s = ix.freeSlots[len(ix.freeSlots)-1]
 			ix.freeSlots = ix.freeSlots[:len(ix.freeSlots)-1]
 		default:
 			s = int32(len(ix.slots))
 			ix.slots = append(ix.slots, entry{})
+			ix.names = append(ix.names, "")
 		}
-		ix.storeLocked(s, op.Set)
+		ix.store(s, op.Set, op.Name)
 		adds++
 	}
-	ix.maybeCompactLocked()
-	ix.mu.Unlock()
+	ix.maybeCompact()
 	ix.adds.Add(int64(adds))
 	ix.removes.Add(int64(removed))
 	return removed
@@ -299,13 +303,16 @@ func (ix *Index) ApplyBatch(ops []BatchOp) (removed int) {
 // sized once. The resulting structures are exactly what the same Adds
 // would have built (posting lists append in ID order either way), so
 // queries answer identically. The index takes ownership of the
-// multisets. A non-empty index or an ID-order violation is an error and
-// leaves the index unchanged.
-func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+// multisets. names, when given, holds the entities' names, one per set;
+// without it every entity is unnamed. A non-empty index, an ID-order
+// violation or a names list of another length is an error and leaves
+// the index unchanged.
+func (ix *Index) BulkLoad(sets []multiset.Multiset, names ...string) error {
 	if len(ix.entities) != 0 || ix.postingCount != 0 {
 		return fmt.Errorf("index: bulk load into a non-empty index (%d entities)", len(ix.entities))
+	}
+	if names != nil && len(names) != len(sets) {
+		return fmt.Errorf("index: bulk load: %d names for %d entities", len(names), len(sets))
 	}
 	for i := range sets {
 		if sets[i].ID == 0 {
@@ -318,8 +325,13 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	}
 	ix.entities = make(map[multiset.ID]int32, len(sets))
 	ix.slots, ix.freeSlots = make([]entry, len(sets)), nil
+	ix.names = make([]string, len(sets))
 	for i, m := range sets {
-		ix.storeLocked(int32(i), m)
+		name := ""
+		if names != nil {
+			name = names[i]
+		}
+		ix.store(int32(i), m, name)
 	}
 	// Repack the lists into one array of the exact total: append's
 	// doubling leaves up to half of every list's capacity unused.
@@ -337,9 +349,9 @@ func (ix *Index) BulkLoad(sets []multiset.Multiset) error {
 	return nil
 }
 
-// maybeCompactLocked rewrites every posting list without stale entries
-// once they outnumber live ones. Caller holds the write lock.
-func (ix *Index) maybeCompactLocked() {
+// maybeCompact rewrites every posting list without stale entries once
+// they outnumber live ones.
+func (ix *Index) maybeCompact() {
 	if ix.deadPostings <= ix.postingCount-ix.deadPostings {
 		return
 	}
@@ -369,16 +381,15 @@ func (ix *Index) maybeCompactLocked() {
 // Range calls fn for every live entity in ascending ID order, stopping
 // early if fn returns false. The multisets passed are the index's own
 // immutable entries — callers must not mutate them. The iteration works
-// over a point-in-time capture of the entity table: fn runs with no
-// lock held, so it may query or mutate the index, at the price of not
-// observing entities added after Range started.
+// over a capture of the entity table taken when Range starts, so fn may
+// query the index, and a caller that drops its read exclusion before
+// calling back may mutate it, at the price of not observing entities
+// added after Range started.
 func (ix *Index) Range(fn func(m multiset.Multiset) bool) {
-	ix.mu.RLock()
 	snap := make([]multiset.Multiset, 0, len(ix.entities))
 	for _, s := range ix.entities {
 		snap = append(snap, ix.slots[s].set)
 	}
-	ix.mu.RUnlock()
 	slices.SortFunc(snap, func(a, b multiset.Multiset) int { return cmp.Compare(a.ID, b.ID) })
 	for _, m := range snap {
 		if !fn(m) {
@@ -393,13 +404,19 @@ func (ix *Index) Range(fn func(m multiset.Multiset) bool) {
 // callers must not mutate it, and one that hands the entries on to code
 // it does not control wants Snapshot.
 func (ix *Index) View(id multiset.ID) multiset.Multiset {
-	m := multiset.Multiset{ID: id}
-	ix.mu.RLock()
 	if s, ok := ix.entities[id]; ok {
-		m = ix.slots[s].set
+		return ix.slots[s].set
 	}
-	ix.mu.RUnlock()
-	return m
+	return multiset.Multiset{ID: id}
+}
+
+// Name returns the name the entity was stored under, or "" if the ID is
+// not indexed.
+func (ix *Index) Name(id multiset.ID) string {
+	if s, ok := ix.entities[id]; ok {
+		return ix.names[s]
+	}
+	return ""
 }
 
 // Snapshot is View, copied.
@@ -407,13 +424,11 @@ func (ix *Index) Snapshot(id multiset.ID) multiset.Multiset { return ix.View(id)
 
 // Stats returns a snapshot of the index counters.
 func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
 	s := Stats{
 		Entities: len(ix.entities),
 		Elements: ix.elements,
 		Postings: ix.postingCount,
 	}
-	ix.mu.RUnlock()
 	s.Adds = ix.adds.Load()
 	s.Removes = ix.removes.Load()
 	s.Compactions = ix.compactions.Load()
@@ -437,13 +452,13 @@ func queryStats(q Query) similarity.UniStats {
 // pass is the reusable state of one query: the query with its
 // unilateral stats and sorted probe order (computed once, whatever the
 // partition count), the candidate accumulators and epoch-stamped slot
-// marks each partition's probe reuses, the bounded top-k heap and its
-// boundary ties, the floor's scratch heap and the output buffer.
-// QueryAcross hands one pass from partition to partition, which is what
-// lets a top-k query prune every partition against the floor the
-// earlier ones already raised. A pass is owned by exactly one query
-// between begin and reset; pooling them makes the steady-state query
-// path allocation-free.
+// marks each partition's probe reuses, the matches — a top-k query's
+// bounded heap and its boundary ties — and the floor's scratch heap.
+// One pass runs over every partition in order (run), which is what lets
+// a top-k query prune every partition against the floor the earlier
+// ones already raised. A pass is owned by exactly one query between run
+// and release; pooling them makes the steady-state query path
+// allocation-free.
 type pass struct {
 	q     Query
 	qUni  similarity.UniStats
@@ -454,26 +469,34 @@ type pass struct {
 	// O(1).
 	marks []mark
 	epoch uint32
-	heap  topkHeap
+	// hits holds a threshold query's matches, or a top-k query's heap of
+	// its k best.
+	hits topkHeap
 	// ties holds every match the heap turned away or evicted whose
 	// similarity is within verifyEps of the heap's root (offer).
-	ties  []Match
+	ties  []hit
 	floor topkHeap
-	out   []Match
 	// lists[i] is the posting list of order[i] in the partition being
-	// probed (Index.openLocked).
+	// probed (Index.open).
 	lists [][]posting
 }
 
-// cand is one admitted candidate of the partition being probed: what
-// scoring needs once the read lock is released, and the conjunctive
-// partials summed so far. gen tells its own postings from stale ones
-// naming the same slot.
+// cand is one admitted candidate of the partition being probed: its
+// slot, the generation that tells its own postings from stale ones
+// naming the same slot, and the conjunctive partials summed so far.
+// No slot changes under a query, so scoring reads the candidate's
+// UniStats and ID from the slot table.
 type cand struct {
-	id   multiset.ID
-	uni  similarity.UniStats
-	conj similarity.ConjStats
+	slot int32
 	gen  uint32
+	conj similarity.ConjStats
+}
+
+// hit is a scored match and its slot in the partition it came from,
+// which names it (QueryNamed).
+type hit struct {
+	Match
+	slot int32
 }
 
 // mark is a slot's stamp in the current probe: cand indexes p.cands, or
@@ -486,23 +509,23 @@ type mark struct {
 
 var passPool = sync.Pool{New: func() any { return new(pass) }}
 
-// begin readies a reset pass for q, appending to buf.
-func (p *pass) begin(q Query, buf []Match) {
-	p.q, p.qUni, p.out = q, queryStats(q), buf
+// begin readies a pooled pass for q.
+func (p *pass) begin(q Query) {
+	p.q, p.qUni = q, queryStats(q)
 	p.order = append(p.order[:0], q.Set.Entries...)
 	sortProbeOrder(p.order)
-	p.heap, p.ties = p.heap[:0], p.ties[:0]
+	p.hits, p.ties = p.hits[:0], p.ties[:0]
 }
 
-// reset makes the pass fit for the pool: the caller's slices dropped.
-func (p *pass) reset() {
-	p.q, p.out = Query{}, nil
+// release puts the pass back in the pool, the caller's query dropped.
+func (p *pass) release() {
+	p.q = Query{}
 	clear(p.lists) // a pooled pass must not pin a compacted-away posting array
+	passPool.Put(p)
 }
 
 // mark readies the slot marks for one probe over a partition of limit
-// slots. The caller must hold (at least) the read lock for the whole
-// probe: slots only change hands under the write lock.
+// slots.
 func (p *pass) mark(limit int) {
 	if cap(p.marks) < limit {
 		// A fresh zeroed table is correct at any epoch > 0: no slot was
@@ -538,6 +561,28 @@ func sortProbeOrder(ord []multiset.Entry) {
 	})
 }
 
+// run answers q over parts in one pass on the caller's goroutine and
+// returns it holding the matches, for the caller to read and release;
+// nil when there is nothing to probe. The counters of a pass over
+// several partitions are kept on the last: which partition a query or a
+// result came from is not tracked, the sum is what Stats consumers read.
+func run(parts []*Index, q Query, t float64, k int) *pass {
+	last := parts[len(parts)-1]
+	last.queries.Add(1)
+	if k == 0 || len(q.Set.Entries) == 0 {
+		return nil
+	}
+	p := passPool.Get().(*pass)
+	p.begin(q)
+	for _, ix := range parts {
+		ix.step(p, t, k)
+	}
+	if k > 0 {
+		last.results.Add(int64(len(p.hits) + len(p.ties)))
+	}
+	return p
+}
+
 // QueryAcross answers q over parts, disjoint partitions of one entity
 // set, in a single pass on the caller's goroutine, appending to buf
 // (typically a reused buffer truncated to buf[:0], which keeps the
@@ -545,14 +590,14 @@ func sortProbeOrder(ord []multiset.Entry) {
 // k < 0, the top-k query otherwise. The appended matches are sorted
 // (decreasing similarity, ID ascending on ties), but for a top-k
 // query's boundary ties; buf's existing contents are preserved. Each
-// partition is probed under its own read lock, in order, with the one
-// pass state: a threshold query collects every
-// partition's matches and sorts once; a top-k query carries one bounded
-// heap through all of them, so each partition starts from the floor the
-// previous ones raised and the heap after the last partition is the
-// global top-k — an entity is pruned only when its bound is below k
-// similarities already bounded from below, which keeps it out of any
-// partitioning's answer. One partition is the single-index query.
+// partition is probed in order with the one pass state: a threshold
+// query collects every partition's matches and sorts once; a top-k
+// query carries one bounded heap through all of them, so each partition
+// starts from the floor the previous ones raised and the heap after the
+// last partition is the global top-k — an entity is pruned only when
+// its bound is below k similarities already bounded from below, which
+// keeps it out of any partitioning's answer. One partition is the
+// single-index query.
 //
 // A top-k answer includes the boundary ties: after the k best comes,
 // in no particular order, every other match whose similarity passes
@@ -561,27 +606,44 @@ func sortProbeOrder(ord []multiset.Entry) {
 // without a second pass. A tie's bound is never below floor − boundEps,
 // so the pruning that finds the k best finds the ties too.
 func QueryAcross(parts []*Index, q Query, t float64, k int, buf []Match) []Match {
-	// Which partition a query or a result came from is not tracked; the
-	// sum over partitions is what Stats consumers read.
-	last := parts[len(parts)-1]
-	last.queries.Add(1)
-	if k == 0 || len(q.Set.Entries) == 0 {
+	p := run(parts, q, t, k)
+	if p == nil {
 		return buf
 	}
 	base := len(buf)
-	p := passPool.Get().(*pass)
-	p.begin(q, buf)
-	for _, ix := range parts {
-		ix.step(p, t, k)
+	for _, h := range p.hits {
+		buf = append(buf, h.Match)
 	}
-	buf = append(p.out, p.heap...)
 	SortMatches(buf[base:])
-	buf = append(buf, p.ties...)
-	p.reset()
-	passPool.Put(p)
-	if k > 0 {
-		last.results.Add(int64(len(buf) - base))
+	for _, h := range p.ties {
+		buf = append(buf, h.Match)
 	}
+	p.release()
+	return buf
+}
+
+// Named is one match of QueryNamed: the entity's name and similarity.
+type Named struct {
+	Name string
+	Sim  float64
+}
+
+// QueryNamed is QueryAcross over this one index, appending each match's
+// name and similarity to buf in no particular order, a top-k query's
+// boundary ties included. Each name is read from the slot the probe
+// found, so it is the name of the entity the match was scored against.
+func (ix *Index) QueryNamed(q Query, t float64, k int, buf []Named) []Named {
+	p := run([]*Index{ix}, q, t, k)
+	if p == nil {
+		return buf
+	}
+	for _, h := range p.hits {
+		buf = append(buf, Named{Name: ix.names[h.slot], Sim: h.Sim})
+	}
+	for _, h := range p.ties {
+		buf = append(buf, Named{Name: ix.names[h.slot], Sim: h.Sim})
+	}
+	p.release()
 	return buf
 }
 
@@ -620,14 +682,14 @@ func (ix *Index) QueryKNNInto(q Query, k int, buf []Neighbor) []Neighbor {
 	return ix.QueryTopKInto(q, k, buf)
 }
 
-// openLocked readies p for a probe of this index: the marks cover its
-// slots, and p.lists holds the posting list of every query element — a
+// open readies p for a probe of this index: the marks cover its slots,
+// and p.lists holds the posting list of every query element — a
 // directory slot each, read back to back before any list is walked, and
 // nil for an element past the directory's end. The reads are
 // independent, so their cache misses overlap; interleaved with the walks
 // each one waits alone, behind a walk that has pushed the directory out
-// of cache. Caller holds the read lock.
-func (ix *Index) openLocked(p *pass) {
+// of cache.
+func (ix *Index) open(p *pass) {
 	p.mark(len(ix.slots))
 	p.lists = p.lists[:0]
 	for _, ent := range p.order {
@@ -639,22 +701,21 @@ func (ix *Index) openLocked(p *pass) {
 	}
 }
 
-// step runs q's probe of this index (gatherLocked) under the read lock,
-// then scores the admitted candidates from their summed partials with the
-// lock released: a threshold query (k < 0) appends those at similarity t
-// or above to p.out, a top-k query offers them all to p.heap.
+// step runs q's probe of this index (gather), then scores the admitted
+// candidates from their summed partials and their slots' UniStats: a
+// threshold query (k < 0) appends those at similarity t or above to
+// p.hits, a top-k query offers them all to the heap.
 func (ix *Index) step(p *pass, t float64, k int) {
-	ix.mu.RLock()
-	probes, lenPruned := ix.gatherLocked(p, t, k)
-	ix.mu.RUnlock()
+	probes, lenPruned := ix.gather(p, t, k)
 
-	base := len(p.out)
+	base := len(p.hits)
 	for _, c := range p.cands {
-		m := Match{ID: c.id, Sim: ix.measure.Sim(p.qUni, c.uni, c.conj)}
+		e := &ix.slots[c.slot]
+		h := hit{Match{ID: e.set.ID, Sim: ix.measure.Sim(p.qUni, e.uni, c.conj)}, c.slot}
 		if k > 0 {
-			p.offer(m, k)
-		} else if m.Sim+verifyEps >= t {
-			p.out = append(p.out, m)
+			p.offer(h, k)
+		} else if h.Sim+verifyEps >= t {
+			p.hits = append(p.hits, h)
 		}
 	}
 	ix.probes.Add(probes)
@@ -662,35 +723,34 @@ func (ix *Index) step(p *pass, t float64, k int) {
 	ix.lenPruned.Add(lenPruned)
 	ix.verified.Add(int64(len(p.cands)))
 	if k < 0 {
-		ix.results.Add(int64(len(p.out) - base))
+		ix.results.Add(int64(len(p.hits) - base))
 	}
 	p.cands = p.cands[:0]
 }
 
-// gatherLocked walks this index's posting lists of q in decreasing
-// query multiplicity, adding each posting's shared-element partials to
-// the candidate the posting names. An entity is admitted on its first
-// live posting unless it is the query itself or the length filter drops
-// it, until the residual bound shows the unprobed tail of the query
-// cannot reach the floor; from then on the walk only finishes the
-// admitted candidates' sums, and ends at once if there are none.
+// gather walks this index's posting lists of q in decreasing query
+// multiplicity, adding each posting's shared-element partials to the
+// candidate the posting names. An entity is admitted on its first live
+// posting unless it is the query itself or the length filter drops it,
+// until the residual bound shows the unprobed tail of the query cannot
+// reach the floor; from then on the walk only finishes the admitted
+// candidates' sums, and ends at once if there are none.
 //
 // The floor is t for a threshold query. For a top-k query it is the k-th
 // best of the heap's exact similarities and the admitted candidates'
-// partial ones (partialFloorLocked), recomputed when the candidates
-// first number k and before any list longer than the candidate count,
-// so it rises inside a partition as well as across them. Caller holds
-// the read lock.
-func (ix *Index) gatherLocked(p *pass, t float64, k int) (probes, lenPruned int64) {
+// partial ones (partialFloor), recomputed when the candidates first
+// number k and before any list longer than the candidate count, so it
+// rises inside a partition as well as across them.
+func (ix *Index) gather(p *pass, t float64, k int) (probes, lenPruned int64) {
 	residual := p.qUni
 	residual.Sub(p.q.Extra) // extras match nothing; they never feed postings
 	floor, admitting := t, true
-	ix.openLocked(p)
+	ix.open(p)
 	for i, ent := range p.order {
 		list := p.lists[i]
 		if admitting {
 			if k > 0 && len(list) > len(p.cands) {
-				floor = ix.partialFloorLocked(p, k)
+				floor = ix.partialFloor(p, k)
 			}
 			admitting = similarity.ResidualUpperBound(ix.measure, p.qUni, residual) >= floor-boundEps
 		}
@@ -725,11 +785,11 @@ func (ix *Index) gatherLocked(p *pass, t float64, k int) (probes, lenPruned int6
 				continue
 			}
 			m.cand = int32(len(p.cands))
-			c := cand{id: e.set.ID, uni: e.uni, gen: post.gen}
+			c := cand{slot: post.slot, gen: post.gen}
 			c.conj.AccumulateConj(ent.Count, post.count)
 			p.cands = append(p.cands, c)
 			if len(p.cands) == k {
-				floor = ix.partialFloorLocked(p, k)
+				floor = ix.partialFloor(p, k)
 			}
 		}
 		var probed similarity.UniStats
@@ -739,21 +799,21 @@ func (ix *Index) gatherLocked(p *pass, t float64, k int) (probes, lenPruned int6
 	return probes, lenPruned
 }
 
-// offer puts m into the top-k heap and keeps the boundary ties: a match
+// offer puts h into the top-k heap and keeps the boundary ties: a match
 // the heap turns away or evicts joins p.ties when its similarity is
 // within verifyEps of the heap's root, and whenever the root rises the
 // ties that fell out of reach are dropped. The root only rises, so a
 // match within reach of the final root was within reach when it left
 // the heap, and p.ties ends as exactly those matches.
-func (p *pass) offer(m Match, k int) {
-	if len(p.heap) < k {
-		p.heap.offer(m, k)
+func (p *pass) offer(h hit, k int) {
+	if len(p.hits) < k {
+		p.hits.offer(h, k)
 		return
 	}
-	if root := p.heap[0]; worseMatch(root, m) {
-		p.heap.offer(m, k)
-		m = root
-		if floor := p.heap[0].Sim; floor > root.Sim {
+	if root := p.hits[0]; worseMatch(root.Match, h.Match) {
+		p.hits.offer(h, k)
+		h = root
+		if floor := p.hits[0].Sim; floor > root.Sim {
 			w := 0
 			for _, tie := range p.ties {
 				if tie.Sim+verifyEps >= floor {
@@ -764,8 +824,8 @@ func (p *pass) offer(m Match, k int) {
 			p.ties = p.ties[:w]
 		}
 	}
-	if m.Sim+verifyEps >= p.heap[0].Sim {
-		p.ties = append(p.ties, m)
+	if h.Sim+verifyEps >= p.hits[0].Sim {
+		p.ties = append(p.ties, h)
 	}
 }
 
@@ -780,20 +840,19 @@ func (p *pass) finish(list []posting, count uint32) {
 	}
 }
 
-// partialFloorLocked is the top-k floor mid-probe: the k-th best of the
+// partialFloor is the top-k floor mid-probe: the k-th best of the
 // heap's exact similarities and the admitted candidates' partial ones,
 // or 0 while there are fewer than k of them. Every supported measure is
 // nondecreasing in its conjunctive partials (similarity/bounds.go), so a
 // partial similarity never exceeds the final one, and the floor never
-// exceeds the final k-th best. Caller holds the read lock.
-func (ix *Index) partialFloorLocked(p *pass, k int) float64 {
-	if len(p.heap)+len(p.cands) < k {
+// exceeds the final k-th best.
+func (ix *Index) partialFloor(p *pass, k int) float64 {
+	if len(p.hits)+len(p.cands) < k {
 		return 0
 	}
-	p.floor = append(p.floor[:0], p.heap...) // a heap's copy is a heap
+	p.floor = append(p.floor[:0], p.hits...) // a heap's copy is a heap
 	for _, c := range p.cands {
-		//lint:vsmart-allow lockscope a partial similarity, not a candidate's score: the floor must rise mid-probe to prune it, and scoring runs after RUnlock
-		p.floor.offer(Match{Sim: ix.measure.Sim(p.qUni, c.uni, c.conj)}, k)
+		p.floor.offer(hit{Match: Match{Sim: ix.measure.Sim(p.qUni, ix.slots[c.slot].uni, c.conj)}}, k)
 	}
 	return p.floor[0].Sim
 }
@@ -831,11 +890,11 @@ func SortMatches(ms []Match) {
 // topkHeap is a bounded min-heap under worseMatch, so the root is always
 // the match the next better candidate should evict; among equal
 // similarities the smallest IDs survive.
-type topkHeap []Match
+type topkHeap []hit
 
-func (h topkHeap) worse(i, j int) bool { return worseMatch(h[i], h[j]) }
+func (h topkHeap) worse(i, j int) bool { return worseMatch(h[i].Match, h[j].Match) }
 
-func (h *topkHeap) offer(m Match, k int) {
+func (h *topkHeap) offer(m hit, k int) {
 	if len(*h) < k {
 		*h = append(*h, m)
 		i := len(*h) - 1
@@ -849,7 +908,7 @@ func (h *topkHeap) offer(m Match, k int) {
 		}
 		return
 	}
-	if !worseMatch((*h)[0], m) {
+	if !worseMatch((*h)[0].Match, m.Match) {
 		return // m does not beat the current k-th best
 	}
 	(*h)[0] = m

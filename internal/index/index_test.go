@@ -234,11 +234,14 @@ func TestStatsFunnel(t *testing.T) {
 }
 
 // TestConcurrentMutationAndQuery drives Add/Remove/Query/TopK/Stats from
-// many goroutines; under -race this is the data-race gate for the RWMutex
-// design, and every query must still return internally consistent results
-// (verified sims, sorted order).
+// many goroutines, mutations under a test-held write lock and queries and
+// Stats under its read lock, the exclusion a caller provides; under -race
+// this is the data-race gate for concurrent queries, and every query must
+// still return internally consistent results (verified sims, sorted
+// order).
 func TestConcurrentMutationAndQuery(t *testing.T) {
 	ix := New(similarity.Ruzicka{})
+	var mu sync.RWMutex // the exclusion a caller provides: writes against queries
 	const writers, readers, ops = 4, 4, 200
 	seed := func(g int) []multiset.Multiset {
 		rng := rand.New(rand.NewSource(int64(100 + g)))
@@ -253,9 +256,13 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 			for i, s := range sets {
 				// Partition IDs per writer so replacements are intentional.
 				s.ID = multiset.ID(g*ops + i + 1)
+				mu.Lock()
 				ix.Add(s)
+				mu.Unlock()
 				if i%3 == 2 {
+					mu.Lock()
 					ix.Remove(s.ID)
+					mu.Unlock()
 				}
 			}
 		}(g)
@@ -268,11 +275,14 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 			for i, s := range sets {
 				q := QueryOf(multiset.Multiset{ID: 0, Entries: s.Entries})
 				var got []Match
+				mu.RLock()
 				if i%2 == 0 {
 					got = ix.QueryThresholdInto(q, 0.5, nil)
 				} else {
 					got = ix.QueryTopKInto(q, 5, nil)
 				}
+				ix.Stats()
+				mu.RUnlock()
 				for j, m := range got {
 					if m.Sim < 0 || m.Sim > 1+1e-9 {
 						t.Errorf("sim out of range: %v", m)
@@ -281,7 +291,6 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 						t.Errorf("results unsorted: %v", got)
 					}
 				}
-				ix.Stats()
 			}
 		}(g)
 	}

@@ -14,11 +14,8 @@ import (
 // and the length-pruned count.
 func gather(ix *Index, p *pass, q Query, t float64, k int) ([]cand, int64) {
 	p.cands = p.cands[:0]
-	p.begin(q, nil)
-	ix.mu.RLock()
-	_, lenPruned := ix.gatherLocked(p, t, k)
-	ix.mu.RUnlock()
-	p.reset()
+	p.begin(q)
+	_, lenPruned := ix.gather(p, t, k)
 	return p.cands, lenPruned
 }
 
@@ -26,7 +23,8 @@ func gather(ix *Index, p *pass, q Query, t float64, k int) ([]cand, int64) {
 // of a churned random corpus, for every measure, threshold and k, every
 // admitted candidate's summed partials equal similarity.ConjOf of the
 // query and the candidate — the same integers, so every measure returns
-// the same float — and its UniStats are its own. Some probes must hit
+// the same float — and its slot holds it, under the generation it was
+// admitted at, with its own UniStats. Some probes must hit
 // the admission cut, so the sums the walk past it finishes are covered.
 func TestAccumulatedConjEqualsConjOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -67,14 +65,16 @@ func TestAccumulatedConjEqualsConjOf(t *testing.T) {
 					cands, lenPruned := gather(ix, p, QueryOf(q), pr.t, pr.k)
 					seen := map[multiset.ID]bool{}
 					for _, c := range cands {
-						e := ix.View(c.id)
-						if seen[c.id] || c.id == q.ID || len(e.Entries) == 0 {
-							t.Fatalf("%s t=%v k=%d q=%v: candidate %d admitted twice, as self or dead", m.Name(), pr.t, pr.k, q, c.id)
+						slot := ix.slots[c.slot]
+						id := slot.set.ID
+						e := ix.View(id)
+						if seen[id] || id == q.ID || len(e.Entries) == 0 || slot.gen != c.gen {
+							t.Fatalf("%s t=%v k=%d q=%v: candidate %d admitted twice, as self, dead or stale", m.Name(), pr.t, pr.k, q, id)
 						}
-						seen[c.id] = true
-						if want := similarity.ConjOf(q, e); c.conj != want || c.uni != similarity.UniOf(e) {
+						seen[id] = true
+						if want := similarity.ConjOf(q, e); c.conj != want || slot.uni != similarity.UniOf(e) {
 							t.Fatalf("%s t=%v k=%d: candidate %d summed %+v %+v, want %+v %+v\nq %v\ne %v",
-								m.Name(), pr.t, pr.k, c.id, c.conj, c.uni, want, similarity.UniOf(e), q, e)
+								m.Name(), pr.t, pr.k, id, c.conj, slot.uni, want, similarity.UniOf(e), q, e)
 						}
 					}
 					if len(cands)+int(lenPruned) < overlap {
@@ -106,11 +106,7 @@ func TestStalePostingsAddNothing(t *testing.T) {
 	}
 	for _, m := range similarity.All() {
 		ix := buildIndex(m, sets)
-		slotOf := func(id multiset.ID) int32 {
-			ix.mu.RLock()
-			defer ix.mu.RUnlock()
-			return ix.entities[id]
-		}
+		slotOf := func(id multiset.ID) int32 { return ix.entities[id] }
 		replaced, removed := sets[3], sets[7]
 		rs, ds := slotOf(replaced.ID), slotOf(removed.ID)
 		ix.Add(recount(replaced.ID, replaced))
@@ -174,7 +170,7 @@ func TestHugeQueryElementGrowsNoScratch(t *testing.T) {
 	dir := len(ix.postings)
 	q := QueryOf(multiset.New(0, []multiset.Entry{{Elem: 1, Count: 1}, {Elem: 7, Count: 2}, {Elem: 1 << 40, Count: 3}}))
 	p := new(pass)
-	p.begin(q, nil)
+	p.begin(q)
 	ix.step(p, 0, -1)
 	if len(p.marks) > len(sets)*3/2+16 || len(p.lists) != len(q.Set.Entries) {
 		t.Fatalf("pass tables: %d marks, %d lists for %d entities and a %d-element query",

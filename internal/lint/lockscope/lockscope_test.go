@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockscope(t *testing.T) {
-	linttest.Run(t, lockscope.Analyzer, "testdata", "vsmartjoin/internal/index")
+	linttest.Run(t, lockscope.Analyzer, "testdata", "vsmartjoin/internal/shard")
 }

@@ -163,8 +163,9 @@ func partitionOf(key []byte, n int) int {
 // slab (callers reuse their encode buffers) — and the work it accounts.
 // Emission fills the worker's slot; finish leaves each sealed partition
 // in a batch of the task's own (see finish). When a spill cap is set,
-// buffers that grow past it are appended as sorted runs to the task's one
-// spill file (see spill.go); with cap == 0 everything stays in memory.
+// buffers that grow past it are appended as sorted runs to the spill file
+// of the worker's slot (see spill.go); with cap == 0 everything stays in
+// memory.
 type mapTask struct {
 	ctx *TaskContext
 	job *Job
@@ -181,10 +182,8 @@ type mapTask struct {
 	// Spill state. cap == 0 disables spilling entirely.
 	cap          int64
 	dir          string
-	curBytes     int64               // bytes currently buffered in memory
-	file         *os.File            // the spill file, created by the first spill and closed by Run
-	w            *mrfs.SegmentWriter // appends runs to file
-	runs         [][]span            // per partition: spilled runs, ranges of file, in spill order
+	curBytes     int64    // bytes currently buffered in memory
+	runs         [][]span // per partition: spilled runs, ranges of the slot's file, in spill order
 	spills       int
 	spilledRecs  int64
 	spilledBytes int64 // file bytes written to segments
@@ -309,6 +308,11 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 	}
 	stats.MapTasks = job.Input.NumPartitions()
 	maps := make([]*mapTask, stats.MapTasks)
+	// One slot per worker of the wider stage, taken from the pool for this
+	// Run and returned to it, emptied, when the Run ends.
+	mapWorkers, reduceWorkers := workers(stats.MapTasks), workers(numReducers)
+	slots := takeSlots(max(mapWorkers, reduceWorkers))
+	defer returnSlots(slots, cluster.MemPerMachine)
 	spillCap := cluster.ShuffleBufferBytes
 	var spillDir string
 	if spillCap > 0 {
@@ -317,24 +321,16 @@ func Run(cluster ClusterConfig, job Job) (*mrfs.Dataset, JobStats, error) {
 			return nil, stats, fmt.Errorf("mr: job %q: creating spill dir: %w", job.Name, derr)
 		}
 		spillDir = dir
-		// Every task is in maps from its start, so this closes each spill
-		// file, after a failure too. The files are scratch, removed below:
-		// a failed Close loses nothing.
+		// Runs before returnSlots, after a failure too: every slot's
+		// spill file is closed and dropped, then the dir removed.
 		defer func() {
-			for _, m := range maps {
-				if m != nil && m.file != nil {
-					m.file.Close()
-				}
+			for _, s := range slots {
+				s.closeSpill()
 			}
 			os.RemoveAll(spillDir)
 		}()
 	}
 	cm := cluster.Cost
-	// One slot per worker of the wider stage, taken from the pool for this
-	// Run and returned to it, emptied, when the Run ends.
-	mapWorkers, reduceWorkers := workers(stats.MapTasks), workers(numReducers)
-	slots := takeSlots(max(mapWorkers, reduceWorkers))
-	defer returnSlots(slots, cluster.MemPerMachine)
 	err := parallelFor(stats.MapTasks, mapWorkers, func(t, w int) error {
 		ctx, err := newTask(t, true, fmt.Sprintf("map task %d", t))
 		if err != nil {

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"os"
 	"runtime"
 	"sync"
 
@@ -14,7 +15,9 @@ import (
 // pipeline's jobs, and the next pipeline's, regrow nothing they have met
 // before. Nothing a task hands out lives in a slot: finish copies map
 // output into batches of the task's own, and each reduce task copies its
-// staged output into an exactly sized batch.
+// staged output into an exactly sized batch. The one exception, the
+// spill file the job's spans read, is closed and dropped when the Run
+// ends, so a pooled slot keeps no file.
 type slot struct {
 	parts []mrfs.Batch // map emission, one batch per reduce partition
 	spare mrfs.Batch   // the combiner's output, swapped with the partition it replaces
@@ -23,6 +26,22 @@ type slot struct {
 	out   mrfs.Batch   // reduce output, copied out at task end
 	// scratch serves every Sort and MergeRuns of the batches above.
 	scratch mrfs.Scratch
+	// spill is the slot's spill file in the current Run, created by the
+	// first map task on the slot that spills and appended to by every
+	// later one; spillW appends runs to it. Run closes it (closeSpill)
+	// before the slot goes back to the pool.
+	spill  *os.File
+	spillW *mrfs.SegmentWriter
+}
+
+// closeSpill closes the slot's spill file, if it has one, and forgets
+// it. The file is scratch in a dir Run removes: a failed Close loses
+// nothing.
+func (s *slot) closeSpill() {
+	if s.spill != nil {
+		s.spill.Close()
+		s.spill, s.spillW = nil, nil
+	}
 }
 
 // resize gives the slot n map emission batches, dropping any past n so a

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,8 +14,11 @@ import (
 // whenever the buffered bytes exceed the cap, every partition's batch is
 // sealed — sorted, and combined when the job has a dedicated combiner —
 // exactly as at the end of an in-memory task, and appended straight from
-// the sorted index, as one sorted run, to the one spill file the task's
-// first spill creates. A run is a byte range of that file, a span. Where an
+// the sorted index, as one sorted run, to the spill file of the worker's
+// slot: the first spill on a slot in a job creates it, named after the
+// task that spilled, and every later map task on that slot appends to it,
+// so a job creates at most one map file per worker, however many map
+// tasks spill. A run is a byte range of that file, a span. Where an
 // in-memory reduce task gathers its partition's runs into one batch and
 // merges them by key prefix (see gather), a spilling job's reduce task
 // streams the partition through a k-way merge of its runs, reading each
@@ -44,14 +46,15 @@ type span struct {
 	off, n int64
 }
 
-// spill appends every buffered partition to the task's spill file as one
+// spill appends every buffered partition to the slot's spill file as one
 // sorted run each and empties the in-memory batches, keeping their
 // storage for the next round.
 func (m *mapTask) spill() error {
 	fail := func(err error) error {
 		return fmt.Errorf("mr: job %q map task %d: %w", m.job.Name, m.ctx.TaskIndex, err)
 	}
-	if m.file == nil {
+	s := m.buf
+	if s.spill == nil {
 		f, err := os.Create(filepath.Join(m.dir, fmt.Sprintf("map%04d.seg", m.ctx.TaskIndex)))
 		if err != nil {
 			return fail(err)
@@ -59,30 +62,31 @@ func (m *mapTask) spill() error {
 		// This first round writes at most its emitted bytes plus 8 framing
 		// bytes a record while each field is under 16 KiB, and later
 		// rounds about as much: that sizes the buffer.
-		m.file, m.w = f, mrfs.NewSegmentWriter(f, m.curBytes+8*m.outRecords)
+		s.spill, s.spillW = f, mrfs.NewSegmentWriter(f, m.curBytes+8*m.outRecords)
 	}
-	for p := range m.buf.parts {
-		if m.buf.parts[p].Len() == 0 {
+	w, start := s.spillW, s.spillW.Bytes()
+	for p := range s.parts {
+		if s.parts[p].Len() == 0 {
 			continue
 		}
 		if err := m.seal(p); err != nil {
 			return err
 		}
-		b := &m.buf.parts[p]
-		off := m.w.Bytes()
+		b := &s.parts[p]
+		off := w.Bytes()
 		for i := 0; i < b.Len(); i++ {
-			if err := m.w.Write(b.Record(i)); err != nil {
+			if err := w.Write(b.Record(i)); err != nil {
 				return fail(err)
 			}
 		}
-		m.runs[p] = append(m.runs[p], span{m.file, off, m.w.Bytes() - off})
+		m.runs[p] = append(m.runs[p], span{s.spill, off, w.Bytes() - off})
 		m.spilledRecs += int64(b.Len())
 		b.Reset()
 	}
-	if err := m.w.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return fail(err)
 	}
-	m.spilledBytes = m.w.Bytes()
+	m.spilledBytes += w.Bytes() - start
 	m.spills++
 	m.curBytes = 0
 	return nil
@@ -168,73 +172,87 @@ func (s span) open(read *int64) run {
 	return mrfs.NewSegmentReader(s.file, s.off, s.n)
 }
 
-// mergeItem is one heap entry of the k-way merge: a run and its current
-// record.
-type mergeItem struct {
-	rec mrfs.Record
-	src int
-	run run
+// mergeIter merges sorted runs into one globally sorted stream: a binary
+// min-heap of run indexes, ordered by each run's current record and, for
+// equal records, by index, so the stream is one fixed sequence. The heap
+// holds plain indexes, not the records, so sifting it moves no pointers
+// (under a running collector every pointer a swap moved paid a write
+// barrier).
+type mergeIter struct {
+	runs []run
+	recs []mrfs.Record // recs[i] is runs[i]'s current record
+	heap []int
 }
 
-// mergeIter merges sorted runs into one globally sorted stream: a heap of
-// the runs, ordered by their current records.
-type mergeIter []mergeItem
-
-func (h mergeIter) Len() int { return len(h) }
-func (h mergeIter) Less(i, j int) bool {
-	if c := mrfs.Compare(h[i].rec, h[j].rec); c != 0 {
+func (m *mergeIter) less(a, b int) bool {
+	if c := mrfs.Compare(m.recs[a], m.recs[b]); c != 0 {
 		return c < 0
 	}
-	return h[i].src < h[j].src // equal records: stable by run index
+	return a < b
 }
-func (h mergeIter) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeIter) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeIter) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down sifts the heap's entry at i down to its place.
+func (m *mergeIter) down(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // newMergeIter primes a merge over the given runs.
 func newMergeIter(runs []run) (*mergeIter, error) {
-	var m mergeIter
+	m := &mergeIter{runs: runs, recs: make([]mrfs.Record, len(runs)), heap: make([]int, 0, len(runs))}
 	for i, r := range runs {
 		rec, ok, err := r.Next()
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			m = append(m, mergeItem{rec: rec, src: i, run: r})
+			m.recs[i] = rec
+			m.heap = append(m.heap, i)
 		}
 	}
-	heap.Init(&m)
-	return &m, nil
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m, nil
 }
 
 // peek returns the stream's current record without consuming it: a view
 // valid until the next advance. ok is false at the end of the stream.
 func (m *mergeIter) peek() (rec mrfs.Record, ok bool) {
-	if len(*m) == 0 {
+	if len(m.heap) == 0 {
 		return mrfs.Record{}, false
 	}
-	return (*m)[0].rec, true
+	return m.recs[m.heap[0]], true
 }
 
 // advance consumes the current record.
 func (m *mergeIter) advance() error {
-	top := &(*m)[0]
-	rec, ok, err := top.run.Next()
+	top := m.heap[0]
+	rec, ok, err := m.runs[top].Next()
 	if err != nil {
 		return err
 	}
 	if ok {
-		top.rec = rec
-		heap.Fix(m, 0)
+		m.recs[top] = rec
 	} else {
-		heap.Pop(m)
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
 	}
+	m.down(0)
 	return nil
 }
 

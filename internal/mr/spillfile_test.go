@@ -2,30 +2,53 @@ package mr
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"vsmartjoin/internal/mrfs"
 )
 
-// spillFiles counts the files in every spill dir under tmp.
-func spillFiles(tmp string) (int, error) {
+// spillFiles counts the files in every spill dir under tmp and returns
+// the names of the map-side ones.
+func spillFiles(tmp string) (int, []string, error) {
 	dirs, err := filepath.Glob(filepath.Join(tmp, "vsmartjoin-shuffle-*"))
-	n := 0
+	n, mapFiles := 0, []string(nil)
 	for _, dir := range dirs {
 		files, derr := os.ReadDir(dir)
 		n += len(files)
 		err = errors.Join(err, derr)
+		for _, f := range files {
+			if strings.HasPrefix(f.Name(), "map") {
+				mapFiles = append(mapFiles, f.Name())
+			}
+		}
 	}
-	return n, err
+	return n, mapFiles, err
+}
+
+// goroutineID is the ID the runtime prints for the calling goroutine:
+// the map tasks of one worker, and so of one slot, run on one goroutine.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1] // "goroutine N [running]:"
 }
 
 // TestSpillFilesPerMapTask counts the spill dir's files from inside the
-// reducer, while every map task's runs are still on disk: one file per
-// spilling map task, whatever its spill rounds and reduce partitions, plus
-// one per compacting partition while that partition is reduced.
+// reducer, while every map task's runs are still on disk: exactly one
+// file per worker slot that spilled, named after the first map task that
+// spilled on it, whatever the spill rounds and reduce partitions, plus
+// one per compacting partition while that partition is reduced. Which
+// slot ran a task is told by the goroutine its mapper ran on, and a
+// worker takes its tasks in index order, so a slot's first spilling task
+// is its lowest-numbered one.
 func TestSpillFilesPerMapTask(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -40,37 +63,59 @@ func TestSpillFilesPerMapTask(t *testing.T) {
 			tmp := t.TempDir()
 			t.Setenv("TMPDIR", tmp)
 			var mu sync.Mutex
-			most := 0
+			most, seen := 0, map[string]bool{}
+			workerOf := map[int]string{}
+			mapper := MapperFunc(func(ctx *TaskContext, rec mrfs.Record, emit Emitter) error {
+				mu.Lock()
+				workerOf[ctx.TaskIndex] = goroutineID()
+				mu.Unlock()
+				return wordCountMapper.Map(ctx, rec, emit)
+			})
 			reducer := ReducerFunc(func(ctx *TaskContext, key []byte, values *Values, emit Emitter) error {
-				n, err := spillFiles(tmp)
+				n, names, err := spillFiles(tmp)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
 				most = max(most, n)
+				for _, name := range names {
+					seen[name] = true
+				}
 				mu.Unlock()
 				return sumReducer.Reduce(ctx, key, values, emit)
 			})
-			_, stats := runSorted(t, spillCluster(2, tc.cap), Job{Name: "wordcount", Input: tc.input, Mapper: wordCountMapper, Reducer: reducer})
+			_, stats := runSorted(t, spillCluster(2, tc.cap), Job{Name: "wordcount", Input: tc.input, Mapper: mapper, Reducer: reducer})
 			if tc.compact != (stats.Spills > maxMergeFanIn) {
 				t.Fatalf("%d spill rounds against a merge fan-in of %d: compaction %v, want %v",
 					stats.Spills, maxMergeFanIn, !tc.compact, tc.compact)
 			}
-			spilling := 0
-			for _, io := range stats.Profile.MapTasks {
-				if io.SpillIO > 0 {
-					spilling++
+			first := map[string]int{} // worker -> its lowest spilling task
+			for task, io := range stats.Profile.MapTasks {
+				if w := workerOf[task]; io.SpillIO > 0 {
+					if f, ok := first[w]; !ok || task < f {
+						first[w] = task
+					}
 				}
 			}
-			lo, hi := spilling, spilling
+			if len(first) == 0 {
+				t.Fatal("no map task spilled")
+			}
+			want := map[string]bool{}
+			for _, task := range first {
+				want[fmt.Sprintf("map%04d.seg", task)] = true
+			}
+			if !maps.Equal(seen, want) {
+				t.Fatalf("map spill files %v, want %v: one per slot that spilled, named after its first spilling task", slices.Sorted(maps.Keys(seen)), slices.Sorted(maps.Keys(want)))
+			}
+			lo, hi := len(want), len(want)
 			if tc.compact {
-				lo, hi = spilling+1, spilling+stats.ReduceTasks // a reducer sees its own partition's file
+				lo, hi = lo+1, hi+stats.ReduceTasks // a reducer sees its own partition's file
 			}
 			if most < lo || most > hi {
-				t.Fatalf("%d spill rounds over %d reduce partitions: a reducer saw up to %d spill files, want %d to %d for %d spilling map tasks",
-					stats.Spills, stats.ReduceTasks, most, lo, hi, spilling)
+				t.Fatalf("%d spill rounds over %d reduce partitions: a reducer saw up to %d spill files, want %d to %d for %d slots that spilled",
+					stats.Spills, stats.ReduceTasks, most, lo, hi, len(want))
 			}
-			if n, err := spillFiles(tmp); n != 0 || err != nil {
+			if n, _, err := spillFiles(tmp); n != 0 || err != nil {
 				t.Fatalf("%d spill files left after the job (%v)", n, err)
 			}
 		})
@@ -117,7 +162,7 @@ func TestSpillLeavesNoFileOpen(t *testing.T) {
 	if after := openFiles(); after != before {
 		t.Fatalf("a job whose spilled map task failed left %d descriptors open", after-before)
 	}
-	if n, err := spillFiles(tmp); n != 0 || err != nil {
+	if n, _, err := spillFiles(tmp); n != 0 || err != nil {
 		t.Fatalf("%d spill files left after the failed job (%v)", n, err)
 	}
 }

@@ -7,8 +7,9 @@
 // ladder its shard rung.
 //
 // A query is one pass on the caller's goroutine (index.QueryAcross): it
-// walks the partitions in order, each under its own read lock, with one
-// pooled pass state. Partitioning by entity keeps every query exact:
+// walks the partitions in order with one pooled pass state, under the
+// Set's read lock; a mutation takes its write lock, since an index.Index
+// has no lock of its own. Partitioning by entity keeps every query exact:
 // each partition holds the complete multisets of its entities, so the
 // measure-derived pruning bounds apply per partition exactly as they do
 // globally; a threshold answer is the union of the partitions' verified
@@ -19,6 +20,8 @@
 package shard
 
 import (
+	"sync"
+
 	"vsmartjoin/internal/index"
 	"vsmartjoin/internal/multiset"
 	"vsmartjoin/internal/planner"
@@ -29,7 +32,9 @@ import (
 // zero value is not usable; construct with New. Its query methods mirror
 // index.Index's.
 type Set struct {
-	shards []*index.Index
+	shards []*index.Index // fixed at New
+
+	mu sync.RWMutex // held for writing by Add and Remove, for reading by every read
 }
 
 // New returns an empty set of n shards (n < 1 is treated as 1)
@@ -66,14 +71,24 @@ func (s *Set) shardOf(id multiset.ID) *index.Index {
 
 // Add upserts an entity into its owning shard. Ownership follows the
 // ID, so an upsert always lands on the shard holding the old version.
-func (s *Set) Add(m multiset.Multiset) { s.shardOf(m.ID).Add(m) }
+func (s *Set) Add(m multiset.Multiset) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shardOf(m.ID).Add(m)
+}
 
 // Remove deletes the entity with the given ID, reporting whether it was
 // present.
-func (s *Set) Remove(id multiset.ID) bool { return s.shardOf(id).Remove(id) }
+func (s *Set) Remove(id multiset.ID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shardOf(id).Remove(id)
+}
 
 // Len reports the number of live entities across all shards.
 func (s *Set) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.Len()
@@ -85,6 +100,8 @@ func (s *Set) Len() int {
 // entity of any shard at similarity t or above: exactly the single-index
 // answer, since the shards partition the entities.
 func (s *Set) QueryThresholdInto(q index.Query, t float64, buf []index.Match) []index.Match {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return index.QueryAcross(s.shards, q, t, -1, buf)
 }
 
@@ -92,7 +109,9 @@ func (s *Set) QueryThresholdInto(q index.Query, t float64, buf []index.Match) []
 // single-index answer, ID tie-breaks included.
 func (s *Set) QueryTopKInto(q index.Query, k int, buf []index.Match) []index.Match {
 	k, base := max(k, 0), len(buf)
+	s.mu.RLock()
 	buf = index.QueryAcross(s.shards, q, 0, k, buf)
+	s.mu.RUnlock()
 	if len(buf)-base > k { // the boundary ties follow the k best
 		buf = buf[:base+k]
 	}

@@ -149,7 +149,6 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 		}
 		if m.Op == OpRemove {
 			delete(ix.byName, m.Entity)
-			delete(ix.names, r.id)
 			ix.order.remove(m.Entity)
 			ops = append(ops, index.BatchOp{Remove: true, ID: r.id})
 		} else {
@@ -157,8 +156,7 @@ func (ix *Index) Apply(_ context.Context, muts []Mutation) ([]bool, error) {
 				ix.order.insert(m.Entity)
 			}
 			ix.byName[m.Entity] = r.id
-			ix.names[r.id] = m.Entity
-			ops = append(ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements)})
+			ops = append(ops, index.BatchOp{Set: ix.internCounts(r.id, m.Elements), Name: m.Entity})
 		}
 		applied[i] = true
 	}

@@ -3,13 +3,16 @@ package vsmartjoin
 // The public read path. Every online query — threshold, top-k, kNN; by
 // element multiset or by indexed entity — is one Query value answered
 // by one method, Index.Query (and, over a cluster of nodes,
-// Cluster.Query): validate → intern or look up the query → result cache,
-// keyed by the interned form → one pass over the inner index, which
-// returns a top-k or kNN query's boundary ties beside its k best →
-// resolve IDs to names, re-break ties by name and pad a short kNN list
-// (one read-lock hold, O(results + k) whatever the index holds) → cache
-// fill. The named methods (QueryThreshold, QueryEntity, QueryTopK,
-// QueryKNN, QueryKNNEntity) are conveniences over it.
+// Cluster.Query): validate → look up an element query's names → result
+// cache, keyed by the interned form → one read hold of ix.mu across the
+// rest: an entity query's subject, one pass over the inner index, which
+// returns a top-k or kNN query's boundary ties beside its k best and the
+// names of their slots, and the pad of a short kNN list (O(results + k)
+// whatever the index holds) → re-break ties by name and cut, outside the
+// hold → cache fill. Every mutation holds ix.mu for writing, so an answer
+// is exactly the index between two Apply calls: Query is linearizable. The
+// named methods (QueryThreshold, QueryEntity, QueryTopK, QueryKNN,
+// QueryKNNEntity) are conveniences over it.
 //
 // Below this file similarity is the only currency: the inner index
 // answers threshold and top-k queries in (similarity, entity ID)
@@ -17,8 +20,8 @@ package vsmartjoin
 // top-k — d is decreasing in the similarity, so "nearest first" is
 // "most similar first" and the rising k-th-distance floor the
 // literature prunes with is the top-k pass's rising similarity floor.
-// Distances exist only on the Neighbor values resolve produces, and
-// that is also the one place the ties 1 − sim creates (adjacent
+// Distances exist only on the Neighbor values resolveLocked produces,
+// and canonical is the one place the ties 1 − sim creates (adjacent
 // similarities can round to one distance) are re-broken, by name.
 
 import (
@@ -83,9 +86,10 @@ const (
 // KindKNN ones (the other field is nil).
 type QueryResult = cluster.QueryResult
 
-// Query answers q against the index as of the call; the context is
-// accepted for symmetry with Cluster.Query and unused, the index being
-// local. The answer is independent of insertion order: where more than K entities tie at the K-th best similarity (or
+// Query answers q against the index as it stood at one instant during
+// the call; the context is accepted for symmetry with Cluster.Query and
+// unused, the index being local. The answer is independent of insertion
+// order: where more than K entities tie at the K-th best similarity (or
 // distance) the smallest names win, so selection is a pure function of
 // the indexed (name, multiset) pairs. It fails on a malformed query
 // (threshold outside [0, 1], K not positive, both Entity and Elements
@@ -96,73 +100,75 @@ func (ix *Index) Query(_ context.Context, q Query) (QueryResult, error) {
 	if err := cluster.CheckQuery(&q); err != nil {
 		return QueryResult{}, fmt.Errorf("vsmartjoin: %w", err)
 	}
-	// The generation is read BEFORE the subject is resolved and the
-	// query runs: a mutation racing the fill leaves a stale stamp
-	// behind, so the entry can only be a false miss later, never a
-	// stale hit.
-	gen := ix.gen.Load()
 	bp := matchBufPool.Get().(*queryBuf)
 	defer matchBufPool.Put(bp)
-	iq, err := ix.subject(q, bp)
-	if err != nil {
-		return QueryResult{}, err
+	// Read before the elements are looked up; cache.go says why a hit on
+	// it, and a lookup made before the hold, are exact.
+	gen := ix.gen.Load()
+	var iq index.Query
+	if q.Entity == "" {
+		iq = ix.buildQuery(q.Elements, bp)
 	}
 	if ix.cache == nil {
-		return ix.query(q, iq, bp), nil
+		res, _, err := ix.query(q, iq, gen, bp)
+		return res, err
 	}
 	bp.key = appendKey(bp.key[:0], ix.measure.Name(), q, iq)
 	if res, ok := ix.cache.get(bp.key, gen); ok {
 		return res, nil
 	}
-	res := ix.query(q, iq, bp)
-	ix.cache.put(bp.key, gen, res)
+	res, stamp, err := ix.query(q, iq, gen, bp)
+	if err != nil {
+		return QueryResult{}, err // an entity that is not indexed counts as no miss
+	}
+	ix.cache.misses.Add(1)
+	ix.cache.put(bp.key, stamp, res)
 	return res, nil
 }
 
-// subject resolves q's subject into the inner index's query, once per
-// Query: an Elements query through buildQuery into bp's pooled entries,
-// an Entity query to the entity's own multiset. The name and its
-// multiset are read in one ix.mu hold, so the probe never carries a
-// dead ID; it carries the entity's own ID so the index skips the
-// self-pair.
-func (ix *Index) subject(q Query, bp *queryBuf) (index.Query, error) {
-	if q.Entity == "" {
-		return ix.buildQuery(q.Elements, bp), nil
-	}
-	var iq index.Query
-	ix.mu.RLock()
-	id, ok := ix.byName[q.Entity]
-	if ok {
-		iq.Set = ix.inner.View(id)
-	}
-	ix.mu.RUnlock()
-	if !ok {
-		return index.Query{}, fmt.Errorf("vsmartjoin: entity %q not indexed", q.Entity)
-	}
-	return iq, nil
-}
-
-// query is Query below the cache: one pass over the inner index for iq,
-// q's subject as resolved, using bp's staging buffer.
-func (ix *Index) query(q Query, iq index.Query, bp *queryBuf) QueryResult {
+// query is Query below the cache, for iq, an Elements query's lookup made
+// at generation gen (an Entity query's is resolved here): one read hold
+// of ix.mu across the subject, the pass over the inner index and
+// resolveLocked, so the answer, and the generation it reports for the
+// cache stamp, are one state's. An Apply between the lookup and the
+// hold may have interned an element the lookup found unknown: then the
+// lookup, and the cache key built from it, are redone in the hold.
+func (ix *Index) query(q Query, iq index.Query, gen uint64, bp *queryBuf) (QueryResult, uint64, error) {
 	start, timed := bp.sample()
-	var ms []index.Match
-	if q.Kind == KindThreshold {
-		ms = ix.inner.QueryThresholdInto(iq, q.Threshold, bp.ms[:0])
-	} else {
-		// The k best and, after them, every match tied with the k-th
+	ix.mu.RLock()
+	stamp := ix.gen.Load()
+	switch {
+	case q.Entity != "":
+		id, ok := ix.byName[q.Entity]
+		if !ok {
+			ix.mu.RUnlock()
+			return QueryResult{}, 0, fmt.Errorf("vsmartjoin: entity %q not indexed", q.Entity)
+		}
+		// The entity's own ID rides along, so the index skips the self-pair.
+		iq.Set = ix.inner.View(id)
+	case stamp != gen && len(bp.unknown) > 0:
+		iq = ix.buildQuery(q.Elements, bp)
+		if ix.cache != nil {
+			bp.key = appendKey(bp.key[:0], ix.measure.Name(), q, iq)
+		}
+	}
+	t, k := q.Threshold, -1
+	if q.Kind != KindThreshold {
+		// The k best and every match tied with the k-th
 		// (index.QueryAcross): the heap broke ties by entity ID, and
-		// resolve's canonical sort re-picks among them by name. The
+		// canonical's sort re-picks among them by name. The
 		// inclusion tolerance dwarfs the similarity gaps one distance
 		// can hide, so the kNN ties 1 − sim creates are there too.
-		ms = index.QueryAcross([]*index.Index{ix.inner}, iq, 0, q.K, bp.ms[:0])
+		t, k = 0, q.K
 	}
-	res := ix.resolve(ms, q)
-	bp.ms = ms
+	bp.ms = ix.inner.QueryNamed(iq, t, k, bp.ms[:0])
+	res := ix.resolveLocked(bp.ms, q)
+	ix.mu.RUnlock()
+	res = canonical(res, q, len(bp.ms))
 	if timed {
 		ix.queryLatency.ObserveSince(start)
 	}
-	return res
+	return res, stamp, nil
 }
 
 // QueryThreshold is Query for a KindThreshold query by elements.
@@ -228,46 +234,43 @@ func (ix *Index) buildQuery(counts map[string]uint32, bp *queryBuf) index.Query 
 	return q
 }
 
-// resolve translates the inner index's ID matches into q's public
-// result — the one place entity names are attached and, for kNN,
-// distances are computed — in the canonical public order, cut to q.K:
-// the inner index breaks ties by entity ID, which is meaningless outside
-// one process, and in distance space 1 − sim is order-reversing but not
-// injective (adjacent similarities can round to one distance), so the
-// distance ties it creates are re-broken by name here too. Matches whose
-// entity was removed between the query and the lookup are dropped. A
-// kNN list with fewer than q.K overlapping entities is padded under the
-// same read-lock hold, so the resolved names and the pad come from one
-// state of the name tables.
-func (ix *Index) resolve(ms []index.Match, q Query) QueryResult {
+// resolveLocked turns the inner index's named matches into q's public
+// result — for kNN the one place distances are computed — and pads a
+// kNN list with fewer than q.K overlapping entities from the name table
+// of the same state. Caller holds ix.mu.
+func (ix *Index) resolveLocked(ms []index.Named, q Query) QueryResult {
 	var res QueryResult
-	ix.mu.RLock()
-	if q.Kind == KindKNN {
-		// Room for the pad: it can only run when len(ms) < q.K.
-		res.Neighbors = make([]Neighbor, 0, max(len(ms), min(q.K, len(ix.byName))))
-	} else {
-		res.Matches = make([]Match, 0, len(ms))
-	}
-	for _, m := range ms {
-		name, ok := ix.names[m.ID]
-		if !ok {
-			continue
+	if q.Kind != KindKNN {
+		res.Matches = make([]Match, len(ms))
+		for i, m := range ms {
+			res.Matches[i] = Match{Entity: m.Name, Similarity: m.Sim}
 		}
-		if q.Kind == KindKNN {
-			res.Neighbors = append(res.Neighbors, Neighbor{Entity: name, Distance: 1 - m.Sim})
-		} else {
-			res.Matches = append(res.Matches, Match{Entity: name, Similarity: m.Sim})
-		}
+		return res
 	}
-	overlap := len(res.Neighbors)
-	if q.Kind == KindKNN && overlap < q.K {
+	// Room for the pad: it can only run when len(ms) < q.K.
+	res.Neighbors = make([]Neighbor, len(ms), max(len(ms), min(q.K, len(ix.byName))))
+	for i, m := range ms {
+		res.Neighbors[i] = Neighbor{Entity: m.Name, Distance: 1 - m.Sim}
+	}
+	if len(ms) < q.K {
 		// Fewer than k entities overlap the query, so the list already
 		// holds every overlapping one.
 		res.Neighbors = ix.padKNNLocked(res.Neighbors, q.K, q.Entity)
 	}
-	ix.mu.RUnlock()
+	return res
+}
+
+// canonical puts res, resolveLocked's answer to q with its first overlap
+// entries from the inner index, in the canonical public order, cut to
+// q.K, with no lock held: the inner index breaks ties by entity ID,
+// which is meaningless outside one process, and in distance space 1 − sim
+// is order-reversing but not injective (adjacent similarities can round
+// to one distance), so the distance ties it creates are re-broken by name
+// here too. A kNN pad follows every overlapping entity, at distance 1, in
+// name order already.
+func canonical(res QueryResult, q Query, overlap int) QueryResult {
 	cluster.SortMatches(res.Matches)
-	cluster.SortNeighbors(res.Neighbors[:overlap])
+	cluster.SortNeighbors(res.Neighbors[:min(overlap, len(res.Neighbors))])
 	if q.Kind != KindThreshold {
 		res.Matches = res.Matches[:min(len(res.Matches), q.K)]
 		res.Neighbors = res.Neighbors[:min(len(res.Neighbors), q.K)]
@@ -304,12 +307,11 @@ func (ix *Index) padKNNLocked(out []Neighbor, k int, self string) []Neighbor {
 }
 
 // queryBuf is the pooled per-query state of the public read path, held
-// by one Query from subject resolution to the cache fill: the interned
+// by one Query from the element lookup to the cache fill: the interned
 // query's entries and its unknown elements' counts (buildQuery), the
-// cache key, the internal-match
-// staging buffer (the inner Into query fills it, resolve translates it
-// into public results) — none of which reaches a caller, so pooling is
-// safe — plus a latency-sampling tick. Query latency is
+// cache key, the named-match staging buffer (QueryNamed fills it,
+// resolveLocked translates it into public results) — none of which
+// reaches a caller, so pooling is safe — plus a latency-sampling tick. Query latency is
 // observed on one query in eight per buffer: the two clock reads and
 // the histogram's shared-cacheline bump leave the hot path seven times
 // out of eight, keeping the uncached read at its pre-instrumentation
@@ -320,7 +322,7 @@ type queryBuf struct {
 	entries []multiset.Entry
 	unknown []uint32
 	key     []byte
-	ms      []index.Match
+	ms      []index.Named
 	tick    uint8
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -357,22 +358,7 @@ func TestConveniencesEqualApply(t *testing.T) {
 // of the order in which a run happened to intern the element names.
 func TestMutationScriptModel(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(18))
-	names := make([]string, 12)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%02d", i)
-	}
-	var muts []vsmartjoin.Mutation
-	for i := 0; i < 400; i++ {
-		m := vsmartjoin.Mutation{Op: vsmartjoin.OpRemove, Entity: names[rng.Intn(len(names))]}
-		if rng.Intn(3) > 0 {
-			m.Op, m.Elements = vsmartjoin.OpAdd, map[string]uint32{}
-			for j, k := 0, 1+rng.Intn(4); j < k; j++ {
-				m.Elements[fmt.Sprintf("w%d", rng.Intn(10))] = uint32(1 + rng.Intn(3))
-			}
-		}
-		muts = append(muts, m)
-	}
+	names, muts := mutationScript()
 
 	// oracle applies a batch to the model and predicts Apply's flags: a
 	// remove reports whether the name was there, an upsert true unless a
@@ -505,6 +491,76 @@ func TestMutationScriptModel(t *testing.T) {
 		if !ok || !bytes.Equal(data, other) {
 			t.Fatalf("%s differs between one-op Apply and Add/Remove", name)
 		}
+	}
+}
+
+// mutationScript is the model tests' seeded script of 400 upserts,
+// re-upserts, removes, removes of absent names and in-batch repeats over
+// the 12 names it returns.
+func mutationScript() (names []string, muts []vsmartjoin.Mutation) {
+	rng := rand.New(rand.NewSource(18))
+	names = make([]string, 12)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%02d", i)
+	}
+	for i := 0; i < 400; i++ {
+		m := vsmartjoin.Mutation{Op: vsmartjoin.OpRemove, Entity: names[rng.Intn(len(names))]}
+		if rng.Intn(3) > 0 {
+			m.Op, m.Elements = vsmartjoin.OpAdd, map[string]uint32{}
+			for j, k := 0, 1+rng.Intn(4); j < k; j++ {
+				m.Elements[fmt.Sprintf("w%d", rng.Intn(10))] = uint32(1 + rng.Intn(3))
+			}
+		}
+		muts = append(muts, m)
+	}
+	return names, muts
+}
+
+// TestMutationScriptModelUnderQueries: the model script, cut into random
+// Apply batches, runs against readers asking every query kind by
+// elements and by entity, and each answer must be the brute-force answer
+// at a state of the model the index passed through while the query ran
+// (checkQueriesUnderWrites) — volatile with the cache off and
+// on, and durable.
+func TestMutationScriptModelUnderQueries(t *testing.T) {
+	_, muts := mutationScript()
+	cut := rand.New(rand.NewSource(19))
+	var batches [][]vsmartjoin.Mutation
+	states := []map[string]map[string]uint32{{}}
+	for lo := 0; lo < len(muts); {
+		hi := min(len(muts), lo+1+cut.Intn(8))
+		batches = append(batches, muts[lo:hi])
+		state := maps.Clone(states[len(states)-1])
+		for _, m := range muts[lo:hi] {
+			if m.Op == vsmartjoin.OpAdd {
+				state[m.Entity] = m.Elements
+			} else {
+				delete(state, m.Entity)
+			}
+		}
+		states = append(states, state)
+		lo = hi
+	}
+	queries := []vsmartjoin.Query{
+		{Elements: map[string]uint32{"w1": 2, "w4": 1, "w7": 3}, Threshold: 0.3},
+		{Elements: map[string]uint32{"w0": 1, "w5": 2, "w9": 1}, Kind: vsmartjoin.KindTopK, K: 3},
+		{Elements: map[string]uint32{"w2": 2, "w3": 1}, Kind: vsmartjoin.KindKNN, K: 4},
+		{Entity: "m03", Threshold: 0.2},
+		{Entity: "m05", Kind: vsmartjoin.KindTopK, K: 2},
+		{Entity: "m07", Kind: vsmartjoin.KindKNN, K: 3},
+	}
+	for _, opts := range []vsmartjoin.IndexOptions{{CacheSize: -1}, {}, {Dir: "durable"}} {
+		t.Run(fmt.Sprintf("cache=%d/durable=%v", opts.CacheSize, opts.Dir != ""), func(t *testing.T) {
+			if opts.Dir != "" {
+				opts.Dir = t.TempDir()
+			}
+			ix, err := vsmartjoin.NewIndex(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			checkQueriesUnderWrites(t, ix, batches, states, queries)
+		})
 	}
 }
 
